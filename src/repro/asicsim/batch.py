@@ -1,15 +1,13 @@
-"""Columnar packet-batch representation for the batched hot path.
+"""Columnar packet-batch representation for the batched replay driver.
 
 The scalar simulator hands the switch one connection at a time; every
 layer then re-derives the same per-key facts (key bytes, the 64-bit base
-hash, per-stage profiles) on demand.  The batched execution mode instead
-materializes those facts *once per batch* as parallel columns — arrays of
-key bytes, cached base hashes, VIP ids and arrival timestamps — so the
-vectorized primitives (:func:`~repro.asicsim.hashing.base_hash_many`,
-:meth:`~repro.asicsim.cuckoo.CuckooTable.prime_profiles`,
-:meth:`~repro.asicsim.registers.BloomFilter.query_batch`) can run over
-whole batches while the per-element semantics stay bit-identical to the
-scalar oracle (see the intra-batch ordering rule in docs/architecture.md).
+hash, per-stage profiles) on demand.  The batched driver instead
+materializes the key bytes and base hashes *once per priming window* as
+parallel columns, so the vectorized primitives
+(:func:`~repro.asicsim.hashing.base_hash_many`,
+:meth:`~repro.asicsim.cuckoo.CuckooTable.prime_profiles`) run over whole
+windows; the arrival walk itself stays the scalar one.
 """
 
 from __future__ import annotations
@@ -21,25 +19,14 @@ from .hashing import base_hash_many
 
 
 class PacketBatch:
-    """One batch of connection arrivals in columnar (struct-of-arrays) form.
+    """A window of connection arrivals in columnar (struct-of-arrays) form:
+    ``keys[i]`` and ``base_hashes[i]`` describe the same arrival."""
 
-    ``conns[i]``, ``keys[i]``, ``base_hashes[i]``, ``vips[i]`` and
-    ``starts[i]`` all describe the same arrival; the columns exist so batch
-    consumers iterate plain lists instead of chasing attributes object by
-    object.
-    """
+    __slots__ = ("keys", "base_hashes")
 
-    __slots__ = ("conns", "keys", "base_hashes", "vips", "starts")
-
-    def __init__(self, conns, keys, base_hashes, vips, starts) -> None:
-        self.conns: List[Connection] = conns
+    def __init__(self, keys, base_hashes) -> None:
         self.keys: List[bytes] = keys
         self.base_hashes: List[int] = base_hashes
-        self.vips: List = vips
-        self.starts: List[float] = starts
-
-    def __len__(self) -> int:
-        return len(self.conns)
 
     @classmethod
     def from_connections(cls, conns: Sequence[Connection]) -> "PacketBatch":
@@ -54,8 +41,6 @@ class PacketBatch:
         scalar path.
         """
         keys: List[bytes] = []
-        vips: List = []
-        starts: List[float] = []
         hashes: List[int] = [0] * len(conns)
         missing: List[int] = []
         missing_keys: List[bytes] = []
@@ -66,8 +51,6 @@ class PacketBatch:
                 key = conn.five_tuple.key_bytes()
                 d["key"] = key
             keys.append(key)
-            vips.append(conn.vip)
-            starts.append(conn.start)
             h = d.get("key_hash")
             if h is None:
                 missing.append(i)
@@ -78,4 +61,4 @@ class PacketBatch:
             for i, h in zip(missing, base_hash_many(missing_keys)):
                 hashes[i] = h
                 conns[i].__dict__["key_hash"] = h
-        return cls(list(conns), keys, hashes, vips, starts)
+        return cls(keys, hashes)

@@ -503,9 +503,8 @@ class CuckooTable:
         return _MISS
 
     def _scan(self, key: bytes, profile) -> LookupResult:
-        """The slot scan behind :meth:`lookup`, shared with the batch path
-        (counter for the lookup itself is the caller's job; false-positive
-        accounting happens here)."""
+        """The slot scan behind :meth:`lookup`'s fast-miss filter
+        (false-positive accounting happens here)."""
         for stage, (bucket, digest) in enumerate(profile):
             for way, slot in enumerate(self._slots[stage][bucket]):
                 if slot is not None and slot.digest == digest:
@@ -521,43 +520,6 @@ class CuckooTable:
                         false_positive=fp,
                     )
         return _MISS
-
-    def lookup_batch(
-        self, keys: List[bytes], key_hashes: List[int]
-    ) -> List[LookupResult]:
-        """Data-plane lookups for a whole batch of keys.
-
-        Element ``i`` returns exactly ``lookup(keys[i], key_hashes[i])``
-        would, and all counters end at the same values; the profile
-        derivations are vectorized and the per-call increments are hoisted.
-        NOTE: batching lookups is only valid when no table mutation happens
-        between the batched elements — the caller owns that ordering rule
-        (see docs/architecture.md).
-        """
-        self.prime_profiles(keys, key_hashes)
-        n = len(keys)
-        self.total_lookups += n
-        if self._m_lookups is not None:
-            self._m_lookups.value += float(n)
-        profiles = self._profiles
-        cache = self._profile_cache
-        candidates = self._candidates
-        shift = self._cand_shift
-        offsets = self._stage_offsets
-        results: List[LookupResult] = []
-        append = results.append
-        scan = self._scan
-        for key in keys:
-            profile = profiles.get(key)
-            if profile is None:
-                profile = cache[key]
-            for stage, (bucket, digest) in enumerate(profile):
-                if (digest << shift | (offsets[stage] + bucket)) in candidates:
-                    append(scan(key, profile))
-                    break
-            else:
-                append(_MISS)
-        return results
 
     def get_exact(self, key: bytes) -> Optional[int]:
         """Software (full-key) lookup; no false positives."""
@@ -752,29 +714,6 @@ class CuckooTable:
         self._place(key, value, Location(final_stage, final_bucket, way), profile)
         self._note_insert(moves)
         return InsertResult(Location(final_stage, final_bucket, way), moves=moves)
-
-    def insert_batch(self, items: List[Tuple[bytes, int, Optional[int]]]) -> List:
-        """Bulk insertion: ``items`` is ``(key, value, key_hash)`` triples.
-
-        Profiles for the whole batch are derived vectorized up front, then
-        each entry inserts in list order with full cuckoo semantics (the
-        BFS mutates the table, so insertions cannot themselves be
-        vectorized).  Per-item outcome is the :class:`InsertResult`, or the
-        raised :class:`TableFull` / :class:`DuplicateKey` instance — bulk
-        callers get complete coverage instead of stopping at the first
-        failure.
-        """
-        self.prime_profiles(
-            [key for key, _v, _h in items],
-            [h for _k, _v, h in items],
-        )
-        outcomes: List = []
-        for key, value, key_hash in items:
-            try:
-                outcomes.append(self.insert(key, value, key_hash))
-            except (TableFull, DuplicateKey) as exc:
-                outcomes.append(exc)
-        return outcomes
 
     def _note_insert(self, moves: int) -> None:
         if self._m_inserts is not None:

@@ -157,10 +157,6 @@ class HashUnit:
         """Derive this unit's 64-bit value from a key's base hash."""
         return _splitmix64((base ^ self.seed_mix) & _MASK64)
 
-    def derive_many(self, bases) -> list[int]:
-        """Vectorized :meth:`derive` over a batch of base hashes."""
-        return splitmix64_many(bases, self.seed_mix)
-
     def hash_bytes(self, key: bytes, key_hash: int | None = None) -> int:
         """Hash a byte-string key to a 64-bit value.
 

@@ -159,71 +159,6 @@ class LearningFilter:
             return self._flush(now, "full")
         return None
 
-    def offer_batch(
-        self,
-        keys: List[bytes],
-        nows: List[float],
-        metadatas: Optional[List[Tuple]] = None,
-        key_hashes: Optional[List[Optional[int]]] = None,
-    ) -> List[Tuple[int, LearnBatch]]:
-        """Deposit many learn events in one call (batched hot path).
-
-        Element ``i`` behaves exactly like ``offer(keys[i], nows[i], ...)``;
-        events are processed in list order, so a buffer-full flush happens
-        at the same element boundary as under scalar execution.  Returns
-        ``(index, batch)`` pairs for every flush so the caller can deliver
-        each batch stamped with the triggering event's timestamp.
-
-        When the whole batch cannot fill the buffer (the common case —
-        occupancy stays far below capacity between timeout flushes) the
-        per-element capacity check is skipped entirely.
-        """
-        n = len(keys)
-        if metadatas is None:
-            metadatas = [()] * n
-        if key_hashes is None:
-            key_hashes = [None] * n
-        self.offered += n
-        if self._m_offered is not None:
-            self._m_offered.value += float(n)
-        pending = self._pending
-        flushes: List[Tuple[int, LearnBatch]] = []
-        if len(pending) + n < self.capacity:
-            for i in range(n):
-                key = keys[i]
-                if key in pending:
-                    self.deduplicated += 1
-                    if self._m_dedup is not None:
-                        self._m_dedup.value += 1.0
-                    continue
-                pending[key] = LearnEvent(
-                    key=key,
-                    metadata=metadatas[i],
-                    first_seen=nows[i],
-                    key_hash=key_hashes[i],
-                )
-                if self._oldest is None:
-                    self._oldest = nows[i]
-            return flushes
-        for i in range(n):
-            key = keys[i]
-            if key in pending:
-                self.deduplicated += 1
-                if self._m_dedup is not None:
-                    self._m_dedup.value += 1.0
-                continue
-            pending[key] = LearnEvent(
-                key=key,
-                metadata=metadatas[i],
-                first_seen=nows[i],
-                key_hash=key_hashes[i],
-            )
-            if self._oldest is None:
-                self._oldest = nows[i]
-            if len(pending) >= self.capacity:
-                flushes.append((i, self._flush(nows[i], "full")))
-        return flushes
-
     def rearm(self, events: List[LearnEvent], now: float) -> List[LearnBatch]:
         """Re-deposit learn events whose slow-path jobs were lost.
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from .hashing import HashUnit, _splitmix64, base_hash, hash_family, splitmix64_many
+from .hashing import HashUnit, _splitmix64, base_hash, hash_family
 
 
 class RegisterArray:
@@ -128,44 +128,6 @@ class BloomFilter:
         if false_positive:
             self.false_positives += 1
         return BloomQuery(positive=positive, false_positive=false_positive)
-
-    def query_batch(
-        self, keys: List[bytes], key_hashes: List[Optional[int]]
-    ) -> List[BloomQuery]:
-        """Membership tests for a whole batch of keys.
-
-        Element ``i`` equals ``query(keys[i], key_hashes[i])`` exactly,
-        counters included.  Only valid when no insert/clear happens between
-        the batched elements — the register array's packet-transactional
-        semantics mean a write made for one packet is visible to the next,
-        so the caller must split batches at any read-modify-write boundary
-        (the intra-batch ordering rule, see docs/architecture.md).
-        """
-        n = len(keys)
-        self.queries += n
-        bits = self.num_bits
-        cells = self._array._cells
-        members = self._members
-        results: List[BloomQuery] = []
-        append = results.append
-        bases = [
-            base_hash(k) if h is None else h for k, h in zip(keys, key_hashes)
-        ]
-        way_indices = [splitmix64_many(bases, mix) for mix in self._way_mixes]
-        reads = 0
-        for i, key in enumerate(keys):
-            positive = True
-            for col in way_indices:
-                reads += 1  # scalar query() short-circuits at the first 0 bit
-                if not cells[col[i] % bits]:
-                    positive = False
-                    break
-            false_positive = positive and key not in members
-            if false_positive:
-                self.false_positives += 1
-            append(BloomQuery(positive=positive, false_positive=false_positive))
-        self._array.reads += reads
-        return results
 
     def __contains__(self, key: bytes) -> bool:
         return self.query(key).positive

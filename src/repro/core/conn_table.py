@@ -59,11 +59,6 @@ class ConnTable:
         """
         return self._table.lookup(key, key_hash)
 
-    def lookup_batch(self, keys, key_hashes):
-        """Digest lookups for a whole batch (no table mutation between
-        elements — the caller owns the intra-batch ordering rule)."""
-        return self._table.lookup_batch(keys, key_hashes)
-
     def prime_profiles(self, keys, key_hashes) -> None:
         """Vectorized warm-up of the per-key profile caches (batch mode)."""
         self._table.prime_profiles(keys, key_hashes)

@@ -274,85 +274,20 @@ class SilkRoadSwitch(LoadBalancer):
         self.conn_table.prime_profiles(batch.keys, batch.base_hashes)
 
     def on_connection_batch(self, conns) -> None:
-        """Batched arrivals (the hot path of the batched execution mode).
+        """A chunk of arrivals, each at its own timestamp.
 
-        Element ``i`` behaves exactly as a scalar
-        :meth:`on_connection_arrival` at its own timestamp would: before
-        each element, the internal events the scalar kernel would have
-        fired first (learning-filter polls, CPU install completions,
-        expiries, fault events) are drained via
-        ``queue.run_until_before(start_i, PRIO_ARRIVAL)`` — the intra-batch
-        ordering rule (docs/architecture.md).  What the batch buys is the
-        fused per-element walk: the ConnTable fast-miss lookup is inlined
-        with every attribute lookup hoisted out of the loop, feeding on
-        the columns :meth:`prepare_batch` derived in vectorized bulk
-        passes (key bytes, base hashes, cuckoo profiles).  Counter and
-        metric updates replicate the scalar call chain increment for
-        increment.
+        Before each element the internal events the scalar driver would
+        have fired first (learning-filter polls, CPU install completions,
+        expiries, fault events) are drained — the intra-batch ordering
+        rule (docs/architecture.md).
         """
-        if self.recorder is not None:
-            # Flight-recorder runs take the scalar path wholesale:
-            # recording hooks interleave with every hot-path branch and
-            # forensic runs are not the ones batching needs to speed up.
-            queue = self.queue
-            run_before = queue.run_until_before
-            arrival = self.on_connection_arrival
-            for conn in conns:
-                run_before(conn.start, PRIO_ARRIVAL)
-                queue.now = conn.start
-                arrival(conn)
-            return
         queue = self.queue
         run_before = queue.run_until_before
-        table = self.conn_table._table
-        profiles = table._profiles
-        cache = table._profile_cache
-        candidates = table._candidates
-        shift = table._cand_shift
-        offsets = table._stage_offsets
-        m_lookups = table._m_lookups
-        scan = table._scan
-        offer = self.learning.offer
-        admit = self._admit
-        arm_poll = self._arm_poll
+        arrival = self.on_connection_arrival
         for conn in conns:
-            start = conn.start
-            run_before(start, PRIO_ARRIVAL)
-            queue.now = start
-            key = conn.key
-            key_hash = conn.key_hash
-            self.connections_seen += 1
-            # Inlined ConnTable.lookup (fast-miss candidate probe), same
-            # counters and cache discipline as the scalar call.
-            table.total_lookups += 1
-            if m_lookups is not None:
-                m_lookups.value += 1.0
-            profile = profiles.get(key)
-            if profile is None:
-                profile = cache.get(key)
-                if profile is not None:
-                    cache.move_to_end(key)
-                else:
-                    profile = table._profile(key, key_hash)
-            result = None
-            for stage, (bucket, digest) in enumerate(profile):
-                if (digest << shift | (offsets[stage] + bucket)) in candidates:
-                    result = scan(key, profile)
-                    break
-            if result is not None and result.hit:
-                assert result.false_positive
-                self.fp_syn_redirects += 1
-                admit(conn, start)
-                self._cpu.submit_one(
-                    key, ("fp",), extra_delay_s=self.config.fp_resolution_delay_s
-                )
-                continue
-            admit(conn, start)
-            batch = offer(key, start, key_hash=key_hash)
-            if batch is not None:
-                self._cancel_poll()
-                self._deliver_batch(batch)
-            arm_poll()
+            run_before(conn.start, PRIO_ARRIVAL)
+            queue.now = conn.start
+            arrival(conn)
 
     def on_connection_end(self, conn: Connection) -> None:
         key = conn.key

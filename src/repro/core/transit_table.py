@@ -176,27 +176,6 @@ class TransitTable:
                     self._m_fp.value += 1.0
         return query
 
-    def check_batch(
-        self, keys: list, key_hashes: list
-    ) -> list:
-        """Step-2 checks for a whole batch of ConnTable-missing packets.
-
-        Element ``i`` equals ``check(keys[i], key_hashes[i])`` exactly.
-        The filter is read-only here, so batching queries is always safe;
-        interleaved ``mark`` calls (a step-1 update in the same window)
-        are the caller's responsibility to order — see the intra-batch
-        ordering rule in docs/architecture.md.
-        """
-        queries = self._filter.query_batch(keys, key_hashes)
-        if self._m_checks is not None:
-            self._m_checks.value += float(len(keys))
-            for query in queries:
-                if query.positive:
-                    self._m_hits.value += 1.0
-                    if query.false_positive:
-                        self._m_fp.value += 1.0
-        return queries
-
     # -- accounting --------------------------------------------------------
 
     @property

@@ -20,8 +20,7 @@ a stale-version switch can never serve traffic.
 
 :class:`FabricSilkRoad` implements the flow-level
 :class:`~repro.netsim.simulator.LoadBalancer` interface so the failure
-scenario replays under the standard harness, including the chunked-arrival
-batched driver (arrival chunks are re-grouped per owning switch).
+scenario replays under the standard harness with either replay driver.
 
 This is the *oracle-triggered* failure model (failures fire exactly when
 scheduled, flows move instantly).  :mod:`repro.deploy.fleet` builds the
@@ -32,7 +31,6 @@ blackholes until detection, capacity-aware shedding and PCC auditing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..baselines.ecmp import ResilientHashTable
@@ -41,7 +39,7 @@ from ..core.silkroad import SilkRoadSwitch
 from ..netsim.events import EventQueue
 from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
-from ..netsim.simulator import LoadBalancer, PRIO_ARRIVAL, PRIO_INTERNAL
+from ..netsim.simulator import LoadBalancer, PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
 
 
@@ -125,52 +123,6 @@ class FabricSilkRoad(LoadBalancer):
         self._owner[conn.key] = index
         self._conns[conn.key] = conn
         self.switches[index].on_connection_arrival(conn)
-
-    def on_connection_batch(self, conns: Sequence[Connection]) -> None:
-        """Dispatch an arrival chunk, re-grouped by owning switch.
-
-        The batched driver guarantees no update/end falls inside a chunk,
-        so the only events that can interleave between two arrivals are
-        heap-scheduled internals (learning polls, CPU installs, expiries,
-        scheduled failures/revivals).  A run of consecutive arrivals whose
-        ``(start, PRIO_ARRIVAL)`` sorts strictly before the current heap
-        head therefore cannot race an ECMP change: ownership is constant
-        across the run, and it is forwarded to the owning switch as one
-        sub-batch (whose own driver fires any interleaved internals).
-        """
-        queue = self.queue
-        heap = queue._heap
-        run_before = queue.run_until_before
-        i, n = 0, len(conns)
-        while i < n:
-            conn = conns[i]
-            start = conn.start
-            run_before(start, PRIO_ARRIVAL)
-            queue.now = start
-            while heap and heap[0][3].cancelled:
-                heappop(heap)
-            if heap:
-                head_t, head_p = heap[0][0], heap[0][1]
-            else:
-                head_t, head_p = float("inf"), PRIO_ARRIVAL
-            index = self._pick(conn.key)
-            j = i + 1
-            while j < n:
-                later = conns[j]
-                ls = later.start
-                if ls > head_t or (ls == head_t and head_p < PRIO_ARRIVAL):
-                    break
-                if self._pick(later.key) != index:
-                    break
-                j += 1
-            sub = conns[i:j]
-            owner = self._owner
-            conn_map = self._conns
-            for c in sub:
-                owner[c.key] = index
-                conn_map[c.key] = c
-            self.switches[index].on_connection_batch(sub)
-            i = j
 
     def on_connection_end(self, conn: Connection) -> None:
         index = self._owner.pop(conn.key, None)

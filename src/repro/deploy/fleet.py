@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from heapq import heappop
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..asicsim.hashing import mix64
@@ -242,9 +241,8 @@ class _PhantomSwitch:
     """Data-plane stand-in for a switch owned by another partition worker.
 
     The replicated control plane must interleave *identically* on every
-    replica, so the phantom mirrors the real batch path's clock advance
-    (fire internal events strictly before each arrival, then step
-    ``queue.now`` to it) while simulating nothing and allocating nothing.
+    replica; the fleet itself advances the shared clock before each
+    arrival, so the phantom simulates nothing and allocates nothing.
     ``resume_connection`` reports a miss; the fleet then calls
     ``on_connection_arrival`` (a no-op here) — neither branch touches
     fleet state, so owners and non-owners stay in lockstep.
@@ -273,14 +271,6 @@ class _PhantomSwitch:
 
     def on_connection_arrival(self, conn: Connection) -> None:
         pass
-
-    def on_connection_batch(self, conns: Sequence[Connection]) -> None:
-        queue = self.queue
-        run_before = queue.run_until_before
-        for conn in conns:
-            start = conn.start
-            run_before(start, PRIO_ARRIVAL)
-            queue.now = start
 
     def on_connection_end(self, conn: Connection) -> None:
         pass
@@ -646,65 +636,19 @@ class FleetSilkRoad(LoadBalancer):
             self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
 
     def on_connection_batch(self, conns: Sequence[Connection]) -> None:
-        """Arrival chunk dispatch, re-grouped by owning switch.
+        """A chunk of arrivals, each routed at its own timestamp.
 
-        Same contract as :meth:`FabricSilkRoad.on_connection_batch`: a run
-        of consecutive arrivals sorting strictly before the heap head
-        cannot race a membership change (heartbeats, faults and
-        reassignment steps are all heap events), so ownership is constant
-        across the run and it forwards to the owner as one sub-batch.
-        Arrivals with no serving owner (shed / unserved / blackholed) take
-        the scalar path, which does the bookkeeping.
+        Heartbeats, faults and reassignment steps are heap events, so
+        draining the queue up to each arrival first keeps membership
+        changes ordered exactly as the scalar driver orders them.
         """
         queue = self.queue
-        heap = queue._heap
         run_before = queue.run_until_before
-        i, n = 0, len(conns)
-        while i < n:
-            conn = conns[i]
-            start = conn.start
-            run_before(start, PRIO_ARRIVAL)
-            queue.now = start
-            index = self._batch_owner(conn)
-            if index is None:
-                self.on_connection_arrival(conn)
-                i += 1
-                continue
-            while heap and heap[0][3].cancelled:
-                heappop(heap)
-            if heap:
-                head_t, head_p = heap[0][0], heap[0][1]
-            else:
-                head_t, head_p = float("inf"), PRIO_ARRIVAL
-            j = i + 1
-            while j < n:
-                later = conns[j]
-                ls = later.start
-                if ls > head_t or (ls == head_t and head_p < PRIO_ARRIVAL):
-                    break
-                if self._batch_owner(later) != index:
-                    break
-                j += 1
-            sub = conns[i:j]
-            owner = self._owner
-            conn_map = self._conns
-            for c in sub:
-                owner[c.key] = index
-                conn_map[c.key] = c
-            self._slots[index].switch.on_connection_batch(sub)
-            i = j
-
-    def _batch_owner(self, conn: Connection) -> Optional[int]:
-        """The serving owner for a batched arrival, or None for the scalar
-        path (shed VIP, unserved VIP, or a blackholing owner)."""
-        vip = conn.vip
-        if vip in self._shed:
-            return None
-        table = self._tables.get(vip)
-        if table is None:
-            return None
-        index = table.lookup(conn.key, conn.key_hash).index
-        return index if self._slots[index].serves(vip) else None
+        arrival = self.on_connection_arrival
+        for conn in conns:
+            run_before(conn.start, PRIO_ARRIVAL)
+            queue.now = conn.start
+            arrival(conn)
 
     def on_connection_end(self, conn: Connection) -> None:
         key = conn.key

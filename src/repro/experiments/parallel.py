@@ -44,7 +44,7 @@ from ..core.verify import AuditReport, audit_switch
 from ..obs.metrics import Gauge, Histogram, MetricRegistry
 from ..obs.recorder import DEFAULT_RING_SIZE, FlightRecorder
 from ..obs.timeline import Timeline, TimelineSampler
-from ..options import DriverOptions, ObsOptions, UNSET, resolve_options
+from ..options import DriverOptions, ObsOptions
 
 __all__ = [
     "FailedShard",
@@ -906,7 +906,8 @@ def run_sharded(
     raise :class:`RuntimeError` carrying every terminal traceback.
     """
     if driver is not None or obs is not None:
-        driver, obs = resolve_options(driver, obs)
+        driver = driver or DriverOptions()
+        obs = obs or ObsOptions()
         params = dict(params or {})
         params.setdefault("batched", driver.batched)
         params.setdefault("batch_size", driver.batch_size)
@@ -1373,11 +1374,6 @@ def run_fleet_partitioned(
     plan: Optional[object] = None,
     driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
-    record=UNSET,
-    record_capacity=UNSET,
-    timeline_period_s=UNSET,
-    batched=UNSET,
-    batch_size=UNSET,
 ) -> FleetPartitionedResult:
     """One fleet chaos run, space-partitioned over ``partition_workers``.
 
@@ -1389,9 +1385,7 @@ def run_fleet_partitioned(
     test_partition.py).  ``in_process`` (default: ``partition_workers ==
     1``) runs the replicas sequentially in this process — same results,
     no pool — with digests cross-checked post-hoc instead of per epoch.
-    ``driver``/``obs`` are the public spelling of the replay/observability
-    knobs; the loose ``record=``/``batched=``/... kwargs still work but
-    emit a :class:`DeprecationWarning`.
+    ``driver``/``obs`` are the replay/observability knobs.
     """
     from ..deploy.fleet import (
         FleetConfig,
@@ -1399,17 +1393,8 @@ def run_fleet_partitioned(
         partition_epoch_length,
     )
 
-    driver, obs = resolve_options(
-        driver,
-        obs,
-        legacy={
-            "record": record,
-            "record_capacity": record_capacity,
-            "timeline_period_s": timeline_period_s,
-            "batched": batched,
-            "batch_size": batch_size,
-        },
-    )
+    driver = driver or DriverOptions()
+    obs = obs or ObsOptions()
     owned_sets = partition_switches(num_switches, partition_workers)
     resolved_fleet_config = (
         fleet_config

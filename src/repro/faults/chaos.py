@@ -28,7 +28,7 @@ from ..core.verify import AuditReport, audit_switch
 from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..obs import FlightRecorder, Timeline, TimelineSampler
-from ..options import DriverOptions, ObsOptions, UNSET, resolve_options
+from ..options import DriverOptions, ObsOptions
 from .injector import FaultInjector
 from .plan import FaultPlan
 
@@ -116,12 +116,6 @@ def run_chaos(
     workload: Optional[PccWorkload] = None,
     driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
-    record=UNSET,
-    record_capacity=UNSET,
-    record_source=UNSET,
-    timeline_period_s=UNSET,
-    batched=UNSET,
-    batch_size=UNSET,
 ) -> ChaosResult:
     """One fully seeded chaos run; see the module docstring.
 
@@ -135,22 +129,10 @@ def run_chaos(
     hot path when off.  ``driver=DriverOptions(batched=False)`` replays
     through the scalar event-at-a-time oracle instead of the
     chunked-arrival driver; both produce bit-identical results
-    (tests/asicsim/test_differential.py).  The loose ``record=`` /
-    ``batched=`` / ... kwargs are the deprecated pre-options spelling;
-    they still work but emit a :class:`DeprecationWarning`.
+    (tests/asicsim/test_differential.py).
     """
-    driver, obs = resolve_options(
-        driver,
-        obs,
-        legacy={
-            "record": record,
-            "record_capacity": record_capacity,
-            "record_source": record_source,
-            "timeline_period_s": timeline_period_s,
-            "batched": batched,
-            "batch_size": batch_size,
-        },
-    )
+    driver = driver or DriverOptions()
+    obs = obs or ObsOptions()
     if fault_seed is None:
         fault_seed = seed + 1000
     if workload is None:
@@ -220,9 +202,6 @@ def run_chaos_sharded(
     faults_per_min: float = 30.0,
     driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
-    record=UNSET,
-    timeline_period_s=UNSET,
-    batched=UNSET,
 ):
     """``num_shards`` independent chaos runs under derived seeds, merged.
 
@@ -235,15 +214,6 @@ def run_chaos_sharded(
     """
     from ..experiments.parallel import run_sharded
 
-    driver, obs = resolve_options(
-        driver,
-        obs,
-        legacy={
-            "record": record,
-            "timeline_period_s": timeline_period_s,
-            "batched": batched,
-        },
-    )
     return run_sharded(
         "chaos",
         num_shards=num_shards,

@@ -34,7 +34,7 @@ from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import DEFAULT_RING_SIZE, FlightRecorder, Timeline, TimelineSampler
-from ..options import DriverOptions, ObsOptions, UNSET, resolve_options
+from ..options import DriverOptions, ObsOptions
 
 
 class FleetFaultKind(Enum):
@@ -424,31 +424,14 @@ def run_fleet(
     workload: Optional[PccWorkload] = None,
     driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
-    record=UNSET,
-    record_capacity=UNSET,
-    record_source=UNSET,
-    timeline_period_s=UNSET,
-    batched=UNSET,
-    batch_size=UNSET,
 ) -> FleetChaosResult:
     """One fully seeded fleet chaos run; see the module docstring.
 
-    ``driver``/``obs`` are the public replay/observability knobs (see
-    :mod:`repro.options`); the loose ``record=``/``batched=``/... kwargs
-    are deprecated but still honoured.
+    ``driver``/``obs`` are the replay/observability knobs (see
+    :mod:`repro.options`).
     """
-    driver, obs = resolve_options(
-        driver,
-        obs,
-        legacy={
-            "record": record,
-            "record_capacity": record_capacity,
-            "record_source": record_source,
-            "timeline_period_s": timeline_period_s,
-            "batched": batched,
-            "batch_size": batch_size,
-        },
-    )
+    driver = driver or DriverOptions()
+    obs = obs or ObsOptions()
     workload, plan, config, fleet_config, fault_seed = resolve_fleet_run(
         seed=seed,
         fault_seed=fault_seed,
@@ -529,9 +512,6 @@ def run_fleet_sharded(
     conn_budget: Optional[int] = None,
     driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
-    record=UNSET,
-    timeline_period_s=UNSET,
-    batched=UNSET,
 ):
     """The survival sweep: ``patterns × plans_per_pattern`` fleet runs,
     sharded over a process pool and merged.
@@ -544,15 +524,6 @@ def run_fleet_sharded(
     """
     from ..experiments.parallel import run_sharded
 
-    driver, obs = resolve_options(
-        driver,
-        obs,
-        legacy={
-            "record": record,
-            "timeline_period_s": timeline_period_s,
-            "batched": batched,
-        },
-    )
     return run_sharded(
         "fleet",
         num_shards=num_shards,

@@ -10,35 +10,18 @@ the same two axes of configuration:
 * :class:`ObsOptions` — the optional time-resolved observability layer
   (flight recorder ring, timeline sampling period).
 
-Historically each runner grew its own copy of these as loose keyword
-arguments (``batched=``, ``record=``, ``timeline_period_s=``, ...).  The
-dataclasses are now the one public spelling; the legacy kwargs still work
-through :func:`resolve_options` but emit a :class:`DeprecationWarning`.
-Defaults are chosen so that resolving with nothing passed reproduces the
-historical behaviour bit-for-bit (same fingerprints).
+The dataclasses are the one spelling; a runner handed ``None`` uses the
+defaults (``driver or DriverOptions()``, ``obs or ObsOptions()``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 #: Default flight-recorder ring capacity (mirrors ``repro.obs.recorder``;
 #: duplicated here as a plain int so importing options stays dependency-free).
 DEFAULT_RECORD_CAPACITY = 65536
-
-
-class _Unset:
-    """Sentinel for 'legacy kwarg not passed' (distinct from None)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -47,7 +30,7 @@ class DriverOptions:
 
     ``batched`` picks the chunked-arrival driver (the default; bit-identical
     to the scalar oracle, see tests/asicsim/test_differential.py);
-    ``batch_size`` caps the arrivals fused per chunk.
+    ``batch_size`` caps the arrivals dispatched per chunk.
     """
 
     batched: bool = True
@@ -86,61 +69,8 @@ class ObsOptions:
         return self.record_source if self.record_source is not None else default
 
 
-#: Which legacy kwarg maps onto which options field.
-_DRIVER_FIELDS = ("batched", "batch_size")
-_OBS_FIELDS = ("record", "record_capacity", "record_source", "timeline_period_s")
-
-
-def resolve_options(
-    driver: Optional[DriverOptions],
-    obs: Optional[ObsOptions],
-    legacy: Optional[Dict[str, object]] = None,
-    stacklevel: int = 3,
-) -> Tuple[DriverOptions, ObsOptions]:
-    """Fold deprecated loose kwargs into ``(DriverOptions, ObsOptions)``.
-
-    ``legacy`` maps legacy kwarg names to their passed values, with
-    :data:`UNSET` marking "caller did not pass this".  Any actually-passed
-    legacy kwarg emits one :class:`DeprecationWarning` and overrides the
-    corresponding options field, so old call sites keep producing
-    bit-identical results while they migrate.
-    """
-    resolved_driver = driver if driver is not None else DriverOptions()
-    resolved_obs = obs if obs is not None else ObsOptions()
-    if legacy:
-        passed = {
-            name: value
-            for name, value in legacy.items()
-            if not isinstance(value, _Unset)
-        }
-        if passed:
-            warnings.warn(
-                "legacy driver/observability kwargs "
-                f"({', '.join(sorted(passed))}) are deprecated; pass "
-                "driver=DriverOptions(...) / obs=ObsOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-            driver_over = {
-                k: passed[k] for k in _DRIVER_FIELDS if k in passed
-            }
-            obs_over = {k: passed[k] for k in _OBS_FIELDS if k in passed}
-            unknown = set(passed) - set(_DRIVER_FIELDS) - set(_OBS_FIELDS)
-            if unknown:
-                raise TypeError(
-                    f"unknown legacy option kwargs: {sorted(unknown)}"
-                )
-            if driver_over:
-                resolved_driver = replace(resolved_driver, **driver_over)
-            if obs_over:
-                resolved_obs = replace(resolved_obs, **obs_over)
-    return resolved_driver, resolved_obs
-
-
 __all__ = [
     "DEFAULT_RECORD_CAPACITY",
     "DriverOptions",
     "ObsOptions",
-    "UNSET",
-    "resolve_options",
 ]

@@ -42,8 +42,14 @@ from ..netsim.simulator import PRIO_ARRIVAL, PRIO_END
 from ..netsim.updates import RootCause, UpdateEvent, UpdateKind
 from ..obs import FlightRecorder, TimelineSampler
 from ..obs.export import iter_jsonl, to_prometheus_text
-from ..options import DriverOptions, ObsOptions, resolve_options
+from ..options import DriverOptions, ObsOptions
 from .source import StreamingFlowSource
+
+
+#: Longest single ``advance``.  The call runs inside the control server's
+#: dispatch lock, so an unbounded ``dt`` would freeze every route
+#: (``/healthz`` included) for as long as the simulation takes.
+MAX_ADVANCE_S = 3600.0
 
 
 class ApiError(Exception):
@@ -119,9 +125,8 @@ class ServeSession:
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
         self.config = config
-        driver, obs = resolve_options(config.driver, config.obs)
-        self.driver = driver
-        self.obs = obs
+        driver = self.driver = config.driver or DriverOptions()
+        obs = self.obs = config.obs or ObsOptions()
         sr_config = config.config if config.config is not None else SilkRoadConfig()
 
         self.cluster = make_cluster(
@@ -243,8 +248,18 @@ class ServeSession:
         intra-batch ordering rule the replay driver relies on.
         """
         self._check_open()
-        if not isinstance(dt, (int, float)) or dt <= 0 or dt != dt:
-            raise ApiError(400, "bad_advance", "dt must be a positive number")
+        # bool is an int subclass; NaN fails both comparisons; inf and
+        # oversized values fail the upper bound.
+        if (
+            isinstance(dt, bool)
+            or not isinstance(dt, (int, float))
+            or not 0 < dt <= MAX_ADVANCE_S
+        ):
+            raise ApiError(
+                400,
+                "bad_advance",
+                f"dt must be a number of seconds in (0, {MAX_ADVANCE_S:g}]",
+            )
         queue = self.queue
         lb = self.lb
         t0 = queue.now

@@ -1,10 +1,12 @@
 """Differential tests: the batched driver is bit-identical to the scalar oracle.
 
-The batched hot path (:class:`~repro.netsim.batchsim.BatchedFlowSimulator`
-plus ``SilkRoadSwitch.on_connection_batch``) re-implements the arrival
-path with columnar hashing, bulk cuckoo probing, and chunked dispatch.
-The scalar :class:`~repro.netsim.simulator.FlowSimulator` stays untouched
-as the *oracle*: every workload replayed through both must produce
+The batched driver (:class:`~repro.netsim.batchsim.BatchedFlowSimulator`)
+keeps the static arrival/end/update streams off the event heap, primes
+key hashes and cuckoo profiles in vectorized windows, and dispatches
+arrivals in chunks; every arrival still runs the one
+``SilkRoadSwitch.on_connection_arrival`` walk.  The scalar
+:class:`~repro.netsim.simulator.FlowSimulator` stays untouched as the
+*oracle*: every workload replayed through both must produce
 
 * equal :class:`~repro.obs.metrics.MetricRegistry` fingerprints,
 * equal ConnTable contents (every resident slot, including its physical
@@ -17,7 +19,8 @@ Divergence in any of these means the intra-batch ordering rule
 fuzz sweeps random workload shapes, update schedules, fault injection
 on/off, and the batch sizes {1, 7, 64, 1024} (1 exercises the chunking
 degenerate case, 7 misaligned chunks, 1024 chunks larger than most
-inter-end gaps).
+inter-end gaps).  One case arms the flight recorder and the timeline
+sampler, whose hooks sit inside the arrival walk and on the heap.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from repro.core.verify import audit_switch
 from repro.experiments.common import build_workload, silkroad_factory
 from repro.faults.chaos import chaos_config, run_chaos
 from repro.faults.injector import FaultInjector
-from repro.options import DriverOptions
 from repro.faults.plan import FaultPlan
+from repro.options import DriverOptions, ObsOptions
 
 BATCH_SIZES = (1, 7, 64, 1024)
 
@@ -125,6 +128,23 @@ def test_batched_matches_scalar_under_faults():
         batched.report.pcc_violations == scalar.report.pcc_violations
     )
     assert batched.overdue_updates == scalar.overdue_updates
+
+
+@pytest.mark.parametrize("batch_size", (1, 64))
+def test_recorder_armed_batched_matches_scalar(batch_size):
+    """Recorder + timeline armed: same events, same samples, both drivers."""
+    obs = ObsOptions(record=True, timeline_period_s=1.0)
+    kwargs = dict(seed=13, scale=0.04, horizon_s=12.0, obs=obs)
+    scalar = run_chaos(driver=DriverOptions(batched=False), **kwargs)
+    batched = run_chaos(
+        driver=DriverOptions(batched=True, batch_size=batch_size), **kwargs
+    )
+    assert batched.fingerprint == scalar.fingerprint
+    assert batched.timeline.fingerprint() == scalar.timeline.fingerprint()
+    assert batched.recorder.summary() == scalar.recorder.summary()
+    assert batched.recorder.to_dicts() == scalar.recorder.to_dicts()
+    assert scalar.recorder.recorded.get("conn", 0) > 0
+    assert len(scalar.timeline) > 0
 
 
 # ----------------------------------------------------------------------

@@ -203,16 +203,10 @@ class TestBatchedDerivation:
             _splitmix64(v ^ seed_mix) for v in values
         ]
 
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                    max_size=80))
-    @settings(max_examples=50, deadline=None)
-    def test_derive_many_matches_derive(self, bases):
-        unit = HashUnit(seed=0xABCDEF)
-        assert unit.derive_many(bases) == [unit.derive(b) for b in bases]
-
     def test_results_are_python_ints(self):
         # Downstream modulo/shift arithmetic must see exact Python ints,
         # not numpy scalars (whose % and >> could differ in type).
-        unit = HashUnit(seed=3)
-        out = unit.derive_many(list(range(32)))
+        from repro.asicsim.hashing import splitmix64_many
+
+        out = splitmix64_many(list(range(32)), HashUnit(seed=3).seed_mix)
         assert all(type(v) is int for v in out)

@@ -161,43 +161,6 @@ class TestRearm:
         assert event.metadata == (1,)
 
 
-class TestOfferBatch:
-    def test_matches_scalar_offers(self):
-        keys = [bytes([i % 7]) for i in range(20)]  # includes duplicates
-        nows = [i * 0.001 for i in range(20)]
-        hashes = [i * 11 for i in range(20)]
-
-        scalar = LearningFilter(capacity=6, timeout=10.0)
-        scalar_flushes = []
-        for i, (k, t, h) in enumerate(zip(keys, nows, hashes)):
-            b = scalar.offer(k, t, key_hash=h)
-            if b is not None:
-                scalar_flushes.append((i, b))
-
-        batched = LearningFilter(capacity=6, timeout=10.0)
-        batched_flushes = batched.offer_batch(keys, nows, key_hashes=hashes)
-
-        assert [i for i, _ in batched_flushes] == [i for i, _ in scalar_flushes]
-        for (_, sb), (_, bb) in zip(scalar_flushes, batched_flushes):
-            assert [e.key for e in sb.events] == [e.key for e in bb.events]
-            assert [e.first_seen for e in sb.events] == [
-                e.first_seen for e in bb.events
-            ]
-            assert sb.flushed_at == bb.flushed_at and sb.reason == bb.reason
-        assert batched.occupancy == scalar.occupancy
-        assert batched.offered == scalar.offered
-        assert batched.deduplicated == scalar.deduplicated
-        assert batched.flushes_full == scalar.flushes_full
-        assert batched.next_deadline() == scalar.next_deadline()
-
-    def test_fast_path_when_batch_cannot_fill(self):
-        lf = LearningFilter(capacity=100, timeout=10.0)
-        assert lf.offer_batch([b"a", b"b", b"a"], [0.0, 1.0, 2.0]) == []
-        assert lf.occupancy == 2
-        assert lf.deduplicated == 1
-        assert lf.next_deadline() == pytest.approx(10.0)
-
-
 class TestFig18AccountingUnchanged:
     def test_end_of_run_drain_does_not_inflate_timeout_count(self):
         """The forced-reason split is pure accounting: fig18's paper-facing

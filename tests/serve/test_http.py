@@ -170,6 +170,25 @@ class TestStructuredHttpErrors:
         assert status == 400
         assert payload["error"]["code"] == "bad_json"
 
+    def test_hostile_advance_dt_400_and_healthz_answers(self):
+        # bool-as-int, non-finite floats (json.loads accepts the
+        # Infinity/NaN literals) and a dt that would simulate for minutes
+        # under the dispatch lock must all bounce before any work is done.
+        hostile = [True, float("inf"), float("nan"), -1, 1e7]
+        requests = []
+        for dt in hostile:
+            requests.append(("POST", "/advance", {"dt": dt}))
+            requests.append(("GET", "/healthz", None))
+        results = roundtrip(requests)
+        for (status, payload), (h_status, health) in zip(
+            results[0::2], results[1::2]
+        ):
+            assert status == 400
+            assert payload["error"]["status"] == 400
+            assert payload["error"]["code"] == "bad_advance"
+            assert payload["error"]["message"]
+            assert h_status == 200 and health["now"] == 0.0
+
     def test_bad_advance_400_and_connection_survives(self):
         # A 4xx must not kill the keep-alive connection.
         results = roundtrip([

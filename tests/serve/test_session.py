@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serve import ServeConfig, ServeSession
-from repro.serve.session import ApiError
+from repro.serve.session import MAX_ADVANCE_S, ApiError
 
 
 def small_session(**overrides) -> ServeSession:
@@ -43,6 +43,16 @@ class TestAdvance:
                 session.advance(dt)
             assert exc.value.status == 400
             assert exc.value.code == "bad_advance"
+
+    @pytest.mark.parametrize(
+        "dt", [True, float("inf"), 1e7, 10**400, MAX_ADVANCE_S * 1.001]
+    )
+    def test_hostile_dt_rejected_without_advancing(self, dt):
+        session = small_session()
+        with pytest.raises(ApiError) as exc:
+            session.advance(dt)
+        assert (exc.value.status, exc.value.code) == (400, "bad_advance")
+        assert session.queue.now == 0.0 and not session.connections
 
     def test_determinism_same_seed_same_fingerprint(self):
         def run() -> str:

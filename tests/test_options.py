@@ -1,69 +1,21 @@
 """Tests for the consolidated runner options (DriverOptions/ObsOptions).
 
-The consolidation contract: the dataclasses are the one public spelling,
-legacy loose kwargs still work bit-identically but warn, and defaults
-reproduce the historical fingerprints.
+The dataclasses are the one spelling of the replay-driver and
+observability knobs; runners take no loose per-knob kwargs.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.options import (
-    UNSET,
-    DriverOptions,
-    ObsOptions,
-    resolve_options,
-)
+from repro.options import DriverOptions, ObsOptions
 
 
 class TestResolveOptions:
     def test_defaults(self):
-        driver, obs = resolve_options(None, None)
-        assert driver == DriverOptions()
-        assert obs == ObsOptions()
+        driver, obs = DriverOptions(), ObsOptions()
         assert driver.batched and driver.batch_size == 256
         assert not obs.record and obs.timeline_period_s is None
-
-    def test_explicit_options_pass_through(self):
-        d = DriverOptions(batched=False, batch_size=7)
-        o = ObsOptions(record=True, record_source="x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning for the new spelling
-            driver, obs = resolve_options(d, o)
-        assert driver is d and obs is o
-
-    def test_unset_legacy_kwargs_do_not_warn(self):
-        legacy = {"batched": UNSET, "record": UNSET}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            driver, obs = resolve_options(None, None, legacy)
-        assert driver == DriverOptions() and obs == ObsOptions()
-
-    def test_passed_legacy_kwargs_warn_and_override(self):
-        legacy = {
-            "batched": False,
-            "batch_size": UNSET,
-            "record": True,
-            "record_capacity": 128,
-        }
-        with pytest.warns(DeprecationWarning, match="batched.*record"):
-            driver, obs = resolve_options(None, None, legacy)
-        assert driver == DriverOptions(batched=False)
-        assert obs == ObsOptions(record=True, record_capacity=128)
-
-    def test_legacy_overrides_explicit_options(self):
-        legacy = {"batch_size": 16}
-        with pytest.warns(DeprecationWarning):
-            driver, _ = resolve_options(DriverOptions(batch_size=512), None, legacy)
-        assert driver.batch_size == 16
-
-    def test_unknown_legacy_kwarg_raises(self):
-        with pytest.raises(TypeError, match="unknown legacy"):
-            with pytest.warns(DeprecationWarning):
-                resolve_options(None, None, {"bogus": 1})
 
     def test_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -79,16 +31,11 @@ class TestResolveOptions:
 
 
 class TestRunnersAcceptOptions:
-    def test_run_chaos_legacy_kwargs_warn_but_match(self):
+    def test_run_chaos_rejects_loose_kwargs(self):
         from repro.faults.chaos import run_chaos
 
-        kwargs = dict(seed=5, scale=0.02, horizon_s=6.0, warmup_s=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # new spelling: no warning
-            new = run_chaos(driver=DriverOptions(batched=False), **kwargs)
-        with pytest.warns(DeprecationWarning, match="batched"):
-            old = run_chaos(batched=False, **kwargs)
-        assert new.fingerprint == old.fingerprint
+        with pytest.raises(TypeError):
+            run_chaos(batched=False)
 
     def test_serve_accepts_options(self):
         from repro.serve import ServeConfig, ServeSession
