@@ -211,9 +211,13 @@ class CuckooTable:
             )
             for s in range(stages)
         ]
-        self._slots: List[List[List[Optional[Slot]]]] = [
-            [[None] * ways for _ in range(buckets_per_stage)] for _ in range(stages)
-        ]
+        # One flat slot column: entry (stage, bucket, way) lives at index
+        # ``(stage * buckets_per_stage + bucket) * ways + way``.  Building
+        # the table is one allocation whatever its capacity, and reading a
+        # bucket is one C-level slice.
+        self._column: List[Optional[Slot]] = [None] * capacity
+        #: Resident entries per stage, maintained on place / move / delete.
+        self._stage_counts: List[int] = [0] * stages
         # Software shadow state: full-key -> location, and per-stage candidate
         # profiles so collision checks are O(stages) instead of O(n).
         self._where: Dict[bytes, Location] = {}
@@ -289,11 +293,7 @@ class CuckooTable:
         for stage in range(self.stages):
             metrics.gauge(
                 f"stage{stage}_occupancy", f"resident entries in stage {stage}"
-            ).set_function(
-                lambda s=stage: float(
-                    sum(1 for loc in self._where.values() if loc.stage == s)
-                )
-            )
+            ).set_function(lambda s=stage: float(self._stage_counts[s]))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -505,8 +505,10 @@ class CuckooTable:
     def _scan(self, key: bytes, profile) -> LookupResult:
         """The slot scan behind :meth:`lookup`'s fast-miss filter
         (false-positive accounting happens here)."""
+        col, ways, offsets = self._column, self.ways, self._stage_offsets
         for stage, (bucket, digest) in enumerate(profile):
-            for way, slot in enumerate(self._slots[stage][bucket]):
+            base = (offsets[stage] + bucket) * ways
+            for way, slot in enumerate(col[base : base + ways]):
                 if slot is not None and slot.digest == digest:
                     fp = slot.key != key
                     if fp:
@@ -526,12 +528,16 @@ class CuckooTable:
         loc = self._where.get(key)
         if loc is None:
             return None
-        slot = self._slots[loc.stage][loc.bucket][loc.way]
+        slot = self._column[self._index(loc)]
         assert slot is not None and slot.key == key
         return slot.value
 
     def location_of(self, key: bytes) -> Optional[Location]:
         return self._where.get(key)
+
+    def _index(self, loc: Location) -> int:
+        """Column index of a physical location."""
+        return (self._stage_offsets[loc[0]] + loc[1]) * self.ways + loc[2]
 
     # ------------------------------------------------------------------
     # Placement legality (software invariant)
@@ -540,9 +546,9 @@ class CuckooTable:
     def _cands(self, profile) -> List[int]:
         """The encoded candidate key for every stage of ``profile``.
 
-        Insert-path helpers consult these repeatedly (twin check, shadow
-        checks, registration); computing the list once per insertion and
-        threading it through saves re-deriving the same integers.
+        The insert path consults these twice (twin check, registration);
+        computing the list once per insertion and threading it through
+        saves re-deriving the same integers.
         """
         shift = self._cand_shift
         offsets = self._stage_offsets
@@ -551,52 +557,28 @@ class CuckooTable:
             for s, (bucket, digest) in enumerate(profile)
         ]
 
-    def _shadowed_by_resident(self, key: bytes, stage: int, profile, cands) -> bool:
-        """True if ``key`` placed at ``stage`` would be found *after* a false
-        match on some resident entry in an earlier stage."""
-        # Fast negative: a resident slot with a matching digest implies its
-        # owner is registered under that (stage, bucket, digest) candidate
-        # triple, so if none of the triples exist there is nothing to scan.
-        candidates = self._candidates
+    def _placement_legal(self, key: bytes, stage: int, profile) -> bool:
+        """Whether storing ``key`` at ``stage`` keeps every lookup unambiguous.
+
+        A read-only question answered from the shadow maps alone: a resident
+        whose stored digest matches ``key``'s in one of its candidate buckets
+        is registered under the same (stage, bucket, digest) triple.  One
+        living in an *earlier* candidate stage, or in the same bucket of
+        ``stage`` itself, would be hit first and shadow ``key``; one living
+        in a *later* stage would be shadowed by it.  ``key``'s own
+        registrations are skipped, so the same check serves a resident
+        being moved — its vacated slot needs no blanking.
+        """
+        candidates, where = self._candidates, self._where
+        shift, offsets = self._cand_shift, self._stage_offsets
         for t in range(stage + 1):
-            if cands[t] in candidates:
-                break
-        else:
-            return False
-        for t in range(stage):
             bucket, digest = profile[t]
-            for slot in self._slots[t][bucket]:
-                if slot is not None and slot.digest == digest and slot.key != key:
-                    return True
-        # Same-stage, same-bucket digest twin would also be ambiguous.
-        bucket, digest = profile[stage]
-        for slot in self._slots[stage][bucket]:
-            if slot is not None and slot.digest == digest and slot.key != key:
-                return True
-        return False
-
-    def _shadows_resident(self, key: bytes, stage: int, profile, cands) -> bool:
-        """True if placing ``key`` at ``stage`` would sit in front of some
-        resident entry stored in a *later* stage that digest-matches it."""
-        bucket = profile[stage][0]
-        for other in self._candidates.get(cands[stage], ()):  # resident keys
-            if other == key:
-                continue
-            other_loc = self._where[other]
-            if other_loc.stage > stage:
-                return True
-            if other_loc.stage == stage and other_loc.bucket == bucket:
-                return True
-        return False
-
-    def _placement_legal(
-        self, key: bytes, stage: int, profile, cands=None
-    ) -> bool:
-        if cands is None:
-            cands = self._cands(profile)
-        return not self._shadowed_by_resident(
-            key, stage, profile, cands
-        ) and not self._shadows_resident(key, stage, profile, cands)
+            for other in candidates.get(digest << shift | (offsets[t] + bucket), ()):
+                if other != key:
+                    home = where[other].stage
+                    if home == t or (t == stage and home > t):
+                        return False
+        return True
 
     # ------------------------------------------------------------------
     # Mutation primitives
@@ -633,14 +615,28 @@ class CuckooTable:
         self, key: bytes, value: int, loc: Location, profile, cands=None
     ) -> None:
         digest = profile[loc.stage][1]
-        self._slots[loc.stage][loc.bucket][loc.way] = Slot(key, digest, value)
+        self._column[self._index(loc)] = Slot(key, digest, value)
+        self._stage_counts[loc.stage] += 1
         self._register(key, loc, profile, cands)
 
+    def _move(self, key: bytes, dst: Location) -> None:
+        """Re-home resident ``key`` in the free slot ``dst``; the stored
+        digest becomes the destination stage's."""
+        col = self._column
+        src = self._where[key]
+        i = self._index(src)
+        slot = col[i]
+        col[i] = None
+        slot.digest = self._profiles[key][dst.stage][1]
+        col[self._index(dst)] = slot
+        self._where[key] = dst
+        self._stage_counts[src.stage] -= 1
+        self._stage_counts[dst.stage] += 1
+
     def _free_way(self, stage: int, bucket: int) -> Optional[int]:
-        for way, slot in enumerate(self._slots[stage][bucket]):
-            if slot is None:
-                return way
-        return None
+        base = (self._stage_offsets[stage] + bucket) * self.ways
+        slots = self._column[base : base + self.ways]
+        return slots.index(None) if None in slots else None
 
     # ------------------------------------------------------------------
     # Insertion (software, cuckoo BFS)
@@ -688,9 +684,7 @@ class CuckooTable:
         # Fast path: a free, legal slot in some candidate bucket.
         for stage, (bucket, _digest) in enumerate(profile):
             way = self._free_way(stage, bucket)
-            if way is not None and self._placement_legal(
-                key, stage, profile, cands
-            ):
+            if way is not None and self._placement_legal(key, stage, profile):
                 loc = Location(stage, bucket, way)
                 self._place(key, value, loc, profile, cands)
                 self._note_insert(0)
@@ -733,7 +727,8 @@ class CuckooTable:
             # owner is always registered under this candidate triple.
             if cands[stage] not in candidates:
                 continue
-            for slot in self._slots[stage][bucket]:
+            base = (self._stage_offsets[stage] + bucket) * self.ways
+            for slot in self._column[base : base + self.ways]:
                 if slot is not None and slot.digest == digest and slot.key != key:
                     twins.append(slot.key)
         return twins
@@ -758,6 +753,7 @@ class CuckooTable:
             queue.append(len(frontier) - 1)
             seen.add((stage, bucket))
 
+        col, ways, offsets = self._column, self.ways, self._stage_offsets
         nodes_explored = 0
         while queue and nodes_explored < self.max_bfs_nodes:
             idx = queue.popleft()
@@ -765,7 +761,8 @@ class CuckooTable:
             nodes_explored += 1
             # Try to extend: each resident of this bucket could move to one of
             # its candidate buckets in other stages.
-            for way, slot in enumerate(self._slots[stage][bucket]):
+            base = (offsets[stage] + bucket) * ways
+            for way, slot in enumerate(col[base : base + ways]):
                 if slot is None:
                     # Free slot here: reconstruct the path.
                     return self._reconstruct_path(frontier, idx)
@@ -776,7 +773,7 @@ class CuckooTable:
                     dest_bucket = victim_profile[dest_stage][0]
                     if (dest_stage, dest_bucket) in seen:
                         continue
-                    if not self._move_legal(slot.key, dest_stage):
+                    if not self._placement_legal(slot.key, dest_stage, victim_profile):
                         continue
                     dest_way = self._free_way(dest_stage, dest_bucket)
                     frontier.append((dest_stage, dest_bucket, idx, way))
@@ -785,19 +782,6 @@ class CuckooTable:
                         return self._reconstruct_path(frontier, len(frontier) - 1)
                     queue.append(len(frontier) - 1)
         return None
-
-    def _move_legal(self, key: bytes, dest_stage: int) -> bool:
-        """Whether moving resident ``key`` to ``dest_stage`` keeps lookups
-        unambiguous (ignores its current location, which is being vacated)."""
-        # Temporarily treat key as absent from its current slot for checks.
-        loc = self._where[key]
-        profile = self._profiles[key]
-        slot = self._slots[loc.stage][loc.bucket][loc.way]
-        self._slots[loc.stage][loc.bucket][loc.way] = None
-        try:
-            return self._placement_legal(key, dest_stage, profile)
-        finally:
-            self._slots[loc.stage][loc.bucket][loc.way] = slot
 
     def _reconstruct_path(self, frontier, idx: int):
         """Turn BFS parent pointers into an ordered move list.
@@ -825,16 +809,11 @@ class CuckooTable:
         """Apply moves deepest-first so each destination has a free way."""
         moves = path[1:]
         for src_stage, src_bucket, way, dst_stage, dst_bucket in reversed(moves):
-            slot = self._slots[src_stage][src_bucket][way]
+            slot = self._column[self._index((src_stage, src_bucket, way))]
             assert slot is not None, "BFS referenced an empty way"
             dest_way = self._free_way(dst_stage, dst_bucket)
             assert dest_way is not None, "move destination is full"
-            self._slots[src_stage][src_bucket][way] = None
-            new_digest = self._profiles[slot.key][dst_stage][1]
-            self._slots[dst_stage][dst_bucket][dest_way] = Slot(
-                slot.key, new_digest, slot.value
-            )
-            self._where[slot.key] = Location(dst_stage, dst_bucket, dest_way)
+            self._move(slot.key, Location(dst_stage, dst_bucket, dest_way))
         return len(moves)
 
     # ------------------------------------------------------------------
@@ -846,7 +825,7 @@ class CuckooTable:
         loc = self._where.get(key)
         if loc is None:
             raise KeyError(f"key not resident: {key!r}")
-        slot = self._slots[loc.stage][loc.bucket][loc.way]
+        slot = self._column[self._index(loc)]
         assert slot is not None
         slot.value = value
 
@@ -855,7 +834,8 @@ class CuckooTable:
         loc = self._where.get(key)
         if loc is None:
             raise KeyError(f"key not resident: {key!r}")
-        self._slots[loc.stage][loc.bucket][loc.way] = None
+        self._column[self._index(loc)] = None
+        self._stage_counts[loc.stage] -= 1
         self._unregister(key)
         if self._m_deletes is not None:
             self._m_deletes.value += 1.0
@@ -872,22 +852,14 @@ class CuckooTable:
         if loc is None:
             raise KeyError(f"key not resident: {key!r}")
         profile = self._profiles[key]
-        slot = self._slots[loc.stage][loc.bucket][loc.way]
-        assert slot is not None
         for dest_stage in range(self.stages):
             if dest_stage == loc.stage:
                 continue
             dest_bucket = profile[dest_stage][0]
             dest_way = self._free_way(dest_stage, dest_bucket)
-            if dest_way is None:
+            if dest_way is None or not self._placement_legal(key, dest_stage, profile):
                 continue
-            if not self._move_legal(key, dest_stage):
-                continue
-            self._slots[loc.stage][loc.bucket][loc.way] = None
-            self._slots[dest_stage][dest_bucket][dest_way] = Slot(
-                key, profile[dest_stage][1], slot.value
-            )
-            self._where[key] = Location(dest_stage, dest_bucket, dest_way)
+            self._move(key, Location(dest_stage, dest_bucket, dest_way))
             return True
         return False
 
@@ -897,30 +869,46 @@ class CuckooTable:
 
     def stage_occupancy(self) -> List[int]:
         """Number of resident entries per stage."""
-        counts = [0] * self.stages
-        for loc in self._where.values():
-            counts[loc.stage] += 1
-        return counts
+        return list(self._stage_counts)
+
+    def entries(self) -> Iterator[Tuple[int, int, int, bytes, int, int]]:
+        """Every resident entry as ``(stage, bucket, way, key, digest,
+        value)``, in physical (column) order; cost follows the residents."""
+        col = self._column
+        for loc in sorted(self._where.values()):
+            slot = col[self._index(loc)]
+            yield (*loc, slot.key, slot.digest, slot.value)
 
     def check_invariants(self) -> None:
-        """Validate shadow state against the slot array (test helper)."""
-        seen = 0
-        for stage in range(self.stages):
-            for bucket in range(self.buckets_per_stage):
-                for way, slot in enumerate(self._slots[stage][bucket]):
-                    if slot is None:
-                        continue
-                    seen += 1
-                    loc = self._where.get(slot.key)
-                    if loc != Location(stage, bucket, way):
-                        raise AssertionError(
-                            f"shadow map out of sync for {slot.key!r}: {loc}"
-                        )
-                    expected_digest = self._profiles[slot.key][stage][1]
-                    if slot.digest != expected_digest:
-                        raise AssertionError("stored digest mismatch")
+        """Validate shadow state against the slot column (test helper).
+
+        Every ``_where`` entry must name an in-range slot holding its own
+        key with that stage's digest; distinct keys then occupy distinct
+        slots, so an occupied-slot count equal to ``len(_where)`` proves no
+        slot is orphaned — the whole audit costs O(resident), not O(capacity).
+        """
+        col = self._column
+        counts = [0] * self.stages
+        for key, loc in self._where.items():
+            stage, bucket, way = loc
+            in_range = (
+                0 <= stage < self.stages
+                and 0 <= bucket < self.buckets_per_stage
+                and 0 <= way < self.ways
+            )
+            slot = col[self._index(loc)] if in_range else None
+            if slot is None or slot.key != key:
+                raise AssertionError(f"shadow map out of sync for {key!r}: {loc}")
+            if slot.digest != self._profiles[key][stage][1]:
+                raise AssertionError("stored digest mismatch")
+            counts[stage] += 1
+        seen = len(col) - col.count(None)
         if seen != len(self._where):
             raise AssertionError(f"slot count {seen} != shadow count {len(self._where)}")
+        if counts != self._stage_counts:
+            raise AssertionError(
+                f"stage counters {self._stage_counts} != recount {counts}"
+            )
         # Every resident key's data-plane lookup must find its own entry.
         # (Preserve the measurement counters: this is a checker, not traffic.)
         saved = (self.total_lookups, self.false_positive_lookups)

@@ -84,14 +84,20 @@ class ConnTable:
         result = self._table.lookup(new_key, key_hash)
         if not result.hit or not result.false_positive:
             return True  # nothing to resolve
-        assert result.location is not None
-        slot = self._table._slots[result.location.stage][result.location.bucket][
-            result.location.way
-        ]
-        assert slot is not None
-        return self._table.relocate(slot.key)
+        # False-positive SYNs are rare (a handful per million lookups at 16
+        # digest bits), so finding the hit slot's owner through the public
+        # entry walk is cheaper than a second lookup surface.
+        for stage, bucket, way, key, _digest, _version in self._table.entries():
+            if (stage, bucket, way) == result.location:
+                return self._table.relocate(key)
+        raise AssertionError(f"lookup hit an empty slot: {result.location}")
 
     # -- introspection ---------------------------------------------------
+
+    def entries(self):
+        """Resident entries as ``(stage, bucket, way, key, digest, version)``
+        in physical order (see :meth:`CuckooTable.entries`)."""
+        return self._table.entries()
 
     def __contains__(self, key: bytes) -> bool:
         return key in self._table

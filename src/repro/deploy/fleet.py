@@ -59,6 +59,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..asicsim.batch import PacketBatch
 from ..asicsim.hashing import mix64
 from ..baselines.ecmp import ResilientHashTable
 from ..core.config import SilkRoadConfig
@@ -634,6 +635,37 @@ class FleetSilkRoad(LoadBalancer):
             self.blackholed_arrivals += 1
             conn.record_decision(now, None)
             self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
+
+    def prepare_batch(self, conns: Sequence[Connection]) -> None:
+        """Columnar precomputation for an upcoming window of arrivals.
+
+        Builds the window's :class:`PacketBatch` once (one bulk byte-hash
+        pass) and primes the ConnTable of each arrival's *currently
+        predicted* ECMP owner.  ``ResilientHashTable.lookup`` is pure, and
+        so is priming: if membership changes before the arrival (a
+        declare-down, a restart's fresh instance), the real owner simply
+        derives the profile on the scalar path.  Only profile-cache LRU
+        order — unobservable — can differ, the same contract as
+        :meth:`SilkRoadSwitch.prepare_batch`.
+        """
+        batch = PacketBatch.from_connections(conns)
+        tables = self._tables
+        owned = self._owned  # a partition replica's phantoms hold no table
+        windows: Dict[int, Tuple[List[bytes], List[int]]] = {}
+        for conn, key, key_hash in zip(conns, batch.keys, batch.base_hashes):
+            table = tables.get(conn.vip)
+            if table is None:
+                continue
+            index = table.lookup(key, key_hash).index
+            if index not in owned:
+                continue
+            window = windows.get(index)
+            if window is None:
+                window = windows[index] = ([], [])
+            window[0].append(key)
+            window[1].append(key_hash)
+        for index, (keys, key_hashes) in windows.items():
+            self._slots[index].switch.conn_table.prime_profiles(keys, key_hashes)
 
     def on_connection_batch(self, conns: Sequence[Connection]) -> None:
         """A chunk of arrivals, each routed at its own timestamp.

@@ -420,16 +420,10 @@ class SilkRoadP4:
         self.conn_stages = cuckoo.stages
         self._index_units = cuckoo._index_units
         self._digest_units = cuckoo._digest_units
-        for key in cuckoo.keys():
-            location = cuckoo.location_of(key)
-            version = cuckoo.get_exact(key)
-            bucket, digest = (
-                cuckoo._profiles[key][location.stage][0],
-                cuckoo._profiles[key][location.stage][1],
-            )
+        for stage, bucket, _way, _key, digest, version in switch.conn_table.entries():
             self.conn_table.insert(
                 TableEntry(
-                    match=(location.stage, bucket, digest),
+                    match=(stage, bucket, digest),
                     action=self._set_conn_version,
                     params={"version": version},
                 )

@@ -42,14 +42,7 @@ BATCH_SIZES = (1, 7, 64, 1024)
 
 def _conn_table_snapshot(switch: SilkRoadSwitch):
     """Every resident slot with its physical location and stored fields."""
-    table = switch.conn_table._table
-    return [
-        (s, b, w, slot.key, slot.digest, slot.value)
-        for s, stage in enumerate(table._slots)
-        for b, bucket in enumerate(stage)
-        for w, slot in enumerate(bucket)
-        if slot is not None
-    ]
+    return list(switch.conn_table.entries())
 
 
 def _observe(report, conns, switch):

@@ -16,6 +16,7 @@ from repro.deploy.fleet import (
 )
 from repro.faults.fleet import run_fleet, run_fleet_sharded
 from repro.options import DriverOptions
+from repro.netsim.batchsim import BatchedFlowSimulator
 from repro.netsim import (
     ArrivalGenerator,
     FlowSimulator,
@@ -303,3 +304,93 @@ class TestBookkeeping:
         total = sum(len(s.switch.conn_table) for s in up)
         assert report["fleet_conn_entries"] == float(total)
         assert report["detections"] == 1.0
+
+
+class TestProfilePriming:
+    """``FleetSilkRoad.prepare_batch`` is pure per-key derivation: whether
+    the driver reaches it, how wide its windows are, and whether the owner
+    it predicted still holds at arrival time change nothing observable."""
+
+    def test_run_fleet_equal_across_drivers_and_window_sizes(self):
+        kw = dict(
+            seed=11,
+            fault_seed=42,
+            pattern="mixed",
+            num_switches=4,
+            scale=0.04,
+            horizon_s=14.0,
+            warmup_s=1.0,
+            faults_per_min=10.0,
+        )
+        runs = [
+            run_fleet(driver=DriverOptions(batched=False), **kw),  # never primed
+            run_fleet(driver=DriverOptions(batched=True, batch_size=1), **kw),
+            run_fleet(driver=DriverOptions(batched=True, batch_size=256), **kw),
+        ]
+        assert runs[0].fleet.detections > 0
+        for run in runs:
+            assert run.audit.ok, str(run.audit)
+        for run in runs[1:]:
+            assert run.fingerprint == runs[0].fingerprint
+            assert run.audit.fingerprint() == runs[0].audit.fingerprint()
+            assert run.survival == runs[0].survival
+            assert run.report.extra == runs[0].report.extra
+
+    @staticmethod
+    def _run_with_declare_down(batched, profile_cache_size=None):
+        """One replay with a ``declare_down(1)`` landing mid-way through a
+        256-arrival priming window; returns the comparable outcome plus what
+        the test needs to show the window really straddled the change."""
+        _cluster, fleet, conns = build(num_switches=3, horizon=30.0)
+        tables = [slot.switch.conn_table._table for slot in fleet._slots]
+        if profile_cache_size is not None:
+            for table in tables:
+                table.profile_cache_size = profile_cache_size
+        window = [c for c in conns if c.start >= 10.0][:256]
+        down_at = window[128].start - 1e-9
+        predicted = {}
+        if batched:
+            sim = BatchedFlowSimulator(fleet, batch_size=256)
+            prepare = fleet.prepare_batch
+
+            def spying_prepare(chunk):
+                for c in chunk:
+                    owner = fleet._tables[c.vip].lookup(c.key, c.key_hash)
+                    predicted[c.key] = owner.index
+                prepare(chunk)
+
+            fleet.prepare_batch = spying_prepare
+        else:
+            sim = FlowSimulator(fleet)
+        sim.queue.schedule(down_at, lambda: fleet.declare_down(1), 1)
+        sim.run(conns, horizon_s=30.0)
+        outcome = {
+            "fingerprint": fleet.fingerprint(),
+            "audit": audit_fleet(fleet, conns).fingerprint(),
+            "decisions": [c.decisions for c in conns],
+        }
+        mispredicted = [
+            c for c in conns if c.start > down_at and predicted.get(c.key) == 1
+        ]
+        evictions = sum(table.profile_cache_evictions for table in tables)
+        return outcome, mispredicted, evictions
+
+    def test_declare_down_between_priming_and_arrival(self):
+        scalar, _none, _evictions = self._run_with_declare_down(batched=False)
+        batched, mispredicted, _evictions = self._run_with_declare_down(batched=True)
+        # Arrivals after the change had been primed on switch 1, which no
+        # longer owns anything; they were served by the survivors anyway.
+        assert mispredicted
+        assert all(c.decisions[0][1] is not None for c in mispredicted)
+        assert batched == scalar
+
+    def test_results_independent_of_profile_cache_evictions(self):
+        # An 8-entry profile cache evicts most of a 256-arrival window's
+        # primed profiles before they are used; those arrivals fall back to
+        # the scalar derivation and nothing observable moves.
+        roomy, _m, roomy_evictions = self._run_with_declare_down(batched=True)
+        tight, _m, tight_evictions = self._run_with_declare_down(
+            batched=True, profile_cache_size=8
+        )
+        assert tight_evictions > roomy_evictions
+        assert tight == roomy

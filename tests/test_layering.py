@@ -20,6 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 OWNERS = {
     "_table": "core/conn_table.py",
     "_heap": "netsim/",
+    "_column": "asicsim/cuckoo.py",
+    "_profiles": "asicsim/cuckoo.py",
     "_profile_cache": "asicsim/cuckoo.py",
     "_candidates": "asicsim/cuckoo.py",
     "_move_cause": "deploy/fleet.py",
@@ -28,8 +30,10 @@ OWNERS = {
 
 #: (file, attribute) reaches that are known and tolerated.
 ALLOWED = {
-    # The P4 emitter dumps the resident cuckoo slots as table entries;
-    # ConnTable has no public slot iterator yet.
+    # The P4 emitter mirrors the ConnTable's geometry and per-stage hash
+    # units (stages, buckets, index/digest seeds) so its own lookup lands
+    # on the same (stage, bucket, digest); the resident slots themselves
+    # come through ``ConnTable.entries()``.
     ("p4/silkroad.py", "_table"),
     # The partition worker ships the fleet's attribution maps back to the
     # parent for the merged audit; FleetSilkRoad exposes no accessor.
