@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Operational telemetry: watch a SilkRoad switch ride through load + churn.
 
-Attaches the time-series sampler to a switch while it absorbs a connection
+Arms the timeline sampler on a switch while it absorbs a connection
 workload and a burst of DIP-pool updates, then prints per-metric summaries
 and ASCII sparklines — the view an operator's dashboard would give.
 
@@ -15,15 +15,23 @@ from repro.core import SilkRoadConfig, SilkRoadSwitch
 from repro.netsim import (
     ArrivalGenerator,
     FlowSimulator,
-    Sampler,
     UpdateGenerator,
     make_cluster,
     spare_pool,
     uniform_vip_workloads,
-    watch_switch,
 )
+from repro.obs import ObsHook
+from repro.options import ObsOptions
 
 HORIZON = 180.0
+#: The registry instruments an operator watches (every instrument is sampled).
+WATCHED = (
+    "conn_table.occupancy",
+    "conn_table.load_factor",
+    "switch.pending_connections",
+    "switch_cpu.backlog",
+    "switch.sram_bytes",
+)
 
 
 def main() -> None:
@@ -43,23 +51,23 @@ def main() -> None:
     )
 
     simulator = FlowSimulator(switch)
-    sampler = Sampler(simulator.queue, period_s=2.0)
-    switch.bind(simulator.queue)  # share the queue before probing
-    watch_switch(sampler, switch)
-    sampler.start()
+    hook = ObsHook(ObsOptions(timeline_period_s=2.0), "example", HORIZON)
+    hook(simulator, switch)
 
     report = simulator.run(connections, updates, horizon_s=HORIZON)
 
+    timeline = hook.timeline
+    summary = timeline.summary()
     rows = []
-    for name, stats in sampler.summary().items():
-        series = sampler.series[name]
+    for name in WATCHED:
+        stats = summary[name]
         rows.append(
             (
                 name,
                 f"{stats['min']:.0f}",
                 f"{stats['mean']:.0f}",
                 f"{stats['max']:.0f}",
-                sparkline(series.values),
+                sparkline(timeline.column(name)),
             )
         )
     print(
@@ -75,7 +83,7 @@ def main() -> None:
     print(
         f"updates completed: {switch.coordinator.updates_completed}"
         f"/{switch.coordinator.updates_requested}; "
-        f"peak CPU backlog: {sampler.series['cpu_backlog'].max():.0f} entries"
+        f"peak CPU backlog: {summary['switch_cpu.backlog']['max']:.0f} entries"
     )
 
 

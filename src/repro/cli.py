@@ -72,9 +72,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
     from .analysis.reporting import format_metrics, format_spans
     from .experiments.common import build_workload, silkroad_factory
-    from .netsim import FlowSimulator, Sampler, watch_switch
-    from .netsim.flows import Connection
-    from .obs import iter_jsonl, to_prometheus_text, tracer_stats, write_jsonl
+    from .obs import ObsHook, iter_jsonl, to_prometheus_text, tracer_stats, write_jsonl
 
     factory = silkroad_factory(
         use_transit_table=(args.system != "silkroad-no-tt"),
@@ -86,27 +84,12 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         seed=args.seed,
         horizon_s=args.horizon,
     )
-    # Like PccWorkload.replay, but with a Sampler attached to the queue so
-    # the dump carries time series alongside counters and spans.
-    conns = [
-        Connection(
-            conn_id=c.conn_id,
-            five_tuple=c.five_tuple,
-            vip=c.vip,
-            start=c.start,
-            duration=c.duration,
-            rate_bps=c.rate_bps,
-        )
-        for c in workload.connections
-    ]
-    lb = factory()
-    for service in workload.cluster.services:
-        lb.announce_vip(service.vip, service.dips)
-    sim = FlowSimulator(lb)
-    sampler = Sampler(sim.queue, period_s=args.period)
-    watch_switch(sampler, lb)
-    sampler.start()
-    report = sim.run(conns, workload.updates, horizon_s=workload.horizon_s)
+    # A timeline sampler rides the replay so the dump carries time series
+    # alongside counters and spans.
+    hook = ObsHook(
+        _obs_options(timeline_period_s=args.period), "telemetry", workload.horizon_s
+    )
+    report, _conns, lb = workload.replay(factory, attach=hook)
 
     doc = report.telemetry or lb.telemetry_snapshot()
     doc["scenario"] = {
@@ -124,7 +107,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         "pcc_violations": report.pcc_violations,
         "violation_fraction": report.violation_fraction,
     }
-    doc["series"] = sampler.summary()
+    doc["series"] = hook.timeline.summary()
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -208,6 +191,14 @@ def _cmd_fleet_csv(args: argparse.Namespace) -> int:
         )
     print(out.getvalue(), end="")
     return 0
+
+
+def _fail_sharded(result) -> int:
+    """Print a failed sharded run's audit and per-shard reasons; exit 1."""
+    print(str(result.audit), file=sys.stderr)
+    for failure in result.failed:
+        print(f"shard {failure.shard_id} FAILED: {failure.reason}", file=sys.stderr)
+    return 1
 
 
 def _cmd_fleet_partitioned(args: argparse.Namespace, pattern: str) -> int:
@@ -332,15 +323,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.fingerprint_out:
         with open(args.fingerprint_out, "w") as fh:
             fh.write(f"registry {result.fingerprint}\n")
-    if not result.ok or result.failed:
-        print(str(result.audit), file=sys.stderr)
-        for failure in result.failed:
-            print(
-                f"shard {failure.shard_id} FAILED: {failure.reason}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    return 0 if result.ok else _fail_sharded(result)
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
@@ -457,12 +440,7 @@ def _cmd_chaos_sharded(args: argparse.Namespace) -> int:
             print("FAIL: same-seed sharded runs diverged", file=sys.stderr)
             return 1
         print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
-    if not result.ok:
-        print(str(result.audit), file=sys.stderr)
-        for failure in result.failed:
-            print(f"shard {failure.shard_id} FAILED: {failure.reason}", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if result.ok else _fail_sharded(result)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -493,20 +471,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             timeline_period_s=args.timeline_period if args.timeline else None,
         ),
     )
-    print(result.summary())
-    if result.timeline is not None:
-        print(
-            f"  timeline: {len(result.timeline)} epochs x "
-            f"{len(result.timeline.columns)} columns, "
-            f"fingerprint {result.timeline_fingerprint[:16]}"
-        )
-    if result.recorder is not None:
-        print(
-            f"  recorder: {len(result.recorder)} events retained, "
-            f"{result.recorder.total_dropped} dropped"
-        )
-    for key in sorted(result.counters):
-        print(f"  {key}: {result.counters[key]:g}")
+    print("\n".join([result.summary(), *result.details()]))
     if args.trace_out:
         from .obs import validate_chrome_trace, to_chrome_trace, write_chrome_trace
 
@@ -532,12 +497,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fh.write(f"registry {result.fingerprint}\n")
             if result.timeline is not None:
                 fh.write(f"timeline {result.timeline_fingerprint}\n")
-    if not result.ok:
-        print(str(result.audit), file=sys.stderr)
-        for failure in result.failed:
-            print(f"shard {failure.shard_id} FAILED: {failure.reason}", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if result.ok else _fail_sharded(result)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -146,6 +146,9 @@ class SilkRoadSwitch(LoadBalancer):
         self.table_full_events = 0
         self.overflow_pinned = 0
         self.version_exhaustion_events = 0
+        #: updates skipped because the pool already was in the asked-for
+        #: state (see ``_execute_update``); counted, never raised.
+        self.stale_updates = 0
         self.connections_seen = 0
         self.notifications_lost = 0
         self.notifications_delayed = 0
@@ -556,6 +559,18 @@ class SilkRoadSwitch(LoadBalancer):
         now = self.queue.now
         vip = event.vip
         old_version = self.dip_pools.current_version(vip)
+        present = event.dip in self.dip_pools.pool(vip, old_version).slots
+        if present == (event.kind is UpdateKind.ADD):
+            # The stream and the pool disagree (an earlier update of this
+            # DIP was dropped on version exhaustion): an ADD of a member, or
+            # a REMOVE/DRAIN/WEIGHT of a non-member, has nothing to change.
+            self.stale_updates += 1
+            if self.recorder is not None:
+                self.recorder.record(
+                    now, "update", "stale", vip=str(vip),
+                    kind=event.kind.name.lower(), dip=str(event.dip),
+                )
+            return
         try:
             if event.kind is UpdateKind.REMOVE or event.kind is UpdateKind.DRAIN:
                 new_version = self.dip_pools.remove_dip(vip, event.dip)
@@ -975,6 +990,7 @@ class SilkRoadSwitch(LoadBalancer):
             "table_full_events": float(self.table_full_events),
             "overflow_pinned": float(self.overflow_pinned),
             "version_exhaustion_events": float(self.version_exhaustion_events),
+            "stale_updates": float(self.stale_updates),
             "updates_requested": float(self.coordinator.updates_requested),
             "updates_completed": float(self.coordinator.updates_completed),
             "cpu_backlog": float(self._cpu.backlog if hasattr(self, "_cpu") else 0),

@@ -1302,14 +1302,12 @@ class FleetSilkRoad(LoadBalancer):
 
     def merged_registry(self) -> MetricRegistry:
         """Fleet metrics plus every instance's registry, prefix-folded."""
-        from ..experiments.parallel import _fold_prefixed
-
         merged = MetricRegistry(labels={"fleet": self.name})
-        _fold_prefixed(merged, self.metrics, "fleet")
+        merged.merge(self.metrics, prefix="fleet")
         for index, generation, switch in self.instances():
             if not getattr(switch, "materialized", True):
                 continue
-            _fold_prefixed(merged, switch.metrics, f"inst.sw{index}g{generation}")
+            merged.merge(switch.metrics, prefix=f"inst.sw{index}g{generation}")
         return merged
 
     def fingerprint(self) -> str:

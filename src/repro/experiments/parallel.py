@@ -35,15 +35,24 @@ import os
 import sys
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..asicsim.hashing import base_hash, mix64
 from ..core.silkroad import SilkRoadSwitch
 from ..core.verify import AuditReport, audit_switch
-from ..obs.metrics import Gauge, Histogram, MetricRegistry
-from ..obs.recorder import DEFAULT_RING_SIZE, FlightRecorder
-from ..obs.timeline import Timeline, TimelineSampler
+from ..deploy.fleet import (
+    FleetAuditReport,
+    FleetConfig,
+    FleetPartition,
+    FleetSilkRoad,
+    attribute_outcomes,
+    collect_structural,
+    connection_outcomes,
+    partition_epoch_length,
+)
+from ..netsim.simulator import PRIO_INTERNAL
+from ..obs import FlightRecorder, MetricRegistry, ObsHook, Timeline
 from ..options import DriverOptions, ObsOptions
 
 __all__ = [
@@ -80,11 +89,11 @@ def derive_shard_seed(seed: int, shard_id: int) -> int:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One shard of a sharded run; picklable, fully self-describing.
+    """One shard of a sharded run; picklable, hashable, self-describing.
 
     ``params`` is a flat tuple of ``(key, value)`` pairs (primitives and
-    tuples only) so the spec survives the spawn pickle boundary and can be
-    hashed/compared in tests.
+    tuples only) naming the experiment's knobs; ``driver``/``obs`` are the
+    caller's frozen options, carried as values.
     """
 
     task: str
@@ -92,6 +101,8 @@ class ShardSpec:
     num_shards: int
     seed: int
     params: Tuple[Tuple[str, object], ...] = ()
+    driver: DriverOptions = DriverOptions()
+    obs: ObsOptions = ObsOptions()
 
     def param_dict(self) -> Dict[str, object]:
         return dict(self.params)
@@ -149,9 +160,7 @@ class ShardedRunResult:
 
     def summary(self) -> str:
         state = "ok" if self.ok else "FAILED"
-        failed = (
-            f", {len(self.failed)} shards failed" if self.failed else ""
-        )
+        failed = f", {len(self.failed)} shards failed" if self.failed else ""
         return (
             f"{self.task}[seed={self.seed}]: {len(self.shards)}/"
             f"{self.num_shards} shards on {self.workers} workers {state}"
@@ -160,6 +169,33 @@ class ShardedRunResult:
             f"fingerprint {self.fingerprint[:16]}"
         )
 
+    def details(self) -> List[str]:
+        """The indented lines every printer puts under :meth:`summary`:
+        timeline and recorder shape, then each merged counter."""
+        lines = []
+        if self.timeline is not None:
+            lines.append(
+                f"  timeline: {len(self.timeline)} epochs x "
+                f"{len(self.timeline.columns)} columns, "
+                f"fingerprint {self.timeline_fingerprint[:16]}"
+            )
+        if self.recorder is not None:
+            lines.append(
+                f"  recorder: {len(self.recorder)} events retained, "
+                f"{self.recorder.total_dropped} dropped"
+            )
+        lines += [f"  {key}: {self.counters[key]:g}" for key in sorted(self.counters)]
+        return lines
+
+
+def _merged_obs(pairs) -> Tuple[Optional[Timeline], Optional[FlightRecorder]]:
+    """Fold, in order, ``(timeline, recorder)`` pairs (either may be ``None``)."""
+    pairs = list(pairs)
+    return (
+        Timeline.merged(t for t, _r in pairs if t is not None),
+        FlightRecorder.merged(r for _t, r in pairs if r is not None),
+    )
+
 
 # ----------------------------------------------------------------------
 # Shard bodies (run inside worker processes; must be module-level so the
@@ -167,99 +203,68 @@ class ShardedRunResult:
 # ----------------------------------------------------------------------
 
 
-def _fold_prefixed(
-    target: MetricRegistry, source: MetricRegistry, prefix: str
-) -> None:
-    """Fold ``source`` into ``target`` under a name prefix.
+class _ShardFold:
+    """One shard's mergeable state, folded in cell by cell.
 
-    Used to keep two systems' switches (e.g. ``silkroad`` and
-    ``silkroad-no-transittable``) from colliding on identical instrument
-    names inside one shard registry.
+    A *cell* is one run inside the shard (a fig16 system, a fig18 grid
+    cell, a chaos run, a fleet plan).  Its name prefixes the cell's
+    instruments in the shard registry and the timeline columns, and — as
+    ``s<shard>.<cell>`` — tags its recorder, so the merged views stay
+    collision-free and attributable.
     """
-    for name, theirs in source.instruments():
-        pname = f"{prefix}.{name}"
-        if isinstance(theirs, Histogram):
-            ours = target.histogram(pname, buckets=theirs.bounds, help=theirs.help)
-        elif isinstance(theirs, Gauge):
-            ours = target.gauge(pname, help=theirs.help)
-        else:
-            ours = target.counter(pname, help=theirs.help)
-        ours.merge_from(theirs)
 
+    def __init__(self, spec: ShardSpec) -> None:
+        self.spec = spec
+        self.registry = MetricRegistry(
+            labels={"task": spec.task, "shard": str(spec.shard_id)}
+        )
+        self.audit = AuditReport()
+        self.counters: Dict[str, float] = {}
+        #: the (timeline, recorder) of every finished run.
+        self.observed: List[tuple] = []
 
-def _shard_registry(spec: ShardSpec) -> MetricRegistry:
-    return MetricRegistry(
-        labels={"task": spec.task, "shard": str(spec.shard_id)}
-    )
+    def cell_obs(self, cell: str) -> ObsOptions:
+        """The shard's obs options with the recorder tagged for ``cell``."""
+        return replace(self.spec.obs, record_source=f"s{self.spec.shard_id}.{cell}")
 
+    def observe(self, run) -> None:
+        """Keep a finished run's timeline and recorder — and nothing else of
+        it, so a cell's switch or fleet is garbage once its run returns."""
+        self.observed.append((run.timeline, run.recorder))
 
-def _make_attach(
-    spec: ShardSpec,
-    scope: str,
-    horizon_s: float,
-    timeline_period_s: Optional[float],
-    record: bool,
-    samplers: List[TimelineSampler],
-    recorders: List[FlightRecorder],
-    record_capacity: int = DEFAULT_RING_SIZE,
-):
-    """Build the ``replay(attach=...)`` hook instrumenting one replay.
+    def count(self, cell: str, key: str, value: float, help: str) -> None:
+        """One per-cell total: a registry counter and a summary counter."""
+        self.registry.counter(f"{cell}.{key}_total", help=help).inc(value)
+        self.counters[f"{cell}.{key}"] = float(value)
 
-    The hook duck-types the LB: recorders only attach to switches exposing
-    ``attach_recorder`` and samplers only arm when the LB carries a metric
-    registry (the Duet baseline has neither).  Samplers use ``scope.`` as
-    the column prefix — the same namespace :func:`_fold_prefixed` gives the
-    merged registry — and recorders are tagged ``s<shard>.<scope>`` so the
-    fleet-wide merge stays attributable.  Returns ``None`` when nothing
-    was requested, keeping the replay hook-free (and the hot path
-    untouched).
-    """
-    if timeline_period_s is None and not record:
-        return None
-    recorder = (
-        FlightRecorder(capacity=record_capacity, source=f"s{spec.shard_id}.{scope}")
-        if record
-        else None
-    )
+    def replay(self, cell: str, workload, factory):
+        """Replay → count → audit → fold one cell; returns ``(report, lb)``
+        (only a SilkRoad switch has an audit and a registry to fold)."""
+        hook = ObsHook(self.cell_obs(cell), cell, workload.horizon_s, prefix=f"{cell}.")
+        report, conns, lb = workload.replay(
+            factory,
+            attach=hook,
+            batched=self.spec.driver.batched,
+            batch_size=self.spec.driver.batch_size,
+        )
+        self.count(
+            cell, "pcc_violations", report.pcc_violations,
+            "connections that broke PCC",
+        )
+        if isinstance(lb, SilkRoadSwitch):
+            self.audit.merge(audit_switch(lb, connections=conns), label=cell)
+            self.registry.merge(lb.metrics, prefix=cell)
+        self.observe(hook)
+        return report, lb
 
-    def attach(sim, lb) -> None:
-        if recorder is not None and hasattr(lb, "attach_recorder"):
-            lb.attach_recorder(recorder)
-            recorders.append(recorder)
-        metrics = getattr(lb, "metrics", None)
-        if timeline_period_s is not None and metrics is not None:
-            sampler = TimelineSampler(
-                metrics, float(timeline_period_s), prefix=f"{scope}."
-            )
-            sampler.attach(sim.queue, horizon_s=horizon_s)
-            samplers.append(sampler)
-
-    return attach
-
-
-def _shard_options(p: Dict[str, object]) -> Tuple[DriverOptions, ObsOptions]:
-    """Decode a shard's driver/obs options from its frozen params.
-
-    Shard params stay flat primitives (they cross the spawn pickle
-    boundary inside :class:`ShardSpec`); this is the one place the scalar
-    keys turn back into the public options dataclasses.  Missing keys get
-    the dataclass defaults, so specs frozen before the options existed
-    replay identically.
-    """
-    timeline_period = p.get("timeline_period_s")
-    return (
-        DriverOptions(
-            batched=bool(p.get("batched", True)),
-            batch_size=int(p.get("batch_size", 256)),
-        ),
-        ObsOptions(
-            record=bool(p.get("record", False)),
-            record_capacity=int(p.get("record_capacity", DEFAULT_RING_SIZE)),
-            timeline_period_s=(
-                float(timeline_period) if timeline_period is not None else None
-            ),
-        ),
-    )
+    def result(self) -> ShardResult:
+        return ShardResult(
+            self.spec.shard_id,
+            self.registry,
+            self.audit,
+            self.counters,
+            *_merged_obs(self.observed),
+        )
 
 
 def _run_fig16_shard(spec: ShardSpec) -> ShardResult:
@@ -274,10 +279,8 @@ def _run_fig16_shard(spec: ShardSpec) -> ShardResult:
     from .common import build_workload
 
     p = spec.param_dict()
-    total_vips = int(p["total_vips"])
     shard_vips = int(p["shard_vips"])
-    frac = shard_vips / total_vips
-    systems = tuple(p.get("systems", ("duet", "silkroad-no-transittable", "silkroad")))
+    frac = shard_vips / int(p["total_vips"])
     workload = build_workload(
         updates_per_min=float(p.get("updates_per_min", 10.0)) * frac,
         scale=float(p.get("scale", 1.0)) * frac,
@@ -289,54 +292,17 @@ def _run_fig16_shard(spec: ShardSpec) -> ShardResult:
     factories = fig16.default_systems(
         insertion_rate_per_s=float(p.get("insertion_rate_per_s", 20_000.0))
     )
-    driver, obs = _shard_options(p)
-    registry = _shard_registry(spec)
-    audit = AuditReport()
-    counters: Dict[str, float] = {}
-    samplers: List[TimelineSampler] = []
-    recorders: List[FlightRecorder] = []
-    for name in systems:
-        attach = _make_attach(
-            spec,
-            name,
-            workload.horizon_s,
-            obs.timeline_period_s,
-            obs.record,
-            samplers,
-            recorders,
-            record_capacity=obs.record_capacity,
+    fold = _ShardFold(spec)
+    for name in p.get("systems", ("duet", "silkroad-no-transittable", "silkroad")):
+        report, _lb = fold.replay(name, workload, factories[name])
+        fold.count(
+            name, "measured_connections", report.measured_connections,
+            "connections in the window",
         )
-        report, conns, lb = workload.replay(
-            factories[name],
-            attach=attach,
-            batched=driver.batched,
-            batch_size=driver.batch_size,
-        )
-        scope = registry.scope(name)
-        scope.counter(
-            "pcc_violations_total", help="connections that broke PCC"
-        ).inc(report.pcc_violations)
-        scope.counter(
-            "measured_connections_total", help="connections in the window"
-        ).inc(report.measured_connections)
-        scope.counter(
-            "connections_total", help="all replayed connections"
+        fold.registry.counter(
+            f"{name}.connections_total", help="all replayed connections"
         ).inc(report.total_connections)
-        counters[f"{name}.pcc_violations"] = float(report.pcc_violations)
-        counters[f"{name}.measured_connections"] = float(
-            report.measured_connections
-        )
-        if isinstance(lb, SilkRoadSwitch):
-            audit.merge(audit_switch(lb, connections=conns), label=name)
-            _fold_prefixed(registry, lb.metrics, name)
-    return ShardResult(
-        shard_id=spec.shard_id,
-        registry=registry,
-        audit=audit,
-        counters=counters,
-        timeline=Timeline.merged(s.timeline for s in samplers),
-        recorder=FlightRecorder.merged(recorders),
-    )
+    return fold.result()
 
 
 def _run_fig18_shard(spec: ShardSpec) -> ShardResult:
@@ -348,12 +314,7 @@ def _run_fig18_shard(spec: ShardSpec) -> ShardResult:
     from .common import build_workload, silkroad_factory
 
     p = spec.param_dict()
-    driver, obs = _shard_options(p)
-    registry = _shard_registry(spec)
-    audit = AuditReport()
-    counters: Dict[str, float] = {}
-    samplers: List[TimelineSampler] = []
-    recorders: List[FlightRecorder] = []
+    fold = _ShardFold(spec)
     for cell_index, size, timeout_s in p["cells"]:
         workload = build_workload(
             updates_per_min=float(p.get("updates_per_min", 30.0)),
@@ -373,41 +334,12 @@ def _run_fig18_shard(spec: ShardSpec) -> ShardResult:
             name=f"silkroad-{int(size)}B",
         )
         cell = f"cell{int(cell_index):02d}"
-        attach = _make_attach(
-            spec,
-            cell,
-            workload.horizon_s,
-            obs.timeline_period_s,
-            obs.record,
-            samplers,
-            recorders,
-            record_capacity=obs.record_capacity,
+        _report, lb = fold.replay(cell, workload, factory)
+        fold.count(
+            cell, "transit_fp_adopted", lb.transit_fp_adopted,
+            "old-version adoptions via Bloom FP",
         )
-        report, conns, lb = workload.replay(
-            factory,
-            attach=attach,
-            batched=driver.batched,
-            batch_size=driver.batch_size,
-        )
-        scope = registry.scope(cell)
-        scope.counter(
-            "pcc_violations_total", help="connections that broke PCC"
-        ).inc(report.pcc_violations)
-        scope.counter(
-            "transit_fp_adopted_total", help="old-version adoptions via Bloom FP"
-        ).inc(float(lb.transit_fp_adopted))
-        counters[f"{cell}.pcc_violations"] = float(report.pcc_violations)
-        counters[f"{cell}.transit_fp_adopted"] = float(lb.transit_fp_adopted)
-        audit.merge(audit_switch(lb, connections=conns), label=cell)
-        _fold_prefixed(registry, lb.metrics, cell)
-    return ShardResult(
-        shard_id=spec.shard_id,
-        registry=registry,
-        audit=audit,
-        counters=counters,
-        timeline=Timeline.merged(s.timeline for s in samplers),
-        recorder=FlightRecorder.merged(recorders),
-    )
+    return fold.result()
 
 
 def _run_chaos_shard(spec: ShardSpec) -> ShardResult:
@@ -415,7 +347,7 @@ def _run_chaos_shard(spec: ShardSpec) -> ShardResult:
     from ..faults.chaos import run_chaos
 
     p = spec.param_dict()
-    driver, obs = _shard_options(p)
+    fold = _ShardFold(spec)
     result = run_chaos(
         seed=spec.seed,
         scale=float(p.get("scale", 0.05)),
@@ -423,34 +355,23 @@ def _run_chaos_shard(spec: ShardSpec) -> ShardResult:
         warmup_s=float(p.get("warmup_s", 2.0)),
         updates_per_min=float(p.get("updates_per_min", 60.0)),
         faults_per_min=float(p.get("faults_per_min", 30.0)),
-        driver=driver,
-        obs=replace(obs, record_source=f"s{spec.shard_id}.chaos"),
+        driver=spec.driver,
+        obs=fold.cell_obs("chaos"),
     )
-    registry = _shard_registry(spec)
-    scope = registry.scope("chaos")
-    scope.counter("faults_injected_total", help="faults in the plan").inc(
-        len(result.plan)
-    )
-    scope.counter(
-        "pcc_violations_total", help="connections that broke PCC"
-    ).inc(result.report.pcc_violations)
-    scope.counter(
-        "overdue_updates_total", help="updates that overran the watchdog"
-    ).inc(result.overdue_updates)
-    registry.merge(result.switch.metrics)
-    counters = {
-        "faults_injected": float(len(result.plan)),
-        "pcc_violations": float(result.report.pcc_violations),
-        "overdue_updates": float(result.overdue_updates),
-    }
-    return ShardResult(
-        shard_id=spec.shard_id,
-        registry=registry,
-        audit=result.audit,
-        counters=counters,
-        timeline=result.timeline,
-        recorder=result.recorder,
-    )
+    for key, value, help in (
+        ("faults_injected", len(result.plan), "faults in the plan"),
+        ("pcc_violations", result.report.pcc_violations, "connections that broke PCC"),
+        (
+            "overdue_updates", result.overdue_updates,
+            "updates that overran the watchdog",
+        ),
+    ):
+        fold.registry.counter(f"chaos.{key}_total", help=help).inc(value)
+        fold.counters[key] = float(value)
+    fold.registry.merge(result.switch.metrics)
+    fold.audit = result.audit
+    fold.observe(result)
+    return fold.result()
 
 
 def _fleet_cell_seed(base_seed: int, pattern: str, plan_index: int, salt: int) -> int:
@@ -479,12 +400,8 @@ def _run_fleet_shard(spec: ShardSpec) -> ShardResult:
     from ..faults.fleet import run_fleet
 
     p = spec.param_dict()
-    driver, obs = _shard_options(p)
-    registry = _shard_registry(spec)
-    audit = AuditReport()
-    counters: Dict[str, float] = {}
-    timelines: List[Timeline] = []
-    recorders: List[FlightRecorder] = []
+    fold = _ShardFold(spec)
+    audit, counters = fold.audit, fold.counters
     base_seed = int(p.get("base_seed", spec.seed))
     for pattern, plan_index in p["cells"]:
         cell = f"{pattern}{int(plan_index):02d}"
@@ -500,8 +417,8 @@ def _run_fleet_shard(spec: ShardSpec) -> ShardResult:
             faults_per_min=float(p.get("faults_per_min", 4.0)),
             replication=p.get("replication"),
             conn_budget=p.get("conn_budget"),
-            driver=driver,
-            obs=replace(obs, record_source=f"s{spec.shard_id}.{cell}"),
+            driver=spec.driver,
+            obs=fold.cell_obs(cell),
         )
         audit.merge(result.audit.audit, label=cell)
         audit.checks_run += 2
@@ -515,34 +432,21 @@ def _run_fleet_shard(spec: ShardSpec) -> ShardResult:
                 f"[{cell}] {result.audit.unattributed_drops} dropped "
                 "connections with no fleet attribution"
             )
-        survival = result.survival
-        for key in ("measured", "kept", "broken", "blackholed"):
+        survival = dict(result.survival, shed=result.fleet.shed_connections)
+        for key in ("measured", "kept", "broken", "blackholed", "shed"):
             counters[f"{pattern}.{key}"] = (
                 counters.get(f"{pattern}.{key}", 0.0) + float(survival[key])
             )
-        counters[f"{pattern}.shed"] = counters.get(
-            f"{pattern}.shed", 0.0
-        ) + float(result.fleet.shed_connections)
-        scope = registry.scope(cell)
+        scope = fold.registry.scope(cell)
         scope.counter(
             "pcc_broken_total", help="measured connections that broke PCC"
         ).inc(survival["broken"])
         scope.counter(
             "blackholed_total", help="measured connections blackholed intact"
         ).inc(survival["blackholed"])
-        _fold_prefixed(registry, result.fleet.merged_registry(), cell)
-        if result.timeline is not None:
-            timelines.append(result.timeline)
-        if result.recorder is not None:
-            recorders.append(result.recorder)
-    return ShardResult(
-        shard_id=spec.shard_id,
-        registry=registry,
-        audit=audit,
-        counters=counters,
-        timeline=Timeline.merged(timelines) if timelines else None,
-        recorder=FlightRecorder.merged(recorders) if recorders else None,
-    )
+        fold.registry.merge(result.fleet.merged_registry(), prefix=cell)
+        fold.observe(result)
+    return fold.result()
 
 
 def _run_crashy_shard(spec: ShardSpec) -> ShardResult:
@@ -562,14 +466,10 @@ def _run_crashy_shard(spec: ShardSpec) -> ShardResult:
         with open(str(marker), "w") as fh:
             fh.write(str(spec.shard_id))
         os._exit(3)
-    registry = _shard_registry(spec)
-    registry.counter("crashy.completions_total").inc()
-    return ShardResult(
-        shard_id=spec.shard_id,
-        registry=registry,
-        audit=AuditReport(),
-        counters={"completions": 1.0},
-    )
+    fold = _ShardFold(spec)
+    fold.registry.counter("crashy.completions_total").inc()
+    fold.counters["completions"] = 1.0
+    return fold.result()
 
 
 _TASKS: Dict[str, Callable[[ShardSpec], ShardResult]] = {
@@ -581,37 +481,69 @@ _TASKS: Dict[str, Callable[[ShardSpec], ShardResult]] = {
 }
 
 
+def _task_body(task: str) -> Callable[[ShardSpec], ShardResult]:
+    if task not in _TASKS:
+        raise ValueError(f"unknown shard task {task!r} (have {sorted(_TASKS)})")
+    return _TASKS[task]
+
+
 def run_shard(spec: ShardSpec) -> ShardResult:
     """Execute one shard in the current process."""
-    try:
-        body = _TASKS[spec.task]
-    except KeyError:
-        raise ValueError(
-            f"unknown shard task {spec.task!r} (have {sorted(_TASKS)})"
-        ) from None
-    return body(spec)
+    return _task_body(spec.task)(spec)
 
 
-def _worker_main(spec: ShardSpec, conn) -> None:
-    """Spawned worker entrypoint: run one shard, ship the result back.
+# ----------------------------------------------------------------------
+# Worker processes (shard workers and partition replicas alike)
+# ----------------------------------------------------------------------
+
+
+def _spawn(target, args: tuple, duplex: bool = False):
+    """Start ``target(*args, pipe_end)`` as a daemon process on a fresh
+    pipe; returns ``(proc, our_end)``.
+
+    ``spawn`` (not fork) so workers import a pristine interpreter — the
+    same environment the determinism tests pin — and a crashed worker
+    cannot corrupt shared state.
+    """
+    ctx = mp.get_context("spawn")
+    ours, theirs = ctx.Pipe(duplex=duplex)
+    proc = ctx.Process(target=target, args=(*args, theirs), daemon=True)
+    proc.start()
+    theirs.close()
+    return proc, ours
+
+
+def _reap(workers: Sequence[tuple]) -> None:
+    """Tear down ``(proc, pipe)`` pairs: close every pipe, then stop any
+    process still running (one that has shipped its result has nothing
+    left to do) and join it, so no exit path leaks a worker."""
+    for _proc, pipe in workers:
+        pipe.close()
+    for proc, _pipe in workers:
+        if proc.is_alive():
+            proc.terminate()
+        proc.join()
+
+
+def _ship(conn, who: str, body: Callable[[], tuple]) -> None:
+    """Worker side of the pipe: send ``body()``'s message, or — on any
+    failure — ``("error", traceback)``.
 
     The failure path must never go silent: if the error payload itself
-    cannot be shipped (parent gone, pipe broken), the traceback is written
-    to stderr and the exception re-raised so the worker dies loudly with a
-    non-zero exit code — the parent then reports ``worker exited with
-    code N`` instead of dropping the evidence.
+    cannot be shipped (parent gone, pipe broken), the traceback goes to
+    stderr and the exception is re-raised so the worker dies non-zero — the
+    parent then reports ``worker exited with code N``, not nothing.
     """
     try:
-        result = run_shard(spec)
-        conn.send(("ok", result))
+        conn.send(body())
     except BaseException:
         tb = traceback.format_exc()
         try:
             conn.send(("error", tb))
         except Exception:
             sys.stderr.write(
-                f"[parallel] shard {spec.shard_id} failed and the error "
-                f"pipe is dead; traceback follows\n{tb}"
+                f"[parallel] {who} failed and the error pipe is dead; "
+                f"traceback follows\n{tb}"
             )
             sys.stderr.flush()
             raise
@@ -619,13 +551,40 @@ def _worker_main(spec: ShardSpec, conn) -> None:
         conn.close()
 
 
+def _worker_main(spec: ShardSpec, conn) -> None:
+    """Spawned worker entrypoint: run one shard, ship the result back."""
+    _ship(conn, f"shard {spec.shard_id}", lambda: ("ok", run_shard(spec)))
+
+
 # ----------------------------------------------------------------------
 # Shard layout
 # ----------------------------------------------------------------------
 
+#: ``DriverOptions``/``ObsOptions`` field -> the keyword that carries it.
+_OPTION_KEYWORDS = {
+    **{f.name: "driver" for f in fields(DriverOptions)},
+    **{f.name: "obs" for f in fields(ObsOptions)},
+}
 
-def _freeze_params(params: Dict[str, object]) -> Tuple[Tuple[str, object], ...]:
-    return tuple(sorted(params.items()))
+
+def _even_split(total: int, parts: int, what: str) -> List[range]:
+    """``parts`` contiguous ranges covering ``range(total)``, sizes
+    differing by at most one (the larger ones first)."""
+    if parts > total:
+        raise ValueError(f"cannot split {total} {what} {parts} ways")
+    base, extra = divmod(total, parts)
+    bounds = [i * base + min(i, extra) for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _split_cells(
+    cells: Sequence[tuple], num_shards: int, what: str, **own: object
+) -> List[Dict[str, object]]:
+    """Per-shard params handing each shard a contiguous run of ``cells``."""
+    return [
+        dict(own, cells=tuple(cells[part.start : part.stop]))
+        for part in _even_split(len(cells), num_shards, what)
+    ]
 
 
 def make_shards(
@@ -633,40 +592,32 @@ def make_shards(
     num_shards: int,
     seed: int,
     params: Optional[Dict[str, object]] = None,
+    driver: Optional[DriverOptions] = None,
+    obs: Optional[ObsOptions] = None,
 ) -> List[ShardSpec]:
     """The deterministic shard layout of one run.
 
-    Depends only on ``(task, num_shards, seed, params)`` — never on worker
-    count or machine — which is what makes merged fingerprints comparable
-    across pool sizes.
+    Depends only on ``(task, num_shards, seed, params, driver, obs)`` —
+    never on worker count or machine — which is what makes merged
+    fingerprints comparable across pool sizes.  ``params`` holds the
+    experiment's knobs only: a driver/obs option spelled as a params key
+    is rejected, ``driver=``/``obs=`` being the one spelling.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
-    if task not in _TASKS:
-        raise ValueError(f"unknown shard task {task!r} (have {sorted(_TASKS)})")
+    _task_body(task)
     params = dict(params or {})
-    specs: List[ShardSpec] = []
+    for key in sorted(_OPTION_KEYWORDS.keys() & params.keys()):
+        raise ValueError(
+            f"{key!r} is not a shard parameter: pass it as "
+            f"{_OPTION_KEYWORDS[key]}= (see repro.options)"
+        )
     if task == "fig16":
         total_vips = int(params.pop("num_vips", 8))
-        if num_shards > total_vips:
-            raise ValueError(
-                f"cannot split {total_vips} VIPs into {num_shards} shards"
-            )
-        base, extra = divmod(total_vips, num_shards)
-        for shard_id in range(num_shards):
-            shard_vips = base + (1 if shard_id < extra else 0)
-            shard_params = dict(
-                params, total_vips=total_vips, shard_vips=shard_vips
-            )
-            specs.append(
-                ShardSpec(
-                    task=task,
-                    shard_id=shard_id,
-                    num_shards=num_shards,
-                    seed=derive_shard_seed(seed, shard_id),
-                    params=_freeze_params(shard_params),
-                )
-            )
+        per_shard = [
+            {"total_vips": total_vips, "shard_vips": len(part)}
+            for part in _even_split(total_vips, num_shards, "VIPs")
+        ]
     elif task == "fig18":
         sizes = tuple(params.pop("sizes", (8, 64, 256)))
         timeouts = tuple(params.pop("timeouts", (0.5e-3, 5e-3)))
@@ -676,27 +627,7 @@ def make_shards(
                 (t, s) for t in timeouts for s in sizes
             )
         ]
-        if num_shards > len(cells):
-            raise ValueError(
-                f"cannot split {len(cells)} grid cells into {num_shards} shards"
-            )
-        base, extra = divmod(len(cells), num_shards)
-        offset = 0
-        for shard_id in range(num_shards):
-            take = base + (1 if shard_id < extra else 0)
-            shard_params = dict(
-                params, cells=tuple(cells[offset : offset + take])
-            )
-            offset += take
-            specs.append(
-                ShardSpec(
-                    task=task,
-                    shard_id=shard_id,
-                    num_shards=num_shards,
-                    seed=derive_shard_seed(seed, shard_id),
-                    params=_freeze_params(shard_params),
-                )
-            )
+        per_shard = _split_cells(cells, num_shards, "grid cells")
     elif task == "fleet":
         patterns = tuple(
             params.pop("patterns", ("crash", "partition", "flap", "cascade", "mixed"))
@@ -712,41 +643,21 @@ def make_shards(
             for pattern in patterns
             for plan_index in range(plans_per_pattern)
         ]
-        if num_shards > len(cells):
-            raise ValueError(
-                f"cannot split {len(cells)} fleet cells into {num_shards} shards"
-            )
-        base, extra = divmod(len(cells), num_shards)
-        offset = 0
-        for shard_id in range(num_shards):
-            take = base + (1 if shard_id < extra else 0)
-            shard_params = dict(
-                params,
-                cells=tuple(cells[offset : offset + take]),
-                base_seed=int(seed),
-            )
-            offset += take
-            specs.append(
-                ShardSpec(
-                    task=task,
-                    shard_id=shard_id,
-                    num_shards=num_shards,
-                    seed=derive_shard_seed(seed, shard_id),
-                    params=_freeze_params(shard_params),
-                )
-            )
+        per_shard = _split_cells(cells, num_shards, "fleet cells", base_seed=int(seed))
     else:  # chaos and test tasks: one derived seed per shard
-        for shard_id in range(num_shards):
-            specs.append(
-                ShardSpec(
-                    task=task,
-                    shard_id=shard_id,
-                    num_shards=num_shards,
-                    seed=derive_shard_seed(seed, shard_id),
-                    params=_freeze_params(params),
-                )
-            )
-    return specs
+        per_shard = [{} for _ in range(num_shards)]
+    return [
+        ShardSpec(
+            task=task,
+            shard_id=shard_id,
+            num_shards=num_shards,
+            seed=derive_shard_seed(seed, shard_id),
+            params=tuple(sorted({**params, **own}.items())),
+            driver=driver or DriverOptions(),
+            obs=obs or ObsOptions(),
+        )
+        for shard_id, own in enumerate(per_shard)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -754,56 +665,17 @@ def make_shards(
 # ----------------------------------------------------------------------
 
 
-def _run_serial(
-    specs: Sequence[ShardSpec], retries: int
-) -> Tuple[List[ShardResult], List[FailedShard], int]:
-    """In-process driver.  Returns ``(results, failed, error_attempts)``.
-
-    Every failed attempt — retried or terminal — is logged with its
-    traceback and counted, so a flaky shard leaves evidence even when the
-    retry ultimately succeeds.
-    """
-    results: List[ShardResult] = []
-    failed: List[FailedShard] = []
-    errors = 0
-    for spec in specs:
-        last_error = "unknown error"
-        for attempt in range(retries + 1):
-            try:
-                results.append(run_shard(spec))
-                break
-            except Exception:
-                last_error = traceback.format_exc()
-                errors += 1
-                logger.warning(
-                    "shard %d attempt %d/%d failed:\n%s",
-                    spec.shard_id,
-                    attempt + 1,
-                    retries + 1,
-                    last_error,
-                )
-        else:
-            logger.error(
-                "shard %d failed after %d attempts", spec.shard_id, retries + 1
-            )
-            failed.append(FailedShard(spec.shard_id, last_error))
-    return results, failed, errors
-
-
-def _run_parallel(
+def _run_attempts(
     specs: Sequence[ShardSpec], workers: int, retries: int
 ) -> Tuple[List[ShardResult], List[FailedShard], int]:
-    """Run shards on a pool of spawned processes, one process per attempt.
+    """Run every shard, retrying failed attempts ``retries`` times.
 
-    Returns ``(results, failed, error_attempts)``; every failed attempt is
-    logged with whatever evidence survived (the shipped traceback, or the
-    worker's exit code when the process died before sending one).
-
-    ``spawn`` (not fork) so workers import a pristine interpreter — the
-    same environment the determinism tests pin — and a crashed worker
-    cannot corrupt shared state.  Each attempt gets a fresh process; a
-    shard whose worker dies (no result on the pipe) or raises is retried
-    ``retries`` times, then recorded as failed.
+    Returns ``(results, failed, error_attempts)``.  Every failed attempt —
+    retried or terminal — is logged with whatever evidence survived (the
+    traceback, or the exit code of a worker that died before sending one)
+    and counted, so a flaky shard leaves evidence even when its retry
+    succeeds.  ``workers <= 1`` runs each attempt in this process; otherwise
+    each gets a fresh spawned process, at most ``workers`` at a time.
 
     The wait set holds each worker's result pipe *and* its process
     sentinel: a payload bigger than the pipe buffer (recorders ship whole
@@ -811,69 +683,67 @@ def _run_parallel(
     so waiting on the sentinel alone would deadlock — the child cannot
     exit before the parent reads, and the parent would never read.
     """
-    ctx = mp.get_context("spawn")
     pending = deque(specs)
     attempts: Dict[int, int] = {spec.shard_id: 0 for spec in specs}
-    live: Dict[object, Tuple[ShardSpec, object, object]] = {}
+    live: Dict[object, Tuple[ShardSpec, object]] = {}
     results: List[ShardResult] = []
     failed: List[FailedShard] = []
     errors = 0
-    while pending or live:
-        while pending and len(live) < workers:
-            spec = pending.popleft()
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_worker_main, args=(spec, send_end), daemon=True
-            )
-            proc.start()
-            send_end.close()
-            live[proc.sentinel] = (spec, proc, recv_end)
-        waitables: List[object] = []
-        for sentinel, (_spec, _proc, recv_end) in live.items():
-            waitables.append(recv_end)
-            waitables.append(sentinel)
-        ready = set(mp.connection.wait(waitables))
-        for sentinel in list(live):
-            spec, proc, recv_end = live[sentinel]
-            if sentinel not in ready and recv_end not in ready:
-                continue
-            del live[sentinel]
-            payload = None
-            try:
-                if recv_end.poll():
-                    payload = recv_end.recv()
-            except (EOFError, OSError):
-                payload = None
-            finally:
-                recv_end.close()
-            proc.join()
-            if payload is not None and payload[0] == "ok":
-                results.append(payload[1])
-                continue
-            errors += 1
-            reason = (
-                payload[1]
-                if payload is not None
-                else f"worker exited with code {proc.exitcode}"
-            )
-            attempts[spec.shard_id] += 1
-            if attempts[spec.shard_id] <= retries:
-                logger.warning(
-                    "shard %d attempt %d/%d failed, retrying:\n%s",
-                    spec.shard_id,
-                    attempts[spec.shard_id],
-                    retries + 1,
-                    reason,
-                )
-                pending.append(spec)
+    try:
+        while pending or live:
+            finished: List[Tuple[ShardSpec, tuple]] = []
+            if workers <= 1:
+                spec = pending.popleft()
+                try:
+                    finished.append((spec, ("ok", run_shard(spec))))
+                except Exception:
+                    finished.append((spec, ("error", traceback.format_exc())))
             else:
-                logger.error(
-                    "shard %d failed after %d attempts:\n%s",
-                    spec.shard_id,
-                    retries + 1,
-                    reason,
+                while pending and len(live) < workers:
+                    spec = pending.popleft()
+                    proc, pipe = _spawn(_worker_main, (spec,))
+                    live[proc] = (spec, pipe)
+                ready = set(
+                    mp.connection.wait(
+                        [w for proc, (_s, pipe) in live.items()
+                         for w in (pipe, proc.sentinel)]
+                    )
                 )
-                failed.append(FailedShard(spec.shard_id, reason))
+                for proc, (spec, pipe) in list(live.items()):
+                    if proc.sentinel not in ready and pipe not in ready:
+                        continue
+                    del live[proc]
+                    payload = None
+                    try:
+                        if pipe.poll():
+                            payload = pipe.recv()
+                    except (EOFError, OSError):
+                        payload = None
+                    finally:
+                        _reap([(proc, pipe)])
+                    if payload is None:
+                        payload = ("error", f"worker exited with code {proc.exitcode}")
+                    finished.append((spec, payload))
+            for spec, (status, body) in finished:
+                if status == "ok":
+                    results.append(body)
+                    continue
+                errors += 1
+                attempts[spec.shard_id] += 1
+                if attempts[spec.shard_id] <= retries:
+                    logger.warning(
+                        "shard %d attempt %d/%d failed, retrying:\n%s",
+                        spec.shard_id, attempts[spec.shard_id], retries + 1, body,
+                    )
+                    pending.append(spec)
+                else:
+                    logger.error(
+                        "shard %d failed after %d attempts:\n%s",
+                        spec.shard_id, retries + 1, body,
+                    )
+                    failed.append(FailedShard(spec.shard_id, body))
+    finally:
+        _reap([(proc, pipe) for proc, (_s, pipe) in live.items()])
     return results, failed, errors
 
 
@@ -895,32 +765,19 @@ def run_sharded(
     produces byte-identical results to any parallel pool because the
     shard layout and merge order are fixed by ``num_shards`` alone.
 
-    ``driver``/``obs`` carry the shared replay-driver and observability
-    knobs; they are flattened into the shard params as the scalar keys the
-    shard bodies read (an explicit key already in ``params`` wins), so
-    :class:`ShardSpec` stays a picklable bag of primitives.
+    ``driver``/``obs`` are the shared replay-driver and observability
+    options; every :class:`ShardSpec` carries them to its worker as they
+    are.  ``params`` names the experiment's own knobs and nothing else.
 
     Every failed attempt is logged and counted in
     ``parallel.worker_errors_total``; shards still failing after the
     retry budget land in ``result.failed`` — or, with ``strict=True``,
     raise :class:`RuntimeError` carrying every terminal traceback.
     """
-    if driver is not None or obs is not None:
-        driver = driver or DriverOptions()
-        obs = obs or ObsOptions()
-        params = dict(params or {})
-        params.setdefault("batched", driver.batched)
-        params.setdefault("batch_size", driver.batch_size)
-        params.setdefault("record", obs.record)
-        params.setdefault("record_capacity", obs.record_capacity)
-        params.setdefault("timeline_period_s", obs.timeline_period_s)
-    specs = make_shards(task, num_shards=num_shards, seed=seed, params=params)
+    specs = make_shards(task, num_shards, seed, params, driver=driver, obs=obs)
     if workers is None:
         workers = min(num_shards, os.cpu_count() or 1)
-    if workers <= 1:
-        results, failed, errors = _run_serial(specs, retries)
-    else:
-        results, failed, errors = _run_parallel(specs, workers, retries)
+    results, failed, errors = _run_attempts(specs, workers, retries)
     results.sort(key=lambda r: r.shard_id)
     failed.sort(key=lambda f: f.shard_id)
     if strict and failed:
@@ -946,18 +803,12 @@ def run_sharded(
         help="failed shard attempts (including retried ones)",
     ).inc(errors)
     audit = AuditReport()
-    for result in results:
-        audit.merge(result.audit, label=f"shard-{result.shard_id}")
     counters: Dict[str, float] = {}
     for result in results:
+        audit.merge(result.audit, label=f"shard-{result.shard_id}")
         for key, value in result.counters.items():
             counters[key] = counters.get(key, 0.0) + value
-    timeline = Timeline.merged(
-        r.timeline for r in results if r.timeline is not None
-    )
-    recorder = FlightRecorder.merged(
-        r.recorder for r in results if r.recorder is not None
-    )
+    timeline, recorder = _merged_obs((r.timeline, r.recorder) for r in results)
     return ShardedRunResult(
         task=task,
         seed=seed,
@@ -1016,18 +867,9 @@ def partition_switches(
     """
     if num_workers < 1:
         raise ValueError("num_workers must be at least 1")
-    if num_workers > num_switches:
-        raise ValueError(
-            f"cannot split {num_switches} switches across {num_workers} workers"
-        )
-    base, extra = divmod(num_switches, num_workers)
-    owned_sets: List[Tuple[int, ...]] = []
-    offset = 0
-    for worker_id in range(num_workers):
-        take = base + (1 if worker_id < extra else 0)
-        owned_sets.append(tuple(range(offset, offset + take)))
-        offset += take
-    return owned_sets
+    return [
+        tuple(part) for part in _even_split(num_switches, num_workers, "switches")
+    ]
 
 
 def _partition_epochs(horizon_s: float, epoch_s: float) -> int:
@@ -1046,7 +888,6 @@ class _PartitionPartial:
     """One replica's mergeable share of a partitioned fleet run."""
 
     worker_id: int
-    owned: Tuple[int, ...]
     registry: MetricRegistry
     #: structural audit of the owned instances (labelled ``sw<i>g<gen>``).
     audit: AuditReport
@@ -1081,7 +922,7 @@ class FleetPartitionedResult:
     epochs: int
     epoch_length_s: float
     registry: MetricRegistry
-    audit: "object"  # FleetAuditReport; typed loosely to avoid the import cycle
+    audit: FleetAuditReport
     survival: Dict[str, int]
     counters: Dict[str, float]
     timeline: Optional[Timeline] = None
@@ -1116,56 +957,37 @@ class FleetPartitionedResult:
 
 
 def _run_partition_replica(
-    worker_id: int,
-    owned: Tuple[int, ...],
-    num_workers: int,
-    barrier: Optional[Callable[[int, Tuple[int, ...]], None]],
+    partition: FleetPartition,
     run_kwargs: Dict[str, object],
+    driver: DriverOptions,
+    obs: ObsOptions,
+    barrier: Optional[Callable[[int, Tuple[int, ...]], None]] = None,
 ) -> _PartitionPartial:
-    """Replay the full fleet simulation as partition replica ``worker_id``.
+    """Replay the full fleet simulation as one partition's replica.
 
     ``barrier(epoch, digest)`` is called at every epoch boundary (spawn
     mode blocks in it until the parent has cross-checked all replicas;
-    in-process mode passes ``None`` and digests are verified post-hoc at
+    in-process mode passes none and digests are verified post-hoc at
     merge).  Barrier events are scheduled *up front*, before the replay
     starts: they shift every simulation event's heap sequence number by
     the same constant on every replica, so pairwise event ordering — and
     with it every simulated outcome — is unchanged by the epoch count.
     """
-    from ..deploy.fleet import (
-        FleetPartition,
-        FleetSilkRoad,
-        collect_structural,
-        connection_outcomes,
-        partition_epoch_length,
-    )
     from ..faults.fleet import FleetFaultInjector, resolve_fleet_run
-    from ..netsim.simulator import PRIO_INTERNAL
 
-    kw = dict(run_kwargs)
-    record = bool(kw.pop("record", False))
-    record_capacity = int(kw.pop("record_capacity", DEFAULT_RING_SIZE))
-    timeline_period_s = kw.pop("timeline_period_s", None)
-    batched = bool(kw.pop("batched", True))
-    batch_size = int(kw.pop("batch_size", 256))
-    num_switches = int(kw["num_switches"])
-    workload, plan, config, fleet_config, _fault_seed = resolve_fleet_run(**kw)
-    partition = FleetPartition(
-        owned=tuple(owned), worker_id=worker_id, num_workers=num_workers
-    )
+    workload, plan, config, fleet_config, _seed = resolve_fleet_run(**run_kwargs)
     injector = FleetFaultInjector(plan)
     epoch_s = partition_epoch_length(fleet_config)
     epochs = _partition_epochs(workload.horizon_s, epoch_s)
     digests: List[Tuple[int, Tuple[int, ...]]] = []
-    samplers: List[TimelineSampler] = []
+    # Recording is per owned switch (one ring each, so the merged dump is
+    # invariant to the partition width); the hook arms the sampler only.
+    hook = ObsHook(replace(obs, record=False), "fleet", workload.horizon_s)
 
     def attach(sim, lb) -> None:
-        if record:
-            lb.attach_partition_recorders(record_capacity)
-        if timeline_period_s is not None:
-            sampler = TimelineSampler(lb.metrics, float(timeline_period_s))
-            sampler.attach(sim.queue, horizon_s=workload.horizon_s)
-            samplers.append(sampler)
+        if obs.record:
+            lb.attach_partition_recorders(obs.record_capacity)
+        hook(sim, lb)
         for k in range(1, epochs + 1):
 
             def fire(kk: int = k, fleet=lb) -> None:
@@ -1178,15 +1000,15 @@ def _run_partition_replica(
 
     _report, connections, fleet = workload.replay(
         lambda: FleetSilkRoad(
-            num_switches=num_switches,
+            num_switches=run_kwargs["num_switches"],
             config=config,
             fleet_config=fleet_config,
             partition=partition,
         ),
         faults=injector,
         attach=attach,
-        batched=batched,
-        batch_size=batch_size,
+        batched=driver.batched,
+        batch_size=driver.batch_size,
     )
     # Final-state digest: catches divergence after the last barrier.
     digests.append((epochs + 1, fleet.epoch_digest()))
@@ -1208,12 +1030,8 @@ def _run_partition_replica(
             for key, value in fleet_report.items()
             if not key.endswith("_conn_entries")
         }
-    recorder = (
-        FlightRecorder.merged(fleet.partition_recorders()) if record else None
-    )
     return _PartitionPartial(
-        worker_id=worker_id,
-        owned=tuple(owned),
+        worker_id=partition.worker_id,
         registry=fleet.merged_registry(),
         audit=structural,
         predicted=set(predicted),
@@ -1223,60 +1041,44 @@ def _run_partition_replica(
         counters=counters,
         conn_entries=conn_entries,
         epoch_digests=tuple(digests),
-        timeline=samplers[0].timeline if samplers else None,
-        recorder=recorder,
+        timeline=hook.timeline,
+        recorder=FlightRecorder.merged(fleet.partition_recorders()),
     )
 
 
 def _partition_worker_main(
-    worker_id: int,
-    owned: Tuple[int, ...],
-    num_workers: int,
+    partition: FleetPartition,
     run_kwargs: Dict[str, object],
+    driver: DriverOptions,
+    obs: ObsOptions,
     conn,
 ) -> None:
     """Spawned partition worker: replay one replica, barrier over the pipe.
 
     Protocol (duplex pipe): ``("epoch", k, digest)`` up at each barrier,
     blocking until the parent's ``"go"`` comes back; ``("done", partial)``
-    after the run; ``("error", traceback)`` on any failure.  Like
-    `_worker_main`, the failure path never goes silent: if the error
-    cannot be shipped it lands on stderr and the worker dies non-zero.
+    after the run; ``("error", traceback)`` on any failure (:func:`_ship`).
     """
-    try:
+    who = f"partition worker {partition.worker_id}"
 
-        def barrier(k: int, digest: Tuple[int, ...]) -> None:
-            conn.send(("epoch", k, digest))
-            reply = conn.recv()
-            if reply != "go":
-                raise RuntimeError(
-                    f"partition worker {worker_id}: unexpected barrier "
-                    f"reply {reply!r} at epoch {k}"
-                )
-
-        partial = _run_partition_replica(
-            worker_id, tuple(owned), num_workers, barrier, run_kwargs
-        )
-        conn.send(("done", partial))
-    except BaseException:
-        tb = traceback.format_exc()
-        try:
-            conn.send(("error", tb))
-        except Exception:
-            sys.stderr.write(
-                f"[parallel] partition worker {worker_id} failed and the "
-                f"error pipe is dead; traceback follows\n{tb}"
+    def barrier(k: int, digest: Tuple[int, ...]) -> None:
+        conn.send(("epoch", k, digest))
+        reply = conn.recv()
+        if reply != "go":
+            raise RuntimeError(
+                f"{who}: unexpected barrier reply {reply!r} at epoch {k}"
             )
-            sys.stderr.flush()
-            raise
-    finally:
-        conn.close()
+
+    def replica() -> tuple:
+        return "done", _run_partition_replica(
+            partition, run_kwargs, driver, obs, barrier
+        )
+
+    _ship(conn, who, replica)
 
 
 def _run_partition_pool(
-    owned_sets: Sequence[Tuple[int, ...]],
-    run_kwargs: Dict[str, object],
-    epochs: int,
+    partitions: Sequence[FleetPartition], replica_args: tuple, epochs: int
 ) -> List[_PartitionPartial]:
     """Drive one spawned replica per partition through lockstep epochs.
 
@@ -1286,22 +1088,16 @@ def _run_partition_pool(
     aborts the whole run — a partitioned result must never silently
     omit a partition.
     """
-    ctx = mp.get_context("spawn")
-    num_workers = len(owned_sets)
-    procs: List[object] = []
-    pipes: List[object] = []
+    num_workers = len(partitions)
+    workers: List[tuple] = []
     try:
-        for worker_id, owned in enumerate(owned_sets):
-            parent_end, child_end = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_partition_worker_main,
-                args=(worker_id, tuple(owned), num_workers, run_kwargs, child_end),
-                daemon=True,
+        for partition in partitions:
+            workers.append(
+                _spawn(
+                    _partition_worker_main, (partition, *replica_args), duplex=True
+                )
             )
-            proc.start()
-            child_end.close()
-            procs.append(proc)
-            pipes.append(parent_end)
+        pipes = [pipe for _proc, pipe in workers]
 
         def receive(worker_id: int, expect: str, epoch: Optional[int] = None):
             try:
@@ -1342,17 +1138,9 @@ def _run_partition_pool(
                     )
             for pipe in pipes:
                 pipe.send("go")
-        partials = [
-            receive(worker_id, "done")[1] for worker_id in range(num_workers)
-        ]
-        return partials
+        return [receive(worker_id, "done")[1] for worker_id in range(num_workers)]
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+        _reap(workers)
 
 
 def run_fleet_partitioned(
@@ -1387,21 +1175,12 @@ def run_fleet_partitioned(
     no pool — with digests cross-checked post-hoc instead of per epoch.
     ``driver``/``obs`` are the replay/observability knobs.
     """
-    from ..deploy.fleet import (
-        FleetConfig,
-        attribute_outcomes,
-        partition_epoch_length,
-    )
-
     driver = driver or DriverOptions()
     obs = obs or ObsOptions()
     owned_sets = partition_switches(num_switches, partition_workers)
-    resolved_fleet_config = (
-        fleet_config
-        if fleet_config is not None
-        else FleetConfig(replication=replication, conn_budget=conn_budget)
-    )
-    epoch_s = partition_epoch_length(resolved_fleet_config)
+    if fleet_config is None:
+        fleet_config = FleetConfig(replication=replication, conn_budget=conn_budget)
+    epoch_s = partition_epoch_length(fleet_config)
     epochs = _partition_epochs(horizon_s, epoch_s)
     if in_process is None:
         in_process = partition_workers == 1
@@ -1420,21 +1199,16 @@ def run_fleet_partitioned(
         "config": config,
         "fleet_config": fleet_config,
         "plan": plan,
-        "record": obs.record,
-        "record_capacity": int(obs.record_capacity),
-        "timeline_period_s": obs.timeline_period_s,
-        "batched": bool(driver.batched),
-        "batch_size": int(driver.batch_size),
     }
+    partitions = [
+        FleetPartition(owned=owned, worker_id=i, num_workers=partition_workers)
+        for i, owned in enumerate(owned_sets)
+    ]
+    replica_args = (run_kwargs, driver, obs)
     if in_process:
-        partials = [
-            _run_partition_replica(
-                worker_id, owned, partition_workers, None, run_kwargs
-            )
-            for worker_id, owned in enumerate(owned_sets)
-        ]
+        partials = [_run_partition_replica(p, *replica_args) for p in partitions]
     else:
-        partials = _run_partition_pool(owned_sets, run_kwargs, epochs)
+        partials = _run_partition_pool(partitions, replica_args, epochs)
     partials.sort(key=lambda p: p.worker_id)
 
     # Replica agreement: every replica must have produced the identical
@@ -1478,23 +1252,17 @@ def run_fleet_partitioned(
                 row[0] |= set(dips)
                 row[1] = row[1] or dropped
                 row[2] = row[2] or broken
-    measured = kept = broken_count = blackholed = 0
-    for key, row in merged_rows.items():
+    survival = {"measured": 0, "kept": 0, "broken": 0, "blackholed": 0}
+    for row in merged_rows.values():
         if row[3] < 0:
             continue
-        measured += 1
+        survival["measured"] += 1
         if len(row[0]) > 1 and not row[2]:
-            broken_count += 1
+            survival["broken"] += 1
         elif row[1]:
-            blackholed += 1
+            survival["blackholed"] += 1
         else:
-            kept += 1
-    survival = {
-        "measured": measured,
-        "kept": kept,
-        "broken": broken_count,
-        "blackholed": blackholed,
-    }
+            survival["kept"] += 1
     primary = partials[0]
     audit = attribute_outcomes(
         structural,
@@ -1513,12 +1281,7 @@ def run_fleet_partitioned(
             counters[key] = value
             live_entries += value
     counters["fleet_conn_entries"] = live_entries
-    timeline = Timeline.merged(
-        p.timeline for p in partials if p.timeline is not None
-    )
-    recorder = FlightRecorder.merged(
-        p.recorder for p in partials if p.recorder is not None
-    )
+    timeline, recorder = _merged_obs((p.timeline, p.recorder) for p in partials)
     return FleetPartitionedResult(
         pattern=pattern,
         seed=seed,

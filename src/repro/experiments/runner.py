@@ -143,20 +143,11 @@ def run_parallel(
         task, num_shards=num_shards, workers=workers, seed=seed, params=params
     )
     elapsed = time.time() - start
-    lines = [f"==== {task} sharded ({elapsed:.1f}s) ====", result.summary()]
-    if result.timeline is not None:
-        lines.append(
-            f"  timeline: {len(result.timeline)} epochs x "
-            f"{len(result.timeline.columns)} columns, "
-            f"fingerprint {result.timeline_fingerprint[:16]}"
-        )
-    if result.recorder is not None:
-        lines.append(
-            f"  recorder: {len(result.recorder)} events retained, "
-            f"{result.recorder.total_dropped} dropped"
-        )
-    for key in sorted(result.counters):
-        lines.append(f"  {key}: {result.counters[key]:g}")
+    lines = [
+        f"==== {task} sharded ({elapsed:.1f}s) ====",
+        result.summary(),
+        *result.details(),
+    ]
     for failure in result.failed:
         first = failure.reason.strip().splitlines()[-1] if failure.reason else ""
         lines.append(f"  shard {failure.shard_id} FAILED: {first}")

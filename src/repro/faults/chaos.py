@@ -27,7 +27,7 @@ from ..core import SilkRoadConfig, SilkRoadSwitch
 from ..core.verify import AuditReport, audit_switch
 from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
-from ..obs import FlightRecorder, Timeline, TimelineSampler
+from ..obs import FlightRecorder, ObsHook, Timeline
 from ..options import DriverOptions, ObsOptions
 from .injector import FaultInjector
 from .plan import FaultPlan
@@ -150,29 +150,11 @@ def run_chaos(
     if config is None:
         config = chaos_config()
     injector = FaultInjector(plan)
-
-    recorder: Optional[FlightRecorder] = None
-    sampler: Optional[TimelineSampler] = None
-    attach = None
-    if obs.record or obs.timeline_period_s is not None:
-        if obs.record:
-            recorder = FlightRecorder(
-                capacity=obs.record_capacity,
-                source=obs.resolved_source("chaos"),
-            )
-
-        def attach(sim, lb):
-            nonlocal sampler
-            if recorder is not None:
-                lb.attach_recorder(recorder)
-            if obs.timeline_period_s is not None:
-                sampler = TimelineSampler(lb.metrics, obs.timeline_period_s)
-                sampler.attach(sim.queue, horizon_s=workload.horizon_s)
-
+    hook = ObsHook(obs, "chaos", workload.horizon_s)
     report, connections, switch = workload.replay(
         lambda: SilkRoadSwitch(config, name="silkroad-chaos"),
         faults=injector,
-        attach=attach,
+        attach=hook,
         batched=driver.batched,
         batch_size=driver.batch_size,
     )
@@ -186,8 +168,8 @@ def run_chaos(
         audit=audit,
         fingerprint=switch.metrics.fingerprint(),
         overdue_updates=_count_overdue(switch, config.update_step_deadline_s),
-        recorder=recorder,
-        timeline=sampler.timeline if sampler is not None else None,
+        recorder=hook.recorder,
+        timeline=hook.timeline,
     )
 
 

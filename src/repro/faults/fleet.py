@@ -33,7 +33,7 @@ from ..deploy.fleet import FleetConfig, FleetSilkRoad, FleetAuditReport, audit_f
 from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..netsim.simulator import PRIO_INTERNAL
-from ..obs import DEFAULT_RING_SIZE, FlightRecorder, Timeline, TimelineSampler
+from ..obs import FlightRecorder, ObsHook, Timeline
 from ..options import DriverOptions, ObsOptions
 
 
@@ -450,25 +450,7 @@ def run_fleet(
         workload=workload,
     )
     injector = FleetFaultInjector(plan)
-
-    recorder: Optional[FlightRecorder] = None
-    sampler: Optional[TimelineSampler] = None
-    attach = None
-    if obs.record or obs.timeline_period_s is not None:
-        if obs.record:
-            recorder = FlightRecorder(
-                capacity=obs.record_capacity,
-                source=obs.resolved_source("fleet"),
-            )
-
-        def attach(sim, lb):
-            nonlocal sampler
-            if recorder is not None:
-                lb.attach_recorder(recorder)
-            if obs.timeline_period_s is not None:
-                sampler = TimelineSampler(lb.metrics, obs.timeline_period_s)
-                sampler.attach(sim.queue, horizon_s=workload.horizon_s)
-
+    hook = ObsHook(obs, "fleet", workload.horizon_s)
     report, connections, fleet = workload.replay(
         lambda: FleetSilkRoad(
             num_switches=num_switches,
@@ -476,7 +458,7 @@ def run_fleet(
             fleet_config=fleet_config,
         ),
         faults=injector,
-        attach=attach,
+        attach=hook,
         batched=driver.batched,
         batch_size=driver.batch_size,
     )
@@ -491,8 +473,8 @@ def run_fleet(
         fingerprint=fleet.fingerprint(),
         pattern=pattern,
         survival=_survival(connections),
-        recorder=recorder,
-        timeline=sampler.timeline if sampler is not None else None,
+        recorder=hook.recorder,
+        timeline=hook.timeline,
     )
 
 

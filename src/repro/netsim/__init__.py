@@ -28,7 +28,6 @@ from .packet import (
     five_tuple_for,
     parse_ip,
 )
-from .telemetry import Probe, Sampler, Series, watch_switch
 from .simulator import (
     FlowSimulator,
     LoadBalancer,
@@ -75,10 +74,6 @@ __all__ = [
     "PRIO_END",
     "PRIO_INTERNAL",
     "PRIO_UPDATE",
-    "Probe",
-    "Sampler",
-    "Series",
-    "watch_switch",
     "ROOT_CAUSE_SHARES",
     "RollingUpgrade",
     "RootCause",

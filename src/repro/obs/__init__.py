@@ -16,6 +16,8 @@ The measurement layer the rest of the reproduction reports through:
 * :mod:`repro.obs.recorder` — :class:`FlightRecorder`: a bounded
   structured-event ring (connection lifecycle, slow path, updates, faults)
   with per-category drop accounting.
+* :mod:`repro.obs.hook` — :class:`ObsHook`: the one way a runner arms a
+  recorder and a timeline sampler from an ``ObsOptions``.
 * :mod:`repro.obs.chrometrace` — Chrome Trace Event Format / Perfetto
   export of spans + recorder events + timeline tracks.
 * :mod:`repro.obs.forensics` — ``repro explain``: the causal timeline
@@ -52,6 +54,7 @@ from .export import (
 )
 from .timeline import SAMPLE_PRIORITY, Timeline, TimelineSampler
 from .recorder import DEFAULT_RING_SIZE, FlightRecorder, RecorderEvent
+from .hook import ObsHook
 from .chrometrace import to_chrome_trace, validate_chrome_trace, write_chrome_trace
 from .forensics import (
     ViolationStory,
@@ -70,6 +73,7 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS_S",
     "MetricRegistry",
+    "ObsHook",
     "P2Quantile",
     "RecorderEvent",
     "SAMPLE_PRIORITY",

@@ -523,7 +523,7 @@ class MetricRegistry:
         for instrument in self._instruments.values():
             instrument.reset()
 
-    def merge(self, other: "MetricRegistry") -> "MetricRegistry":
+    def merge(self, other: "MetricRegistry", prefix: str = "") -> "MetricRegistry":
         """Fold another registry into this one, in place; returns ``self``.
 
         Instruments are matched by name: counters and gauges add,
@@ -534,8 +534,14 @@ class MetricRegistry:
         result — and its :meth:`fingerprint` — is independent of which
         worker finished first.  A name registered with different
         instrument types on the two sides raises ``TypeError``.
+
+        ``prefix`` folds every instrument in under ``<prefix>.<name>``:
+        how one registry holds several switches (fig16's systems, a
+        fleet's instances) whose instrument names would otherwise collide.
         """
         for name, theirs in other.instruments():
+            if prefix:
+                name = f"{prefix}.{name}"
             ours = self._instruments.get(name)
             if ours is None:
                 # Register a zeroed twin, then fold; copying via the merge

@@ -40,6 +40,14 @@ __all__ = ["Timeline", "TimelineSampler", "SAMPLE_PRIORITY"]
 SAMPLE_PRIORITY = 10
 
 
+def _percentile(ordered: List[float], p: float) -> float:
+    """Value at quantile ``p`` of an ascending, non-empty list."""
+    rank = p * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
+
+
 class Timeline:
     """Columnar time series: one epoch axis, one float column per signal."""
 
@@ -83,6 +91,24 @@ class Timeline:
 
     def __contains__(self, name: str) -> bool:
         return name in self.columns
+
+    def summary(self) -> Dict[str, Dict[str, float]]:
+        """Per-column min/mean/p50/p99/max/last over the sampled epochs
+        (percentiles interpolate linearly between samples); empty before
+        the first epoch, when there are no columns yet."""
+        out: Dict[str, Dict[str, float]] = {}
+        for name in sorted(self.columns):
+            column = self.columns[name]
+            ordered = sorted(column)
+            out[name] = {
+                "min": ordered[0],
+                "mean": sum(column) / len(column),
+                "p50": _percentile(ordered, 0.5),
+                "p99": _percentile(ordered, 0.99),
+                "max": ordered[-1],
+                "last": column[-1],
+            }
+        return out
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -155,8 +181,7 @@ class Timeline:
 class TimelineSampler:
     """Snapshots one registry into a :class:`Timeline` at fixed epochs.
 
-    Unlike the period-relative :class:`~repro.netsim.telemetry.Sampler`,
-    epochs are scheduled at *absolute* simulation times
+    Epochs are scheduled at *absolute* simulation times
     ``start_s + k * period_s`` for every ``k`` with the epoch inside the
     horizon — shard clocks start at different (negative, warm-up dependent)
     instants, and only an absolute grid keeps their timelines mergeable.

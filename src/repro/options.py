@@ -11,7 +11,12 @@ the same two axes of configuration:
   (flight recorder ring, timeline sampling period).
 
 The dataclasses are the one spelling; a runner handed ``None`` uses the
-defaults (``driver or DriverOptions()``, ``obs or ObsOptions()``).
+defaults (``driver or DriverOptions()``, ``obs or ObsOptions()``).  Both
+are frozen, hashable and picklable, and that is how they travel: a
+:class:`~repro.experiments.parallel.ShardSpec` and a partition worker's
+arguments carry the values themselves across the spawn boundary, and
+:class:`~repro.obs.ObsHook` is the one place an ``ObsOptions`` turns into
+a live recorder and sampler.
 """
 
 from __future__ import annotations

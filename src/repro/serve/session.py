@@ -40,7 +40,7 @@ from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import PRIO_ARRIVAL, PRIO_END
 from ..netsim.updates import RootCause, UpdateEvent, UpdateKind
-from ..obs import FlightRecorder, TimelineSampler
+from ..obs import ObsHook
 from ..obs.export import iter_jsonl, to_prometheus_text
 from ..options import DriverOptions, ObsOptions
 from .source import StreamingFlowSource
@@ -155,17 +155,10 @@ class ServeSession:
             self.lb.announce_vip(service.vip, service.dips)
         self.lb.bind(self.queue)
 
-        self.recorder: Optional[FlightRecorder] = None
-        self.sampler: Optional[TimelineSampler] = None
-        if obs.record:
-            self.recorder = FlightRecorder(
-                capacity=obs.record_capacity,
-                source=obs.resolved_source("serve"),
-            )
-            self.lb.attach_recorder(self.recorder)
-        if obs.timeline_period_s is not None:
-            self.sampler = TimelineSampler(self._registry(), obs.timeline_period_s)
-            self.sampler.attach(self.queue, horizon_s=config.plan_horizon_s)
+        hook = ObsHook(obs, "serve", config.plan_horizon_s)
+        hook(self, self.lb)  # the hook only needs ``.queue`` of its "sim"
+        self.recorder = hook.recorder
+        self.timeline = hook.timeline
 
         self.injector = None
         if config.chaos:
@@ -212,9 +205,6 @@ class ServeSession:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-
-    def _registry(self):
-        return self.lb.metrics
 
     def _vip(self, vip_str: str) -> VirtualIP:
         vip = self._vips.get(vip_str)

@@ -12,6 +12,7 @@ from repro.experiments.parallel import (
     run_shard,
     run_sharded,
 )
+from repro.options import DriverOptions, ObsOptions
 
 #: A small fig16 slice: one system, few VIPs, short horizon — seconds, not
 #: minutes, while still exercising workload build + replay + audit + merge.
@@ -77,6 +78,50 @@ class TestShardLayout:
             run_shard(ShardSpec(task="nope", shard_id=0, num_shards=1, seed=1))
 
 
+class TestOptionsAsValues:
+    """Driver/obs options cross the spawn boundary as the frozen
+    dataclasses themselves; ``driver=``/``obs=`` is the only spelling."""
+
+    DRIVER = DriverOptions(batched=False, batch_size=32)
+    OBS = ObsOptions(
+        record=True, record_capacity=128, record_source="x", timeline_period_s=2.5
+    )
+
+    def test_spec_with_options_pickles_round_trip_and_hashes(self):
+        import pickle
+
+        specs = make_shards(
+            "chaos",
+            num_shards=2,
+            seed=7,
+            params=dict(CHAOS_PARAMS),
+            driver=self.DRIVER,
+            obs=self.OBS,
+        )
+        for spec in specs:
+            assert spec.driver == self.DRIVER and spec.obs == self.OBS
+            clone = pickle.loads(pickle.dumps(spec))
+            assert clone == spec and hash(clone) == hash(spec)
+            assert clone.driver.batch_size == 32
+            assert clone.obs.timeline_period_s == 2.5
+        assert len(set(specs)) == 2
+        # Options are part of the spec's identity, not of its params.
+        plain = make_shards("chaos", num_shards=2, seed=7, params=dict(CHAOS_PARAMS))
+        assert plain[0] != specs[0] and plain[0].params == specs[0].params
+
+    @pytest.mark.parametrize(
+        "params, keyword",
+        [
+            ({"record": True}, "obs="),
+            ({"timeline_period_s": 1.0}, "obs="),
+            ({"batched": False}, "driver="),
+        ],
+    )
+    def test_option_keys_inside_params_are_rejected(self, params, keyword):
+        with pytest.raises(ValueError, match=keyword):
+            run_sharded("chaos", num_shards=1, workers=1, params=params)
+
+
 class TestFingerprintEquivalence:
     """The ISSUE's property: worker count must not move the merged result."""
 
@@ -126,7 +171,7 @@ class TestTimelineAndRecorderSharding:
     """The observability layer extends the sharded-replay invariant: the
     merged Timeline fingerprint is bit-identical across worker counts."""
 
-    OBS_PARAMS = dict(FIG16_PARAMS, timeline_period_s=5.0, record=True)
+    OBS = ObsOptions(timeline_period_s=5.0, record=True)
 
     def test_timeline_fingerprint_identical_across_1_2_4_workers(self):
         results = {
@@ -135,7 +180,8 @@ class TestTimelineAndRecorderSharding:
                 num_shards=4,
                 workers=workers,
                 seed=16,
-                params=dict(self.OBS_PARAMS),
+                params=dict(FIG16_PARAMS),
+                obs=self.OBS,
             )
             for workers in (1, 2, 4)
         }
@@ -157,7 +203,8 @@ class TestTimelineAndRecorderSharding:
             num_shards=2,
             workers=1,
             seed=16,
-            params=dict(self.OBS_PARAMS),
+            params=dict(FIG16_PARAMS),
+            obs=self.OBS,
         )
         tl = result.timeline
         assert tl is not None
@@ -176,7 +223,8 @@ class TestTimelineAndRecorderSharding:
             num_shards=2,
             workers=1,
             seed=16,
-            params=dict(self.OBS_PARAMS),
+            params=dict(FIG16_PARAMS),
+            obs=self.OBS,
         )
         rec = result.recorder
         assert rec is not None and len(rec) > 0
@@ -187,9 +235,13 @@ class TestTimelineAndRecorderSharding:
         assert times == sorted(times)
 
     def test_chaos_shards_carry_timeline_and_recorder(self):
-        params = dict(CHAOS_PARAMS, timeline_period_s=2.0, record=True)
         result = run_sharded(
-            "chaos", num_shards=2, workers=1, seed=7, params=params
+            "chaos",
+            num_shards=2,
+            workers=1,
+            seed=7,
+            params=dict(CHAOS_PARAMS),
+            obs=ObsOptions(timeline_period_s=2.0, record=True),
         )
         assert result.timeline is not None
         assert result.timeline.epochs == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
@@ -328,6 +380,32 @@ class TestFaultTolerance:
             "_crashy", num_shards=2, workers=1, seed=1, strict=True
         )
         assert result.ok
+
+    def test_worker_with_a_dead_pipe_dies_loudly(self, capsys):
+        """Both worker kinds ship through one wrapper: when even the error
+        payload cannot be sent, the traceback lands on stderr and the
+        exception propagates (a non-zero worker exit)."""
+        from repro.experiments.parallel import _ship
+
+        class DeadPipe:
+            closed = False
+
+            def send(self, message):
+                raise BrokenPipeError("parent is gone")
+
+            def close(self):
+                self.closed = True
+
+        def body():
+            raise RuntimeError("shard blew up")
+
+        pipe = DeadPipe()
+        with pytest.raises(BrokenPipeError):
+            _ship(pipe, "shard 3", body)
+        err = capsys.readouterr().err
+        assert "shard 3 failed and the error pipe is dead" in err
+        assert "RuntimeError: shard blew up" in err
+        assert pipe.closed
 
     def test_failed_attempts_are_logged(self, caplog):
         import logging

@@ -1,152 +1,120 @@
-"""Tests for the telemetry sampler."""
+"""Time series of a simulated run, read through the one sampler.
+
+``repro.netsim.telemetry`` (``Sampler`` / ``Series`` / ``watch_switch``) is
+gone; the cases below are the ones that still apply, kept under their
+original test IDs and retargeted at what replaced it —
+:class:`repro.obs.TimelineSampler` riding the simulation's event queue and
+:meth:`repro.obs.Timeline.summary`.  Series are keyed by registry
+instrument name.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.netsim.events import EventQueue
-from repro.netsim.telemetry import Sampler, Series, watch_switch
+from repro.obs import MetricRegistry, Timeline, TimelineSampler
+
+
+def _timeline(values) -> Timeline:
+    timeline = Timeline(period_s=1.0)
+    for t, value in enumerate(values):
+        timeline.record_epoch(float(t), {"x": value})
+    return timeline
 
 
 class TestSeries:
     def test_statistics(self):
-        series = Series(name="x")
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)]:
-            series.append(t, v)
-        assert series.min() == 1.0
-        assert series.max() == 3.0
-        assert series.mean() == pytest.approx(2.0)
-        assert series.last == 2.0
-        assert len(series) == 3
-
-    def test_time_average_sample_and_hold(self):
-        series = Series(name="x")
-        series.append(0.0, 10.0)
-        series.append(1.0, 0.0)
-        series.append(3.0, 0.0)
-        # 10 for 1s, then 0 for 2s -> 10/3.
-        assert series.time_average() == pytest.approx(10.0 / 3.0)
-
-    def test_empty_series_raises(self):
-        with pytest.raises(ValueError):
-            Series(name="x").max()
+        timeline = _timeline([1.0, 3.0, 2.0])
+        stats = timeline.summary()["x"]
+        assert stats["min"] == 1.0
+        assert stats["max"] == 3.0
+        assert stats["mean"] == pytest.approx(2.0)
+        assert stats["last"] == 2.0
+        assert len(timeline) == 3
 
     def test_percentile(self):
-        series = Series(name="x")
-        for i, v in enumerate(range(1, 101)):
-            series.append(float(i), float(v))
-        assert series.percentile(0.0) == 1.0
-        assert series.percentile(1.0) == 100.0
-        assert series.percentile(0.5) == pytest.approx(50.5)
-
-    def test_percentile_validation(self):
-        series = Series(name="x")
-        with pytest.raises(ValueError):
-            series.percentile(0.5)  # empty
-        series.append(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.percentile(1.5)
+        stats = _timeline([float(v) for v in range(1, 101)]).summary()["x"]
+        assert stats["min"] == 1.0 and stats["max"] == 100.0
+        assert stats["p50"] == pytest.approx(50.5)
+        assert stats["p99"] == pytest.approx(99.01)
 
 
 class TestSampler:
+    @staticmethod
+    def clock_sampler(queue: EventQueue, period_s: float = 1.0) -> TimelineSampler:
+        registry = MetricRegistry()
+        registry.gauge("now").set_function(lambda: queue.now)
+        return TimelineSampler(registry, period_s=period_s)
+
     def test_periodic_sampling(self):
         queue = EventQueue()
-        counter = {"v": 0.0}
-        sampler = Sampler(queue, period_s=1.0)
-        sampler.probe("count", lambda: counter["v"])
-        sampler.start()
+        registry = MetricRegistry()
+        count = registry.counter("count")
 
         def bump():
-            counter["v"] += 1.0
-            if queue.now < 4.5:
+            count.inc()
+            if queue.now < 4.0:
                 queue.schedule_in(1.0, bump)
 
+        sampler = TimelineSampler(registry, period_s=1.0)
+        sampler.attach(queue, horizon_s=5.0)
         queue.schedule(0.5, bump)
-        queue.run_until(5.0)
-        series = sampler.series["count"]
-        assert len(series) == 5  # t = 1..5
-        assert series.values == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_stop(self):
-        queue = EventQueue()
-        sampler = Sampler(queue, period_s=1.0)
-        sampler.probe("one", lambda: 1.0)
-        sampler.start()
-        queue.run_until(3.0)
-        sampler.stop()
         queue.run_until(10.0)
-        assert len(sampler.series["one"]) <= 4
-
-    def test_duplicate_probe_rejected(self):
-        sampler = Sampler(EventQueue())
-        sampler.probe("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            sampler.probe("x", lambda: 1.0)
-
-    def test_start_without_probes_rejected(self):
-        with pytest.raises(RuntimeError):
-            Sampler(EventQueue()).start()
+        assert sampler.timeline.epochs == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sampler.timeline.column("count") == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Sampler(EventQueue(), period_s=0.0)
+            self.clock_sampler(EventQueue(), period_s=0.0)
 
     def test_summary(self):
         queue = EventQueue()
-        sampler = Sampler(queue, period_s=1.0)
-        sampler.probe("x", lambda: queue.now)
-        sampler.start()
+        sampler = self.clock_sampler(queue)
+        sampler.attach(queue, horizon_s=3.0)
         queue.run_until(3.0)
-        summary = sampler.summary()
-        assert summary["x"]["min"] == 1.0
-        assert summary["x"]["max"] == 3.0
-        assert summary["x"]["p50"] == 2.0
-        assert summary["x"]["p99"] == pytest.approx(2.98)
-
-    def test_watch_registry(self):
-        from repro.obs.metrics import MetricRegistry
-
-        registry = MetricRegistry()
-        counter = registry.counter("hits_total")
-        registry.gauge("depth").set(3.0)
-        registry.histogram("lat").observe(1.0)
-        sampler = Sampler(EventQueue())
-        names = sampler.watch_registry(registry)
-        assert names == ["depth", "hits_total", "lat.count"]
-        counter.inc(5)
-        sampler.sample_now()
-        assert sampler.series["hits_total"].last == 5.0
-        assert sampler.series["depth"].last == 3.0
-        assert sampler.series["lat.count"].last == 1.0
+        summary = sampler.timeline.summary()
+        assert summary["now"]["min"] == 0.0
+        assert summary["now"]["max"] == 3.0
+        assert summary["now"]["p50"] == 1.5
+        assert summary["now"]["p99"] == pytest.approx(2.97)
 
 
 class TestWatchSwitch:
-    def test_standard_probes(self):
+    @staticmethod
+    def announced_switch():
         from repro.core import SilkRoadConfig, SilkRoadSwitch
         from repro.netsim import make_cluster
 
         cluster = make_cluster(num_vips=1, dips_per_vip=2)
         switch = SilkRoadSwitch(SilkRoadConfig(conn_table_capacity=100))
         switch.announce_vip(cluster.vips[0], cluster.services[0].dips)
-        sampler = Sampler(switch.queue, period_s=1.0)
-        watch_switch(sampler, switch)
-        sampler.sample_now()
-        assert sampler.series["conn_table_entries"].last == 0.0
-        assert sampler.series["sram_bytes"].last > 0.0
+        return cluster, switch
+
+    def test_standard_probes(self):
+        _cluster, switch = self.announced_switch()
+        sampler = TimelineSampler(switch.metrics, period_s=1.0)
+        sampler.sample(switch.queue.now)
+        series = sampler.timeline.summary()
+        for name in (
+            "conn_table.occupancy",
+            "conn_table.load_factor",
+            "switch.pending_connections",
+            "switch_cpu.backlog",
+            "switch.sram_bytes",
+        ):
+            assert name in series
+        assert series["conn_table.occupancy"]["last"] == 0.0
+        assert series["switch.sram_bytes"]["last"] > 0.0
 
     def test_probes_fed_from_registry(self):
-        """The standard probes read the switch's metric registry, so the
-        sampled series track the registry gauges exactly."""
-        from repro.core import SilkRoadConfig, SilkRoadSwitch
-        from repro.netsim import make_cluster
+        """The sampled series read the switch's metric registry, so they
+        track the registry gauges exactly."""
         from repro.netsim.flows import Connection
         from repro.netsim.packet import five_tuple_for
 
-        cluster = make_cluster(num_vips=1, dips_per_vip=2)
-        switch = SilkRoadSwitch(SilkRoadConfig(conn_table_capacity=100))
-        switch.announce_vip(cluster.vips[0], cluster.services[0].dips)
-        sampler = Sampler(switch.queue, period_s=1.0)
-        watch_switch(sampler, switch)
+        cluster, switch = self.announced_switch()
+        sampler = TimelineSampler(switch.metrics, period_s=1.0)
         conn = Connection(
             conn_id=1,
             five_tuple=five_tuple_for(cluster.vips[0], src_ip=9, src_port=1024),
@@ -155,9 +123,10 @@ class TestWatchSwitch:
             duration=10.0,
         )
         switch.on_connection_arrival(conn)
-        sampler.sample_now()
-        assert sampler.series["pending_connections"].last == 1.0
+        sampler.sample(switch.queue.now)
+        series = sampler.timeline.summary()
+        assert series["switch.pending_connections"]["last"] == 1.0
         assert (
-            sampler.series["conn_table_entries"].last
+            series["conn_table.occupancy"]["last"]
             == switch.metrics.get("conn_table.occupancy").value
         )

@@ -42,6 +42,54 @@ class TestInstrumentMerge:
         a.get("only_b").inc()
         assert b.get("only_b").value == 2.0
 
+    def test_prefix_folds_under_a_namespace(self):
+        """``merge(prefix=)`` is the fold the sharded replay and the fleet
+        use to keep several switches apart in one registry: every name
+        gains ``<prefix>.``, callback gauges detach, P² state clones."""
+        rng = random.Random(11)
+        source = MetricRegistry()
+        source.counter("hits_total", help="hits").inc(3)
+        source.gauge("depth").set_function(lambda: 4.0)
+        hist = source.histogram(
+            "lat", buckets=(1.0, 2.0, 4.0), help="latency", quantiles=(0.5, 0.99)
+        )
+        for _ in range(500):
+            hist.observe(rng.uniform(0.0, 5.0))
+
+        target = MetricRegistry()
+        target.counter("sw.hits_total").inc(1)
+        assert target.merge(source, prefix="sw") is target
+
+        # Reference: the hand-rolled clone-then-fold this parameter replaced.
+        expected = MetricRegistry()
+        expected.counter("sw.hits_total").inc(1)
+        for name, theirs in source.instruments():
+            if isinstance(theirs, Histogram):
+                ours = expected.histogram(
+                    f"sw.{name}", buckets=theirs.bounds, help=theirs.help
+                )
+            elif isinstance(theirs, Gauge):
+                ours = expected.gauge(f"sw.{name}", help=theirs.help)
+            else:
+                ours = expected.counter(f"sw.{name}", help=theirs.help)
+            ours.merge_from(theirs)
+
+        assert target.names() == ["sw.depth", "sw.hits_total", "sw.lat"]
+        assert target.fingerprint() == expected.fingerprint()
+        assert target.get("sw.hits_total").value == 4.0
+        assert target.get("sw.lat").help == "latency"
+        for q in (0.5, 0.99):
+            assert target.get("sw.lat").percentile(q) == pytest.approx(
+                expected.get("sw.lat").percentile(q)
+            )
+            assert target.get("sw.lat").percentile(q) == pytest.approx(
+                hist.percentile(q), rel=0.05
+            )
+        # Detached: the folded gauge is a stored value, the source untouched.
+        target.get("sw.depth").set(1.0)
+        assert source.get("depth").value == 4.0
+        assert "hits_total" not in target
+
     def test_type_conflict_rejected(self):
         a = MetricRegistry()
         b = MetricRegistry()

@@ -91,6 +91,33 @@ class TestTimeline:
         assert clone.fingerprint() == tl.fingerprint()
 
 
+class TestTimelineSummary:
+    """Per-column statistics (the ``series`` block of ``repro telemetry``);
+    the statistics/percentile cases live in tests/netsim/test_telemetry.py
+    under the IDs they had against the deleted ``Series``."""
+
+    @staticmethod
+    def ramp(values):
+        tl = Timeline(period_s=1.0)
+        for t, v in enumerate(values):
+            tl.record_epoch(float(t), {"x": v})
+        return tl
+
+    def test_single_epoch(self):
+        stats = self.ramp([7.0]).summary()["x"]
+        assert stats["min"] == stats["p50"] == stats["p99"] == stats["max"] == 7.0
+
+    def test_empty_timeline_has_no_series(self):
+        assert Timeline(period_s=1.0).summary() == {}
+
+    def test_backfilled_epochs_count_as_zero(self):
+        tl = Timeline(period_s=1.0)
+        tl.record_epoch(0.0, {"a": 1.0})
+        tl.record_epoch(1.0, {"a": 1.0, "late": 4.0})
+        assert tl.summary()["late"]["min"] == 0.0
+        assert tl.summary()["late"]["mean"] == 2.0
+
+
 class TestTimelineSampler:
     def make_registry(self):
         registry = MetricRegistry()

@@ -122,7 +122,10 @@ class TestCommands:
             and {"t_req", "t_exec", "t_finish"} <= set(s["marks"])
         ]
         assert complete, "expected a complete 3-step update span"
-        assert "conn_table_entries" in doc["series"]
+        # Series are keyed by registry instrument name: one namespace.
+        occupancy = doc["series"]["conn_table.occupancy"]
+        assert set(occupancy) == {"min", "mean", "p50", "p99", "max", "last"}
+        assert "switch_cpu.backlog" in doc["series"]
 
     def test_telemetry_prom_round_trips(self, capsys):
         from repro.obs import parse_prometheus_text

@@ -7,6 +7,11 @@ from outside the module that owns the name (``conn_table._table``,
 path that needs them belongs inside the owning module.  Reaches that
 remain are listed in ``ALLOWED`` with the reason, so they are visible
 debt rather than silent.
+
+A second walk guards import *direction*: the packages below the
+experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
+``deploy``) never import ``repro.experiments``, and nothing imports the
+deleted ``repro.netsim.telemetry``.
 """
 
 from __future__ import annotations
@@ -67,3 +72,45 @@ def test_no_private_reach_across_modules():
 def test_allow_list_has_no_stale_entries():
     seen = {(rel, attr) for rel, attr, _line in _reaches()}
     assert ALLOWED <= seen, f"stale ALLOWED entries: {sorted(ALLOWED - seen)}"
+
+
+#: Packages that sit below the experiment harness and may not import it.
+LOWER_LAYERS = ("core/", "asicsim/", "netsim/", "obs/", "deploy/")
+
+
+def _imports():
+    """``(file, absolute module imported, line)`` for every import under
+    ``src/repro`` (function-level ones included)."""
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        package = ("repro/" + rel).split("/")[:-1]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield rel, alias.name, node.lineno
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                yield rel, module, node.lineno
+                for alias in node.names:  # ``from . import telemetry``
+                    yield rel, f"{module}.{alias.name}", node.lineno
+
+
+def test_lower_layers_do_not_import_the_experiment_harness():
+    offenders = [
+        f"{rel}:{line} imports {module}"
+        for rel, module, line in _imports()
+        if rel.startswith(LOWER_LAYERS)
+        and (module + ".").startswith("repro.experiments.")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_nothing_imports_the_deleted_netsim_sampler():
+    offenders = [
+        f"{rel}:{line}"
+        for rel, module, line in _imports()
+        if (module + ".").startswith("repro.netsim.telemetry.")
+    ]
+    assert not offenders, "\n".join(offenders)
+    assert not (SRC / "netsim" / "telemetry.py").exists()
