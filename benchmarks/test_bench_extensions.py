@@ -36,8 +36,15 @@ def test_bench_switch_failure(once):
     quiet = next(p for p in points if not p.update_before_failure)
     churned = next(p for p in points if p.update_before_failure)
     # §7: failover alone breaks nothing (same VIPTable everywhere);
-    # old-version connections are the only exposure.
+    # old-version connections are the only exposure.  ``failed_over`` is
+    # the fleet's hand-off count; its audit pins every break on the re-hash.
     assert quiet.failed_over > 0
     assert quiet.violations == 0
     assert churned.violations > 0
     assert churned.violations <= churned.failed_over
+    for point in (quiet, churned):
+        assert point.audit.ok, str(point.audit)
+        assert (
+            point.audit.violation_causes["version_pinned_rehash"]
+            == point.audit.violations
+        )

@@ -110,17 +110,21 @@ def main() -> None:
     )
 
     # --- §7 live: fail one switch of a 4-wide SilkRoad layer mid-run.
+    # The fleet detects failures by heartbeat; the paper's arithmetic
+    # assumes instant detection, so this caller plays the oracle: crash the
+    # switch and declare it down at the same instant.
     from repro.core import SilkRoadConfig
-    from repro.deploy import FabricSilkRoad
+    from repro.deploy import FleetSilkRoad, audit_fleet
     from repro.netsim import (
         ArrivalGenerator,
         FlowSimulator,
         make_cluster,
         uniform_vip_workloads,
     )
+    from repro.netsim.simulator import PRIO_INTERNAL
 
     cluster = make_cluster(num_vips=3, dips_per_vip=8)
-    layer = FabricSilkRoad(
+    layer = FleetSilkRoad(
         num_switches=4, config=SilkRoadConfig(conn_table_capacity=50_000)
     )
     for service in cluster.services:
@@ -128,13 +132,20 @@ def main() -> None:
     conns = ArrivalGenerator(seed=9).generate(
         uniform_vip_workloads(cluster.vips, 6_000.0), horizon_s=90.0
     )
-    layer.schedule_failure(2, at=60.0)
-    report = FlowSimulator(layer).run(conns, horizon_s=90.0)
+
+    def fail_switch_2() -> None:
+        layer.inject_switch_crash(2)
+        layer.declare_down(2)
+
+    sim = FlowSimulator(layer)
+    sim.queue.schedule(60.0, fail_switch_2, PRIO_INTERNAL)
+    report = sim.run(conns, horizon_s=90.0)
     print(
         f"\nlive failover: switch 2 of 4 died at t=60s; "
-        f"{layer.failed_over_connections} connections re-ECMPed, "
+        f"{layer.handoffs} connections re-ECMPed, "
         f"{report.pcc_violations} broke PCC (same latest VIPTable everywhere)"
     )
+    print(audit_fleet(layer, conns))
 
 
 if __name__ == "__main__":

@@ -2,12 +2,12 @@
 
 Each SilkRoad switch health-checks its DIPs with BFD-style probes the ASIC
 can offload (the paper budgets ~800 Kb/s for 10 K DIPs at a 10-second
-interval).  :class:`HealthMonitor` drives a
-:class:`~repro.deploy.failures.BfdProber` off the simulation event queue:
-every interval it probes each monitored DIP against a liveness oracle
-(fault injection in tests/simulations) and, on detection, removes the DIP
-from its pool through the switch's normal update path — so the removal
-gets the full 3-step PCC treatment like any operator update.
+interval).  :class:`HealthMonitor` drives a :class:`BfdProber` off the
+simulation event queue: every interval it probes each monitored DIP
+against a liveness oracle (fault injection in tests/simulations) and, on
+detection, removes the DIP from its pool through the switch's normal
+update path — so the removal gets the full 3-step PCC treatment like any
+operator update.
 
 Recovered DIPs are re-added after ``recovery_checks`` consecutive good
 probes, completing the remove/re-add cycle that version reuse optimizes.
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
-from ..deploy.failures import BfdProber, health_check_bandwidth_bps
 from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import PRIO_INTERNAL
 from ..netsim.updates import RootCause, UpdateEvent, UpdateKind
@@ -29,6 +28,56 @@ LivenessOracle = Callable[[DirectIP, float], bool]
 
 def always_alive(_dip: DirectIP, _now: float) -> bool:
     return True
+
+
+def health_check_bandwidth_bps(
+    num_dips: int, interval_s: float = 10.0, probe_bytes: int = 100
+) -> float:
+    """Bandwidth one switch spends probing its DIPs.
+
+    The paper's example: 10 K DIPs / 10 s / 100 B -> ~800 Kb/s.
+    """
+    if num_dips < 0:
+        raise ValueError("num_dips must be non-negative")
+    if interval_s <= 0:
+        raise ValueError("interval must be positive")
+    if probe_bytes <= 0:
+        raise ValueError("probe size must be positive")
+    return num_dips / interval_s * probe_bytes * 8.0
+
+
+@dataclass
+class BfdProber:
+    """Per-switch BFD-offload health checker.
+
+    Tracks consecutive probe misses per DIP; ``detect_multiplier`` misses
+    declare the DIP down (RFC 5880 semantics).
+    """
+
+    interval_s: float = 10.0
+    detect_multiplier: int = 3
+    _misses: Dict[DirectIP, int] = field(default_factory=dict)
+    _down: Set[DirectIP] = field(default_factory=set)
+
+    def observe(self, dip: DirectIP, responded: bool) -> Optional[DirectIP]:
+        """Record one probe result; returns the DIP if it just went down."""
+        if responded:
+            self._misses[dip] = 0
+            self._down.discard(dip)
+            return None
+        misses = self._misses.get(dip, 0) + 1
+        self._misses[dip] = misses
+        if misses >= self.detect_multiplier and dip not in self._down:
+            self._down.add(dip)
+            return dip
+        return None
+
+    def is_down(self, dip: DirectIP) -> bool:
+        return dip in self._down
+
+    def detection_time_s(self) -> float:
+        """Worst-case detection latency."""
+        return self.interval_s * self.detect_multiplier
 
 
 @dataclass

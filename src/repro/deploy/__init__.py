@@ -1,13 +1,8 @@
 """Network-wide deployment: VIP-to-layer assignment and failure handling."""
 
+from ..core.health import BfdProber, health_check_bandwidth_bps
 from .assignment import AssignmentResult, VipDemand, assign_vips
-from .failover import FabricSilkRoad
-from .failures import (
-    BfdProber,
-    expected_breakage_after_failover,
-    health_check_bandwidth_bps,
-    switch_failure_breakage,
-)
+from .failures import expected_breakage_after_failover, switch_failure_breakage
 from .fleet import (
     CAUSE_BLACKHOLE,
     CAUSE_RACE,
@@ -31,7 +26,6 @@ __all__ = [
     "CAUSE_SHED",
     "CAUSE_SWITCH_LOCAL",
     "FLEET_CAUSES",
-    "FabricSilkRoad",
     "FleetAuditReport",
     "FleetConfig",
     "FleetController",

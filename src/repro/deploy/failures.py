@@ -1,77 +1,19 @@
-"""Failure handling: DIP health checks and switch failures (§7).
+"""Switch-failure exposure arithmetic (§7).
 
-* **DIP failures** — each SilkRoad switch health-checks its DIPs with
-  BFD-style probes the ASIC can offload.  The paper's arithmetic: probing
-  10 K DIPs every 10 s with 100-byte packets costs ~800 Kb/s of switch
-  bandwidth (:func:`health_check_bandwidth_bps`).  On detection the DIP is
-  removed from its pool; resilient hashing can keep the same version.
+Flows of a failed SilkRoad switch re-ECMP to surviving switches, which
+share the same latest VIPTable.  Connections pinned to the *latest* pool
+version re-hash identically and keep PCC; connections pinned to an *older*
+version lose their ConnTable state and may break — the same exposure an
+SLB failure has.  :func:`switch_failure_breakage` quantifies it;
+:mod:`repro.deploy.fleet` replays it live.
 
-* **Switch failures** — flows of a failed SilkRoad switch re-ECMP to
-  surviving switches, which share the same latest VIPTable.  Connections
-  pinned to the *latest* pool version re-hash identically and keep PCC;
-  connections pinned to an *older* version lose their ConnTable state and
-  may break — the same exposure an SLB failure has.
-  :func:`switch_failure_breakage` quantifies it.
+(DIP failures — BFD-style health probes and their bandwidth arithmetic —
+live with their one user, :mod:`repro.core.health`.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-import numpy as np
-
-from ..netsim.packet import DirectIP
-
-
-def health_check_bandwidth_bps(
-    num_dips: int, interval_s: float = 10.0, probe_bytes: int = 100
-) -> float:
-    """Bandwidth one switch spends probing its DIPs.
-
-    The paper's example: 10 K DIPs / 10 s / 100 B -> ~800 Kb/s.
-    """
-    if num_dips < 0:
-        raise ValueError("num_dips must be non-negative")
-    if interval_s <= 0:
-        raise ValueError("interval must be positive")
-    if probe_bytes <= 0:
-        raise ValueError("probe size must be positive")
-    return num_dips / interval_s * probe_bytes * 8.0
-
-
-@dataclass
-class BfdProber:
-    """Per-switch BFD-offload health checker.
-
-    Tracks consecutive probe misses per DIP; ``detect_multiplier`` misses
-    declare the DIP down (RFC 5880 semantics).
-    """
-
-    interval_s: float = 10.0
-    detect_multiplier: int = 3
-    _misses: Dict[DirectIP, int] = field(default_factory=dict)
-    _down: Set[DirectIP] = field(default_factory=set)
-
-    def observe(self, dip: DirectIP, responded: bool) -> Optional[DirectIP]:
-        """Record one probe result; returns the DIP if it just went down."""
-        if responded:
-            self._misses[dip] = 0
-            self._down.discard(dip)
-            return None
-        misses = self._misses.get(dip, 0) + 1
-        self._misses[dip] = misses
-        if misses >= self.detect_multiplier and dip not in self._down:
-            self._down.add(dip)
-            return dip
-        return None
-
-    def is_down(self, dip: DirectIP) -> bool:
-        return dip in self._down
-
-    def detection_time_s(self) -> float:
-        """Worst-case detection latency."""
-        return self.interval_s * self.detect_multiplier
+from typing import Dict
 
 
 def switch_failure_breakage(

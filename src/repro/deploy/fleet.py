@@ -1,11 +1,20 @@
 """Fleet failure domain: health-checked failover with attributable PCC.
 
-:mod:`repro.deploy.failover` models §7's switch-failure story with an
-omniscient oracle — ``fail_switch`` fires exactly when scheduled and flows
-move instantly.  Real fleets do not work that way: a controller discovers
-switch health through *heartbeat probes*, detection has latency, and every
-flow hashed to a dead switch blackholes until suspicion crosses the
-threshold.  This module builds that control plane:
+The one multi-switch deployment (§5.3) and the one model of §7's
+switch-failure story: every switch announces its assigned VIPs and keeps
+its *own* ConnTable, the fabric ECMP-splits each VIP's flows over its live
+announcers with resilient hashing, and when a switch dies only the
+connections pinned to an *older* pool version can break — the survivors
+share the latest VIPTable, so latest-version flows re-hash identically.
+
+Real fleets do not learn of a failure the instant it happens: a controller
+discovers switch health through *heartbeat probes*, detection has latency,
+and every flow hashed to a dead switch blackholes until suspicion crosses
+the threshold.  That control plane is what this module builds.  The
+zero-detection-latency oracle of the paper's §7 arithmetic is a *caller*,
+not a mode: schedule :meth:`FleetSilkRoad.inject_switch_crash` and
+:meth:`FleetSilkRoad.declare_down` at the same instant (see
+:mod:`repro.experiments.switch_failure`).
 
 * :class:`FleetController` probes every switch each
   ``heartbeat_interval_s``; ``suspicion_threshold`` consecutive misses
@@ -71,7 +80,6 @@ from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer, PRIO_ARRIVAL, PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
 from ..obs.metrics import MetricRegistry
-from .failover import _SwitchId
 
 #: Attribution classes for fleet-caused decision changes.
 CAUSE_REHASH = "version_pinned_rehash"
@@ -85,6 +93,46 @@ FLEET_CAUSES: Tuple[str, ...] = (
     CAUSE_SHED,
     CAUSE_RACE,
 )
+
+#: The fleet's control-plane counters, declared once.  Each is a plain
+#: ``int`` attribute of :class:`FleetSilkRoad`, incremented in place; this
+#: tuple is what zeroes them, mirrors them as ``fleet.<name>`` callback
+#: gauges, folds them into :meth:`FleetSilkRoad.epoch_digest` and keys
+#: :meth:`FleetSilkRoad.report` — all in this order, so a counter added
+#: here cannot be missing from the replica-agreement digest.
+_COUNTERS: Tuple[str, ...] = (
+    "crashes",
+    "restarts",
+    "partitions",
+    "heals",
+    "detections",
+    "false_detections",
+    "rejoins",
+    "resyncs",
+    "handoffs",
+    "blackholed_arrivals",
+    "blackholed_existing",
+    "unserved_arrivals",
+    "shed_arrivals",
+    "vips_shed",
+    "shed_connections",
+    "reassignments_started",
+    "reassignments_completed",
+    "reassignments_skipped",
+    "reassignments_aborted",
+    "updates_missed",
+)
+
+
+@dataclass(frozen=True)
+class _SwitchId:
+    """A hashable stand-in so the resilient table can ECMP over switches."""
+
+    index: int
+
+    # ResilientHashTable hashes str(member); give it a stable name.
+    def __str__(self) -> str:
+        return f"switch-{self.index}"
 
 
 @dataclass(frozen=True)
@@ -402,26 +450,8 @@ class FleetSilkRoad(LoadBalancer):
         self.recorder = None
 
         # Counters (mirrored into the registry as callback gauges).
-        self.crashes = 0
-        self.restarts = 0
-        self.partitions = 0
-        self.heals = 0
-        self.detections = 0
-        self.false_detections = 0
-        self.rejoins = 0
-        self.resyncs = 0
-        self.handoffs = 0
-        self.blackholed_arrivals = 0
-        self.blackholed_existing = 0
-        self.unserved_arrivals = 0
-        self.shed_arrivals = 0
-        self.vips_shed = 0
-        self.shed_connections = 0
-        self.reassignments_started = 0
-        self.reassignments_completed = 0
-        self.reassignments_skipped = 0
-        self.reassignments_aborted = 0
-        self.updates_missed = 0
+        for counter in _COUNTERS:
+            setattr(self, counter, 0)
 
         # Fleet-scope gauges live on the primary replica only; per-switch
         # gauges live on the owner.  Partitioned partial registries are
@@ -430,28 +460,7 @@ class FleetSilkRoad(LoadBalancer):
         self.metrics = MetricRegistry(labels={"fleet": name})
         if self._primary:
             scope = self.metrics.scope("fleet")
-            for counter in (
-                "crashes",
-                "restarts",
-                "partitions",
-                "heals",
-                "detections",
-                "false_detections",
-                "rejoins",
-                "resyncs",
-                "handoffs",
-                "blackholed_arrivals",
-                "blackholed_existing",
-                "unserved_arrivals",
-                "shed_arrivals",
-                "vips_shed",
-                "shed_connections",
-                "reassignments_started",
-                "reassignments_completed",
-                "reassignments_skipped",
-                "reassignments_aborted",
-                "updates_missed",
-            ):
+            for counter in _COUNTERS:
                 scope.gauge(counter).set_function(
                     lambda c=counter: float(getattr(self, c))
                 )
@@ -576,26 +585,7 @@ class FleetSilkRoad(LoadBalancer):
             len(self._tables),
             len(self._shed),
             len(self._reassigning),
-            self.crashes,
-            self.restarts,
-            self.partitions,
-            self.heals,
-            self.detections,
-            self.false_detections,
-            self.rejoins,
-            self.resyncs,
-            self.handoffs,
-            self.blackholed_arrivals,
-            self.blackholed_existing,
-            self.unserved_arrivals,
-            self.shed_arrivals,
-            self.vips_shed,
-            self.shed_connections,
-            self.reassignments_started,
-            self.reassignments_completed,
-            self.reassignments_skipped,
-            self.reassignments_aborted,
-            self.updates_missed,
+            *(getattr(self, counter) for counter in _COUNTERS),
             self.controller.probes_sent,
             self.controller.probes_missed,
         )
@@ -1324,26 +1314,7 @@ class FleetSilkRoad(LoadBalancer):
 
     def report(self) -> Dict[str, float]:
         report: Dict[str, float] = {
-            "crashes": float(self.crashes),
-            "restarts": float(self.restarts),
-            "partitions": float(self.partitions),
-            "heals": float(self.heals),
-            "detections": float(self.detections),
-            "false_detections": float(self.false_detections),
-            "rejoins": float(self.rejoins),
-            "resyncs": float(self.resyncs),
-            "handoffs": float(self.handoffs),
-            "blackholed_arrivals": float(self.blackholed_arrivals),
-            "blackholed_existing": float(self.blackholed_existing),
-            "unserved_arrivals": float(self.unserved_arrivals),
-            "shed_arrivals": float(self.shed_arrivals),
-            "vips_shed": float(self.vips_shed),
-            "shed_connections": float(self.shed_connections),
-            "reassignments_started": float(self.reassignments_started),
-            "reassignments_completed": float(self.reassignments_completed),
-            "reassignments_skipped": float(self.reassignments_skipped),
-            "reassignments_aborted": float(self.reassignments_aborted),
-            "updates_missed": float(self.updates_missed),
+            **{counter: float(getattr(self, counter)) for counter in _COUNTERS},
             "switches_in_ecmp": float(len(self.in_ecmp_switches())),
             "switches_up": float(len(self.alive_switches())),
             "probes_sent": float(self.controller.probes_sent),

@@ -1,11 +1,18 @@
 """§7: switch-failure behaviour of a network-wide SilkRoad deployment.
 
-Runs a layer of SilkRoad switches behind resilient fabric ECMP, kills one
-mid-run, and measures which of its connections break: only flows pinned to
-an *older* pool version (their ConnTable state died with the switch and
-the survivors re-hash them under the current pool) — the same exposure as
-losing an SLB.  The scenario runs twice, with and without a DIP-pool
-update shortly before the failure, to show the old-version exposure appear.
+Runs a :class:`~repro.deploy.fleet.FleetSilkRoad` — a layer of SilkRoad
+switches behind resilient fabric ECMP — kills one mid-run, and measures
+which of its connections break: only flows pinned to an *older* pool
+version (their ConnTable state died with the switch and the survivors
+re-hash them under the current pool) — the same exposure as losing an SLB.
+The scenario runs twice, with and without a DIP-pool update shortly before
+the failure, to show the old-version exposure appear.
+
+The paper's arithmetic assumes the fabric learns of the failure at once.
+The fleet has no such mode; the *caller* is the oracle: crashing the switch
+and declaring it down at the same instant is zero-detection-latency
+failover.  Every run is audited with :func:`~repro.deploy.fleet.audit_fleet`,
+which must attribute each broken connection to ``version_pinned_rehash``.
 
 A second scenario attacks the *slow path* of a single switch instead:
 seeded chaos runs (CPU crashes/stalls, failing table writes, lost
@@ -17,10 +24,12 @@ violations stay attributable to the injected faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..core import SilkRoadConfig
-from ..deploy.failover import FabricSilkRoad
+from ..deploy.fleet import FleetAuditReport, FleetSilkRoad, audit_fleet
+from ..netsim.simulator import PRIO_INTERNAL
+from ..netsim.updates import UpdateEvent, UpdateKind
 from .common import build_workload
 
 
@@ -30,6 +39,7 @@ class FailurePoint:
     failed_over: int
     violations: int
     measured_connections: int
+    audit: FleetAuditReport
 
     @property
     def broken_fraction_of_moved(self) -> float:
@@ -53,41 +63,37 @@ def run(
             seed=seed,
             horizon_s=horizon_s,
         )
-        updates = []
         if update_before:
-            from ..netsim.updates import UpdateEvent, UpdateKind
-
             # Remove one DIP of every VIP shortly before the failure, so
             # long-lived connections sit on the old pool version.
-            for service in workload.cluster.services:
-                updates.append(
-                    UpdateEvent(
-                        failure_at - 30.0,
-                        service.vip,
-                        UpdateKind.REMOVE,
-                        service.dips[-1],
-                    )
+            workload.updates = [
+                UpdateEvent(
+                    failure_at - 30.0, service.vip, UpdateKind.REMOVE, service.dips[-1]
                 )
-        workload.updates = updates
+                for service in workload.cluster.services
+            ]
 
-        fabric_holder: List[Optional[FabricSilkRoad]] = [None]
+        def fail_now(sim, fleet: FleetSilkRoad) -> None:
+            def oracle() -> None:
+                fleet.inject_switch_crash(1)
+                fleet.declare_down(1)
 
-        def factory():
-            fabric = FabricSilkRoad(
+            sim.queue.schedule(failure_at, oracle, PRIO_INTERNAL)
+
+        report, conns, fleet = workload.replay(
+            lambda: FleetSilkRoad(
                 num_switches=num_switches,
                 config=SilkRoadConfig(conn_table_capacity=100_000),
-            )
-            fabric.schedule_failure(1, at=failure_at)
-            fabric_holder[0] = fabric
-            return fabric
-
-        report, _conns, fabric = workload.replay(factory)
+            ),
+            attach=fail_now,
+        )
         points.append(
             FailurePoint(
                 update_before_failure=update_before,
-                failed_over=int(fabric.failed_over_connections),
+                failed_over=fleet.handoffs,
                 violations=report.pcc_violations,
                 measured_connections=report.measured_connections,
+                audit=audit_fleet(fleet, conns),
             )
         )
     return points
@@ -148,6 +154,7 @@ def main(seed: int = 7) -> str:
             p.failed_over,
             p.violations,
             f"{100 * p.broken_fraction_of_moved:.1f}",
+            "ok" if p.audit.ok else "FAILED",
         )
         for p in points
     ]
@@ -157,6 +164,7 @@ def main(seed: int = 7) -> str:
             "connections failed over",
             "broken",
             "% of moved",
+            "fleet audit",
         ),
         rows,
         title="§7 switch failure: only old-version connections break",

@@ -512,29 +512,16 @@ class ServeSession:
             self._closed = True
             measured = [c for c in self.connections if c.start >= 0.0]
             violations = sum(1 for c in measured if c.pcc_violated)
-            if self.is_fleet:
-                audit = audit_fleet(self.lb, self.connections)
-                audit_ok = audit.ok
-                unattributed = audit.unattributed_violations
-                audit_detail = str(audit)
-            else:
-                audit = audit_switch(self.lb, connections=self.connections)
-                audit_ok = audit.ok
-                # The attribution check reports "<N> PCC violations not
-                # attributable ..."; recover N for the report.
-                unattributed = sum(
-                    int(v.split()[0])
-                    for v in audit.violations
-                    if "not attributable" in v
-                )
-                audit_detail = "; ".join(audit.violations) or "ok"
+            audit = (audit_fleet if self.is_fleet else audit_switch)(
+                self.lb, self.connections
+            )
             self._final_report = {
                 "now": self.queue.now,
                 "fingerprint": self.fingerprint(),
-                "audit_ok": audit_ok,
-                "audit_detail": audit_detail,
+                "audit_ok": audit.ok,
+                "audit_detail": str(audit),
                 "pcc_violations": violations,
-                "unattributed_violations": unattributed,
+                "unattributed_violations": audit.unattributed_violations,
                 "total_connections": len(self.connections),
                 "advances": self.advances,
                 "mutations": self.mutations,

