@@ -1,55 +1,119 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Commands:
+``repro --help`` lists the commands and ``repro <command> --help`` their
+flags; each is described there, once.  This module is argparse plus one
+call per command into :mod:`repro.api`, under three rules:
 
-* ``experiments [names...]`` — regenerate paper tables/figures (all by
-  default; see ``--list``).
-* ``pcc`` — run one flow-level PCC simulation against a chosen system and
-  print the report.
-* ``fleet`` — run the fleet chaos survival sweep: seeded switch crashes,
-  partitions, flaps, heartbeat loss, and VIP reassignments against a
-  controller-managed fleet, print the kept/broken/blackholed survival
-  table per failure pattern, and exit non-zero unless every PCC violation
-  and drop is attributed (the CI fleet smoke step).
-* ``fleet-csv`` — synthesize the cluster fleet and dump per-cluster
-  statistics as CSV.
-* ``forward`` — push a synthetic packet through the P4 SilkRoad pipeline
-  and print the forwarding decision.
-* ``telemetry`` — run a small scenario and emit the full metric/trace dump
-  (JSON, JSONL, Prometheus text, or a human-readable table).
-* ``chaos`` — run a seeded fault-injection simulation against the hardened
-  slow path, audit every invariant, and exit non-zero on violations (the
-  CI chaos smoke step).  ``--workers N`` fans the run out over derived
-  seeds via the sharded replay engine.
-* ``run`` — run one shardable experiment (``fig16``, ``fig18``,
-  ``chaos``, ``fleet``) through the sharded parallel replay engine;
-  ``--workers N``
-  sizes the process pool without changing the merged result.
-  ``--timeline`` / ``--record`` attach the time-resolved observability
-  layer (epoch-sampled metric timeline, flight-recorder event ring) and
-  ``--trace-out`` renders both to a Perfetto-loadable ``trace.json``.
-* ``trace`` — run one fault-injected scenario with the tracer, flight
-  recorder, and timeline sampler all armed, and write the merged
-  Chrome-trace/Perfetto document.
-* ``explain`` — PCC forensics: run a recorded chaos scenario and print
-  the causal timeline behind every PCC violation (``--require-complete``
-  exits non-zero unless every violation is attributed with recorder
-  evidence; the CI gate).
-* ``serve`` — long-lived serving mode: a switch (or ``--fleet N``) fed by
-  a streaming flow source behind an HTTP control API (add/drain/remove a
-  DIP, change weights, reassign a VIP, scrape ``/metrics``).  By default
-  runs the scripted live DIP migration over real HTTP on the virtual
-  clock and audits the result (the CI serve smoke step);  ``--listen``
-  serves interactively instead, ``--wallclock`` self-paces time.
+* **A scenario flag carries no default of its own.**  ``--scale``,
+  ``--horizon``, ``--faults-per-min`` … are ``None`` unless typed, and only
+  what the user typed reaches the runner (:func:`_given`); the rest takes
+  the default in that runner's signature, the one place it is declared.
+  (``pcc`` and ``telemetry`` size their own workload.)
+* **An input error is a usage error.**  Runners reject a bad value — an
+  unknown failure pattern, a parameter the task does not take — with
+  ``ValueError`` in this process, before any worker is spawned;
+  :func:`main` prints it on one line and exits 2.
+* **One tail.**  ``chaos``, ``fleet``, ``run`` and ``serve`` end in
+  :func:`_finish`: determinism rerun, ``--fingerprint-out``, failure report.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional
+
+#: Runner keywords the shared flag groups set: the workload's shape, plus
+#: its seed, plus everything else a chaos run takes.
+SHAPE = ("scale", "horizon_s", "updates_per_min")
+WORKLOAD = ("seed", *SHAPE)
+CHAOS = (*WORKLOAD, "fault_seed", "faults_per_min")
+
+
+def _given(args: argparse.Namespace, *dests: str) -> Dict[str, object]:
+    """The flags among ``dests`` the user typed, keyed by runner keyword
+    (an untyped value flag is ``None``, or not on this command at all)."""
+    given = {dest: getattr(args, dest, None) for dest in dests}
+    return {dest: value for dest, value in given.items() if value is not None}
+
+
+def _driver(args: argparse.Namespace):
+    """The :class:`~repro.options.DriverOptions` ``--batched/--scalar`` chose."""
+    from .api import DriverOptions
+
+    return DriverOptions(**_given(args, "batched"))
+
+
+def _facets(result) -> Dict[str, object]:
+    """What a same-seed rerun of ``result`` must reproduce.  The leading
+    ``registry`` / ``timeline`` / ``audit`` entries are fingerprints — the
+    lines ``--fingerprint-out`` writes."""
+    facets: Dict[str, object] = {"registry": result.fingerprint}
+    for label in ("timeline", "audit"):
+        value = getattr(result, f"{label}_fingerprint", None)
+        if value is not None:
+            facets[label] = value
+    if hasattr(result, "audit"):
+        facets["audit report"] = str(result.audit)
+    for name in ("survival", "counters"):
+        if hasattr(result, name):
+            facets[name] = getattr(result, name)
+    return facets
+
+
+def _finish(args, result, rerun: Optional[Callable[[], object]] = None) -> int:
+    """The shared tail of ``chaos`` / ``fleet`` / ``run`` / ``serve``.
+
+    ``rerun`` repeats the run another way (other driver, one worker, in
+    process); under ``--check-determinism`` every facet must come back
+    identical.  ``--fingerprint-out`` gets one ``label hex`` line per
+    fingerprint.  A result that is not ``ok`` is reported on stderr and
+    exits 1.
+    """
+    facets = _facets(result)
+    if rerun is not None and args.check_determinism:
+        again = _facets(rerun())
+        diverged = [what for what in facets if facets[what] != again[what]]
+        if diverged:
+            print(
+                f"FAIL: same-seed rerun diverged ({', '.join(diverged)})",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
+    if getattr(args, "fingerprint_out", None):
+        with open(args.fingerprint_out, "w") as fh:
+            for label in ("registry", "timeline", "audit"):
+                if label in facets:
+                    fh.write(f"{label} {facets[label]}\n")
+    if result.ok:
+        return 0
+    audit = getattr(result, "audit", None)
+    if audit is None:  # serve: the audit is a field of the JSON report
+        audit = result.report.get("audit_detail", "audit failed")
+    print(str(audit), file=sys.stderr)
+    for failure in getattr(result, "failed", ()):
+        print(f"shard {failure.shard_id} FAILED: {failure.reason}", file=sys.stderr)
+    if getattr(result, "overdue_updates", 0):
+        print(
+            f"FAIL: {result.overdue_updates} updates overran the watchdog budget",
+            file=sys.stderr,
+        )
+    return 1
+
+
+def _write_trace(path: str, **sources) -> Optional[int]:
+    """Build the Chrome-trace document once, schema-check it, and write
+    that same document; returns the event count, or ``None`` (problems on
+    stderr, nothing written) when the check fails."""
+    from .obs import to_chrome_trace, validate_chrome_trace, write_chrome_trace
+
+    doc = to_chrome_trace(**sources)
+    problems = validate_chrome_trace(doc)
+    for problem in problems:
+        print(f"trace schema: {problem}", file=sys.stderr)
+    return None if problems else write_chrome_trace(path, doc=doc)
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -58,19 +122,19 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.list:
         print("\n".join(runner.EXPERIMENTS))
         return 0
-    names = args.names or None
-    unknown = [n for n in (names or []) if n not in runner.EXPERIMENTS]
+    unknown = [n for n in args.names if n not in runner.EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    runner.run_all(names, stream=sys.stdout, telemetry=args.telemetry)
+        raise ValueError(f"unknown experiments: {', '.join(unknown)}")
+    runner.run_all(args.names or None, stream=sys.stdout, telemetry=args.telemetry)
     return 0
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     import json
+    from contextlib import nullcontext
 
     from .analysis.reporting import format_metrics, format_spans
+    from .api import ObsOptions
     from .experiments.common import build_workload, silkroad_factory
     from .obs import ObsHook, iter_jsonl, to_prometheus_text, tracer_stats, write_jsonl
 
@@ -78,26 +142,18 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         use_transit_table=(args.system != "silkroad-no-tt"),
         insertion_rate_per_s=args.insertion_rate,
     )
-    workload = build_workload(
-        updates_per_min=args.updates_per_min,
-        scale=args.scale,
-        seed=args.seed,
-        horizon_s=args.horizon,
-    )
+    workload = build_workload(**_given(args, *WORKLOAD))
     # A timeline sampler rides the replay so the dump carries time series
     # alongside counters and spans.
     hook = ObsHook(
-        _obs_options(timeline_period_s=args.period), "telemetry", workload.horizon_s
+        ObsOptions(timeline_period_s=args.period), "telemetry", workload.horizon_s
     )
     report, _conns, lb = workload.replay(factory, attach=hook)
 
     doc = report.telemetry or lb.telemetry_snapshot()
     doc["scenario"] = {
         "system": args.system,
-        "updates_per_min": args.updates_per_min,
-        "scale": args.scale,
-        "horizon_s": args.horizon,
-        "seed": args.seed,
+        **_given(args, *WORKLOAD),
         "insertion_rate_per_s": args.insertion_rate,
         "sample_period_s": args.period,
     }
@@ -109,8 +165,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     }
     doc["series"] = hook.timeline.summary()
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    with sink as out:
         if args.format == "json":
             json.dump(doc, out, indent=2, sort_keys=True, default=str)
             out.write("\n")
@@ -122,22 +178,16 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         elif args.format == "prom":
             out.write(to_prometheus_text(lb.metrics, tracer=lb.tracer))
         else:  # text
-            print(report.summary(), file=out)
             stats = tracer_stats(lb.tracer)
-            print(
-                f"spans: {stats['spans_started']} started, "
-                f"{stats['spans_finished']} finished, "
-                f"{stats['spans_dropped']} dropped, "
-                f"{stats['spans_open']} open",
-                file=out,
+            spans = ", ".join(
+                f"{stats['spans_' + state]} {state}"
+                for state in ("started", "finished", "dropped", "open")
             )
-            print(file=out)
-            print(format_metrics(doc["metrics"]), file=out)
-            print(file=out)
-            print(format_spans(doc["spans"]), file=out)
-    finally:
-        if args.out:
-            out.close()
+            metrics, traces = format_metrics(doc["metrics"]), format_spans(doc["spans"])
+            print(
+                report.summary(), f"spans: {spans}", "", metrics, "", traces,
+                sep="\n", file=out,
+            )
     return 0
 
 
@@ -153,13 +203,10 @@ def _cmd_pcc(args: argparse.Namespace) -> int:
         ),
         "slb": lambda: SoftwareLoadBalancer(),
     }
-    workload = build_workload(
-        updates_per_min=args.updates_per_min,
-        scale=args.scale,
-        seed=args.seed,
-        horizon_s=args.horizon,
+    workload = build_workload(**_given(args, *WORKLOAD))
+    report, _conns, _lb = workload.replay(
+        factories[args.system], batched=_driver(args).batched
     )
-    report, _conns, lb = workload.replay(factories[args.system], batched=args.batched)
     print(report.summary())
     for key, value in sorted(report.extra.items()):
         print(f"  {key}: {value}")
@@ -167,122 +214,46 @@ def _cmd_pcc(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_csv(args: argparse.Namespace) -> int:
-    from .traces import FleetSynthesizer
+    from .traces import FleetSynthesizer, dump_fleet
 
-    profiles = FleetSynthesizer(seed=args.seed).synthesize()
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        [
-            "name", "kind", "num_tors", "num_vips", "dips_per_vip",
-            "active_conns_per_tor_p99", "updates_per_min_p99",
-            "new_conns_per_vip_per_min", "traffic_gbps", "ipv6",
-        ]
-    )
-    for p in profiles:
-        writer.writerow(
-            [
-                p.name, p.kind.value, p.num_tors, p.num_vips, p.dips_per_vip,
-                f"{p.active_conns_per_tor_p99:.0f}",
-                f"{p.updates_per_min_p99:.2f}",
-                f"{p.new_conns_per_vip_per_min:.0f}",
-                f"{p.traffic_gbps:.1f}", p.ipv6,
-            ]
-        )
-    print(out.getvalue(), end="")
-    return 0
-
-
-def _fail_sharded(result) -> int:
-    """Print a failed sharded run's audit and per-shard reasons; exit 1."""
-    print(str(result.audit), file=sys.stderr)
-    for failure in result.failed:
-        print(f"shard {failure.shard_id} FAILED: {failure.reason}", file=sys.stderr)
-    return 1
-
-
-def _cmd_fleet_partitioned(args: argparse.Namespace, pattern: str) -> int:
-    """One fleet run, space-partitioned over ``--partition-workers``."""
-    from .experiments.parallel import run_fleet_partitioned
-
-    def once(workers, in_process=None):
-        return run_fleet_partitioned(
-            partition_workers=workers,
-            in_process=in_process,
-            seed=args.seed,
-            pattern=pattern,
-            num_switches=args.num_switches,
-            scale=args.scale,
-            horizon_s=args.horizon,
-            updates_per_min=args.updates_per_min,
-            faults_per_min=args.faults_per_min,
-            replication=args.replication,
-            conn_budget=args.conn_budget,
-            driver=_driver_options(args),
-        )
-
-    result = once(args.partition_workers)
-    print(result.summary())
-    if args.check_determinism:
-        # One worker, in-process: the unpartitioned baseline every
-        # partition width must reproduce bit-for-bit.
-        again = once(1, in_process=True)
-        diverged = []
-        if again.fingerprint != result.fingerprint:
-            diverged.append("registry fingerprint")
-        if again.audit_fingerprint != result.audit_fingerprint:
-            diverged.append("audit fingerprint")
-        if again.survival != result.survival:
-            diverged.append("survival counts")
-        if diverged:
-            print(
-                "FAIL: partitioned run diverged from 1-worker baseline "
-                f"({', '.join(diverged)})",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
-    if args.fingerprint_out:
-        with open(args.fingerprint_out, "w") as fh:
-            fh.write(f"registry {result.fingerprint}\n")
-            fh.write(f"audit {result.audit_fingerprint}\n")
-    if not result.ok:
-        print(str(result.audit), file=sys.stderr)
-        return 1
+    dump_fleet(FleetSynthesizer(seed=args.seed).synthesize(), sys.stdout)
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .faults.fleet import run_fleet_sharded
+    from .api import run_fleet_partitioned, run_sharded
 
     patterns = tuple(p for p in args.patterns.split(",") if p)
     if not patterns:
-        print("no failure patterns given", file=sys.stderr)
-        return 2
+        raise ValueError("no failure patterns given")
+    seed = _given(args, "seed")
+    knobs = _given(
+        args, *SHAPE, "faults_per_min", "num_switches", "replication", "conn_budget"
+    )
+    driver = _driver(args)
     if args.partition_workers is not None:
-        return _cmd_fleet_partitioned(args, patterns[0])
+
+        def partitioned(workers: int, in_process: Optional[bool] = None):
+            return run_fleet_partitioned(
+                workers, in_process, driver=driver, pattern=patterns[0], **seed, **knobs
+            )
+
+        result = partitioned(args.partition_workers)
+        print(result.summary())
+        # One worker, in-process: the unpartitioned baseline every
+        # partition width must reproduce bit-for-bit.
+        return _finish(args, result, rerun=lambda: partitioned(1, in_process=True))
+
     # --plans is the total sweep size; distribute evenly, rounding up so
     # the sweep never shrinks below what was asked for.
     plans_per_pattern = max(1, -(-args.plans // len(patterns)))
+    params = dict(knobs, patterns=patterns, plans_per_pattern=plans_per_pattern)
 
-    def once(workers):
-        return run_fleet_sharded(
-            num_shards=args.num_shards,
-            workers=workers,
-            seed=args.seed,
-            patterns=patterns,
-            plans_per_pattern=plans_per_pattern,
-            num_switches=args.num_switches,
-            scale=args.scale,
-            horizon_s=args.horizon,
-            updates_per_min=args.updates_per_min,
-            faults_per_min=args.faults_per_min,
-            replication=args.replication,
-            conn_budget=args.conn_budget,
-            driver=_driver_options(args),
-        )
+    def sweep(**pool):
+        return run_sharded("fleet", params=params, driver=driver, **seed, **pool)
 
-    result = once(args.workers)
+    pool = _given(args, "num_shards", "workers")
+    result = sweep(**pool)
     print(result.summary())
     print(
         f"  survival over {len(patterns) * plans_per_pattern} fault plans "
@@ -298,32 +269,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"({pct:.1f}%), {get('broken')} broken, "
             f"{get('blackholed')} blackholed, {get('shed')} shed"
         )
-    if args.check_determinism:
-        # The second pass runs serial: the survival table, audit, and
-        # merged registry must not move with pool size (or across repeat
-        # runs — the layout is a pure function of the flags).
-        again = once(1)
-        diverged = []
-        if again.fingerprint != result.fingerprint:
-            diverged.append("registry fingerprint")
-        if (
-            again.audit.checks_run != result.audit.checks_run
-            or again.audit.violations != result.audit.violations
-        ):
-            diverged.append("audit report")
-        if again.counters != result.counters:
-            diverged.append("survival counters")
-        if diverged:
-            print(
-                f"FAIL: same-seed fleet runs diverged ({', '.join(diverged)})",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
-    if args.fingerprint_out:
-        with open(args.fingerprint_out, "w") as fh:
-            fh.write(f"registry {result.fingerprint}\n")
-    return 0 if result.ok else _fail_sharded(result)
+    # The second pass runs serial: the survival table, audit, and merged
+    # registry must not move with pool size (or across repeat runs — the
+    # layout is a pure function of the flags).
+    return _finish(args, result, rerun=lambda: sweep(**{**pool, "workers": 1}))
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
@@ -338,8 +287,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         p4.program_pool(service.vip, 0, service.dips)
 
     if args.pcap_in:
-        frames = read_pcap(args.pcap_in)
-        for ts, data in frames:
+        for ts, data in read_pcap(args.pcap_in):
             result = p4.process(data)
             state = "dropped" if result.dropped else f"-> {result.dip}"
             print(f"[{ts:12.6f}] {state}")
@@ -363,209 +311,88 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.workers > 1 or args.num_shards > 1:
-        return _cmd_chaos_sharded(args)
-    from .faults import run_chaos
+    from .api import run_chaos
 
-    result = run_chaos(
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        scale=args.scale,
-        horizon_s=args.horizon,
-        updates_per_min=args.updates_per_min,
-        faults_per_min=args.faults_per_min,
-        driver=_driver_options(args),
-    )
+    knobs = _given(args, *CHAOS)
+    driver = _driver(args)
+    result = run_chaos(driver=driver, **knobs)
     print(result.summary())
-    if args.check_determinism:
-        # The second pass swaps drivers: same-seed batched and scalar runs
-        # must land on the same fingerprint (the differential contract).
-        again = run_chaos(
-            seed=args.seed,
-            fault_seed=args.fault_seed,
-            scale=args.scale,
-            horizon_s=args.horizon,
-            updates_per_min=args.updates_per_min,
-            faults_per_min=args.faults_per_min,
-            driver=_driver_options(args, batched=not args.batched),
-        )
-        if again.fingerprint != result.fingerprint:
-            print("FAIL: same-seed runs diverged", file=sys.stderr)
-            return 1
-        print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
-    if not result.ok:
-        print(str(result.audit), file=sys.stderr)
-        if result.overdue_updates:
-            print(
-                f"FAIL: {result.overdue_updates} updates overran the "
-                f"watchdog budget",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
-
-
-def _cmd_chaos_sharded(args: argparse.Namespace) -> int:
-    from .faults import run_chaos_sharded
-
-    def once():
-        return run_chaos_sharded(
-            num_shards=args.num_shards,
-            workers=args.workers,
-            seed=args.seed,
-            scale=args.scale,
-            horizon_s=args.horizon,
-            updates_per_min=args.updates_per_min,
-            faults_per_min=args.faults_per_min,
-            driver=_driver_options(args),
-        )
-
-    result = once()
-    print(result.summary())
-    if args.check_determinism:
-        # The second pass runs serial: a pool-size change must not move
-        # the merged fingerprint, so this checks both repeatability and
-        # worker-count independence at once.
-        again = run_chaos_sharded(
-            num_shards=args.num_shards,
-            workers=1,
-            seed=args.seed,
-            scale=args.scale,
-            horizon_s=args.horizon,
-            updates_per_min=args.updates_per_min,
-            faults_per_min=args.faults_per_min,
-            driver=_driver_options(args),
-        )
-        if again.fingerprint != result.fingerprint:
-            print("FAIL: same-seed sharded runs diverged", file=sys.stderr)
-            return 1
-        print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
-    return 0 if result.ok else _fail_sharded(result)
+    # The second pass swaps drivers: same-seed batched and scalar runs
+    # must land on the same fingerprint (the differential contract).
+    other = replace(driver, batched=not driver.batched)
+    return _finish(args, result, rerun=lambda: run_chaos(driver=other, **knobs))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .experiments.parallel import run_sharded
+    from .api import ObsOptions, run_sharded
     from .experiments.runner import PARALLEL_TASKS
 
-    seed = args.seed if args.seed is not None else PARALLEL_TASKS[args.task]
-    params = {}
-    if args.scale is not None:
-        params["scale"] = args.scale
-    if args.horizon is not None:
-        params["horizon_s"] = args.horizon
-    if args.updates_per_min is not None:
-        params["updates_per_min"] = args.updates_per_min
-    if args.num_vips is not None and args.task == "fig16":
-        params["num_vips"] = args.num_vips
-    if args.systems is not None and args.task == "fig16":
-        params["systems"] = tuple(args.systems.split(","))
+    if args.task not in PARALLEL_TASKS:  # not argparse choices: that import is slow
+        raise ValueError(f"unknown task {args.task!r} (have {sorted(PARALLEL_TASKS)})")
+    seed = PARALLEL_TASKS[args.task] if args.seed is None else args.seed
     result = run_sharded(
         args.task,
-        num_shards=args.num_shards,
-        workers=args.workers,
         seed=seed,
-        params=params,
-        driver=_driver_options(args),
-        obs=_obs_options(
+        params=_given(args, *SHAPE, "num_vips", "systems"),
+        driver=_driver(args),
+        obs=ObsOptions(
             record=args.record,
             timeline_period_s=args.timeline_period if args.timeline else None,
         ),
+        **_given(args, "num_shards", "workers"),
     )
     print("\n".join([result.summary(), *result.details()]))
     if args.trace_out:
-        from .obs import validate_chrome_trace, to_chrome_trace, write_chrome_trace
-
-        doc = to_chrome_trace(
-            recorder=result.recorder,
-            timeline=result.timeline,
-            metadata={"task": args.task, "seed": seed},
-        )
-        problems = validate_chrome_trace(doc)
-        if problems:
-            for problem in problems:
-                print(f"trace schema: {problem}", file=sys.stderr)
-            return 1
-        count = write_chrome_trace(
+        count = _write_trace(
             args.trace_out,
             recorder=result.recorder,
             timeline=result.timeline,
             metadata={"task": args.task, "seed": seed},
         )
+        if count is None:
+            return 1
         print(f"  wrote {count} trace events to {args.trace_out}")
-    if args.fingerprint_out:
-        with open(args.fingerprint_out, "w") as fh:
-            fh.write(f"registry {result.fingerprint}\n")
-            if result.timeline is not None:
-                fh.write(f"timeline {result.timeline_fingerprint}\n")
-    return 0 if result.ok else _fail_sharded(result)
+    return _finish(args, result)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .faults import run_chaos
-    from .obs import validate_chrome_trace, to_chrome_trace, write_chrome_trace
+    from .api import ObsOptions, run_chaos
 
+    knobs = _given(args, *CHAOS)
     result = run_chaos(
-        seed=args.seed,
-        scale=args.scale,
-        horizon_s=args.horizon,
-        updates_per_min=args.updates_per_min,
-        faults_per_min=args.faults_per_min,
-        obs=_obs_options(record=True, timeline_period_s=args.period),
+        obs=ObsOptions(record=True, timeline_period_s=args.period), **knobs
     )
-    print(result.summary())
-    recorder = result.recorder
+    recorder, timeline = result.recorder, result.timeline
     print(
-        f"recorder: {len(recorder)} events retained, "
-        f"{recorder.total_dropped} dropped"
+        result.summary(),
+        f"recorder: {len(recorder)} events retained, {recorder.total_dropped} dropped",
+        f"timeline: {len(timeline)} epochs x {len(timeline.columns)} columns",
+        sep="\n",
     )
-    print(
-        f"timeline: {len(result.timeline)} epochs x "
-        f"{len(result.timeline.columns)} columns"
-    )
-    doc = to_chrome_trace(
-        tracer=result.switch.tracer,
-        recorder=recorder,
-        timeline=result.timeline,
-        metadata={"scenario": "chaos", "seed": args.seed},
-    )
-    problems = validate_chrome_trace(doc)
-    if problems:
-        for problem in problems:
-            print(f"trace schema: {problem}", file=sys.stderr)
-        return 1
-    count = write_chrome_trace(
+    count = _write_trace(
         args.out,
         tracer=result.switch.tracer,
         recorder=recorder,
-        timeline=result.timeline,
-        metadata={"scenario": "chaos", "seed": args.seed},
+        timeline=timeline,
+        metadata={"scenario": "chaos", "fault_seed": result.plan.seed, **knobs},
     )
+    if count is None:
+        return 1
     print(f"wrote {count} trace events to {args.out} (load in ui.perfetto.dev)")
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .faults import run_chaos
-    from .faults.chaos import chaos_config
+    from .api import ObsOptions, chaos_config, run_chaos
     from .obs import coverage, explain_violations, format_stories
 
-    config = None
-    if args.conn_table_capacity is not None or args.step_deadline is not None:
-        kwargs = {}
-        if args.conn_table_capacity is not None:
-            kwargs["conn_table_capacity"] = args.conn_table_capacity
-        if args.step_deadline is not None:
-            kwargs["step_deadline_s"] = args.step_deadline
-        config = chaos_config(**kwargs)
+    # --conn-table-capacity / --step-deadline shrink the hardened config a
+    # chaos run uses; untyped, the run builds that config itself.
+    shrunk = _given(args, "conn_table_capacity", "step_deadline_s")
     result = run_chaos(
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        scale=args.scale,
-        horizon_s=args.horizon,
-        updates_per_min=args.updates_per_min,
-        faults_per_min=args.faults_per_min,
-        config=config,
-        obs=_obs_options(record=True),
+        config=chaos_config(**shrunk) if shrunk else None,
+        obs=ObsOptions(record=True),
+        **_given(args, *CHAOS),
     )
     stories = explain_violations(
         result.switch, result.connections, recorder=result.recorder
@@ -584,67 +411,50 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.json_out:
         import json
 
+        payload = {"coverage": stats, "stories": [s.to_dict() for s in stories]}
         with open(args.json_out, "w") as fh:
-            json.dump(
-                {
-                    "coverage": stats,
-                    "stories": [story.to_dict() for story in stories],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if args.require_complete:
-        incomplete = (
-            stats["unattributed"] > 0
-            or stats["attributed_with_events"] < stats["attributed"]
+    if not args.require_complete:
+        return 0
+    if stats["unattributed"] or stats["attributed_with_events"] < stats["attributed"]:
+        print(
+            "FAIL: not every PCC violation has an attributed causal "
+            "chain with recorder evidence",
+            file=sys.stderr,
         )
-        if incomplete:
-            print(
-                "FAIL: not every PCC violation has an attributed causal "
-                "chain with recorder evidence",
-                file=sys.stderr,
-            )
-            return 1
-        print("explain coverage complete")
+        return 1
+    print("explain coverage complete")
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from .serve import ServeConfig
+    from . import api
 
     if args.wallclock and args.listen is None:
-        print("--wallclock requires --listen", file=sys.stderr)
-        return 2
-    config = ServeConfig(
-        seed=args.seed,
-        scale=args.scale,
-        num_switches=args.fleet,
+        raise ValueError("--wallclock requires --listen")
+    config = api.ServeConfig(
         chaos=args.chaos,
-        faults_per_min=args.faults_per_min,
-        driver=_driver_options(args),
-        obs=_obs_options(record=args.record),
+        driver=_driver(args),
+        obs=api.ObsOptions(record=args.record),
         wallclock=args.wallclock,
+        **_given(args, "seed", "scale", "num_switches", "faults_per_min"),
     )
 
     if args.listen is not None:
         # Interactive mode: serve the control API until POST /shutdown.
         import asyncio
 
-        from .serve import ControlServer, ServeSession
-
         async def serve() -> int:
-            session = ServeSession(config)
-            server = ControlServer(session, host=args.host, port=args.listen)
+            session = api.ServeSession(config)
+            server = api.ControlServer(session, host=args.host, port=args.listen)
             await server.start()
             clock = "wallclock" if args.wallclock else "virtual (POST /advance)"
+            fleet = config.num_switches
             print(
                 f"serving on http://{server.host}:{server.port} "
                 f"[{clock} clock, "
-                f"{'fleet of ' + str(args.fleet) if args.fleet > 1 else 'single switch'}"
+                f"{'fleet of ' + str(fleet) if fleet > 1 else 'single switch'}"
                 f"{', chaos' if args.chaos else ''}]; POST /shutdown to stop"
             )
             await server.wait_shutdown()
@@ -654,80 +464,55 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Scripted mode: drive the default live-migration script (or a JSON
     # op list) over real HTTP, then audit.
-    from .serve import run_serve_script
-
     script = None
     if args.script is not None:
+        import json
+
         with open(args.script) as fh:
             script = json.load(fh)
-    result = run_serve_script(config, script)
-    report = result.report
-    print(
-        f"serve[{args.seed}]: {report['total_connections']} connections, "
-        f"{report['mutations']} mutations over {report['advances']} advances, "
-        f"{report['pcc_violations']} PCC violations "
-        f"({report['unattributed_violations']} unattributed), "
-        f"audit {'ok' if report['audit_ok'] else 'FAILED'}"
-    )
-    if args.check_determinism:
-        again = run_serve_script(config, script)
-        if again.fingerprint != result.fingerprint:
-            print("FAIL: same-script serve runs diverged", file=sys.stderr)
-            return 1
-        print(f"determinism ok (fingerprint {result.fingerprint[:16]})")
+    result = api.run_serve_script(config, script)
+    print(f"serve[{config.seed}]: {result.summary()}")
+    code = _finish(args, result, rerun=lambda: api.run_serve_script(config, script))
     if args.telemetry_out:
         with open(args.telemetry_out, "w") as fh:
             fh.write(result.telemetry)
         print(f"wrote {args.telemetry_out}")
-    if args.fingerprint_out:
-        with open(args.fingerprint_out, "w") as fh:
-            fh.write(result.fingerprint + "\n")
-    if not result.ok:
-        print(str(report.get("audit_detail", "audit failed")), file=sys.stderr)
-        return 1
-    return 0
+    return code
 
 
-def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
-    """``--batched`` / ``--scalar``: which replay driver to use.
+def _flags(parser: argparse.ArgumentParser, *rows, **defaults):
+    """Declare flags on ``parser`` from ``(flag, kind, help[, dest])`` rows.
 
-    Batched (the default) is the chunked-arrival
-    :class:`~repro.netsim.batchsim.BatchedFlowSimulator`; ``--scalar``
-    selects the event-at-a-time oracle.  Results are bit-identical either
-    way — the flag trades speed for the simpler driver.  Commands turn
-    the parsed flags into a :class:`repro.options.DriverOptions` via
-    :func:`_driver_options` rather than threading the loose boolean.
+    ``kind`` is a type (a value flag), ``bool`` (a ``store_true`` switch) or
+    a tuple of choices (default: the first).  A value flag defaults to
+    ``defaults[dest]`` when given, else to ``None`` — untyped, so the
+    default in its runner's signature applies.
     """
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--batched",
-        dest="batched",
-        action="store_true",
-        default=True,
-        help="chunked-arrival replay driver (default)",
+    for flag, kind, text, *dest in rows:
+        dest = dest[0] if dest else flag.lstrip("-").replace("-", "_")
+        if kind is bool:
+            how = {"action": "store_true"}
+        elif isinstance(kind, tuple):
+            how = {"choices": kind, "default": kind[0]}
+        else:
+            how = {"type": kind, "default": defaults.get(dest)}
+        parser.add_argument(flag, dest=dest, help=text, **how)
+    return parser
+
+
+def _group(*rows, **defaults) -> argparse.ArgumentParser:
+    """One shared flag group, as a ``parents=`` parser."""
+    return _flags(argparse.ArgumentParser(add_help=False), *rows, **defaults)
+
+
+def _workload_group(**defaults) -> argparse.ArgumentParser:
+    return _group(
+        ("--seed", int, "workload seed"),
+        ("--scale", float, "workload scale (VIP count and arrival rate)"),
+        ("--horizon", float, "simulated seconds", "horizon_s"),
+        ("--updates-per-min", float, "DIP-pool updates per minute"),
+        **defaults,
     )
-    group.add_argument(
-        "--scalar",
-        dest="batched",
-        action="store_false",
-        help="scalar event-at-a-time oracle driver",
-    )
-
-
-def _driver_options(args: argparse.Namespace, batched: Optional[bool] = None):
-    """The :class:`~repro.options.DriverOptions` the parsed flags selected."""
-    from .options import DriverOptions
-
-    return DriverOptions(batched=args.batched if batched is None else batched)
-
-
-def _obs_options(
-    record: bool = False, timeline_period_s: Optional[float] = None
-):
-    """An :class:`~repro.options.ObsOptions` for a CLI-requested run."""
-    from .options import ObsOptions
-
-    return ObsOptions(record=record, timeline_period_s=timeline_period_s)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -736,339 +521,179 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
-    p_exp.add_argument("names", nargs="*", help="experiment names (default: all)")
-    p_exp.add_argument("--list", action="store_true", help="list experiment names")
-    p_exp.add_argument(
-        "--telemetry",
-        metavar="PATH",
-        help="write per-experiment runner metrics to PATH as JSONL",
-    )
-    p_exp.set_defaults(fn=_cmd_experiments)
+    def command(name: str, fn, text: str, parents=(), rows=(), **defaults):
+        p = sub.add_parser(name, help=text, description=text, parents=list(parents))
+        p.set_defaults(fn=fn)
+        return _flags(p, *rows, **defaults)
 
-    p_pcc = sub.add_parser("pcc", help="run one PCC simulation")
-    p_pcc.add_argument(
-        "--system",
-        choices=("silkroad", "silkroad-no-tt", "duet", "slb"),
-        default="silkroad",
+    # The shared groups.  Untyped, none of their value flags reaches a runner.
+    workload = _workload_group()
+    faults = _group(("--faults-per-min", float, "injected faults per minute"))
+    fault_seed = _group(("--fault-seed", int, "fault-plan seed (default: seed + 1000)"))
+    sharding = _group(
+        ("--workers", int, "worker processes (default: min(num_shards, CPU count))"),
+        ("--num-shards", int, "deterministic shard count; fixes the merged result"),
     )
-    p_pcc.add_argument("--updates-per-min", type=float, default=10.0)
-    p_pcc.add_argument("--scale", type=float, default=0.5)
-    p_pcc.add_argument("--horizon", type=float, default=120.0)
-    p_pcc.add_argument("--seed", type=int, default=7)
-    p_pcc.add_argument("--duet-period", type=float, default=120.0)
-    _add_driver_flags(p_pcc)
-    p_pcc.set_defaults(fn=_cmd_pcc)
+    determinism = _group(
+        ("--check-determinism", bool,
+         "rerun differently (driver / pool / process); results must be identical"),
+    )
+    fingerprint = _group(("--fingerprint-out", str, "write the fingerprints here"))
+    session = _group(
+        ("--seed", int, "session seed"),
+        ("--scale", float, "workload scale"),
+        ("--fleet", int, "switches (1 = one switch, >1 = a fleet)", "num_switches"),
+    )
+    driver = argparse.ArgumentParser(add_help=False)
+    which = driver.add_mutually_exclusive_group()
+    for flag, batched, text in (
+        ("--batched", True, "chunked-arrival replay driver (the default)"),
+        ("--scalar", False, "event-at-a-time oracle driver; bit-identical results"),
+    ):
+        which.add_argument(
+            flag, dest="batched", action="store_const", const=batched, help=text
+        )
 
-    p_fleet = sub.add_parser(
-        "fleet", help="fleet chaos survival sweep with attribution audit"
+    command(
+        "experiments", _cmd_experiments, "regenerate paper tables/figures",
+        rows=(
+            ("--list", bool, "list experiment names"),
+            ("--telemetry", str, "write per-experiment runner metrics here as JSONL"),
+        ),
+    ).add_argument("names", nargs="*", help="experiment names (default: all)")
+    command(
+        "pcc", _cmd_pcc, "one flow-level PCC simulation against a chosen system",
+        (_workload_group(seed=7, scale=0.5, horizon_s=120.0, updates_per_min=10.0),
+         driver),
+        (
+            ("--system", ("silkroad", "silkroad-no-tt", "duet", "slb"), "system"),
+            ("--duet-period", float, "Duet migrate-back period (s)"),
+        ),
+        duet_period=120.0,
     )
-    p_fleet.add_argument("--seed", type=int, default=7)
-    p_fleet.add_argument(
-        "--plans",
-        type=int,
-        default=20,
-        help="total fault plans in the sweep (split across patterns)",
+    command(
+        "fleet", _cmd_fleet,
+        "fleet chaos survival sweep (switch crashes, partitions, flaps, "
+        "cascades): a kept/broken/blackholed table per pattern; exits "
+        "non-zero unless every PCC violation and drop is attributed",
+        (workload, faults, sharding, determinism, fingerprint, driver),
+        (
+            ("--plans", int, "total fault plans in the sweep, split across patterns"),
+            ("--patterns", str, "comma-separated failure patterns to sweep"),
+            ("--num-switches", int, "switches in the fleet"),
+            ("--replication", int, "switches announcing each VIP (default: all)"),
+            ("--conn-budget", int, "per-switch connection budget; over it, VIPs shed"),
+            ("--partition-workers", int,
+             "instead of sweeping: ONE run of the first pattern, space-partitioned"),
+        ),
+        plans=20,
+        patterns="crash,partition,flap,cascade,mixed",
     )
-    p_fleet.add_argument(
-        "--patterns",
-        default="crash,partition,flap,cascade,mixed",
-        help="comma-separated failure patterns to sweep",
+    command(
+        "fleet-csv", _cmd_fleet_csv, "dump the synthetic cluster fleet as CSV",
+        rows=(("--seed", int, "synthesizer seed"),),
+        seed=0xF1EE7,
     )
-    p_fleet.add_argument("--num-switches", type=int, default=4)
-    p_fleet.add_argument("--scale", type=float, default=0.05)
-    p_fleet.add_argument("--horizon", type=float, default=20.0)
-    p_fleet.add_argument("--updates-per-min", type=float, default=60.0)
-    p_fleet.add_argument("--faults-per-min", type=float, default=4.0)
-    p_fleet.add_argument(
-        "--replication",
-        type=int,
-        default=None,
-        help="switches each VIP is announced on (default: all)",
+    command(
+        "forward", _cmd_forward, "push packets through the P4 pipeline",
+        rows=(
+            ("--vips", int, "VIPs to program"),
+            ("--dips", int, "DIPs per VIP"),
+            ("--count", int, "synthetic SYNs to forward"),
+            ("--pcap-out", str, "write the generated frames to a pcap"),
+            ("--pcap-in", str, "replay frames from a pcap instead"),
+        ),
+        vips=2, dips=4, count=5,
     )
-    p_fleet.add_argument(
-        "--conn-budget",
-        type=int,
-        default=None,
-        help="per-switch connection budget; over it, low-priority VIPs shed",
+    command(
+        "telemetry", _cmd_telemetry,
+        "run a small scenario and dump its metrics, spans and time series",
+        (_workload_group(seed=7, scale=0.2, horizon_s=60.0, updates_per_min=20.0),),
+        (
+            ("--system", ("silkroad", "silkroad-no-tt"), "system"),
+            ("--period", float, "sample period (s)"),
+            ("--insertion-rate", float, "switch-CPU rate; lower it to see queueing"),
+            ("--format", ("json", "jsonl", "prom", "text"), "dump format"),
+            ("--out", str, "write to a file instead of stdout"),
+        ),
+        period=1.0, insertion_rate=50_000.0,
     )
-    p_fleet.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: min(num_shards, CPU count))",
+    command(
+        "chaos", _cmd_chaos,
+        "seeded fault injection against the hardened slow path with every "
+        "invariant audited; exits non-zero on a violation (`run chaos` shards it)",
+        (workload, faults, fault_seed, determinism, driver),
     )
-    p_fleet.add_argument(
-        "--num-shards",
-        type=int,
-        default=4,
-        help="deterministic shard count; fixes the merged fingerprint",
+    command(
+        "run", _cmd_run,
+        "one shardable experiment on the sharded replay engine; the merged "
+        "result depends on --num-shards, never on --workers",
+        (workload, sharding, fingerprint, driver),
+        (
+            ("--num-vips", int, "fig16: VIPs to shard; fig18: VIPs in the workload"),
+            ("--systems", lambda text: tuple(text.split(",")),
+             "fig16 only: comma-separated systems to replay"),
+            ("--timeline", bool, "sample every shard's registry into a timeline"),
+            ("--timeline-period", float, "timeline epoch period (simulated s)"),
+            ("--record", bool, "attach a flight recorder to every SilkRoad replay"),
+            ("--trace-out", str, "write recorder + timeline as Chrome trace JSON"),
+        ),
+        timeline_period=5.0,
+    ).add_argument("task", help="fig16, fig18, chaos or fleet")
+    command(
+        "trace", _cmd_trace,
+        "one chaos run with tracer, flight recorder and timeline armed, "
+        "exported as a Perfetto-loadable Chrome trace",
+        (workload, faults),
+        (
+            ("--period", float, "timeline epoch period (s)"),
+            ("--out", str, "output path"),
+        ),
+        period=1.0, out="trace.json",
     )
-    p_fleet.add_argument(
-        "--partition-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "space-partition ONE fleet run across N workers (one switch "
-            "subset each, epoch-barrier lockstep) instead of sweeping a "
-            "bag of runs; uses the first --patterns entry"
+    command(
+        "explain", _cmd_explain,
+        "PCC forensics: the causal timeline behind every violation of a "
+        "recorded chaos run",
+        (workload, faults, fault_seed),
+        (
+            ("--conn-table-capacity", int, "shrink the ConnTable to force overflow"),
+            ("--step-deadline", float, "tighten update watchdog", "step_deadline_s"),
+            ("--limit", int, "print at most this many stories"),
+            ("--json-out", str, "also dump stories + coverage as JSON"),
+            ("--require-complete", bool,
+             "exit non-zero unless every violation has an evidenced attribution"),
         ),
     )
-    p_fleet.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="rerun serial and require identical fingerprints/audit/counters",
+    command(
+        "serve", _cmd_serve,
+        "long-lived serving mode behind an HTTP control API; by default "
+        "runs the scripted live DIP migration on the virtual clock, audited",
+        (session, faults, determinism, fingerprint, driver),
+        (
+            ("--chaos", bool, "attach the seeded fault injector"),
+            ("--script", str, "JSON op list to run (default: the live DIP migration)"),
+            ("--listen", int,
+             "serve interactively on this port (0 = ephemeral); no script is run"),
+            ("--host", str, "interface to bind"),
+            ("--wallclock", bool, "pace time from the wallclock (needs --listen)"),
+            ("--record", bool, "attach the flight recorder"),
+            ("--telemetry-out", str, "write the JSONL telemetry dump here"),
+        ),
+        host="127.0.0.1",
     )
-    p_fleet.add_argument(
-        "--fingerprint-out",
-        metavar="PATH",
-        help="write the merged registry fingerprint to PATH",
-    )
-    _add_driver_flags(p_fleet)
-    p_fleet.set_defaults(fn=_cmd_fleet)
-
-    p_fleet_csv = sub.add_parser(
-        "fleet-csv", help="dump the synthetic fleet as CSV"
-    )
-    p_fleet_csv.add_argument("--seed", type=int, default=0xF1EE7)
-    p_fleet_csv.set_defaults(fn=_cmd_fleet_csv)
-
-    p_fwd = sub.add_parser("forward", help="forward packets through the P4 pipeline")
-    p_fwd.add_argument("--vips", type=int, default=2)
-    p_fwd.add_argument("--dips", type=int, default=4)
-    p_fwd.add_argument("--count", type=int, default=5)
-    p_fwd.add_argument("--pcap-out", help="write the generated frames to a pcap")
-    p_fwd.add_argument("--pcap-in", help="replay frames from a pcap instead")
-    p_fwd.set_defaults(fn=_cmd_forward)
-
-    p_tel = sub.add_parser(
-        "telemetry", help="run a scenario and dump the metric/trace telemetry"
-    )
-    p_tel.add_argument(
-        "--system", choices=("silkroad", "silkroad-no-tt"), default="silkroad"
-    )
-    p_tel.add_argument("--updates-per-min", type=float, default=20.0)
-    p_tel.add_argument("--scale", type=float, default=0.2)
-    p_tel.add_argument("--horizon", type=float, default=60.0)
-    p_tel.add_argument("--seed", type=int, default=7)
-    p_tel.add_argument("--period", type=float, default=1.0, help="sample period (s)")
-    p_tel.add_argument(
-        "--insertion-rate",
-        type=float,
-        default=50_000.0,
-        help="switch-CPU insertion rate (lower it to see queueing in spans)",
-    )
-    p_tel.add_argument(
-        "--format", choices=("json", "jsonl", "prom", "text"), default="json"
-    )
-    p_tel.add_argument("--out", help="write to a file instead of stdout")
-    p_tel.set_defaults(fn=_cmd_telemetry)
-
-    p_chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection run with invariant audit"
-    )
-    p_chaos.add_argument("--seed", type=int, default=7)
-    p_chaos.add_argument(
-        "--fault-seed", type=int, default=None, help="default: seed + 1000"
-    )
-    p_chaos.add_argument("--scale", type=float, default=0.05)
-    p_chaos.add_argument("--horizon", type=float, default=20.0)
-    p_chaos.add_argument("--updates-per-min", type=float, default=60.0)
-    p_chaos.add_argument("--faults-per-min", type=float, default=30.0)
-    p_chaos.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run twice and require identical metric fingerprints",
-    )
-    p_chaos.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for a sharded chaos run (1 = in-process)",
-    )
-    p_chaos.add_argument(
-        "--num-shards",
-        type=int,
-        default=1,
-        help="independent derived-seed shards (fixes the merged result)",
-    )
-    _add_driver_flags(p_chaos)
-    p_chaos.set_defaults(fn=_cmd_chaos)
-
-    p_run = sub.add_parser(
-        "run", help="run a shardable experiment on the parallel replay engine"
-    )
-    p_run.add_argument("task", choices=("fig16", "fig18", "chaos", "fleet"))
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: min(num_shards, CPU count))",
-    )
-    p_run.add_argument(
-        "--num-shards",
-        type=int,
-        default=4,
-        help="deterministic shard count; fixes the merged fingerprint",
-    )
-    p_run.add_argument(
-        "--seed", type=int, default=None, help="default: the figure's seed"
-    )
-    p_run.add_argument("--scale", type=float, default=None)
-    p_run.add_argument("--horizon", type=float, default=None)
-    p_run.add_argument("--updates-per-min", type=float, default=None)
-    p_run.add_argument(
-        "--num-vips", type=int, default=None, help="fig16 only: VIPs to shard"
-    )
-    p_run.add_argument(
-        "--systems",
-        default=None,
-        help="fig16 only: comma-separated systems to replay",
-    )
-    p_run.add_argument(
-        "--timeline",
-        action="store_true",
-        help="sample every shard's registry into a mergeable timeline",
-    )
-    p_run.add_argument(
-        "--timeline-period",
-        type=float,
-        default=5.0,
-        help="timeline epoch period in simulation seconds",
-    )
-    p_run.add_argument(
-        "--record",
-        action="store_true",
-        help="attach a flight recorder to every SilkRoad replay",
-    )
-    p_run.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="write the merged recorder/timeline as Chrome trace JSON",
-    )
-    p_run.add_argument(
-        "--fingerprint-out",
-        metavar="PATH",
-        help="write the merged registry (and timeline) fingerprints to PATH",
-    )
-    _add_driver_flags(p_run)
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_trace = sub.add_parser(
-        "trace", help="run a fault-injected scenario and export a Perfetto trace"
-    )
-    p_trace.add_argument("--seed", type=int, default=7)
-    p_trace.add_argument("--scale", type=float, default=0.05)
-    p_trace.add_argument("--horizon", type=float, default=20.0)
-    p_trace.add_argument("--updates-per-min", type=float, default=60.0)
-    p_trace.add_argument("--faults-per-min", type=float, default=30.0)
-    p_trace.add_argument(
-        "--period", type=float, default=1.0, help="timeline epoch period (s)"
-    )
-    p_trace.add_argument(
-        "--out", default="trace.json", help="output path (default: trace.json)"
-    )
-    p_trace.set_defaults(fn=_cmd_trace)
-
-    p_explain = sub.add_parser(
-        "explain", help="causal timeline behind every PCC violation"
-    )
-    p_explain.add_argument("--seed", type=int, default=7)
-    p_explain.add_argument(
-        "--fault-seed", type=int, default=None, help="default: seed + 1000"
-    )
-    p_explain.add_argument("--scale", type=float, default=0.05)
-    p_explain.add_argument("--horizon", type=float, default=20.0)
-    p_explain.add_argument("--updates-per-min", type=float, default=60.0)
-    p_explain.add_argument("--faults-per-min", type=float, default=30.0)
-    p_explain.add_argument(
-        "--conn-table-capacity",
-        type=int,
-        default=None,
-        help="shrink the ConnTable to force overflow-attributed violations",
-    )
-    p_explain.add_argument(
-        "--step-deadline",
-        type=float,
-        default=None,
-        help="tighten the update watchdog (induces at-risk reclassification)",
-    )
-    p_explain.add_argument(
-        "--limit", type=int, default=None, help="print at most N stories"
-    )
-    p_explain.add_argument(
-        "--json-out", metavar="PATH", help="also dump stories + coverage as JSON"
-    )
-    p_explain.add_argument(
-        "--require-complete",
-        action="store_true",
-        help="exit non-zero unless every violation is attributed with "
-        "recorder evidence (the CI gate)",
-    )
-    p_explain.set_defaults(fn=_cmd_explain)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-lived serving mode with an online HTTP control API",
-    )
-    p_serve.add_argument("--seed", type=int, default=7)
-    p_serve.add_argument("--scale", type=float, default=0.05)
-    p_serve.add_argument(
-        "--fleet",
-        type=int,
-        default=1,
-        metavar="N",
-        help="number of switches (1 = single switch, >1 = fleet)",
-    )
-    p_serve.add_argument(
-        "--chaos", action="store_true", help="attach the seeded fault injector"
-    )
-    p_serve.add_argument("--faults-per-min", type=float, default=30.0)
-    p_serve.add_argument(
-        "--script",
-        metavar="FILE",
-        help="JSON op list to run over HTTP (default: the live DIP "
-        "migration script)",
-    )
-    p_serve.add_argument(
-        "--listen",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve the control API interactively on PORT (0 = ephemeral) "
-        "instead of running a script",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--wallclock",
-        action="store_true",
-        help="pace time from the wallclock (requires --listen; scripts "
-        "use the deterministic virtual clock)",
-    )
-    p_serve.add_argument(
-        "--record", action="store_true", help="attach the flight recorder"
-    )
-    p_serve.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run the script twice and require identical fingerprints",
-    )
-    p_serve.add_argument(
-        "--telemetry-out", metavar="FILE", help="write the JSONL telemetry dump"
-    )
-    p_serve.add_argument(
-        "--fingerprint-out", metavar="FILE", help="write the final fingerprint"
-    )
-    _add_driver_flags(p_serve)
-    p_serve.set_defaults(fn=_cmd_serve)
-
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # Runners validate their inputs in this process before doing any
+        # work, so a ValueError here is the user's to fix, not a crash.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

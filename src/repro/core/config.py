@@ -11,27 +11,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..asicsim.cuckoo import DEFAULT_OVERHEAD_BITS
 from ..asicsim.sram import DEFAULT_WORD_BITS
 
 
 @dataclass(frozen=True)
 class SilkRoadConfig:
-    """All knobs of a SilkRoad switch instance."""
+    """The settable knobs of a SilkRoad switch instance.
+
+    What the paper fixes and no caller varies is a named constant beside
+    the code that reads it: ConnTable geometry (:mod:`.conn_table`), the
+    TransitTable hash count (:mod:`.transit_table`), the slow-path retry,
+    re-learn and FP-resolution delays (:mod:`.silkroad`).
+    """
 
     # --- ConnTable geometry (§4.2).
     conn_table_capacity: int = 1_000_000
     conn_table_target_load: float = 0.9375  # 15/16: cuckoo packs tightly
-    conn_table_stages: int = 4
-    conn_table_ways: int = 4
     digest_bits: int = 16
     version_bits: int = 6
-    overhead_bits: int = 6
     word_bits: int = DEFAULT_WORD_BITS
 
     # --- TransitTable (§4.3).
     use_transit_table: bool = True
     transit_table_bytes: int = 256
-    transit_hash_ways: int = 4
     #: Redirect TCP SYNs that falsely hit the TransitTable in step 2 to the
     #: switch CPU for correction.  The paper describes this mitigation but
     #: its own Figure 18 still measures violations for tiny filters, so the
@@ -43,24 +46,12 @@ class SilkRoadConfig:
     learning_filter_capacity: int = 2048
     learning_filter_timeout_s: float = 1e-3
     insertion_rate_per_s: float = 200_000.0
-    #: Software handling time for a redirected (false-positive) TCP SYN.
-    fp_resolution_delay_s: float = 2e-3
 
     # --- Slow-path hardening (failure model; see docs/robustness.md).
     #: Maximum insertion jobs the switch CPU may hold queued or in flight.
     #: ``None`` models the idealized unbounded FIFO; with a bound, excess
     #: jobs are *shed* and the connection re-learned from its next packet.
     cpu_max_backlog: Optional[int] = None
-    #: PCI-E ConnTable writes that fail (injected faults) are retried this
-    #: many times before the job is given up and the key re-learned.
-    install_retry_limit: int = 3
-    #: Base delay before an install retry; attempt ``n`` waits ``n`` times
-    #: this (linear backoff — the bus recovers quickly or not at all).
-    install_retry_backoff_s: float = 1e-4
-    #: Delay before a shed/lost connection re-enters the learning filter —
-    #: models the next packet of the (still-unmatched) connection
-    #: depositing a fresh learn event.
-    relearn_delay_s: float = 1e-3
     #: Per-step watchdog deadline for 3-step updates.  ``None`` waits
     #: forever (the idealized model); with a deadline, a step that overruns
     #: force-advances and its still-pending keys are reclassified at-risk.
@@ -98,12 +89,6 @@ class SilkRoadConfig:
             raise ValueError("idle_timeout_s must be non-negative")
         if self.cpu_max_backlog is not None and self.cpu_max_backlog <= 0:
             raise ValueError("cpu_max_backlog must be positive or None")
-        if self.install_retry_limit < 0:
-            raise ValueError("install_retry_limit must be non-negative")
-        if self.install_retry_backoff_s <= 0:
-            raise ValueError("install_retry_backoff_s must be positive")
-        if self.relearn_delay_s <= 0:
-            raise ValueError("relearn_delay_s must be positive")
         if self.update_step_deadline_s is not None and self.update_step_deadline_s <= 0:
             raise ValueError("update_step_deadline_s must be positive or None")
 
@@ -115,4 +100,4 @@ class SilkRoadConfig:
     @property
     def conn_entry_bits(self) -> int:
         """Bits per packed ConnTable entry (28 with paper defaults)."""
-        return self.digest_bits + self.version_bits + self.overhead_bits
+        return self.digest_bits + self.version_bits + DEFAULT_OVERHEAD_BITS

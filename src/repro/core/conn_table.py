@@ -25,6 +25,11 @@ from ..asicsim.sram import DEFAULT_WORD_BITS, bytes_for_entries
 from ..obs.metrics import Scope
 from .config import SilkRoadConfig
 
+#: ConnTable geometry (§4.2): the table spans four pipeline stages, each a
+#: four-way bucket array — four 28-bit entries fill one 112-bit SRAM word.
+CONN_TABLE_STAGES = 4
+CONN_TABLE_WAYS = 4
+
 
 class ConnTable:
     """The connection table of one SilkRoad switch."""
@@ -39,11 +44,10 @@ class ConnTable:
         self._table = CuckooTable.for_capacity(
             config.conn_table_capacity,
             target_load=config.conn_table_target_load,
-            ways=config.conn_table_ways,
-            stages=config.conn_table_stages,
+            ways=CONN_TABLE_WAYS,
+            stages=CONN_TABLE_STAGES,
             digest_bits=config.digest_bits,
             value_bits=config.version_bits,
-            overhead_bits=config.overhead_bits,
             word_bits=config.word_bits,
             seed=seed,
             metrics=metrics,

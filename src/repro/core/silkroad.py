@@ -41,6 +41,20 @@ from .pcc_update import Phase, UpdateCoordinator
 from .transit_table import TransitTable
 from .vip_table import VipTable
 
+#: Software handling time for a redirected (false-positive) TCP SYN (§4.2).
+FP_RESOLUTION_DELAY_S = 2e-3
+# Slow-path hardening (failure model; see docs/robustness.md).
+#: PCI-E ConnTable writes that fail (injected faults) are retried this
+#: many times before the job is given up and the key re-learned.
+INSTALL_RETRY_LIMIT = 3
+#: Base delay before an install retry; attempt ``n`` waits ``n`` times
+#: this (linear backoff — the bus recovers quickly or not at all).
+INSTALL_RETRY_BACKOFF_S = 1e-4
+#: Delay before a shed/lost connection re-enters the learning filter —
+#: models the next packet of the (still-unmatched) connection
+#: depositing a fresh learn event.
+RELEARN_DELAY_S = 1e-3
+
 
 @dataclass(slots=True)
 class _ConnState:
@@ -101,7 +115,6 @@ class SilkRoadSwitch(LoadBalancer):
         self.conn_table = ConnTable(config, metrics=self.metrics.scope("conn_table"))
         self.transit = TransitTable(
             size_bytes=config.transit_table_bytes,
-            num_hashes=config.transit_hash_ways,
             metrics=self.metrics.scope("transit_table"),
         )
         self.meters = MeterBank(metrics=self.metrics.scope("meters"))
@@ -251,9 +264,7 @@ class SilkRoadSwitch(LoadBalancer):
             if recorder is not None:
                 recorder.record(now, "conn", "fp_syn_redirect", key=key)
             state = self._admit(conn, now)
-            self._cpu.submit_one(
-                key, ("fp",), extra_delay_s=self.config.fp_resolution_delay_s
-            )
+            self._cpu.submit_one(key, ("fp",), extra_delay_s=FP_RESOLUTION_DELAY_S)
             return
         state = self._admit(conn, now)
         batch = self.learning.offer(key, now, key_hash=key_hash)
@@ -785,9 +796,7 @@ class SilkRoadSwitch(LoadBalancer):
             if self._cpu.down:
                 # No point depositing events the CPU cannot drain; try
                 # again next "packet".
-                self.queue.schedule_in(
-                    self.config.relearn_delay_s, fire, PRIO_INTERNAL
-                )
+                self.queue.schedule_in(RELEARN_DELAY_S, fire, PRIO_INTERNAL)
                 return
             self.relearns += 1
             self._m_relearns.value += 1.0
@@ -808,7 +817,7 @@ class SilkRoadSwitch(LoadBalancer):
                     self._deliver_batch(batch)
             self._arm_poll()
 
-        self.queue.schedule_in(self.config.relearn_delay_s, fire, PRIO_INTERNAL)
+        self.queue.schedule_in(RELEARN_DELAY_S, fire, PRIO_INTERNAL)
 
     def _on_cpu_restart(self) -> None:
         """The crashed CPU came back: re-arm the learning-filter timer so
@@ -919,8 +928,8 @@ class SilkRoadSwitch(LoadBalancer):
             on_installed=self._on_installed,
             metrics=self._cpu_metrics,
             max_backlog=self.config.cpu_max_backlog,
-            retry_limit=self.config.install_retry_limit,
-            retry_backoff_s=self.config.install_retry_backoff_s,
+            retry_limit=INSTALL_RETRY_LIMIT,
+            retry_backoff_s=INSTALL_RETRY_BACKOFF_S,
         )
         # Every way a job can leave the slow path without installing ends
         # the same: the connection re-learns from its next packet.  The

@@ -30,6 +30,10 @@ from typing import Dict, Optional
 from ..asicsim.registers import BloomFilter, BloomQuery
 from ..obs.metrics import Scope
 
+#: Hash functions of the Bloom filter (§4.3): one register-array lookup
+#: per hash way, four ways in the paper's 256-byte design.
+TRANSIT_HASH_WAYS = 4
+
 
 class TransitTable:
     """The shared pending-connection filter of one switch."""
@@ -37,7 +41,7 @@ class TransitTable:
     def __init__(
         self,
         size_bytes: int = 256,
-        num_hashes: int = 4,
+        num_hashes: int = TRANSIT_HASH_WAYS,
         seed: int = 0xB100F,
         metrics: Optional[Scope] = None,
     ):

@@ -28,6 +28,7 @@ Design invariants, asserted by the test suite:
 
 from __future__ import annotations
 
+import inspect
 import logging
 import multiprocessing as mp
 import multiprocessing.connection
@@ -54,6 +55,8 @@ from ..deploy.fleet import (
 from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import FlightRecorder, MetricRegistry, ObsHook, Timeline
 from ..options import DriverOptions, ObsOptions
+from . import fig16, fig18
+from .common import build_workload, silkroad_factory
 
 __all__ = [
     "FailedShard",
@@ -267,33 +270,38 @@ class _ShardFold:
         )
 
 
-def _run_fig16_shard(spec: ShardSpec) -> ShardResult:
+def _run_fig16_shard(
+    spec: ShardSpec,
+    *,
+    total_vips: int,
+    shard_vips: int,
+    updates_per_min: float = 10.0,
+    scale: float = 1.0,
+    horizon_s: float = 120.0,
+    warmup_s: float = 20.0,
+    insertion_rate_per_s: float = 20_000.0,
+    systems: Optional[Sequence[str]] = None,
+) -> ShardResult:
     """Replay this shard's VIP slice of a Figure-16-style workload.
 
     Both workload generators take *total* rates that they split across
     VIPs, so a shard holding ``k`` of ``V`` VIPs scales both the arrival
     knob (``scale``) and the update rate by ``k/V`` — the union of all
-    shards then carries the full experiment's load.
+    shards then carries the full experiment's load.  ``systems`` names the
+    :func:`fig16.default_systems` entries to replay (default: all three).
     """
-    from . import fig16
-    from .common import build_workload
-
-    p = spec.param_dict()
-    shard_vips = int(p["shard_vips"])
-    frac = shard_vips / int(p["total_vips"])
+    frac = shard_vips / total_vips
     workload = build_workload(
-        updates_per_min=float(p.get("updates_per_min", 10.0)) * frac,
-        scale=float(p.get("scale", 1.0)) * frac,
+        updates_per_min=updates_per_min * frac,
+        scale=scale * frac,
         seed=spec.seed,
-        horizon_s=float(p.get("horizon_s", 120.0)),
-        warmup_s=float(p.get("warmup_s", 20.0)),
+        horizon_s=horizon_s,
+        warmup_s=warmup_s,
         num_vips=shard_vips,
     )
-    factories = fig16.default_systems(
-        insertion_rate_per_s=float(p.get("insertion_rate_per_s", 20_000.0))
-    )
+    factories = fig16.default_systems(insertion_rate_per_s=insertion_rate_per_s)
     fold = _ShardFold(spec)
-    for name in p.get("systems", ("duet", "silkroad-no-transittable", "silkroad")):
+    for name in systems or factories:
         report, _lb = fold.replay(name, workload, factories[name])
         fold.count(
             name, "measured_connections", report.measured_connections,
@@ -305,35 +313,44 @@ def _run_fig16_shard(spec: ShardSpec) -> ShardResult:
     return fold.result()
 
 
-def _run_fig18_shard(spec: ShardSpec) -> ShardResult:
+def _run_fig18_shard(
+    spec: ShardSpec,
+    *,
+    cells: Sequence[Tuple[int, int, float]],
+    updates_per_min: float = fig18.UPDATES_PER_MIN,
+    scale: float = 1.0,
+    horizon_s: float = 60.0,
+    warmup_s: float = 10.0,
+    arrival_scale: float = 16.0,
+    num_vips: int = 2,
+    insertion_rate_per_s: float = 50_000.0,
+    conn_table_capacity: int = 600_000,
+) -> ShardResult:
     """Run this shard's cells of the (filter size x timeout) grid.
 
     Each cell is seeded by its index in the *full* grid, so the merged
     result does not depend on how cells were grouped into shards.
     """
-    from .common import build_workload, silkroad_factory
-
-    p = spec.param_dict()
     fold = _ShardFold(spec)
-    for cell_index, size, timeout_s in p["cells"]:
+    for cell_index, size, timeout_s in cells:
         workload = build_workload(
-            updates_per_min=float(p.get("updates_per_min", 30.0)),
-            scale=float(p.get("scale", 1.0)),
-            seed=derive_shard_seed(spec.seed, 1_000 + int(cell_index)),
-            horizon_s=float(p.get("horizon_s", 60.0)),
-            warmup_s=float(p.get("warmup_s", 10.0)),
-            arrival_scale=float(p.get("arrival_scale", 16.0)),
-            num_vips=int(p.get("num_vips", 2)),
+            updates_per_min=updates_per_min,
+            scale=scale,
+            seed=derive_shard_seed(spec.seed, 1_000 + cell_index),
+            horizon_s=horizon_s,
+            warmup_s=warmup_s,
+            arrival_scale=arrival_scale,
+            num_vips=num_vips,
         )
         factory = silkroad_factory(
             use_transit_table=True,
-            transit_table_bytes=int(size),
-            learning_timeout_s=float(timeout_s),
-            insertion_rate_per_s=float(p.get("insertion_rate_per_s", 50_000.0)),
-            conn_table_capacity=int(p.get("conn_table_capacity", 600_000)),
-            name=f"silkroad-{int(size)}B",
+            transit_table_bytes=size,
+            learning_timeout_s=timeout_s,
+            insertion_rate_per_s=insertion_rate_per_s,
+            conn_table_capacity=conn_table_capacity,
+            name=f"silkroad-{size}B",
         )
-        cell = f"cell{int(cell_index):02d}"
+        cell = f"cell{cell_index:02d}"
         _report, lb = fold.replay(cell, workload, factory)
         fold.count(
             cell, "transit_fp_adopted", lb.transit_fp_adopted,
@@ -342,21 +359,15 @@ def _run_fig18_shard(spec: ShardSpec) -> ShardResult:
     return fold.result()
 
 
-def _run_chaos_shard(spec: ShardSpec) -> ShardResult:
-    """One independent chaos run under this shard's derived seed."""
+def _run_chaos_shard(spec: ShardSpec, **knobs: object) -> ShardResult:
+    """One independent chaos run under this shard's derived seed; ``knobs``
+    go to :func:`~repro.faults.chaos.run_chaos` as given, so an absent one
+    takes that signature's default and no other."""
     from ..faults.chaos import run_chaos
 
-    p = spec.param_dict()
     fold = _ShardFold(spec)
     result = run_chaos(
-        seed=spec.seed,
-        scale=float(p.get("scale", 0.05)),
-        horizon_s=float(p.get("horizon_s", 20.0)),
-        warmup_s=float(p.get("warmup_s", 2.0)),
-        updates_per_min=float(p.get("updates_per_min", 60.0)),
-        faults_per_min=float(p.get("faults_per_min", 30.0)),
-        driver=spec.driver,
-        obs=fold.cell_obs("chaos"),
+        seed=spec.seed, driver=spec.driver, obs=fold.cell_obs("chaos"), **knobs
     )
     for key, value, help in (
         ("faults_injected", len(result.plan), "faults in the plan"),
@@ -386,39 +397,38 @@ def _fleet_cell_seed(base_seed: int, pattern: str, plan_index: int, salt: int) -
     return derive_shard_seed(base_seed, mix64(pattern_h, salt + plan_index) >> 1)
 
 
-def _run_fleet_shard(spec: ShardSpec) -> ShardResult:
+def _run_fleet_shard(
+    spec: ShardSpec,
+    *,
+    cells: Sequence[Tuple[str, int]],
+    base_seed: int,
+    **knobs: object,
+) -> ShardResult:
     """Run this shard's cells of the fleet-chaos survival sweep.
 
     A cell is one ``(pattern, plan_index)`` fleet run, seeded from the
     sweep's base seed and the cell's own identity (see
     :func:`_fleet_cell_seed`), so merged fingerprints depend only on the
     set of cells — never on worker count, shard count or the order the
-    patterns were listed in.  The merged audit carries the fleet
-    attribution requirement: any unattributed PCC violation or drop in
-    any cell surfaces as a violation labelled with that cell.
+    patterns were listed in.  ``knobs`` go to
+    :func:`~repro.faults.fleet.run_fleet` as given.  The merged audit
+    carries the fleet attribution requirement: any unattributed PCC
+    violation or drop in any cell surfaces as a violation labelled with
+    that cell.
     """
     from ..faults.fleet import run_fleet
 
-    p = spec.param_dict()
     fold = _ShardFold(spec)
     audit, counters = fold.audit, fold.counters
-    base_seed = int(p.get("base_seed", spec.seed))
-    for pattern, plan_index in p["cells"]:
-        cell = f"{pattern}{int(plan_index):02d}"
+    for pattern, plan_index in cells:
+        cell = f"{pattern}{plan_index:02d}"
         result = run_fleet(
-            seed=_fleet_cell_seed(base_seed, pattern, int(plan_index), 20_000),
-            fault_seed=_fleet_cell_seed(base_seed, pattern, int(plan_index), 30_000),
-            pattern=str(pattern),
-            num_switches=int(p.get("num_switches", 4)),
-            scale=float(p.get("scale", 0.05)),
-            horizon_s=float(p.get("horizon_s", 20.0)),
-            warmup_s=float(p.get("warmup_s", 2.0)),
-            updates_per_min=float(p.get("updates_per_min", 60.0)),
-            faults_per_min=float(p.get("faults_per_min", 4.0)),
-            replication=p.get("replication"),
-            conn_budget=p.get("conn_budget"),
+            seed=_fleet_cell_seed(base_seed, pattern, plan_index, 20_000),
+            fault_seed=_fleet_cell_seed(base_seed, pattern, plan_index, 30_000),
+            pattern=pattern,
             driver=spec.driver,
             obs=fold.cell_obs(cell),
+            **knobs,
         )
         audit.merge(result.audit.audit, label=cell)
         audit.checks_run += 2
@@ -449,7 +459,12 @@ def _run_fleet_shard(spec: ShardSpec) -> ShardResult:
     return fold.result()
 
 
-def _run_crashy_shard(spec: ShardSpec) -> ShardResult:
+def _run_crashy_shard(
+    spec: ShardSpec,
+    *,
+    always_fail: bool = False,
+    crash_once_marker: Optional[str] = None,
+) -> ShardResult:
     """Test-only task exercising the fault-tolerance path.
 
     ``crash_once_marker`` names a file: on the first attempt the worker
@@ -458,12 +473,10 @@ def _run_crashy_shard(spec: ShardSpec) -> ShardResult:
     ``always_fail`` the shard raises every time and must end up in
     ``failed``.
     """
-    p = spec.param_dict()
-    if p.get("always_fail"):
+    if always_fail:
         raise RuntimeError(f"shard {spec.shard_id} told to fail")
-    marker = p.get("crash_once_marker")
-    if marker and not os.path.exists(str(marker)):
-        with open(str(marker), "w") as fh:
+    if crash_once_marker and not os.path.exists(crash_once_marker):
+        with open(crash_once_marker, "w") as fh:
             fh.write(str(spec.shard_id))
         os._exit(3)
     fold = _ShardFold(spec)
@@ -472,7 +485,8 @@ def _run_crashy_shard(spec: ShardSpec) -> ShardResult:
     return fold.result()
 
 
-_TASKS: Dict[str, Callable[[ShardSpec], ShardResult]] = {
+#: task -> shard body, called as ``body(spec, **params)``.
+_TASKS: Dict[str, Callable[..., ShardResult]] = {
     "fig16": _run_fig16_shard,
     "fig18": _run_fig18_shard,
     "chaos": _run_chaos_shard,
@@ -480,16 +494,53 @@ _TASKS: Dict[str, Callable[[ShardSpec], ShardResult]] = {
     "_crashy": _run_crashy_shard,
 }
 
+#: task -> (the ``params`` keys :func:`make_shards` turns into the layout,
+#: the keywords the layout or the shard body then supplies itself).
+_LAYOUT: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "fig16": (("num_vips",), ("total_vips", "shard_vips")),
+    "fig18": (("sizes", "timeouts"), ("cells",)),
+    "chaos": ((), ("seed",)),
+    "fleet": (
+        ("patterns", "plans_per_pattern"),
+        ("cells", "base_seed", "seed", "fault_seed", "pattern"),
+    ),
+}
 
-def _task_body(task: str) -> Callable[[ShardSpec], ShardResult]:
+
+def _task_body(task: str) -> Callable[..., ShardResult]:
     if task not in _TASKS:
         raise ValueError(f"unknown shard task {task!r} (have {sorted(_TASKS)})")
     return _TASKS[task]
 
 
+def _accepted_params(task: str) -> Set[str]:
+    """The ``params`` keys ``task`` takes: the layout's inputs plus every
+    keyword of the shard body — or, where the body forwards ``**knobs``,
+    of the runner it forwards them to — that the shard does not set itself.
+    Derived from the signatures, so a knob is declared once, by its runner.
+    """
+    sources = [_task_body(task)]
+    if task == "chaos":
+        from ..faults.chaos import run_chaos
+
+        sources.append(run_chaos)
+    elif task == "fleet":
+        from ..faults.fleet import run_fleet
+
+        sources.append(run_fleet)
+    names = {
+        name
+        for fn in sources
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.kind is not param.VAR_KEYWORD
+    }
+    layout, supplied = _LAYOUT.get(task, ((), ()))
+    return (names - {"spec", "driver", "obs", *supplied}) | set(layout)
+
+
 def run_shard(spec: ShardSpec) -> ShardResult:
     """Execute one shard in the current process."""
-    return _task_body(spec.task)(spec)
+    return _task_body(spec.task)(spec, **spec.param_dict())
 
 
 # ----------------------------------------------------------------------
@@ -600,27 +651,42 @@ def make_shards(
     Depends only on ``(task, num_shards, seed, params, driver, obs)`` —
     never on worker count or machine — which is what makes merged
     fingerprints comparable across pool sizes.  ``params`` holds the
-    experiment's knobs only: a driver/obs option spelled as a params key
-    is rejected, ``driver=``/``obs=`` being the one spelling.
+    experiment's knobs only, and only those given: every key is forwarded
+    to the task's runner as it is and an absent one takes that runner's
+    default.  A key the task does not take, an unknown fleet pattern or
+    fig16 system, or a driver/obs option spelled as a params key
+    (``driver=``/``obs=`` being the one spelling) raises ``ValueError``
+    here — in the caller's process, before any worker exists.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
-    _task_body(task)
     params = dict(params or {})
     for key in sorted(_OPTION_KEYWORDS.keys() & params.keys()):
         raise ValueError(
             f"{key!r} is not a shard parameter: pass it as "
             f"{_OPTION_KEYWORDS[key]}= (see repro.options)"
         )
+    accepted = _accepted_params(task)
+    for key in sorted(params.keys() - accepted):
+        raise ValueError(
+            f"{key!r} is not a {task} parameter "
+            f"(accepted: {', '.join(sorted(accepted))})"
+        )
     if task == "fig16":
+        known = fig16.default_systems()
+        for name in params.get("systems") or ():
+            if name not in known:
+                raise ValueError(
+                    f"unknown fig16 system {name!r} (have {sorted(known)})"
+                )
         total_vips = int(params.pop("num_vips", 8))
         per_shard = [
             {"total_vips": total_vips, "shard_vips": len(part)}
             for part in _even_split(total_vips, num_shards, "VIPs")
         ]
     elif task == "fig18":
-        sizes = tuple(params.pop("sizes", (8, 64, 256)))
-        timeouts = tuple(params.pop("timeouts", (0.5e-3, 5e-3)))
+        sizes = tuple(params.pop("sizes", fig18.DEFAULT_SIZES))
+        timeouts = tuple(params.pop("timeouts", fig18.DEFAULT_TIMEOUTS))
         cells = [
             (index, int(size), float(timeout))
             for index, (timeout, size) in enumerate(
@@ -629,9 +695,11 @@ def make_shards(
         ]
         per_shard = _split_cells(cells, num_shards, "grid cells")
     elif task == "fleet":
-        patterns = tuple(
-            params.pop("patterns", ("crash", "partition", "flap", "cascade", "mixed"))
-        )
+        from ..faults.fleet import FAILURE_PATTERNS, pattern_overrides
+
+        patterns = tuple(params.pop("patterns", FAILURE_PATTERNS))
+        for pattern in patterns:
+            pattern_overrides(pattern)
         plans_per_pattern = int(params.pop("plans_per_pattern", 4))
         # Cells are identified by (pattern, plan_index), not sweep position:
         # _fleet_cell_seed keys each cell's seeds off this identity, so a
@@ -975,7 +1043,7 @@ def _run_partition_replica(
     """
     from ..faults.fleet import FleetFaultInjector, resolve_fleet_run
 
-    workload, plan, config, fleet_config, _seed = resolve_fleet_run(**run_kwargs)
+    workload, plan, config, fleet_config = resolve_fleet_run(**run_kwargs)
     injector = FleetFaultInjector(plan)
     epoch_s = partition_epoch_length(fleet_config)
     epochs = _partition_epochs(workload.horizon_s, epoch_s)
@@ -1146,60 +1214,53 @@ def _run_partition_pool(
 def run_fleet_partitioned(
     partition_workers: int = 1,
     in_process: Optional[bool] = None,
-    seed: int = 7,
-    fault_seed: Optional[int] = None,
-    pattern: str = "mixed",
-    num_switches: int = 4,
-    scale: float = 0.05,
-    horizon_s: float = 20.0,
-    warmup_s: float = 2.0,
-    updates_per_min: float = 60.0,
-    faults_per_min: float = 4.0,
-    replication: Optional[int] = None,
-    conn_budget: Optional[int] = None,
-    config: Optional[object] = None,
-    fleet_config: Optional[object] = None,
-    plan: Optional[object] = None,
+    *,
     driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
+    **knobs: object,
 ) -> FleetPartitionedResult:
     """One fleet chaos run, space-partitioned over ``partition_workers``.
 
-    Accepts the same knobs as :func:`repro.faults.fleet.run_fleet`; the
-    partition layout comes from :func:`partition_switches` and depends
-    only on ``(num_switches, partition_workers)``, so the merged
-    registry, timeline, recorder and audit fingerprints are bit-identical
-    for every worker count (asserted by tests/experiments/
-    test_partition.py).  ``in_process`` (default: ``partition_workers ==
-    1``) runs the replicas sequentially in this process — same results,
-    no pool — with digests cross-checked post-hoc instead of per epoch.
-    ``driver``/``obs`` are the replay/observability knobs.
+    ``knobs`` are :func:`repro.faults.fleet.run_fleet`'s scenario keywords
+    — its names, its defaults, declared there and nowhere else — except a
+    prebuilt ``workload``: every replica rebuilds its inputs from the
+    scalar knobs.  The partition layout comes from
+    :func:`partition_switches` and depends only on ``(num_switches,
+    partition_workers)``, so the merged registry, timeline, recorder and
+    audit fingerprints are bit-identical for every worker count (asserted
+    by tests/experiments/test_partition.py).  ``in_process`` (default:
+    ``partition_workers == 1``) runs the replicas sequentially in this
+    process — same results, no pool — with digests cross-checked post-hoc
+    instead of per epoch.  ``driver``/``obs`` are the replay/observability
+    options.
     """
+    from ..faults.fleet import pattern_overrides, run_fleet
+
     driver = driver or DriverOptions()
     obs = obs or ObsOptions()
+    # Bound against run_fleet's own signature: a name it lacks is the usual
+    # TypeError, an absent knob takes its default.
+    bound = inspect.signature(run_fleet).bind_partial(**knobs)
+    bound.apply_defaults()
+    run_kwargs = dict(bound.arguments)
+    del run_kwargs["driver"], run_kwargs["obs"]
+    if run_kwargs.pop("workload") is not None:
+        raise TypeError("run_fleet_partitioned() takes no prebuilt workload")
+    # An unknown pattern is the caller's error: say so here, not from
+    # inside a spawned replica.
+    pattern_overrides(run_kwargs["pattern"])
+    seed, fault_seed = run_kwargs["seed"], run_kwargs["fault_seed"]
+    num_switches = run_kwargs["num_switches"]
     owned_sets = partition_switches(num_switches, partition_workers)
-    if fleet_config is None:
-        fleet_config = FleetConfig(replication=replication, conn_budget=conn_budget)
-    epoch_s = partition_epoch_length(fleet_config)
-    epochs = _partition_epochs(horizon_s, epoch_s)
+    if run_kwargs["fleet_config"] is None:
+        run_kwargs["fleet_config"] = FleetConfig(
+            replication=run_kwargs["replication"],
+            conn_budget=run_kwargs["conn_budget"],
+        )
+    epoch_s = partition_epoch_length(run_kwargs["fleet_config"])
+    epochs = _partition_epochs(run_kwargs["horizon_s"], epoch_s)
     if in_process is None:
         in_process = partition_workers == 1
-    run_kwargs: Dict[str, object] = {
-        "seed": int(seed),
-        "fault_seed": fault_seed,
-        "pattern": str(pattern),
-        "num_switches": int(num_switches),
-        "scale": float(scale),
-        "horizon_s": float(horizon_s),
-        "warmup_s": float(warmup_s),
-        "updates_per_min": float(updates_per_min),
-        "faults_per_min": float(faults_per_min),
-        "replication": replication,
-        "conn_budget": conn_budget,
-        "config": config,
-        "fleet_config": fleet_config,
-        "plan": plan,
-    }
     partitions = [
         FleetPartition(owned=owned, worker_id=i, num_workers=partition_workers)
         for i, owned in enumerate(owned_sets)
@@ -1283,7 +1344,7 @@ def run_fleet_partitioned(
     counters["fleet_conn_entries"] = live_entries
     timeline, recorder = _merged_obs((p.timeline, p.recorder) for p in partials)
     return FleetPartitionedResult(
-        pattern=pattern,
+        pattern=run_kwargs["pattern"],
         seed=seed,
         fault_seed=fault_seed if fault_seed is not None else seed + 2000,
         num_switches=num_switches,

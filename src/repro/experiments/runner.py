@@ -7,60 +7,13 @@ laptop scale (see EXPERIMENTS.md for the paper-vs-measured record).
 from __future__ import annotations
 
 import time
+from importlib import import_module
 from typing import Callable, Dict
 
-from . import (
-    digest_fp,
-    economics,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig8,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    fleet_failover,
-    hybrid,
-    insertion_cost,
-    latency,
-    meter_accuracy,
-    multi_digest,
-    switch_failure,
-    table1,
-    table2,
-)
+from . import EXPERIMENT_NAMES
 
 EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "table1": table1.main,
-    "fig2": fig2.main,
-    "fig3": fig3.main,
-    "fig4": fig4.main,
-    "fig5": fig5.main,
-    "fig6": fig6.main,
-    "fig8": fig8.main,
-    "table2": table2.main,
-    "fig12": fig12.main,
-    "fig13": fig13.main,
-    "fig14": fig14.main,
-    "fig15": fig15.main,
-    "fig16": fig16.main,
-    "fig17": fig17.main,
-    "fig18": fig18.main,
-    "fleet_failover": fleet_failover.main,
-    "latency": latency.main,
-    "hybrid": hybrid.main,
-    "switch_failure": switch_failure.main,
-    "multi_digest": multi_digest.main,
-    "insertion_cost": insertion_cost.main,
-    "digest_fp": digest_fp.main,
-    "meter_accuracy": meter_accuracy.main,
-    "economics": economics.main,
+    name: import_module(f"{__package__}.{name}").main for name in EXPERIMENT_NAMES
 }
 
 
@@ -113,50 +66,6 @@ def run_all(names=None, stream=None, telemetry=None) -> str:
 
 #: Default base seeds of the shardable experiments (match the figures').
 PARALLEL_TASKS: Dict[str, int] = {"fig16": 16, "fig18": 18, "chaos": 7, "fleet": 7}
-
-
-def run_parallel(
-    task: str,
-    workers=None,
-    num_shards: int = 4,
-    seed=None,
-    params=None,
-    stream=None,
-) -> str:
-    """Run one shardable experiment via the sharded replay engine.
-
-    Returns the printable fleet summary (and streams it, like
-    :func:`run_all`); raises ``KeyError`` for tasks the engine does not
-    shard — ``PARALLEL_TASKS`` lists the supported ones with their default
-    seeds.
-    """
-    from .parallel import run_sharded
-
-    if task not in PARALLEL_TASKS:
-        raise KeyError(
-            f"task {task!r} is not shardable (have {sorted(PARALLEL_TASKS)})"
-        )
-    if seed is None:
-        seed = PARALLEL_TASKS[task]
-    start = time.time()
-    result = run_sharded(
-        task, num_shards=num_shards, workers=workers, seed=seed, params=params
-    )
-    elapsed = time.time() - start
-    lines = [
-        f"==== {task} sharded ({elapsed:.1f}s) ====",
-        result.summary(),
-        *result.details(),
-    ]
-    for failure in result.failed:
-        first = failure.reason.strip().splitlines()[-1] if failure.reason else ""
-        lines.append(f"  shard {failure.shard_id} FAILED: {first}")
-    if not result.audit.ok:
-        lines.append(f"  {result.audit}")
-    body = "\n".join(lines)
-    if stream is not None:
-        print(body, file=stream, flush=True)
-    return body
 
 
 def main() -> None:

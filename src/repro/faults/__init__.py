@@ -13,18 +13,17 @@ docs/robustness.md) can be exercised reproducibly:
 * :class:`FaultInjector` — replays a plan against a switch through the
   shared simulation :class:`~repro.netsim.events.EventQueue`;
 * :func:`run_chaos` / :class:`ChaosResult` — the one-call chaos harness:
-  workload + faults + invariant audit + metrics fingerprint;
-* :func:`run_chaos_sharded` — the same harness fanned out over derived
-  seeds by the sharded replay engine, merged into one fleet view.
+  workload + faults + invariant audit + metrics fingerprint
+  (``run_sharded("chaos", ...)`` fans it out over derived seeds).
 
 :mod:`repro.faults.fleet` lifts the same machinery to fleet scope —
 whole-switch crashes, control-plane partitions, flapping, heartbeat loss,
 delayed detection, VIP reassignment — against a controller-managed
-:class:`~repro.deploy.fleet.FleetSilkRoad` (:func:`run_fleet` /
-:func:`run_fleet_sharded`, the survival-table harness).
+:class:`~repro.deploy.fleet.FleetSilkRoad` (:func:`run_fleet`;
+``run_sharded("fleet", ...)`` sweeps it over the :data:`FAILURE_PATTERNS`).
 """
 
-from .chaos import ChaosResult, chaos_config, run_chaos, run_chaos_sharded
+from .chaos import ChaosResult, chaos_config, run_chaos
 from .fleet import (
     FAILURE_PATTERNS,
     FLEET_KINDS,
@@ -34,7 +33,6 @@ from .fleet import (
     FleetFaultKind,
     FleetFaultPlan,
     run_fleet,
-    run_fleet_sharded,
 )
 from .injector import FaultInjector
 from .plan import ALL_KINDS, FaultEvent, FaultKind, FaultPlan
@@ -55,7 +53,5 @@ __all__ = [
     "FleetFaultPlan",
     "chaos_config",
     "run_chaos",
-    "run_chaos_sharded",
     "run_fleet",
-    "run_fleet_sharded",
 ]

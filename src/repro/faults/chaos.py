@@ -171,43 +171,3 @@ def run_chaos(
         recorder=hook.recorder,
         timeline=hook.timeline,
     )
-
-
-def run_chaos_sharded(
-    num_shards: int = 4,
-    workers: Optional[int] = None,
-    seed: int = 7,
-    scale: float = 0.05,
-    horizon_s: float = 20.0,
-    warmup_s: float = 2.0,
-    updates_per_min: float = 60.0,
-    faults_per_min: float = 30.0,
-    driver: Optional[DriverOptions] = None,
-    obs: Optional[ObsOptions] = None,
-):
-    """``num_shards`` independent chaos runs under derived seeds, merged.
-
-    Each shard is one full :func:`run_chaos` with
-    ``derive_shard_seed(seed, shard_id)``; the merged
-    :class:`~repro.experiments.parallel.ShardedRunResult` carries the
-    fleet-wide metric registry (fingerprintable), the fold of every
-    shard's audit, and per-shard fault/violation counters.  ``workers``
-    sizes the process pool and never affects the result.
-    """
-    from ..experiments.parallel import run_sharded
-
-    return run_sharded(
-        "chaos",
-        num_shards=num_shards,
-        workers=workers,
-        seed=seed,
-        params={
-            "scale": scale,
-            "horizon_s": horizon_s,
-            "warmup_s": warmup_s,
-            "updates_per_min": updates_per_min,
-            "faults_per_min": faults_per_min,
-        },
-        driver=driver,
-        obs=obs,
-    )

@@ -350,37 +350,45 @@ def _survival(connections: Sequence[Connection]) -> Dict[str, int]:
     }
 
 
-def resolve_fleet_run(
-    seed: int = 7,
-    fault_seed: Optional[int] = None,
-    pattern: str = "mixed",
-    num_switches: int = 4,
-    scale: float = 0.05,
-    horizon_s: float = 20.0,
-    warmup_s: float = 2.0,
-    updates_per_min: float = 60.0,
-    faults_per_min: float = 4.0,
-    replication: Optional[int] = None,
-    conn_budget: Optional[int] = None,
-    config: Optional[SilkRoadConfig] = None,
-    fleet_config: Optional[FleetConfig] = None,
-    plan: Optional[FleetFaultPlan] = None,
-    workload: Optional[PccWorkload] = None,
-) -> Tuple[PccWorkload, FleetFaultPlan, SilkRoadConfig, FleetConfig, int]:
-    """Resolve one fleet run's fully seeded inputs from its knobs.
-
-    Pure defaulting, no side effects: returns ``(workload, plan, config,
-    fleet_config, fault_seed)`` exactly as :func:`run_fleet` would build
-    them.  The space-partitioned runner calls this in every worker so each
-    replica derives bit-identical inputs from the same scalar knobs —
-    nothing heavyweight crosses the spawn pickle boundary.
-    """
+def pattern_overrides(pattern: str) -> Dict[str, object]:
+    """The plan-generation overrides of one named failure pattern; an
+    unknown name is the caller's input error, whoever the caller is (the
+    sweep layout and the partitioned runner check it before spawning)."""
     if pattern not in FAILURE_PATTERNS:
         raise ValueError(
             f"unknown failure pattern {pattern!r} (have {sorted(FAILURE_PATTERNS)})"
         )
-    if fault_seed is None:
-        fault_seed = seed + 2000
+    return dict(FAILURE_PATTERNS[pattern])
+
+
+def resolve_fleet_run(
+    *,
+    seed: int,
+    fault_seed: Optional[int],
+    pattern: str,
+    num_switches: int,
+    scale: float,
+    horizon_s: float,
+    warmup_s: float,
+    updates_per_min: float,
+    faults_per_min: float,
+    replication: Optional[int],
+    conn_budget: Optional[int],
+    config: Optional[SilkRoadConfig],
+    fleet_config: Optional[FleetConfig],
+    plan: Optional[FleetFaultPlan],
+    workload: Optional[PccWorkload] = None,
+) -> Tuple[PccWorkload, FleetFaultPlan, SilkRoadConfig, FleetConfig]:
+    """Resolve one fleet run's fully seeded inputs from :func:`run_fleet`'s
+    knobs (which is where their defaults live; every knob is required here).
+
+    Pure defaulting, no side effects: returns ``(workload, plan, config,
+    fleet_config)`` exactly as :func:`run_fleet` replays them.  The
+    space-partitioned runner calls this in every worker so each replica
+    derives bit-identical inputs from the same scalar knobs — nothing
+    heavyweight crosses the spawn pickle boundary.
+    """
+    overrides = pattern_overrides(pattern)
     if workload is None:
         workload = build_workload(
             updates_per_min,
@@ -390,10 +398,9 @@ def resolve_fleet_run(
             warmup_s=warmup_s,
         )
     if plan is None:
-        overrides = dict(FAILURE_PATTERNS[pattern])
         rate = faults_per_min * float(overrides.pop("rate_multiplier", 1.0))
         plan = FleetFaultPlan.generate(
-            fault_seed,
+            seed + 2000 if fault_seed is None else fault_seed,
             horizon_s=workload.horizon_s,
             num_switches=num_switches,
             faults_per_min=rate,
@@ -403,7 +410,7 @@ def resolve_fleet_run(
         config = SilkRoadConfig(conn_table_capacity=200_000)
     if fleet_config is None:
         fleet_config = FleetConfig(replication=replication, conn_budget=conn_budget)
-    return workload, plan, config, fleet_config, fault_seed
+    return workload, plan, config, fleet_config
 
 
 def run_fleet(
@@ -427,12 +434,16 @@ def run_fleet(
 ) -> FleetChaosResult:
     """One fully seeded fleet chaos run; see the module docstring.
 
-    ``driver``/``obs`` are the replay/observability knobs (see
-    :mod:`repro.options`).
+    This signature is the one place a fleet run's knobs and their defaults
+    are declared: the survival sweep (``run_sharded("fleet", params=...)``),
+    :func:`~repro.experiments.parallel.run_fleet_partitioned` and the CLI
+    all forward only what their caller gave.  ``fault_seed`` defaults to
+    ``seed + 2000``; ``driver``/``obs`` are the replay/observability
+    options (see :mod:`repro.options`).
     """
     driver = driver or DriverOptions()
     obs = obs or ObsOptions()
-    workload, plan, config, fleet_config, fault_seed = resolve_fleet_run(
+    workload, plan, config, fleet_config = resolve_fleet_run(
         seed=seed,
         fault_seed=fault_seed,
         pattern=pattern,
@@ -475,54 +486,4 @@ def run_fleet(
         survival=_survival(connections),
         recorder=hook.recorder,
         timeline=hook.timeline,
-    )
-
-
-def run_fleet_sharded(
-    num_shards: int = 4,
-    workers: Optional[int] = None,
-    seed: int = 7,
-    patterns: Sequence[str] = ("crash", "partition", "flap", "cascade", "mixed"),
-    plans_per_pattern: int = 4,
-    num_switches: int = 4,
-    scale: float = 0.05,
-    horizon_s: float = 20.0,
-    warmup_s: float = 2.0,
-    updates_per_min: float = 60.0,
-    faults_per_min: float = 4.0,
-    replication: Optional[int] = None,
-    conn_budget: Optional[int] = None,
-    driver: Optional[DriverOptions] = None,
-    obs: Optional[ObsOptions] = None,
-):
-    """The survival sweep: ``patterns × plans_per_pattern`` fleet runs,
-    sharded over a process pool and merged.
-
-    Cells are seeded by their content — the pattern name and plan index,
-    never the cell's position in the sweep — so the merged registry/audit
-    fingerprints depend only on ``(seed, the set of cells)``: neither
-    ``workers`` nor the *order* the patterns are listed in can change any
-    cell's run.
-    """
-    from ..experiments.parallel import run_sharded
-
-    return run_sharded(
-        "fleet",
-        num_shards=num_shards,
-        workers=workers,
-        seed=seed,
-        params={
-            "patterns": tuple(patterns),
-            "plans_per_pattern": int(plans_per_pattern),
-            "num_switches": num_switches,
-            "scale": scale,
-            "horizon_s": horizon_s,
-            "warmup_s": warmup_s,
-            "updates_per_min": updates_per_min,
-            "faults_per_min": faults_per_min,
-            "replication": replication,
-            "conn_budget": conn_budget,
-        },
-        driver=driver,
-        obs=obs,
     )

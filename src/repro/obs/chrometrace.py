@@ -186,20 +186,18 @@ def to_chrome_trace(
 
 def write_chrome_trace(
     target: Union[str, IO[str]],
-    tracer: Optional[Tracer] = None,
-    recorder: Optional[FlightRecorder] = None,
-    timeline: Optional[Timeline] = None,
-    tracks: Optional[Iterable[str]] = None,
-    metadata: Optional[Dict[str, object]] = None,
+    doc: Optional[Dict[str, object]] = None,
+    **sources: object,
 ) -> int:
-    """Write the trace document to a path or stream; returns event count."""
-    doc = to_chrome_trace(
-        tracer=tracer,
-        recorder=recorder,
-        timeline=timeline,
-        tracks=tracks,
-        metadata=metadata,
-    )
+    """Write a trace document to a path or stream; returns event count.
+
+    ``doc`` is a document :func:`to_chrome_trace` already built — pass the
+    one :func:`validate_chrome_trace` checked, so the bytes on disk are the
+    bytes that were validated; without it the document is built here from
+    ``sources``, :func:`to_chrome_trace`'s keywords.
+    """
+    if doc is None:
+        doc = to_chrome_trace(**sources)
     text = json.dumps(doc, sort_keys=True, default=str)
     if isinstance(target, str):
         with open(target, "w") as fh:

@@ -73,6 +73,16 @@ class ServeScriptResult:
             and self.report.get("unattributed_violations") == 0
         )
 
+    def summary(self) -> str:
+        report = self.report
+        return (
+            f"{report['total_connections']} connections, "
+            f"{report['mutations']} mutations over {report['advances']} advances, "
+            f"{report['pcc_violations']} PCC violations "
+            f"({report['unattributed_violations']} unattributed), "
+            f"audit {'ok' if report['audit_ok'] else 'FAILED'}"
+        )
+
 
 class _Client:
     """Minimal HTTP/1.1 client over one keep-alive connection."""

@@ -41,3 +41,16 @@ def keys(tuples, vip):
         return [tuples.next_for(vip).key_bytes() for _ in range(count)]
 
     return make
+
+
+@pytest.fixture
+def no_spawn(monkeypatch):
+    """Fail the test if the sharded engine starts a shard, pooled or serial:
+    invalid input must be rejected before that."""
+    from repro.experiments import parallel
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a worker was spawned for invalid input")
+
+    monkeypatch.setattr(parallel, "_spawn", refuse)
+    monkeypatch.setattr(parallel, "run_shard", refuse)

@@ -14,7 +14,8 @@ from repro.deploy.fleet import (
     FleetSilkRoad,
     audit_fleet,
 )
-from repro.faults.fleet import run_fleet, run_fleet_sharded
+from repro.experiments.parallel import run_sharded
+from repro.faults.fleet import run_fleet
 from repro.options import DriverOptions
 from repro.netsim.batchsim import BatchedFlowSimulator
 from repro.netsim import (
@@ -242,31 +243,33 @@ class TestAcceptanceSweep:
         # The PR acceptance bar: across >= 20 seeded fault plans covering
         # every failure pattern, 100% of PCC violations and drops carry a
         # fleet attribution.
-        result = run_fleet_sharded(
+        result = run_sharded(
+            "fleet",
             num_shards=4,
             workers=1,
             seed=7,
-            plans_per_pattern=4,
-            num_switches=3,
-            scale=0.02,
-            horizon_s=10.0,
-            warmup_s=1.0,
+            params=dict(
+                plans_per_pattern=4,
+                num_switches=3,
+                scale=0.02,
+                horizon_s=10.0,
+                warmup_s=1.0,
+            ),
         )
         assert not result.failed
         assert result.audit.ok, str(result.audit)
 
     def test_fingerprint_stable_across_runs_and_workers(self):
-        kw = dict(
-            num_shards=4,
-            seed=7,
+        params = dict(
             plans_per_pattern=1,
             num_switches=3,
             scale=0.02,
             horizon_s=8.0,
             warmup_s=1.0,
         )
-        first = run_fleet_sharded(workers=1, **kw)
-        again = run_fleet_sharded(workers=1, **kw)
+        kw = dict(num_shards=4, seed=7, workers=1, params=params)
+        first = run_sharded("fleet", **kw)
+        again = run_sharded("fleet", **kw)
         assert first.fingerprint == again.fingerprint
         assert first.counters == again.counters
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.verify import AuditReport
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ShardSpec,
     derive_shard_seed,
@@ -120,6 +121,51 @@ class TestOptionsAsValues:
     def test_option_keys_inside_params_are_rejected(self, params, keyword):
         with pytest.raises(ValueError, match=keyword):
             run_sharded("chaos", num_shards=1, workers=1, params=params)
+
+
+@pytest.mark.usefixtures("no_spawn")
+class TestParamsAreCheckedInTheParent:
+    """A params key the task's runner does not take — misspelled, or
+    another task's — and an unknown fleet pattern or fig16 system are the
+    caller's errors: ``ValueError`` naming the offender and the accepted
+    set, raised by the layout before any worker exists."""
+
+    @pytest.mark.parametrize(
+        "task, params, named",
+        [
+            ("chaos", {"scael": 0.01}, "'scael'.*scale"),  # misspelled
+            ("fleet", {"patterns": ("crash", "bogus")}, "'bogus'.*cascade"),
+            ("fleet", {"pattern": "crash"}, "'pattern'.*patterns"),  # shard's own
+            ("fig18", {"systems": ("silkroad",)}, "'systems'.*fig18"),  # fig16's
+            ("chaos", {"num_switches": 3}, "'num_switches'.*chaos"),  # fleet's
+            ("fig16", {"systems": ("nope",)}, "'nope'.*silkroad"),
+        ],
+    )
+    def test_bad_param_raises_naming_it(self, task, params, named):
+        with pytest.raises(ValueError, match=named):
+            run_sharded(task, num_shards=1, workers=2, params=params)
+
+    def test_accepted_names_are_the_runner_signature(self):
+        import inspect
+
+        from repro.faults import run_chaos, run_fleet
+
+        # Declared once: what a shard may be handed is read off the runner.
+        chaos = set(inspect.signature(run_chaos).parameters) - {"seed", "driver", "obs"}
+        assert parallel._accepted_params("chaos") == chaos
+        fleet = set(inspect.signature(run_fleet).parameters)
+        fleet -= {"seed", "fault_seed", "pattern", "driver", "obs"}
+        assert parallel._accepted_params("fleet") == fleet | {
+            "patterns", "plans_per_pattern",
+        }
+
+    def test_an_absent_knob_takes_the_runner_default(self):
+        # No restated default between run_sharded and run_chaos: the spec of
+        # an empty ``params`` carries nothing for the shard to forward.
+        (spec,) = make_shards("chaos", num_shards=1, seed=7)
+        assert spec.params == ()
+        (spec,) = make_shards("chaos", num_shards=1, seed=7, params={"scale": 0.03})
+        assert spec.params == (("scale", 0.03),)
 
 
 class TestFingerprintEquivalence:

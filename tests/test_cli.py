@@ -47,6 +47,85 @@ class TestParser:
         assert args.conn_table_capacity is None
 
 
+@pytest.mark.usefixtures("no_spawn")
+class TestUsageErrors:
+    """Input errors are usage errors: found in the parent process, one
+    line on stderr naming the offender and the accepted set, exit 2 —
+    never a spawned worker, never a retry."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fleet", "--patterns", "bogus"], ("'bogus'", "cascade")),
+            (
+                ["fleet", "--patterns", "bogus", "--partition-workers", "2"],
+                ("'bogus'", "cascade"),
+            ),
+            (
+                ["run", "fig18", "--num-vips", "3", "--systems", "nope"],
+                ("'systems'", "fig18", "sizes"),
+            ),
+            (["run", "fig16", "--systems", "nope"], ("'nope'", "silkroad")),
+            (["chaos", "--scale", "0"], ("scale",)),
+        ],
+    )
+    def test_exit_2_with_one_line_naming_the_offender(self, argv, named, capsys, caplog):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {argv[0]}: error: ")
+        for word in named:
+            assert word in line
+        assert "retrying" not in caplog.text
+
+
+class TestForwardOnlyWhatWasGiven:
+    """A scenario flag has no default of its own: untyped, the runner's
+    signature decides; typed, the value arrives as the same keyword."""
+
+    def test_scenario_flags_default_to_untyped(self):
+        parser = build_parser()
+        for command in ("chaos", "trace", "explain", "fleet", "serve", "run fig16"):
+            args = parser.parse_args(command.split())
+            for dest in (
+                "seed", "scale", "horizon_s", "updates_per_min", "faults_per_min",
+                "num_switches", "num_shards", "workers", "batched",
+            ):
+                assert getattr(args, dest, None) is None, (command, dest)
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        from repro.api import run_chaos
+
+        return run_chaos()
+
+    def test_chaos_no_flags_is_run_chaos_no_arguments(self, capsys, default_run):
+        assert main(["chaos", "--check-determinism"]) == 0
+        printed = capsys.readouterr().out
+        assert default_run.summary() in printed
+        assert f"determinism ok (fingerprint {default_run.fingerprint[:16]})" in printed
+
+    def test_one_explicit_flag_is_the_keyword(self, capsys, default_run):
+        from repro.api import run_chaos
+
+        assert main(["chaos", "--scale", "0.03", "--check-determinism"]) == 0
+        printed = capsys.readouterr().out
+        keyword = run_chaos(scale=0.03)
+        assert keyword.fingerprint != default_run.fingerprint
+        assert keyword.summary() in printed
+        assert f"determinism ok (fingerprint {keyword.fingerprint[:16]})" in printed
+
+    def test_run_chaos_and_the_python_api_agree(self, tmp_path):
+        from repro.api import run_sharded
+
+        fps = tmp_path / "fps.txt"
+        argv = ["run", "chaos", "--num-shards", "2", "--workers", "1"]
+        assert main([*argv, "--fingerprint-out", str(fps)]) == 0
+        api = run_sharded("chaos", num_shards=2, workers=1)
+        assert fps.read_text() == f"registry {api.fingerprint}\n"
+
+
 class TestCommands:
     def test_experiments_list(self, capsys):
         assert main(["experiments", "--list"]) == 0

@@ -15,6 +15,9 @@ experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
 packages built on them (``deploy``, ``faults``, ``serve``,
 ``experiments``), and nothing imports the deleted
 ``repro.netsim.telemetry`` or the deleted second multi-switch deployment.
+And at the top of the stack ``repro/cli.py`` is a shell over ``repro.api``:
+it imports nothing from ``repro.faults``, ``repro.deploy`` or
+``repro.experiments.parallel`` directly.
 """
 
 from __future__ import annotations
@@ -123,6 +126,22 @@ def test_switch_layers_import_nothing_built_on_them():
         if rel.startswith(SWITCH_LAYERS) and (module + ".").startswith(above)
     ]
     assert not offenders, "\n".join(offenders)
+
+
+#: The CLI reaches every runner through the ``repro.api`` facade.
+BEHIND_THE_FACADE = ("repro.faults.", "repro.deploy.", "repro.experiments.parallel.")
+
+
+def test_cli_reaches_runners_through_the_api_facade():
+    offenders = [
+        f"{rel}:{line} imports {module}"
+        for rel, module, line in _imports()
+        if rel == "cli.py" and (module + ".").startswith(BEHIND_THE_FACADE)
+    ]
+    assert not offenders, "\n".join(offenders)
+    assert any(
+        rel == "cli.py" and module == "repro.api" for rel, module, _line in _imports()
+    )
 
 
 def test_nothing_imports_the_deleted_second_deployment():
