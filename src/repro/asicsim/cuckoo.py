@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 from ..obs.metrics import Scope
 from .hashing import (
@@ -62,17 +63,6 @@ class DuplicateKey(KeyError):
     """Raised when inserting a key that is already resident."""
 
 
-class Slot:
-    """One occupied table slot (one packed entry in an SRAM word)."""
-
-    __slots__ = ("key", "digest", "value")
-
-    def __init__(self, key: bytes, digest: int, value: int) -> None:
-        self.key = key
-        self.digest = digest
-        self.value = value
-
-
 class Location(NamedTuple):
     """Physical position of an entry: (stage, bucket, way).
 
@@ -84,6 +74,32 @@ class Location(NamedTuple):
     stage: int
     bucket: int
     way: int
+
+
+class Slot:
+    """One occupied table slot (one packed entry in an SRAM word).
+
+    It is also the one software shadow record of its resident: where the
+    entry lives and the candidate triples it is registered under
+    (:meth:`CuckooTable._profile`), so a move or a delete re-derives
+    nothing.
+    """
+
+    __slots__ = ("key", "digest", "value", "loc", "profile")
+
+    def __init__(
+        self,
+        key: bytes,
+        digest: int,
+        value: int,
+        loc: Location,
+        profile: Tuple[int, ...],
+    ) -> None:
+        self.key = key
+        self.digest = digest
+        self.value = value
+        self.loc = loc
+        self.profile = profile
 
 
 class LookupResult(NamedTuple):
@@ -200,14 +216,25 @@ class CuckooTable:
         # seeded mixing (see repro.asicsim.hashing).
         self._index_units: List[HashUnit] = hash_family(stages, base_seed=seed)
         self._digest_units: List[HashUnit] = hash_family(stages, base_seed=seed ^ 0xD16E57)
+        # A candidate (stage, bucket, digest) triple is packed into one int,
+        # ``digest << shift | (stage * buckets + bucket)``: its low bits are
+        # the bucket's cell in the slot column below, and an int hashes far
+        # cheaper than a tuple on the hottest paths (lookup's fast miss,
+        # registration per insert / delete).
+        self._stage_offsets: List[int] = [
+            s * buckets_per_stage for s in range(stages)
+        ]
+        self._cand_shift = (stages * buckets_per_stage).bit_length()
+        self._cell_mask = (1 << self._cand_shift) - 1
         # Pre-resolved per-stage derivation parameters so the hot profile
         # loop is pure integer mixing with no method dispatch:
-        # (index seed_mix, digest seed_mix, 64 - digest_bits).
-        self._stage_mixes: List[Tuple[int, int, int]] = [
+        # (index seed_mix, digest seed_mix, 64 - digest_bits, stage offset).
+        self._stage_mixes: List[Tuple[int, int, int, int]] = [
             (
                 self._index_units[s].seed_mix,
                 self._digest_units[s].seed_mix,
                 64 - self.digest_bits_per_stage[s],
+                self._stage_offsets[s],
             )
             for s in range(stages)
         ]
@@ -218,28 +245,20 @@ class CuckooTable:
         self._column: List[Optional[Slot]] = [None] * capacity
         #: Resident entries per stage, maintained on place / move / delete.
         self._stage_counts: List[int] = [0] * stages
-        # Software shadow state: full-key -> location, and per-stage candidate
-        # profiles so collision checks are O(stages) instead of O(n).
-        self._where: Dict[bytes, Location] = {}
-        self._profiles: Dict[bytes, Tuple[Tuple[int, int], ...]] = {}
+        # Software shadow state, one record per resident: full key -> its
+        # Slot, which knows its location and candidate triples.
+        self._where: Dict[bytes, Slot] = {}
         if profile_cache_size <= 0:
             raise ValueError("profile_cache_size must be positive")
         self.profile_cache_size = profile_cache_size
-        self._profile_cache: "OrderedDict[bytes, Tuple[Tuple[int, int], ...]]" = (
-            OrderedDict()
-        )
+        self._profile_cache: "OrderedDict[bytes, Tuple[int, ...]]" = OrderedDict()
         self.profile_cache_evictions = 0
-        # (stage, bucket, digest) -> set of resident keys with that
-        # candidate.  The triple is packed into one int —
-        # ``digest << shift | (stage * buckets + bucket)`` — because these
-        # dicts sit on the hottest paths (lookup fast-miss, register/
-        # unregister per insert/delete) and int keys hash far cheaper than
-        # tuples.
-        self._stage_offsets: List[int] = [
-            s * buckets_per_stage for s in range(stages)
-        ]
-        self._cand_shift = (stages * buckets_per_stage).bit_length()
-        self._candidates: Dict[int, Set[bytes]] = {}
+        # Candidate triple -> the resident key registered under it, so
+        # collision checks are O(stages) instead of O(n).  The value is the
+        # key itself; it becomes a set of keys only while two or more
+        # residents really share the triple, and is demoted back to the
+        # survivor when the others leave.
+        self._candidates: Dict[int, Union[bytes, Set[bytes]]] = {}
         self.false_positive_lookups = 0
         self.total_lookups = 0
         self.failed_inserts = 0
@@ -364,72 +383,71 @@ class CuckooTable:
     # Per-key geometry
     # ------------------------------------------------------------------
 
-    def _profile(
-        self, key: bytes, key_hash: Optional[int] = None
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Candidate (bucket, digest) of a key in every stage.
+    def _profile(self, key: bytes, key_hash: Optional[int] = None) -> Tuple[int, ...]:
+        """Candidate triple of a *non-resident* key in every stage, encoded.
 
         One single-pass derivation: the key is byte-hashed once (or not at
         all, when the caller supplies a cached ``key_hash`` base), then every
         stage's bucket index and digest come from cheap seeded integer
         mixing of that base.
 
-        Resident keys are cached in ``_profiles``; a bounded LRU side cache
-        covers keys mid-insertion (the insert path consults the profile
-        several times per key) without the re-hash storms a wholesale clear
-        would cause under churn.
+        A resident's profile rides on its :class:`Slot`; a bounded LRU side
+        cache covers keys being probed or mid-insertion (the arrival looks
+        the key up, the install inserts it) without the re-hash storms a
+        wholesale clear would cause under churn.
         """
-        cached = self._profiles.get(key)
-        if cached is not None:
-            return cached
         cache = self._profile_cache
         cached = cache.get(key)
         if cached is not None:
             cache.move_to_end(key)
             return cached
         base = base_hash(key) if key_hash is None else key_hash
-        buckets = self.buckets_per_stage
+        buckets, cshift = self.buckets_per_stage, self._cand_shift
         profile = tuple(
-            (
-                _splitmix64(base ^ index_mix) % buckets,
-                _splitmix64(base ^ digest_mix) >> shift,
-            )
-            for index_mix, digest_mix, shift in self._stage_mixes
+            (_splitmix64(base ^ digest_mix) >> shift) << cshift
+            | (offset + _splitmix64(base ^ index_mix) % buckets)
+            for index_mix, digest_mix, shift, offset in self._stage_mixes
         )
+        self._cache_profile(key, profile)
+        return profile
+
+    def _cache_profile(self, key: bytes, profile: Tuple[int, ...]) -> None:
+        """Admit an uncached key to the LRU side cache, evicting the oldest."""
+        cache = self._profile_cache
         if len(cache) >= self.profile_cache_size:
             cache.popitem(last=False)
             self.profile_cache_evictions += 1
         cache[key] = profile
-        return profile
 
-    def profile_many(self, bases: List[int]) -> List[Tuple[Tuple[int, int], ...]]:
+    def profile_many(self, bases: List[int]) -> List[Tuple[int, ...]]:
         """Candidate profiles for a batch of base hashes (vectorized).
 
         Bit-identical to ``[_profile-style mixing for each base]``: the
         per-stage derivations run through :func:`splitmix64_many`, which
-        matches the scalar splitmix64 rounds exactly, and the bucket modulo
-        / digest shift happen on plain Python ints.  Does not touch the
-        caches — see :meth:`prime_profiles` for the caching wrapper.
+        matches the scalar splitmix64 rounds exactly, and the triple is
+        packed on plain Python ints (a wide digest would overflow uint64).
+        Does not touch the caches — see :meth:`prime_profiles` for the
+        caching wrapper.
         """
-        buckets = self.buckets_per_stage
-        per_stage: List[List[Tuple[int, int]]] = []
-        if _np is not None and len(bases) >= 16:
+        buckets, cshift = self.buckets_per_stage, self._cand_shift
+        per_stage: List[List[int]] = []
+        vectorized = _np is not None and len(bases) >= 16
+        if vectorized:
             arr = _np.array(bases, dtype=_np.uint64)
             nb = _np.uint64(buckets)
-            for index_mix, digest_mix, shift in self._stage_mixes:
+        for index_mix, digest_mix, shift, offset in self._stage_mixes:
+            if vectorized:
                 idx = (splitmix64_np(arr ^ _np.uint64(index_mix)) % nb).tolist()
                 dig = (
                     splitmix64_np(arr ^ _np.uint64(digest_mix))
                     >> _np.uint64(shift)
                 ).tolist()
-                per_stage.append(list(zip(idx, dig)))
-        else:
-            for index_mix, digest_mix, shift in self._stage_mixes:
-                idx = splitmix64_many(bases, index_mix)
-                dig = splitmix64_many(bases, digest_mix)
-                per_stage.append(
-                    [(i % buckets, d >> shift) for i, d in zip(idx, dig)]
-                )
+            else:
+                idx = [i % buckets for i in splitmix64_many(bases, index_mix)]
+                dig = [d >> shift for d in splitmix64_many(bases, digest_mix)]
+            per_stage.append(
+                [d << cshift | (offset + i) for i, d in zip(idx, dig)]
+            )
         return list(zip(*per_stage))
 
     def prime_profiles(
@@ -443,13 +461,13 @@ class CuckooTable:
         misses insert with the same eviction rule), so cache state evolves
         as if each key had been profiled individually.
         """
-        profiles = self._profiles
+        where = self._where
         cache = self._profile_cache
         missing_keys: List[bytes] = []
         missing_bases: List[int] = []
         seen: Set[bytes] = set()
         for key, base in zip(keys, key_hashes):
-            if key in profiles or key in cache or key in seen:
+            if key in where or key in cache or key in seen:
                 continue
             seen.add(key)
             missing_keys.append(key)
@@ -461,17 +479,17 @@ class CuckooTable:
             if missing_keys
             else {}
         )
-        size = self.profile_cache_size
-        for key in keys:
-            if key in profiles:
+        for key, base in zip(keys, key_hashes):
+            if key in where:
                 continue
-            if key in cache:
-                cache.move_to_end(key)
-                continue
-            if len(cache) >= size:
-                cache.popitem(last=False)
-                self.profile_cache_evictions += 1
-            cache[key] = computed[key]
+            if key in cache or key not in computed:
+                # A hit refreshes the LRU position.  A key that was cached
+                # during the first pass but has been evicted since by this
+                # batch's own admissions is in neither: derive it the
+                # scalar way.
+                self._profile(key, base)
+            else:
+                self._cache_profile(key, computed[key])
 
     # ------------------------------------------------------------------
     # Data-plane lookup
@@ -488,27 +506,24 @@ class CuckooTable:
         self.total_lookups += 1
         if self._m_lookups is not None:
             self._m_lookups.value += 1.0
-        profile = self._profiles.get(key)
-        if profile is None:
-            profile = self._profile(key, key_hash)
+        slot = self._where.get(key)
+        profile = self._profile(key, key_hash) if slot is None else slot.profile
         # Fast miss: every slot whose digest could match is owned by a key
         # registered under the same (stage, bucket, digest) triple, so if
         # no such key exists in any stage the scan cannot hit.
-        candidates = self._candidates
-        shift = self._cand_shift
-        offsets = self._stage_offsets
-        for stage, (bucket, digest) in enumerate(profile):
-            if (digest << shift | (offsets[stage] + bucket)) in candidates:
-                return self._scan(key, profile)
-        return _MISS
+        if self._candidates.keys().isdisjoint(profile):
+            return _MISS
+        return self._scan(key, profile)
 
     def _scan(self, key: bytes, profile) -> LookupResult:
         """The slot scan behind :meth:`lookup`'s fast-miss filter
         (false-positive accounting happens here)."""
-        col, ways, offsets = self._column, self.ways, self._stage_offsets
-        for stage, (bucket, digest) in enumerate(profile):
-            base = (offsets[stage] + bucket) * ways
-            for way, slot in enumerate(col[base : base + ways]):
+        col, ways = self._column, self.ways
+        mask, shift = self._cell_mask, self._cand_shift
+        for cand in profile:
+            base = (cand & mask) * ways
+            digest = cand >> shift
+            for slot in col[base : base + ways]:
                 if slot is not None and slot.digest == digest:
                     fp = slot.key != key
                     if fp:
@@ -518,22 +533,19 @@ class CuckooTable:
                     return LookupResult(
                         hit=True,
                         value=slot.value,
-                        location=Location(stage, bucket, way),
+                        location=slot.loc,
                         false_positive=fp,
                     )
         return _MISS
 
     def get_exact(self, key: bytes) -> Optional[int]:
         """Software (full-key) lookup; no false positives."""
-        loc = self._where.get(key)
-        if loc is None:
-            return None
-        slot = self._column[self._index(loc)]
-        assert slot is not None and slot.key == key
-        return slot.value
+        slot = self._where.get(key)
+        return None if slot is None else slot.value
 
     def location_of(self, key: bytes) -> Optional[Location]:
-        return self._where.get(key)
+        slot = self._where.get(key)
+        return None if slot is None else slot.loc
 
     def _index(self, loc: Location) -> int:
         """Column index of a physical location."""
@@ -542,20 +554,6 @@ class CuckooTable:
     # ------------------------------------------------------------------
     # Placement legality (software invariant)
     # ------------------------------------------------------------------
-
-    def _cands(self, profile) -> List[int]:
-        """The encoded candidate key for every stage of ``profile``.
-
-        The insert path consults these twice (twin check, registration);
-        computing the list once per insertion and threading it through
-        saves re-deriving the same integers.
-        """
-        shift = self._cand_shift
-        offsets = self._stage_offsets
-        return [
-            digest << shift | (offsets[s] + bucket)
-            for s, (bucket, digest) in enumerate(profile)
-        ]
 
     def _placement_legal(self, key: bytes, stage: int, profile) -> bool:
         """Whether storing ``key`` at ``stage`` keeps every lookup unambiguous.
@@ -570,12 +568,13 @@ class CuckooTable:
         being moved — its vacated slot needs no blanking.
         """
         candidates, where = self._candidates, self._where
-        shift, offsets = self._cand_shift, self._stage_offsets
         for t in range(stage + 1):
-            bucket, digest = profile[t]
-            for other in candidates.get(digest << shift | (offsets[t] + bucket), ()):
+            owners = candidates.get(profile[t])
+            if owners is None:
+                continue
+            for other in owners if type(owners) is set else (owners,):
                 if other != key:
-                    home = where[other].stage
+                    home = where[other].loc[0]
                     if home == t or (t == stage and home > t):
                         return False
         return True
@@ -584,57 +583,21 @@ class CuckooTable:
     # Mutation primitives
     # ------------------------------------------------------------------
 
-    def _register(self, key: bytes, loc: Location, profile, cands=None) -> None:
-        self._profiles[key] = profile
-        self._where[key] = loc
-        candidates = self._candidates
-        if cands is None:
-            cands = self._cands(profile)
-        for cand in cands:
-            bucket_set = candidates.get(cand)
-            if bucket_set is None:
-                candidates[cand] = {key}
-            else:
-                bucket_set.add(key)
-
-    def _unregister(self, key: bytes) -> None:
-        profile = self._profiles.pop(key)
-        del self._where[key]
-        candidates = self._candidates
-        shift = self._cand_shift
-        offsets = self._stage_offsets
-        for s, (bucket, digest) in enumerate(profile):
-            cand = digest << shift | (offsets[s] + bucket)
-            bucket_set = candidates.get(cand)
-            if bucket_set is not None:
-                bucket_set.discard(key)
-                if not bucket_set:
-                    del candidates[cand]
-
-    def _place(
-        self, key: bytes, value: int, loc: Location, profile, cands=None
-    ) -> None:
-        digest = profile[loc.stage][1]
-        self._column[self._index(loc)] = Slot(key, digest, value)
-        self._stage_counts[loc.stage] += 1
-        self._register(key, loc, profile, cands)
-
-    def _move(self, key: bytes, dst: Location) -> None:
-        """Re-home resident ``key`` in the free slot ``dst``; the stored
-        digest becomes the destination stage's."""
+    def _move(self, slot: Slot, stage: int, cell: int, way: int) -> None:
+        """Re-home a resident's ``slot`` in the free ``way`` of bucket
+        ``cell`` of ``stage``; the stored digest becomes that stage's."""
         col = self._column
-        src = self._where[key]
-        i = self._index(src)
-        slot = col[i]
-        col[i] = None
-        slot.digest = self._profiles[key][dst.stage][1]
-        col[self._index(dst)] = slot
-        self._where[key] = dst
+        src = slot.loc
+        col[self._index(src)] = None
+        slot.digest = slot.profile[stage] >> self._cand_shift
+        col[cell * self.ways + way] = slot
+        slot.loc = Location(stage, cell - self._stage_offsets[stage], way)
         self._stage_counts[src.stage] -= 1
-        self._stage_counts[dst.stage] += 1
+        self._stage_counts[stage] += 1
 
-    def _free_way(self, stage: int, bucket: int) -> Optional[int]:
-        base = (self._stage_offsets[stage] + bucket) * self.ways
+    def _free_way(self, cell: int) -> Optional[int]:
+        """First free way of bucket ``cell`` (stage offset + bucket)."""
+        base = cell * self.ways
         slots = self._column[base : base + self.ways]
         return slots.index(None) if None in slots else None
 
@@ -654,81 +617,102 @@ class CuckooTable:
         the key's cached base hash; the whole insertion (profile, BFS,
         legality checks) then runs without re-hashing any bytes.
         """
-        if key in self._where:
+        where = self._where
+        if key in where:
             raise DuplicateKey(f"key already resident: {key!r}")
         if self._m_insert_attempts is not None:
             self._m_insert_attempts.value += 1.0
         # Fast-fail when the table is effectively packed: running the BFS
         # for every arrival at a saturated table would burn the switch CPU
         # (and the simulator) for nothing.
-        if len(self._where) >= self._fast_fail_entries:
+        if len(where) >= self._fast_fail_entries:
             self.failed_inserts += 1
             if self._m_insert_failures is not None:
                 self._m_insert_failures.value += 1.0
             raise TableFull(
-                f"table effectively full ({len(self._where)}/{self.capacity})"
+                f"table effectively full ({len(where)}/{self.capacity})"
             )
         profile = self._profile(key, key_hash)
-        cands = self._cands(profile)
+        candidates = self._candidates
+        # Only a resident registered under one of the key's own triples can
+        # be its digest twin or make a placement illegal; with none (nearly
+        # every insert) the first free candidate slot is the answer.
+        contested = not candidates.keys().isdisjoint(profile)
+        if contested:
+            # A resident digest twin in one of the key's candidate buckets
+            # shadows every legal placement; the switch software resolves
+            # the collision by relocating the resident entry to another
+            # stage (the same fix the redirected-SYN path performs, §4.2).
+            for twin in self._digest_twins(key, profile):
+                if self.relocate(twin):
+                    self.collision_relocations += 1
+                    if self._m_relocations is not None:
+                        self._m_relocations.value += 1.0
 
-        # A resident digest twin in one of the key's candidate buckets
-        # shadows every legal placement; the switch software resolves the
-        # collision by relocating the resident entry to another stage (the
-        # same fix the redirected-SYN path performs, §4.2).
-        for twin in self._digest_twins(key, profile, cands):
-            if self.relocate(twin):
-                self.collision_relocations += 1
-                if self._m_relocations is not None:
-                    self._m_relocations.value += 1.0
+        col, ways, mask = self._column, self.ways, self._cell_mask
+        moves = 0
+        for stage, cand in enumerate(profile):
+            # Fast path: a free, legal slot in some candidate bucket.
+            base = (cand & mask) * ways
+            slots = col[base : base + ways]
+            if None in slots and (
+                not contested or self._placement_legal(key, stage, profile)
+            ):
+                way = slots.index(None)
+                break
+        else:
+            # BFS over move sequences.
+            path = self._bfs_find_path(key, profile)
+            if path is None:
+                self.failed_inserts += 1
+                if self._m_insert_failures is not None:
+                    self._m_insert_failures.value += 1.0
+                raise TableFull(
+                    f"no slot for key after BFS over {self.max_bfs_nodes} nodes "
+                    f"(load {self.load_factor:.3f})"
+                )
+            moves = self._apply_move_path(path)
+            # The path starts at the bucket that receives the new key.
+            stage, cell = path[0]
+            way = self._free_way(cell)
+            assert way is not None, "BFS path did not free a slot"
 
-        # Fast path: a free, legal slot in some candidate bucket.
-        for stage, (bucket, _digest) in enumerate(profile):
-            way = self._free_way(stage, bucket)
-            if way is not None and self._placement_legal(key, stage, profile):
-                loc = Location(stage, bucket, way)
-                self._place(key, value, loc, profile, cands)
-                self._note_insert(0)
-                return InsertResult(loc, moves=0)
-
-        # BFS over move sequences.
-        path = self._bfs_find_path(key, profile)
-        if path is None:
-            self.failed_inserts += 1
-            if self._m_insert_failures is not None:
-                self._m_insert_failures.value += 1.0
-            raise TableFull(
-                f"no slot for key after BFS over {self.max_bfs_nodes} nodes "
-                f"(load {self.load_factor:.3f})"
-            )
-        moves = self._apply_move_path(path)
-        # Path ends with the stage where the new key goes.
-        final_stage, final_bucket = path[0]
-        way = self._free_way(final_stage, final_bucket)
-        assert way is not None, "BFS path did not free a slot"
-        self._place(key, value, Location(final_stage, final_bucket, way), profile)
-        self._note_insert(moves)
-        return InsertResult(Location(final_stage, final_bucket, way), moves=moves)
-
-    def _note_insert(self, moves: int) -> None:
+        cand = profile[stage]
+        cell = cand & mask
+        loc = Location(stage, cell - self._stage_offsets[stage], way)
+        col[cell * ways + way] = where[key] = Slot(
+            key, cand >> self._cand_shift, value, loc, profile
+        )
+        self._stage_counts[stage] += 1
+        for cand in profile:
+            owner = candidates.get(cand)
+            if owner is None:
+                candidates[cand] = key
+            elif type(owner) is set:
+                owner.add(key)
+            else:
+                candidates[cand] = {owner, key}
         if self._m_inserts is not None:
             self._m_inserts.value += 1.0
             self._m_moves.value += moves
             self._m_moves_hist.observe(float(moves))
+        return InsertResult(loc, moves)
 
-    def _digest_twins(self, key: bytes, profile, cands=None) -> List[bytes]:
+    def _digest_twins(self, key: bytes, profile) -> List[bytes]:
         """Resident keys whose stored digest collides with ``key`` in one of
         its candidate buckets (they would shadow any placement of it)."""
         twins: List[bytes] = []
         candidates = self._candidates
-        if cands is None:
-            cands = self._cands(profile)
-        for stage, (bucket, digest) in enumerate(profile):
+        col, ways = self._column, self.ways
+        mask, shift = self._cell_mask, self._cand_shift
+        for cand in profile:
             # Same over-approximation as lookup's fast miss: a twin slot's
             # owner is always registered under this candidate triple.
-            if cands[stage] not in candidates:
+            if cand not in candidates:
                 continue
-            base = (self._stage_offsets[stage] + bucket) * self.ways
-            for slot in self._column[base : base + self.ways]:
+            base = (cand & mask) * ways
+            digest = cand >> shift
+            for slot in col[base : base + ways]:
                 if slot is not None and slot.digest == digest and slot.key != key:
                     twins.append(slot.key)
         return twins
@@ -736,84 +720,78 @@ class CuckooTable:
     def _bfs_find_path(self, key: bytes, profile):
         """Find a sequence of moves freeing a legal slot for ``key``.
 
-        Returns a list of (stage, bucket) pairs from the key's entry bucket
-        down to the bucket where a free slot exists, together with the slots
-        to shift, encoded as a list of (stage, bucket, way, dest_stage,
-        dest_bucket) moves in application order.  ``None`` if not found.
+        Buckets are named by their cell (stage offset + bucket).  Returns
+        the ``(stage, cell)`` that receives the new key followed by the
+        ``(src_cell, way, dest_stage, dest_cell)`` moves that free a slot
+        there, in path order (:meth:`_apply_move_path` applies them deepest
+        first).  ``None`` if not found.
         """
-        # Each frontier node: (stage, bucket, parent_index, way_moved_from_parent)
+        # Each frontier node: (stage, cell, parent_index, way_moved_from_parent)
         frontier: List[Tuple[int, int, int, Optional[int]]] = []
-        seen: Set[Tuple[int, int]] = set()
+        seen: Set[int] = set()
         queue: deque = deque()
-        for stage, (bucket, _d) in enumerate(profile):
+        mask = self._cell_mask
+        for stage, cand in enumerate(profile):
             if not self._placement_legal(key, stage, profile):
                 continue
-            node = (stage, bucket, -1, None)
-            frontier.append(node)
+            frontier.append((stage, cand & mask, -1, None))
             queue.append(len(frontier) - 1)
-            seen.add((stage, bucket))
+            seen.add(cand & mask)
 
-        col, ways, offsets = self._column, self.ways, self._stage_offsets
+        col, ways = self._column, self.ways
         nodes_explored = 0
         while queue and nodes_explored < self.max_bfs_nodes:
             idx = queue.popleft()
-            stage, bucket, _parent, _way = frontier[idx]
+            stage, cell, _parent, _way = frontier[idx]
             nodes_explored += 1
             # Try to extend: each resident of this bucket could move to one of
             # its candidate buckets in other stages.
-            base = (offsets[stage] + bucket) * ways
+            base = cell * ways
             for way, slot in enumerate(col[base : base + ways]):
                 if slot is None:
                     # Free slot here: reconstruct the path.
                     return self._reconstruct_path(frontier, idx)
-                victim_profile = self._profiles[slot.key]
-                for dest_stage in range(self.stages):
+                for dest_stage, dest_cand in enumerate(slot.profile):
                     if dest_stage == stage:
                         continue
-                    dest_bucket = victim_profile[dest_stage][0]
-                    if (dest_stage, dest_bucket) in seen:
+                    dest_cell = dest_cand & mask
+                    if dest_cell in seen:
                         continue
-                    if not self._placement_legal(slot.key, dest_stage, victim_profile):
+                    if not self._placement_legal(slot.key, dest_stage, slot.profile):
                         continue
-                    dest_way = self._free_way(dest_stage, dest_bucket)
-                    frontier.append((dest_stage, dest_bucket, idx, way))
-                    seen.add((dest_stage, dest_bucket))
-                    if dest_way is not None:
+                    frontier.append((dest_stage, dest_cell, idx, way))
+                    seen.add(dest_cell)
+                    if self._free_way(dest_cell) is not None:
                         return self._reconstruct_path(frontier, len(frontier) - 1)
                     queue.append(len(frontier) - 1)
         return None
 
     def _reconstruct_path(self, frontier, idx: int):
-        """Turn BFS parent pointers into an ordered move list.
-
-        The returned structure is a list whose first element is the
-        (stage, bucket) receiving the *new* key, followed by the moves to
-        apply in order (deepest first).
-        """
+        """Turn BFS parent pointers into :meth:`_bfs_find_path`'s result."""
         chain = []
         while idx != -1:
-            stage, bucket, parent, way = frontier[idx]
-            chain.append((stage, bucket, way))
+            stage, cell, parent, way = frontier[idx]
+            chain.append((stage, cell, way))
             idx = parent
         # chain is [deepest ... root]; root is the new key's bucket.
-        root_stage, root_bucket, _ = chain[-1]
+        root_stage, root_cell, _ = chain[-1]
         moves = []
         # Walk from root towards deepest: entry at (root,way) moves to child.
         for depth in range(len(chain) - 1, 0, -1):
-            src_stage, src_bucket, _ = chain[depth]
-            dst_stage, dst_bucket, way = chain[depth - 1]
-            moves.append((src_stage, src_bucket, way, dst_stage, dst_bucket))
-        return [(root_stage, root_bucket)] + moves
+            _, src_cell, _ = chain[depth]
+            dst_stage, dst_cell, way = chain[depth - 1]
+            moves.append((src_cell, way, dst_stage, dst_cell))
+        return [(root_stage, root_cell)] + moves
 
     def _apply_move_path(self, path) -> int:
         """Apply moves deepest-first so each destination has a free way."""
         moves = path[1:]
-        for src_stage, src_bucket, way, dst_stage, dst_bucket in reversed(moves):
-            slot = self._column[self._index((src_stage, src_bucket, way))]
+        for src_cell, way, dst_stage, dst_cell in reversed(moves):
+            slot = self._column[src_cell * self.ways + way]
             assert slot is not None, "BFS referenced an empty way"
-            dest_way = self._free_way(dst_stage, dst_bucket)
+            dest_way = self._free_way(dst_cell)
             assert dest_way is not None, "move destination is full"
-            self._move(slot.key, Location(dst_stage, dst_bucket, dest_way))
+            self._move(slot, dst_stage, dst_cell, dest_way)
         return len(moves)
 
     # ------------------------------------------------------------------
@@ -822,21 +800,27 @@ class CuckooTable:
 
     def update(self, key: bytes, value: int) -> None:
         """Rewrite the action data of a resident entry in place."""
-        loc = self._where.get(key)
-        if loc is None:
+        slot = self._where.get(key)
+        if slot is None:
             raise KeyError(f"key not resident: {key!r}")
-        slot = self._column[self._index(loc)]
-        assert slot is not None
         slot.value = value
 
     def delete(self, key: bytes) -> None:
         """Remove a resident entry (connection expiry)."""
-        loc = self._where.get(key)
-        if loc is None:
+        slot = self._where.pop(key, None)
+        if slot is None:
             raise KeyError(f"key not resident: {key!r}")
-        self._column[self._index(loc)] = None
-        self._stage_counts[loc.stage] -= 1
-        self._unregister(key)
+        self._column[self._index(slot.loc)] = None
+        self._stage_counts[slot.loc[0]] -= 1
+        candidates = self._candidates
+        for cand in slot.profile:
+            owner = candidates[cand]
+            if type(owner) is set:
+                owner.remove(key)
+                if len(owner) == 1:
+                    candidates[cand] = owner.pop()
+            else:
+                del candidates[cand]
         if self._m_deletes is not None:
             self._m_deletes.value += 1.0
 
@@ -848,18 +832,18 @@ class CuckooTable:
         stage where the two connections hash apart.  Returns ``True`` on
         success.
         """
-        loc = self._where.get(key)
-        if loc is None:
+        slot = self._where.get(key)
+        if slot is None:
             raise KeyError(f"key not resident: {key!r}")
-        profile = self._profiles[key]
-        for dest_stage in range(self.stages):
-            if dest_stage == loc.stage:
+        profile = slot.profile
+        for dest_stage, cand in enumerate(profile):
+            if dest_stage == slot.loc.stage:
                 continue
-            dest_bucket = profile[dest_stage][0]
-            dest_way = self._free_way(dest_stage, dest_bucket)
+            dest_cell = cand & self._cell_mask
+            dest_way = self._free_way(dest_cell)
             if dest_way is None or not self._placement_legal(key, dest_stage, profile):
                 continue
-            self._move(key, Location(dest_stage, dest_bucket, dest_way))
+            self._move(slot, dest_stage, dest_cell, dest_way)
             return True
         return False
 
@@ -874,40 +858,59 @@ class CuckooTable:
     def entries(self) -> Iterator[Tuple[int, int, int, bytes, int, int]]:
         """Every resident entry as ``(stage, bucket, way, key, digest,
         value)``, in physical (column) order; cost follows the residents."""
-        col = self._column
-        for loc in sorted(self._where.values()):
-            slot = col[self._index(loc)]
-            yield (*loc, slot.key, slot.digest, slot.value)
+        for slot in sorted(self._where.values(), key=attrgetter("loc")):
+            yield (*slot.loc, slot.key, slot.digest, slot.value)
 
     def check_invariants(self) -> None:
         """Validate shadow state against the slot column (test helper).
 
-        Every ``_where`` entry must name an in-range slot holding its own
-        key with that stage's digest; distinct keys then occupy distinct
-        slots, so an occupied-slot count equal to ``len(_where)`` proves no
-        slot is orphaned — the whole audit costs O(resident), not O(capacity).
+        Every ``_where`` entry must be the Slot sitting at its own in-range
+        location, holding its own key with that stage's digest; distinct
+        keys then occupy distinct slots, so an occupied-slot count equal to
+        ``len(_where)`` proves no slot is orphaned.  The candidate index is
+        audited from its own side: every registration must name a resident
+        under one of that resident's triples, and ``stages`` registrations
+        per resident then proves none is missing.  The whole audit costs
+        O(resident), not O(capacity).
         """
-        col = self._column
+        col, where, shift = self._column, self._where, self._cand_shift
         counts = [0] * self.stages
-        for key, loc in self._where.items():
-            stage, bucket, way = loc
+        for key, slot in where.items():
+            stage, bucket, way = loc = slot.loc
             in_range = (
                 0 <= stage < self.stages
                 and 0 <= bucket < self.buckets_per_stage
                 and 0 <= way < self.ways
             )
-            slot = col[self._index(loc)] if in_range else None
-            if slot is None or slot.key != key:
+            if not in_range or col[self._index(loc)] is not slot or slot.key != key:
                 raise AssertionError(f"shadow map out of sync for {key!r}: {loc}")
-            if slot.digest != self._profiles[key][stage][1]:
+            if slot.digest != slot.profile[stage] >> shift:
                 raise AssertionError("stored digest mismatch")
             counts[stage] += 1
         seen = len(col) - col.count(None)
-        if seen != len(self._where):
-            raise AssertionError(f"slot count {seen} != shadow count {len(self._where)}")
+        if seen != len(where):
+            raise AssertionError(f"slot count {seen} != shadow count {len(where)}")
         if counts != self._stage_counts:
             raise AssertionError(
                 f"stage counters {self._stage_counts} != recount {counts}"
+            )
+        registrations = 0
+        for cand, owners in self._candidates.items():
+            if type(owners) is not set:
+                owners = (owners,)
+            elif len(owners) < 2:
+                raise AssertionError(f"candidate {cand:#x} kept a set for {owners!r}")
+            for key in owners:
+                if key not in where or cand not in where[key].profile:
+                    raise AssertionError(
+                        f"candidate {cand:#x} registers {key!r}, which is not "
+                        "a resident with that triple"
+                    )
+            registrations += len(owners)
+        if registrations != self.stages * len(where):
+            raise AssertionError(
+                f"{registrations} candidate registrations for {len(where)} "
+                f"residents of {self.stages} stages"
             )
         # Every resident key's data-plane lookup must find its own entry.
         # (Preserve the measurement counters: this is a checker, not traffic.)
@@ -918,7 +921,7 @@ class CuckooTable:
             else None
         )
         try:
-            for key in self._where:
+            for key in where:
                 result = self.lookup(key)
                 if not result.hit or result.false_positive:
                     raise AssertionError(f"resident key shadowed: {key!r}")

@@ -47,15 +47,26 @@ JobCallback = Callable[[bytes, Tuple], None]
 
 
 class _Job:
-    """One accepted insertion job and its scheduled completion."""
+    """One accepted insertion job and its scheduled completion.
 
-    __slots__ = ("key", "metadata", "attempts", "handle")
+    The job is its own heap action (:meth:`fire`), so arming it allocates
+    no closure.  ``handle`` closes a job -> handle -> action -> job loop
+    while the completion is scheduled; whoever takes the job out of
+    ``SwitchCpu._outstanding`` clears it, and the job is then freed by
+    reference counting alone.
+    """
 
-    def __init__(self, key: bytes, metadata: Tuple) -> None:
+    __slots__ = ("cpu", "key", "metadata", "attempts", "handle")
+
+    def __init__(self, cpu: "SwitchCpu", key: bytes, metadata: Tuple) -> None:
+        self.cpu = cpu
         self.key = key
         self.metadata = metadata
         self.attempts = 0
         self.handle: Optional[EventHandle] = None
+
+    def fire(self) -> None:
+        self.cpu._complete(self)
 
 
 class SwitchCpu:
@@ -93,9 +104,9 @@ class SwitchCpu:
         # negative during warm-up replay).
         self._busy_until = float("-inf")
         self.down = False
-        #: Accepted jobs not yet completed/failed, in submission order.
-        self._outstanding: Dict[int, _Job] = {}
-        self._job_seq = 0
+        #: Accepted jobs not yet completed/failed, in submission order
+        #: (a dict used as an ordered set).
+        self._outstanding: Dict[_Job, None] = {}
         self.submitted = 0
         self.completed = 0
         self.batches = 0
@@ -182,11 +193,12 @@ class SwitchCpu:
         if self._m_batches is not None:
             self._m_batches.value += 1.0
             self._m_queue_delay.observe(max(0.0, start - self.queue.now))
+        per_entry_s = self.per_entry_s
         for event in batch.events:
             if not self._has_capacity():
                 self._shed(event.key, event.metadata)
                 continue
-            start += self.per_entry_s
+            start += per_entry_s
             self._schedule_install(event.key, event.metadata, start)
         self._busy_until = max(self._busy_until, start)
 
@@ -227,17 +239,12 @@ class SwitchCpu:
         self.submitted += 1
         if self._m_submitted is not None:
             self._m_submitted.value += 1.0
-        job = _Job(key, metadata)
-        self._job_seq += 1
-        job_id = self._job_seq
-        self._outstanding[job_id] = job
+        job = _Job(self, key, metadata)
+        self._outstanding[job] = None
+        job.handle = self.queue.schedule(when, job.fire, PRIO_INTERNAL)
 
-        def fire() -> None:
-            self._complete(job_id, job)
-
-        job.handle = self.queue.schedule(when, fire, PRIO_INTERNAL)
-
-    def _complete(self, job_id: int, job: _Job) -> None:
+    def _complete(self, job: _Job) -> None:
+        job.handle = None
         job.attempts += 1
         if self.write_fault is not None and self.write_fault(job.key):
             if job.attempts <= self.retry_limit:
@@ -245,21 +252,17 @@ class SwitchCpu:
                 if self._m_retries is not None:
                     self._m_retries.value += 1.0
                 delay = self.retry_backoff_s * job.attempts
-
-                def fire() -> None:
-                    self._complete(job_id, job)
-
-                job.handle = self.queue.schedule_in(delay, fire, PRIO_INTERNAL)
+                job.handle = self.queue.schedule_in(delay, job.fire, PRIO_INTERNAL)
                 return
             # Retries exhausted: the write never acknowledged.
-            del self._outstanding[job_id]
+            del self._outstanding[job]
             self.install_failures += 1
             if self._m_failures is not None:
                 self._m_failures.value += 1.0
             if self.on_install_failed is not None:
                 self.on_install_failed(job.key, job.metadata)
             return
-        del self._outstanding[job_id]
+        del self._outstanding[job]
         self.completed += 1
         if self._m_installed is not None:
             self._m_installed.value += 1.0
@@ -286,9 +289,10 @@ class SwitchCpu:
         if self._m_crashes is not None:
             self._m_crashes.value += 1.0
         lost: List[Tuple[bytes, Tuple]] = []
-        for job in self._outstanding.values():
+        for job in self._outstanding:
             if job.handle is not None:
                 job.handle.cancel()
+                job.handle = None
             lost.append((job.key, job.metadata))
         self._outstanding.clear()
         self._busy_until = self.queue.now + restart_delay_s
@@ -315,14 +319,11 @@ class SwitchCpu:
         if self._m_stalls is not None:
             self._m_stalls.value += 1.0
         self._busy_until = max(self._busy_until, self.queue.now) + duration_s
-        for job_id, job in self._outstanding.items():
+        for job in self._outstanding:
             handle = job.handle
             if handle is None or handle.cancelled:
                 continue
             handle.cancel()
-            when = handle.time + duration_s
-
-            def fire(jid: int = job_id, j: _Job = job) -> None:
-                self._complete(jid, j)
-
-            job.handle = self.queue.schedule(when, fire, PRIO_INTERNAL)
+            job.handle = self.queue.schedule(
+                handle.time + duration_s, job.fire, PRIO_INTERNAL
+            )

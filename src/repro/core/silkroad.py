@@ -21,6 +21,7 @@ insertion window (Figures 16-18).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..asicsim.batch import PacketBatch
@@ -788,36 +789,35 @@ class SilkRoadSwitch(LoadBalancer):
         state = self._states.get(key)
         if state is None or state.dead or state.installed or state.overflowed:
             return
+        self.queue.schedule_in(
+            RELEARN_DELAY_S, partial(self._relearn, key, metadata), PRIO_INTERNAL
+        )
 
-        def fire() -> None:
-            st = self._states.get(key)
-            if st is None or st.dead or st.installed or st.overflowed:
-                return
-            if self._cpu.down:
-                # No point depositing events the CPU cannot drain; try
-                # again next "packet".
-                self.queue.schedule_in(RELEARN_DELAY_S, fire, PRIO_INTERNAL)
-                return
-            self.relearns += 1
-            self._m_relearns.value += 1.0
-            if self.recorder is not None:
-                self.recorder.record(
-                    self.queue.now, "slowpath", "relearn", key=key
-                )
-            event = LearnEvent(
-                key=key,
-                metadata=metadata,
-                first_seen=self.queue.now,
-                key_hash=st.conn.key_hash,
-            )
-            batches = self.learning.rearm([event], self.queue.now)
-            if batches:
-                self._cancel_poll()
-                for batch in batches:
-                    self._deliver_batch(batch)
-            self._arm_poll()
-
-        self.queue.schedule_in(RELEARN_DELAY_S, fire, PRIO_INTERNAL)
+    def _relearn(self, key: bytes, metadata: Tuple) -> None:
+        state = self._states.get(key)
+        if state is None or state.dead or state.installed or state.overflowed:
+            return
+        if self._cpu.down:
+            # No point depositing events the CPU cannot drain; try again
+            # next "packet".
+            self._schedule_relearn(key, metadata)
+            return
+        self.relearns += 1
+        self._m_relearns.value += 1.0
+        if self.recorder is not None:
+            self.recorder.record(self.queue.now, "slowpath", "relearn", key=key)
+        event = LearnEvent(
+            key=key,
+            metadata=metadata,
+            first_seen=self.queue.now,
+            key_hash=state.conn.key_hash,
+        )
+        batches = self.learning.rearm([event], self.queue.now)
+        if batches:
+            self._cancel_poll()
+            for batch in batches:
+                self._deliver_batch(batch)
+        self._arm_poll()
 
     def _on_cpu_restart(self) -> None:
         """The crashed CPU came back: re-arm the learning-filter timer so
@@ -868,7 +868,10 @@ class SilkRoadSwitch(LoadBalancer):
             return
         self._drop_decision_index(state)
         state.current_dip = dip
-        self._conns_on.setdefault((state.vip, dip), set()).add(state.conn.key)
+        bucket = self._conns_on.get((state.vip, dip))
+        if bucket is None:
+            bucket = self._conns_on[(state.vip, dip)] = set()
+        bucket.add(state.conn.key)
         if state.conn.active_at(now) or now <= state.conn.start:
             state.conn.record_decision(now, dip)
 

@@ -57,6 +57,7 @@ from .simulator import (
     PRIO_UPDATE,
     LoadBalancer,
     SimulationReport,
+    _finish,
 )
 from .updates import UpdateEvent
 
@@ -131,22 +132,7 @@ class BatchedFlowSimulator:
                 gc.enable()
 
         queue.run_until(horizon_s)
-        lb.finalize()
-
-        measured = [c for c in connections if c.start >= 0.0]
-        violations = sum(1 for c in measured if c.pcc_violated)
-        dropped = sum(1 for c in measured if c.ever_dropped)
-        snapshot = getattr(lb, "telemetry_snapshot", None)
-        return SimulationReport(
-            name=lb.name,
-            horizon_s=horizon_s,
-            total_connections=len(connections),
-            measured_connections=len(measured),
-            pcc_violations=violations,
-            dropped_connections=dropped,
-            extra=lb.report(),
-            telemetry=snapshot() if callable(snapshot) else None,
-        )
+        return _finish(lb, connections, horizon_s)
 
     def _merge_loop(self, arrivals, ends, upds, horizon_s) -> None:
         """The (time, priority)-ordered merge of streams against the heap."""

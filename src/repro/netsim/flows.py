@@ -161,22 +161,25 @@ class Connection:
     def pcc_violated(self) -> bool:
         """True if the load balancer sent this connection's packets to more
         than one DIP (excluding connections whose own DIP was removed)."""
-        if self.broken_by_removal:
-            return False
-        distinct = set(dip for _t, dip in self.decisions if dip is not None)
-        return len(distinct) > 1
+        return not self.broken_by_removal and self.remapped
 
     @property
     def remapped(self) -> bool:
         """True if the decision ever changed, for any reason (includes
         connections whose DIP was removed)."""
-        distinct = set(dip for _t, dip in self.decisions if dip is not None)
-        return len(distinct) > 1
+        decisions = self.decisions
+        if len(decisions) < 2:
+            # Nearly every connection: one decision, nothing to compare.
+            return False
+        return len({dip for _t, dip in decisions if dip is not None}) > 1
 
     @property
     def ever_dropped(self) -> bool:
         """True if some packets had no DIP (blackholed)."""
-        return any(dip is None for _t, dip in self.decisions)
+        decisions = self.decisions
+        if len(decisions) == 1:
+            return decisions[0][1] is None
+        return any(dip is None for _t, dip in decisions)
 
     def bytes_total(self) -> float:
         return self.rate_bps * self.duration / 8.0

@@ -105,6 +105,28 @@ class SimulationReport:
         )
 
 
+def _finish(
+    lb: LoadBalancer, connections: Sequence[Connection], horizon_s: float
+) -> SimulationReport:
+    """The tail both replay drivers share once the horizon is reached:
+    finalize the load balancer and judge PCC from the decision logs."""
+    lb.finalize()
+    measured = [c for c in connections if c.start >= 0.0]
+    violations = sum(1 for c in measured if c.pcc_violated)
+    dropped = sum(1 for c in measured if c.ever_dropped)
+    snapshot = getattr(lb, "telemetry_snapshot", None)
+    return SimulationReport(
+        name=lb.name,
+        horizon_s=horizon_s,
+        total_connections=len(connections),
+        measured_connections=len(measured),
+        pcc_violations=violations,
+        dropped_connections=dropped,
+        extra=lb.report(),
+        telemetry=snapshot() if callable(snapshot) else None,
+    )
+
+
 class FlowSimulator:
     """Runs one load balancer against a workload and an update stream.
 
@@ -166,22 +188,7 @@ class FlowSimulator:
             queue.schedule(event.time, make_update(event), PRIO_UPDATE)
 
         queue.run_until(horizon_s)
-        lb.finalize()
-
-        measured = [c for c in connections if c.start >= 0.0]
-        violations = sum(1 for c in measured if c.pcc_violated)
-        dropped = sum(1 for c in measured if c.ever_dropped)
-        snapshot = getattr(lb, "telemetry_snapshot", None)
-        return SimulationReport(
-            name=lb.name,
-            horizon_s=horizon_s,
-            total_connections=len(connections),
-            measured_connections=len(measured),
-            pcc_violations=violations,
-            dropped_connections=dropped,
-            extra=lb.report(),
-            telemetry=snapshot() if callable(snapshot) else None,
-        )
+        return _finish(lb, connections, horizon_s)
 
 
 def traffic_fraction_at(

@@ -238,6 +238,24 @@ class TestProfileCacheLru:
         with pytest.raises(ValueError):
             CuckooTable(buckets_per_stage=4, profile_cache_size=0)
 
+    def test_prime_survives_evicting_its_own_cached_key(self):
+        """A key cached when the batch is scanned can be evicted by the same
+        batch's admissions before its turn comes (ephemeral-port reuse just
+        under one cache size of arrivals later); priming then re-derives it
+        with the scalar path's LRU discipline instead of raising."""
+        primed = CuckooTable(buckets_per_stage=64, profile_cache_size=4)
+        scalar = CuckooTable(buckets_per_stage=64, profile_cache_size=4)
+        keys = make_keys(4, seed=11)
+        primed.prime_profiles(keys, [None] * 4)
+        primed.prime_profiles([b"new-arrival", keys[0]], [None, None])
+        for key in keys + [b"new-arrival", keys[0]]:
+            scalar.lookup(key)
+        assert list(primed._profile_cache.items()) == list(
+            scalar._profile_cache.items()
+        )
+        assert list(primed._profile_cache) == keys[2:] + [b"new-arrival", keys[0]]
+        assert primed.profile_cache_evictions == scalar.profile_cache_evictions == 2
+
 
 class TestKeyHashEquivalence:
     def test_lookup_with_cached_base_matches_bytes_path(self, table):

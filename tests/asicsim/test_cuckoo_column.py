@@ -51,20 +51,41 @@ def assert_matches_reference(table: CuckooTable, reference: dict) -> None:
     table.check_invariants()
 
 
-@pytest.mark.parametrize("target_load", [0.02, 0.5, 0.97])
-def test_random_churn_matches_dict_reference(target_load):
-    rng = random.Random(1300 + int(target_load * 100))
-    table = small_table()
+def narrow_table() -> CuckooTable:
+    # 2-bit digests over 4 buckets: 16 candidate triples per stage, so
+    # residents share triples constantly and the key -> set promotion, the
+    # demotion back and twin relocation run on every pass (16-bit digests
+    # almost never get there).  With as many ways as digest values a full
+    # bucket already holds every digest, so no key is ever legal there and
+    # the BFS never moves anything: entries are re-homed by relocation only.
+    return CuckooTable(
+        buckets_per_stage=4,
+        ways=WAYS,
+        stages=STAGES,
+        digest_bits=2,
+        fast_fail_load=1.0,
+    )
+
+
+def shared_triples(table: CuckooTable) -> set:
+    return {c for c, owners in table._candidates.items() if type(owners) is set}
+
+
+def churn(table: CuckooTable, rng: random.Random, target: int, steps: int = 700):
+    """Random insert / delete / update / relocate against a dict reference,
+    holding occupancy near ``target``; every step is checked.  Returns
+    ``(moved, relocated, promoted, demoted)`` so callers can assert the
+    paths they care about really ran."""
     reference: dict = {}
-    target = max(1, int(target_load * table.capacity))
     fresh = iter(range(10**6))
-    moved = relocated = full = 0
-    for _step in range(700):
+    moved = relocated = promoted = demoted = 0
+    for _step in range(steps):
         # Hold occupancy near the target, so every operation runs at the
         # load under test rather than on the way up to it.
         want_insert = len(reference) < target or (
             len(reference) == target and rng.random() < 0.5
         )
+        shared_before = shared_triples(table)
         op = rng.random()
         if reference and op < 0.15:
             key = rng.choice(sorted(reference))
@@ -80,15 +101,37 @@ def test_random_churn_matches_dict_reference(target_load):
                 moved += table.insert(key, value).moves
                 reference[key] = value
             except TableFull:
-                full += 1
+                pass
         elif reference:
             key = rng.choice(sorted(reference))
             table.delete(key)
             del reference[key]
+        shared_after = shared_triples(table)
+        promoted += len(shared_after - shared_before)
+        demoted += sum(1 for c in shared_before - shared_after if c in table._candidates)
         assert_matches_reference(table, reference)
+    return moved, relocated, promoted, demoted
+
+
+@pytest.mark.parametrize("target_load", [0.02, 0.5, 0.97])
+def test_random_churn_matches_dict_reference(target_load):
+    rng = random.Random(1300 + int(target_load * 100))
+    table = small_table()
+    target = max(1, int(target_load * table.capacity))
+    moved, relocated, _promoted, _demoted = churn(table, rng, target)
     assert relocated > 0
     if target_load > 0.9:
         assert moved > 0  # the BFS / move path really ran
+
+
+def test_shared_triple_churn_matches_dict_reference():
+    table = narrow_table()
+    moved, relocated, promoted, demoted = churn(table, random.Random(1717), target=24)
+    # Candidates really went key -> set -> key, and entries were re-homed
+    # (by request and as digest twins) while registered under shared triples.
+    assert promoted > 20 and demoted > 20, (promoted, demoted)
+    assert relocated > 0 and table.collision_relocations > 0
+    assert moved == 0
 
 
 class TestAuditLosesNothing:
@@ -133,6 +176,89 @@ class TestAuditLosesNothing:
             table.check_invariants()
 
 
+class TestCandidateIndexAudit:
+    """The candidate index is audited too: one registration per resident
+    per stage, under its own triples, a lone owner stored as the key."""
+
+    @pytest.fixture
+    def table(self) -> CuckooTable:
+        table = narrow_table()
+        for i in range(20):
+            try:
+                table.insert(b"conn-%03d" % i, i % 64)
+            except TableFull:
+                pass
+        assert shared_triples(table)  # the fixture covers both value shapes
+        table.check_invariants()
+        return table
+
+    @staticmethod
+    def lone_registration(table):
+        return next(
+            (cand, owner)
+            for cand, owner in table._candidates.items()
+            if type(owner) is not set
+        )
+
+    def test_missing_registration(self, table):
+        cand, _key = self.lone_registration(table)
+        del table._candidates[cand]
+        with pytest.raises(AssertionError, match="candidate registrations"):
+            table.check_invariants()
+
+    def test_missing_registration_in_a_shared_triple(self, table):
+        cand = next(iter(shared_triples(table)))
+        table._candidates[cand].pop()
+        with pytest.raises(AssertionError, match="candidate"):
+            table.check_invariants()
+
+    def test_stale_registration_of_a_deleted_key(self, table):
+        cand, key = self.lone_registration(table)
+        table.delete(key)
+        table._candidates[cand] = key
+        with pytest.raises(AssertionError, match="not a resident"):
+            table.check_invariants()
+
+    def test_undemoted_one_element_set(self, table):
+        cand, key = self.lone_registration(table)
+        table._candidates[cand] = {key}
+        with pytest.raises(AssertionError, match="kept a set"):
+            table.check_invariants()
+
+    def test_empty_set_left_behind(self, table):
+        table._candidates[1 << 40] = set()
+        with pytest.raises(AssertionError, match="kept a set"):
+            table.check_invariants()
+
+    def test_registration_under_a_foreign_triple(self, table):
+        cand, key = self.lone_registration(table)
+        foreign = next(c for c in table._candidates if c not in table._where[key].profile)
+        owners = table._candidates[foreign]
+        table._candidates[foreign] = (owners if type(owners) is set else {owners}) | {key}
+        with pytest.raises(AssertionError, match="not a resident with that triple"):
+            table.check_invariants()
+
+
+def test_distinct_triple_inserts_allocate_no_set_and_stay_small():
+    """One shadow record per resident: a key with triples of its own costs
+    no ``set``, and the host bytes per resident entry stay bounded (the
+    four-sets-per-entry representation measured 1,910 here)."""
+    import tracemalloc
+
+    keys = [b"conn-%08d" % i for i in range(20_000)]
+    table = CuckooTable.for_capacity(24_000, digest_bits=64)
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for i, key in enumerate(keys):
+        table.insert(key, i % 64)
+    per_entry = (tracemalloc.get_traced_memory()[0] - before) / len(table)
+    tracemalloc.stop()
+    assert len(table) == len(keys)
+    assert not shared_triples(table)  # 64-bit digests: no triple is shared
+    assert per_entry <= 900, per_entry  # measured: 652
+
+
 class _WriteCountingColumn(list):
     writes = 0
 
@@ -148,7 +274,7 @@ def test_legality_query_never_writes_the_column():
     column = table._column = _WriteCountingColumn(table._column)
     before = list(column)
     for key in list(table.keys()):
-        profile = table._profiles[key]
+        profile = table._where[key].profile
         for stage in range(STAGES):
             table._placement_legal(key, stage, profile)
     assert column.writes == 0

@@ -21,11 +21,11 @@ from repro.asicsim.cuckoo import CuckooTable, DuplicateKey, TableFull
 
 
 class CuckooMachine(RuleBasedStateMachine):
+    geometry = dict(buckets_per_stage=16, ways=2, stages=3, digest_bits=16)
+
     def __init__(self) -> None:
         super().__init__()
-        self.table = CuckooTable(
-            buckets_per_stage=16, ways=2, stages=3, digest_bits=16
-        )
+        self.table = CuckooTable(**self.geometry)
         self.model: dict = {}
 
     keys = Bundle("keys")
@@ -88,7 +88,18 @@ class CuckooMachine(RuleBasedStateMachine):
         self.table.check_invariants()
 
 
+class SharedTripleMachine(CuckooMachine):
+    """The same rules where residents share candidate triples all the time:
+    2-bit digests over 4 buckets, so a candidate's owner goes key -> set ->
+    key and twins relocate within a handful of steps (16-bit digests almost
+    never get there).  With as many ways as digest values the BFS never
+    moves an entry (see ``narrow_table`` in test_cuckoo_column.py)."""
+
+    geometry = dict(buckets_per_stage=4, ways=4, stages=4, digest_bits=2)
+
+
 TestCuckooStateful = CuckooMachine.TestCase
-TestCuckooStateful.settings = settings(
+TestSharedTripleStateful = SharedTripleMachine.TestCase
+TestCuckooStateful.settings = TestSharedTripleStateful.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
 )

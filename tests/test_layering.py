@@ -32,7 +32,8 @@ OWNERS = {
     "_table": "core/conn_table.py",
     "_heap": "netsim/",
     "_column": "asicsim/cuckoo.py",
-    "_profiles": "asicsim/cuckoo.py",
+    "_where": "asicsim/cuckoo.py",
+    "_cell_mask": "asicsim/cuckoo.py",
     "_profile_cache": "asicsim/cuckoo.py",
     "_candidates": "asicsim/cuckoo.py",
     "_move_cause": "deploy/fleet.py",
