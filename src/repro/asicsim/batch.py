@@ -17,6 +17,10 @@ from typing import List, Sequence
 from ..netsim.flows import Connection
 from .hashing import base_hash_many
 
+#: The ``key_hash`` slot read bare: ``AttributeError`` on a record nothing
+#: has hashed yet, where ``conn.key_hash`` would hash it on the spot.
+_cached_hash = Connection.key_hash.__get__
+
 
 class PacketBatch:
     """A window of connection arrivals in columnar (struct-of-arrays) form:
@@ -32,33 +36,24 @@ class PacketBatch:
     def from_connections(cls, conns: Sequence[Connection]) -> "PacketBatch":
         """Build the columns, computing and caching each conn's key facts.
 
-        Key bytes and base hashes are written back into the connections'
-        ``__dict__`` (the ``_lazy`` descriptors' cache slot), so any later
+        Key bytes and base hashes are read from, or written back to, the
+        connections' own ``key`` / ``key_hash`` slots, so any later
         scalar-path access — a delegated arrival, a relearn, an audit —
         reuses them instead of re-hashing.  Hashes for keys not yet cached
         are derived in one :func:`base_hash_many` bulk pass, which keeps
         the one-byte-pass-per-connection accounting identical to the
         scalar path.
         """
-        keys: List[bytes] = []
+        keys: List[bytes] = [conn.key for conn in conns]
         hashes: List[int] = [0] * len(conns)
         missing: List[int] = []
-        missing_keys: List[bytes] = []
         for i, conn in enumerate(conns):
-            d = conn.__dict__
-            key = d.get("key")
-            if key is None:
-                key = conn.five_tuple.key_bytes()
-                d["key"] = key
-            keys.append(key)
-            h = d.get("key_hash")
-            if h is None:
+            try:
+                hashes[i] = _cached_hash(conn)
+            except AttributeError:
                 missing.append(i)
-                missing_keys.append(key)
-            else:
-                hashes[i] = h
         if missing:
-            for i, h in zip(missing, base_hash_many(missing_keys)):
-                hashes[i] = h
-                conns[i].__dict__["key_hash"] = h
+            bulk = base_hash_many([keys[i] for i in missing])
+            for i, h in zip(missing, bulk):
+                hashes[i] = conns[i].key_hash = h
         return cls(keys, hashes)

@@ -393,8 +393,8 @@ class CuckooTable:
 
         A resident's profile rides on its :class:`Slot`; a bounded LRU side
         cache covers keys being probed or mid-insertion (the arrival looks
-        the key up, the install inserts it) without the re-hash storms a
-        wholesale clear would cause under churn.
+        the key up, the install inserts it and drops it from the cache)
+        without the re-hash storms a wholesale clear would cause under churn.
         """
         cache = self._profile_cache
         cached = cache.get(key)
@@ -683,6 +683,8 @@ class CuckooTable:
         col[cell * ways + way] = where[key] = Slot(
             key, cand >> self._cand_shift, value, loc, profile
         )
+        # Its profile rides on the Slot now; the LRU keeps in-flight keys only.
+        self._profile_cache.pop(key, None)
         self._stage_counts[stage] += 1
         for cand in profile:
             owner = candidates.get(cand)

@@ -59,8 +59,8 @@ class PccWorkload:
     ) -> Tuple[SimulationReport, List[Connection], object]:
         """Run a fresh LB instance over a *fresh copy* of the workload.
 
-        Connections are stateful (decision logs), so each replay clones
-        them; update events are immutable and shared.  ``faults`` is an
+        Connections carry decision logs, so each replay runs ``fresh()``
+        copies; update events are immutable and shared.  ``faults`` is an
         optional :class:`~repro.faults.injector.FaultInjector` attached to
         the run.  ``attach``, when given, is called as
         ``attach(sim, lb)`` after the simulator is built but before it
@@ -74,17 +74,7 @@ class PccWorkload:
         tests/asicsim/test_differential.py).  Returns the report, the
         replayed connections, and the LB instance (for its counters).
         """
-        conns = [
-            Connection(
-                conn_id=c.conn_id,
-                five_tuple=c.five_tuple,
-                vip=c.vip,
-                start=c.start,
-                duration=c.duration,
-                rate_bps=c.rate_bps,
-            )
-            for c in self.connections
-        ]
+        conns = [c.fresh() for c in self.connections]
         lb = lb_factory()
         for service in self.cluster.services:
             lb.announce_vip(service.vip, service.dips)

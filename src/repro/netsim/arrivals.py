@@ -10,7 +10,7 @@ rates spanning 1 K to >50 M per minute, so rates here are free parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -49,33 +49,25 @@ class ArrivalGenerator:
     def rng(self) -> np.random.Generator:
         return self._rng
 
-    def generate(
-        self,
-        workloads: List[VipWorkload],
-        horizon_s: float,
-        warmup_s: float = 0.0,
+    def window(
+        self, workloads: Sequence[VipWorkload], t0: float, t1: float
     ) -> List[Connection]:
-        """Generate all connections arriving in ``[-warmup, horizon)``.
+        """All connections arriving in ``[t0, t1)``, sorted by start time.
 
-        A warm-up period lets experiments start with established connections
-        already resident (as a real switch would), matching the paper's
-        replay methodology.
+        VIPs draw from the one RNG in list order, so the same sequence of
+        windows over the same workloads yields the same connections.
         """
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
         connections: List[Connection] = []
         for workload in workloads:
             rate = workload.arrivals_per_second()
             if rate <= 0:
                 continue
-            span = warmup_s + horizon_s
-            expected = rate * span
             # Draw the count then order-statistics the arrival times: exact
             # Poisson process, vectorized.
-            count = self._rng.poisson(expected)
+            count = int(self._rng.poisson(rate * (t1 - t0)))
             if count == 0:
                 continue
-            times = self._rng.uniform(-warmup_s, horizon_s, size=count)
+            times = self._rng.uniform(t0, t1, size=count)
             times.sort()
             durations = workload.duration_model.sample(self._rng, size=count)
             for t, d in zip(times, durations):
@@ -92,6 +84,22 @@ class ArrivalGenerator:
                 self._next_id += 1
         connections.sort(key=lambda c: c.start)
         return connections
+
+    def generate(
+        self,
+        workloads: List[VipWorkload],
+        horizon_s: float,
+        warmup_s: float = 0.0,
+    ) -> List[Connection]:
+        """Generate all connections arriving in ``[-warmup, horizon)``.
+
+        A warm-up period lets experiments start with established connections
+        already resident (as a real switch would), matching the paper's
+        replay methodology.
+        """
+        if horizon_s <= 0:
+            raise ValueError("horizon must be positive")
+        return self.window(workloads, -warmup_s, horizon_s)
 
 
 def uniform_vip_workloads(

@@ -25,30 +25,6 @@ from ..asicsim.hashing import base_hash
 from .packet import DirectIP, FiveTuple, VirtualIP
 
 
-class _lazy:
-    """``functools.cached_property`` without the pre-3.12 per-access RLock.
-
-    Millions of connections each compute ``key``/``key_hash`` exactly once;
-    the stock descriptor's lock acquisition dominates that first access on
-    Python < 3.12, so this lock-free variant is used instead (the simulator
-    is single-threaded by construction).
-    """
-
-    __slots__ = ("func", "name", "doc")
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.doc = func.__doc__
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        obj.__dict__[self.name] = value
-        return value
-
-
 @dataclass(frozen=True)
 class DurationModel:
     """Lognormal flow-duration model specified by its median.
@@ -96,7 +72,7 @@ HADOOP = DurationModel(median_s=10.0)
 CACHE = DurationModel(median_s=270.0)
 
 
-@dataclass(eq=False)  # identity equality: connections are stateful objects
+@dataclass(eq=False, slots=True)  # identity equality: connections are stateful objects
 class Connection:
     """One L4 connection as the flow-level simulator tracks it.
 
@@ -119,26 +95,43 @@ class Connection:
     #: the load balancer, so PCC metrics exclude them (the paper counts
     #: connections the *load balancer* re-hashed to a different live DIP).
     broken_by_removal: bool = False
+    #: Canonical match-key bytes, and their base hash.  Every hash consumer
+    #: (ConnTable stages, digests, TransitTable Bloom ways, DIP selection)
+    #: derives from ``key_hash`` with seeded integer mixing, so the
+    #: simulator performs exactly one byte pass per key no matter how many
+    #: packets, events or replays touch it.  Both slots stay unset until
+    #: first read (``__getattr__``); every later read is a plain slot load.
+    key: bytes = field(init=False, repr=False)
+    key_hash: int = field(init=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset.
+        if name == "key":
+            value = self.key = self.five_tuple.key_bytes()
+        elif name == "key_hash":
+            value = self.key_hash = base_hash(self.key)
+        else:
+            raise AttributeError(name)
+        return value
+
+    def fresh(self) -> "Connection":
+        """A copy with an empty decision log, for the next replay.
+
+        It shares the immutable facts, key bytes and base hash included:
+        they are derived on *this* record if nothing has read them yet, so
+        a workload is byte-hashed once however often it is replayed.
+        """
+        clone = Connection(
+            self.conn_id, self.five_tuple, self.vip,
+            self.start, self.duration, self.rate_bps,
+        )
+        clone.key = self.key
+        clone.key_hash = self.key_hash
+        return clone
 
     @property
     def end(self) -> float:
         return self.start + self.duration
-
-    @_lazy
-    def key(self) -> bytes:
-        """Canonical match-key bytes, packed once per connection."""
-        return self.five_tuple.key_bytes()
-
-    @_lazy
-    def key_hash(self) -> int:
-        """The key's base hash, computed once per connection.
-
-        Every hash consumer (ConnTable stages, digests, TransitTable Bloom
-        ways, DIP selection) derives from this value with seeded integer
-        mixing, so the simulator performs exactly one byte pass per
-        connection no matter how many packets or events touch it.
-        """
-        return base_hash(self.key)
 
     def active_at(self, t: float) -> bool:
         return self.start <= t < self.end

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Tuple
 
 TCP = 6
 UDP = 17
@@ -41,43 +41,45 @@ def parse_ip(text: str) -> Tuple[int, bool]:
     return int(addr), addr.version == 6
 
 
-@dataclass(frozen=True)
-class VirtualIP:
+def _check_endpoint(ip: int, port: int, v6: bool) -> None:
+    """Reject an address ``struct.pack`` would choke on mid-replay."""
+    if not 0 <= port <= 0xFFFF:
+        raise ValueError("port out of range")
+    if not 0 <= ip < 1 << (128 if v6 else 32):
+        raise ValueError("ip out of range")
+
+
+@lru_cache(maxsize=1 << 14)
+def _endpoint_text(address) -> str:
+    """``str()`` of a VIP or DIP.  Rendered per flight-recorder event;
+    building an ipaddress object each time would dominate the record
+    path, so it is cached (by value: the records hash as their fields)."""
+    host = _format_ip(address.ip, address.v6)
+    if address.v6:
+        return f"[{host}]:{address.port}"
+    return f"{host}:{address.port}"
+
+
+# VIPs, DIPs and 5-tuples are tuple records: they are hashed and compared
+# millions of times as dict/set keys during a simulation, and a tuple does
+# both in C.  ``hash(record) == hash(tuple(record))`` depends on field
+# values only, so set/dict iteration order is the same in every process.
+
+
+class VirtualIP(
+    NamedTuple("VirtualIP", [("ip", int), ("port", int), ("proto", int), ("v6", bool)])
+):
     """A load-balanced service address (VIP)."""
 
-    ip: int
-    port: int
-    proto: int = TCP
-    v6: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.port <= 0xFFFF:
-            raise ValueError("port out of range")
-
-
-    def __hash__(self) -> int:
-        # Instances are hashed millions of times as dict/set keys during a
-        # simulation; cache the field-tuple hash on first use.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ip, self.port, self.proto, self.v6))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __eq__(self, other: object) -> bool:
-        # Pools and tables hand out shared instances, so the common hot-path
-        # comparison is same-object; short-circuit before field compares.
-        if self is other:
-            return True
-        if other.__class__ is not VirtualIP:
-            return NotImplemented
-        return (
-            self.ip == other.ip
-            and self.port == other.port
-            and self.proto == other.proto
-            and self.v6 == other.v6
-        )
+    def __new__(
+        cls, ip: int, port: int, proto: int = TCP, v6: bool = False
+    ) -> "VirtualIP":
+        _check_endpoint(ip, port, v6)
+        if not 0 <= proto <= 0xFF:
+            raise ValueError("proto out of range")
+        return tuple.__new__(cls, (ip, port, proto, v6))
 
     @classmethod
     def parse(cls, text: str, proto: int = TCP) -> "VirtualIP":
@@ -87,53 +89,17 @@ class VirtualIP:
         ip, v6 = parse_ip(host)
         return cls(ip=ip, port=int(port), proto=proto, v6=v6)
 
-    def __str__(self) -> str:
-        # Rendered per flight-recorder event; building an ipaddress object
-        # each time would dominate the record path, so cache like __hash__.
-        try:
-            return self._str
-        except AttributeError:
-            host = _format_ip(self.ip, self.v6)
-            text = f"[{host}]:{self.port}" if self.v6 else f"{host}:{self.port}"
-            object.__setattr__(self, "_str", text)
-            return text
+    __str__ = _endpoint_text
 
 
-@dataclass(frozen=True)
-class DirectIP:
+class DirectIP(NamedTuple("DirectIP", [("ip", int), ("port", int), ("v6", bool)])):
     """One backend server address (DIP)."""
 
-    ip: int
-    port: int
-    v6: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.port <= 0xFFFF:
-            raise ValueError("port out of range")
-
-
-    def __hash__(self) -> int:
-        # Instances are hashed millions of times as dict/set keys during a
-        # simulation; cache the field-tuple hash on first use.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ip, self.port, self.v6))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __eq__(self, other: object) -> bool:
-        # Pool slots hand out shared instances, so the common hot-path
-        # comparison is same-object; short-circuit before field compares.
-        if self is other:
-            return True
-        if other.__class__ is not DirectIP:
-            return NotImplemented
-        return (
-            self.ip == other.ip
-            and self.port == other.port
-            and self.v6 == other.v6
-        )
+    def __new__(cls, ip: int, port: int, v6: bool = False) -> "DirectIP":
+        _check_endpoint(ip, port, v6)
+        return tuple.__new__(cls, (ip, port, v6))
 
     @classmethod
     def parse(cls, text: str) -> "DirectIP":
@@ -142,20 +108,10 @@ class DirectIP:
         ip, v6 = parse_ip(host)
         return cls(ip=ip, port=int(port), v6=v6)
 
-    def __str__(self) -> str:
-        # Rendered per flight-recorder event; building an ipaddress object
-        # each time would dominate the record path, so cache like __hash__.
-        try:
-            return self._str
-        except AttributeError:
-            host = _format_ip(self.ip, self.v6)
-            text = f"[{host}]:{self.port}" if self.v6 else f"{host}:{self.port}"
-            object.__setattr__(self, "_str", text)
-            return text
+    __str__ = _endpoint_text
 
 
-@dataclass(frozen=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """A connection identifier."""
 
     src_ip: int
@@ -164,17 +120,6 @@ class FiveTuple:
     dst_port: int
     proto: int = TCP
     v6: bool = False
-
-
-    def __hash__(self) -> int:
-        # Instances are hashed millions of times as dict/set keys during a
-        # simulation; cache the field-tuple hash on first use.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.proto, self.v6))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def key_bytes(self) -> bytes:
         """Canonical match-key byte string (13 B IPv4 / 37 B IPv6)."""

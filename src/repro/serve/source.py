@@ -3,23 +3,19 @@
 :class:`StreamingFlowSource` is the incremental sibling of
 :class:`~repro.netsim.arrivals.ArrivalGenerator`: instead of materializing
 the whole horizon up front, it draws each advance window's arrivals on
-demand — an exact Poisson process per VIP (count ~ Poisson(rate·dt), times
-uniform in the window, order-statistics sorted), durations from the same
-lognormal models.  One shared ``numpy`` generator seeded once at session
-start makes the *sequence of windows* deterministic: the same script (the
-same advance boundaries) replays the same connections, which is what the
-serve determinism check pins.
+demand through the same ``ArrivalGenerator.window`` — an exact Poisson
+process per VIP, durations from the same lognormal models.  One generator
+seeded once at session start makes the *sequence of windows* deterministic:
+the same script (the same advance boundaries) replays the same connections,
+which is what the serve determinism check pins.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-import numpy as np
-
-from ..netsim.arrivals import VipWorkload
+from ..netsim.arrivals import ArrivalGenerator, VipWorkload
 from ..netsim.flows import Connection
-from ..netsim.packet import TupleFactory
 
 
 class StreamingFlowSource:
@@ -34,9 +30,7 @@ class StreamingFlowSource:
 
     def __init__(self, workloads: Sequence[VipWorkload], seed: int = 0) -> None:
         self._workloads = list(workloads)
-        self._rng = np.random.default_rng(seed)
-        self._tuples = TupleFactory()
-        self._next_id = 0
+        self._generator = ArrivalGenerator(seed)
         self.total_generated = 0
 
     @property
@@ -47,30 +41,6 @@ class StreamingFlowSource:
         """All connections arriving in ``[t0, t1)``, sorted by start time."""
         if t1 <= t0:
             raise ValueError("window must have positive span")
-        span = t1 - t0
-        connections: List[Connection] = []
-        for workload in self._workloads:
-            rate = workload.arrivals_per_second()
-            if rate <= 0:
-                continue
-            count = int(self._rng.poisson(rate * span))
-            if count == 0:
-                continue
-            times = self._rng.uniform(t0, t1, size=count)
-            times.sort()
-            durations = workload.duration_model.sample(self._rng, size=count)
-            for t, d in zip(times, durations):
-                connections.append(
-                    Connection(
-                        conn_id=self._next_id,
-                        five_tuple=self._tuples.next_for(workload.vip),
-                        vip=workload.vip,
-                        start=float(t),
-                        duration=float(d),
-                        rate_bps=workload.rate_bps,
-                    )
-                )
-                self._next_id += 1
-        connections.sort(key=lambda c: c.start)
+        connections = self._generator.window(self._workloads, t0, t1)
         self.total_generated += len(connections)
         return connections

@@ -16,7 +16,6 @@ from repro.experiments import switch_failure
 from repro.experiments.common import PccWorkload
 from repro.netsim import (
     ArrivalGenerator,
-    Connection,
     FlowSimulator,
     UpdateEvent,
     UpdateKind,
@@ -267,17 +266,7 @@ class TestCounters:
 
 
 def _clone(conns):
-    return [
-        Connection(
-            conn_id=c.conn_id,
-            five_tuple=c.five_tuple,
-            vip=c.vip,
-            start=c.start,
-            duration=c.duration,
-            rate_bps=c.rate_bps,
-        )
-        for c in conns
-    ]
+    return [c.fresh() for c in conns]
 
 
 class TestBatchedDifferential:

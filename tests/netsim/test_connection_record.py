@@ -1,0 +1,244 @@
+"""The connection as a compact record: its cost and semantics, as counts.
+
+A simulated connection is held by the host four ways — the generated
+``Connection``, its per-replay ``fresh()`` copy, the address/5-tuple
+records both point at, and the switch's resident entry — and every one is
+meant to stay as small as the facts it carries.  The tests here pin that:
+no instance ``__dict__`` anywhere, host bytes per connection under a
+ceiling, one byte-hash pass per *workload* (not per replay), addresses
+that hash like their field tuple in every process, and a profile side
+cache that holds in-flight keys only.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.api import SilkRoadConfig, SilkRoadSwitch
+from repro.asicsim import hashing
+from repro.asicsim.batch import PacketBatch
+from repro.experiments.common import build_workload
+from repro.netsim.flows import Connection
+from repro.netsim.packet import DirectIP, FiveTuple, VirtualIP, five_tuple_for
+
+VIP = VirtualIP.parse("20.0.0.1:80")
+DIP = DirectIP.parse("10.0.0.2:8080")
+
+#: ``pop_steady``'s shape (build_workload(50, scale=0.5, seed=16,
+#: horizon_s=120), 35,297 connections) scaled to ~3.5 K connections.
+SHAPE = dict(updates_per_min=50.0, scale=0.05, seed=16, horizon_s=120.0)
+
+
+def make_conn(conn_id: int = 1) -> Connection:
+    return Connection(
+        conn_id=conn_id,
+        five_tuple=five_tuple_for(VIP, src_ip=0x0A80_0000 + conn_id, src_port=1024),
+        vip=VIP,
+        start=0.0,
+        duration=10.0,
+        rate_bps=1e6,
+    )
+
+
+def make_switch() -> SilkRoadSwitch:
+    return SilkRoadSwitch(SilkRoadConfig(conn_table_capacity=300_000))
+
+
+def key_slots_set(conn: Connection) -> bool:
+    """Whether ``key_hash`` is cached, read without deriving it."""
+    try:
+        object.__getattribute__(conn, "key_hash")
+    except AttributeError:
+        return False
+    return True
+
+
+# -- no instance dict ------------------------------------------------------
+
+
+def test_records_have_no_instance_dict():
+    for record in (make_conn(), VIP, DIP, make_conn().five_tuple):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(AttributeError):
+        make_conn().scratch = 1
+
+
+def test_no_instance_dict_after_batch_scalar_arrival_or_replay():
+    conns = [make_conn(i) for i in range(8)]
+    PacketBatch.from_connections(conns)
+    switch = make_switch()
+    switch.announce_vip(VIP, [DIP])
+    arrived = make_conn(99)
+    switch.on_connection_arrival(arrived)
+    assert arrived.decisions
+    workload = build_workload(50.0, scale=0.02, seed=16, horizon_s=10.0)
+    _report, replayed, _lb = workload.replay(make_switch)
+    for conn in conns + [arrived] + workload.connections + replayed:
+        assert not hasattr(conn, "__dict__")
+        assert key_slots_set(conn)
+
+
+def test_key_and_hash_fill_on_first_read():
+    conn = make_conn()
+    assert not key_slots_set(conn)
+    before = hashing.BASE_HASH_CALLS
+    assert conn.key == conn.five_tuple.key_bytes()
+    assert conn.key_hash == hashing.base_hash(conn.key)
+    assert conn.key is conn.key and key_slots_set(conn)
+    conn.key_hash, conn.key_hash
+    assert hashing.BASE_HASH_CALLS - before == 2  # the read and the check
+    with pytest.raises(AttributeError):
+        conn.no_such_field
+
+
+# -- host bytes per connection ---------------------------------------------
+
+
+def test_host_bytes_per_connection():
+    """``tracemalloc`` bytes per generated connection, and per generated
+    connection plus one replayed (hashed, once-decided) copy."""
+    build_workload(50.0, scale=0.05, seed=3, horizon_s=5.0)  # lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workload = build_workload(**SHAPE)
+        generated = tracemalloc.get_traced_memory()[0]
+        report, replayed, switch = workload.replay(make_switch)
+        del report, switch
+        gc.collect()
+        with_copy = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = len(workload.connections)
+    assert 3_000 < n == len(replayed) < 4_000
+    assert all(len(c.decisions) == 1 for c in replayed[:100])
+    assert generated / n <= 460, generated / n  # parent 488 here, now ~425
+    assert with_copy / n <= 850, with_copy / n  # parent 1,246 here, now ~775
+
+
+# -- one hash pass per workload --------------------------------------------
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+def test_workload_is_byte_hashed_once_not_once_per_replay(batched):
+    workload = build_workload(**SHAPE)
+    assert not any(key_slots_set(c) for c in workload.connections)  # not in set-up
+    start = hashing.BASE_HASH_CALLS
+    workload.replay(make_switch, batched=batched)
+    first = hashing.BASE_HASH_CALLS
+    workload.replay(make_switch, batched=batched)
+    workload.replay(make_switch, batched=not batched)
+    assert first - start == len(workload.connections)
+    assert hashing.BASE_HASH_CALLS - first == 0
+
+
+def test_batch_hashes_in_bulk_what_is_unhashed_and_only_that():
+    conns = [make_conn(i) for i in range(6)]
+    for conn in conns[:2]:
+        conn.key_hash
+    before = hashing.BASE_HASH_CALLS
+    batch = PacketBatch.from_connections(conns)
+    assert hashing.BASE_HASH_CALLS - before == 4
+    assert batch.keys == [c.key for c in conns]
+    assert batch.base_hashes == [hashing.base_hash(c.key) for c in conns]
+    assert all(key_slots_set(c) for c in conns)
+    before = hashing.BASE_HASH_CALLS
+    assert PacketBatch.from_connections(conns).base_hashes == batch.base_hashes
+    assert hashing.BASE_HASH_CALLS == before
+
+
+# -- fresh(), copy, pickle -------------------------------------------------
+
+
+def test_fresh_shares_the_immutable_facts_and_nothing_mutable():
+    conn = make_conn()
+    conn.record_decision(0.0, DIP)
+    conn.broken_by_removal = True
+    clone = conn.fresh()
+    assert clone is not conn
+    assert clone.five_tuple is conn.five_tuple and clone.vip is conn.vip
+    assert clone.key is conn.key and clone.key_hash is conn.key_hash
+    assert (clone.conn_id, clone.start, clone.duration, clone.rate_bps) == (
+        conn.conn_id, conn.start, conn.duration, conn.rate_bps
+    )
+    assert clone.decisions == [] and clone.decisions is not conn.decisions
+    assert clone.broken_by_removal is False
+    clone.record_decision(1.0, None)
+    assert conn.decisions == [(0.0, DIP)]
+    assert clone.fresh().decisions is not clone.decisions
+
+
+@pytest.mark.parametrize("hashed", [False, True], ids=["unset", "set"])
+def test_copy_and_pickle_round_trip(hashed):
+    conn = make_conn()
+    conn.record_decision(0.0, DIP)
+    if hashed:
+        conn.key_hash
+    for clone in (copy.copy(conn), pickle.loads(pickle.dumps(conn))):
+        assert not hasattr(clone, "__dict__")
+        assert clone.five_tuple == conn.five_tuple and clone.vip == conn.vip
+        assert type(clone.five_tuple) is FiveTuple and type(clone.vip) is VirtualIP
+        assert clone.decisions == [(0.0, DIP)]
+        assert type(clone.decisions[0][1]) is DirectIP
+        assert (clone.key, clone.key_hash) == (conn.key, conn.key_hash)
+
+
+# -- tuple-record addresses ------------------------------------------------
+
+
+def test_addresses_hash_and_compare_as_their_field_tuples():
+    vip = VirtualIP(ip=0x14000001, port=80, proto=17, v6=False)
+    dip = DirectIP(ip=0x14000001, port=80)
+    flow = FiveTuple(src_ip=1, src_port=2, dst_ip=3, dst_port=4)
+    assert hash(vip) == hash((0x14000001, 80, 17, False))
+    assert hash(dip) == hash((0x14000001, 80, False))
+    assert hash(flow) == hash((1, 2, 3, 4, 6, False))
+    assert vip == VirtualIP(0x14000001, 80, 17) and dip == DirectIP(0x14000001, 80)
+    # Equal leading fields, different kinds of address: never equal.
+    assert vip != dip and dip != vip
+    assert len({vip: 1, dip: 2}) == 2
+    assert dip != None  # noqa: E711 - the hot-path comparison, spelled out
+    assert repr(dip) == "DirectIP(ip=335544321, port=80, v6=False)"
+    assert str(vip) == str(dip) == "20.0.0.1:80"
+
+
+_ORDER_SCRIPT = """
+from repro.netsim.packet import DirectIP
+print([str(d) for d in {DirectIP(ip=0x0A000000 + 7919 * i, port=20 + i) for i in range(64)}])
+"""
+
+
+def test_set_order_of_addresses_ignores_the_hash_seed():
+    outputs = []
+    for hashseed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", _ORDER_SCRIPT],
+                env=env, check=True, capture_output=True, text=True, timeout=60,
+            ).stdout
+        )
+    assert outputs[0] == outputs[1] and outputs[0].count(":") == 64
+
+
+# -- profile side cache ----------------------------------------------------
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+def test_profile_side_cache_holds_in_flight_keys_only(batched):
+    workload = build_workload(**SHAPE)
+    _report, conns, switch = workload.replay(make_switch, batched=batched, batch_size=256)
+    table = switch.conn_table._table
+    assert len(table) > 500  # residents: their profiles ride on the Slots
+    assert table._profile_cache.keys().isdisjoint(c.key for c in conns if c.key in table)
+    # Parent: every key ever probed, up to the 16,384-entry bound.
+    assert len(table._profile_cache) <= switch.pending_connections() + 256

@@ -53,6 +53,34 @@ class TestParsing:
         with pytest.raises(ValueError):
             DirectIP(ip=1, port=-1)
 
+    @pytest.mark.parametrize("ip", [2**33, 2**32, -1])
+    def test_ip_range_validated(self, ip):
+        # Used to construct fine and fail as struct.error inside
+        # FiveTuple.key_bytes() at the first arrival that used it.
+        with pytest.raises(ValueError, match="ip out of range"):
+            VirtualIP(ip=ip, port=80)
+        with pytest.raises(ValueError, match="ip out of range"):
+            DirectIP(ip=ip, port=80)
+
+    def test_ip_range_follows_the_address_family(self):
+        assert VirtualIP(ip=2**32 - 1, port=80).ip == 2**32 - 1
+        assert DirectIP(ip=2**33, port=80, v6=True).v6
+        assert VirtualIP(ip=2**128 - 1, port=80, v6=True).v6
+        with pytest.raises(ValueError, match="ip out of range"):
+            VirtualIP(ip=2**128, port=80, v6=True)
+        with pytest.raises(ValueError, match="ip out of range"):
+            DirectIP(ip=-1, port=80, v6=True)
+
+    @pytest.mark.parametrize("proto", [300, 256, -1])
+    def test_proto_range_validated(self, proto):
+        with pytest.raises(ValueError, match="proto out of range"):
+            VirtualIP(ip=1, port=80, proto=proto)
+        assert VirtualIP(ip=1, port=80, proto=255).proto == 255
+
+    def test_validated_address_always_packs(self):
+        vip = VirtualIP(ip=2**32 - 1, port=0xFFFF, proto=255)
+        assert len(five_tuple_for(vip, 2**32 - 1, 0xFFFF).key_bytes()) == IPV4_KEY_BYTES
+
 
 class TestFiveTuple:
     def test_key_bytes_ipv4_width(self):

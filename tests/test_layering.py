@@ -6,7 +6,10 @@ from outside the module that owns the name (``conn_table._table``,
 ``queue._heap``, the cuckoo profile caches, the fleet cause maps): a fast
 path that needs them belongs inside the owning module.  Reaches that
 remain are listed in ``ALLOWED`` with the reason, so they are visible
-debt rather than silent.
+debt rather than silent.  The same walk refuses ``.__dict__`` on anything
+but ``self``: writing through another object's instance dict un-shares
+its key-sharing dict (400 B per connection per replay, when a hash cache
+did it), and the per-connection records are slotted.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -79,6 +82,18 @@ def test_no_private_reach_across_modules():
 def test_allow_list_has_no_stale_entries():
     seen = {(rel, attr) for rel, attr, _line in _reaches()}
     assert ALLOWED <= seen, f"stale ALLOWED entries: {sorted(ALLOWED - seen)}"
+
+
+def test_no_reach_into_another_objects_instance_dict():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__dict__"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert not offenders, "\n".join(offenders)
 
 
 #: Packages that sit below the experiment harness and may not import it.
