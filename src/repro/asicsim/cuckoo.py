@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
-from ..obs.metrics import Scope
+from ..obs.metrics import MetricRegistry, Scope
 from .hashing import (
     HashUnit,
     _splitmix64,
@@ -160,9 +160,10 @@ class CuckooTable:
         mid-insertion or being probed).  Eviction is per-entry LRU, not
         a wholesale clear, so BFS inserts under churn don't thrash.
     metrics:
-        Optional :class:`~repro.obs.metrics.Scope`; when given, the table
-        registers always-on instruments (lookups, false positives, insert
-        attempts/failures, cuckoo moves, per-stage occupancy).
+        The :class:`~repro.obs.metrics.Scope` the table counts into
+        (lookups, false positives, insert attempts/failures, cuckoo moves,
+        per-stage occupancy); a private registry's when omitted.  It is the
+        only store: ``total_lookups`` and the other counts are views of it.
     """
 
     def __init__(
@@ -178,7 +179,7 @@ class CuckooTable:
         fast_fail_load: float = 0.98,
         seed: int = 0x51CC_0AD0,
         profile_cache_size: int = 16384,
-        metrics: Optional[Scope] = None,
+        metrics: Scope = None,
     ) -> None:
         if buckets_per_stage <= 0:
             raise ValueError("buckets_per_stage must be positive")
@@ -259,20 +260,8 @@ class CuckooTable:
         # residents really share the triple, and is demoted back to the
         # survivor when the others leave.
         self._candidates: Dict[int, Union[bytes, Set[bytes]]] = {}
-        self.false_positive_lookups = 0
-        self.total_lookups = 0
-        self.failed_inserts = 0
-        self.collision_relocations = 0
-        self._wire_metrics(metrics)
-
-    def _wire_metrics(self, metrics: Optional[Scope]) -> None:
-        """Register instruments; hot-path increments are guarded on None."""
         if metrics is None:
-            self._m_lookups = self._m_lookup_fp = None
-            self._m_insert_attempts = self._m_inserts = None
-            self._m_insert_failures = self._m_moves = None
-            self._m_moves_hist = self._m_relocations = self._m_deletes = None
-            return
+            metrics = MetricRegistry().scope("")
         self._m_lookups = metrics.counter(
             "lookups_total", "data-plane digest lookups"
         )
@@ -313,6 +302,10 @@ class CuckooTable:
             metrics.gauge(
                 f"stage{stage}_occupancy", f"resident entries in stage {stage}"
             ).set_function(lambda s=stage: float(self._stage_counts[s]))
+
+    total_lookups = property(lambda self: int(self._m_lookups.value))
+    false_positive_lookups = property(lambda self: int(self._m_lookup_fp.value))
+    collision_relocations = property(lambda self: int(self._m_relocations.value))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -503,9 +496,7 @@ class CuckooTable:
         ground-truth ``false_positive`` flag for measurement.  ``key_hash``
         is the key's cached base hash; supplying it skips the byte pass.
         """
-        self.total_lookups += 1
-        if self._m_lookups is not None:
-            self._m_lookups.value += 1.0
+        self._m_lookups.value += 1.0
         slot = self._where.get(key)
         profile = self._profile(key, key_hash) if slot is None else slot.profile
         # Fast miss: every slot whose digest could match is owned by a key
@@ -527,9 +518,7 @@ class CuckooTable:
                 if slot is not None and slot.digest == digest:
                     fp = slot.key != key
                     if fp:
-                        self.false_positive_lookups += 1
-                        if self._m_lookup_fp is not None:
-                            self._m_lookup_fp.value += 1.0
+                        self._m_lookup_fp.value += 1.0
                     return LookupResult(
                         hit=True,
                         value=slot.value,
@@ -620,15 +609,12 @@ class CuckooTable:
         where = self._where
         if key in where:
             raise DuplicateKey(f"key already resident: {key!r}")
-        if self._m_insert_attempts is not None:
-            self._m_insert_attempts.value += 1.0
+        self._m_insert_attempts.value += 1.0
         # Fast-fail when the table is effectively packed: running the BFS
         # for every arrival at a saturated table would burn the switch CPU
         # (and the simulator) for nothing.
         if len(where) >= self._fast_fail_entries:
-            self.failed_inserts += 1
-            if self._m_insert_failures is not None:
-                self._m_insert_failures.value += 1.0
+            self._m_insert_failures.value += 1.0
             raise TableFull(
                 f"table effectively full ({len(where)}/{self.capacity})"
             )
@@ -645,9 +631,7 @@ class CuckooTable:
             # stage (the same fix the redirected-SYN path performs, §4.2).
             for twin in self._digest_twins(key, profile):
                 if self.relocate(twin):
-                    self.collision_relocations += 1
-                    if self._m_relocations is not None:
-                        self._m_relocations.value += 1.0
+                    self._m_relocations.value += 1.0
 
         col, ways, mask = self._column, self.ways, self._cell_mask
         moves = 0
@@ -664,9 +648,7 @@ class CuckooTable:
             # BFS over move sequences.
             path = self._bfs_find_path(key, profile)
             if path is None:
-                self.failed_inserts += 1
-                if self._m_insert_failures is not None:
-                    self._m_insert_failures.value += 1.0
+                self._m_insert_failures.value += 1.0
                 raise TableFull(
                     f"no slot for key after BFS over {self.max_bfs_nodes} nodes "
                     f"(load {self.load_factor:.3f})"
@@ -694,10 +676,9 @@ class CuckooTable:
                 owner.add(key)
             else:
                 candidates[cand] = {owner, key}
-        if self._m_inserts is not None:
-            self._m_inserts.value += 1.0
-            self._m_moves.value += moves
-            self._m_moves_hist.observe(float(moves))
+        self._m_inserts.value += 1.0
+        self._m_moves.value += moves
+        self._m_moves_hist.observe(float(moves))
         return InsertResult(loc, moves)
 
     def _digest_twins(self, key: bytes, profile) -> List[bytes]:
@@ -823,8 +804,7 @@ class CuckooTable:
                     candidates[cand] = owner.pop()
             else:
                 del candidates[cand]
-        if self._m_deletes is not None:
-            self._m_deletes.value += 1.0
+        self._m_deletes.value += 1.0
 
     def relocate(self, key: bytes) -> bool:
         """Move a resident entry to a different stage.
@@ -916,18 +896,11 @@ class CuckooTable:
             )
         # Every resident key's data-plane lookup must find its own entry.
         # (Preserve the measurement counters: this is a checker, not traffic.)
-        saved = (self.total_lookups, self.false_positive_lookups)
-        saved_metrics = (
-            (self._m_lookups.value, self._m_lookup_fp.value)
-            if self._m_lookups is not None
-            else None
-        )
+        saved = (self._m_lookups.value, self._m_lookup_fp.value)
         try:
             for key in where:
                 result = self.lookup(key)
                 if not result.hit or result.false_positive:
                     raise AssertionError(f"resident key shadowed: {key!r}")
         finally:
-            self.total_lookups, self.false_positive_lookups = saved
-            if saved_metrics is not None:
-                self._m_lookups.value, self._m_lookup_fp.value = saved_metrics
+            self._m_lookups.value, self._m_lookup_fp.value = saved

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..obs.metrics import LATENCY_BUCKETS_S, Scope
+from ..obs.metrics import LATENCY_BUCKETS_S, MetricRegistry, Scope
 
 
 class LearnEvent(NamedTuple):
@@ -62,16 +62,17 @@ class LearningFilter:
         Seconds after the *oldest undelivered event* at which the filter
         notifies the CPU even if not full (0.5-5 ms in the paper).
     metrics:
-        Optional :class:`~repro.obs.metrics.Scope` for always-on
-        instruments (offers, dedup hits, flushes, batch sizes, per-event
-        drain latency).
+        The :class:`~repro.obs.metrics.Scope` the filter counts into
+        (offers, dedup hits, flushes, batch sizes, per-event drain
+        latency); a private registry's when omitted.  It is the only
+        store: ``flushes_full`` and the other counts are views of it.
     """
 
     def __init__(
         self,
         capacity: int = 2048,
         timeout: float = 1e-3,
-        metrics: Optional[Scope] = None,
+        metrics: Scope = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -81,53 +82,48 @@ class LearningFilter:
         self.timeout = timeout
         self._pending: Dict[bytes, LearnEvent] = {}
         self._oldest: Optional[float] = None
-        self.offered = 0
-        self.deduplicated = 0
-        self.flushes_full = 0
-        self.flushes_timeout = 0
-        self.flushes_forced = 0
-        self.rearmed = 0
         if metrics is None:
-            self._m_offered = self._m_dedup = None
-            self._m_flushes_full = self._m_flushes_timeout = None
-            self._m_flushes_forced = None
-            self._m_batch_size = self._m_drain_latency = None
-            self._m_rearmed = None
-        else:
-            self._m_offered = metrics.counter(
-                "events_offered_total", "new-key events deposited by the data plane"
-            )
-            self._m_dedup = metrics.counter(
-                "dedup_hits_total", "events merged into an already-pending key"
-            )
-            self._m_flushes_full = metrics.counter(
-                "flushes_full_total", "batches flushed because the buffer filled"
-            )
-            self._m_flushes_timeout = metrics.counter(
-                "flushes_timeout_total", "batches flushed on the notification timer"
-            )
-            self._m_flushes_forced = metrics.counter(
-                "flushes_forced_total",
-                "batches force-drained at end of run (not a timer expiry)",
-            )
-            self._m_batch_size = metrics.histogram(
-                "batch_size",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-                         512.0, 1024.0, 2048.0, 4096.0),
-                help="events per drained batch",
-            )
-            self._m_drain_latency = metrics.histogram(
-                "drain_latency_s",
-                buckets=LATENCY_BUCKETS_S,
-                help="time each event waited in the filter before drain",
-            )
-            self._m_rearmed = metrics.counter(
-                "events_rearmed_total",
-                "learn events re-deposited after a slow-path loss",
-            )
-            metrics.gauge("occupancy", "events pending in the buffer").set_function(
-                lambda: float(len(self._pending))
-            )
+            metrics = MetricRegistry().scope("")
+        self._m_offered = metrics.counter(
+            "events_offered_total", "new-key events deposited by the data plane"
+        )
+        self._m_dedup = metrics.counter(
+            "dedup_hits_total", "events merged into an already-pending key"
+        )
+        self._m_flushes_full = metrics.counter(
+            "flushes_full_total", "batches flushed because the buffer filled"
+        )
+        self._m_flushes_timeout = metrics.counter(
+            "flushes_timeout_total", "batches flushed on the notification timer"
+        )
+        self._m_flushes_forced = metrics.counter(
+            "flushes_forced_total",
+            "batches force-drained at end of run (not a timer expiry)",
+        )
+        self._m_batch_size = metrics.histogram(
+            "batch_size",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
+                     512.0, 1024.0, 2048.0, 4096.0),
+            help="events per drained batch",
+        )
+        self._m_drain_latency = metrics.histogram(
+            "drain_latency_s",
+            buckets=LATENCY_BUCKETS_S,
+            help="time each event waited in the filter before drain",
+        )
+        self._m_rearmed = metrics.counter(
+            "events_rearmed_total",
+            "learn events re-deposited after a slow-path loss",
+        )
+        metrics.gauge("occupancy", "events pending in the buffer").set_function(
+            lambda: float(len(self._pending))
+        )
+
+    deduplicated = property(lambda self: int(self._m_dedup.value))
+    rearmed = property(lambda self: int(self._m_rearmed.value))
+    flushes_full = property(lambda self: int(self._m_flushes_full.value))
+    flushes_timeout = property(lambda self: int(self._m_flushes_timeout.value))
+    flushes_forced = property(lambda self: int(self._m_flushes_forced.value))
 
     def offer(
         self,
@@ -142,13 +138,9 @@ class LearningFilter:
         CPU) are merged, as the hardware filter does.  ``key_hash`` is the
         key's cached base hash, forwarded to the CPU on the event.
         """
-        self.offered += 1
-        if self._m_offered is not None:
-            self._m_offered.value += 1.0
+        self._m_offered.value += 1.0
         if key in self._pending:
-            self.deduplicated += 1
-            if self._m_dedup is not None:
-                self._m_dedup.value += 1.0
+            self._m_dedup.value += 1.0
             return None
         self._pending[key] = LearnEvent(
             key=key, metadata=metadata, first_seen=now, key_hash=key_hash
@@ -175,13 +167,9 @@ class LearningFilter:
         batches: List[LearnBatch] = []
         for event in events:
             if event.key in self._pending:
-                self.deduplicated += 1
-                if self._m_dedup is not None:
-                    self._m_dedup.value += 1.0
+                self._m_dedup.value += 1.0
                 continue
-            self.rearmed += 1
-            if self._m_rearmed is not None:
-                self._m_rearmed.value += 1.0
+            self._m_rearmed.value += 1.0
             self._pending[event.key] = LearnEvent(
                 key=event.key,
                 metadata=event.metadata,
@@ -214,24 +202,17 @@ class LearningFilter:
 
     def _flush(self, now: float, reason: str) -> LearnBatch:
         if reason == "full":
-            self.flushes_full += 1
-            if self._m_flushes_full is not None:
-                self._m_flushes_full.value += 1.0
+            self._m_flushes_full.value += 1.0
         elif reason == "forced":
-            self.flushes_forced += 1
-            if self._m_flushes_forced is not None:
-                self._m_flushes_forced.value += 1.0
+            self._m_flushes_forced.value += 1.0
         else:
-            self.flushes_timeout += 1
-            if self._m_flushes_timeout is not None:
-                self._m_flushes_timeout.value += 1.0
+            self._m_flushes_timeout.value += 1.0
         batch = LearnBatch(
             events=list(self._pending.values()), flushed_at=now, reason=reason
         )
-        if self._m_batch_size is not None:
-            self._m_batch_size.observe(float(len(batch.events)))
-            for event in batch.events:
-                self._m_drain_latency.observe(now - event.first_seen)
+        self._m_batch_size.observe(float(len(batch.events)))
+        for event in batch.events:
+            self._m_drain_latency.observe(now - event.first_seen)
         self._pending.clear()
         self._oldest = None
         return batch

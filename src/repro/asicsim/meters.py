@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..obs.metrics import MetricRegistry, Scope
+
 
 class Color(enum.Enum):
     """Marking colors: GREEN conforms to CIR, YELLOW to EIR, RED exceeds."""
@@ -116,26 +118,25 @@ class MeterBank:
     The SRAM footprint model follows the paper: 40 K meters consume about
     1 % of a 50-100 MB ASIC's SRAM, i.e. roughly 16 bytes of state per meter
     (two buckets + timestamp + config).
+
+    The bank counts into the ``metrics`` scope it is handed (a private
+    registry's when omitted); ``time_skew_events`` is a view of that counter.
     """
 
     BYTES_PER_METER = 16
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics: Scope = None) -> None:
         self._meters: dict = {}
+        if metrics is None:
+            metrics = MetricRegistry().scope("")
         # One shared skew counter for the whole bank: skew is a property of
         # the update stream reaching the bank, not of one VIP's meter.
-        self._skew_counter = (
-            metrics.counter(
-                "meter_time_skew_total",
-                help="meter updates whose timestamp ran backwards (clamped)",
-            )
-            if metrics is not None
-            else None
+        self._skew_counter = metrics.counter(
+            "meter_time_skew_total",
+            help="meter updates whose timestamp ran backwards (clamped)",
         )
 
-    @property
-    def time_skew_events(self) -> int:
-        return sum(m.time_skew_events for m in self._meters.values())
+    time_skew_events = property(lambda self: int(self._skew_counter.value))
 
     def install(self, vip, config: MeterConfig) -> TrTcmMeter:
         meter = TrTcmMeter(config, skew_counter=self._skew_counter)

@@ -32,13 +32,14 @@ CONN_TABLE_WAYS = 4
 
 
 class ConnTable:
-    """The connection table of one SilkRoad switch."""
+    """The connection table of one SilkRoad switch; ``metrics`` is the
+    scope its :class:`~repro.asicsim.cuckoo.CuckooTable` counts into."""
 
     def __init__(
         self,
         config: SilkRoadConfig,
         seed: int = 0x51CC_0AD0,
-        metrics: Optional[Scope] = None,
+        metrics: Scope = None,
     ) -> None:
         self.config = config
         self._table = CuckooTable.for_capacity(
@@ -120,14 +121,6 @@ class ConnTable:
     @property
     def false_positive_lookups(self) -> int:
         return self._table.false_positive_lookups
-
-    @property
-    def total_lookups(self) -> int:
-        return self._table.total_lookups
-
-    @property
-    def failed_inserts(self) -> int:
-        return self._table.failed_inserts
 
     @property
     def sram_bytes(self) -> int:

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..asicsim.learning_filter import LearnBatch
 from ..netsim.events import EventHandle, EventQueue
 from ..netsim.simulator import PRIO_INTERNAL
-from ..obs.metrics import LATENCY_BUCKETS_S, Scope
+from ..obs.metrics import LATENCY_BUCKETS_S, MetricRegistry, Scope
 
 #: Callback invoked when the CPU finishes installing one connection:
 #: ``(key, metadata)``.
@@ -70,14 +70,19 @@ class _Job:
 
 
 class SwitchCpu:
-    """Single-core switch CPU processing ConnTable insertions in FIFO order."""
+    """Single-core switch CPU processing ConnTable insertions in FIFO order.
+
+    It counts into the ``metrics`` scope it is handed (a private registry
+    of its own when built without one); those counters are the only store,
+    and ``submitted``, ``completed``, ``shed`` … are read-only views of them.
+    """
 
     def __init__(
         self,
         queue: EventQueue,
         insertion_rate_per_s: float,
         on_installed: InstallCallback,
-        metrics: Optional[Scope] = None,
+        metrics: Scope = None,
         max_backlog: Optional[int] = None,
         retry_limit: int = 0,
         retry_backoff_s: float = 1e-4,
@@ -107,58 +112,55 @@ class SwitchCpu:
         #: Accepted jobs not yet completed/failed, in submission order
         #: (a dict used as an ordered set).
         self._outstanding: Dict[_Job, None] = {}
-        self.submitted = 0
-        self.completed = 0
-        self.batches = 0
-        self.shed = 0
-        self.lost = 0
-        self.retries = 0
-        self.install_failures = 0
-        self.crashes = 0
-        self.stalls = 0
         if metrics is None:
-            self._m_submitted = self._m_installed = None
-            self._m_batches = self._m_queue_delay = None
-            self._m_shed = self._m_lost = self._m_retries = None
-            self._m_failures = self._m_crashes = self._m_stalls = None
-        else:
-            self._m_submitted = metrics.counter(
-                "jobs_submitted_total", "insertion jobs queued on the CPU"
-            )
-            self._m_installed = metrics.counter(
-                "installs_total", "ConnTable installs completed"
-            )
-            self._m_batches = metrics.counter(
-                "batches_total", "learning-filter batches accepted"
-            )
-            self._m_queue_delay = metrics.histogram(
-                "batch_queueing_delay_s",
-                buckets=LATENCY_BUCKETS_S,
-                quantiles=(0.5, 0.99),
-                help="wait before the CPU starts a newly submitted batch",
-            )
-            self._m_shed = metrics.counter(
-                "jobs_shed_total", "jobs dropped by the bounded-backlog policy"
-            )
-            self._m_lost = metrics.counter(
-                "jobs_lost_total", "jobs lost to CPU crashes or downtime"
-            )
-            self._m_retries = metrics.counter(
-                "install_retries_total", "ConnTable writes retried after a fault"
-            )
-            self._m_failures = metrics.counter(
-                "install_failures_total", "jobs abandoned after exhausting retries"
-            )
-            self._m_crashes = metrics.counter("crashes_total", "CPU crash events")
-            self._m_stalls = metrics.counter("stalls_total", "CPU stall windows")
-            # Re-registering after a rebind re-points the callbacks at the
-            # new CPU instance; counters are shared and keep accumulating.
-            metrics.gauge("backlog", "entries submitted but not installed").set_function(
-                lambda: float(self.backlog)
-            )
-            metrics.gauge(
-                "queueing_delay_s", "time until a job submitted now would start"
-            ).set_function(self.queueing_delay)
+            metrics = MetricRegistry().scope("")
+        self._m_submitted = metrics.counter(
+            "jobs_submitted_total", "insertion jobs queued on the CPU"
+        )
+        self._m_installed = metrics.counter(
+            "installs_total", "ConnTable installs completed"
+        )
+        self._m_batches = metrics.counter(
+            "batches_total", "learning-filter batches accepted"
+        )
+        self._m_queue_delay = metrics.histogram(
+            "batch_queueing_delay_s",
+            buckets=LATENCY_BUCKETS_S,
+            quantiles=(0.5, 0.99),
+            help="wait before the CPU starts a newly submitted batch",
+        )
+        self._m_shed = metrics.counter(
+            "jobs_shed_total", "jobs dropped by the bounded-backlog policy"
+        )
+        self._m_lost = metrics.counter(
+            "jobs_lost_total", "jobs lost to CPU crashes or downtime"
+        )
+        self._m_retries = metrics.counter(
+            "install_retries_total", "ConnTable writes retried after a fault"
+        )
+        self._m_failures = metrics.counter(
+            "install_failures_total", "jobs abandoned after exhausting retries"
+        )
+        self._m_crashes = metrics.counter("crashes_total", "CPU crash events")
+        self._m_stalls = metrics.counter("stalls_total", "CPU stall windows")
+        # Re-registering after a rebind re-points the callbacks at the
+        # new CPU instance; counters are shared and keep accumulating.
+        metrics.gauge("backlog", "entries submitted but not installed").set_function(
+            lambda: float(self.backlog)
+        )
+        metrics.gauge(
+            "queueing_delay_s", "time until a job submitted now would start"
+        ).set_function(self.queueing_delay)
+
+    submitted = property(lambda self: int(self._m_submitted.value))
+    completed = property(lambda self: int(self._m_installed.value))
+    batches = property(lambda self: int(self._m_batches.value))
+    shed = property(lambda self: int(self._m_shed.value))
+    lost = property(lambda self: int(self._m_lost.value))
+    retries = property(lambda self: int(self._m_retries.value))
+    install_failures = property(lambda self: int(self._m_failures.value))
+    crashes = property(lambda self: int(self._m_crashes.value))
+    stalls = property(lambda self: int(self._m_stalls.value))
 
     @property
     def per_entry_s(self) -> float:
@@ -188,11 +190,9 @@ class SwitchCpu:
             for event in batch.events:
                 self._lose(event.key, event.metadata)
             return
-        self.batches += 1
         start = max(self.queue.now, self._busy_until)
-        if self._m_batches is not None:
-            self._m_batches.value += 1.0
-            self._m_queue_delay.observe(max(0.0, start - self.queue.now))
+        self._m_batches.value += 1.0
+        self._m_queue_delay.observe(max(0.0, start - self.queue.now))
         per_entry_s = self.per_entry_s
         for event in batch.events:
             if not self._has_capacity():
@@ -218,16 +218,12 @@ class SwitchCpu:
         return self.max_backlog is None or len(self._outstanding) < self.max_backlog
 
     def _shed(self, key: bytes, metadata: Tuple) -> None:
-        self.shed += 1
-        if self._m_shed is not None:
-            self._m_shed.value += 1.0
+        self._m_shed.value += 1.0
         if self.on_shed is not None:
             self.on_shed(key, metadata)
 
     def _lose(self, key: bytes, metadata: Tuple) -> None:
-        self.lost += 1
-        if self._m_lost is not None:
-            self._m_lost.value += 1.0
+        self._m_lost.value += 1.0
         if self.on_lost is not None:
             self.on_lost(key, metadata)
 
@@ -236,9 +232,7 @@ class SwitchCpu:
     # ------------------------------------------------------------------
 
     def _schedule_install(self, key: bytes, metadata: Tuple, when: float) -> None:
-        self.submitted += 1
-        if self._m_submitted is not None:
-            self._m_submitted.value += 1.0
+        self._m_submitted.value += 1.0
         job = _Job(self, key, metadata)
         self._outstanding[job] = None
         job.handle = self.queue.schedule(when, job.fire, PRIO_INTERNAL)
@@ -248,24 +242,18 @@ class SwitchCpu:
         job.attempts += 1
         if self.write_fault is not None and self.write_fault(job.key):
             if job.attempts <= self.retry_limit:
-                self.retries += 1
-                if self._m_retries is not None:
-                    self._m_retries.value += 1.0
+                self._m_retries.value += 1.0
                 delay = self.retry_backoff_s * job.attempts
                 job.handle = self.queue.schedule_in(delay, job.fire, PRIO_INTERNAL)
                 return
             # Retries exhausted: the write never acknowledged.
             del self._outstanding[job]
-            self.install_failures += 1
-            if self._m_failures is not None:
-                self._m_failures.value += 1.0
+            self._m_failures.value += 1.0
             if self.on_install_failed is not None:
                 self.on_install_failed(job.key, job.metadata)
             return
         del self._outstanding[job]
-        self.completed += 1
-        if self._m_installed is not None:
-            self._m_installed.value += 1.0
+        self._m_installed.value += 1.0
         self.on_installed(job.key, job.metadata)
 
     # ------------------------------------------------------------------
@@ -285,9 +273,7 @@ class SwitchCpu:
         if self.down:
             return []
         self.down = True
-        self.crashes += 1
-        if self._m_crashes is not None:
-            self._m_crashes.value += 1.0
+        self._m_crashes.value += 1.0
         lost: List[Tuple[bytes, Tuple]] = []
         for job in self._outstanding:
             if job.handle is not None:
@@ -315,9 +301,7 @@ class SwitchCpu:
             raise ValueError("duration_s must be non-negative")
         if self.down or duration_s == 0.0:
             return
-        self.stalls += 1
-        if self._m_stalls is not None:
-            self._m_stalls.value += 1.0
+        self._m_stalls.value += 1.0
         self._busy_until = max(self._busy_until, self.queue.now) + duration_s
         for job in self._outstanding:
             handle = job.handle

@@ -28,7 +28,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..netsim.packet import VirtualIP
 from ..netsim.updates import UpdateEvent
-from ..obs.metrics import LATENCY_BUCKETS_S, Scope
+from ..obs.metrics import LATENCY_BUCKETS_S, MetricRegistry, Scope
 from ..obs.tracing import TraceSpan, Tracer
 
 
@@ -90,8 +90,10 @@ class UpdateCoordinator:
     When a :class:`~repro.obs.tracing.Tracer` is attached, every update
     produces one ``pcc_update`` span with ``t_req`` / ``t_exec`` /
     ``t_finish`` marks (the Figure 11 timeline) carrying the pending and
-    marked connection counts at each transition; a metrics scope adds the
-    step-duration histograms.
+    marked connection counts at each transition.  The coordinator counts
+    into the ``metrics`` scope it is handed (a private registry of its own
+    when built without one); those instruments are the only store, and
+    ``updates_requested`` and friends are read-only views of them.
 
     **Watchdogs.**  With ``step_deadline_s`` set (and a ``schedule``
     callback to arm timers), each step gets a deadline: a step-1 or step-2
@@ -113,7 +115,7 @@ class UpdateCoordinator:
         now: Callable[[], float],
         start: Optional[Callable[[VirtualIP], None]] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[Scope] = None,
+        metrics: Scope = None,
         step_deadline_s: Optional[float] = None,
         schedule: Optional[Callable[[float, Callable[[], None]], object]] = None,
         on_at_risk: Optional[Callable[[VirtualIP, Set[bytes], Phase], None]] = None,
@@ -134,50 +136,48 @@ class UpdateCoordinator:
         self._on_at_risk = on_at_risk
         self._vips: Dict[VirtualIP, _VipUpdate] = {}
         self.timings: List[UpdateTimings] = []
-        self.updates_requested = 0
-        self.updates_completed = 0
-        self.watchdog_forced_steps = 0
-        self.at_risk_reclassified = 0
         if metrics is None:
-            self._m_requested = self._m_completed = self._m_queued = None
-            self._m_step1 = self._m_step2 = self._m_total = None
-            self._m_watchdog = self._m_at_risk = None
-        else:
-            self._m_requested = metrics.counter(
-                "updates_requested_total", "DIP-pool updates requested"
-            )
-            self._m_completed = metrics.counter(
-                "updates_completed_total", "updates that reached t_finish"
-            )
-            self._m_queued = metrics.counter(
-                "updates_queued_total", "requests queued behind an in-flight update"
-            )
-            self._m_step1 = metrics.histogram(
-                "step1_duration_s",
-                buckets=LATENCY_BUCKETS_S,
-                quantiles=(0.5, 0.99),
-                help="t_exec - t_req: wait for pre-request pending connections",
-            )
-            self._m_step2 = metrics.histogram(
-                "step2_duration_s",
-                buckets=LATENCY_BUCKETS_S,
-                quantiles=(0.5, 0.99),
-                help="t_finish - t_exec: wait for marked connections",
-            )
-            self._m_total = metrics.histogram(
-                "update_duration_s",
-                buckets=LATENCY_BUCKETS_S,
-                quantiles=(0.5, 0.99),
-                help="t_finish - t_req: whole 3-step update",
-            )
-            self._m_watchdog = metrics.counter(
-                "watchdog_forced_steps_total",
-                "update steps force-advanced past their deadline",
-            )
-            self._m_at_risk = metrics.counter(
-                "at_risk_keys_total",
-                "pending keys reclassified at-risk by a forced step",
-            )
+            metrics = MetricRegistry().scope("")
+        self._m_requested = metrics.counter(
+            "updates_requested_total", "DIP-pool updates requested"
+        )
+        self._m_completed = metrics.counter(
+            "updates_completed_total", "updates that reached t_finish"
+        )
+        self._m_queued = metrics.counter(
+            "updates_queued_total", "requests queued behind an in-flight update"
+        )
+        self._m_step1 = metrics.histogram(
+            "step1_duration_s",
+            buckets=LATENCY_BUCKETS_S,
+            quantiles=(0.5, 0.99),
+            help="t_exec - t_req: wait for pre-request pending connections",
+        )
+        self._m_step2 = metrics.histogram(
+            "step2_duration_s",
+            buckets=LATENCY_BUCKETS_S,
+            quantiles=(0.5, 0.99),
+            help="t_finish - t_exec: wait for marked connections",
+        )
+        self._m_total = metrics.histogram(
+            "update_duration_s",
+            buckets=LATENCY_BUCKETS_S,
+            quantiles=(0.5, 0.99),
+            help="t_finish - t_req: whole 3-step update",
+        )
+        self._m_watchdog = metrics.counter(
+            "watchdog_forced_steps_total",
+            "update steps force-advanced past their deadline",
+        )
+        self._m_at_risk = metrics.counter(
+            "at_risk_keys_total",
+            "pending keys reclassified at-risk by a forced step",
+        )
+
+    updates_requested = property(lambda self: int(self._m_requested.value))
+    updates_completed = property(lambda self: int(self._m_completed.value))
+    watchdog_forced_steps = property(lambda self: int(self._m_watchdog.value))
+    at_risk_reclassified = property(lambda self: int(self._m_at_risk.value))
 
     def _state(self, vip: VirtualIP) -> _VipUpdate:
         return self._vips.setdefault(vip, _VipUpdate())
@@ -207,14 +207,11 @@ class UpdateCoordinator:
         begins.  The serving mode's admin-initiated drains use it to
         track completion precisely instead of polling the phase.
         """
-        self.updates_requested += 1
-        if self._m_requested is not None:
-            self._m_requested.value += 1.0
+        self._m_requested.value += 1.0
         state = self._state(event.vip)
         if state.phase is not Phase.IDLE:
             state.queued.append((event, on_finished))
-            if self._m_queued is not None:
-                self._m_queued.value += 1.0
+            self._m_queued.value += 1.0
             return
         self._begin(state, event, on_finished)
 
@@ -277,11 +274,8 @@ class UpdateCoordinator:
         else:
             stuck = set(state.marked)
             state.marked.clear()
-        self.watchdog_forced_steps += 1
-        self.at_risk_reclassified += len(stuck)
-        if self._m_watchdog is not None:
-            self._m_watchdog.value += 1.0
-            self._m_at_risk.value += float(len(stuck))
+        self._m_watchdog.value += 1.0
+        self._m_at_risk.value += float(len(stuck))
         if state.span is not None:
             state.span.mark(
                 f"watchdog_{phase.value}", self._now(), at_risk=len(stuck)
@@ -365,12 +359,10 @@ class UpdateCoordinator:
             vip=vip, t_req=state.t_req, t_exec=state.t_exec, t_finish=t_finish
         )
         self.timings.append(timing)
-        self.updates_completed += 1
-        if self._m_completed is not None:
-            self._m_completed.value += 1.0
-            self._m_step1.observe(timing.step1_s)
-            self._m_step2.observe(timing.step2_s)
-            self._m_total.observe(t_finish - state.t_req)
+        self._m_completed.value += 1.0
+        self._m_step1.observe(timing.step1_s)
+        self._m_step2.observe(timing.step2_s)
+        self._m_total.observe(t_finish - state.t_req)
         if state.span is not None:
             span = state.span
             state.span = None

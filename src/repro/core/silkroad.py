@@ -56,6 +56,24 @@ INSTALL_RETRY_BACKOFF_S = 1e-4
 #: depositing a fresh learn event.
 RELEARN_DELAY_S = 1e-3
 
+#: The switch's own counters, declared once: ``__init__`` zeroes each as a
+#: plain attribute, and a counter with help text is also exported as the
+#: ``switch.<name>`` callback gauge (the others reach ``report()`` only).
+_COUNTERS: Dict[str, Optional[str]] = {
+    "connections_seen": "connection arrivals",
+    "fp_syn_redirects": "SYNs redirected on digest collision",
+    "transit_fp_adopted": "conns pinned to old version by Bloom FP",
+    "transit_fp_corrected": None,
+    "table_full_events": "insertions hitting a full ConnTable",
+    "overflow_pinned": "conns pinned in software on overflow",
+    "version_exhaustion_events": "updates dropped: version space full",
+    # Updates skipped because the pool already was in the asked-for state
+    # (see ``_execute_update``); counted, never raised.
+    "stale_updates": None,
+    "at_risk_connections": "conns reclassified at-risk by watchdogs",
+    "resumed_connections": None,
+}
+
 
 @dataclass(slots=True)
 class _ConnState:
@@ -153,22 +171,8 @@ class SilkRoadSwitch(LoadBalancer):
         self._drop_notifications = 0
         self._delay_notifications = 0
         self._notification_delay_s = 0.0
-        # Counters
-        self.fp_syn_redirects = 0
-        self.transit_fp_adopted = 0
-        self.transit_fp_corrected = 0
-        self.table_full_events = 0
-        self.overflow_pinned = 0
-        self.version_exhaustion_events = 0
-        #: updates skipped because the pool already was in the asked-for
-        #: state (see ``_execute_update``); counted, never raised.
-        self.stale_updates = 0
-        self.connections_seen = 0
-        self.notifications_lost = 0
-        self.notifications_delayed = 0
-        self.relearns = 0
-        self.at_risk_connections = 0
-        self.resumed_connections = 0
+        for counter in _COUNTERS:
+            setattr(self, counter, 0)
         #: Keys whose PCC exposure the fault model predicts — watchdog
         #: reclassifications, ConnTable overflows, step-2 Bloom adoptions.
         #: Persisted past connection death so post-run audits can attribute
@@ -176,14 +180,15 @@ class SilkRoadSwitch(LoadBalancer):
         self.at_risk_keys: Set[bytes] = set()
         self.overflow_keys: Set[bytes] = set()
         self.fp_adopted_keys: Set[bytes] = set()
-        self._slow_path_metrics = self.metrics.scope("slow_path")
-        self._m_relearns = self._slow_path_metrics.counter(
+        # Slow-path losses count into the registry only (``relearns`` views it).
+        slow_path = self.metrics.scope("slow_path")
+        self._m_relearns = slow_path.counter(
             "relearns_total", "connections re-learned after a slow-path loss"
         )
-        self._m_notifications_lost = self._slow_path_metrics.counter(
+        self._m_notifications_lost = slow_path.counter(
             "notifications_lost_total", "learning-filter batches lost in delivery"
         )
-        self._m_notifications_delayed = self._slow_path_metrics.counter(
+        self._m_notifications_delayed = slow_path.counter(
             "notifications_delayed_total", "learning-filter batches delivered late"
         )
         self._register_switch_gauges()
@@ -192,8 +197,8 @@ class SilkRoadSwitch(LoadBalancer):
         self.bind(EventQueue())
 
     def _register_switch_gauges(self) -> None:
-        """Switch-level views over the slow-path counters (callback gauges,
-        so the cost is paid at sample/export time only)."""
+        """Switch-level views (callback gauges, so the cost is paid at
+        sample/export time only): two derived sizes, then ``_COUNTERS``."""
         scope = self.metrics.scope("switch")
         scope.gauge("pending_connections", "arrived but not yet installed").set_function(
             lambda: float(self.pending_connections())
@@ -201,27 +206,13 @@ class SilkRoadSwitch(LoadBalancer):
         scope.gauge("sram_bytes", "SRAM across all SilkRoad tables").set_function(
             lambda: float(self.sram_bytes())
         )
-        scope.gauge("connections_seen", "connection arrivals").set_function(
-            lambda: float(self.connections_seen)
-        )
-        scope.gauge("fp_syn_redirects", "SYNs redirected on digest collision").set_function(
-            lambda: float(self.fp_syn_redirects)
-        )
-        scope.gauge("transit_fp_adopted", "conns pinned to old version by Bloom FP").set_function(
-            lambda: float(self.transit_fp_adopted)
-        )
-        scope.gauge("table_full_events", "insertions hitting a full ConnTable").set_function(
-            lambda: float(self.table_full_events)
-        )
-        scope.gauge("overflow_pinned", "conns pinned in software on overflow").set_function(
-            lambda: float(self.overflow_pinned)
-        )
-        scope.gauge(
-            "version_exhaustion_events", "updates dropped: version space full"
-        ).set_function(lambda: float(self.version_exhaustion_events))
-        scope.gauge(
-            "at_risk_connections", "conns reclassified at-risk by watchdogs"
-        ).set_function(lambda: float(self.at_risk_connections))
+        for counter, help_text in _COUNTERS.items():
+            if help_text is not None:
+                scope.gauge(counter, help_text).set_function(
+                    lambda c=counter: float(getattr(self, c))
+                )
+
+    relearns = property(lambda self: int(self._m_relearns.value))
 
     # ------------------------------------------------------------------
     # Provisioning
@@ -743,7 +734,6 @@ class SilkRoadSwitch(LoadBalancer):
         recorder = self.recorder
         if self._drop_notifications > 0:
             self._drop_notifications -= 1
-            self.notifications_lost += 1
             self._m_notifications_lost.value += 1.0
             if recorder is not None:
                 recorder.record(
@@ -755,7 +745,6 @@ class SilkRoadSwitch(LoadBalancer):
             return
         if self._delay_notifications > 0:
             self._delay_notifications -= 1
-            self.notifications_delayed += 1
             self._m_notifications_delayed.value += 1.0
             if recorder is not None:
                 recorder.record(
@@ -802,7 +791,6 @@ class SilkRoadSwitch(LoadBalancer):
             # next "packet".
             self._schedule_relearn(key, metadata)
             return
-        self.relearns += 1
         self._m_relearns.value += 1.0
         if self.recorder is not None:
             self.recorder.record(self.queue.now, "slowpath", "relearn", key=key)
@@ -983,7 +971,7 @@ class SilkRoadSwitch(LoadBalancer):
 
     def telemetry_snapshot(self) -> Dict[str, object]:
         """Machine-readable dump: every metric, every finished trace span,
-        plus the legacy flat counters.  The shape matches what
+        plus :meth:`report`'s flat counters.  The shape matches what
         ``python -m repro.cli telemetry`` emits per switch."""
         extra: Dict[str, object] = {"switch": self.name, "counters": self.report()}
         if self.recorder is not None:
@@ -1005,15 +993,15 @@ class SilkRoadSwitch(LoadBalancer):
             "stale_updates": float(self.stale_updates),
             "updates_requested": float(self.coordinator.updates_requested),
             "updates_completed": float(self.coordinator.updates_completed),
-            "cpu_backlog": float(self._cpu.backlog if hasattr(self, "_cpu") else 0),
+            "cpu_backlog": float(self._cpu.backlog),
             "cpu_jobs_shed": float(self._cpu.shed),
             "cpu_jobs_lost": float(self._cpu.lost),
             "cpu_install_retries": float(self._cpu.retries),
             "cpu_install_failures": float(self._cpu.install_failures),
             "cpu_crashes": float(self._cpu.crashes),
             "cpu_stalls": float(self._cpu.stalls),
-            "notifications_lost": float(self.notifications_lost),
-            "notifications_delayed": float(self.notifications_delayed),
+            "notifications_lost": self._m_notifications_lost.value,
+            "notifications_delayed": self._m_notifications_delayed.value,
             "relearns": float(self.relearns),
             "at_risk_connections": float(self.at_risk_connections),
             "resumed_connections": float(self.resumed_connections),

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..asicsim.registers import BloomFilter, BloomQuery
-from ..obs.metrics import Scope
+from ..obs.metrics import MetricRegistry, Scope
 
 #: Hash functions of the Bloom filter (§4.3): one register-array lookup
 #: per hash way, four ways in the paper's 256-byte design.
@@ -36,14 +36,19 @@ TRANSIT_HASH_WAYS = 4
 
 
 class TransitTable:
-    """The shared pending-connection filter of one switch."""
+    """The shared pending-connection filter of one switch.
+
+    It counts into the ``metrics`` scope it is handed (a private registry
+    of its own when built without one); those instruments are the only
+    store, and ``clears`` / ``rebuilds`` / ``evicted_marks`` read them.
+    """
 
     def __init__(
         self,
         size_bytes: int = 256,
         num_hashes: int = TRANSIT_HASH_WAYS,
         seed: int = 0xB100F,
-        metrics: Optional[Scope] = None,
+        metrics: Scope = None,
     ):
         self._filter = BloomFilter(size_bytes, num_hashes=num_hashes, seed=seed)
         self._next_update_id = 1
@@ -51,47 +56,45 @@ class TransitTable:
         self._owned: Dict[int, Dict[bytes, Optional[int]]] = {}
         #: marks recorded without an owning update (legacy callers).
         self._unowned: Dict[bytes, Optional[int]] = {}
-        self.clears = 0
-        self.rebuilds = 0
-        self.evicted_marks = 0
         if metrics is None:
-            self._m_marks = self._m_checks = self._m_hits = None
-            self._m_fp = self._m_clears = None
-            self._m_rebuilds = self._m_evicted = None
-        else:
-            self._m_marks = metrics.counter(
-                "marks_total", "pending connections written during step 1"
-            )
-            self._m_checks = metrics.counter(
-                "checks_total", "ConnTable-miss packets that consulted the filter"
-            )
-            self._m_hits = metrics.counter(
-                "hits_total", "filter queries answered positive"
-            )
-            self._m_fp = metrics.counter(
-                "false_positives_total", "positive answers for never-marked keys"
-            )
-            self._m_clears = metrics.counter(
-                "clears_total", "filter wipes at step 3 (no update left in flight)"
-            )
-            self._m_rebuilds = metrics.counter(
-                "rebuilds_total",
-                "filter rebuilds evicting a finished update's marks while "
-                "other updates stayed in flight",
-            )
-            self._m_evicted = metrics.counter(
-                "evicted_marks_total",
-                "marks of finished updates removed before the last clear",
-            )
-            metrics.gauge("population", "keys marked since the last clear").set_function(
-                lambda: float(self._filter.population)
-            )
-            metrics.gauge("fill_ratio", "fraction of set bits").set_function(
-                lambda: self._filter.fill_ratio
-            )
-            metrics.gauge("active_updates", "updates currently using the filter").set_function(
-                lambda: float(len(self._owned))
-            )
+            metrics = MetricRegistry().scope("")
+        self._m_marks = metrics.counter(
+            "marks_total", "pending connections written during step 1"
+        )
+        self._m_checks = metrics.counter(
+            "checks_total", "ConnTable-miss packets that consulted the filter"
+        )
+        self._m_hits = metrics.counter(
+            "hits_total", "filter queries answered positive"
+        )
+        self._m_fp = metrics.counter(
+            "false_positives_total", "positive answers for never-marked keys"
+        )
+        self._m_clears = metrics.counter(
+            "clears_total", "filter wipes at step 3 (no update left in flight)"
+        )
+        self._m_rebuilds = metrics.counter(
+            "rebuilds_total",
+            "filter rebuilds evicting a finished update's marks while "
+            "other updates stayed in flight",
+        )
+        self._m_evicted = metrics.counter(
+            "evicted_marks_total",
+            "marks of finished updates removed before the last clear",
+        )
+        metrics.gauge("population", "keys marked since the last clear").set_function(
+            lambda: float(self._filter.population)
+        )
+        metrics.gauge("fill_ratio", "fraction of set bits").set_function(
+            lambda: self._filter.fill_ratio
+        )
+        metrics.gauge("active_updates", "updates currently using the filter").set_function(
+            lambda: float(len(self._owned))
+        )
+
+    clears = property(lambda self: int(self._m_clears.value))
+    rebuilds = property(lambda self: int(self._m_rebuilds.value))
+    evicted_marks = property(lambda self: int(self._m_evicted.value))
 
     # -- update lifecycle ------------------------------------------------
 
@@ -122,9 +125,7 @@ class TransitTable:
             # Last in-flight update: step 3 proper, the filter truly clears.
             self._unowned.clear()
             self._filter.clear()
-            self.clears += 1
-            if self._m_clears is not None:
-                self._m_clears.value += 1.0
+            self._m_clears.value += 1.0
             return
         # Other updates still need their marks: rebuild without the
         # finished update's.  A key marked by several updates survives
@@ -136,11 +137,8 @@ class TransitTable:
         self._filter.clear()
         for key, key_hash in survivors.items():
             self._filter.insert(key, key_hash)
-        self.rebuilds += 1
-        self.evicted_marks += evicted
-        if self._m_rebuilds is not None:
-            self._m_rebuilds.value += 1.0
-            self._m_evicted.value += float(evicted)
+        self._m_rebuilds.value += 1.0
+        self._m_evicted.value += float(evicted)
 
     @property
     def active_updates(self) -> int:
@@ -166,18 +164,16 @@ class TransitTable:
             self._owned[update_id][key] = key_hash
         else:
             self._unowned[key] = key_hash
-        if self._m_marks is not None:
-            self._m_marks.value += 1.0
+        self._m_marks.value += 1.0
 
     def check(self, key: bytes, key_hash: Optional[int] = None) -> BloomQuery:
         """Step 2: should this ConnTable-missing packet use the old version?"""
         query = self._filter.query(key, key_hash)
-        if self._m_checks is not None:
-            self._m_checks.value += 1.0
-            if query.positive:
-                self._m_hits.value += 1.0
-                if query.false_positive:
-                    self._m_fp.value += 1.0
+        self._m_checks.value += 1.0
+        if query.positive:
+            self._m_hits.value += 1.0
+            if query.false_positive:
+                self._m_fp.value += 1.0
         return query
 
     # -- accounting --------------------------------------------------------

@@ -70,8 +70,7 @@ def _measure(
             inserted += 1
         except TableFull:
             continue
-    table.total_lookups = 0
-    table.false_positive_lookups = 0
+    fp_before = table.false_positive_lookups
     for _ in range(probes):
         table.lookup(factory.next_for(vip).key_bytes())
     return MultiDigestPoint(
@@ -79,7 +78,7 @@ def _measure(
         fill=fill_label,
         resident=inserted,
         probes=probes,
-        false_positives=table.false_positive_lookups,
+        false_positives=table.false_positive_lookups - fp_before,
         sram_bytes=table.sram_bytes,
         stage_occupancy=tuple(table.stage_occupancy()),
     )

@@ -19,6 +19,12 @@ Instruments are get-or-create: asking a registry twice for the same name
 returns the same object, so components may re-wire (e.g. a switch re-bound
 to a new event queue) without losing or double-registering state.
 
+**One store per count.**  An instrument is the count itself, not a mirror
+of one: a component always counts into a :class:`Scope` (the one it is
+handed, or ``MetricRegistry().scope("")`` of its own when built bare) and
+exposes a count it wants read as a read-only property returning
+``int(counter.value)`` — no plain-``int`` twin, no ``is not None`` guard.
+
 Registries are also **mergeable**: the sharded replay engine
 (:mod:`repro.experiments.parallel`) runs one registry per worker process
 and folds them into a single fleet view with :meth:`MetricRegistry.merge`

@@ -1,6 +1,6 @@
 """Shared runner options: replay-driver and observability knobs.
 
-Every batch runner (``run_chaos``, ``run_fleet``, their sharded variants,
+Every batch runner (``run_chaos``, ``run_fleet``,
 ``run_fleet_partitioned``, ``run_sharded``) and the serving mode accept
 the same two axes of configuration:
 

@@ -57,12 +57,13 @@ class TestPerStageDigests:
                 except TableFull:
                     pass
             probes = make_keys(30_000, seed=4)
-            table.total_lookups = 0
-            table.false_positive_lookups = 0
+            lookups, fps = table.total_lookups, table.false_positive_lookups
             for key in probes:
                 if key not in table:
                     table.lookup(key)
-            return table.false_positive_lookups / max(table.total_lookups, 1)
+            return (table.false_positive_lookups - fps) / max(
+                table.total_lookups - lookups, 1
+            )
 
         narrow = fp_rate([8, 8])
         mixed = fp_rate([12, 8])

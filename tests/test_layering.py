@@ -9,7 +9,11 @@ remain are listed in ``ALLOWED`` with the reason, so they are visible
 debt rather than silent.  The same walk refuses ``.__dict__`` on anything
 but ``self``: writing through another object's instance dict un-shares
 its key-sharing dict (400 B per connection per replay, when a hash cache
-did it), and the per-connection records are slotted.
+did it), and the per-connection records are slotted.  And it refuses the
+second, uninstrumented component mode: no ``_m_*`` instrument attribute
+is compared with ``None`` and nothing is annotated ``Optional[Scope]`` —
+a component always counts into a scope, its registry counter is the one
+store of each count (docs/observability.md, "One store per count").
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -93,6 +97,45 @@ def test_no_reach_into_another_objects_instance_dict():
         and node.attr == "__dict__"
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
+    assert not offenders, "\n".join(offenders)
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _names_scope(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "Scope"
+
+
+def _optional_scope(node) -> bool:
+    """``Optional[Scope]``, or its ``Scope | None`` spelling."""
+    if isinstance(node, ast.Subscript):
+        return (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "Optional"
+            and _names_scope(node.slice)
+        )
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = (node.left, node.right)
+        return any(map(_names_scope, sides)) and any(map(_is_none, sides))
+    return False
+
+
+def test_no_uninstrumented_component_mode():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_none, operands)) and any(
+                    isinstance(o, ast.Attribute) and o.attr.startswith("_m_")
+                    for o in operands
+                ):
+                    offenders.append(f"{rel}:{node.lineno} guards an instrument on None")
+            elif _optional_scope(node):
+                offenders.append(f"{rel}:{node.lineno} makes a Scope optional")
     assert not offenders, "\n".join(offenders)
 
 
