@@ -45,6 +45,12 @@ class PacketBatch:
         scalar path.
         """
         keys: List[bytes] = [conn.key for conn in conns]
+        try:
+            # Hot as a whole — a replay's ``fresh()`` copies, a streamed
+            # window — is one C pass with nothing raised.
+            return cls(keys, list(map(_cached_hash, conns)))
+        except AttributeError:
+            pass
         hashes: List[int] = [0] * len(conns)
         missing: List[int] = []
         for i, conn in enumerate(conns):

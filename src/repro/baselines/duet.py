@@ -175,7 +175,7 @@ class DuetLoadBalancer(LoadBalancer):
         # from every ongoing connection and pins it where it currently goes.
         pinned = self._pinned[vip]
         for key, conn in self._active[vip].items():
-            current = conn.decisions[-1][1] if conn.decisions else None
+            current = conn.current_dip
             if current is not None:
                 pinned[key] = current
 

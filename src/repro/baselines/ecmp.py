@@ -74,10 +74,8 @@ class EcmpLoadBalancer(LoadBalancer):
         # Insertion order: every flow re-hashes, deterministically.
         for conn in self._active.get(event.vip, {}).values():
             new_dip = self.select(event.vip, conn.key, conn.key_hash)
-            if event.kind is UpdateKind.REMOVE and conn.decisions:
-                last = conn.decisions[-1][1]
-                if last == event.dip:
-                    conn.broken_by_removal = True
+            if event.kind is UpdateKind.REMOVE and conn.current_dip == event.dip:
+                conn.broken_by_removal = True
             conn.record_decision(now, new_dip)
 
 
@@ -201,7 +199,6 @@ class ResilientEcmpLoadBalancer(LoadBalancer):
         # Only moved slots change; iterate in insertion order.
         for conn in self._active.get(event.vip, {}).values():
             new_dip = table.lookup(conn.key, conn.key_hash)
-            if event.kind is UpdateKind.REMOVE and conn.decisions:
-                if conn.decisions[-1][1] == event.dip:
-                    conn.broken_by_removal = True
+            if event.kind is UpdateKind.REMOVE and conn.current_dip == event.dip:
+                conn.broken_by_removal = True
             conn.record_decision(now, new_dip)

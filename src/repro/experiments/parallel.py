@@ -467,18 +467,23 @@ def _run_crashy_shard(
 ) -> ShardResult:
     """Test-only task exercising the fault-tolerance path.
 
-    ``crash_once_marker`` names a file: on the first attempt the worker
-    creates it and dies without a word (``os._exit``), on the retry it
-    succeeds — so tests can pin the retry-once contract.  With
+    ``crash_once_marker`` names a file: the one attempt that creates it
+    (atomically — concurrent workers race for it and exactly one wins)
+    dies without a word (``os._exit``), every other attempt and the retry
+    succeed — so tests can pin the retry-once contract.  With
     ``always_fail`` the shard raises every time and must end up in
     ``failed``.
     """
     if always_fail:
         raise RuntimeError(f"shard {spec.shard_id} told to fail")
-    if crash_once_marker and not os.path.exists(crash_once_marker):
-        with open(crash_once_marker, "w") as fh:
-            fh.write(str(spec.shard_id))
-        os._exit(3)
+    if crash_once_marker:
+        try:
+            with open(crash_once_marker, "x") as fh:
+                fh.write(str(spec.shard_id))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(3)
     fold = _ShardFold(spec)
     fold.registry.counter("crashy.completions_total").inc()
     fold.counters["completions"] = 1.0

@@ -10,6 +10,8 @@ rates spanning 1 K to >50 M per minute, so rates here are free parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -29,6 +31,9 @@ class VipWorkload:
 
     def arrivals_per_second(self) -> float:
         return self.new_conns_per_min / 60.0
+
+
+_BY_START = attrgetter("start")
 
 
 class ArrivalGenerator:
@@ -57,6 +62,8 @@ class ArrivalGenerator:
         VIPs draw from the one RNG in list order, so the same sequence of
         windows over the same workloads yields the same connections.
         """
+        if t1 <= t0:
+            raise ValueError("window must have positive span")
         connections: List[Connection] = []
         for workload in workloads:
             rate = workload.arrivals_per_second()
@@ -70,19 +77,22 @@ class ArrivalGenerator:
             times = self._rng.uniform(t0, t1, size=count)
             times.sort()
             durations = workload.duration_model.sample(self._rng, size=count)
-            for t, d in zip(times, durations):
-                connections.append(
-                    Connection(
-                        conn_id=self._next_id,
-                        five_tuple=self._tuples.next_for(workload.vip),
-                        vip=workload.vip,
-                        start=float(t),
-                        duration=float(d),
-                        rate_bps=workload.rate_bps,
-                    )
+            first_id = self._next_id
+            self._next_id = first_id + count
+            vip = workload.vip
+            # One C-driven pass per VIP: the record's fields as columns.
+            connections.extend(
+                map(
+                    Connection,
+                    range(first_id, first_id + count),
+                    self._tuples.take(vip, count),
+                    repeat(vip),
+                    times.tolist(),
+                    durations.tolist(),
+                    repeat(workload.rate_bps),
                 )
-                self._next_id += 1
-        connections.sort(key=lambda c: c.start)
+            )
+        connections.sort(key=_BY_START)
         return connections
 
     def generate(

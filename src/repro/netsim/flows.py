@@ -76,11 +76,17 @@ CACHE = DurationModel(median_s=270.0)
 class Connection:
     """One L4 connection as the flow-level simulator tracks it.
 
-    ``decisions`` records every (time, DIP) forwarding decision made for the
+    ``decisions`` lists every (time, DIP) forwarding decision made for the
     connection's packets; per-connection consistency holds iff all decided
     DIPs are identical.  The paper's conservative assumption — packets
     arrive continuously throughout the flow's lifetime — means any decision
     change within ``[start, end)`` is a PCC violation.
+
+    ``decisions`` is a view, built on each read.  The first decision rides
+    on the record itself (two slots) and a list exists only from the second
+    *distinct* decision on — a remap, rare by the paper's own contract — so
+    a once-decided connection costs the host, and the cyclic collector that
+    re-walks every surviving container, no list and no tuple.
     """
 
     conn_id: int
@@ -89,7 +95,6 @@ class Connection:
     start: float
     duration: float
     rate_bps: float = 0.0
-    decisions: List[Tuple[float, Optional[DirectIP]]] = field(default_factory=list)
     #: Set when the connection's own DIP was taken down while it was active.
     #: Such connections are broken by the operational change itself, not by
     #: the load balancer, so PCC metrics exclude them (the paper counts
@@ -103,6 +108,14 @@ class Connection:
     #: first read (``__getattr__``); every later read is a plain slot load.
     key: bytes = field(init=False, repr=False)
     key_hash: int = field(init=False, repr=False)
+    #: The decision log: the first decision inline (``_first_t is None``
+    #: spells "none yet"), and every decision — the first included — in
+    #: ``_log`` once a second distinct one arrives.
+    _first_t: Optional[float] = field(default=None, init=False)
+    _first_dip: Optional[DirectIP] = field(default=None, init=False)
+    _log: Optional[List[Tuple[float, Optional[DirectIP]]]] = field(
+        default=None, init=False
+    )
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset.
@@ -138,14 +151,40 @@ class Connection:
 
     def record_decision(self, t: float, dip: Optional[DirectIP]) -> None:
         """Record a forwarding decision for packets from time ``t`` on."""
-        if self.decisions and self.decisions[-1][1] == dip:
+        if self._first_t is None:
+            self._first_t = t
+            self._first_dip = dip
             return
-        self.decisions.append((t, dip))
+        log = self._log
+        if log is None:
+            if self._first_dip != dip:
+                self._log = [(self._first_t, self._first_dip), (t, dip)]
+        elif log[-1][1] != dip:
+            log.append((t, dip))
+
+    @property
+    def decisions(self) -> List[Tuple[float, Optional[DirectIP]]]:
+        """Every (time, DIP) decision in order, as a new list."""
+        if self._log is not None:
+            return list(self._log)
+        if self._first_t is None:
+            return []
+        return [(self._first_t, self._first_dip)]
+
+    @property
+    def current_dip(self) -> Optional[DirectIP]:
+        """Where packets go as of the latest decision (``None``: nowhere,
+        or no decision yet)."""
+        if self._log is not None:
+            return self._log[-1][1]
+        return self._first_dip
 
     def distinct_dips(self) -> List[DirectIP]:
         """DIPs this connection's packets were sent to, in order."""
+        if self._log is None:
+            return [] if self._first_dip is None else [self._first_dip]
         seen: List[DirectIP] = []
-        for _t, dip in self.decisions:
+        for _t, dip in self._log:
             if dip is not None and (not seen or seen[-1] != dip):
                 seen.append(dip)
         return seen
@@ -160,19 +199,19 @@ class Connection:
     def remapped(self) -> bool:
         """True if the decision ever changed, for any reason (includes
         connections whose DIP was removed)."""
-        decisions = self.decisions
-        if len(decisions) < 2:
+        log = self._log
+        if log is None:
             # Nearly every connection: one decision, nothing to compare.
             return False
-        return len({dip for _t, dip in decisions if dip is not None}) > 1
+        return len({dip for _t, dip in log if dip is not None}) > 1
 
     @property
     def ever_dropped(self) -> bool:
         """True if some packets had no DIP (blackholed)."""
-        decisions = self.decisions
-        if len(decisions) == 1:
-            return decisions[0][1] is None
-        return any(dip is None for _t, dip in decisions)
+        log = self._log
+        if log is None:
+            return self._first_t is not None and self._first_dip is None
+        return any(dip is None for _t, dip in log)
 
     def bytes_total(self) -> float:
         return self.rate_bps * self.duration / 8.0

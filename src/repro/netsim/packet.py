@@ -19,7 +19,8 @@ from __future__ import annotations
 import ipaddress
 import struct
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Tuple
+from itertools import repeat
+from typing import Iterator, List, NamedTuple, Tuple
 
 TCP = 6
 UDP = 17
@@ -187,6 +188,33 @@ class TupleFactory:
         return five_tuple_for(
             vip, src_ip=self._base_ip + ip_offset, src_port=1024 + port_offset
         )
+
+    def take(self, vip: VirtualIP, count: int) -> List[FiveTuple]:
+        """The next ``count`` tuples: ``[next_for(vip) for _ in range(count)]``
+        built in one pass per client IP."""
+        if count < 0:
+            raise ValueError("count must not be negative")
+        dst_ip, dst_port, proto, v6 = vip
+        tuples: List[FiveTuple] = []
+        first = self._counter
+        self._counter = end = first + count
+        while first < end:
+            ip_offset, port_offset = divmod(first, 64511)
+            run = min(end - first, 64511 - port_offset)
+            src_port = 1024 + port_offset
+            tuples.extend(
+                map(
+                    FiveTuple,
+                    repeat(self._base_ip + ip_offset, run),
+                    range(src_port, src_port + run),
+                    repeat(dst_ip),
+                    repeat(dst_port),
+                    repeat(proto),
+                    repeat(v6),
+                )
+            )
+            first += run
+        return tuples
 
     def stream(self, vip: VirtualIP) -> Iterator[FiveTuple]:
         while True:

@@ -4,10 +4,11 @@ A simulated connection is held by the host four ways — the generated
 ``Connection``, its per-replay ``fresh()`` copy, the address/5-tuple
 records both point at, and the switch's resident entry — and every one is
 meant to stay as small as the facts it carries.  The tests here pin that:
-no instance ``__dict__`` anywhere, host bytes per connection under a
-ceiling, one byte-hash pass per *workload* (not per replay), addresses
-that hash like their field tuple in every process, and a profile side
-cache that holds in-flight keys only.
+no instance ``__dict__`` anywhere, host bytes *and collector-tracked
+containers* per connection under a ceiling, a decision log that lives on
+the record until a remap, one byte-hash pass per *workload* (not per
+replay), addresses that hash like their field tuple in every process, and
+a profile side cache that holds in-flight keys only.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from repro.api import SilkRoadConfig, SilkRoadSwitch
 from repro.asicsim import hashing
 from repro.asicsim.batch import PacketBatch
 from repro.experiments.common import build_workload
+from repro.netsim.arrivals import ArrivalGenerator, VipWorkload
 from repro.netsim.flows import Connection
 from repro.netsim.packet import DirectIP, FiveTuple, VirtualIP, five_tuple_for
+from repro.serve.source import StreamingFlowSource
 
 VIP = VirtualIP.parse("20.0.0.1:80")
 DIP = DirectIP.parse("10.0.0.2:8080")
@@ -120,8 +123,134 @@ def test_host_bytes_per_connection():
     n = len(workload.connections)
     assert 3_000 < n == len(replayed) < 4_000
     assert all(len(c.decisions) == 1 for c in replayed[:100])
-    assert generated / n <= 460, generated / n  # parent 488 here, now ~425
-    assert with_copy / n <= 850, with_copy / n  # parent 1,246 here, now ~775
+    assert generated / n <= 405, generated / n  # parent ~425 here, now ~350
+    assert with_copy / n <= 640, with_copy / n  # parent ~775 here, now ~570
+
+
+def test_tracked_containers_per_connection():
+    """Objects the cyclic collector tracks — and re-walks at every later
+    collection — per generated connection (the record and its 5-tuple)
+    and per replayed copy (the record alone: a once-decided connection
+    owns no list and no ``(t, dip)`` tuple).  The cluster and the update
+    records are inside the first count."""
+    warm = build_workload(50.0, scale=0.02, seed=16, horizon_s=10.0)
+    warm.replay(make_switch)  # lazy imports, caches
+    del warm
+    gc.collect()
+    before = len(gc.get_objects())
+    workload = build_workload(**SHAPE)
+    gc.collect()
+    generated = len(gc.get_objects())
+    report, replayed, switch = workload.replay(make_switch)
+    del report, switch
+    gc.collect()
+    with_copy = len(gc.get_objects())
+    n = len(workload.connections)
+    assert 3_000 < n == len(replayed) < 4_000
+    assert (generated - before) / n <= 2.2  # parent 3.05
+    assert (with_copy - generated) / n <= 1.2  # parent 3.00
+    once_decided = [c for c in replayed if not c.remapped]
+    assert len(once_decided) > 0.99 * n
+    assert not any(
+        type(referent) in (list, tuple)
+        for conn in once_decided[:200]
+        for referent in gc.get_referents(conn)
+    )
+
+
+# -- the decision log ------------------------------------------------------
+
+DIP_B = DirectIP.parse("10.0.0.3:8080")
+
+
+def decision_facts(conn: Connection) -> tuple:
+    return (
+        conn.decisions, conn.current_dip, conn.distinct_dips(),
+        conn.remapped, conn.pcc_violated, conn.ever_dropped,
+    )
+
+
+def test_decision_log_over_zero_one_and_more_decisions():
+    conn = make_conn()
+    assert decision_facts(conn) == ([], None, [], False, False, False)
+    conn.record_decision(1.0, DIP)
+    assert decision_facts(conn) == ([(1.0, DIP)], DIP, [DIP], False, False, False)
+    conn.record_decision(2.0, DIP_B)
+    assert decision_facts(conn) == (
+        [(1.0, DIP), (2.0, DIP_B)], DIP_B, [DIP, DIP_B], True, True, False
+    )
+    conn.record_decision(3.0, None)
+    conn.record_decision(4.0, DIP)
+    assert decision_facts(conn) == (
+        [(1.0, DIP), (2.0, DIP_B), (3.0, None), (4.0, DIP)],
+        DIP, [DIP, DIP_B, DIP], True, True, True,
+    )
+    conn.broken_by_removal = True
+    assert conn.remapped and not conn.pcc_violated
+
+
+def test_a_repeated_dip_is_a_no_op_inline_and_in_the_list():
+    conn = make_conn()
+    conn.record_decision(1.0, DIP)
+    conn.record_decision(1.5, DIP)  # inline stage
+    assert conn.decisions == [(1.0, DIP)]
+    conn.record_decision(2.0, DIP_B)
+    conn.record_decision(2.5, DIP_B)  # list stage
+    assert conn.decisions == [(1.0, DIP), (2.0, DIP_B)]
+    conn.record_decision(3.0, DIP)  # back to an earlier DIP: a new decision
+    assert conn.decisions == [(1.0, DIP), (2.0, DIP_B), (3.0, DIP)]
+
+
+def test_blackholed_is_a_first_decision_like_any_other():
+    conn = make_conn()
+    conn.record_decision(0.0, None)
+    assert decision_facts(conn) == ([(0.0, None)], None, [], False, False, True)
+    conn.record_decision(0.5, None)  # still nowhere: no new decision
+    assert conn.decisions == [(0.0, None)]
+    conn.record_decision(1.0, DIP)  # one DIP ever: dropped, never remapped
+    assert decision_facts(conn) == (
+        [(0.0, None), (1.0, DIP)], DIP, [DIP], False, False, True
+    )
+    # A decision at t = 0.0 is a decision: "none yet" is not spelt falsy.
+    zero = make_conn()
+    zero.record_decision(0.0, DIP)
+    zero.record_decision(0.0, DIP_B)
+    assert zero.decisions == [(0.0, DIP), (0.0, DIP_B)]
+
+
+def test_decisions_is_a_view_that_aliases_nothing():
+    conn = make_conn()
+    for stage in ([], [(1.0, DIP)], [(1.0, DIP), (2.0, DIP_B)]):
+        if stage:
+            conn.record_decision(*stage[-1])
+        view = conn.decisions
+        assert view == stage and view is not conn.decisions
+        view.append((9.0, None))
+        view.clear()
+        assert conn.decisions == stage
+    with pytest.raises(AttributeError):
+        conn.decisions = []
+    with pytest.raises(AttributeError):
+        conn.current_dip = DIP
+    with pytest.raises(TypeError):
+        Connection(1, conn.five_tuple, VIP, 0.0, 1.0, decisions=[])
+
+
+def test_a_twice_decided_record_round_trips():
+    conn = make_conn()
+    conn.record_decision(1.0, DIP)
+    conn.record_decision(2.0, DIP_B)
+    assert decision_facts(conn.fresh()) == ([], None, [], False, False, False)
+    for clone in (copy.copy(conn), pickle.loads(pickle.dumps(conn))):
+        assert decision_facts(clone) == decision_facts(conn)
+        clone.record_decision(3.0, DIP_B)  # no-op at the list stage
+        assert clone.decisions == conn.decisions
+    undecided = pickle.loads(pickle.dumps(make_conn()))
+    undecided.record_decision(0.0, DIP)
+    assert undecided.decisions == [(0.0, DIP)]
+    unpickled = pickle.loads(pickle.dumps(conn))
+    unpickled.record_decision(3.0, DIP)
+    assert conn.decisions == [(1.0, DIP), (2.0, DIP_B)]  # a deep copy's log
 
 
 # -- one hash pass per workload --------------------------------------------
@@ -153,6 +282,22 @@ def test_batch_hashes_in_bulk_what_is_unhashed_and_only_that():
     before = hashing.BASE_HASH_CALLS
     assert PacketBatch.from_connections(conns).base_hashes == batch.base_hashes
     assert hashing.BASE_HASH_CALLS == before
+
+
+def test_a_streamed_window_is_hashed_once_in_bulk_at_the_source():
+    workloads = [VipWorkload(vip=VIP, new_conns_per_min=6000.0)]
+    source = StreamingFlowSource(workloads, seed=16)
+    before = hashing.BASE_HASH_CALLS
+    conns = source.draw(0.0, 5.0)
+    assert len(conns) > 300 and all(key_slots_set(c) for c in conns)
+    assert hashing.BASE_HASH_CALLS - before == len(conns)
+    batch = PacketBatch.from_connections(conns)
+    assert hashing.BASE_HASH_CALLS - before == len(conns)
+    assert batch.keys == [c.five_tuple.key_bytes() for c in conns]
+    assert batch.base_hashes == [c.key_hash for c in conns]
+    # The generator itself stays lazy: set-up hashes nothing.
+    cold = ArrivalGenerator(seed=16).window(workloads, 0.0, 5.0)
+    assert not any(key_slots_set(c) for c in cold)
 
 
 # -- fresh(), copy, pickle -------------------------------------------------
