@@ -126,7 +126,6 @@ class SwitchCpu:
         self._m_queue_delay = metrics.histogram(
             "batch_queueing_delay_s",
             buckets=LATENCY_BUCKETS_S,
-            quantiles=(0.5, 0.99),
             help="wait before the CPU starts a newly submitted batch",
         )
         self._m_shed = metrics.counter(

@@ -150,19 +150,16 @@ class UpdateCoordinator:
         self._m_step1 = metrics.histogram(
             "step1_duration_s",
             buckets=LATENCY_BUCKETS_S,
-            quantiles=(0.5, 0.99),
             help="t_exec - t_req: wait for pre-request pending connections",
         )
         self._m_step2 = metrics.histogram(
             "step2_duration_s",
             buckets=LATENCY_BUCKETS_S,
-            quantiles=(0.5, 0.99),
             help="t_finish - t_exec: wait for marked connections",
         )
         self._m_total = metrics.histogram(
             "update_duration_s",
             buckets=LATENCY_BUCKETS_S,
-            quantiles=(0.5, 0.99),
             help="t_finish - t_req: whole 3-step update",
         )
         self._m_watchdog = metrics.counter(

@@ -34,7 +34,6 @@ def run_all(names=None, stream=None, telemetry=None) -> str:
         duration_hist = registry.histogram(
             "runner.experiment_duration_s",
             buckets=(0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0),
-            quantiles=(0.5, 0.99),
             help="wall time per experiment",
         )
     chosen = list(EXPERIMENTS if names is None else names)

@@ -3,7 +3,7 @@
 The measurement layer the rest of the reproduction reports through:
 
 * :mod:`repro.obs.metrics` — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` primitives (with P² streaming quantiles) owned by a
+  :class:`Histogram` primitives, all exactly mergeable, owned by a
   :class:`MetricRegistry`; components receive :class:`Scope` prefix views.
 * :mod:`repro.obs.tracing` — :class:`TraceSpan` / :class:`Tracer` for
   control-plane operations, most importantly the 3-step PCC update with
@@ -36,7 +36,6 @@ from .metrics import (
     Histogram,
     LATENCY_BUCKETS_S,
     MetricRegistry,
-    P2Quantile,
     Scope,
     get_default_registry,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "MetricRegistry",
     "ObsHook",
-    "P2Quantile",
     "RecorderEvent",
     "SAMPLE_PRIORITY",
     "Scope",

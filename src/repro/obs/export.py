@@ -178,6 +178,9 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, float]]:
 
 
 def _histogram_dict(instrument: Histogram) -> Dict[str, object]:
+    """JSON form of one histogram.  ``p50`` / ``p99`` are read from the
+    bucket CDF (:meth:`Histogram.percentile`), so a merged registry exports
+    the percentiles of the union of its shards' observations."""
     out: Dict[str, object] = {
         "type": "histogram",
         "count": instrument.count,

@@ -11,7 +11,7 @@ enabled in the simulator hot path:
 * :class:`Gauge` — point-in-time value, optionally computed by a callback
   so the cost is paid at sample/export time rather than per event,
 * :class:`Histogram` — fixed cumulative buckets (Prometheus ``le``
-  semantics) plus optional :class:`P2Quantile` streaming estimators,
+  semantics); percentiles are read from the bucket CDF,
 * :class:`MetricRegistry` — the namespace that owns them, with
   :meth:`MetricRegistry.scope` prefix views for per-component wiring.
 
@@ -28,9 +28,11 @@ exposes a count it wants read as a read-only property returning
 Registries are also **mergeable**: the sharded replay engine
 (:mod:`repro.experiments.parallel`) runs one registry per worker process
 and folds them into a single fleet view with :meth:`MetricRegistry.merge`
-— counters and stored gauges add, histograms combine bucket-by-bucket, and
-P² quantile estimators merge by count-weighted marker interpolation.  Both
-sides of a merge must therefore be picklable; callback gauges serialize as
+— counters and stored gauges add and histograms combine bucket-by-bucket.
+Every instrument merges *exactly*: a merged histogram is the histogram of
+the union of the shards' observations, so a fleet-wide percentile is the
+percentile of the fleet's stream, not an average of per-shard estimates.
+Both sides of a merge must be picklable; callback gauges serialize as
 their sampled value (the callback cannot cross a process boundary).
 """
 
@@ -45,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "P2Quantile",
     "Scope",
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS_S",
@@ -58,10 +59,14 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     512.0, 1024.0, 2048.0, 4096.0,
 )
 
-#: Log-spaced latency buckets, 10 µs .. 10 s.
-LATENCY_BUCKETS_S: Tuple[float, ...] = (
-    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
-    1e-1, 3e-1, 1.0, 3.0, 10.0,
+#: Latency buckets: a ``0.0`` bound, so a delay of exactly zero reads as
+#: exactly zero, then ten log-spaced bounds per decade (each 10^0.1 ≈ 1.26x
+#: the last, rounded to three digits) from 10 µs to 100 s.  Fine enough that
+#: :meth:`Histogram.percentile` reads p50 and p99 of exponential and
+#: log-normal latencies within 5 % (tests/obs/test_metrics.py), and always
+#: within the one bucket the answer falls in.
+LATENCY_BUCKETS_S: Tuple[float, ...] = (0.0,) + tuple(
+    float(f"{10 ** (k / 10 - 5):.3g}") for k in range(71)
 )
 
 
@@ -151,182 +156,19 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class P2Quantile:
-    """Streaming quantile estimator (Jain & Chlamtac's P² algorithm).
-
-    Tracks one quantile in O(1) memory without storing observations —
-    exactly what an always-on simulator instrument needs for p99s over
-    millions of events.  Estimates are exact until five observations have
-    arrived, then piecewise-parabolic.
-    """
-
-    __slots__ = ("p", "_initial", "_q", "_n", "_np", "_dn", "count")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must be in (0, 1)")
-        self.p = p
-        self._initial: List[float] = []
-        self._q: List[float] = []
-        self._n: List[float] = []
-        self._np: List[float] = []
-        self._dn = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self.count = 0
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        if self._q:
-            self._update(x)
-            return
-        self._initial.append(x)
-        if len(self._initial) == 5:
-            self._initial.sort()
-            self._q = list(self._initial)
-            self._n = [0.0, 1.0, 2.0, 3.0, 4.0]
-            p = self.p
-            self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-
-    def _update(self, x: float) -> None:
-        q, n = self._q, self._n
-        if x == q[0] and x == q[4]:
-            # Degenerate-marker fast path: every marker already sits at x
-            # (constant streams — e.g. zero queue delay — hit this on nearly
-            # every observation).  Marker heights cannot move: the parabolic
-            # candidate equals q[i] and fails the strict-inequality guard,
-            # and the linear fallback adds step * 0 / dn.  Only the position
-            # bookkeeping advances, exactly as the general path would.
-            np_, dn = self._np, self._dn
-            n[4] += 1.0
-            np_[1] += dn[1]
-            np_[2] += dn[2]
-            np_[3] += dn[3]
-            np_[4] += 1.0
-            for i in (1, 2, 3):
-                d = np_[i] - n[i]
-                if d >= 1.0 and n[i + 1] - n[i] > 1.0:
-                    n[i] += 1.0
-                elif d <= -1.0 and n[i - 1] - n[i] < -1.0:
-                    n[i] -= 1.0
-            return
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        np_, dn = self._np, self._dn
-        np_[1] += dn[1]
-        np_[2] += dn[2]
-        np_[3] += dn[3]
-        np_[4] += 1.0
-        # Adjust interior markers towards their desired positions.
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate of the tracked quantile."""
-        if self._q:
-            return self._q[2]
-        if not self._initial:
-            raise ValueError("no observations")
-        ordered = sorted(self._initial)
-        rank = self.p * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
-
-    def merge_from(self, other: "P2Quantile") -> None:
-        """Fold another estimator of the *same* quantile into this one.
-
-        P² keeps five markers, not the observations, so an exact merge is
-        impossible; shards of one seeded workload are statistically
-        exchangeable slices, for which count-weighting the corresponding
-        marker heights (and adding marker positions) is the standard
-        approximation.  Sides still in their exact first-five phase replay
-        their raw observations, so small shards merge losslessly.
-        """
-        if self.p != other.p:
-            raise ValueError(
-                f"cannot merge p={other.p} estimator into p={self.p}"
-            )
-        if other.count == 0:
-            return
-        if not other._q:
-            # Other is still exact: replay its raw observations.
-            for x in other._initial:
-                self.observe(x)
-            return
-        if not self._q:
-            # Adopt other's converged marker state, then replay our own
-            # exact observations on top of it.
-            pending = list(self._initial)
-            self._initial = []
-            self._q = list(other._q)
-            self._n = list(other._n)
-            self._np = list(other._np)
-            self.count = other.count
-            for x in pending:
-                self.observe(x)
-            return
-        ours, theirs = self.count, other.count
-        total = ours + theirs
-        self._q = [
-            (a * ours + b * theirs) / total
-            for a, b in zip(self._q, other._q)
-        ]
-        self._n = [a + b for a, b in zip(self._n, other._n)]
-        self._np = [a + b for a, b in zip(self._np, other._np)]
-        self.count = total
-
-    def reset(self) -> None:
-        self._initial.clear()
-        self._q = []
-        self._n = []
-        self._np = []
-        self.count = 0
-
-
 class Histogram:
-    """Fixed-bucket histogram with optional streaming quantiles.
+    """Fixed-bucket histogram.
 
     Buckets follow Prometheus cumulative-``le`` semantics: an observation
     lands in the first bucket whose upper bound is >= the value, and
-    ``+Inf`` catches the remainder.  ``quantiles`` attaches
-    :class:`P2Quantile` estimators (pay ~constant extra work per observe);
-    without them :meth:`percentile` interpolates inside the bucket CDF.
+    ``+Inf`` catches the remainder.  :meth:`percentile` interpolates inside
+    the bucket CDF, so its error is bounded by the width of one bucket and
+    everything it reads (``bucket_counts``, ``count``, ``min``, ``max``)
+    merges exactly.
     """
 
     __slots__ = (
-        "name", "help", "bounds", "bucket_counts", "sum", "count",
-        "min", "max", "_estimators", "_est_tuple",
+        "name", "help", "bounds", "bucket_counts", "sum", "count", "min", "max",
     )
 
     kind = "histogram"
@@ -336,7 +178,6 @@ class Histogram:
         name: str,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         help: str = "",
-        quantiles: Sequence[float] = (),
     ) -> None:
         bounds = sorted(float(b) for b in buckets)
         if not bounds:
@@ -351,10 +192,6 @@ class Histogram:
         self.count = 0
         self.min = float("inf")
         self.max = float("-inf")
-        self._estimators: Dict[float, P2Quantile] = {
-            float(p): P2Quantile(p) for p in quantiles
-        }
-        self._est_tuple = tuple(self._estimators.values())
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
@@ -364,35 +201,30 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self._est_tuple:
-            for estimator in self._est_tuple:
-                estimator.observe(value)
 
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Quantile estimate: P² if tracked, else bucket interpolation."""
+        """Quantile estimate: linear interpolation inside the bucket the
+        ``p``-th observation falls in, its edges clamped to ``min``/``max``.
+        """
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
         if self.count == 0:
             raise ValueError(f"histogram {self.name!r} is empty")
-        estimator = self._estimators.get(p)
-        if estimator is not None and estimator.count:
-            return estimator.value()
+        bounds = self.bounds
         target = p * self.count
         cumulative = 0
-        lower = self.min
         for i, bucket_count in enumerate(self.bucket_counts):
             if bucket_count == 0:
                 continue
-            upper = self.bounds[i] if i < len(self.bounds) else self.max
-            upper = min(upper, self.max)
             if cumulative + bucket_count >= target:
+                lower = max(bounds[i - 1], self.min) if i else self.min
+                upper = min(bounds[i], self.max) if i < len(bounds) else self.max
                 frac = (target - cumulative) / bucket_count
                 return lower + (upper - lower) * frac
             cumulative += bucket_count
-            lower = upper
         return self.max
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
@@ -410,9 +242,9 @@ class Histogram:
 
         Bucket layouts must match (both sides come from the same
         instrumentation code, so a mismatch is a wiring bug, not data).
-        Bucket counts, sum and count add exactly; min/max combine; P²
-        estimators merge approximately (see :meth:`P2Quantile.merge_from`).
-        Quantiles tracked by only one side stay exact on that side.
+        Bucket counts, sum and count add and min/max combine, all exactly:
+        the result is the histogram of the union of both sides'
+        observations, so every :meth:`percentile` of it is too.
         """
         if self.bounds != other.bounds:
             raise ValueError(
@@ -426,14 +258,6 @@ class Histogram:
         self.count += other.count
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-        for p, theirs in other._estimators.items():
-            ours = self._estimators.get(p)
-            if ours is None:
-                self._estimators[p] = estimator = P2Quantile(p)
-                estimator.merge_from(theirs)
-            else:
-                ours.merge_from(theirs)
-        self._est_tuple = tuple(self._estimators.values())
 
     def reset(self) -> None:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
@@ -441,8 +265,6 @@ class Histogram:
         self.count = 0
         self.min = float("inf")
         self.max = float("-inf")
-        for estimator in self._estimators.values():
-            estimator.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, count={self.count})"
@@ -488,11 +310,8 @@ class MetricRegistry:
         name: str,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         help: str = "",
-        quantiles: Sequence[float] = (),
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, buckets=buckets, help=help, quantiles=quantiles
-        )
+        return self._get_or_create(Histogram, name, buckets=buckets, help=help)
 
     def scope(self, prefix: str) -> "Scope":
         """A view that prefixes every instrument name with ``prefix.``."""
@@ -551,7 +370,7 @@ class MetricRegistry:
             ours = self._instruments.get(name)
             if ours is None:
                 # Register a zeroed twin, then fold; copying via the merge
-                # path detaches callback gauges and clones P2 state.
+                # path detaches callback gauges.
                 if isinstance(theirs, Histogram):
                     ours = self.histogram(name, buckets=theirs.bounds, help=theirs.help)
                 elif isinstance(theirs, Gauge):
@@ -606,9 +425,11 @@ class MetricRegistry:
         """Deterministic digest of every instrument's exact state.
 
         Two runs of the same seeded simulation must produce identical
-        fingerprints — the chaos tests assert exactly that.  Includes
-        per-bucket histogram counts (not just count/sum/mean), using
-        ``repr`` of floats so the digest is bit-exact.
+        fingerprints — the chaos tests assert exactly that.  A histogram
+        contributes its per-bucket counts, sum, count and (once it has an
+        observation) min and max — everything :meth:`Histogram.percentile`
+        reads — using ``repr`` of floats so the digest is bit-exact: equal
+        fingerprints imply equal exported percentiles.
         """
         hasher = hashlib.sha256()
         for name, instrument in self.instruments():
@@ -616,6 +437,8 @@ class MetricRegistry:
                 parts = [repr(c) for c in instrument.bucket_counts]
                 parts.append(repr(instrument.sum))
                 parts.append(repr(instrument.count))
+                if instrument.count:
+                    parts += (repr(instrument.min), repr(instrument.max))
                 hasher.update(f"{name}={','.join(parts)}\n".encode())
             else:
                 hasher.update(f"{name}={self._read(instrument)!r}\n".encode())
@@ -645,11 +468,8 @@ class Scope:
         name: str,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         help: str = "",
-        quantiles: Sequence[float] = (),
     ) -> Histogram:
-        return self.registry.histogram(
-            self._name(name), buckets=buckets, help=help, quantiles=quantiles
-        )
+        return self.registry.histogram(self._name(name), buckets=buckets, help=help)
 
     def scope(self, prefix: str) -> "Scope":
         return Scope(self.registry, self._name(prefix))

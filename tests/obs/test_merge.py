@@ -6,8 +6,18 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.obs.metrics import Gauge, Histogram, MetricRegistry, P2Quantile
+from repro import SilkRoadConfig
+from repro.faults.fleet import run_fleet
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    LATENCY_BUCKETS_S,
+    Gauge,
+    Histogram,
+    MetricRegistry,
+)
 
 
 class TestInstrumentMerge:
@@ -45,14 +55,12 @@ class TestInstrumentMerge:
     def test_prefix_folds_under_a_namespace(self):
         """``merge(prefix=)`` is the fold the sharded replay and the fleet
         use to keep several switches apart in one registry: every name
-        gains ``<prefix>.``, callback gauges detach, P² state clones."""
+        gains ``<prefix>.``, callback gauges detach, histograms clone."""
         rng = random.Random(11)
         source = MetricRegistry()
         source.counter("hits_total", help="hits").inc(3)
         source.gauge("depth").set_function(lambda: 4.0)
-        hist = source.histogram(
-            "lat", buckets=(1.0, 2.0, 4.0), help="latency", quantiles=(0.5, 0.99)
-        )
+        hist = source.histogram("lat", buckets=(1.0, 2.0, 4.0), help="latency")
         for _ in range(500):
             hist.observe(rng.uniform(0.0, 5.0))
 
@@ -79,12 +87,7 @@ class TestInstrumentMerge:
         assert target.get("sw.hits_total").value == 4.0
         assert target.get("sw.lat").help == "latency"
         for q in (0.5, 0.99):
-            assert target.get("sw.lat").percentile(q) == pytest.approx(
-                expected.get("sw.lat").percentile(q)
-            )
-            assert target.get("sw.lat").percentile(q) == pytest.approx(
-                hist.percentile(q), rel=0.05
-            )
+            assert target.get("sw.lat").percentile(q) == hist.percentile(q)
         # Detached: the folded gauge is a stored value, the source untouched.
         target.get("sw.depth").set(1.0)
         assert source.get("depth").value == 4.0
@@ -119,38 +122,59 @@ class TestInstrumentMerge:
         assert left.sum == pytest.approx(whole.sum)
         assert left.min == whole.min and left.max == whole.max
 
-    def test_p2_mismatched_quantile_rejected(self):
-        a = P2Quantile(0.5)
-        b = P2Quantile(0.99)
-        with pytest.raises(ValueError):
-            a.merge_from(b)
+    @given(
+        observations=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1e3), st.integers(0, 7)),
+            min_size=1,
+            max_size=200,
+        ),
+        buckets=st.sampled_from([LATENCY_BUCKETS_S, DEFAULT_BUCKETS, (1.0, 2.0)]),
+        quantiles=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    def test_sharded_histogram_equals_the_whole(self, observations, buckets, quantiles):
+        """Any split of any stream into 1-8 shards (empty ones included)
+        merges back to the single-stream histogram: every slot, and so
+        every percentile, bit for bit — only ``sum`` sees addition order."""
+        whole = Histogram("h", buckets=buckets)
+        shards = [Histogram("h", buckets=buckets) for _ in range(8)]
+        for value, shard in observations:
+            whole.observe(value)
+            shards[shard].observe(value)
+        merged = Histogram("h", buckets=buckets)
+        for shard in shards:
+            merged.merge_from(shard)
+        assert merged.bucket_counts == whole.bucket_counts
+        assert merged.count == whole.count
+        assert merged.min == whole.min and merged.max == whole.max
+        assert merged.sum == pytest.approx(whole.sum, rel=1e-12)
+        for q in [0.0, 0.5, 0.99, 1.0, *quantiles]:
+            assert merged.percentile(q) == whole.percentile(q)
 
-    def test_p2_exact_phase_merge_is_lossless(self):
-        # Both sides under five observations: the merge replays raw values,
-        # so the result is exactly a single-stream estimator.
-        a = P2Quantile(0.5)
-        b = P2Quantile(0.5)
-        whole = P2Quantile(0.5)
-        for v in (1.0, 5.0):
-            a.observe(v)
-            whole.observe(v)
-        for v in (2.0, 9.0):
-            b.observe(v)
-            whole.observe(v)
-        a.merge_from(b)
-        assert a.count == whole.count
-        assert a.value() == whole.value()
-
-    def test_p2_converged_merge_is_reasonable(self):
-        rng = random.Random(9)
-        a = P2Quantile(0.9)
-        b = P2Quantile(0.9)
-        for _ in range(2000):
-            a.observe(rng.uniform(0, 1))
-            b.observe(rng.uniform(0, 1))
-        a.merge_from(b)
-        assert a.count == 4000
-        assert a.value() == pytest.approx(0.9, abs=0.05)
+    def test_fleet_percentile_is_the_percentile_of_the_union(self):
+        """Folding every instance's ``update.update_duration_s`` out of
+        ``FleetSilkRoad.merged_registry()`` reads the same percentiles as
+        one histogram fed all the instances' update durations."""
+        result = run_fleet(
+            seed=7, num_switches=3, scale=0.3, horizon_s=12.0, updates_per_min=240.0,
+            config=SilkRoadConfig(insertion_rate_per_s=100.0),  # loaded CPU
+        )
+        union = Histogram("u", buckets=LATENCY_BUCKETS_S)
+        for _index, _generation, switch in result.fleet.instances():
+            for timing in switch.coordinator.timings:
+                union.observe(timing.t_finish - timing.t_req)
+        fleet_wide = Histogram("f", buckets=LATENCY_BUCKETS_S)
+        per_instance = [
+            instrument
+            for name, instrument in result.fleet.merged_registry().instruments()
+            if name.endswith(".update.update_duration_s")
+        ]
+        assert len(per_instance) == 3
+        for histogram in per_instance:
+            fleet_wide.merge_from(histogram)
+        assert fleet_wide.count == union.count > 100
+        assert 0.0 < union.percentile(0.99) < union.max  # not a stream of zeros
+        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
+            assert fleet_wide.percentile(q) == union.percentile(q)
 
 
 class TestRegistryMerge:
@@ -201,7 +225,7 @@ class TestGaugePickling:
         registry = MetricRegistry()
         registry.gauge("live").set_function(lambda: 7.0)
         registry.counter("c").inc(2)
-        registry.histogram("h", buckets=(1.0,), quantiles=(0.5,)).observe(0.5)
+        registry.histogram("h", buckets=(1.0,)).observe(0.5)
         clone = pickle.loads(pickle.dumps(registry))
         assert clone.get("live").value == 7.0
         assert clone.fingerprint() == registry.fingerprint()

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    LATENCY_BUCKETS_S,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    P2Quantile,
 )
 
 
@@ -81,7 +83,7 @@ class TestHistogram:
         assert h.percentile(1.0) == 100.0
 
     def test_percentile_streaming_quantile(self):
-        h = Histogram("x", buckets=DEFAULT_BUCKETS, quantiles=(0.5,))
+        h = Histogram("x", buckets=DEFAULT_BUCKETS)
         rng = random.Random(3)
         values = [rng.uniform(0.0, 1000.0) for _ in range(2000)]
         for v in values:
@@ -89,12 +91,30 @@ class TestHistogram:
         exact = sorted(values)[1000]
         assert h.percentile(0.5) == pytest.approx(exact, rel=0.05)
 
+    def test_percentile_interpolates_from_the_answering_buckets_own_edge(self):
+        # Buckets (1, 2] and (2, 4] are empty: the 51st observation sits in
+        # (4, 8] and must be read from there, not from le=1's upper bound.
+        h = Histogram("x", buckets=(1.0, 2.0, 4.0, 8.0))
+        for _ in range(50):
+            h.observe(0.5)
+        for _ in range(50):
+            h.observe(7.0)
+        assert 4.0 <= h.percentile(0.51) <= 7.0
+        assert h.percentile(1.0) == 7.0
+
     def test_empty_percentile_raises(self):
         with pytest.raises(ValueError):
             Histogram("x").percentile(0.5)
 
+    def test_percentile_validates_p(self):
+        h = Histogram("x")
+        h.observe(1.0)
+        for p in (-0.01, 1.01):
+            with pytest.raises(ValueError):
+                h.percentile(p)
+
     def test_reset(self):
-        h = Histogram("x", quantiles=(0.5,))
+        h = Histogram("x")
         h.observe(4.0)
         h.reset()
         assert h.count == 0
@@ -106,23 +126,66 @@ class TestHistogram:
             Histogram("x", buckets=(1.0, 1.0))
 
 
-class TestP2Quantile:
-    def test_exact_below_five_observations(self):
-        q = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            q.observe(v)
-        assert q.value() == 3.0
+class TestLatencyGrid:
+    """``LATENCY_BUCKETS_S`` is fine enough to carry p50 / p99 by itself."""
 
-    def test_converges_on_uniform(self):
-        q = P2Quantile(0.99)
-        rng = random.Random(11)
-        for _ in range(20_000):
-            q.observe(rng.uniform(0.0, 1.0))
-        assert q.value() == pytest.approx(0.99, abs=0.02)
+    #: Widest step between two positive bounds (10^0.1, rounded).
+    RATIO = max(
+        hi / lo for lo, hi in zip(LATENCY_BUCKETS_S[1:], LATENCY_BUCKETS_S[2:])
+    )
+    #: Seven medians from 100 µs to 10 s, landing all over their buckets.
+    MEDIANS = [10 ** (k * 5 / 6 - 4) for k in range(7)]
 
-    def test_validates_p(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+    def test_shape(self):
+        assert LATENCY_BUCKETS_S[0] == 0.0
+        assert LATENCY_BUCKETS_S[1] == 1e-5 and LATENCY_BUCKETS_S[-1] == 100.0
+        assert list(LATENCY_BUCKETS_S) == sorted(set(LATENCY_BUCKETS_S))
+        assert self.RATIO < 1.27
+        assert {1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0} < set(LATENCY_BUCKETS_S)
+
+    @pytest.mark.parametrize("seed", [3, 11, 2026])
+    @pytest.mark.parametrize("shape", ["exponential", "lognormal"])
+    def test_p50_and_p99_within_five_percent(self, seed, shape):
+        rng = random.Random(seed)
+        for median in self.MEDIANS:
+            if shape == "exponential":
+                rate = math.log(2.0) / median
+                values = [rng.expovariate(rate) for _ in range(50_000)]
+            else:
+                mu = math.log(median)
+                values = [rng.lognormvariate(mu, 0.5) for _ in range(50_000)]
+            h = Histogram("x", buckets=LATENCY_BUCKETS_S)
+            for v in values:
+                h.observe(v)
+            for q in (0.5, 0.99):
+                exact = float(np.quantile(values, q))  # sorted-sample value
+                read = h.percentile(q)
+                assert exact / self.RATIO <= read <= exact * self.RATIO
+                assert read == pytest.approx(exact, rel=0.05), (median, q)
+
+    def test_all_zero_stream_reads_zero(self):
+        h = Histogram("x", buckets=LATENCY_BUCKETS_S)
+        for _ in range(1000):
+            h.observe(0.0)
+        assert [h.percentile(q) for q in (0.0, 0.5, 0.99, 1.0)] == [0.0] * 4
+
+    def test_zeros_do_not_smear_into_the_first_positive_bucket(self):
+        h = Histogram("x", buckets=LATENCY_BUCKETS_S)
+        for _ in range(90):
+            h.observe(0.0)
+        for _ in range(10):
+            h.observe(2e-3)
+        assert h.percentile(0.5) == 0.0
+        assert h.percentile(0.9) == 0.0
+        assert 1e-3 < h.percentile(0.99) <= 2e-3
+
+    def test_above_the_top_bound_reads_at_most_max(self):
+        h = Histogram("x", buckets=LATENCY_BUCKETS_S)
+        for v in (50.0, 250.0, 400.0):
+            h.observe(v)
+        for q in (0.5, 0.99, 1.0):
+            assert 50.0 <= h.percentile(q) <= 400.0
+        assert h.percentile(1.0) == 400.0
 
 
 class TestMetricRegistry:
@@ -166,70 +229,3 @@ class TestMetricRegistry:
         assert snap["lat.count"] == 1.0
         assert snap["lat.sum"] == 2.0
         assert snap["lat.mean"] == 2.0
-
-
-class TestP2FastPath:
-    """The degenerate-marker fast path must be bit-identical to the general
-    P-squared update (it is a pure shortcut, not an approximation)."""
-
-    @staticmethod
-    def _reference_update(est, x):
-        # The general update, without the fast path, on the same state.
-        q, n = est._q, est._n
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        np_, dn = est._np, est._dn
-        np_[1] += dn[1]
-        np_[2] += dn[2]
-        np_[3] += dn[3]
-        np_[4] += 1.0
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = est._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = est._linear(i, step)
-                n[i] += step
-
-    @pytest.mark.parametrize("p", [0.5, 0.99])
-    def test_constant_then_mixed_stream_identical(self, p):
-        import random
-
-        rnd = random.Random(2026)
-        stream = [0.0] * 200
-        stream += [rnd.random() for _ in range(50)]
-        stream += [0.0] * 100
-        stream += [5.0] * 300  # re-degenerates at a new constant level
-        fast = P2Quantile(p)
-        ref = P2Quantile(p)
-        for x in stream:
-            fast.observe(x)
-            ref.count += 1
-            if ref._q:
-                self._reference_update(ref, x)
-            else:
-                ref._initial.append(x)
-                if len(ref._initial) == 5:
-                    ref._initial.sort()
-                    ref._q = list(ref._initial)
-                    ref._n = [0.0, 1.0, 2.0, 3.0, 4.0]
-                    ref._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-            assert fast._q == ref._q
-            assert fast._n == ref._n
-            assert fast._np == ref._np
-        assert fast.value() == ref.value()

@@ -14,6 +14,12 @@ second, uninstrumented component mode: no ``_m_*`` instrument attribute
 is compared with ``None`` and nothing is annotated ``Optional[Scope]`` —
 a component always counts into a scope, its registry counter is the one
 store of each count (docs/observability.md, "One store per count").
+Beside it, one store per distribution: nothing takes or passes a
+``quantiles`` argument, ``Histogram`` is the only class under ``obs/`` that
+can ``observe``, and every slot a ``Histogram`` method writes is folded
+from the other side's same slot by ``merge_from`` — so a streaming
+estimator, whose state can only merge approximately, cannot grow back
+beside the buckets ("One distribution store", same document).
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -137,6 +143,80 @@ def test_no_uninstrumented_component_mode():
             elif _optional_scope(node):
                 offenders.append(f"{rel}:{node.lineno} makes a Scope optional")
     assert not offenders, "\n".join(offenders)
+
+
+def _self_slots_written(function) -> dict:
+    """``{slot: [value expression, ...]}`` for every ``self.<slot>`` (or
+    ``self.<slot>[...]``) a method assigns or augments."""
+    written = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                written.setdefault(target.attr, []).append(node.value)
+    return written
+
+
+def test_one_distribution_store():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.keyword) and node.arg == "quantiles":
+                offenders.append(f"{rel}:{node.value.lineno} passes quantiles=")
+            elif isinstance(node, ast.arg) and node.arg == "quantiles":
+                offenders.append(f"{rel}:{node.lineno} takes a quantiles parameter")
+            elif (
+                isinstance(node, ast.ClassDef)
+                and rel.startswith("obs/")
+                and node.name != "Histogram"
+                and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "observe"
+                    for item in node.body
+                )
+            ):
+                offenders.append(f"{rel}:{node.lineno} {node.name} is a second estimator")
+    assert not offenders, "\n".join(offenders)
+
+    tree = ast.parse((SRC / "obs" / "metrics.py").read_text())
+    (histogram,) = (
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Histogram"
+    )
+    methods = {
+        item.name: _self_slots_written(item)
+        for item in histogram.body
+        if isinstance(item, ast.FunctionDef)
+    }
+    mutable = set().union(
+        *(written for name, written in methods.items() if name != "__init__")
+    )
+    assert {"bucket_counts", "count", "min", "max"} <= mutable
+    assert set(methods["observe"]) == set(methods["reset"]) == mutable
+    folded = methods["merge_from"]
+    assert set(folded) == mutable, f"merge_from does not fold {mutable - set(folded)}"
+    for slot, values in folded.items():
+        reads = {
+            node.attr
+            for value in values
+            for node in ast.walk(value)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "other"
+        }
+        assert reads == {slot}, f"merge_from builds {slot} from other.{sorted(reads)}"
 
 
 #: Packages that sit below the experiment harness and may not import it.
