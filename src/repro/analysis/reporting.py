@@ -70,7 +70,7 @@ def format_metrics(metrics: Dict[str, object], title: str = "metrics") -> str:
 def format_spans(
     spans: Sequence[Dict[str, object]], title: str = "trace spans", limit: int = 20
 ) -> str:
-    """Render trace-span dicts (``Tracer.to_dicts()``) as a table."""
+    """Render span dicts (``UpdateTimings.to_dict()``) as a table."""
     rows: List[Tuple[object, ...]] = []
     for span in spans[:limit]:
         marks = span.get("marks", {})

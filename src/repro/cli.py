@@ -136,7 +136,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     from .analysis.reporting import format_metrics, format_spans
     from .api import ObsOptions
     from .experiments.common import build_workload, silkroad_factory
-    from .obs import ObsHook, iter_jsonl, to_prometheus_text, tracer_stats, write_jsonl
+    from .obs import ObsHook, iter_jsonl, to_prometheus_text, write_jsonl
 
     factory = silkroad_factory(
         use_transit_table=(args.system != "silkroad-no-tt"),
@@ -150,7 +150,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     )
     report, _conns, lb = workload.replay(factory, attach=hook)
 
-    doc = report.telemetry or lb.telemetry_snapshot()
+    doc = lb.telemetry_snapshot()
     doc["scenario"] = {
         "system": args.system,
         **_given(args, *WORKLOAD),
@@ -171,23 +171,15 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             json.dump(doc, out, indent=2, sort_keys=True, default=str)
             out.write("\n")
         elif args.format == "jsonl":
-            records = list(iter_jsonl(lb.metrics, lb.tracer))
+            records = list(iter_jsonl(lb.metrics, lb.coordinator.timings))
             for key in ("scenario", "report", "series"):
                 records.append({"record": key, **doc[key]})
             write_jsonl(out, records)
         elif args.format == "prom":
-            out.write(to_prometheus_text(lb.metrics, tracer=lb.tracer))
+            out.write(to_prometheus_text(lb.metrics))
         else:  # text
-            stats = tracer_stats(lb.tracer)
-            spans = ", ".join(
-                f"{stats['spans_' + state]} {state}"
-                for state in ("started", "finished", "dropped", "open")
-            )
             metrics, traces = format_metrics(doc["metrics"]), format_spans(doc["spans"])
-            print(
-                report.summary(), f"spans: {spans}", "", metrics, "", traces,
-                sep="\n", file=out,
-            )
+            print(report.summary(), "", metrics, "", traces, sep="\n", file=out)
     return 0
 
 
@@ -371,7 +363,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     count = _write_trace(
         args.out,
-        tracer=result.switch.tracer,
+        spans=result.switch.coordinator.timings,
         recorder=recorder,
         timeline=timeline,
         metadata={"scenario": "chaos", "fault_seed": result.plan.seed, **knobs},
@@ -642,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).add_argument("task", help="fig16, fig18, chaos or fleet")
     command(
         "trace", _cmd_trace,
-        "one chaos run with tracer, flight recorder and timeline armed, "
+        "one chaos run with flight recorder and timeline armed, "
         "exported as a Perfetto-loadable Chrome trace",
         (workload, faults),
         (

@@ -24,12 +24,19 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, Optional, Set
 
-from ..netsim.packet import VirtualIP
-from ..netsim.updates import UpdateEvent
+from ..netsim.packet import DirectIP, VirtualIP
+from ..netsim.updates import UpdateEvent, UpdateKind
 from ..obs.metrics import LATENCY_BUCKETS_S, MetricRegistry, Scope
-from ..obs.tracing import TraceSpan, Tracer
+
+#: Finished-update records a coordinator keeps (the oldest go first), so a
+#: long-lived ``repro serve`` session holds a bounded history.  Sized above
+#: the largest per-switch update count any runner, benchmark workload or
+#: test produces (under 1 K today): ``faults/chaos.py:_count_overdue`` and
+#: the merge tests read ``timings`` as *every* update of a run.  What a
+#: longer session loses is ``updates_completed_total - len(timings)``.
+MAX_TIMINGS = 4096
 
 
 class Phase(enum.Enum):
@@ -48,22 +55,38 @@ class _VipUpdate:
     on_finished: Optional[Callable] = None
     awaiting_exec: Set[bytes] = field(default_factory=set)
     marked: Set[bytes] = field(default_factory=set)
-    t_req: float = 0.0
-    t_exec: float = 0.0
-    span: Optional[TraceSpan] = None
+    #: The active update's record, filled in as its steps complete.
+    timing: Optional["UpdateTimings"] = None
     #: Armed per-step watchdog (an :class:`~repro.netsim.events.EventHandle`
     #: or anything with ``cancel()``); ``None`` while no step deadline runs.
     watchdog: Optional[object] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateTimings:
-    """Observed step timings, for analysis of update latency."""
+    """The one record of a 3-step update's life: Figure 11's ``t_req`` /
+    ``t_exec`` / ``t_finish`` plus what was waited on at each transition.
+
+    Built at ``t_req`` by the coordinator, completed at ``t_finish`` and
+    kept in :attr:`UpdateCoordinator.timings`; :meth:`to_dict` is the span
+    document the telemetry dumps and ``/telemetry`` serve.
+    """
 
     vip: VirtualIP
+    kind: UpdateKind
+    dip: DirectIP
     t_req: float
-    t_exec: float
-    t_finish: float
+    #: connections pending at ``t_req`` (step 1 waits for these)
+    pending_connections: int
+    t_exec: float = 0.0
+    #: connections marked during step 1 (step 2 waits for these)
+    marked_connections: int = 0
+    t_finish: float = 0.0
+    #: keys a watchdog reclassified at-risk when it forced the step (it
+    #: fires at the instant the step ends: step 1 at ``t_exec``, step 2 at
+    #: ``t_finish``); ``None`` when the step completed on its own.
+    step1_at_risk: Optional[int] = None
+    step2_at_risk: Optional[int] = None
 
     @property
     def step1_s(self) -> float:
@@ -72,6 +95,39 @@ class UpdateTimings:
     @property
     def step2_s(self) -> float:
         return self.t_finish - self.t_exec
+
+    def to_dict(self) -> Dict[str, object]:
+        """The ``pcc_update`` span document (schema: docs/observability.md)."""
+        marks: Dict[str, float] = {}
+        events = []
+
+        def mark(name: str, t: float, **attrs: int) -> None:
+            marks[name] = t
+            if attrs:
+                events.append({"name": name, "t": t, **attrs})
+
+        mark("t_req", self.t_req, pending_connections=self.pending_connections)
+        if self.step1_at_risk is not None:
+            mark("watchdog_step1", self.t_exec, at_risk=self.step1_at_risk)
+        mark("t_exec", self.t_exec, marked_connections=self.marked_connections)
+        if self.step2_at_risk is not None:
+            mark("watchdog_step2", self.t_finish, at_risk=self.step2_at_risk)
+        mark("t_finish", self.t_finish)
+        return {
+            "name": "pcc_update",
+            "start": self.t_req,
+            "end": self.t_finish,
+            "duration": self.t_finish - self.t_req,
+            "attrs": {
+                "vip": str(self.vip),
+                "kind": self.kind.value,
+                "dip": str(self.dip),
+                "step1_s": self.step1_s,
+                "step2_s": self.step2_s,
+            },
+            "marks": marks,
+            "events": events,
+        }
 
 
 class UpdateCoordinator:
@@ -87,12 +143,12 @@ class UpdateCoordinator:
     * ``mark(key)`` — write the key into the TransitTable,
     * ``now()`` — simulation clock.
 
-    When a :class:`~repro.obs.tracing.Tracer` is attached, every update
-    produces one ``pcc_update`` span with ``t_req`` / ``t_exec`` /
-    ``t_finish`` marks (the Figure 11 timeline) carrying the pending and
-    marked connection counts at each transition.  The coordinator counts
-    into the ``metrics`` scope it is handed (a private registry of its own
-    when built without one); those instruments are the only store, and
+    Every update leaves one :class:`UpdateTimings` record in
+    :attr:`timings` (the newest :data:`MAX_TIMINGS`, in ``t_finish``
+    order): the Figure 11 timeline with the pending and marked connection
+    counts at each transition.  The coordinator counts into the
+    ``metrics`` scope it is handed (a private registry of its own when
+    built without one); those instruments are the only store, and
     ``updates_requested`` and friends are read-only views of them.
 
     **Watchdogs.**  With ``step_deadline_s`` set (and a ``schedule``
@@ -102,8 +158,8 @@ class UpdateCoordinator:
     notification, shed job).  The still-pending keys are handed to
     ``on_at_risk`` — the switch reclassifies them as at-risk, since their
     protection window closed early and their eventual install may move
-    them across versions.  Forced steps are counted and marked on the
-    update's trace span.
+    them across versions.  Forced steps are counted and noted on the
+    update's record.
     """
 
     def __init__(
@@ -114,7 +170,6 @@ class UpdateCoordinator:
         mark: Callable[[bytes], None],
         now: Callable[[], float],
         start: Optional[Callable[[VirtualIP], None]] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Scope = None,
         step_deadline_s: Optional[float] = None,
         schedule: Optional[Callable[[float, Callable[[], None]], object]] = None,
@@ -130,12 +185,11 @@ class UpdateCoordinator:
         self._mark = mark
         self._now = now
         self._start = start or (lambda vip: None)
-        self._tracer = tracer
         self.step_deadline_s = step_deadline_s
         self._schedule = schedule
         self._on_at_risk = on_at_risk
         self._vips: Dict[VirtualIP, _VipUpdate] = {}
-        self.timings: List[UpdateTimings] = []
+        self.timings: Deque[UpdateTimings] = deque(maxlen=MAX_TIMINGS)
         if metrics is None:
             metrics = MetricRegistry().scope("")
         self._m_requested = metrics.counter(
@@ -221,20 +275,15 @@ class UpdateCoordinator:
         state.phase = Phase.STEP1
         state.active = event
         state.on_finished = on_finished
-        state.t_req = self._now()
         state.awaiting_exec = set(self._pending_keys(event.vip))
         state.marked = set()
-        if self._tracer is not None:
-            state.span = self._tracer.start_span(
-                "pcc_update",
-                t=state.t_req,
-                vip=str(event.vip),
-                kind=event.kind.value,
-                dip=str(event.dip),
-            )
-            state.span.mark(
-                "t_req", state.t_req, pending_connections=len(state.awaiting_exec)
-            )
+        state.timing = UpdateTimings(
+            vip=event.vip,
+            kind=event.kind,
+            dip=event.dip,
+            t_req=self._now(),
+            pending_connections=len(state.awaiting_exec),
+        )
         self._start(event.vip)
         self._arm_watchdog(event.vip, state)
         self._maybe_exec(event.vip, state)
@@ -268,15 +317,13 @@ class UpdateCoordinator:
         if phase is Phase.STEP1:
             stuck = set(state.awaiting_exec)
             state.awaiting_exec.clear()
+            state.timing.step1_at_risk = len(stuck)
         else:
             stuck = set(state.marked)
             state.marked.clear()
+            state.timing.step2_at_risk = len(stuck)
         self._m_watchdog.value += 1.0
         self._m_at_risk.value += float(len(stuck))
-        if state.span is not None:
-            state.span.mark(
-                f"watchdog_{phase.value}", self._now(), at_risk=len(stuck)
-            )
         if self._on_at_risk is not None and stuck:
             self._on_at_risk(vip, stuck, phase)
         if phase is Phase.STEP1:
@@ -334,11 +381,8 @@ class UpdateCoordinator:
         if state.phase is not Phase.STEP1 or state.awaiting_exec:
             return
         state.phase = Phase.STEP2
-        state.t_exec = self._now()
-        if state.span is not None:
-            state.span.mark(
-                "t_exec", state.t_exec, marked_connections=len(state.marked)
-            )
+        state.timing.t_exec = self._now()
+        state.timing.marked_connections = len(state.marked)
         if state.marked:
             self._arm_watchdog(vip, state)
         else:
@@ -351,22 +395,14 @@ class UpdateCoordinator:
         if state.phase is not Phase.STEP2 or state.marked:
             return
         self._cancel_watchdog(state)
-        t_finish = self._now()
-        timing = UpdateTimings(
-            vip=vip, t_req=state.t_req, t_exec=state.t_exec, t_finish=t_finish
-        )
+        timing = state.timing
+        state.timing = None
+        timing.t_finish = self._now()
         self.timings.append(timing)
         self._m_completed.value += 1.0
         self._m_step1.observe(timing.step1_s)
         self._m_step2.observe(timing.step2_s)
-        self._m_total.observe(t_finish - state.t_req)
-        if state.span is not None:
-            span = state.span
-            state.span = None
-            span.mark("t_finish", t_finish)
-            span.attrs["step1_s"] = timing.step1_s
-            span.attrs["step2_s"] = timing.step2_s
-            span.finish(t_finish)
+        self._m_total.observe(timing.t_finish - timing.t_req)
         state.phase = Phase.IDLE
         state.active = None
         callback = state.on_finished

@@ -33,7 +33,7 @@ from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer, PRIO_ARRIVAL, PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
-from ..obs import FlightRecorder, MetricRegistry, Tracer, telemetry_to_dict
+from ..obs import FlightRecorder, MetricRegistry, telemetry_to_dict
 from .config import SilkRoadConfig
 from .conn_table import ConnTable
 from .control_plane import SwitchCpu
@@ -109,7 +109,6 @@ class SilkRoadSwitch(LoadBalancer):
         config: SilkRoadConfig = SilkRoadConfig(),
         name: str = "silkroad",
         registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
         recorder: Optional[FlightRecorder] = None,
     ):
         self.name = name
@@ -118,14 +117,13 @@ class SilkRoadSwitch(LoadBalancer):
         #: record site to one attribute load + branch, so the hot path is
         #: untouched unless forensics are requested (attach_recorder).
         self.recorder = recorder
-        # Every switch owns a metrics registry and a tracer (always-on, the
-        # instruments are cheap); callers may inject shared ones instead.
+        # Every switch owns a metrics registry (always-on, the instruments
+        # are cheap); callers may inject a shared one instead.
         self.metrics = (
             registry
             if registry is not None
             else MetricRegistry(labels={"switch": name})
         )
-        self.tracer = tracer if tracer is not None else Tracer()
         self._cpu_metrics = self.metrics.scope("switch_cpu")
         self.vip_table = VipTable()
         self.dip_pools = DipPoolTable(
@@ -149,7 +147,6 @@ class SilkRoadSwitch(LoadBalancer):
             mark=self._mark_transit,
             now=lambda: self.queue.now,
             start=self._transit_update_started,
-            tracer=self.tracer,
             metrics=self.metrics.scope("update"),
             step_deadline_s=config.update_step_deadline_s,
             schedule=lambda delay, action: self.queue.schedule_in(
@@ -970,13 +967,13 @@ class SilkRoadSwitch(LoadBalancer):
         )
 
     def telemetry_snapshot(self) -> Dict[str, object]:
-        """Machine-readable dump: every metric, every finished trace span,
-        plus :meth:`report`'s flat counters.  The shape matches what
-        ``python -m repro.cli telemetry`` emits per switch."""
+        """Machine-readable dump: every metric, every retained update
+        record as a span, plus :meth:`report`'s flat counters.  The shape
+        matches what ``python -m repro.cli telemetry`` emits per switch."""
         extra: Dict[str, object] = {"switch": self.name, "counters": self.report()}
         if self.recorder is not None:
             extra["recorder"] = self.recorder.summary()
-        return telemetry_to_dict(self.metrics, self.tracer, extra=extra)
+        return telemetry_to_dict(self.metrics, self.coordinator.timings, extra=extra)
 
     def report(self) -> Dict[str, float]:
         return {

@@ -22,44 +22,31 @@ def run_all(names=None, stream=None, telemetry=None) -> str:
     ``stream`` as it completes (the CLI does, so long runs show progress).
 
     When ``telemetry`` is a path, the runner records its own metrics — one
-    span and one duration gauge per experiment, plus a wall-time histogram —
-    and writes them there as JSONL when the run finishes.
+    exact ``runner.<name>.duration_s`` gauge per experiment — and writes
+    them there as JSONL when the run finishes.
     """
-    registry = tracer = duration_hist = None
+    registry = None
     if telemetry is not None:
-        from ..obs import MetricRegistry, Tracer, iter_jsonl, write_jsonl
+        from ..obs import MetricRegistry, iter_jsonl, write_jsonl
 
         registry = MetricRegistry(labels={"component": "runner"})
-        tracer = Tracer()
-        duration_hist = registry.histogram(
-            "runner.experiment_duration_s",
-            buckets=(0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0),
-            help="wall time per experiment",
-        )
     chosen = list(EXPERIMENTS if names is None else names)
     sections = []
     for name in chosen:
         start = time.time()
-        span = (
-            tracer.start_span("experiment", t=start, experiment=name)
-            if tracer is not None
-            else None
-        )
         body = EXPERIMENTS[name]()
         elapsed = time.time() - start
         if registry is not None:
-            duration_hist.observe(elapsed)
             registry.gauge(
                 f"runner.{name}.duration_s", "wall time of this experiment"
             ).set(elapsed)
-            span.finish(start + elapsed)
         section = f"==== {name} ({elapsed:.1f}s) ====\n{body}"
         sections.append(section)
         if stream is not None:
             print(section, end="\n\n", file=stream, flush=True)
     if telemetry is not None:
         with open(telemetry, "w") as fh:
-            write_jsonl(fh, iter_jsonl(registry, tracer))
+            write_jsonl(fh, iter_jsonl(registry))
     return "\n\n".join(sections)
 
 

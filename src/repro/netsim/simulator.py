@@ -80,9 +80,6 @@ class SimulationReport:
     pcc_violations: int
     dropped_connections: int
     extra: Dict[str, float] = field(default_factory=dict)
-    #: Full metric/trace dump from the load balancer, when it provides a
-    #: ``telemetry_snapshot()`` (SilkRoad switches do).
-    telemetry: Optional[Dict[str, object]] = None
 
     @property
     def violation_fraction(self) -> float:
@@ -114,7 +111,6 @@ def _finish(
     measured = [c for c in connections if c.start >= 0.0]
     violations = sum(1 for c in measured if c.pcc_violated)
     dropped = sum(1 for c in measured if c.ever_dropped)
-    snapshot = getattr(lb, "telemetry_snapshot", None)
     return SimulationReport(
         name=lb.name,
         horizon_s=horizon_s,
@@ -123,7 +119,6 @@ def _finish(
         pcc_violations=violations,
         dropped_connections=dropped,
         extra=lb.report(),
-        telemetry=snapshot() if callable(snapshot) else None,
     )
 
 

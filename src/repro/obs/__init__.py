@@ -1,13 +1,10 @@
-"""Observability: metrics registry, trace spans, and exporters.
+"""Observability: metrics registry, timeline, recorder and exporters.
 
 The measurement layer the rest of the reproduction reports through:
 
 * :mod:`repro.obs.metrics` — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` primitives, all exactly mergeable, owned by a
   :class:`MetricRegistry`; components receive :class:`Scope` prefix views.
-* :mod:`repro.obs.tracing` — :class:`TraceSpan` / :class:`Tracer` for
-  control-plane operations, most importantly the 3-step PCC update with
-  its ``t_req`` / ``t_exec`` / ``t_finish`` marks (Figure 11).
 * :mod:`repro.obs.export` — Prometheus text format and JSON/JSONL dumps,
   plus the minimal parser the smoke tests round-trip through.
 * :mod:`repro.obs.timeline` — :class:`TimelineSampler` /
@@ -24,7 +21,9 @@ The measurement layer the rest of the reproduction reports through:
   behind each PCC violation, joined from the recorder.
 
 Every :class:`~repro.core.silkroad.SilkRoadSwitch` owns a registry
-(``switch.metrics``) and a tracer (``switch.tracer``); the
+(``switch.metrics``), and its coordinator keeps one record per 3-step
+PCC update (``switch.coordinator.timings``: the ``t_req`` / ``t_exec`` /
+``t_finish`` of Figure 11) that the exporters render as spans; the
 ``python -m repro.cli telemetry`` command runs a scenario and emits the
 full dump.
 """
@@ -39,7 +38,6 @@ from .metrics import (
     Scope,
     get_default_registry,
 )
-from .tracing import SpanEvent, TraceSpan, Tracer
 from .export import (
     GAUGE_ERROR_COUNTER,
     dump_json,
@@ -48,7 +46,6 @@ from .export import (
     registry_to_dict,
     telemetry_to_dict,
     to_prometheus_text,
-    tracer_stats,
     write_jsonl,
 )
 from .timeline import SAMPLE_PRIORITY, Timeline, TimelineSampler
@@ -76,11 +73,8 @@ __all__ = [
     "RecorderEvent",
     "SAMPLE_PRIORITY",
     "Scope",
-    "SpanEvent",
     "Timeline",
     "TimelineSampler",
-    "TraceSpan",
-    "Tracer",
     "ViolationStory",
     "coverage",
     "dump_json",
@@ -93,7 +87,6 @@ __all__ = [
     "telemetry_to_dict",
     "to_chrome_trace",
     "to_prometheus_text",
-    "tracer_stats",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

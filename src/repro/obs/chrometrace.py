@@ -3,9 +3,10 @@
 Renders the three observability substrates into one ``trace.json`` that
 ``ui.perfetto.dev`` (or ``chrome://tracing``) loads directly:
 
-* :class:`~repro.obs.tracing.Tracer` spans become complete (``"ph": "X"``)
-  events with microsecond ``ts``/``dur``; span marks (``t_req`` /
-  ``t_exec`` / ``t_finish``) become instant events on the same thread.
+* ``spans`` — a switch's update records, or their span documents —
+  become complete (``"ph": "X"``) events with microsecond ``ts``/``dur``;
+  span marks (``t_req`` / ``t_exec`` / ``t_finish``) become instant events
+  on the same thread.
 * :class:`~repro.obs.recorder.FlightRecorder` events become instant
   (``"ph": "i"``) events, one thread lane per category.
 * :class:`~repro.obs.timeline.Timeline` columns become counter
@@ -26,9 +27,9 @@ from __future__ import annotations
 import json
 from typing import Dict, IO, Iterable, List, Optional, Union
 
+from .export import span_dicts
 from .recorder import FlightRecorder
 from .timeline import Timeline
-from .tracing import Tracer
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "validate_chrome_trace"]
 
@@ -66,29 +67,30 @@ def _thread_meta(pid: int, tid: int, name: str) -> Dict[str, object]:
     }
 
 
-def _span_events(tracer: Tracer) -> List[Dict[str, object]]:
+def _span_events(spans: Iterable[object]) -> List[Dict[str, object]]:
     out: List[Dict[str, object]] = [_meta(_PID_SPANS, "trace spans")]
     tids: Dict[str, int] = {}
-    for span in tracer.finished_spans:
-        tid = tids.get(span.name)
+    for span in span_dicts(spans):
+        name, marks = span["name"], span["marks"]
+        tid = tids.get(name)
         if tid is None:
-            tid = tids[span.name] = len(tids) + 1
-            out.append(_thread_meta(_PID_SPANS, tid, span.name))
-        args: Dict[str, object] = dict(span.attrs)
-        args.update({f"mark.{k}": v for k, v in span.marks.items()})
+            tid = tids[name] = len(tids) + 1
+            out.append(_thread_meta(_PID_SPANS, tid, name))
+        args: Dict[str, object] = dict(span["attrs"])
+        args.update({f"mark.{k}": v for k, v in marks.items()})
         out.append(
             {
-                "name": span.name,
+                "name": name,
                 "cat": "span",
                 "ph": "X",
-                "ts": _us(span.start),
-                "dur": _us((span.end or span.start) - span.start),
+                "ts": _us(span["start"]),
+                "dur": _us(span["end"] - span["start"]),
                 "pid": _PID_SPANS,
                 "tid": tid,
                 "args": args,
             }
         )
-        for mark_name, mark_t in sorted(span.marks.items(), key=lambda kv: kv[1]):
+        for mark_name, mark_t in sorted(marks.items(), key=lambda kv: kv[1]):
             out.append(
                 {
                     "name": mark_name,
@@ -156,7 +158,7 @@ def _counter_events(
 
 
 def to_chrome_trace(
-    tracer: Optional[Tracer] = None,
+    spans: Optional[Iterable[object]] = None,
     recorder: Optional[FlightRecorder] = None,
     timeline: Optional[Timeline] = None,
     tracks: Optional[Iterable[str]] = None,
@@ -169,8 +171,8 @@ def to_chrome_trace(
     merged fleet timeline).
     """
     events: List[Dict[str, object]] = []
-    if tracer is not None:
-        events.extend(_span_events(tracer))
+    if spans is not None:
+        events.extend(_span_events(spans))
     if recorder is not None:
         events.extend(_recorder_events(recorder))
     if timeline is not None:

@@ -1,8 +1,8 @@
 """Exporters: Prometheus text format and JSON/JSONL telemetry dumps.
 
 Two machine-readable renderings of a :class:`~repro.obs.metrics.MetricRegistry`
-(plus, for the JSON forms, the trace spans of a
-:class:`~repro.obs.tracing.Tracer`):
+(plus, for the JSON forms, ``spans``: a switch's update records, or the
+span documents their ``to_dict()`` returns):
 
 * :func:`to_prometheus_text` — the Prometheus exposition text format
   (``# HELP`` / ``# TYPE`` / samples; histograms as cumulative
@@ -11,7 +11,7 @@ Two machine-readable renderings of a :class:`~repro.obs.metrics.MetricRegistry`
   output round-trips.
 * :func:`telemetry_to_dict` / :func:`dump_json` / :func:`iter_jsonl` —
   one JSON document (or one JSONL record per metric/span) carrying the
-  full metric catalogue and every finished trace span.
+  full metric catalogue and every span handed in.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Tuple
 
 from .metrics import Counter, Gauge, Histogram, MetricRegistry
-from .tracing import Tracer
 
 __all__ = [
     "GAUGE_ERROR_COUNTER",
@@ -29,7 +28,6 @@ __all__ = [
     "parse_prometheus_text",
     "registry_to_dict",
     "telemetry_to_dict",
-    "tracer_stats",
     "dump_json",
     "iter_jsonl",
     "write_jsonl",
@@ -63,14 +61,10 @@ def _note_gauge_errors(registry: MetricRegistry, errors: List[str]) -> Optional[
     return counter
 
 
-def tracer_stats(tracer: Tracer) -> Dict[str, int]:
-    """Span-loss accounting, surfaced so silent eviction is visible."""
-    return {
-        "spans_started": tracer.spans_started,
-        "spans_dropped": tracer.spans_dropped,
-        "spans_finished": len(tracer),
-        "spans_open": len(tracer.open_spans),
-    }
+def span_dicts(spans: Iterable[object]) -> List[Dict[str, object]]:
+    """Span documents of ``spans``: each item is one already, or a record
+    (``repro.core.pcc_update.UpdateTimings``) whose ``to_dict()`` is."""
+    return [span if isinstance(span, dict) else span.to_dict() for span in spans]
 
 
 def _prom_name(namespace: str, name: str) -> str:
@@ -94,16 +88,11 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-def to_prometheus_text(
-    registry: MetricRegistry, tracer: Optional[Tracer] = None
-) -> str:
+def to_prometheus_text(registry: MetricRegistry) -> str:
     """Render a registry in the Prometheus exposition text format.
 
-    With a ``tracer``, its span-loss accounting is appended as
-    ``*_tracer_spans_started_total`` / ``*_tracer_spans_dropped_total``
-    counters and ``*_tracer_spans_open`` gauge.  A raising callback gauge
-    renders as NaN and bumps ``obs.gauge_callback_errors_total`` instead of
-    aborting the scrape.
+    A raising callback gauge renders as NaN and bumps
+    ``obs.gauge_callback_errors_total`` instead of aborting the scrape.
     """
     lines: List[str] = []
     labels = registry.labels
@@ -128,17 +117,6 @@ def to_prometheus_text(
         lines.append(f"# HELP {prom} {error_counter.help}")
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom}{_labels_text(labels)} {_fmt_value(error_counter.value)}")
-    if tracer is not None:
-        stats = tracer_stats(tracer)
-        for stat, kind in (
-            ("spans_started", "counter"),
-            ("spans_dropped", "counter"),
-            ("spans_open", "gauge"),
-        ):
-            suffix = "_total" if kind == "counter" else ""
-            prom = _prom_name(registry.namespace, f"tracer.{stat}{suffix}")
-            lines.append(f"# TYPE {prom} {kind}")
-            lines.append(f"{prom}{_labels_text(labels)} {stats[stat]}")
     return "\n".join(lines) + "\n"
 
 
@@ -244,20 +222,13 @@ def registry_to_dict(registry: MetricRegistry) -> Dict[str, object]:
 
 def telemetry_to_dict(
     registry: MetricRegistry,
-    tracer: Optional[Tracer] = None,
+    spans: Iterable[object] = (),
     series: Optional[Dict[str, object]] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The full telemetry document: metrics + trace spans (+ time series).
-
-    The ``tracer`` block carries the span-loss accounting
-    (``spans_started`` / ``spans_dropped``) so eviction under
-    ``max_spans`` pressure is visible in every dump format.
-    """
+    """The full telemetry document: metrics + spans (+ time series)."""
     doc = registry_to_dict(registry)
-    doc["spans"] = tracer.to_dicts() if tracer is not None else []
-    if tracer is not None:
-        doc["tracer"] = tracer_stats(tracer)
+    doc["spans"] = span_dicts(spans)
     if series is not None:
         doc["series"] = series
     if extra:
@@ -267,13 +238,13 @@ def telemetry_to_dict(
 
 def dump_json(
     registry: MetricRegistry,
-    tracer: Optional[Tracer] = None,
+    spans: Iterable[object] = (),
     stream: Optional[IO[str]] = None,
     indent: int = 2,
     **extra: object,
 ) -> str:
     """Serialize the telemetry document; optionally write it to ``stream``."""
-    doc = telemetry_to_dict(registry, tracer, extra=dict(extra) if extra else None)
+    doc = telemetry_to_dict(registry, spans, extra=dict(extra) if extra else None)
     text = json.dumps(doc, indent=indent, sort_keys=True, default=str)
     if stream is not None:
         stream.write(text)
@@ -281,20 +252,17 @@ def dump_json(
     return text
 
 
-def iter_jsonl(
-    registry: MetricRegistry, tracer: Optional[Tracer] = None
-) -> Iterator[str]:
-    """One JSON line per metric and per finished span (streaming-friendly)."""
+def iter_jsonl(registry: MetricRegistry, spans: Iterable[object] = ()) -> Iterator[str]:
+    """One JSON line per metric and per span (streaming-friendly)."""
     doc = registry_to_dict(registry)
     for name, payload in doc["metrics"].items():
         record = {"record": "metric", "name": name}
         record.update(payload)
         yield json.dumps(record, sort_keys=True, default=str)
-    if tracer is not None:
-        for span in tracer.to_dicts():
-            record = {"record": "span"}
-            record.update(span)
-            yield json.dumps(record, sort_keys=True, default=str)
+    for span in span_dicts(spans):
+        record = {"record": "span"}
+        record.update(span)
+        yield json.dumps(record, sort_keys=True, default=str)
 
 
 def write_jsonl(stream: IO[str], records: Iterable[object]) -> int:

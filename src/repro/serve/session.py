@@ -491,9 +491,24 @@ class ServeSession:
         return to_prometheus_text(registry)
 
     def telemetry_records(self):
-        """JSONL lines (metrics + finished spans) for artifact dumps."""
-        registry = self.lb.merged_registry() if self.is_fleet else self.lb.metrics
-        return iter_jsonl(registry)
+        """JSONL lines (metrics + finished spans) for artifact dumps.
+
+        The spans are the update records every switch retains, each tagged
+        with its switch's name: in fleet mode every instance
+        ``merged_registry()`` folds, so the span lines per switch count its
+        ``update.updates_completed_total`` in the same dump.
+        """
+        if self.is_fleet:
+            registry = self.lb.merged_registry()
+            switches = [switch for _i, _gen, switch in self.lb.instances()]
+        else:
+            registry, switches = self.lb.metrics, [self.lb]
+        spans = (
+            {"switch": switch.name, **timing.to_dict()}
+            for switch in switches
+            for timing in switch.coordinator.timings
+        )
+        return iter_jsonl(registry, spans)
 
     def fingerprint(self) -> str:
         if self.is_fleet:

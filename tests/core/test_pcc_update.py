@@ -265,3 +265,141 @@ class TestWatchdogs:
         h = Harness(pending={b"old"})
         h.request()
         assert h.coord.step_deadline_s is None
+
+
+def span_doc(start, end, kind, step1_s, step2_s, marks, events):
+    """A ``pcc_update`` span document for VIP/DIP, keys in emitted order."""
+    return {
+        "name": "pcc_update",
+        "start": start,
+        "end": end,
+        "duration": end - start,
+        "attrs": {
+            "vip": "20.0.0.1:80",
+            "kind": kind,
+            "dip": "10.0.0.9:80",
+            "step1_s": step1_s,
+            "step2_s": step2_s,
+        },
+        "marks": marks,
+        "events": events,
+    }
+
+
+class TestUpdateRecords:
+    """``UpdateTimings`` is the one record of an update.  The expected
+    documents were captured from the ``Tracer`` spans the commit before
+    the tracer's removal (5eec159) emitted for these three scenarios."""
+
+    def docs(self, coord):
+        return [timing.to_dict() for timing in coord.timings]
+
+    def plain(self):
+        h = Harness(pending={b"old"})
+        h.request(time=1.0)
+        h.coord.note_new_pending(VIP, b"new")
+        h.clock = 1.5
+        h.coord.on_installed(VIP, b"old")
+        h.clock = 1.75
+        h.coord.on_installed(VIP, b"new")
+        expected = span_doc(
+            1.0, 1.75, "remove", 0.5, 0.25,
+            {"t_req": 1.0, "t_exec": 1.5, "t_finish": 1.75},
+            [
+                {"name": "t_req", "t": 1.0, "pending_connections": 1},
+                {"name": "t_exec", "t": 1.5, "marked_connections": 1},
+            ],
+        )
+        return h.coord, [expected]
+
+    def queued(self):
+        h = Harness(pending={b"old"})
+        h.request(time=2.0)
+        h.clock = 2.25
+        h.coord.request(UpdateEvent(2.25, VIP, UpdateKind.ADD, DIP))
+        h.pending.clear()
+        h.clock = 2.5
+        h.coord.on_installed(VIP, b"old")
+        first = span_doc(
+            2.0, 2.5, "remove", 0.5, 0.0,
+            {"t_req": 2.0, "t_exec": 2.5, "t_finish": 2.5},
+            [
+                {"name": "t_req", "t": 2.0, "pending_connections": 1},
+                {"name": "t_exec", "t": 2.5, "marked_connections": 0},
+            ],
+        )
+        # The queued update's t_req is the instant it began, not 2.25.
+        second = span_doc(
+            2.5, 2.5, "add", 0.0, 0.0,
+            {"t_req": 2.5, "t_exec": 2.5, "t_finish": 2.5},
+            [
+                {"name": "t_req", "t": 2.5, "pending_connections": 0},
+                {"name": "t_exec", "t": 2.5, "marked_connections": 0},
+            ],
+        )
+        return h.coord, [first, second]
+
+    def forced(self):
+        h = WatchdogHarness(pending={b"stuck-1", b"stuck-2"})
+        h.request(time=3.0)
+        h.coord.note_new_pending(VIP, b"marked")
+        h.fire_latest()  # step 1 forced at 4.0
+        h.fire_latest()  # step 2 forced at 5.0
+        expected = span_doc(
+            3.0, 5.0, "remove", 1.0, 1.0,
+            {
+                "t_req": 3.0,
+                "watchdog_step1": 4.0,
+                "t_exec": 4.0,
+                "watchdog_step2": 5.0,
+                "t_finish": 5.0,
+            },
+            [
+                {"name": "t_req", "t": 3.0, "pending_connections": 2},
+                {"name": "watchdog_step1", "t": 4.0, "at_risk": 2},
+                {"name": "t_exec", "t": 4.0, "marked_connections": 1},
+                {"name": "watchdog_step2", "t": 5.0, "at_risk": 1},
+            ],
+        )
+        return h.coord, [expected]
+
+    @pytest.mark.parametrize("scenario", ["plain", "queued", "forced"])
+    def test_to_dict_is_the_span_document(self, scenario):
+        import json
+
+        coord, expected = getattr(self, scenario)()
+        docs = self.docs(coord)
+        assert docs == expected
+        # Byte for byte: key order included.
+        assert json.dumps(docs) == json.dumps(expected)
+
+    @pytest.mark.parametrize("scenario", ["plain", "queued", "forced"])
+    def test_chrome_trace_from_records(self, scenario):
+        from repro.obs import to_chrome_trace, validate_chrome_trace
+
+        coord, expected = getattr(self, scenario)()
+        doc = to_chrome_trace(spans=coord.timings)
+        assert validate_chrome_trace(doc) == []
+        complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert [(e["ts"], e["dur"]) for e in complete] == [
+            (d["start"] * 1e6, d["duration"] * 1e6) for d in expected
+        ]
+        assert complete[0]["args"]["mark.t_exec"] == expected[0]["marks"]["t_exec"]
+        marks = [e for e in doc["traceEvents"] if e.get("cat") == "span.mark"]
+        assert all(m["ph"] == "i" for m in marks)
+        assert [m["name"] for m in marks] == [
+            name for d in expected for name in d["marks"]
+        ]
+
+    def test_retention_is_bounded_and_the_loss_countable(self):
+        from repro.core.pcc_update import MAX_TIMINGS
+
+        h = Harness()
+        driven = MAX_TIMINGS + 50
+        for i in range(driven):
+            h.request(time=float(i))  # nothing pending: finishes at once
+        assert len(h.coord.timings) == MAX_TIMINGS
+        assert h.coord.updates_completed == driven
+        # The oldest went first; the newest is the last one driven.
+        assert h.coord.timings[0].t_req == 50.0
+        assert h.coord.timings[-1].t_req == float(driven - 1)

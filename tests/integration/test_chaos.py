@@ -81,7 +81,8 @@ class TestChaosAcceptance:
     def test_every_update_finishes_within_watchdog_bound(self, result):
         counters = result.switch.report()
         assert counters["updates_completed"] == counters["updates_requested"]
-        assert result.switch.coordinator.timings  # updates actually ran
+        # Updates actually ran, and the overdue count below saw every one.
+        assert len(result.switch.coordinator.timings) == counters["updates_completed"] > 0
         assert result.overdue_updates == 0
 
     def test_auditor_clean(self, result):

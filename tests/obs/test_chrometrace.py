@@ -14,17 +14,20 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeline import Timeline
-from repro.obs.tracing import Tracer
 
 
-def make_tracer() -> Tracer:
-    tracer = Tracer()
-    span = tracer.start_span("pcc_update", t=1.0, vip="20.0.0.1:80")
-    span.mark("t_req", 1.0)
-    span.mark("t_exec", 1.25)
-    span.mark("t_finish", 1.5)
-    span.finish(1.5)
-    return tracer
+def make_spans():
+    """One span document, the shape ``UpdateTimings.to_dict()`` returns."""
+    return [
+        {
+            "name": "pcc_update",
+            "start": 1.0,
+            "end": 1.5,
+            "duration": 0.5,
+            "attrs": {"vip": "20.0.0.1:80"},
+            "marks": {"t_req": 1.0, "t_exec": 1.25, "t_finish": 1.5},
+        }
+    ]
 
 
 def make_recorder() -> FlightRecorder:
@@ -43,7 +46,7 @@ def make_timeline() -> Timeline:
 
 class TestExport:
     def test_spans_become_complete_events_in_microseconds(self):
-        doc = to_chrome_trace(tracer=make_tracer())
+        doc = to_chrome_trace(spans=make_spans())
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(complete) == 1
         (event,) = complete
@@ -84,7 +87,7 @@ class TestExport:
         buf = io.StringIO()
         count = write_chrome_trace(
             buf,
-            tracer=make_tracer(),
+            spans=make_spans(),
             recorder=make_recorder(),
             timeline=make_timeline(),
             metadata={"scenario": "unit"},
@@ -96,7 +99,7 @@ class TestExport:
 
     def test_write_to_path(self, tmp_path):
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(str(path), tracer=make_tracer())
+        count = write_chrome_trace(str(path), spans=make_spans())
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) == count
         assert validate_chrome_trace(doc) == []
@@ -128,7 +131,7 @@ class TestValidator:
 
     def test_accepts_emitted_document(self):
         doc = to_chrome_trace(
-            tracer=make_tracer(),
+            spans=make_spans(),
             recorder=make_recorder(),
             timeline=make_timeline(),
         )

@@ -15,10 +15,25 @@ from repro.obs.export import (
     registry_to_dict,
     telemetry_to_dict,
     to_prometheus_text,
-    tracer_stats,
 )
 from repro.obs.metrics import MetricRegistry
-from repro.obs.tracing import Tracer
+
+#: One span document, the shape ``UpdateTimings.to_dict()`` returns.
+SPAN = {
+    "name": "pcc_update",
+    "start": 0.0,
+    "end": 1.0,
+    "duration": 1.0,
+    "attrs": {"vip": "20.0.0.1:80"},
+    "marks": {"t_req": 0.0, "t_exec": 0.5, "t_finish": 1.0},
+}
+
+
+class Record:
+    """Stands in for an update record: anything with ``to_dict()``."""
+
+    def to_dict(self):
+        return dict(SPAN)
 
 
 def make_registry() -> MetricRegistry:
@@ -74,12 +89,9 @@ class TestJson:
         assert hist["p50"] <= hist["p99"] <= hist["max"]
 
     def test_dump_json_is_valid_json(self):
-        registry = make_registry()
-        tracer = Tracer()
-        tracer.start_span("pcc_update", t=0.0).finish(1.0)
-        doc = json.loads(dump_json(registry, tracer, run="unit"))
+        doc = json.loads(dump_json(make_registry(), [Record()], run="unit"))
         assert doc["run"] == "unit"
-        assert doc["spans"][0]["name"] == "pcc_update"
+        assert doc["spans"] == [SPAN]
 
     def test_telemetry_dict_merges_extra(self):
         doc = telemetry_to_dict(make_registry(), extra={"switch": "s1"})
@@ -134,48 +146,19 @@ class TestRaisingCallbackGauge:
 
 
 class TestTracerStats:
-    def make_tracer(self) -> Tracer:
-        tracer = Tracer(max_spans=2)
-        for i in range(3):
-            tracer.start_span("s", t=float(i)).finish(float(i))
-        tracer.start_span("open", t=9.0)
-        return tracer
-
-    def test_stats_shape(self):
-        stats = tracer_stats(self.make_tracer())
-        assert stats == {
-            "spans_started": 4,
-            "spans_dropped": 1,
-            "spans_finished": 2,
-            "spans_open": 1,
-        }
-
-    def test_prometheus_rendering_includes_span_loss(self):
-        samples = parse_prometheus_text(
-            to_prometheus_text(make_registry(), tracer=self.make_tracer())
-        )
-        sig = '{switch="s1"}'
-        assert samples["repro_tracer_spans_started_total"][sig] == 4.0
-        assert samples["repro_tracer_spans_dropped_total"][sig] == 1.0
-        assert samples["repro_tracer_spans_open"][sig] == 1.0
-
-    def test_telemetry_dict_carries_tracer_block(self):
-        doc = telemetry_to_dict(make_registry(), tracer=self.make_tracer())
-        assert doc["tracer"]["spans_started"] == 4
-        assert doc["tracer"]["spans_dropped"] == 1
-        assert len(doc["spans"]) == 2
-
     def test_no_tracer_no_block(self):
-        doc = telemetry_to_dict(make_registry())
-        assert "tracer" not in doc
+        """The span-loss block went with the tracer (its numbers are the
+        ``update.updates_*_total`` counters): spans or not, no dump has one."""
+        assert "tracer" not in telemetry_to_dict(make_registry())
+        assert "tracer" not in telemetry_to_dict(make_registry(), [Record()])
+        assert "tracer_spans" not in to_prometheus_text(make_registry())
 
 
 class TestJsonl:
     def test_one_record_per_metric_and_span(self):
-        registry = make_registry()
-        tracer = Tracer()
-        tracer.start_span("pcc_update", t=0.0).finish(1.0)
-        records = [json.loads(line) for line in iter_jsonl(registry, tracer)]
+        # Records and ready span documents are both accepted.
+        spans = [Record(), {"switch": "s1", **SPAN}]
+        records = [json.loads(line) for line in iter_jsonl(make_registry(), spans)]
         metric_names = {r["name"] for r in records if r["record"] == "metric"}
         assert metric_names == {
             "conn_table.inserts_total",
@@ -183,10 +166,36 @@ class TestJsonl:
             "cpu.delay_s",
         }
         spans = [r for r in records if r["record"] == "span"]
-        assert len(spans) == 1 and spans[0]["duration"] == 1.0
+        assert [s["duration"] for s in spans] == [1.0, 1.0]
+        assert [s.get("switch") for s in spans] == [None, "s1"]
 
     def test_values_finite(self):
         for line in iter_jsonl(make_registry()):
             record = json.loads(line)
             if record["record"] == "metric" and "value" in record:
                 assert math.isfinite(record["value"])
+
+
+class TestSwitchRecords:
+    def test_update_records_from_real_run(self):
+        """A replayed switch's telemetry document carries one span per
+        finished update, rendered from ``coordinator.timings``."""
+        from repro.experiments.common import build_workload, silkroad_factory
+
+        workload = build_workload(
+            updates_per_min=30.0, scale=0.05, seed=5, horizon_s=30.0
+        )
+        _report, _conns, lb = workload.replay(
+            silkroad_factory(insertion_rate_per_s=20_000.0)
+        )
+        doc = lb.telemetry_snapshot()
+        spans = doc["spans"]
+        assert spans == [timing.to_dict() for timing in lb.coordinator.timings]
+        assert len(spans) == lb.metrics.get("update.updates_completed_total").value > 0
+        assert "tracer" not in doc
+        for span in spans:
+            marks, attrs = span["marks"], span["attrs"]
+            assert span["name"] == "pcc_update"
+            assert marks["t_req"] <= marks["t_exec"] <= marks["t_finish"]
+            assert attrs["step1_s"] == pytest.approx(marks["t_exec"] - marks["t_req"])
+            assert attrs["step2_s"] == pytest.approx(marks["t_finish"] - marks["t_exec"])

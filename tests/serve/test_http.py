@@ -117,6 +117,67 @@ class TestRoutes:
         asyncio.run(go())
 
 
+def telemetry_after_updates(config):
+    """Advance, add a spare and drain an old DIP over HTTP, advance until
+    the updates finished, then ``GET /telemetry``: the parsed JSONL."""
+
+    async def go():
+        server = ControlServer(ServeSession(config))
+        await server.start()
+        client = _Client(server.host, server.port)
+        await client.connect()
+        try:
+            await client.json("POST", "/advance", {"dt": 5.0})
+            _, state = await client.json("GET", "/state")
+            vip = state["vips"][0]
+            await client.json("POST", f"/vips/{vip['vip']}/dips", {})
+            await client.json("POST", f"/dips/{vip['dips'][0]}/drain", {})
+            await client.json("POST", "/advance", {"dt": 5.0})
+            status, text = await client.request("GET", "/telemetry")
+            assert status == 200
+        finally:
+            await client.close()
+            await server.stop()
+        return [json.loads(line) for line in text.splitlines()]
+
+    return asyncio.run(go())
+
+
+class TestTelemetrySpans:
+    """``GET /telemetry`` promises metrics + finished spans; before this
+    test it served the metrics alone."""
+
+    def check(self, records, switches):
+        spans = [r for r in records if r["record"] == "span"]
+        assert spans, "no update record served"
+        completed = sum(
+            r["value"]
+            for r in records
+            if r["record"] == "metric"
+            and r["name"].endswith("update.updates_completed_total")
+        )
+        assert len(spans) == completed
+        for span in spans:
+            assert span["name"] == "pcc_update"
+            assert span["switch"] in switches
+            marks = span["marks"]
+            assert marks["t_req"] <= marks["t_exec"] <= marks["t_finish"]
+            assert span["attrs"]["kind"] in ("add", "drain")
+        return spans
+
+    def test_single_switch_serves_its_update_records(self):
+        records = telemetry_after_updates(ServeConfig(seed=11, scale=0.01))
+        spans = self.check(records, {"silkroad-serve"})
+        assert [s["attrs"]["kind"] for s in spans] == ["add", "drain"]
+
+    def test_fleet_serves_every_members_records_tagged(self):
+        config = ServeConfig(seed=11, scale=0.01, num_switches=3, replication=2)
+        records = telemetry_after_updates(config)
+        spans = self.check(records, {f"fleet-serve-{i}" for i in range(3)})
+        # Replication 2: both owners of the VIP ran both updates.
+        assert len({s["switch"] for s in spans}) == 2 and len(spans) == 4
+
+
 class TestStructuredHttpErrors:
     def test_no_route_404(self):
         [(status, payload)] = roundtrip([("GET", "/nope", None)])

@@ -19,7 +19,10 @@ Beside it, one store per distribution: nothing takes or passes a
 can ``observe``, and every slot a ``Histogram`` method writes is folded
 from the other side's same slot by ``merge_from`` — so a streaming
 estimator, whose state can only merge approximately, cannot grow back
-beside the buckets ("One distribution store", same document).
+beside the buckets ("One distribution store", same document).  And one
+record per update: no ``tracer`` argument, parameter or attribute, no
+import of the deleted ``repro.obs.tracing``, and ``UpdateTimings`` is
+built only by the coordinator ("Update records", same document).
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -305,3 +308,32 @@ def test_nothing_imports_the_deleted_netsim_sampler():
     ]
     assert not offenders, "\n".join(offenders)
     assert not (SRC / "netsim" / "telemetry.py").exists()
+
+
+def test_one_record_per_update():
+    # ``UpdateTimings`` is the one record of a 3-step update: the generic
+    # span facility (``obs/tracing.py``) must not come back beside it, no
+    # call or signature carries a ``tracer``, and only the coordinator
+    # builds the record.
+    offenders = [
+        f"{rel}:{line} imports {module}"
+        for rel, module, line in _imports()
+        if (module + ".").startswith("repro.obs.tracing.")
+    ]
+    assert not (SRC / "obs" / "tracing.py").exists()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.keyword, ast.arg)) and node.arg == "tracer":
+                line = node.value.lineno if isinstance(node, ast.keyword) else node.lineno
+                offenders.append(f"{rel}:{line} takes or passes tracer=")
+            elif isinstance(node, ast.Attribute) and node.attr in ("tracer", "_tracer"):
+                offenders.append(f"{rel}:{node.lineno} reads .{node.attr}")
+            elif (
+                isinstance(node, ast.Call)
+                and rel != "core/pcc_update.py"
+                and "UpdateTimings"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ):
+                offenders.append(f"{rel}:{node.lineno} constructs UpdateTimings")
+    assert not offenders, "\n".join(offenders)
