@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..obs.events import PLACEMENT_PLACE
 from .sram import DEFAULT_BLOCK_WORDS, DEFAULT_WORD_BITS
 
 
@@ -208,8 +209,8 @@ class Pipeline:
         self.placements[name] = placement
         if self.recorder is not None:
             self.recorder.record(
-                0.0, "placement", "place", table=name,
-                stages=tuple(chosen), sram_blocks=demand.sram_blocks,
+                0.0, PLACEMENT_PLACE, None,
+                name, tuple(chosen), demand.sram_blocks,
             )
         return placement
 

@@ -34,6 +34,35 @@ from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer, PRIO_ARRIVAL, PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
 from ..obs import FlightRecorder, MetricRegistry, telemetry_to_dict
+from ..obs.events import (
+    CONN_AT_RISK,
+    CONN_EVICT,
+    CONN_FIN,
+    CONN_FP_ADOPTED,
+    CONN_FP_CORRECTED,
+    CONN_FP_SYN_REDIRECT,
+    CONN_INSTALL,
+    CONN_MARKED,
+    CONN_OVERFLOW,
+    CONN_RESUME,
+    CONN_SYN,
+    SLOWPATH_BATCH_DELAYED,
+    SLOWPATH_BATCH_DELIVERED,
+    SLOWPATH_BATCH_LOST,
+    SLOWPATH_CPU_CRASH,
+    SLOWPATH_CPU_RESTART,
+    SLOWPATH_CPU_STALL,
+    SLOWPATH_JOB_INSTALL_FAILED,
+    SLOWPATH_JOB_LOST,
+    SLOWPATH_JOB_SHED,
+    SLOWPATH_RELEARN,
+    UPDATE_STALE,
+    UPDATE_T_EXEC,
+    UPDATE_T_FINISH,
+    UPDATE_T_REQ,
+    UPDATE_VERSION_EXHAUSTED,
+    UPDATE_WATCHDOG_FORCED,
+)
 from .config import SilkRoadConfig
 from .conn_table import ConnTable
 from .control_plane import SwitchCpu
@@ -55,6 +84,12 @@ INSTALL_RETRY_BACKOFF_S = 1e-4
 #: models the next packet of the (still-unmatched) connection
 #: depositing a fresh learn event.
 RELEARN_DELAY_S = 1e-3
+#: Why a slow-path job left without installing -> the event that says so.
+_JOB_DROPPED = {
+    "shed": SLOWPATH_JOB_SHED,
+    "lost": SLOWPATH_JOB_LOST,
+    "install_failed": SLOWPATH_JOB_INSTALL_FAILED,
+}
 
 #: The switch's own counters, declared once: ``__init__`` zeroes each as a
 #: plain attribute, and a counter with help text is also exported as the
@@ -242,7 +277,7 @@ class SilkRoadSwitch(LoadBalancer):
         self.connections_seen += 1
         recorder = self.recorder
         if recorder is not None:
-            recorder.record(now, "conn", "syn", key=key, vip=str(conn.vip))
+            recorder.record(now, CONN_SYN, key, str(conn.vip))
         result = self.conn_table.lookup(key, key_hash)
         if result.hit:
             # New connections are unique, so a hit is a digest false
@@ -251,7 +286,7 @@ class SilkRoadSwitch(LoadBalancer):
             assert result.false_positive
             self.fp_syn_redirects += 1
             if recorder is not None:
-                recorder.record(now, "conn", "fp_syn_redirect", key=key)
+                recorder.record(now, CONN_FP_SYN_REDIRECT, key)
             state = self._admit(conn, now)
             self._cpu.submit_one(key, ("fp",), extra_delay_s=FP_RESOLUTION_DELAY_S)
             return
@@ -299,9 +334,7 @@ class SilkRoadSwitch(LoadBalancer):
             return
         state.dead = True
         if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, "conn", "fin", key=key, installed=state.installed
-            )
+            self.recorder.record(self.queue.now, CONN_FIN, key, state.installed)
         live = self._live_by_vip.get(state.vip)
         if live is not None:
             live.discard(key)
@@ -359,9 +392,7 @@ class SilkRoadSwitch(LoadBalancer):
         self._set_decision(fresh, dip, now)
         self.resumed_connections += 1
         if self.recorder is not None:
-            self.recorder.record(
-                now, "conn", "resume", key=key, version=state.version
-            )
+            self.recorder.record(now, CONN_RESUME, key, state.version)
         return True
 
     def apply_update(
@@ -438,7 +469,7 @@ class SilkRoadSwitch(LoadBalancer):
                     self.transit_fp_corrected += 1
                     version = entry.current_version
                     if self.recorder is not None:
-                        self.recorder.record(now, "conn", "fp_corrected", key=key)
+                        self.recorder.record(now, CONN_FP_CORRECTED, key)
                 else:
                     self.transit_fp_adopted += 1
                     self.fp_adopted_keys.add(key)
@@ -447,8 +478,7 @@ class SilkRoadSwitch(LoadBalancer):
                     adopted_old = True
                     if self.recorder is not None:
                         self.recorder.record(
-                            now, "conn", "fp_adopted", key=key,
-                            vip=str(vip), old_version=entry.old_version,
+                            now, CONN_FP_ADOPTED, key, str(vip), entry.old_version
                         )
             else:
                 version = entry.current_version
@@ -472,7 +502,7 @@ class SilkRoadSwitch(LoadBalancer):
         # Step 1 of an in-flight update marks the connection.
         state.marked = self.coordinator.note_new_pending(vip, key)
         if state.marked and self.recorder is not None:
-            self.recorder.record(now, "conn", "marked", key=key, vip=str(vip))
+            self.recorder.record(now, CONN_MARKED, key, str(vip))
         dip = self.dip_pools.select(vip, version, key, key_hash)
         self._set_decision(state, dip, now)
         return state
@@ -507,9 +537,7 @@ class SilkRoadSwitch(LoadBalancer):
                     pending.discard(key)
                 self.coordinator.on_installed(state.vip, key)
                 if self.recorder is not None:
-                    self.recorder.record(
-                        now, "conn", "overflow", key=key, pinned=True
-                    )
+                    self.recorder.record(now, CONN_OVERFLOW, key, True)
             else:
                 # The connection stays on the slow path: it will re-hash
                 # at the next VIPTable flip.  Tell the coordinator to stop
@@ -519,17 +547,14 @@ class SilkRoadSwitch(LoadBalancer):
                 self.overflow_keys.add(key)
                 self.coordinator.on_pending_aborted(state.vip, key)
                 if self.recorder is not None:
-                    self.recorder.record(
-                        now, "conn", "overflow", key=key, pinned=False
-                    )
+                    self.recorder.record(now, CONN_OVERFLOW, key, False)
             return
         except DuplicateKey:
             return
         state.installed = True
         if self.recorder is not None:
             self.recorder.record(
-                now, "conn", "install", key=key,
-                version=state.version, moves=result.moves,
+                now, CONN_INSTALL, key, state.version, result.moves
             )
         pending = self._pending_by_vip.get(state.vip)
         if pending is not None:
@@ -548,7 +573,7 @@ class SilkRoadSwitch(LoadBalancer):
         if state.installed and key in self.conn_table:
             self.conn_table.delete(key)
             if self.recorder is not None:
-                self.recorder.record(self.queue.now, "conn", "evict", key=key)
+                self.recorder.record(self.queue.now, CONN_EVICT, key)
         self.dip_pools.release(state.vip, state.version)
 
     # ------------------------------------------------------------------
@@ -567,8 +592,8 @@ class SilkRoadSwitch(LoadBalancer):
             self.stale_updates += 1
             if self.recorder is not None:
                 self.recorder.record(
-                    now, "update", "stale", vip=str(vip),
-                    kind=event.kind.name.lower(), dip=str(event.dip),
+                    now, UPDATE_STALE, None,
+                    str(vip), event.kind.name.lower(), str(event.dip),
                 )
             return
         try:
@@ -584,15 +609,13 @@ class SilkRoadSwitch(LoadBalancer):
         except VersionsExhausted:
             self.version_exhaustion_events += 1
             if self.recorder is not None:
-                self.recorder.record(
-                    now, "update", "version_exhausted", vip=str(vip)
-                )
+                self.recorder.record(now, UPDATE_VERSION_EXHAUSTED, None, str(vip))
             return
         if self.recorder is not None:
             self.recorder.record(
-                now, "update", "t_exec", vip=str(vip),
-                kind=event.kind.name.lower(), dip=str(event.dip),
-                old_version=old_version, new_version=new_version,
+                now, UPDATE_T_EXEC, None,
+                str(vip), event.kind.name.lower(), str(event.dip),
+                old_version, new_version,
             )
         if event.kind is UpdateKind.REMOVE:
             self._break_connections_on(vip, event.dip)
@@ -619,7 +642,7 @@ class SilkRoadSwitch(LoadBalancer):
     def _finish_update(self, vip: VirtualIP) -> None:
         now = self.queue.now
         if self.recorder is not None:
-            self.recorder.record(now, "update", "t_finish", vip=str(vip))
+            self.recorder.record(now, UPDATE_T_FINISH, None, str(vip))
         # A weight no-op (or a version-exhausted execute) never began a
         # transition: there is no old version to drop, but the update's
         # marks still evict and the pending-state flags still clear.
@@ -681,8 +704,8 @@ class SilkRoadSwitch(LoadBalancer):
         self._transit_update_ids[vip] = self.transit.update_started()
         if self.recorder is not None:
             self.recorder.record(
-                self.queue.now, "update", "t_req", vip=str(vip),
-                update_id=self._transit_update_ids[vip],
+                self.queue.now, UPDATE_T_REQ, None,
+                str(vip), self._transit_update_ids[vip],
             )
 
     def _mark_transit(self, key: bytes) -> None:
@@ -706,14 +729,10 @@ class SilkRoadSwitch(LoadBalancer):
         if recorder is not None:
             now = self.queue.now
             recorder.record(
-                now, "update", "watchdog_forced", vip=str(vip),
-                phase=phase.name, at_risk=len(keys),
+                now, UPDATE_WATCHDOG_FORCED, None, str(vip), phase.name, len(keys)
             )
             for key in sorted(keys):
-                recorder.record(
-                    now, "conn", "at_risk", key=key,
-                    vip=str(vip), phase=phase.name,
-                )
+                recorder.record(now, CONN_AT_RISK, key, str(vip), phase.name)
         for key in keys:
             state = self._states.get(key)
             if state is not None:
@@ -734,8 +753,8 @@ class SilkRoadSwitch(LoadBalancer):
             self._m_notifications_lost.value += 1.0
             if recorder is not None:
                 recorder.record(
-                    self.queue.now, "slowpath", "batch_lost",
-                    size=len(batch.events), reason=batch.reason,
+                    self.queue.now, SLOWPATH_BATCH_LOST, None,
+                    len(batch.events), batch.reason,
                 )
             for event in batch.events:
                 self._schedule_relearn(event.key, event.metadata)
@@ -745,8 +764,8 @@ class SilkRoadSwitch(LoadBalancer):
             self._m_notifications_delayed.value += 1.0
             if recorder is not None:
                 recorder.record(
-                    self.queue.now, "slowpath", "batch_delayed",
-                    size=len(batch.events), delay_s=self._notification_delay_s,
+                    self.queue.now, SLOWPATH_BATCH_DELAYED, None,
+                    len(batch.events), self._notification_delay_s,
                 )
             self.queue.schedule_in(
                 self._notification_delay_s,
@@ -756,8 +775,8 @@ class SilkRoadSwitch(LoadBalancer):
             return
         if recorder is not None:
             recorder.record(
-                self.queue.now, "slowpath", "batch_delivered",
-                size=len(batch.events), reason=batch.reason,
+                self.queue.now, SLOWPATH_BATCH_DELIVERED, None,
+                len(batch.events), batch.reason,
             )
         self._cpu.submit_batch(batch)
 
@@ -766,9 +785,7 @@ class SilkRoadSwitch(LoadBalancer):
         the connection is still unmatched in the data plane, so it will be
         re-learned from its next packet."""
         if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, "slowpath", f"job_{reason}", key=key
-            )
+            self.recorder.record(self.queue.now, _JOB_DROPPED[reason], key)
         self._schedule_relearn(key, metadata)
 
     def _schedule_relearn(self, key: bytes, metadata: Tuple) -> None:
@@ -790,7 +807,7 @@ class SilkRoadSwitch(LoadBalancer):
             return
         self._m_relearns.value += 1.0
         if self.recorder is not None:
-            self.recorder.record(self.queue.now, "slowpath", "relearn", key=key)
+            self.recorder.record(self.queue.now, SLOWPATH_RELEARN, key)
         event = LearnEvent(
             key=key,
             metadata=metadata,
@@ -808,7 +825,7 @@ class SilkRoadSwitch(LoadBalancer):
         """The crashed CPU came back: re-arm the learning-filter timer so
         batches flow again (lost jobs re-learn via :meth:`_schedule_relearn`)."""
         if self.recorder is not None:
-            self.recorder.record(self.queue.now, "slowpath", "cpu_restart")
+            self.recorder.record(self.queue.now, SLOWPATH_CPU_RESTART)
         self._arm_poll()
 
     # -- fault-injection surface (used by repro.faults.FaultInjector) ----
@@ -818,8 +835,7 @@ class SilkRoadSwitch(LoadBalancer):
         lost = len(self._cpu.crash(restart_delay_s))
         if self.recorder is not None:
             self.recorder.record(
-                self.queue.now, "slowpath", "cpu_crash",
-                jobs_lost=lost, restart_delay_s=restart_delay_s,
+                self.queue.now, SLOWPATH_CPU_CRASH, None, lost, restart_delay_s
             )
         return lost
 
@@ -827,7 +843,7 @@ class SilkRoadSwitch(LoadBalancer):
         """Freeze the switch CPU for ``duration_s``."""
         if self.recorder is not None:
             self.recorder.record(
-                self.queue.now, "slowpath", "cpu_stall", duration_s=duration_s
+                self.queue.now, SLOWPATH_CPU_STALL, None, duration_s
             )
         self._cpu.stall(duration_s)
 

@@ -79,6 +79,21 @@ from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer, PRIO_ARRIVAL, PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
+from ..obs.events import (
+    FLEET_CRASH,
+    FLEET_DECLARE_DOWN,
+    FLEET_HEAL,
+    FLEET_HEARTBEAT_LOSS,
+    FLEET_PARTITION,
+    FLEET_REASSIGN_ABORT,
+    FLEET_REASSIGN_ANNOUNCE,
+    FLEET_REASSIGN_DRAIN,
+    FLEET_REASSIGN_REDIRECT,
+    FLEET_REJOIN,
+    FLEET_RESTART,
+    FLEET_RESYNC,
+    FLEET_SHED,
+)
 from ..obs.metrics import MetricRegistry
 
 #: Attribution classes for fleet-caused decision changes.
@@ -543,10 +558,6 @@ class FleetSilkRoad(LoadBalancer):
         )
         return recorders
 
-    def _record(self, name: str, **attrs) -> None:
-        if self.recorder is not None:
-            self.recorder.record(self.queue.now, "fleet", name, **attrs)
-
     def _make_switch(self, index: int, generation: int):
         suffix = f"-{index}" if generation == 0 else f"-{index}g{generation}"
         name = f"{self.name}{suffix}"
@@ -791,7 +802,8 @@ class FleetSilkRoad(LoadBalancer):
             self.blackholed_existing += quiesced
             slot.dataplane_up = False
             slot.synced = False
-            self._record("crash", switch=index, blackholed=quiesced)
+            if self.recorder is not None:
+                self.recorder.record(self.queue.now, FLEET_CRASH, None, index, quiesced)
             self._journal(_J_CRASH, index, quiesced)
         if slot.restart_handle is not None:
             slot.restart_handle.cancel()
@@ -812,7 +824,10 @@ class FleetSilkRoad(LoadBalancer):
         slot.synced = False  # must re-learn the VIPTable before serving
         slot.restart_handle = None
         self.restarts += 1
-        self._record("restart", switch=index, generation=slot.generation)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_RESTART, None, index, slot.generation
+            )
         self._journal(_J_RESTART, index, slot.generation)
 
     def _fresh_instance(self, index: int):
@@ -838,7 +853,10 @@ class FleetSilkRoad(LoadBalancer):
         slot = self._slots[index]
         slot.partition_depth += 1
         self.partitions += 1
-        self._record("partition", switch=index, depth=slot.partition_depth)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_PARTITION, None, index, slot.partition_depth
+            )
         self._journal(_J_PARTITION, index, slot.partition_depth)
         if heal_after_s is not None:
             self.queue.schedule(
@@ -853,13 +871,17 @@ class FleetSilkRoad(LoadBalancer):
             slot.partition_depth -= 1
             if slot.partition_depth == 0:
                 self.heals += 1
-                self._record("heal", switch=index)
+                if self.recorder is not None:
+                    self.recorder.record(self.queue.now, FLEET_HEAL, None, index)
                 self._journal(_J_HEAL, index)
 
     def inject_heartbeat_loss(self, index: int, count: int) -> None:
         """The next ``count`` probes to this switch are lost in transit."""
         self._slots[index].drop_probes += count
-        self._record("heartbeat_loss", switch=index, count=count)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_HEARTBEAT_LOSS, None, index, count
+            )
         self._journal(_J_HB_LOSS, index, count)
 
     def request_reassign(self, vip_rank: int, target: int) -> None:
@@ -884,7 +906,10 @@ class FleetSilkRoad(LoadBalancer):
         self.detections += 1
         if slot.reachable and reason != "stale":
             self.false_detections += 1
-        self._record("declare_down", switch=index, reason=reason)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_DECLARE_DOWN, None, index, reason
+            )
         self._journal(_J_DOWN, index, 1 if reason == "stale" else 0)
         # A reassignment whose *destination* just died can never finish its
         # drain/redirect steps safely: abort it before the membership sweep
@@ -1038,7 +1063,8 @@ class FleetSilkRoad(LoadBalancer):
                 dropped += 1
         self.vips_shed += 1
         self.shed_connections += dropped
-        self._record("shed", vip=str(vip), dropped=dropped)
+        if self.recorder is not None:
+            self.recorder.record(self.queue.now, FLEET_SHED, None, str(vip), dropped)
         self._journal(_J_SHED, self._vip_order.index(vip), dropped)
 
     def rejoin(self, index: int) -> None:
@@ -1086,7 +1112,10 @@ class FleetSilkRoad(LoadBalancer):
         slot.in_ecmp = True
         slot.missed = 0
         self.rejoins += 1
-        self._record("rejoin", switch=index, generation=slot.generation)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_REJOIN, None, index, slot.generation
+            )
         self._journal(_J_REJOIN, index, slot.generation)
 
     def _resync(self, index: int) -> None:
@@ -1103,7 +1132,10 @@ class FleetSilkRoad(LoadBalancer):
             slot.announced.add(vip)
         slot.synced = True
         self.resyncs += 1
-        self._record("resync", switch=index, generation=slot.generation)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_RESYNC, None, index, slot.generation
+            )
         self._journal(_J_RESYNC, index, slot.generation)
 
     # ------------------------------------------------------------------
@@ -1151,7 +1183,11 @@ class FleetSilkRoad(LoadBalancer):
             self._assignment[vip] = sorted(self._assignment[vip] + [to_index])
         self._reassigning[vip] = (now, from_index, to_index)
         self.reassignments_started += 1
-        self._record("reassign_announce", vip=str(vip), src=from_index, dst=to_index)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_REASSIGN_ANNOUNCE, None,
+                str(vip), from_index, to_index,
+            )
         self._journal(
             _J_RA_ANNOUNCE, self._vip_order.index(vip), from_index * 1024 + to_index
         )
@@ -1185,7 +1221,11 @@ class FleetSilkRoad(LoadBalancer):
             table.add(to_id)
         if from_id in table.members and len(table.members) > 1:
             table.remove(from_id)
-        self._record("reassign_drain", vip=str(vip), src=from_index, dst=to_index)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_REASSIGN_DRAIN, None,
+                str(vip), from_index, to_index,
+            )
         self._journal(_J_RA_DRAIN, self._vip_order.index(vip))
         self.queue.schedule(
             self.queue.now + self.fleet_config.drain_window_s,
@@ -1224,7 +1264,11 @@ class FleetSilkRoad(LoadBalancer):
         if assigned and from_index in assigned and from_index != to_index:
             assigned.remove(from_index)
         self.reassignments_completed += 1
-        self._record("reassign_redirect", vip=str(vip), src=from_index, moved=moved)
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_REASSIGN_REDIRECT, None,
+                str(vip), from_index, moved,
+            )
         self._journal(_J_RA_REDIRECT, self._vip_order.index(vip), moved)
 
     def _abort_reassignment(self, vip: VirtualIP, reason: str) -> None:
@@ -1269,14 +1313,11 @@ class FleetSilkRoad(LoadBalancer):
         if assigned and to_index in assigned and from_index in assigned:
             assigned.remove(to_index)
         self.reassignments_aborted += 1
-        self._record(
-            "reassign_abort",
-            vip=str(vip),
-            src=from_index,
-            dst=to_index,
-            reason=reason,
-            races=races,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                self.queue.now, FLEET_REASSIGN_ABORT, None,
+                str(vip), from_index, to_index, reason, races,
+            )
         self._journal(_J_RA_ABORT, self._vip_order.index(vip), races)
 
     # ------------------------------------------------------------------

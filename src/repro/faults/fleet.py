@@ -34,6 +34,14 @@ from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import FlightRecorder, ObsHook, Timeline
+from ..obs.events import (
+    FAULT_DETECTION_DELAY,
+    FAULT_HEARTBEAT_LOSS,
+    FAULT_SWITCH_CRASH,
+    FAULT_SWITCH_FLAP,
+    FAULT_SWITCH_PARTITION,
+    FAULT_VIP_REASSIGN,
+)
 from ..options import DriverOptions, ObsOptions
 
 
@@ -55,6 +63,17 @@ class FleetFaultKind(Enum):
     DETECTION_DELAY = "detection_delay"
     #: operator drains a VIP onto another switch (3-step reassignment).
     VIP_REASSIGN = "vip_reassign"
+
+
+#: The flight-recorder event each fleet fault kind is delivered as.
+_FAULT_EVENT = {
+    FleetFaultKind.SWITCH_CRASH: FAULT_SWITCH_CRASH,
+    FleetFaultKind.SWITCH_PARTITION: FAULT_SWITCH_PARTITION,
+    FleetFaultKind.SWITCH_FLAP: FAULT_SWITCH_FLAP,
+    FleetFaultKind.HEARTBEAT_LOSS: FAULT_HEARTBEAT_LOSS,
+    FleetFaultKind.DETECTION_DELAY: FAULT_DETECTION_DELAY,
+    FleetFaultKind.VIP_REASSIGN: FAULT_VIP_REASSIGN,
+}
 
 
 @dataclass(frozen=True)
@@ -241,10 +260,10 @@ class FleetFaultInjector:
         if recorder is not None:
             recorder.record(
                 fleet.queue.now,
-                "fault",
-                event.kind.value,
-                switch=event.switch,
-                duration_s=event.duration_s,
+                _FAULT_EVENT[event.kind],
+                None,
+                event.switch,
+                event.duration_s,
             )
         kind = event.kind
         if kind is FleetFaultKind.SWITCH_CRASH:

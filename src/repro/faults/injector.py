@@ -24,11 +24,27 @@ from typing import Dict, Optional
 
 from ..netsim.events import EventQueue
 from ..netsim.simulator import PRIO_INTERNAL
+from ..obs.events import (
+    FAULT_BATCH_DELAY,
+    FAULT_CPU_CRASH,
+    FAULT_CPU_STALL,
+    FAULT_INSTALL_FAIL_WINDOW,
+    FAULT_NOTIFICATION_LOSS,
+)
 from .plan import FaultEvent, FaultKind, FaultPlan
 
 #: Mixed into the plan seed for the write-fault coin flips, so they are
 #: independent of the draws that generated the plan itself.
 _WRITE_FAULT_SALT = 0x5EEDFA17
+
+#: The flight-recorder event each fault kind is delivered as.
+_FAULT_EVENT = {
+    FaultKind.CPU_CRASH: FAULT_CPU_CRASH,
+    FaultKind.CPU_STALL: FAULT_CPU_STALL,
+    FaultKind.INSTALL_FAIL_WINDOW: FAULT_INSTALL_FAIL_WINDOW,
+    FaultKind.NOTIFICATION_LOSS: FAULT_NOTIFICATION_LOSS,
+    FaultKind.BATCH_DELAY: FAULT_BATCH_DELAY,
+}
 
 
 class FaultInjector:
@@ -78,12 +94,12 @@ class FaultInjector:
         if recorder is not None:
             recorder.record(
                 self._queue.now,
-                "fault",
-                event.kind.name.lower(),
-                duration_s=event.duration_s,
-                count=event.count,
-                probability=event.probability,
-                delay_s=event.delay_s,
+                _FAULT_EVENT[event.kind],
+                None,
+                event.duration_s,
+                event.count,
+                event.probability,
+                event.delay_s,
             )
         if event.kind is FaultKind.CPU_CRASH:
             self.jobs_lost_to_crashes += switch.inject_cpu_crash(event.duration_s)

@@ -13,6 +13,8 @@ The measurement layer the rest of the reproduction reports through:
 * :mod:`repro.obs.recorder` — :class:`FlightRecorder`: a bounded
   structured-event ring (connection lifecycle, slow path, updates, faults)
   with per-category drop accounting.
+* :mod:`repro.obs.events` — the event catalogue: one declared
+  :class:`EventKind` per event the recorder is handed.
 * :mod:`repro.obs.hook` — :class:`ObsHook`: the one way a runner arms a
   recorder and a timeline sampler from an ``ObsOptions``.
 * :mod:`repro.obs.chrometrace` — Chrome Trace Event Format / Perfetto
@@ -49,6 +51,8 @@ from .export import (
     write_jsonl,
 )
 from .timeline import SAMPLE_PRIORITY, Timeline, TimelineSampler
+from . import events
+from .events import EventKind
 from .recorder import DEFAULT_RING_SIZE, FlightRecorder, RecorderEvent
 from .hook import ObsHook
 from .chrometrace import to_chrome_trace, validate_chrome_trace, write_chrome_trace
@@ -63,6 +67,7 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_RING_SIZE",
+    "EventKind",
     "FlightRecorder",
     "GAUGE_ERROR_COUNTER",
     "Gauge",
@@ -78,6 +83,7 @@ __all__ = [
     "ViolationStory",
     "coverage",
     "dump_json",
+    "events",
     "explain_violations",
     "format_stories",
     "get_default_registry",

@@ -24,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: Default flight-recorder ring capacity (mirrors ``repro.obs.recorder``;
-#: duplicated here as a plain int so importing options stays dependency-free).
-DEFAULT_RECORD_CAPACITY = 65536
+#: Default flight-recorder ring capacity: a laptop-scale chaos run emits a
+#: few thousand events, so the default keeps everything while staying a few
+#: MiB worst case at full scale.  Defined here, where importing stays
+#: dependency-free; ``repro.obs`` re-exports it as ``DEFAULT_RING_SIZE``.
+DEFAULT_RECORD_CAPACITY = 65_536
 
 
 @dataclass(frozen=True)

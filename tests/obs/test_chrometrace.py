@@ -12,6 +12,7 @@ from repro.obs.chrometrace import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.events import CONN_SYN, FAULT_CPU_CRASH
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeline import Timeline
 
@@ -32,8 +33,8 @@ def make_spans():
 
 def make_recorder() -> FlightRecorder:
     rec = FlightRecorder(source="s0")
-    rec.record(0.5, "conn", "syn", key=b"\x01\x02", vip="20.0.0.1:80")
-    rec.record(0.9, "fault", "cpu_crash", duration_s=0.01)
+    rec.record(0.5, CONN_SYN, b"\x01\x02", "20.0.0.1:80")
+    rec.record(0.9, FAULT_CPU_CRASH, None, 0.01, 1, 0.0, 0.0)
     return rec
 
 

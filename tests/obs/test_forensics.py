@@ -5,6 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.obs.events import (
+    CONN_OVERFLOW,
+    CONN_SYN,
+    FAULT_CPU_CRASH,
+    FAULT_CPU_STALL,
+    UPDATE_T_EXEC,
+)
 from repro.obs.forensics import coverage, explain_violations, format_stories
 from repro.obs.recorder import FlightRecorder
 from repro.options import ObsOptions
@@ -41,14 +48,14 @@ class TestExplain:
             key=b"\xaa\xbb",
             decisions=[(1.0, "dip-a"), (1.5, "dip-b"), (2.0, "dip-b")],
         )
-        rec.record(1.0, "conn", "syn", key=conn.key, vip=conn.vip)
-        rec.record(1.2, "conn", "overflow", key=conn.key)
-        rec.record(1.4, "update", "t_exec", vip=conn.vip, kind="remove")
-        rec.record(1.45, "fault", "cpu_crash", duration_s=0.01)
+        rec.record(1.0, CONN_SYN, conn.key, conn.vip)
+        rec.record(1.2, CONN_OVERFLOW, conn.key, False)
+        rec.record(1.4, UPDATE_T_EXEC, None, conn.vip, "remove", "10.0.0.1:80", 0, 1)
+        rec.record(1.45, FAULT_CPU_CRASH, None, 0.01, 1, 0.0, 0.0)
         # Context outside the lifetime window: excluded.
-        rec.record(50.0, "fault", "cpu_stall")
+        rec.record(50.0, FAULT_CPU_STALL, None, 0.01, 1, 0.0, 0.0)
         # Update for a different VIP: excluded.
-        rec.record(1.6, "update", "t_exec", vip="30.0.0.1:80")
+        rec.record(1.6, UPDATE_T_EXEC, None, "30.0.0.1:80", "add", "10.0.0.2:80", 0, 1)
         switch = FakeSwitch(overflow_keys={conn.key}, recorder=rec)
         return switch, conn
 

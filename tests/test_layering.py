@@ -22,7 +22,11 @@ estimator, whose state can only merge approximately, cannot grow back
 beside the buckets ("One distribution store", same document).  And one
 record per update: no ``tracer`` argument, parameter or attribute, no
 import of the deleted ``repro.obs.tracing``, and ``UpdateTimings`` is
-built only by the coordinator ("Update records", same document).
+built only by the coordinator ("Update records", same document).  And
+one spelling per event: every ``.record(`` call names a kind declared in
+``repro.obs.events`` and passes exactly that kind's fields, positionally
+— no string category, no keyword fields, no ``**attrs`` helper, no
+``EventKind`` built anywhere else ("Flight recorder", same document).
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -337,3 +341,96 @@ def test_one_record_per_update():
             ):
                 offenders.append(f"{rel}:{node.lineno} constructs UpdateTimings")
     assert not offenders, "\n".join(offenders)
+
+
+def _record_sites(rel, tree):
+    """``(call, kinds)`` for every ``.record(`` call in one module:
+    ``kinds`` are the declared kinds its second argument can be — one for
+    a name imported from ``repro.obs.events``, several for a lookup in a
+    module-level dict of such names — or ``None`` if it is anything else."""
+    from repro.obs import events
+
+    package = ("repro/" + rel).split("/")[:-1]
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[: len(package) - node.level + 1]
+            if ".".join(base + [node.module or ""]) == "repro.obs.events":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = getattr(events, alias.name)
+    tables = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Dict)
+            and node.value.values
+            and all(
+                isinstance(v, ast.Name) and v.id in imported for v in node.value.values
+            )
+        ):
+            kinds = [imported[v.id] for v in node.value.values]
+            for target in node.targets:
+                tables[target.id] = kinds
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record"
+        ):
+            continue
+        kind = node.args[1] if len(node.args) > 1 else None
+        if isinstance(kind, ast.Name) and isinstance(
+            imported.get(kind.id), events.EventKind
+        ):
+            yield node, [imported[kind.id]]
+        elif isinstance(kind, ast.Subscript) and isinstance(kind.value, ast.Name):
+            yield node, tables.get(kind.value.id)
+        else:
+            yield node, None
+
+
+def test_one_spelling_per_event():
+    offenders = []
+    sites = 0
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call, kinds in _record_sites(rel, tree):
+            sites += 1
+            where = f"{rel}:{call.lineno}"
+            if kinds is None:
+                offenders.append(f"{where} does not name a declared event kind")
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                offenders.append(f"{where} splats its values")
+            if [kw.arg for kw in call.keywords if kw.arg != "key"]:
+                offenders.append(f"{where} passes a field by keyword")
+            passed = max(len(call.args) - 3, 0)  # after (t, kind, key)
+            for kind in kinds:
+                if passed != len(kind.fields):
+                    offenders.append(
+                        f"{where} passes {passed} value(s), "
+                        f"{kind.category}.{kind.name} declares {len(kind.fields)}"
+                    )
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and rel != "obs/events.py"
+                and "EventKind"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ):
+                offenders.append(f"{rel}:{node.lineno} constructs an EventKind")
+            elif (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.args.kwarg is not None
+                and any(
+                    isinstance(inner, ast.Attribute) and inner.attr == "record"
+                    for inner in ast.walk(node)
+                )
+            ):
+                offenders.append(
+                    f"{rel}:{node.lineno} {node.name}(**{node.args.kwarg.arg}) "
+                    f"is a keyword-spelled record helper"
+                )
+    assert not offenders, "\n".join(offenders)
+    assert sites >= 40, f"only {sites} record sites found: the walk is not seeing them"
