@@ -214,6 +214,7 @@ def _cmd_fleet_csv(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .api import run_fleet_partitioned, run_sharded
+    from .experiments.fleet_failover import survival_points, survival_table
 
     patterns = tuple(p for p in args.patterns.split(",") if p)
     if not patterns:
@@ -247,20 +248,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     pool = _given(args, "num_shards", "workers")
     result = sweep(**pool)
     print(result.summary())
-    print(
-        f"  survival over {len(patterns) * plans_per_pattern} fault plans "
-        f"({plans_per_pattern} per pattern):"
-    )
-    for pattern in patterns:
-        get = lambda key: int(result.counters.get(f"{pattern}.{key}", 0.0))
-        measured = get("measured")
-        kept = get("kept")
-        pct = 100.0 * kept / measured if measured else 100.0
-        print(
-            f"    {pattern:>10}: {measured} measured — {kept} kept "
-            f"({pct:.1f}%), {get('broken')} broken, "
-            f"{get('blackholed')} blackholed, {get('shed')} shed"
-        )
+    print(survival_table(survival_points(result, patterns, plans_per_pattern)))
     # The second pass runs serial: the survival table, audit, and merged
     # registry must not move with pool size (or across repeat runs — the
     # layout is a pure function of the flags).

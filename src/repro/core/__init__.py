@@ -23,7 +23,7 @@ from .pcc_update import Phase, UpdateCoordinator, UpdateTimings
 from .silkroad import SilkRoadSwitch
 from .stats import PccSummary, active_connection_peak, summarize, violations_by_minute
 from .transit_table import TransitTable
-from .verify import AuditReport, InvariantViolation, audit_switch, verify_switch
+from .verify import AuditReport, InvariantViolation, audit_switch
 from .vip_table import VipEntry, VipTable
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "AuditReport",
     "InvariantViolation",
     "audit_switch",
-    "verify_switch",
     "active_connection_peak",
     "always_alive",
     "conn_table_bytes",

@@ -958,10 +958,6 @@ class SilkRoadSwitch(LoadBalancer):
         """
         self.recorder = recorder
 
-    def apply_update_now(self, event: UpdateEvent) -> None:
-        """Convenience for library users driving the switch directly."""
-        self.apply_update(event)
-
     @property
     def cpu(self) -> SwitchCpu:
         return self._cpu

@@ -6,13 +6,10 @@ software would run in debug builds.  Used by the test suite after
 simulations (including chaos runs with fault injection), and callable by
 library users after driving a switch directly.
 
-Two entry points:
-
-* :func:`audit_switch` runs every check, *collects* violations, and returns
-  an :class:`AuditReport` — the right tool after a chaos run, where you
-  want the full picture rather than the first failure.
-* :func:`verify_switch` raises :class:`InvariantViolation` on the first
-  collected violation (the original strict interface).
+:func:`audit_switch` runs every check, *collects* violations, and returns
+an :class:`AuditReport` — the full picture rather than the first failure;
+``audit_switch(switch).raise_if_failed()`` raises
+:class:`InvariantViolation` on the first collected violation instead.
 
 Checked invariants:
 
@@ -125,11 +122,6 @@ def audit_switch(
         check()
         report.checks_run += 1
     return report
-
-
-def verify_switch(switch: SilkRoadSwitch) -> None:
-    """Run every cross-table invariant; raises on the first failure."""
-    audit_switch(switch).raise_if_failed()
 
 
 def _live_states(switch: SilkRoadSwitch):

@@ -17,15 +17,21 @@ Every broken or blackholed connection must be *attributed* by
 ``unattributed`` column is required to be zero — that is the acceptance
 bar for the fleet failure model, enforced by the tests and the CI smoke.
 
-The cascade pattern runs with a per-switch connection budget so the
-graceful-degradation path (shedding the lowest-priority VIPs instead of
-overflowing survivors' ConnTables) is exercised, not just implemented.
+The sweep is ``run_sharded("fleet")`` — the one survival sweep, the same
+cells ``repro fleet`` and ``repro run fleet`` replay — read back through
+its per-pattern summary counters.  The cascade pattern runs with a
+per-switch connection budget so the graceful-degradation path (shedding
+the lowest-priority VIPs instead of overflowing survivors' ConnTables) is
+exercised, not just implemented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+from ..analysis import format_table
+from .parallel import ShardedRunResult, run_sharded
 
 DEFAULT_PATTERNS: Tuple[str, ...] = (
     "crash",
@@ -62,90 +68,37 @@ class SurvivalPoint:
         return self.kept / self.measured if self.measured else 1.0
 
 
-def run(
-    seed: int = 7,
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    plans_per_pattern: int = 4,
-    num_switches: int = 4,
-    scale: float = 0.03,
-    horizon_s: float = 12.0,
-    warmup_s: float = 1.0,
-    updates_per_min: float = 60.0,
-    faults_per_min: float = 6.0,
-    cascade_conn_budget: Optional[int] = CASCADE_CONN_BUDGET,
+#: The per-pattern counters a fleet sweep sums over its plans.
+_COUNTED = (
+    "faults", "measured", "kept", "broken", "blackholed", "shed",
+    "detections", "rejoins", "unattributed",
+)
+
+
+def survival_points(
+    result: ShardedRunResult, patterns: Sequence[str], plans_per_pattern: int
 ) -> List[SurvivalPoint]:
-    """The survival sweep: ``plans_per_pattern`` seeded plans per pattern.
+    """One point per pattern, read from a ``run_sharded("fleet")`` result's
+    merged counters.  A pattern's audit is ok when none of its plans failed
+    the fleet audit and no shard was lost."""
 
-    Fault seeds are derived from ``(seed, cell index)`` so the sweep is a
-    pure function of its arguments.
-    """
-    from ..faults.fleet import run_fleet
+    def point(pattern: str) -> SurvivalPoint:
+        def get(key: str) -> int:
+            return int(result.counters.get(f"{pattern}.{key}", 0.0))
 
-    points: List[SurvivalPoint] = []
-    cell_index = 0
-    for pattern in patterns:
-        totals: Dict[str, int] = {
-            "faults": 0,
-            "measured": 0,
-            "kept": 0,
-            "broken": 0,
-            "blackholed": 0,
-            "shed": 0,
-            "detections": 0,
-            "rejoins": 0,
-            "unattributed": 0,
-        }
-        audit_ok = True
-        for _ in range(plans_per_pattern):
-            result = run_fleet(
-                seed=seed,
-                fault_seed=seed + 500 + cell_index * 7919,
-                pattern=pattern,
-                num_switches=num_switches,
-                scale=scale,
-                horizon_s=horizon_s,
-                warmup_s=warmup_s,
-                updates_per_min=updates_per_min,
-                faults_per_min=faults_per_min,
-                conn_budget=(
-                    cascade_conn_budget if pattern == "cascade" else None
-                ),
-            )
-            cell_index += 1
-            totals["faults"] += len(result.plan)
-            for key in ("measured", "kept", "broken", "blackholed"):
-                totals[key] += result.survival[key]
-            totals["shed"] += int(result.fleet.shed_connections)
-            totals["detections"] += int(result.fleet.detections)
-            totals["rejoins"] += int(result.fleet.rejoins)
-            totals["unattributed"] += (
-                result.audit.unattributed_violations
-                + result.audit.unattributed_drops
-            )
-            audit_ok = audit_ok and result.audit.ok
-        points.append(
-            SurvivalPoint(
-                pattern=pattern,
-                plans=plans_per_pattern,
-                faults=totals["faults"],
-                measured=totals["measured"],
-                kept=totals["kept"],
-                broken=totals["broken"],
-                blackholed=totals["blackholed"],
-                shed=totals["shed"],
-                detections=totals["detections"],
-                rejoins=totals["rejoins"],
-                unattributed=totals["unattributed"],
-                audit_ok=audit_ok,
-            )
+        return SurvivalPoint(
+            pattern=pattern,
+            plans=plans_per_pattern,
+            audit_ok=not result.failed and get("failed_audits") == 0,
+            **{key: get(key) for key in _COUNTED},
         )
-    return points
+
+    return [point(pattern) for pattern in patterns]
 
 
-def main(seed: int = 7) -> str:
-    from ..analysis import format_table
-
-    points = run(seed=seed)
+def survival_table(points: Sequence[SurvivalPoint]) -> str:
+    """The survival table, as ``repro experiments fleet_failover`` and
+    ``repro fleet`` both print it."""
     rows = [
         (
             p.pattern,
@@ -163,7 +116,7 @@ def main(seed: int = 7) -> str:
         )
         for p in points
     ]
-    table = format_table(
+    return format_table(
         (
             "pattern",
             "plans",
@@ -181,7 +134,43 @@ def main(seed: int = 7) -> str:
         rows,
         title="fleet failover survival under seeded chaos",
     )
-    return table + (
+
+
+def run(
+    seed: int = 7,
+    patterns: Sequence[str] = DEFAULT_PATTERNS,
+    plans_per_pattern: int = 4,
+    num_switches: int = 4,
+    scale: float = 0.03,
+    horizon_s: float = 12.0,
+    warmup_s: float = 1.0,
+    updates_per_min: float = 60.0,
+    faults_per_min: float = 6.0,
+) -> List[SurvivalPoint]:
+    """The survival sweep: ``plans_per_pattern`` seeded plans per pattern,
+    one in-process ``run_sharded("fleet")`` per pattern (only cascade runs
+    under :data:`CASCADE_CONN_BUDGET`).  Cells are seeded by ``seed`` and
+    their ``(pattern, plan index)`` identity, as in every fleet sweep."""
+    knobs = dict(
+        num_switches=num_switches,
+        scale=scale,
+        horizon_s=horizon_s,
+        warmup_s=warmup_s,
+        updates_per_min=updates_per_min,
+        faults_per_min=faults_per_min,
+    )
+    points: List[SurvivalPoint] = []
+    for pattern in patterns:
+        params = dict(knobs, patterns=(pattern,), plans_per_pattern=plans_per_pattern)
+        if pattern == "cascade":
+            params["conn_budget"] = CASCADE_CONN_BUDGET
+        result = run_sharded("fleet", num_shards=1, workers=1, seed=seed, params=params)
+        points += survival_points(result, (pattern,), plans_per_pattern)
+    return points
+
+
+def main(seed: int = 7) -> str:
+    return survival_table(run(seed=seed)) + (
         "\nexpectation: every audit passes and the unattributed column is "
         "zero — each broken connection traces to a version-pinned re-hash, "
         "an overflow shed, or a reassignment race, and each blackholed one "

@@ -98,13 +98,33 @@ def run(
     return points
 
 
+def _light_fill(points: List[MultiDigestPoint]) -> Tuple[MultiDigestPoint, MultiDigestPoint]:
+    """The ``(graded, uniform)`` points at light fill."""
+    light = [p for p in points if p.fill == "light"]
+    return (
+        next(p for p in light if p.design.startswith("graded")),
+        next(p for p in light if p.design.startswith("uniform")),
+    )
+
+
 def light_fill_advantage(points: List[MultiDigestPoint]) -> float:
     """uniform FP rate / graded FP rate at light fill (>1 = graded wins)."""
-    graded = next(p for p in points if p.design.startswith("graded") and p.fill == "light")
-    uniform = next(p for p in points if p.design.startswith("uniform") and p.fill == "light")
+    graded, uniform = _light_fill(points)
     if graded.fp_rate == 0:
         return float("inf") if uniform.fp_rate > 0 else 1.0
     return uniform.fp_rate / graded.fp_rate
+
+
+def _advantage_text(points: List[MultiDigestPoint]) -> str:
+    """:func:`light_fill_advantage` in words: a ratio, or — when the graded
+    table saw no false positive, so there is no finite ratio — both counts."""
+    graded, uniform = _light_fill(points)
+    if graded.false_positives:
+        return f"{light_fill_advantage(points):.1f}x"
+    return (
+        f"0 graded vs {uniform.false_positives:,} uniform FPs in "
+        f"{graded.probes:,} probes each"
+    )
 
 
 def main(seed: int = 0x51A9E) -> str:
@@ -129,8 +149,8 @@ def main(seed: int = 0x51A9E) -> str:
     )
     return table + (
         f"\nlight-fill FP advantage of the graded design: "
-        f"{light_fill_advantage(points):.1f}x (entries occupy the wide "
-        "early stages first)"
+        f"{_advantage_text(points)} (entries occupy the wide early stages "
+        "first)"
     )
 
 

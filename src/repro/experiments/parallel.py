@@ -15,11 +15,13 @@ Design invariants, asserted by the test suite:
   worker count only sizes the process pool.  An N-shard run therefore
   produces bit-identical merged fingerprints whether it ran on 1 or 8
   workers, and repeated runs with the same seeds are bit-identical.
-* **Per-shard seeds are derived**, not shared: shard *i* replays with
-  ``derive_shard_seed(seed, i)`` (a splitmix64 mix), so shards are
-  statistically independent slices of the same experiment, and the union
-  is statistically equivalent to — not a permutation of — the unsharded
-  run.
+* **Per-shard seeds are derived**, not shared: a fig16 or chaos shard *i*
+  replays with ``derive_shard_seed(seed, i)`` (a splitmix64 mix), so
+  shards are statistically independent slices of the same experiment, and
+  the union is statistically equivalent to — not a permutation of — the
+  unsharded run.  The cell sweeps (fig18, fleet) instead hand every shard
+  the base seed and run each cell through its experiment's own definition,
+  so a cell's result does not depend on ``num_shards`` at all.
 * **Merges happen in shard order** (ascending ``shard_id``), so float
   accumulation is reproducible regardless of worker completion order.
 * **Workers are expendable**: a crashed or failing shard is retried once
@@ -56,7 +58,7 @@ from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import FlightRecorder, MetricRegistry, ObsHook, Timeline
 from ..options import DriverOptions, ObsOptions
 from . import fig16, fig18
-from .common import build_workload, silkroad_factory
+from .common import build_workload
 
 __all__ = [
     "FailedShard",
@@ -317,40 +319,20 @@ def _run_fig18_shard(
     spec: ShardSpec,
     *,
     cells: Sequence[Tuple[int, int, float]],
-    updates_per_min: float = fig18.UPDATES_PER_MIN,
-    scale: float = 1.0,
-    horizon_s: float = 60.0,
-    warmup_s: float = 10.0,
-    arrival_scale: float = 16.0,
-    num_vips: int = 2,
-    insertion_rate_per_s: float = 50_000.0,
-    conn_table_capacity: int = 600_000,
+    base_seed: int,
+    **knobs: object,
 ) -> ShardResult:
     """Run this shard's cells of the (filter size x timeout) grid.
 
-    Each cell is seeded by its index in the *full* grid, so the merged
-    result does not depend on how cells were grouped into shards.
+    ``cells`` are ``(index in the full grid, size, timeout)``; each is built
+    by :func:`fig18.cells` from the run's base seed and ``knobs`` as given,
+    so a cell replays exactly what ``fig18.run`` replays for it, however
+    the grid was split into shards.
     """
     fold = _ShardFold(spec)
-    for cell_index, size, timeout_s in cells:
-        workload = build_workload(
-            updates_per_min=updates_per_min,
-            scale=scale,
-            seed=derive_shard_seed(spec.seed, 1_000 + cell_index),
-            horizon_s=horizon_s,
-            warmup_s=warmup_s,
-            arrival_scale=arrival_scale,
-            num_vips=num_vips,
-        )
-        factory = silkroad_factory(
-            use_transit_table=True,
-            transit_table_bytes=size,
-            learning_timeout_s=timeout_s,
-            insertion_rate_per_s=insertion_rate_per_s,
-            conn_table_capacity=conn_table_capacity,
-            name=f"silkroad-{size}B",
-        )
-        cell = f"cell{cell_index:02d}"
+    runs = fig18.cells([c[1:] for c in cells], base_seed, **knobs)
+    for (index, _size, _timeout), (_s, _t, workload, factory) in zip(cells, runs):
+        cell = f"cell{index:02d}"
         _report, lb = fold.replay(cell, workload, factory)
         fold.count(
             cell, "transit_fp_adopted", lb.transit_fp_adopted,
@@ -414,7 +396,8 @@ def _run_fleet_shard(
     :func:`~repro.faults.fleet.run_fleet` as given.  The merged audit
     carries the fleet attribution requirement: any unattributed PCC
     violation or drop in any cell surfaces as a violation labelled with
-    that cell.
+    that cell.  Per pattern, ``counters`` sum what the survival table
+    (:func:`~repro.experiments.fleet_failover.survival_points`) reads.
     """
     from ..faults.fleet import run_fleet
 
@@ -430,30 +413,43 @@ def _run_fleet_shard(
             obs=fold.cell_obs(cell),
             **knobs,
         )
-        audit.merge(result.audit.audit, label=cell)
+        fleet_audit = result.audit
+        audit.merge(fleet_audit.audit, label=cell)
         audit.checks_run += 2
-        if result.audit.unattributed_violations:
+        if fleet_audit.unattributed_violations:
             audit.violations.append(
-                f"[{cell}] {result.audit.unattributed_violations} PCC "
+                f"[{cell}] {fleet_audit.unattributed_violations} PCC "
                 "violations with no fleet attribution"
             )
-        if result.audit.unattributed_drops:
+        if fleet_audit.unattributed_drops:
             audit.violations.append(
-                f"[{cell}] {result.audit.unattributed_drops} dropped "
+                f"[{cell}] {fleet_audit.unattributed_drops} dropped "
                 "connections with no fleet attribution"
             )
-        survival = dict(result.survival, shed=result.fleet.shed_connections)
-        for key in ("measured", "kept", "broken", "blackholed", "shed"):
+        # Counters only, never the registry: the sweep's fingerprint does
+        # not carry the summary.
+        summary = dict(
+            result.survival,
+            shed=result.fleet.shed_connections,
+            faults=len(result.plan),
+            detections=result.fleet.detections,
+            rejoins=result.fleet.rejoins,
+            unattributed=(
+                fleet_audit.unattributed_violations + fleet_audit.unattributed_drops
+            ),
+            failed_audits=int(not fleet_audit.ok),
+        )
+        for key, value in summary.items():
             counters[f"{pattern}.{key}"] = (
-                counters.get(f"{pattern}.{key}", 0.0) + float(survival[key])
+                counters.get(f"{pattern}.{key}", 0.0) + float(value)
             )
         scope = fold.registry.scope(cell)
         scope.counter(
             "pcc_broken_total", help="measured connections that broke PCC"
-        ).inc(survival["broken"])
+        ).inc(summary["broken"])
         scope.counter(
             "blackholed_total", help="measured connections blackholed intact"
-        ).inc(survival["blackholed"])
+        ).inc(summary["blackholed"])
         fold.registry.merge(result.fleet.merged_registry(), prefix=cell)
         fold.observe(result)
     return fold.result()
@@ -503,7 +499,7 @@ _TASKS: Dict[str, Callable[..., ShardResult]] = {
 #: the keywords the layout or the shard body then supplies itself).
 _LAYOUT: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "fig16": (("num_vips",), ("total_vips", "shard_vips")),
-    "fig18": (("sizes", "timeouts"), ("cells",)),
+    "fig18": (("sizes", "timeouts"), ("cells", "base_seed", "pairs", "seed")),
     "chaos": ((), ("seed",)),
     "fleet": (
         ("patterns", "plans_per_pattern"),
@@ -525,7 +521,9 @@ def _accepted_params(task: str) -> Set[str]:
     Derived from the signatures, so a knob is declared once, by its runner.
     """
     sources = [_task_body(task)]
-    if task == "chaos":
+    if task == "fig18":
+        sources.append(fig18.cells)
+    elif task == "chaos":
         from ..faults.chaos import run_chaos
 
         sources.append(run_chaos)
@@ -690,15 +688,12 @@ def make_shards(
             for part in _even_split(total_vips, num_shards, "VIPs")
         ]
     elif task == "fig18":
-        sizes = tuple(params.pop("sizes", fig18.DEFAULT_SIZES))
-        timeouts = tuple(params.pop("timeouts", fig18.DEFAULT_TIMEOUTS))
-        cells = [
-            (index, int(size), float(timeout))
-            for index, (timeout, size) in enumerate(
-                (t, s) for t in timeouts for s in sizes
-            )
-        ]
-        per_shard = _split_cells(cells, num_shards, "grid cells")
+        pairs = fig18.grid(
+            **{key: params.pop(key) for key in ("sizes", "timeouts") if key in params}
+        )
+        cells = [(index, size, timeout) for index, (size, timeout) in enumerate(pairs)]
+        # Every cell replays the base seed's trace, as in fig18.run.
+        per_shard = _split_cells(cells, num_shards, "grid cells", base_seed=int(seed))
     elif task == "fleet":
         from ..faults.fleet import FAILURE_PATTERNS, pattern_overrides
 

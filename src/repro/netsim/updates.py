@@ -241,32 +241,3 @@ class UpdateGenerator:
                 )
             # A 1-DIP pool with no spares: skip (cannot update safely).
         return events
-
-    def monthly_update_counts(
-        self,
-        minutes: int,
-        base_rate_per_min: float,
-        burstiness: float = 1.5,
-    ) -> np.ndarray:
-        """Per-minute update counts over a period, with bursts.
-
-        Used by the trace synthesizer to regenerate Fig 2's distribution:
-        a negative-binomial (over-dispersed Poisson) per-minute count whose
-        dispersion grows with ``burstiness``.
-        """
-        if minutes <= 0:
-            raise ValueError("minutes must be positive")
-        if base_rate_per_min < 0:
-            raise ValueError("rate must be non-negative")
-        if burstiness <= 0:
-            raise ValueError("burstiness must be positive")
-        if base_rate_per_min == 0:
-            return np.zeros(minutes, dtype=int)
-        # Negative binomial with mean = rate, variance = rate * burstiness.
-        mean = base_rate_per_min
-        variance = mean * burstiness
-        if variance <= mean:
-            return self._rng.poisson(mean, size=minutes)
-        p = mean / variance
-        n = mean * p / (1.0 - p)
-        return self._rng.negative_binomial(n, p, size=minutes)

@@ -38,11 +38,9 @@ from .metrics import (
     LATENCY_BUCKETS_S,
     MetricRegistry,
     Scope,
-    get_default_registry,
 )
 from .export import (
     GAUGE_ERROR_COUNTER,
-    dump_json,
     iter_jsonl,
     parse_prometheus_text,
     registry_to_dict,
@@ -82,11 +80,9 @@ __all__ = [
     "TimelineSampler",
     "ViolationStory",
     "coverage",
-    "dump_json",
     "events",
     "explain_violations",
     "format_stories",
-    "get_default_registry",
     "iter_jsonl",
     "parse_prometheus_text",
     "registry_to_dict",

@@ -9,9 +9,9 @@ span documents their ``to_dict()`` returns):
   ``_bucket{le=...}`` series).  :func:`parse_prometheus_text` is the
   matching minimal parser, used by tests and smoke checks to prove the
   output round-trips.
-* :func:`telemetry_to_dict` / :func:`dump_json` / :func:`iter_jsonl` —
-  one JSON document (or one JSONL record per metric/span) carrying the
-  full metric catalogue and every span handed in.
+* :func:`telemetry_to_dict` / :func:`iter_jsonl` — one JSON-ready
+  document (or one JSONL record per metric/span) carrying the full metric
+  catalogue and every span handed in.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "parse_prometheus_text",
     "registry_to_dict",
     "telemetry_to_dict",
-    "dump_json",
     "iter_jsonl",
     "write_jsonl",
 ]
@@ -234,22 +233,6 @@ def telemetry_to_dict(
     if extra:
         doc.update(extra)
     return doc
-
-
-def dump_json(
-    registry: MetricRegistry,
-    spans: Iterable[object] = (),
-    stream: Optional[IO[str]] = None,
-    indent: int = 2,
-    **extra: object,
-) -> str:
-    """Serialize the telemetry document; optionally write it to ``stream``."""
-    doc = telemetry_to_dict(registry, spans, extra=dict(extra) if extra else None)
-    text = json.dumps(doc, indent=indent, sort_keys=True, default=str)
-    if stream is not None:
-        stream.write(text)
-        stream.write("\n")
-    return text
 
 
 def iter_jsonl(registry: MetricRegistry, spans: Iterable[object] = ()) -> Iterator[str]:

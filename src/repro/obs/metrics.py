@@ -50,7 +50,6 @@ __all__ = [
     "Scope",
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS_S",
-    "get_default_registry",
 ]
 
 #: Generic count-style buckets (cuckoo moves, batch sizes, backlogs).
@@ -473,11 +472,3 @@ class Scope:
 
     def scope(self, prefix: str) -> "Scope":
         return Scope(self.registry, self._name(prefix))
-
-
-_DEFAULT_REGISTRY = MetricRegistry()
-
-
-def get_default_registry() -> MetricRegistry:
-    """The process-wide registry (library users may prefer their own)."""
-    return _DEFAULT_REGISTRY

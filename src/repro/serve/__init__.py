@@ -10,13 +10,14 @@ existing PCC-safe machinery — the 3-step update coordinator
 announce/drain/redirect reassignment — so the serving mode adds no second
 consistency mechanism, only a long-lived driver around the first one.
 
-Time is moved by the :class:`~repro.serve.clock.VirtualClock` (explicit
-``POST /advance`` steps — fully deterministic, the mode CI runs) or by the
+Serve time is the session's event queue.  It moves by explicit ``POST
+/advance`` steps (``ServeSession.advance`` — fully deterministic, the mode
+CI runs) or, with ``wallclock``, by the
 :class:`~repro.serve.clock.WallclockPacer` (self-pacing real time).  See
 ``docs/serving.md``.
 """
 
-from .clock import VirtualClock, WallclockPacer
+from .clock import WallclockPacer
 from .http import ControlServer
 from .script import DEFAULT_MIGRATION_SCRIPT, ServeScriptResult, run_serve_script
 from .session import ApiError, ServeConfig, ServeSession
@@ -30,7 +31,6 @@ __all__ = [
     "ServeScriptResult",
     "ServeSession",
     "StreamingFlowSource",
-    "VirtualClock",
     "WallclockPacer",
     "run_serve_script",
 ]

@@ -1,18 +1,17 @@
-"""Serving-mode clocks: explicit virtual time vs self-pacing wallclock.
+"""Serving-mode wallclock pacing.
 
 The simulation's :class:`~repro.netsim.events.EventQueue` is the single
-source of truth for "now" in both modes; the clocks differ only in *who
-decides* when time moves:
+source of truth for "now".  By default time moves only when the operator
+(or a script) asks for it, via ``ServeSession.advance(dt)``: between
+advances the queue is quiescent, so a serial sequence of API calls is a
+total order of deterministic state transitions and two runs of the same
+script are bit-identical (asserted by ``tests/serve/test_determinism.py``
+and the CI serve smoke step).
 
-* :class:`VirtualClock` — time moves only when the operator (or a script)
-  asks for it, via ``ServeSession.advance(dt)``.  Between advances the
-  queue is quiescent, so a serial sequence of API calls is a total order
-  of deterministic state transitions: two runs of the same script are
-  bit-identical (asserted by ``tests/serve/test_determinism.py`` and the
-  CI serve smoke step).
-* :class:`WallclockPacer` — an asyncio task advances the session by real
-  elapsed time every ``tick_s``.  Useful for interactive poking; makes no
-  determinism promise (the tick boundaries depend on scheduling).
+:class:`WallclockPacer` is the other way to move it: an asyncio task
+advances the session by real elapsed time every :data:`TICK_S`.  Useful
+for interactive poking; makes no determinism promise (the tick boundaries
+depend on scheduling).
 """
 
 from __future__ import annotations
@@ -21,47 +20,23 @@ import asyncio
 import time as _time
 from typing import Callable, Optional
 
-
-class VirtualClock:
-    """Explicit, advance-only time. The deterministic serving clock."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> float:
-        """Move time forward by ``dt`` seconds; returns the new time."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self._now += dt
-        return self._now
+#: Real seconds between two paced advances.
+TICK_S = 0.2
+#: Simulated seconds per real second.
+RATE = 1.0
 
 
 class WallclockPacer:
     """Background task pacing a session against real time.
 
-    Calls ``advance(elapsed)`` every ``tick_s`` of real time with the real
-    elapsed seconds since the previous tick (scaled by ``rate``).  Start
-    with :meth:`start` inside a running event loop; :meth:`stop` cancels
-    the task and waits for it to unwind.
+    Calls ``advance(elapsed)`` every :data:`TICK_S` of real time with the
+    real elapsed seconds since the previous tick (scaled by :data:`RATE`).
+    Start with :meth:`start` inside a running event loop; :meth:`stop`
+    cancels the task and waits for it to unwind.
     """
 
-    def __init__(
-        self,
-        advance: Callable[[float], object],
-        tick_s: float = 0.2,
-        rate: float = 1.0,
-    ) -> None:
-        if tick_s <= 0:
-            raise ValueError("tick_s must be positive")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+    def __init__(self, advance: Callable[[float], object]) -> None:
         self._advance = advance
-        self.tick_s = tick_s
-        self.rate = rate
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
@@ -82,9 +57,9 @@ class WallclockPacer:
     async def _run(self) -> None:
         last = _time.monotonic()
         while True:
-            await asyncio.sleep(self.tick_s)
+            await asyncio.sleep(TICK_S)
             now = _time.monotonic()
-            elapsed = (now - last) * self.rate
+            elapsed = (now - last) * RATE
             last = now
             if elapsed > 0:
                 self._advance(elapsed)

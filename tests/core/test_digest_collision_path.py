@@ -17,7 +17,7 @@ from repro.netsim import (
     make_cluster,
     uniform_vip_workloads,
 )
-from repro.core.verify import verify_switch
+from repro.core.verify import audit_switch
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ class TestCollisionHandling:
 
     def test_invariants_hold_despite_collisions(self, collided_run):
         switch, _conns, _report = collided_run
-        verify_switch(switch)
+        audit_switch(switch).raise_if_failed()
 
     def test_table_counters_consistent(self, collided_run):
         switch, _conns, _report = collided_run

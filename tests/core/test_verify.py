@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SilkRoadConfig, SilkRoadSwitch
-from repro.core.verify import (
-    AuditReport,
-    InvariantViolation,
-    audit_switch,
-    verify_switch,
-)
+from repro.core.verify import AuditReport, InvariantViolation, audit_switch
 from repro.netsim import (
     ArrivalGenerator,
     FlowSimulator,
@@ -46,16 +41,16 @@ class TestVerifyCleanStates:
         switch = SilkRoadSwitch(SilkRoadConfig(conn_table_capacity=1000))
         for service in cluster.services:
             switch.announce_vip(service.vip, service.dips)
-        verify_switch(switch)
+        audit_switch(switch).raise_if_failed()
 
     def test_after_busy_simulation(self):
         switch, _sim = run_busy_switch()
-        verify_switch(switch)
+        audit_switch(switch).raise_if_failed()
 
     def test_after_drain(self):
         switch, sim = run_busy_switch(horizon=40.0)
         sim.queue.run_until(4000.0)  # all connections end and expire
-        verify_switch(switch)
+        audit_switch(switch).raise_if_failed()
 
     def test_mid_simulation_snapshots(self):
         cluster = make_cluster(num_vips=2, dips_per_vip=4)
@@ -78,7 +73,7 @@ class TestVerifyCleanStates:
             sim.queue.schedule(event.time, lambda e=event: switch.apply_update(e), 0)
         for checkpoint in (5.0, 10.0, 20.0, 30.0):
             sim.queue.run_until(checkpoint)
-            verify_switch(switch)
+            audit_switch(switch).raise_if_failed()
 
 
 class TestVerifyCatchesCorruption:
@@ -88,7 +83,7 @@ class TestVerifyCatchesCorruption:
         version = switch.dip_pools.current_version(vip)
         switch.dip_pools.acquire(vip, version)  # phantom reference
         with pytest.raises(InvariantViolation):
-            verify_switch(switch)
+            audit_switch(switch).raise_if_failed()
 
     def test_detects_version_mismatch(self):
         switch, _sim = run_busy_switch(horizon=30.0, updates_per_min=0.0)
@@ -96,14 +91,14 @@ class TestVerifyCatchesCorruption:
         state = switch._states[key]
         switch.conn_table._table.update(key, (state.version + 1) % 64)
         with pytest.raises(InvariantViolation):
-            verify_switch(switch)
+            audit_switch(switch).raise_if_failed()
 
     def test_detects_stale_pending_index(self):
         switch, _sim = run_busy_switch(horizon=30.0, updates_per_min=0.0)
         vip = switch.vip_table.vips()[0]
         switch._pending_by_vip.setdefault(vip, set()).add(b"ghost-key")
         with pytest.raises(InvariantViolation):
-            verify_switch(switch)
+            audit_switch(switch).raise_if_failed()
 
 
 class TestAuditReport:

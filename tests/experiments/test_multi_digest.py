@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments import multi_digest
@@ -42,3 +44,6 @@ class TestMultiDigest:
     def test_main_renders(self):
         out = multi_digest.main()
         assert "graded" in out and "advantage" in out
+        # At the default seed the graded light fill sees no FP at all: the
+        # zero case is stated in words, never as an infinite ratio.
+        assert not re.search(r"\b(inf|nan)", out, re.IGNORECASE), out

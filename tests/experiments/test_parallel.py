@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.verify import AuditReport
-from repro.experiments import parallel
+from repro.experiments import fig18, parallel
 from repro.experiments.parallel import (
     ShardSpec,
     derive_shard_seed,
@@ -27,6 +27,18 @@ FIG16_PARAMS = dict(
 )
 
 CHAOS_PARAMS = dict(scale=0.03, horizon_s=10.0, updates_per_min=40.0)
+
+#: A tiny Figure 18 grid that still breaks connections: a long learning-
+#: filter timeout saturates the 8- and 16-byte filters in about a second.
+FIG18_PARAMS = dict(
+    sizes=(8, 16, 64),
+    timeouts=(0.05,),
+    scale=0.25,
+    arrival_scale=8.0,
+    horizon_s=8.0,
+    warmup_s=2.0,
+    updates_per_min=120.0,
+)
 
 
 class TestSeedDerivation:
@@ -71,6 +83,11 @@ class TestShardLayout:
         )
         cells = [c for s in specs for c in s.param_dict()["cells"]]
         assert sorted(c[0] for c in cells) == list(range(6))
+        # In fig18.run's order, each cell tagged with its index in the full
+        # grid; every shard replays the base seed's trace, as fig18.run does.
+        grid = fig18.grid((8, 64, 256), (0.5e-3, 5e-3))
+        assert cells == [(i, *pair) for i, pair in enumerate(grid)]
+        assert all(s.param_dict()["base_seed"] == 18 for s in specs)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
@@ -158,6 +175,11 @@ class TestParamsAreCheckedInTheParent:
         assert parallel._accepted_params("fleet") == fleet | {
             "patterns", "plans_per_pattern",
         }
+        cell_knobs = set(inspect.signature(fig18.cells).parameters) - {"pairs", "seed"}
+        assert parallel._accepted_params("fig18") == cell_knobs | {"sizes", "timeouts"}
+        # fig18's knobs and defaults live in fig18.cells, not in the shard.
+        shard = inspect.signature(parallel._run_fig18_shard).parameters.values()
+        assert all(p.default is p.empty for p in shard)
 
     def test_an_absent_knob_takes_the_runner_default(self):
         # No restated default between run_sharded and run_chaos: the spec of
@@ -211,6 +233,47 @@ class TestFingerprintEquivalence:
             "fig16", num_shards=2, workers=1, seed=17, params=dict(FIG16_PARAMS)
         )
         assert a.fingerprint != b.fingerprint
+
+
+class TestFig18ShardsReproduceTheFigure:
+    """``run_sharded("fig18")`` runs fig18's own cell definition: every
+    shard count reproduces ``fig18.run`` cell for cell."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return fig18.run(seed=18, **FIG18_PARAMS)
+
+    @staticmethod
+    def per_cell(result):
+        return [
+            (
+                int(result.counters[f"cell{i:02d}.pcc_violations"]),
+                int(result.counters[f"cell{i:02d}.transit_fp_adopted"]),
+            )
+            for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_per_cell_results_equal_fig18_run(self, serial, num_shards):
+        result = run_sharded(
+            "fig18", num_shards=num_shards, workers=1, seed=18,
+            params=dict(FIG18_PARAMS),
+        )
+        assert result.ok
+        expected = [(p.violations, p.transit_fp_adopted) for p in serial]
+        assert self.per_cell(result) == expected
+        assert expected[0][0] > 0  # the shape does break connections
+
+    def test_fingerprint_identical_on_1_and_2_workers(self):
+        serial, pooled = (
+            run_sharded(
+                "fig18", num_shards=2, workers=workers, seed=18,
+                params=dict(FIG18_PARAMS),
+            )
+            for workers in (1, 2)
+        )
+        assert pooled.fingerprint == serial.fingerprint
+        assert pooled.counters == serial.counters
 
 
 class TestTimelineAndRecorderSharding:

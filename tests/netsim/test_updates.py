@@ -129,16 +129,3 @@ class TestUpdateGenerator:
         cluster = make_cluster(num_vips=2)
         gen = UpdateGenerator(seed=4)
         assert gen.poisson_updates(cluster.pools(), 0.0, 600.0) == []
-
-    def test_monthly_counts_overdispersed(self):
-        gen = UpdateGenerator(seed=5)
-        counts = gen.monthly_update_counts(5000, base_rate_per_min=5.0, burstiness=3.0)
-        assert counts.mean() == pytest.approx(5.0, rel=0.15)
-        assert counts.var() > counts.mean()  # negative binomial
-
-    def test_monthly_counts_validation(self):
-        gen = UpdateGenerator(seed=6)
-        with pytest.raises(ValueError):
-            gen.monthly_update_counts(0, 1.0)
-        with pytest.raises(ValueError):
-            gen.monthly_update_counts(10, -1.0)

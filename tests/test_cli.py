@@ -165,10 +165,20 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "survival over 5 fault plans" in out
+        # The one survival table (fleet_failover's renderer): one row per
+        # pattern, one plan each, every audit ok and nothing unattributed.
+        assert "fleet failover survival under seeded chaos" in out
         assert "determinism ok" in out
-        for pattern in ("crash", "partition", "flap", "cascade", "mixed"):
-            assert pattern in out
+        rows = {
+            cells[0]: cells
+            for cells in (line.split() for line in out.splitlines())
+            if len(cells) == 12 and cells[1].isdigit()
+        }
+        assert sorted(rows) == sorted(("crash", "partition", "flap", "cascade", "mixed"))
+        for cells in rows.values():
+            plans, measured, unattributed, audit = cells[1], cells[3], cells[10], cells[11]
+            assert (plans, unattributed, audit) == ("1", "0", "ok")
+            assert int(measured.replace(",", "")) > 0
         content = fp_path.read_text()
         assert content.startswith("registry ")
 
