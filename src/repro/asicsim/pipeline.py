@@ -15,11 +15,11 @@ the 50 µs - 1 ms of software load balancers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs.events import PLACEMENT_PLACE
-from .sram import DEFAULT_BLOCK_WORDS, DEFAULT_WORD_BITS
+from .sram import DEFAULT_BLOCK_WORDS, DEFAULT_WORD_BITS, words_for_entries
 
 
 @dataclass
@@ -121,21 +121,10 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def sram_blocks_for_entries(self, num_entries: int, entry_bits: int) -> int:
-        """SRAM blocks needed for a packed exact-match table.
-
-        Entries narrower than a word pack ``word_bits // entry_bits`` per
-        word; entries *wider* than a word span ``ceil(entry_bits /
-        word_bits)`` whole words each (the compiler does not split one
-        entry's bits across other entries' words).
-        """
-        if entry_bits <= 0:
-            raise ValueError("entry_bits must be positive")
-        if entry_bits <= self.word_bits:
-            per_word = self.word_bits // entry_bits
-            words = -(-num_entries // per_word)
-        else:
-            words_per_entry = -(-entry_bits // self.word_bits)
-            words = num_entries * words_per_entry
+        """SRAM blocks needed for a packed exact-match table: the words
+        :func:`~repro.asicsim.sram.words_for_entries` packs the entries
+        into, in whole blocks."""
+        words = words_for_entries(num_entries, entry_bits, self.word_bits)
         return -(-words // self.block_words)
 
     def place_exact_match(

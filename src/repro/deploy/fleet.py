@@ -772,7 +772,7 @@ class FleetSilkRoad(LoadBalancer):
         ]
 
     # ------------------------------------------------------------------
-    # Fault surface (driven by repro.faults.fleet)
+    # Fault surface (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
 
     def inject_switch_crash(

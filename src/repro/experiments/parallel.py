@@ -414,18 +414,8 @@ def _run_fleet_shard(
             **knobs,
         )
         fleet_audit = result.audit
+        # Attribution checks and unattributed buckets are already in it.
         audit.merge(fleet_audit.audit, label=cell)
-        audit.checks_run += 2
-        if fleet_audit.unattributed_violations:
-            audit.violations.append(
-                f"[{cell}] {fleet_audit.unattributed_violations} PCC "
-                "violations with no fleet attribution"
-            )
-        if fleet_audit.unattributed_drops:
-            audit.violations.append(
-                f"[{cell}] {fleet_audit.unattributed_drops} dropped "
-                "connections with no fleet attribution"
-            )
         # Counters only, never the registry: the sweep's fingerprint does
         # not carry the summary.
         summary = dict(
@@ -1041,10 +1031,11 @@ def _run_partition_replica(
     the same constant on every replica, so pairwise event ordering — and
     with it every simulated outcome — is unchanged by the epoch count.
     """
-    from ..faults.fleet import FleetFaultInjector, resolve_fleet_run
+    from ..faults.fleet import resolve_fleet_run
+    from ..faults.injector import FaultInjector
 
     workload, plan, config, fleet_config = resolve_fleet_run(**run_kwargs)
-    injector = FleetFaultInjector(plan)
+    injector = FaultInjector(plan)
     epoch_s = partition_epoch_length(fleet_config)
     epochs = _partition_epochs(workload.horizon_s, epoch_s)
     digests: List[Tuple[int, Tuple[int, ...]]] = []

@@ -3,15 +3,21 @@
 The injector schedules each fault event on the simulation's
 :class:`~repro.netsim.events.EventQueue` (at internal priority, so a fault
 at time *t* lands after the table updates but before the packet arrivals of
-*t* — the same ordering real hardware failures would observe) and drives
-the switch's fault-injection surface:
+*t* — the same ordering real hardware failures would observe), counts it,
+records it to the target's flight recorder (when one is attached) as its
+``fault.<kind>`` event, and drives the target's fault-injection surface:
 
-* ``inject_cpu_crash`` / ``inject_cpu_stall`` for CPU faults,
-* a composed ``write_fault`` hook for install-failure windows (window
-  membership is checked against the simulation clock; per-write coin flips
-  come from a private seeded RNG, so runs stay deterministic),
-* ``drop_notifications`` / ``delay_notifications`` for the learning-filter
-  notification hop.
+* on a switch (:data:`~repro.faults.plan.SWITCH_KINDS`),
+  ``inject_cpu_crash`` / ``inject_cpu_stall`` for CPU faults, a composed
+  ``write_fault`` hook for install-failure windows (window membership is
+  checked against the simulation clock; per-write coin flips come from a
+  private seeded RNG, so runs stay deterministic), and
+  ``drop_notifications`` / ``delay_notifications`` for the learning-filter
+  notification hop;
+* on a fleet (:data:`~repro.faults.plan.FLEET_KINDS`),
+  ``inject_switch_crash``, ``inject_partition``, ``inject_heartbeat_loss``,
+  ``controller.stall`` and ``request_reassign``; a flap is one crash/reboot
+  cycle that reschedules itself until its cycles are spent.
 
 With no plan attached — or an empty one — the switch's fault hooks stay
 unset and the hot path is untouched (the benchmark suite guards this).
@@ -28,8 +34,14 @@ from ..obs.events import (
     FAULT_BATCH_DELAY,
     FAULT_CPU_CRASH,
     FAULT_CPU_STALL,
+    FAULT_DETECTION_DELAY,
+    FAULT_HEARTBEAT_LOSS,
     FAULT_INSTALL_FAIL_WINDOW,
     FAULT_NOTIFICATION_LOSS,
+    FAULT_SWITCH_CRASH,
+    FAULT_SWITCH_FLAP,
+    FAULT_SWITCH_PARTITION,
+    FAULT_VIP_REASSIGN,
 )
 from .plan import FaultEvent, FaultKind, FaultPlan
 
@@ -37,18 +49,28 @@ from .plan import FaultEvent, FaultKind, FaultPlan
 #: independent of the draws that generated the plan itself.
 _WRITE_FAULT_SALT = 0x5EEDFA17
 
-#: The flight-recorder event each fault kind is delivered as.
-_FAULT_EVENT = {
+#: The flight-recorder event a switch fault is delivered as (it carries the
+#: plan event's four switch knobs) ...
+_SWITCH_EVENT = {
     FaultKind.CPU_CRASH: FAULT_CPU_CRASH,
     FaultKind.CPU_STALL: FAULT_CPU_STALL,
     FaultKind.INSTALL_FAIL_WINDOW: FAULT_INSTALL_FAIL_WINDOW,
     FaultKind.NOTIFICATION_LOSS: FAULT_NOTIFICATION_LOSS,
     FaultKind.BATCH_DELAY: FAULT_BATCH_DELAY,
 }
+#: ... and a fleet fault (the switch it hits and a duration).
+_FLEET_EVENT = {
+    FaultKind.SWITCH_CRASH: FAULT_SWITCH_CRASH,
+    FaultKind.SWITCH_PARTITION: FAULT_SWITCH_PARTITION,
+    FaultKind.SWITCH_FLAP: FAULT_SWITCH_FLAP,
+    FaultKind.HEARTBEAT_LOSS: FAULT_HEARTBEAT_LOSS,
+    FaultKind.DETECTION_DELAY: FAULT_DETECTION_DELAY,
+    FaultKind.VIP_REASSIGN: FAULT_VIP_REASSIGN,
+}
 
 
 class FaultInjector:
-    """Replays one fault plan against one switch."""
+    """Replays one fault plan against one switch or one fleet."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -58,64 +80,84 @@ class FaultInjector:
         self._fail_until = float("-inf")
         self._fail_probability = 0.0
         self._queue: Optional[EventQueue] = None
-        self._switch = None
+        self._target = None
 
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
 
-    def attach(self, switch, queue: EventQueue) -> None:
-        """Schedule every plan event; call after the switch is bound.
+    def attach(self, target, queue: EventQueue) -> None:
+        """Schedule every plan event; call after the target is bound.
 
-        ``switch`` is duck-typed: anything exposing the SilkRoad fault
-        surface (``inject_cpu_crash``, ``inject_cpu_stall``,
-        ``set_write_fault``, ``drop_notifications``,
-        ``delay_notifications``) works.
+        ``target`` is duck-typed: anything exposing the fault surface the
+        plan's kinds drive (see the module docstring) works.
         """
-        self._switch = switch
+        self._target = target
         self._queue = queue
-        needs_write_hook = any(
-            e.kind is FaultKind.INSTALL_FAIL_WINDOW for e in self.plan
-        )
-        if needs_write_hook:
-            switch.set_write_fault(self._write_fault)
+        if any(e.kind is FaultKind.INSTALL_FAIL_WINDOW for e in self.plan):
+            target.set_write_fault(self._write_fault)
         for event in self.plan:
-            when = max(event.time, queue.now)
-
-            def fire(e: FaultEvent = event) -> None:
-                self._deliver(e)
-
-            queue.schedule(when, fire, PRIO_INTERNAL)
+            queue.schedule(
+                max(event.time, queue.now),
+                lambda e=event: self._deliver(e),
+                PRIO_INTERNAL,
+            )
 
     def _deliver(self, event: FaultEvent) -> None:
-        self.injected[event.kind] += 1
-        switch = self._switch
-        recorder = getattr(switch, "recorder", None)
+        kind = event.kind
+        self.injected[kind] += 1
+        target, now = self._target, self._queue.now
+        recorder = getattr(target, "recorder", None)
         if recorder is not None:
-            recorder.record(
-                self._queue.now,
-                _FAULT_EVENT[event.kind],
-                None,
-                event.duration_s,
-                event.count,
-                event.probability,
-                event.delay_s,
-            )
-        if event.kind is FaultKind.CPU_CRASH:
-            self.jobs_lost_to_crashes += switch.inject_cpu_crash(event.duration_s)
-        elif event.kind is FaultKind.CPU_STALL:
-            switch.inject_cpu_stall(event.duration_s)
-        elif event.kind is FaultKind.INSTALL_FAIL_WINDOW:
+            if kind in _SWITCH_EVENT:
+                recorder.record(
+                    now,
+                    _SWITCH_EVENT[kind],
+                    None,
+                    event.duration_s,
+                    event.count,
+                    event.probability,
+                    event.delay_s,
+                )
+            else:
+                recorder.record(
+                    now, _FLEET_EVENT[kind], None, event.switch, event.duration_s
+                )
+        if kind is FaultKind.CPU_CRASH:
+            self.jobs_lost_to_crashes += target.inject_cpu_crash(event.duration_s)
+        elif kind is FaultKind.CPU_STALL:
+            target.inject_cpu_stall(event.duration_s)
+        elif kind is FaultKind.INSTALL_FAIL_WINDOW:
             # Overlapping windows: keep the farther deadline and the
             # fresher probability.
-            self._fail_until = max(
-                self._fail_until, self._queue.now + event.duration_s
-            )
+            self._fail_until = max(self._fail_until, now + event.duration_s)
             self._fail_probability = event.probability
-        elif event.kind is FaultKind.NOTIFICATION_LOSS:
-            switch.drop_notifications(event.count)
-        else:  # BATCH_DELAY
-            switch.delay_notifications(event.count, event.delay_s)
+        elif kind is FaultKind.NOTIFICATION_LOSS:
+            target.drop_notifications(event.count)
+        elif kind is FaultKind.BATCH_DELAY:
+            target.delay_notifications(event.count, event.delay_s)
+        elif kind is FaultKind.SWITCH_CRASH:
+            target.inject_switch_crash(event.switch, restart_after_s=event.duration_s)
+        elif kind is FaultKind.SWITCH_PARTITION:
+            target.inject_partition(event.switch, heal_after_s=event.duration_s)
+        elif kind is FaultKind.SWITCH_FLAP:
+            self._flap(event.switch, event.duration_s, event.cycles)
+        elif kind is FaultKind.HEARTBEAT_LOSS:
+            target.inject_heartbeat_loss(event.switch, event.count)
+        elif kind is FaultKind.DETECTION_DELAY:
+            target.controller.stall(event.duration_s)
+        else:  # VIP_REASSIGN
+            target.request_reassign(event.vip_rank, event.target)
+
+    def _flap(self, switch: int, cycle_s: float, cycles: int) -> None:
+        """One crash/reboot cycle now; the rest self-reschedule."""
+        self._target.inject_switch_crash(switch, restart_after_s=cycle_s * 0.5)
+        if cycles > 1:
+            self._queue.schedule(
+                self._queue.now + cycle_s,
+                lambda: self._flap(switch, cycle_s, cycles - 1),
+                PRIO_INTERNAL,
+            )
 
     def _write_fault(self, key: bytes) -> bool:
         if self._queue.now > self._fail_until:

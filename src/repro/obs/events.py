@@ -109,8 +109,9 @@ SLOWPATH_CPU_STALL = EventKind("slowpath", "cpu_stall", ("duration_s",))
 SLOWPATH_CPU_RESTART = EventKind("slowpath", "cpu_restart")
 
 # -- fault: one injected fault-plan event ----------------------------------
-# Single-switch kinds (``FaultKind``) carry the plan event's four knobs,
-# fleet kinds (``FleetFaultKind``) the target switch and a duration.
+# One per ``FaultKind`` member (``fault.<value>``): the switch kinds carry
+# the plan event's four switch knobs, the fleet kinds the switch hit and a
+# duration.
 
 _SWITCH_FAULT = ("duration_s", "count", "probability", "delay_s")
 FAULT_CPU_CRASH = EventKind("fault", "cpu_crash", _SWITCH_FAULT)

@@ -84,7 +84,7 @@ class ServeConfig:
     #: owned by one switch) so ``reassign`` has somewhere to move a VIP;
     #: ``None`` replicates onto every switch, the §5.3 default.
     replication: Optional[int] = 1
-    #: attach the seeded fault injector (single-switch or fleet flavor).
+    #: attach the seeded fault injector (fleet kinds on a fleet).
     chaos: bool = False
     faults_per_min: float = 30.0
     #: horizon the fault plan (and the optional timeline sampler) covers.
@@ -162,26 +162,17 @@ class ServeSession:
 
         self.injector = None
         if config.chaos:
-            if self.is_fleet:
-                from ..faults.fleet import FleetFaultInjector, FleetFaultPlan
+            from ..faults.injector import FaultInjector
+            from ..faults.plan import FLEET_KINDS, SWITCH_KINDS, FaultPlan
 
-                plan = FleetFaultPlan.generate(
-                    config.seed + 1000,
-                    horizon_s=config.plan_horizon_s,
-                    num_switches=config.num_switches,
-                    faults_per_min=config.faults_per_min,
-                )
-                self.injector = FleetFaultInjector(plan)
-            else:
-                from ..faults.injector import FaultInjector
-                from ..faults.plan import FaultPlan
-
-                plan = FaultPlan.generate(
-                    config.seed + 1000,
-                    horizon_s=config.plan_horizon_s,
-                    faults_per_min=config.faults_per_min,
-                )
-                self.injector = FaultInjector(plan)
+            plan = FaultPlan.generate(
+                config.seed + 1000,
+                horizon_s=config.plan_horizon_s,
+                faults_per_min=config.faults_per_min,
+                kinds=FLEET_KINDS if self.is_fleet else SWITCH_KINDS,
+                num_switches=config.num_switches,
+            )
+            self.injector = FaultInjector(plan)
             self.injector.attach(self.lb, self.queue)
 
         #: every connection ever drawn — the final audit replays over these.

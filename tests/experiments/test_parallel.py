@@ -584,3 +584,57 @@ class TestFleetCellSeeding:
         assert forward.fingerprint == backward.fingerprint
         assert forward.counters == backward.counters
         assert forward.audit.checks_run == backward.audit.checks_run
+
+
+class TestFleetShardAudit:
+    """The sweep's audit is the fold of its cells' fleet audits: every
+    attribution check counted once, every unattributed bucket reported
+    once (the cell's own ``audit_fleet`` already carries both)."""
+
+    CELL = dict(patterns=("crash",), scale=0.02, horizon_s=6.0)
+
+    def _sweep(self, plans: int):
+        return run_sharded(
+            "fleet",
+            num_shards=1,
+            workers=1,
+            seed=16,
+            params=dict(self.CELL, plans_per_pattern=plans),
+        )
+
+    def test_checks_are_the_sum_of_the_cells_fleet_audits(self):
+        from repro.faults import run_fleet
+
+        sweep = self._sweep(plans=2)
+        cells = [
+            run_fleet(
+                seed=parallel._fleet_cell_seed(16, "crash", i, 20_000),
+                fault_seed=parallel._fleet_cell_seed(16, "crash", i, 30_000),
+                pattern="crash",
+                scale=0.02,
+                horizon_s=6.0,
+            )
+            for i in range(2)
+        ]
+        assert sweep.audit.checks_run == sum(c.audit.audit.checks_run for c in cells)
+
+    def test_an_unattributed_violation_is_reported_once(self, monkeypatch):
+        from repro.deploy import fleet as deploy_fleet
+        from repro.faults import fleet as faults_fleet
+
+        def audit_with_a_ghost(fleet, connections):
+            # One PCC violation no cause map or switch predicted.
+            structural, predicted = deploy_fleet.collect_structural(fleet)
+            rows = [(c.key, c.pcc_violated, c.ever_dropped) for c in connections]
+            rows.append((b"ghost", True, False))
+            return deploy_fleet.attribute_outcomes(
+                structural, rows, fleet._move_cause, fleet._drop_cause, predicted
+            )
+
+        monkeypatch.setattr(faults_fleet, "audit_fleet", audit_with_a_ghost)
+        sweep = self._sweep(plans=1)
+        reports = [v for v in sweep.audit.violations if "PCC violations" in v]
+        assert reports == [
+            "[shard-0] [crash00] [fleet] 1 PCC violations with no attributable cause"
+        ]
+        assert sweep.counters["crash.unattributed"] == 1.0

@@ -16,12 +16,8 @@ from repro.experiments.parallel import (
     run_fleet_partitioned,
 )
 from repro.options import ObsOptions
-from repro.faults.fleet import (
-    FleetFaultEvent,
-    FleetFaultKind,
-    FleetFaultPlan,
-    run_fleet,
-)
+from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.faults.fleet import run_fleet
 
 #: A fault-heavy slice: crashes plus reassignments on a replicated fleet,
 #: small enough to replay three times in a few seconds.
@@ -197,11 +193,11 @@ class TestResumeUnderPartition:
     #: the data plane up: a false detection followed by a quick rejoin —
     #: quick enough that the quiesced ConnTable entries (idle timeout 1s)
     #: are still live when flows re-home back.
-    RESUME_PLAN = FleetFaultPlan(
+    RESUME_PLAN = FaultPlan(
         events=(
-            FleetFaultEvent(
+            FaultEvent(
                 time=5.0,
-                kind=FleetFaultKind.HEARTBEAT_LOSS,
+                kind=FaultKind.HEARTBEAT_LOSS,
                 switch=1,
                 count=3,
             ),

@@ -1,71 +1,75 @@
-"""Tests for fleet-level fault plans and their injector."""
+"""Tests for fleet-scope fault plans and their delivery to a fleet."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.fleet import (
+from repro.faults import (
     FAILURE_PATTERNS,
     FLEET_KINDS,
-    FleetFaultEvent,
-    FleetFaultInjector,
-    FleetFaultKind,
-    FleetFaultPlan,
+    FaultEvent,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
 )
 
 
 class TestPlan:
     def test_generation_is_deterministic(self):
-        a = FleetFaultPlan.generate(seed=5, horizon_s=60.0, num_switches=4)
-        b = FleetFaultPlan.generate(seed=5, horizon_s=60.0, num_switches=4)
+        fleet = dict(faults_per_min=4.0, kinds=FLEET_KINDS, num_switches=4)
+        a = FaultPlan.generate(seed=5, horizon_s=60.0, **fleet)
+        b = FaultPlan.generate(seed=5, horizon_s=60.0, **fleet)
         assert a.events == b.events
-        c = FleetFaultPlan.generate(seed=6, horizon_s=60.0, num_switches=4)
+        c = FaultPlan.generate(seed=6, horizon_s=60.0, **fleet)
         assert a.events != c.events
 
     def test_event_count_follows_rate(self):
-        plan = FleetFaultPlan.generate(
-            seed=1, horizon_s=60.0, num_switches=4, faults_per_min=6.0
+        plan = FaultPlan.generate(
+            seed=1, horizon_s=60.0, num_switches=4, faults_per_min=6.0,
+            kinds=FLEET_KINDS,
         )
         assert len(plan) == 6
-        sparse = FleetFaultPlan.generate(
-            seed=1, horizon_s=10.0, num_switches=4, faults_per_min=0.1
+        sparse = FaultPlan.generate(
+            seed=1, horizon_s=10.0, num_switches=4, faults_per_min=0.1,
+            kinds=FLEET_KINDS,
         )
         assert len(sparse) == 1  # positive rate -> at least one fault
-        silent = FleetFaultPlan.generate(
-            seed=1, horizon_s=60.0, num_switches=4, faults_per_min=0.0
+        silent = FaultPlan.generate(
+            seed=1, horizon_s=60.0, num_switches=4, faults_per_min=0.0,
+            kinds=FLEET_KINDS,
         )
         assert len(silent) == 0
 
     def test_events_sorted_and_kind_restricted(self):
-        plan = FleetFaultPlan.generate(
+        plan = FaultPlan.generate(
             seed=3,
             horizon_s=120.0,
             num_switches=4,
             faults_per_min=10.0,
-            kinds=(FleetFaultKind.SWITCH_CRASH,),
+            kinds=(FaultKind.SWITCH_CRASH,),
         )
         times = [e.time for e in plan]
         assert times == sorted(times)
-        assert set(plan.kinds()) == {FleetFaultKind.SWITCH_CRASH}
+        assert set(plan.kinds()) == {FaultKind.SWITCH_CRASH}
         assert all(0 <= e.switch < 4 for e in plan)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FleetFaultEvent(time=-1.0, kind=FleetFaultKind.SWITCH_CRASH)
+            FaultEvent(time=-1.0, kind=FaultKind.SWITCH_CRASH)
         with pytest.raises(ValueError):
-            FleetFaultEvent(
-                time=0.0, kind=FleetFaultKind.SWITCH_CRASH, duration_s=-1.0
+            FaultEvent(
+                time=0.0, kind=FaultKind.SWITCH_CRASH, duration_s=-1.0
             )
         with pytest.raises(ValueError):
-            FleetFaultEvent(
-                time=0.0, kind=FleetFaultKind.HEARTBEAT_LOSS, count=0
+            FaultEvent(
+                time=0.0, kind=FaultKind.HEARTBEAT_LOSS, count=0
             )
         with pytest.raises(ValueError):
-            FleetFaultPlan.generate(seed=1, horizon_s=0.0, num_switches=4)
+            FaultPlan.generate(seed=1, horizon_s=0.0, num_switches=4)
         with pytest.raises(ValueError):
-            FleetFaultPlan.generate(seed=1, horizon_s=10.0, num_switches=0)
+            FaultPlan.generate(seed=1, horizon_s=10.0, num_switches=0)
         with pytest.raises(ValueError):
-            FleetFaultPlan.generate(
+            FaultPlan.generate(
                 seed=1, horizon_s=10.0, num_switches=4, kinds=()
             )
 
@@ -99,10 +103,11 @@ class TestInjector:
         conns = ArrivalGenerator(seed=4).generate(
             uniform_vip_workloads(cluster.vips, 600.0), horizon_s=30.0
         )
-        plan = FleetFaultPlan.generate(
-            seed=8, horizon_s=30.0, num_switches=3, faults_per_min=8.0
+        plan = FaultPlan.generate(
+            seed=8, horizon_s=30.0, num_switches=3, faults_per_min=8.0,
+            kinds=FLEET_KINDS,
         )
-        injector = FleetFaultInjector(plan)
+        injector = FaultInjector(plan)
         sim = FlowSimulator(fleet, faults=injector)
         sim.run(conns, horizon_s=30.0)
         assert sum(injector.injected.values()) == len(plan)

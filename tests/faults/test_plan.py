@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.faults import ALL_KINDS, FaultEvent, FaultKind, FaultPlan
+from repro.faults import FLEET_KINDS, SWITCH_KINDS, FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import ANY_SWITCH, DRAWS
+
+DOC = Path(__file__).resolve().parents[2] / "docs" / "robustness.md"
 
 
 class TestFaultEvent:
@@ -82,7 +89,7 @@ class TestGenerate:
 
     def test_all_kinds_eventually_drawn(self):
         plan = FaultPlan.generate(11, horizon_s=600.0, faults_per_min=30.0)
-        assert set(plan.kinds()) == set(ALL_KINDS)
+        assert set(plan.kinds()) == set(SWITCH_KINDS)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -91,3 +98,57 @@ class TestGenerate:
             FaultPlan.generate(1, horizon_s=10.0, faults_per_min=-1.0)
         with pytest.raises(ValueError):
             FaultPlan.generate(1, horizon_s=10.0, kinds=())
+        with pytest.raises(ValueError, match="no such drawn field"):
+            FaultPlan.generate(
+                1, horizon_s=10.0, ranges={(FaultKind.CPU_CRASH, "count"): (1, 2)}
+            )
+
+    def test_ranges_replace_one_fields_default(self):
+        crash = (FaultKind.CPU_CRASH,)
+        base = FaultPlan.generate(5, horizon_s=60.0, faults_per_min=10.0, kinds=crash)
+        slow = FaultPlan.generate(
+            5,
+            horizon_s=60.0,
+            faults_per_min=10.0,
+            kinds=crash,
+            ranges={(FaultKind.CPU_CRASH, "duration_s"): (1.0, 2.0)},
+        )
+        assert [e.time for e in slow] == [e.time for e in base]
+        assert all(1.0 <= e.duration_s <= 2.0 for e in slow)
+        assert all(e.duration_s < 1.0 for e in base)
+
+
+def _documented_draws():
+    """``kind -> ((field or None, range), ...)`` per row of the fault-model
+    table in docs/robustness.md."""
+    section = DOC.read_text().split("## The fault model", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not re.fullmatch(r"`[A-Z_]+`", cells[0]):
+            continue
+        fields = [
+            None if draw.strip() == "discarded" else draw.strip().strip("`")
+            for draw in cells[2].split("→")
+        ]
+        spans = [
+            ANY_SWITCH if span.strip() == "any switch"
+            else ast.literal_eval(span.strip().strip("`"))
+            for span in cells[3].split("→")
+        ]
+        assert len(fields) == len(spans), line
+        rows[FaultKind[cells[0].strip("`")]] = tuple(zip(fields, spans))
+    return rows
+
+
+class TestDrawTable:
+    def test_documented_table_is_the_declared_one(self):
+        documented = _documented_draws()
+        assert list(documented) == list(FaultKind) == [*SWITCH_KINDS, *FLEET_KINDS]
+        assert documented == DRAWS
+
+    def test_every_fleet_kind_draws_a_switch_first(self):
+        for kind in FLEET_KINDS:
+            assert DRAWS[kind][0][1] is ANY_SWITCH
+        for kind in SWITCH_KINDS:
+            assert all(span is not ANY_SWITCH for _name, span in DRAWS[kind])

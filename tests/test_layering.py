@@ -27,6 +27,10 @@ one spelling per event: every ``.record(`` call names a kind declared in
 ``repro.obs.events`` and passes exactly that kind's fields, positionally
 — no string category, no keyword fields, no ``**attrs`` helper, no
 ``EventKind`` built anywhere else ("Flight recorder", same document).
+And one fault model: ``faults/`` holds one fault-kind ``Enum``, one plan
+``generate`` and one class that ``attach``-es a plan, and every kind has
+its one declared ``fault.<value>`` event (docs/robustness.md, "The fault
+model").
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -434,3 +438,32 @@ def test_one_spelling_per_event():
                 )
     assert not offenders, "\n".join(offenders)
     assert sites >= 40, f"only {sites} record sites found: the walk is not seeing them"
+
+
+def test_one_fault_model():
+    # A switch and a fleet share one fault model: one kind enum, one plan
+    # generator, one injector under ``faults/`` — and the recorder declares
+    # exactly one ``fault.<value>`` event per kind.
+    from repro.faults import FaultKind
+    from repro.obs.events import CATALOGUE
+
+    enums, generators, injectors = [], [], []
+    for path in sorted((SRC / "faults").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                where = f"{rel}:{node.lineno} {node.name}"
+                if any(getattr(base, "id", None) == "Enum" for base in node.bases):
+                    enums.append(where)
+                if any(
+                    isinstance(item, ast.FunctionDef) and item.name == "attach"
+                    for item in node.body
+                ):
+                    injectors.append(where)
+            elif isinstance(node, ast.FunctionDef) and node.name == "generate":
+                generators.append(f"{rel}:{node.lineno}")
+    assert len(enums) == 1, f"fault-kind enums: {enums}"
+    assert len(generators) == 1, f"fault-plan generators: {generators}"
+    assert len(injectors) == 1, f"classes that attach a plan: {injectors}"
+    declared = {name for category, name in CATALOGUE if category == "fault"}
+    assert declared == {kind.value for kind in FaultKind}
