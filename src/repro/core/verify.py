@@ -30,7 +30,8 @@ Checked invariants:
 8. With connections supplied: PCC violations occur *only* where the fault
    model predicts them — connections a watchdog reclassified at-risk, that
    overflowed a full ConnTable, or that adopted the old version through a
-   TransitTable false positive.
+   TransitTable false positive — and no connection was dropped
+   (:mod:`repro.obs.causes`).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..netsim.flows import Connection
+from ..obs.causes import AttributionRule, Tally
 from .pcc_update import Phase
 from .silkroad import SilkRoadSwitch
 
@@ -101,25 +103,33 @@ def audit_switch(
 ) -> AuditReport:
     """Run every cross-table invariant, collecting all violations.
 
-    ``connections``, when given (every connection the workload produced,
-    live or finished), additionally checks that each PCC violation is
-    attributable to the fault model's predicted exposure sets.
+    ``connections``, when given (every connection that can still be
+    violated or dropped, live or finished), are also judged by
+    :class:`~repro.obs.causes.AttributionRule` — unless the TransitTable
+    is ablated, which makes violations the expected behaviour.
     """
     report = AuditReport()
     fail = report.violations.append
-    checks = [
-        lambda: _check_cuckoo(switch, fail),
-        lambda: _check_conn_residency(switch, fail),
-        lambda: _check_refcounts(switch, fail),
-        lambda: _check_decisions(switch, fail),
-        lambda: _check_pending_index(switch, fail),
-        lambda: _check_live_index(switch, fail),
-        lambda: _check_transitions(switch, fail),
-    ]
+    for check in (
+        _check_cuckoo,
+        _check_conn_residency,
+        _check_refcounts,
+        _check_decisions,
+        _check_pending_index,
+        _check_live_index,
+        _check_transitions,
+    ):
+        check(switch, fail)
+        report.checks_run += 1
     if connections is not None:
-        checks.append(lambda: _check_pcc_attribution(switch, connections, report))
-    for check in checks:
-        check()
+        if switch.config.use_transit_table:
+            tally = Tally()
+            tally.count(
+                AttributionRule.for_switch(switch),
+                ((c.key, c.pcc_violated, c.ever_dropped) for c in connections),
+            )
+            report.unattributed_violations = tally.unattributed_violations
+            report.violations.extend(tally.failures())
         report.checks_run += 1
     return report
 
@@ -259,33 +269,3 @@ def _check_transitions(switch: SilkRoadSwitch, fail: Fail) -> None:
             fail(f"{vip} stuck mid-transition")
         if phase is Phase.STEP2 and not entry.in_transition:
             fail(f"{vip} in step 2 without dual versions")
-
-
-def _check_pcc_attribution(
-    switch: SilkRoadSwitch,
-    connections: Iterable[Connection],
-    report: AuditReport,
-) -> None:
-    """Every PCC violation must be one the fault model predicted.
-
-    The predicted exposure sets (persisted on the switch past connection
-    death) are: watchdog at-risk reclassifications, ConnTable overflows
-    left on the slow path, and step-2 TransitTable false-positive
-    adoptions.  Without the TransitTable the whole mechanism is ablated
-    and violations are expected everywhere, so the check is skipped.
-    """
-    if not switch.config.use_transit_table:
-        return
-    predicted = (
-        switch.at_risk_keys | switch.overflow_keys | switch.fp_adopted_keys
-    )
-    unattributed = 0
-    for conn in connections:
-        if conn.pcc_violated and conn.key not in predicted:
-            unattributed += 1
-    report.unattributed_violations = unattributed
-    if unattributed:
-        report.violations.append(
-            f"{unattributed} PCC violations not attributable to the fault "
-            f"model (at-risk/overflow/Bloom-FP sets)"
-        )

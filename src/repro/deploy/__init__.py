@@ -4,12 +4,6 @@ from ..core.health import BfdProber, health_check_bandwidth_bps
 from .assignment import AssignmentResult, VipDemand, assign_vips
 from .failures import expected_breakage_after_failover, switch_failure_breakage
 from .fleet import (
-    CAUSE_BLACKHOLE,
-    CAUSE_RACE,
-    CAUSE_REHASH,
-    CAUSE_SHED,
-    CAUSE_SWITCH_LOCAL,
-    FLEET_CAUSES,
     FleetAuditReport,
     FleetConfig,
     FleetController,
@@ -20,12 +14,6 @@ from .fleet import (
 __all__ = [
     "AssignmentResult",
     "BfdProber",
-    "CAUSE_BLACKHOLE",
-    "CAUSE_RACE",
-    "CAUSE_REHASH",
-    "CAUSE_SHED",
-    "CAUSE_SWITCH_LOCAL",
-    "FLEET_CAUSES",
     "FleetAuditReport",
     "FleetConfig",
     "FleetController",

@@ -38,24 +38,10 @@ not a mode: schedule :meth:`FleetSilkRoad.inject_switch_crash` and
   failover that would overflow a survivor sheds whole VIPs
   lowest-priority-first instead of corrupting table state.
 
-Every decision change a connection can experience is recorded at the
-moment the fleet causes it, so :func:`audit_fleet` can attribute **every**
-PCC violation and every dropped connection to exactly one cause — the
-acceptance bar is a zero-size unattributed bucket:
-
-=========================  ====================================================
-``version_pinned_rehash``  a fleet-initiated move re-hashed the flow under the
-                           current pool (breaks iff it was version-pinned, §7)
-``blackhole_detection``    packets met a dead or not-yet-resynced switch before
-                           detection/rejoin completed
-``overflow_shed``          the flow's VIP was shed to keep survivors within
-                           their ConnTable budget
-``reassignment_race``      the flow arrived during a reassignment's drain
-                           window and was redirected at the final step
-``switch_local``           the single-switch fault machinery (slow-path loss,
-                           ConnTable overflow, Bloom FP adoption) already
-                           predicted it — PR 3's per-switch attribution
-=========================  ====================================================
+Every decision change a connection can experience is recorded, with its
+cause, when the fleet causes it, so :func:`audit_fleet` attributes
+**every** PCC violation and drop to exactly one cause of the one table,
+:mod:`repro.obs.causes` — the bar is a zero-size unattributed bucket.
 
 Everything runs on the shared deterministic event queue; given equal
 seeds, two fleet runs are bit-identical (the chaos CLI asserts equal
@@ -65,7 +51,8 @@ registry fingerprints across runs and worker counts).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..asicsim.batch import PacketBatch
@@ -94,20 +81,9 @@ from ..obs.events import (
     FLEET_RESYNC,
     FLEET_SHED,
 )
+from ..obs.causes import BLACKHOLE, FLEET_CAUSES, RACE, REHASH, SHED, SWITCH_LOCAL
+from ..obs.causes import AttributionRule, Outcome, Tally
 from ..obs.metrics import MetricRegistry
-
-#: Attribution classes for fleet-caused decision changes.
-CAUSE_REHASH = "version_pinned_rehash"
-CAUSE_BLACKHOLE = "blackhole_detection"
-CAUSE_SHED = "overflow_shed"
-CAUSE_RACE = "reassignment_race"
-CAUSE_SWITCH_LOCAL = "switch_local"
-FLEET_CAUSES: Tuple[str, ...] = (
-    CAUSE_REHASH,
-    CAUSE_BLACKHOLE,
-    CAUSE_SHED,
-    CAUSE_RACE,
-)
 
 #: The fleet's control-plane counters, declared once.  Each is a plain
 #: ``int`` attribute of :class:`FleetSilkRoad`, incremented in place; this
@@ -316,9 +292,6 @@ class _PhantomSwitch:
 
     materialized = False
     conn_table: Tuple[()] = ()
-    at_risk_keys: frozenset = frozenset()
-    overflow_keys: frozenset = frozenset()
-    fp_adopted_keys: frozenset = frozenset()
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -613,7 +586,7 @@ class FleetSilkRoad(LoadBalancer):
             # The VIP was shed for capacity: the fleet refuses the flow.
             self.shed_arrivals += 1
             conn.record_decision(now, None)
-            self._drop_cause[key] = CAUSE_SHED
+            self._drop_cause[key] = SHED
             return
         table = self._tables.get(vip)
         if table is None:
@@ -622,7 +595,7 @@ class FleetSilkRoad(LoadBalancer):
             self._owner[key] = -1
             self._conns[key] = conn
             conn.record_decision(now, None)
-            self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
+            self._drop_cause.setdefault(key, BLACKHOLE)
             return
         index = table.lookup(key, conn.key_hash).index
         self._owner[key] = index
@@ -635,7 +608,7 @@ class FleetSilkRoad(LoadBalancer):
             # detected: the fabric still hashes here; packets blackhole.
             self.blackholed_arrivals += 1
             conn.record_decision(now, None)
-            self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
+            self._drop_cause.setdefault(key, BLACKHOLE)
 
     def prepare_batch(self, conns: Sequence[Connection]) -> None:
         """Columnar precomputation for an upcoming window of arrivals.
@@ -797,7 +770,7 @@ class FleetSilkRoad(LoadBalancer):
                 # then mark the packet-level blackhole on the connection.
                 slot.switch.on_connection_end(conn)
                 conn.record_decision(now, None)
-                self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
+                self._drop_cause.setdefault(key, BLACKHOLE)
                 quiesced += 1
             self.blackholed_existing += quiesced
             slot.dataplane_up = False
@@ -948,9 +921,9 @@ class FleetSilkRoad(LoadBalancer):
                 continue  # the shed already ended and attributed it
             if key in self._aborted_races:
                 self._aborted_races.discard(key)
-                cause = CAUSE_RACE
+                cause = RACE
             else:
-                cause = CAUSE_REHASH
+                cause = REHASH
             self._hand_off(key, conn, index, target, cause=cause)
 
     def _hand_off(
@@ -980,7 +953,7 @@ class FleetSilkRoad(LoadBalancer):
             # Nowhere to go: the VIP is unserved until an announcer rejoins.
             self._owner[key] = -1
             conn.record_decision(now, None)
-            self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
+            self._drop_cause.setdefault(key, BLACKHOLE)
             return
         self._owner[key] = target
         self._move_cause[key] = cause
@@ -998,7 +971,7 @@ class FleetSilkRoad(LoadBalancer):
             # Cascading failure: the re-home target is itself dead and
             # undetected; the flow blackholes until that detection fires.
             conn.record_decision(now, None)
-            self._drop_cause.setdefault(key, CAUSE_BLACKHOLE)
+            self._drop_cause.setdefault(key, BLACKHOLE)
 
     def _shed_for_capacity(
         self,
@@ -1059,7 +1032,7 @@ class FleetSilkRoad(LoadBalancer):
                     slot.switch.on_connection_end(conn)
             if conn.active_at(now):
                 conn.record_decision(now, None)
-                self._drop_cause[key] = CAUSE_SHED
+                self._drop_cause[key] = SHED
                 dropped += 1
         self.vips_shed += 1
         self.shed_connections += dropped
@@ -1095,7 +1068,7 @@ class FleetSilkRoad(LoadBalancer):
                     if conn.vip != vip or not conn.active_at(now):
                         continue
                     self._hand_off(
-                        key, conn, self._owner[key], index, cause=CAUSE_REHASH
+                        key, conn, self._owner[key], index, cause=REHASH
                     )
             elif sid not in table.members:
                 table.add(sid)
@@ -1108,7 +1081,7 @@ class FleetSilkRoad(LoadBalancer):
                     if owner == index:
                         continue
                     if table.lookup(key, conn.key_hash).index == index:
-                        self._hand_off(key, conn, owner, index, cause=CAUSE_REHASH)
+                        self._hand_off(key, conn, owner, index, cause=REHASH)
         slot.in_ecmp = True
         slot.missed = 0
         self.rejoins += 1
@@ -1257,7 +1230,7 @@ class FleetSilkRoad(LoadBalancer):
             target = (
                 table.lookup(key, conn.key_hash).index if table is not None else None
             )
-            cause = CAUSE_RACE if conn.start >= t0 else CAUSE_REHASH
+            cause = RACE if conn.start >= t0 else REHASH
             self._hand_off(key, conn, from_index, target, cause=cause)
             moved += 1
         assigned = self._assignment.get(vip)
@@ -1379,26 +1352,15 @@ class FleetSilkRoad(LoadBalancer):
 
 
 @dataclass
-class FleetAuditReport:
-    """Structural audits of every instance + fleet-level attribution."""
+class FleetAuditReport(Tally):
+    """Structural audits of every instance + the fleet's violations and
+    drops by cause (:data:`~repro.obs.causes.FLEET_CAUSES`, ``switch_local``)."""
 
-    audit: AuditReport
-    #: PCC violations by attributed cause (incl. ``switch_local``).
-    violation_causes: Dict[str, int]
-    #: dropped (ever-blackholed) connections by attributed cause.
-    drop_causes: Dict[str, int]
-    violations: int
-    dropped: int
-    unattributed_violations: int
-    unattributed_drops: int
+    audit: AuditReport = field(default_factory=AuditReport)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.audit.ok
-            and self.unattributed_violations == 0
-            and self.unattributed_drops == 0
-        )
+        return self.audit.ok and not self.failures()
 
     def __str__(self) -> str:
         causes = ", ".join(
@@ -1458,8 +1420,8 @@ def collect_structural(fleet: FleetSilkRoad) -> Tuple[AuditReport, Set[bytes]]:
         if not getattr(switch, "materialized", True):
             continue
         merged.merge(audit_switch(switch), label=f"sw{index}g{generation}")
-        predicted |= switch.at_risk_keys | switch.overflow_keys
-        predicted |= switch.fp_adopted_keys
+        for _cause, keys in AttributionRule.for_switch(switch).exposures:
+            predicted |= keys
     return merged, predicted
 
 
@@ -1491,7 +1453,7 @@ def connection_outcomes(
 
 def attribute_outcomes(
     structural: AuditReport,
-    outcomes: Iterable[Tuple[bytes, bool, bool]],
+    outcomes: Iterable[Outcome],
     move_causes: Dict[bytes, str],
     drop_cause_map: Dict[bytes, str],
     predicted: Set[bytes],
@@ -1500,52 +1462,21 @@ def attribute_outcomes(
 
     The attribution half of :func:`audit_fleet`, factored out so the
     partitioned runner can feed it merged outcome rows and a merged
-    structural report instead of live objects.  ``structural`` is folded
-    into the returned report (and mutated: the two fleet-level checks and
-    any unattributed-bucket violations are appended to it).
+    structural report instead of live objects.  The rule is the fleet's
+    cause maps over one exposure set, ``switch_local`` = ``predicted``;
+    ``structural`` is folded into the report, with the two fleet-level
+    checks and any unattributed-bucket lines appended to it.
     """
-    violation_causes = {cause: 0 for cause in FLEET_CAUSES}
-    violation_causes[CAUSE_SWITCH_LOCAL] = 0
-    drop_causes = {cause: 0 for cause in FLEET_CAUSES}
-    violations = dropped = 0
-    unattributed_violations = unattributed_drops = 0
-    for key, violated, was_dropped in outcomes:
-        if violated:
-            violations += 1
-            cause = move_causes.get(key)
-            if cause is not None:
-                violation_causes[cause] += 1
-            elif key in predicted:
-                violation_causes[CAUSE_SWITCH_LOCAL] += 1
-            else:
-                unattributed_violations += 1
-        if was_dropped:
-            dropped += 1
-            cause = drop_cause_map.get(key)
-            if cause is not None:
-                drop_causes[cause] += 1
-            else:
-                unattributed_drops += 1
-    structural.checks_run += 2
-    if unattributed_violations:
-        structural.violations.append(
-            f"[fleet] {unattributed_violations} PCC violations with no "
-            "attributable cause"
-        )
-    if unattributed_drops:
-        structural.violations.append(
-            f"[fleet] {unattributed_drops} dropped connections with no "
-            "attributable cause"
-        )
-    return FleetAuditReport(
+    report = FleetAuditReport(
         audit=structural,
-        violation_causes=violation_causes,
-        drop_causes=drop_causes,
-        violations=violations,
-        dropped=dropped,
-        unattributed_violations=unattributed_violations,
-        unattributed_drops=unattributed_drops,
+        violation_causes=Counter(dict.fromkeys(FLEET_CAUSES + (SWITCH_LOCAL,), 0)),
+        drop_causes=Counter(dict.fromkeys(FLEET_CAUSES, 0)),
     )
+    rule = AttributionRule(((SWITCH_LOCAL, predicted),), move_causes, drop_cause_map)
+    report.count(rule, outcomes)
+    structural.checks_run += 2
+    structural.violations.extend(report.failures(prefix="[fleet] "))
+    return report
 
 
 def audit_fleet(

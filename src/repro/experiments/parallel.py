@@ -56,6 +56,7 @@ from ..deploy.fleet import (
 )
 from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import FlightRecorder, MetricRegistry, ObsHook, Timeline
+from ..obs.causes import survival as count_survival
 from ..options import DriverOptions, ObsOptions
 from . import fig16, fig18
 from .common import build_workload
@@ -1304,24 +1305,15 @@ def run_fleet_partitioned(
                 row[0] |= set(dips)
                 row[1] = row[1] or dropped
                 row[2] = row[2] or broken
-    survival = {"measured": 0, "kept": 0, "broken": 0, "blackholed": 0}
-    for row in merged_rows.values():
-        if row[3] < 0:
-            continue
-        survival["measured"] += 1
-        if len(row[0]) > 1 and not row[2]:
-            survival["broken"] += 1
-        elif row[1]:
-            survival["blackholed"] += 1
-        else:
-            survival["kept"] += 1
+    outcomes = [
+        (key, len(row[0]) > 1 and not row[2], bool(row[1]), row[3])
+        for key, row in merged_rows.items()
+    ]
+    survival = count_survival((start, v, d) for _key, v, d, start in outcomes)
     primary = partials[0]
     audit = attribute_outcomes(
         structural,
-        (
-            (key, len(row[0]) > 1 and not row[2], bool(row[1]))
-            for key, row in merged_rows.items()
-        ),
+        ((key, v, d) for key, v, d, _start in outcomes),
         primary.move_causes or {},
         primary.drop_causes or {},
         predicted,

@@ -21,13 +21,14 @@ for one of the :data:`FAILURE_PATTERNS`, replay against a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import SilkRoadConfig
 from ..deploy.fleet import FleetConfig, FleetSilkRoad, FleetAuditReport, audit_fleet
 from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..obs import FlightRecorder, ObsHook, Timeline
+from ..obs.causes import survival
 from ..options import DriverOptions, ObsOptions
 from .injector import FaultInjector
 from .plan import FLEET_KINDS, FaultKind, FaultPlan
@@ -82,32 +83,6 @@ class FleetChaosResult:
             f"{int(self.fleet.rejoins)} rejoins, "
             f"audit {'ok' if self.audit.ok else 'FAILED'}"
         )
-
-
-def _survival(connections: Sequence[Connection]) -> Dict[str, int]:
-    """Kept / broken / blackholed over the measured window.
-
-    ``broken`` is a PCC violation (two DIPs seen); ``blackholed`` dropped
-    packets but stayed on a single DIP; a connection that did both counts
-    as broken.
-    """
-    measured = kept = broken = blackholed = 0
-    for conn in connections:
-        if conn.start < 0:
-            continue
-        measured += 1
-        if conn.pcc_violated:
-            broken += 1
-        elif conn.ever_dropped:
-            blackholed += 1
-        else:
-            kept += 1
-    return {
-        "measured": measured,
-        "kept": kept,
-        "broken": broken,
-        "blackholed": blackholed,
-    }
 
 
 def pattern_overrides(pattern: str) -> Dict[str, object]:
@@ -243,7 +218,9 @@ def run_fleet(
         audit=audit,
         fingerprint=fleet.fingerprint(),
         pattern=pattern,
-        survival=_survival(connections),
+        survival=survival(
+            (c.start, c.pcc_violated, c.ever_dropped) for c in connections
+        ),
         recorder=hook.recorder,
         timeline=hook.timeline,
     )

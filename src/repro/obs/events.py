@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from .causes import AT_RISK, FP_ADOPTED, OVERFLOW  # exposure events' names
+
 __all__ = ["CATALOGUE", "EventKind", "RESERVED_FIELDS", "kind_of"]
 
 #: The keys ``RecorderEvent.to_dict()`` writes for the event itself; a
@@ -71,11 +73,11 @@ def kind_of(category: str, name: str) -> EventKind:
 CONN_SYN = EventKind("conn", "syn", ("vip",))
 CONN_FP_SYN_REDIRECT = EventKind("conn", "fp_syn_redirect")
 CONN_FP_CORRECTED = EventKind("conn", "fp_corrected")
-CONN_FP_ADOPTED = EventKind("conn", "fp_adopted", ("vip", "old_version"))
+CONN_FP_ADOPTED = EventKind("conn", FP_ADOPTED, ("vip", "old_version"))
 CONN_MARKED = EventKind("conn", "marked", ("vip",))
 CONN_INSTALL = EventKind("conn", "install", ("version", "moves"))
-CONN_OVERFLOW = EventKind("conn", "overflow", ("pinned",))
-CONN_AT_RISK = EventKind("conn", "at_risk", ("vip", "phase"))
+CONN_OVERFLOW = EventKind("conn", OVERFLOW, ("pinned",))
+CONN_AT_RISK = EventKind("conn", AT_RISK, ("vip", "phase"))
 CONN_RESUME = EventKind("conn", "resume", ("version",))
 CONN_FIN = EventKind("conn", "fin", ("installed",))
 CONN_EVICT = EventKind("conn", "evict")
@@ -90,7 +92,7 @@ UPDATE_T_FINISH = EventKind("update", "t_finish", ("vip",))
 UPDATE_STALE = EventKind("update", "stale", ("vip", "kind", "dip"))
 UPDATE_VERSION_EXHAUSTED = EventKind("update", "version_exhausted", ("vip",))
 UPDATE_WATCHDOG_FORCED = EventKind(
-    "update", "watchdog_forced", ("vip", "phase", "at_risk")
+    "update", "watchdog_forced", ("vip", "phase", AT_RISK)
 )
 
 # -- slowpath: learning-filter notifications and the switch CPU ------------

@@ -1,9 +1,11 @@
 """PCC forensics: join violations against the flight recorder.
 
-PR 3's auditor proves every PCC violation is *attributable* (at-risk
+The auditor proves every PCC violation is *attributable* (at-risk
 watchdog reclassification, ConnTable overflow, or a step-2 Bloom false
-positive); this module reconstructs *how* each one happened.  For every
-measured connection that broke PCC it assembles a causal timeline —
+positive, picked by the audit's own rule,
+:class:`~repro.obs.causes.AttributionRule`); this module reconstructs
+*how* each one happened.  For every measured connection that broke PCC
+it assembles a causal timeline —
 
     conn 814: learned @1.204 -> cpu_crash fault @1.210 ->
     relearn @1.310 -> update t_exec @1.350 -> decision changed -> violation
@@ -12,10 +14,8 @@ measured connection that broke PCC it assembles a causal timeline —
 connection key), update/fault context events overlapping its lifetime, and
 the connection's decision log itself.
 
-The switch is duck-typed: anything exposing ``at_risk_keys`` /
-``overflow_keys`` / ``fp_adopted_keys`` and (optionally) ``recorder``
-works, so :mod:`repro.obs` stays a leaf package with no dependency on
-:mod:`repro.core`.
+The switch is duck-typed (see :mod:`repro.obs.causes`), with an
+optional ``recorder``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .causes import AttributionRule
 from .recorder import FlightRecorder, RecorderEvent
 
 __all__ = ["ViolationStory", "explain_violations", "format_stories", "coverage"]
@@ -102,9 +103,7 @@ def explain_violations(
     """
     if recorder is None:
         recorder = getattr(switch, "recorder", None)
-    at_risk = getattr(switch, "at_risk_keys", set()) or set()
-    overflow = getattr(switch, "overflow_keys", set()) or set()
-    fp_adopted = getattr(switch, "fp_adopted_keys", set()) or set()
+    rule = AttributionRule.for_switch(switch)
 
     by_key: Dict[bytes, List[RecorderEvent]] = {}
     context: List[RecorderEvent] = []
@@ -121,13 +120,6 @@ def explain_violations(
             continue
         key = conn.key
         vip = str(conn.vip)
-        causes = []
-        if key in at_risk:
-            causes.append("at_risk")
-        if key in overflow:
-            causes.append("overflow")
-        if key in fp_adopted:
-            causes.append("fp_adopted")
 
         timeline: List[Dict[str, object]] = []
         for event in by_key.get(key, ()):
@@ -161,7 +153,7 @@ def explain_violations(
                 conn_id=conn.conn_id,
                 key=key,
                 vip=vip,
-                causes=tuple(causes),
+                causes=rule.violation(key),
                 start=conn.start,
                 end=conn.end,
                 timeline=timeline,

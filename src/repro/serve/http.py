@@ -8,39 +8,30 @@ a *serial* stream of operations; with the virtual clock that makes any
 scripted interaction a deterministic total order (the property the serve
 determinism test and the CI smoke step pin).
 
-Routes (JSON in/out unless noted):
-
-====== ================================ =====================================
-GET    ``/healthz``                     liveness + current virtual time
-GET    ``/state``                       full session state (VIPs, drains)
-GET    ``/metrics``                     Prometheus text exposition
-GET    ``/telemetry``                   metrics + spans as JSONL
-POST   ``/advance``                     ``{"dt": seconds}`` — move time
-POST   ``/vips/{vip}/dips``             add a DIP (``{"dip": ...}`` optional:
-                                        omitted draws from the spare pool)
-POST   ``/vips/{vip}/reassign``         ``{"to_index": n}`` (fleet only)
-POST   ``/dips/{dip}/drain``            graceful drain (idempotent)
-GET    ``/dips/{dip}/drain``            drain progress
-DELETE ``/dips/{dip}``                  hard remove (breaks its connections)
-PATCH  ``/dips/{dip}``                  ``{"weight": n}`` — slot replication
-POST   ``/shutdown``                    finalize + audit; returns the final
-                                        report and stops the server
-====== ================================ =====================================
-
-Errors are structured: ``{"error": {"status", "code", "message"}}``.
+The routes are one table, :meth:`ControlServer._routes` (path shape ->
+method -> handler; JSON in/out unless noted), documented in
+docs/serving.md.  Errors are structured: ``{"error": {"status", "code",
+"message"}}``.  A known path asked with another method is a 405 with
+``Allow``; a request whose head cannot be read (a line over 64 KiB, too
+many header lines) is a 431, and the connection closes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import unquote
 
 from .clock import WallclockPacer
 from .session import ApiError, ServeSession
 
 _MAX_BODY = 1 << 20
+_MAX_HEADER_LINES = 100
+
+
+def _body(error: ApiError) -> bytes:
+    return json.dumps(error.to_payload()).encode()
 
 
 class ControlServer:
@@ -101,41 +92,22 @@ class ControlServer:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
                 try:
-                    method, target, _version = (
-                        request_line.decode("latin-1").strip().split(" ", 2)
-                    )
-                except ValueError:
-                    await self._respond(writer, 400, self._error_payload(
-                        400, "bad_request", "malformed request line"
-                    ))
+                    head = await self._read_head(reader)
+                except ApiError as err:  # unframeable: answer, then close
+                    status, payload = err.status, _body(err)
+                    await self._respond(writer, status, payload, keep_alive=False)
                     break
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    length = -1
-                if not 0 <= length <= _MAX_BODY:
-                    await self._respond(writer, 400, self._error_payload(
-                        400, "bad_request", "bad Content-Length"
-                    ))
+                if head is None:
                     break
+                method, target, headers, length = head
                 body = await reader.readexactly(length) if length else b""
-                status, content_type, payload = await self._dispatch(
+                status, content_type, payload, extra = await self._dispatch(
                     method.upper(), target, body
                 )
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._respond(
-                    writer, status, payload, content_type, keep_alive
+                    writer, status, payload, content_type, keep_alive, extra
                 )
                 if self._shutdown_event.is_set() or not keep_alive:
                     break
@@ -149,13 +121,36 @@ class ControlServer:
                 pass
 
     @staticmethod
-    def _error_payload(status: int, code: str, message: str) -> bytes:
-        return json.dumps(
-            {"error": {"status": status, "code": code, "message": message}}
-        ).encode()
+    async def _read_head(
+        reader: asyncio.StreamReader,
+    ) -> Optional[Tuple[str, str, Dict[str, str], int]]:
+        """``(method, target, headers, body length)``, or ``None`` at a clean
+        end of stream; a line over 64 KiB or too many header lines is a 431."""
+        try:
+            request_line = await reader.readline()
+            if not request_line or request_line in (b"\r\n", b"\n"):
+                return None
+            parts = request_line.decode("latin-1").strip().split(" ", 2)
+            if len(parts) != 3:
+                raise ApiError(400, "bad_request", "malformed request line")
+            headers: Dict[str, str] = {}
+            for _ in range(_MAX_HEADER_LINES + 1):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    length = headers.get("content-length", "0")
+                    if not (length.isdecimal() and int(length) <= _MAX_BODY):
+                        raise ApiError(400, "bad_request", "bad Content-Length")
+                    return parts[0], parts[1], headers, int(length)
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # StreamReader.readline past its limit
+            pass
+        too_large = f"a line over 64 KiB, or over {_MAX_HEADER_LINES} header lines"
+        raise ApiError(431, "header_too_large", too_large)
 
     _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 409: "Conflict",
+                431: "Request Header Fields Too Large",
                 500: "Internal Server Error"}
 
     async def _respond(
@@ -165,6 +160,7 @@ class ControlServer:
         payload: bytes,
         content_type: str = "application/json",
         keep_alive: bool = True,
+        extra: Optional[Dict[str, str]] = None,
     ) -> None:
         reason = self._REASONS.get(status, "Unknown")
         connection = "keep-alive" if keep_alive else "close"
@@ -172,7 +168,9 @@ class ControlServer:
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            f"Connection: {connection}\r\n\r\n"
+            f"Connection: {connection}\r\n"
+            + "".join(f"{k}: {v}\r\n" for k, v in (extra or {}).items())
+            + "\r\n"
         )
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
@@ -183,7 +181,8 @@ class ControlServer:
 
     async def _dispatch(
         self, method: str, target: str, body: bytes
-    ) -> Tuple[int, str, bytes]:
+    ) -> Tuple[int, str, bytes, Dict[str, str]]:
+        """``(status, content type, payload, extra headers)``."""
         path = unquote(target.split("?", 1)[0])
         parts = [p for p in path.split("/") if p]
         try:
@@ -195,63 +194,70 @@ class ControlServer:
                     raise ApiError(400, "bad_json", "request body is not JSON")
                 if not isinstance(data, dict):
                     raise ApiError(400, "bad_json", "request body must be an object")
+            # A path's second segment is its argument: /dips/{dip}/drain.
+            shape = tuple("*" if i == 1 else p for i, p in enumerate(parts))
+            arg = parts[1] if len(parts) > 1 else ""
+            handlers = self._routes(arg, data).get(shape, {})
+            if method not in handlers:
+                where = f"{method} /{'/'.join(parts)}"
+                if not handlers:
+                    raise ApiError(404, "no_route", where)
+                allow = ", ".join(sorted(handlers))
+                where = f"{where}; allowed: {allow}"
+                body = _body(ApiError(405, "method_not_allowed", where))
+                return 405, "application/json", body, {"Allow": allow}
             async with self._lock:
-                return self._route(method, parts, data)
-        except ApiError as exc:
-            return exc.status, "application/json", json.dumps(
-                exc.to_payload()
-            ).encode()
+                return (*handlers[method](), {})
         except Exception as exc:  # surface, don't kill the connection
-            return 500, "application/json", self._error_payload(
-                500, "internal", f"{type(exc).__name__}: {exc}"
-            )
+            if not isinstance(exc, ApiError):
+                exc = ApiError(500, "internal", f"{type(exc).__name__}: {exc}")
+            return exc.status, "application/json", _body(exc), {}
 
-    def _route(
-        self, method: str, parts: list, data: Dict[str, object]
-    ) -> Tuple[int, str, bytes]:
-        session = self.session
+    def _routes(
+        self, arg: str, data: Dict[str, object]
+    ) -> Dict[Tuple[str, ...], Dict[str, Callable[[], Tuple[int, str, bytes]]]]:
+        """The route table: path shape -> method -> handler."""
+        s = self.session
 
         def ok(payload: object) -> Tuple[int, str, bytes]:
             return 200, "application/json", json.dumps(payload).encode()
 
-        if parts == ["healthz"] and method == "GET":
-            return ok({"ok": True, "now": session.queue.now,
-                       "mode": "fleet" if session.is_fleet else "switch"})
-        if parts == ["state"] and method == "GET":
-            return ok(session.state())
-        if parts == ["metrics"] and method == "GET":
-            text = session.metrics_text()
-            return 200, "text/plain; version=0.0.4", text.encode()
-        if parts == ["telemetry"] and method == "GET":
-            text = "\n".join(session.telemetry_records())
-            if text:
-                text += "\n"
-            return 200, "application/x-ndjson", text.encode()
-        if parts == ["advance"] and method == "POST":
-            return ok(session.advance(data.get("dt", 0)))
-        if parts == ["shutdown"] and method == "POST":
-            report = session.shutdown()
+        def add_dip() -> Tuple[int, str, bytes]:
+            dip = data.get("dip")
+            if dip is not None and not isinstance(dip, str):
+                raise ApiError(400, "bad_dip", "dip must be a string")
+            return ok(s.add_dip(arg, dip))
+
+        def shutdown() -> Tuple[int, str, bytes]:
+            report = s.shutdown()
             self._shutdown_event.set()
             return ok(report)
-        if len(parts) == 3 and parts[0] == "vips":
-            vip = parts[1]
-            if parts[2] == "dips" and method == "POST":
-                dip = data.get("dip")
-                if dip is not None and not isinstance(dip, str):
-                    raise ApiError(400, "bad_dip", "dip must be a string")
-                return ok(session.add_dip(vip, dip))
-            if parts[2] == "reassign" and method == "POST":
-                return ok(session.reassign(vip, data.get("to_index", -1)))
-        if len(parts) >= 2 and parts[0] == "dips":
-            dip = parts[1]
-            if len(parts) == 3 and parts[2] == "drain":
-                if method == "POST":
-                    return ok(session.drain_dip(dip))
-                if method == "GET":
-                    return ok(session.drain_state(dip))
-            if len(parts) == 2:
-                if method == "DELETE":
-                    return ok(session.remove_dip(dip))
-                if method == "PATCH":
-                    return ok(session.set_weight(dip, data.get("weight", 0)))
-        raise ApiError(404, "no_route", f"{method} /{'/'.join(parts)}")
+
+        mode = "fleet" if s.is_fleet else "switch"
+        return {
+            ("healthz",): {
+                "GET": lambda: ok({"ok": True, "now": s.queue.now, "mode": mode})
+            },
+            ("state",): {"GET": lambda: ok(s.state())},
+            ("metrics",): {"GET": lambda: (
+                200, "text/plain; version=0.0.4", s.metrics_text().encode()
+            )},
+            ("telemetry",): {"GET": lambda: (
+                200, "application/x-ndjson",
+                "".join(line + "\n" for line in s.telemetry_records()).encode(),
+            )},
+            ("advance",): {"POST": lambda: ok(s.advance(data.get("dt", 0)))},
+            ("shutdown",): {"POST": shutdown},
+            ("vips", "*", "dips"): {"POST": add_dip},
+            ("vips", "*", "reassign"): {
+                "POST": lambda: ok(s.reassign(arg, data.get("to_index", -1)))
+            },
+            ("dips", "*", "drain"): {
+                "POST": lambda: ok(s.drain_dip(arg)),
+                "GET": lambda: ok(s.drain_state(arg)),
+            },
+            ("dips", "*"): {
+                "DELETE": lambda: ok(s.remove_dip(arg)),
+                "PATCH": lambda: ok(s.set_weight(arg, data.get("weight", 0))),
+            },
+        }

@@ -23,6 +23,7 @@ of state transitions over seeded RNG draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core import SilkRoadConfig, SilkRoadSwitch
@@ -175,8 +176,14 @@ class ServeSession:
             self.injector = FaultInjector(plan)
             self.injector.attach(self.lb, self.queue)
 
-        #: every connection ever drawn — the final audit replays over these.
-        self.connections: List[Connection] = []
+        #: What the shutdown audit can still count: connections not yet
+        #: ended, by id, and ended ones whose decision log is not a single
+        #: DIP (remapped or dropped).  One that ended on a single DIP is
+        #: forgotten — decisions are only recorded while a connection is
+        #: active, so it can never be violated or dropped.  The total drawn
+        #: is ``source.total_generated``.
+        self.live_connections: Dict[int, Connection] = {}
+        self.ended_broken: List[Connection] = []
         self._vips: Dict[str, VirtualIP] = {
             str(s.vip): s.vip for s in self.cluster.services
         }
@@ -246,13 +253,10 @@ class ServeSession:
         t0 = queue.now
         t1 = t0 + float(dt)
         conns = self.source.draw(t0, t1)
-        self.connections.extend(conns)
-
-        def make_end(conn: Connection) -> Callable[[], None]:
-            return lambda: lb.on_connection_end(conn)
-
+        live = self.live_connections
         for conn in conns:
-            queue.schedule(conn.end, make_end(conn), PRIO_END)
+            live[conn.conn_id] = conn
+            queue.schedule(conn.end, partial(self._end, conn), PRIO_END)
         on_batch = getattr(lb, "on_connection_batch", None)
         if self.driver.batched and on_batch is not None:
             prepare = getattr(lb, "prepare_batch", None)
@@ -263,20 +267,28 @@ class ServeSession:
                     prepare(chunk)
                 on_batch(chunk)
         else:
-
-            def make_arrival(conn: Connection) -> Callable[[], None]:
-                return lambda: lb.on_connection_arrival(conn)
-
             for conn in conns:
-                queue.schedule(conn.start, make_arrival(conn), PRIO_ARRIVAL)
+                queue.schedule(
+                    conn.start, partial(lb.on_connection_arrival, conn), PRIO_ARRIVAL
+                )
         queue.run_until(t1)
         self._refresh_drains()
         self.advances += 1
         return {
             "now": queue.now,
             "arrivals": len(conns),
-            "total_connections": len(self.connections),
+            "total_connections": self.source.total_generated,
         }
+
+    def _end(self, conn: Connection) -> None:
+        self.lb.on_connection_end(conn)
+        del self.live_connections[conn.conn_id]
+        if conn.remapped or conn.ever_dropped:
+            self.ended_broken.append(conn)
+
+    def held_connections(self) -> List[Connection]:
+        """What the audit can still count: ended broken ones, then live ones."""
+        return self.ended_broken + list(self.live_connections.values())
 
     # ------------------------------------------------------------------
     # Pool mutations (all PCC-safe: they go through apply_update)
@@ -471,7 +483,7 @@ class ServeSession:
             "chaos": self.config.chaos,
             "advances": self.advances,
             "mutations": self.mutations,
-            "total_connections": len(self.connections),
+            "total_connections": self.source.total_generated,
             "vips": [self.vip_state(vip) for vip in self._vips.values()],
             "drains": [s.to_payload() for s in self._drains.values()],
             "switches": self.lb.switch_status() if self.is_fleet else None,
@@ -516,11 +528,9 @@ class ServeSession:
             self.lb.finalize()
             self._refresh_drains()
             self._closed = True
-            measured = [c for c in self.connections if c.start >= 0.0]
-            violations = sum(1 for c in measured if c.pcc_violated)
-            audit = (audit_fleet if self.is_fleet else audit_switch)(
-                self.lb, self.connections
-            )
+            held = self.held_connections()
+            violations = sum(1 for c in held if c.start >= 0.0 and c.pcc_violated)
+            audit = (audit_fleet if self.is_fleet else audit_switch)(self.lb, held)
             self._final_report = {
                 "now": self.queue.now,
                 "fingerprint": self.fingerprint(),
@@ -528,7 +538,7 @@ class ServeSession:
                 "audit_detail": str(audit),
                 "pcc_violations": violations,
                 "unattributed_violations": audit.unattributed_violations,
-                "total_connections": len(self.connections),
+                "total_connections": self.source.total_generated,
                 "advances": self.advances,
                 "mutations": self.mutations,
                 "drains": [s.to_payload() for s in self._drains.values()],

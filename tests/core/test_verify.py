@@ -159,7 +159,7 @@ class TestPccAttribution:
         assert conn.pcc_violated
         # Unattributed: the fault model never predicted this key.
         report = audit_switch(switch, connections=[conn])
-        assert any("not attributable" in v for v in report.violations)
+        assert report.violations == ["1 PCC violations with no attributable cause"]
         assert report.unattributed_violations == 1
         # The count is a field, and merge() sums it across shards.
         assert AuditReport.merged([report, report]).unattributed_violations == 2
@@ -171,6 +171,30 @@ class TestPccAttribution:
         switch.at_risk_keys.discard(conn.key)
         switch.overflow_keys.add(conn.key)
         assert audit_switch(switch, connections=[conn]).ok
+
+    def test_a_switch_drop_is_unattributed(self):
+        # A switch is the rule with no fleet causes: it records no drop
+        # cause, so any connection that lost its packets fails the audit,
+        # whatever exposure set holds its key.
+        switch, _sim = run_busy_switch(horizon=30.0)
+        from repro.netsim.flows import Connection
+        from repro.netsim.packet import DirectIP, TupleFactory
+
+        vip = switch.vip_table.vips()[0]
+        conn = Connection(
+            conn_id=999_997, five_tuple=TupleFactory().next_for(vip), vip=vip,
+            start=0.0, duration=5.0,
+        )
+        conn.record_decision(0.0, DirectIP.parse("10.9.9.1:80"))
+        conn.record_decision(1.0, None)
+        assert conn.ever_dropped and not conn.pcc_violated
+        switch.at_risk_keys.add(conn.key)
+        report = audit_switch(switch, connections=[conn])
+        assert report.violations == [
+            "1 dropped connections with no attributable cause"
+        ]
+        assert report.unattributed_violations == 0
+        assert report.checks_run == 8
 
     def test_broken_by_removal_not_counted(self):
         switch, _sim = run_busy_switch(horizon=30.0)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SilkRoadConfig
-from repro.deploy.fleet import CAUSE_REHASH, FleetSilkRoad, _COUNTERS, audit_fleet
+from repro.deploy.fleet import FleetSilkRoad, _COUNTERS, audit_fleet
+from repro.obs.causes import REHASH
 from repro.experiments import switch_failure
 from repro.experiments.common import PccWorkload
 from repro.netsim import (
@@ -309,5 +310,5 @@ class TestExperiment:
             assert audit.ok, str(audit)
             assert audit.unattributed_violations == audit.unattributed_drops == 0
             # Every break is a version-pinned flow the failover re-hashed.
-            assert audit.violation_causes[CAUSE_REHASH] == audit.violations
+            assert audit.violation_causes[REHASH] == audit.violations
         assert churned.audit.violations >= churned.violations

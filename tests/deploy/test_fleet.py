@@ -5,15 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SilkRoadConfig
-from repro.deploy.fleet import (
-    CAUSE_BLACKHOLE,
-    CAUSE_RACE,
-    CAUSE_REHASH,
-    CAUSE_SHED,
-    FleetConfig,
-    FleetSilkRoad,
-    audit_fleet,
-)
+from repro.deploy.fleet import FleetConfig, FleetSilkRoad, audit_fleet
+from repro.obs.causes import BLACKHOLE, RACE, REHASH, SHED
 from repro.experiments.parallel import run_sharded
 from repro.faults.fleet import run_fleet
 from repro.options import DriverOptions
@@ -70,7 +63,7 @@ class TestDetection:
         assert dropped
         report = audit_fleet(fleet, conns)
         assert report.unattributed_drops == 0
-        assert report.drop_causes[CAUSE_BLACKHOLE] > 0
+        assert report.drop_causes[BLACKHOLE] > 0
 
     def test_heartbeat_loss_causes_false_detection(self):
         cfg = FleetConfig(heartbeat_interval_s=0.25, suspicion_threshold=3)
@@ -156,7 +149,7 @@ class TestShed:
         assert fleet.shed_connections > 0
         report = audit_fleet(fleet, conns)
         report.raise_if_failed()
-        assert report.drop_causes[CAUSE_SHED] > 0
+        assert report.drop_causes[SHED] > 0
         assert report.unattributed_drops == 0
 
     def test_shed_prefers_lowest_priority(self):
@@ -204,7 +197,7 @@ class TestReassignment:
         report.raise_if_failed()
         assert report.unattributed_violations == 0
         moved_causes = set(fleet._move_cause.values())
-        assert moved_causes <= {CAUSE_REHASH, CAUSE_RACE}
+        assert moved_causes <= {REHASH, RACE}
 
     def test_destination_crash_mid_window_aborts_cleanly(self):
         # Regression: a reassignment whose destination crashes inside the

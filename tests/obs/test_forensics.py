@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+import pytest
+
 from repro.obs.events import (
     CONN_OVERFLOW,
     CONN_SYN,
@@ -120,23 +122,60 @@ class TestExplain:
         assert format_stories([]) == "no PCC violations to explain"
 
 
+@pytest.fixture(scope="module")
+def shrunk_chaos():
+    """A recorded chaos run whose shrunken ConnTable breaks PCC."""
+    from repro.faults import run_chaos
+    from repro.faults.chaos import chaos_config
+
+    return run_chaos(
+        seed=1,
+        scale=0.1,
+        horizon_s=20.0,
+        updates_per_min=200.0,
+        faults_per_min=90.0,
+        config=chaos_config(conn_table_capacity=400),
+        obs=ObsOptions(record=True),
+    )
+
+
 class TestChaosIntegration:
-    def test_every_induced_violation_gets_an_evidenced_story(self):
+    def test_explain_and_the_audit_give_one_verdict(self, shrunk_chaos):
+        # Forensics and the switch audit judge through one rule: for every
+        # measured violated connection, the story is attributed exactly
+        # when the audit of that connection alone finds nothing
+        # unattributed.
+        from repro.core.verify import audit_switch
+
+        result = shrunk_chaos
+        stories = {
+            s.conn_id: s for s in explain_violations(result.switch, result.connections)
+        }
+        measured = [c for c in result.connections if c.start >= 0 and c.pcc_violated]
+        assert measured and sorted(stories) == sorted(c.conn_id for c in measured)
+        for conn in measured:
+            audit = audit_switch(result.switch, connections=[conn])
+            attributed = audit.unattributed_violations == 0
+            assert stories[conn.conn_id].attributed == attributed
+        # And when the exposure sets lose a key, both lose it.
+        switch, conn = result.switch, measured[0]
+        exposures = [switch.at_risk_keys, switch.overflow_keys, switch.fp_adopted_keys]
+        held = [keys for keys in exposures if conn.key in keys]
+        for keys in held:
+            keys.discard(conn.key)
+        try:
+            (story,) = explain_violations(switch, [conn])
+            audit = audit_switch(switch, connections=[conn])
+            assert not story.attributed and audit.unattributed_violations == 1
+        finally:
+            for keys in held:
+                keys.add(conn.key)
+
+    def test_every_induced_violation_gets_an_evidenced_story(self, shrunk_chaos):
         """The ``repro explain --require-complete`` acceptance gate, as a
         test: a recorded chaos run with a shrunken ConnTable produces
         violations, and every one is attributed with recorder evidence."""
-        from repro.faults import run_chaos
-        from repro.faults.chaos import chaos_config
-
-        result = run_chaos(
-            seed=1,
-            scale=0.1,
-            horizon_s=20.0,
-            updates_per_min=200.0,
-            faults_per_min=90.0,
-            config=chaos_config(conn_table_capacity=400),
-            obs=ObsOptions(record=True),
-        )
+        result = shrunk_chaos
         assert result.report.pcc_violations > 0, "scenario must induce violations"
         stories = explain_violations(
             result.switch, result.connections, recorder=result.recorder

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 from repro.serve import ControlServer, ServeConfig, ServeSession
 from repro.serve.script import _Client
@@ -40,6 +41,72 @@ def roundtrip(requests, config=None):
         return results
 
     return asyncio.run(go())
+
+
+def raw_exchange(request: bytes):
+    """Send ``request`` as raw bytes on a fresh connection; return
+    ``(status, headers, parsed body, closed)`` where ``closed`` says the
+    server hung up after its reply."""
+
+    async def go():
+        server = ControlServer(ServeSession(ServeConfig(seed=11, scale=0.01)))
+        await server.start()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            writer.write(request)
+            await writer.drain()
+            status_line = await reader.readline()
+            headers = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            body = await reader.readexactly(int(headers.get("content-length", 0)))
+            try:
+                closed = await asyncio.wait_for(reader.read(), 5.0) == b""
+            except asyncio.TimeoutError:  # the server kept it open
+                closed = False
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+        status = int(status_line.split(b" ")[1]) if status_line else None
+        return status, headers, json.loads(body) if body else None, closed
+
+    return asyncio.run(go())
+
+
+class TestHostileHeads:
+    """A request whose head cannot be read gets a structured reply and a
+    closed connection — never an empty reply and an asyncio traceback."""
+
+    def check_431(self, request, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            status, headers, payload, closed = raw_exchange(request)
+        assert status == 431
+        assert payload["error"]["code"] == "header_too_large"
+        assert headers["connection"] == "close" and closed
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_oversized_request_line(self, caplog):
+        path = "/" + "a" * 70_000
+        self.check_431(f"GET {path} HTTP/1.1\r\n\r\n".encode(), caplog)
+
+    def test_oversized_header_line(self, caplog):
+        header = "X-Big: " + "b" * 70_000
+        self.check_431(f"GET /healthz HTTP/1.1\r\n{header}\r\n\r\n".encode(), caplog)
+
+    def test_too_many_header_lines(self, caplog):
+        headers = "".join(f"X-H{i}: v\r\n" for i in range(101))
+        self.check_431(f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode(), caplog)
+
+    def test_a_hundred_header_lines_still_pass(self):
+        headers = "".join(f"X-H{i}: v\r\n" for i in range(99))
+        request = f"GET /healthz HTTP/1.1\r\n{headers}Connection: close\r\n\r\n"
+        status, _headers, payload, _closed = raw_exchange(request.encode())
+        assert status == 200 and payload["ok"]
 
 
 class TestRoutes:
@@ -183,6 +250,22 @@ class TestStructuredHttpErrors:
         [(status, payload)] = roundtrip([("GET", "/nope", None)])
         assert status == 404
         assert payload["error"]["code"] == "no_route"
+
+    def test_wrong_method_on_a_known_route_is_405_with_allow(self):
+        status, headers, payload, closed = raw_exchange(
+            b"GET /advance HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        )
+        assert status == 405
+        assert headers["allow"] == "POST"
+        assert payload["error"]["code"] == "method_not_allowed"
+        results = roundtrip([
+            ("PATCH", "/dips/10.0.0.0:8080/drain", {}),
+            ("POST", "/dips/10.0.0.0:8080", {}),
+            ("GET", "/healthz", None),  # the connection survives a 405
+        ])
+        assert [s for s, _ in results] == [405, 405, 200]
+        assert "allowed: GET, POST" in results[0][1]["error"]["message"]
+        assert "allowed: DELETE, PATCH" in results[1][1]["error"]["message"]
 
     def test_unknown_dip_404_body(self):
         [(status, payload)] = roundtrip([

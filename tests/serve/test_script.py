@@ -8,8 +8,70 @@ virtual-clock runs.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.options import DriverOptions
 from repro.serve import ServeConfig, run_serve_script
+
+#: The CI serve smoke's three scripted chaos runs (``repro serve --chaos``,
+#: ``--fleet 3 --chaos``, ``--scalar --chaos``).
+PINNED_CONFIGS = {
+    "switch": ServeConfig(chaos=True),
+    "fleet3": ServeConfig(chaos=True, num_switches=3),
+    "scalar": ServeConfig(chaos=True, driver=DriverOptions(batched=False)),
+}
+
+_SWITCH_REPORT = {
+    "advances": 16,
+    "audit_detail": "audit ok (8 checks)",
+    "audit_ok": True,
+    "drains": [
+        {
+            "completed_at": 59.0,
+            "dip": "10.0.0.0:8080",
+            "requested_at": 3.0,
+            "status": "drained",
+            "update_finished_at": 3.0,
+            "vip": "20.0.0.0:80",
+        }
+    ],
+    "fingerprint": "b74da54f3ec9f9d97f51f838f35b0ee9206e333a1ac6c5a60fc5677cfdf38211",
+    "mutations": 3,
+    "now": 64.0,
+    "pcc_violations": 0,
+    "total_connections": 1598,
+    "unattributed_violations": 0,
+}
+
+PINNED_REPORTS = {
+    "switch": _SWITCH_REPORT,
+    "scalar": _SWITCH_REPORT,
+    "fleet3": {
+        "advances": 9,
+        "audit_detail": (
+            "fleet audit: ok — 22 violations (version_pinned_rehash=22), "
+            "445 dropped, 0 unattributed violations, 0 unattributed drops; "
+            "structural: 86 checks, 0 failures"
+        ),
+        "audit_ok": True,
+        "drains": [
+            {
+                "completed_at": 24.0,
+                "dip": "10.0.0.0:8080",
+                "requested_at": 3.0,
+                "status": "drained",
+                "update_finished_at": None,
+                "vip": "20.0.0.0:80",
+            }
+        ],
+        "fingerprint": "1674a21d43f9742d91a5d7cf3f5f709cef48e0371e65c8f22def3d2d99a93cbf",
+        "mutations": 3,
+        "now": 29.0,
+        "pcc_violations": 22,
+        "total_connections": 754,
+        "unattributed_violations": 0,
+    },
+}
 
 
 def _config(**overrides) -> ServeConfig:
@@ -58,6 +120,14 @@ class TestMigrationScript:
         )
         assert batched.ok and scalar.ok
         assert batched.fingerprint == scalar.fingerprint
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_shutdown_report_is_pinned(self, name):
+        # The session forgets connections that ended on one DIP; what it
+        # hands the shutdown audit must judge exactly as the whole history
+        # did.  Captured before the session stopped keeping every record.
+        result = run_serve_script(PINNED_CONFIGS[name])
+        assert result.report == PINNED_REPORTS[name]
 
     def test_fleet_migration_with_reassign(self):
         result = run_serve_script(_config(num_switches=3, chaos=True))

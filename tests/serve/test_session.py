@@ -15,6 +15,21 @@ def small_session(**overrides) -> ServeSession:
     return ServeSession(ServeConfig(**defaults))
 
 
+def record_draws(session: ServeSession) -> list:
+    """Every connection the session draws from here on (the session
+    itself forgets the ones that ended on a single DIP)."""
+    drawn = []
+    draw = session.source.draw
+
+    def recording(t0, t1):
+        conns = draw(t0, t1)
+        drawn.extend(conns)
+        return conns
+
+    session.source.draw = recording
+    return drawn
+
+
 def first_vip(session: ServeSession) -> str:
     return next(iter(session._vips))
 
@@ -34,7 +49,8 @@ class TestAdvance:
         out = session.advance(10.0)
         assert out["now"] == 10.0
         assert out["arrivals"] > 0
-        assert out["total_connections"] == len(session.connections)
+        assert out["total_connections"] == out["arrivals"]
+        assert out["arrivals"] == session.source.total_generated
 
     def test_bad_dt_rejected(self):
         session = small_session()
@@ -52,7 +68,8 @@ class TestAdvance:
         with pytest.raises(ApiError) as exc:
             session.advance(dt)
         assert (exc.value.status, exc.value.code) == (400, "bad_advance")
-        assert session.queue.now == 0.0 and not session.connections
+        assert session.queue.now == 0.0 and not session.held_connections()
+        assert session.source.total_generated == 0
 
     def test_determinism_same_seed_same_fingerprint(self):
         def run() -> str:
@@ -71,6 +88,7 @@ class TestAdvance:
 class TestDrain:
     def test_drain_is_graceful_and_completes(self):
         session = small_session()
+        drawn = record_draws(session)
         vip_str = first_vip(session)
         vip = session._vip(vip_str)
         session.advance(10.0)
@@ -87,13 +105,14 @@ class TestDrain:
         assert dip not in session.lb.current_dips(vip)
         assert session.lb.live_connections_on(vip, dip) == 0
         # Graceful: a drain never breaks a single connection.
-        assert not any(c.broken_by_removal for c in session.connections)
+        assert drawn and not any(c.broken_by_removal for c in drawn)
         report = session.shutdown()
         assert report["audit_ok"]
         assert report["unattributed_violations"] == 0
 
     def test_drain_keeps_pinned_connections_flowing(self):
         session = small_session()
+        drawn = record_draws(session)
         vip_str = first_vip(session)
         vip = session._vip(vip_str)
         session.advance(10.0)
@@ -105,7 +124,7 @@ class TestDrain:
         session.advance(0.5)
         # The pool flipped (or is flipping) but pinned connections stay on
         # their old versions: none were broken by the drain.
-        assert not any(c.broken_by_removal for c in session.connections)
+        assert drawn and not any(c.broken_by_removal for c in drawn)
 
     def test_redrain_is_idempotent(self):
         session = small_session()
@@ -125,6 +144,7 @@ class TestDrain:
 
     def test_remove_breaks_connections_drain_does_not(self):
         session = small_session()
+        drawn = record_draws(session)
         vip_str = first_vip(session)
         vip = session._vip(vip_str)
         session.advance(10.0)
@@ -133,7 +153,7 @@ class TestDrain:
         assert session.lb.live_connections_on(vip, victim) > 0
         session.remove_dip(str(victim))
         session.advance(0.5)
-        assert any(c.broken_by_removal for c in session.connections)
+        assert any(c.broken_by_removal for c in drawn)
 
 
 class TestStructuredErrors:
@@ -288,6 +308,42 @@ class TestFleetSession:
         report = session.shutdown()
         assert report["audit_ok"]
         assert report["unattributed_violations"] == 0
+
+
+@pytest.mark.slow
+class TestMemoryFollowsLiveState:
+    def test_held_records_are_the_live_and_the_broken(self):
+        # 1,200 advances of 0.5 s at scale 0.5 draw ~150 K connections, of
+        # which ~7 K are live at any time: the session holds those plus
+        # the ended ones whose decision log is not a single DIP.
+        session = ServeSession(ServeConfig(scale=0.5, chaos=True))
+        ends = []
+        draw = session.source.draw
+
+        def recording(t0, t1):
+            conns = draw(t0, t1)
+            ends.extend(conn.end for conn in conns)
+            return conns
+
+        session.source.draw = recording
+        for step in range(1, 1201):
+            session.advance(0.5)
+            if step % 200:
+                continue
+            now = session.queue.now
+            live = list(session.live_connections.values())
+            broken = session.ended_broken
+            assert all(conn.end > now for conn in live)
+            assert len(live) == sum(1 for end in ends if end > now)
+            assert all(
+                conn.end <= now and (conn.remapped or conn.ever_dropped)
+                for conn in broken
+            )
+            assert len(session.held_connections()) == len(live) + len(broken)
+        assert session.source.total_generated == len(ends)
+        assert len(session.held_connections()) < 0.1 * len(ends)
+        report = session.shutdown()
+        assert report["audit_ok"] and report["total_connections"] == len(ends)
 
 
 class TestShutdownAudit:

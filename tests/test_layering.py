@@ -30,7 +30,9 @@ one spelling per event: every ``.record(`` call names a kind declared in
 And one fault model: ``faults/`` holds one fault-kind ``Enum``, one plan
 ``generate`` and one class that ``attach``-es a plan, and every kind has
 its one declared ``fault.<value>`` event (docs/robustness.md, "The fault
-model").
+model").  And one PCC judgment: every cause a broken connection can
+carry is spelled once, in ``obs/causes.py`` (docs/robustness.md, "One
+cause table").
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -467,3 +469,33 @@ def test_one_fault_model():
     assert len(injectors) == 1, f"classes that attach a plan: {injectors}"
     declared = {name for category, name in CATALOGUE if category == "fault"}
     assert declared == {kind.value for kind in FaultKind}
+
+
+def test_one_pcc_judgment():
+    # A switch, a fleet and forensics name a broken connection's cause from
+    # one table: each cause string is spelled on exactly one line under
+    # src/repro (in obs/causes.py), and the per-switch second copy of the
+    # attribution rule does not come back.
+    from repro.obs import causes
+
+    values = {
+        value
+        for name, value in vars(causes).items()
+        if name.isupper() and isinstance(value, str)
+    }
+    assert len(values) == 8
+    spelled = {value: set() for value in values}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in spelled:
+                spelled[node.value].add((rel, node.lineno))
+            elif (
+                isinstance(node, ast.FunctionDef)
+                and node.name == "_check_pcc_attribution"
+            ):
+                raise AssertionError(f"{rel}:{node.lineno} defines {node.name}")
+    for value, where in spelled.items():
+        assert len(where) == 1 and next(iter(where))[0] == "obs/causes.py", (
+            f"{value!r} spelled at {sorted(where)}"
+        )
