@@ -35,7 +35,7 @@ from .pipeline import (
     StageResources,
     TablePlacement,
 )
-from .registers import BloomFilter, BloomQuery, CountingBloomFilter, RegisterArray
+from .registers import BloomFilter, BloomQuery, RegisterArray
 from .resources import (
     BASELINE_SWITCH_P4,
     PAPER_TABLE2,
@@ -61,7 +61,6 @@ __all__ = [
     "BloomFilter",
     "BloomQuery",
     "Color",
-    "CountingBloomFilter",
     "CuckooTable",
     "DEFAULT_BLOCK_WORDS",
     "DEFAULT_WORD_BITS",

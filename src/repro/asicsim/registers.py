@@ -7,19 +7,22 @@ this as register arrays.  SilkRoad uses one small register array as a binary
 Bloom filter (**TransitTable**) to remember the *pending connections* that
 must keep using the old DIP-pool version during a 3-step PCC update.
 
-The filter here is an exact model: ``k`` independent hash units address a
-``m``-bit array; inserts set bits, queries AND them.  Ground-truth membership
-is tracked alongside so experiments can count false positives precisely
-(Figure 18 sweeps the filter size from 8 bytes to 1 KB).
+The filter here is an exact model: ``k`` independent hash units address an
+``m``-cell array, and a query ANDs the key's ``k`` cells read as bits
+(``count > 0``).  Each cell counts the live marks on it, so taking back one
+mark touches only that key's ``k`` cells: the TransitTable evicts a finished
+update's marks this way while other updates keep theirs.  Ground-truth
+membership is tracked alongside so experiments can count false positives
+precisely (Figure 18 sweeps the filter size from 8 bytes to 1 KB).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .hashing import HashUnit, _splitmix64, base_hash, hash_family
+from .hashing import _splitmix64, base_hash, hash_family, splitmix64_many
 
 
 class RegisterArray:
@@ -76,8 +79,18 @@ class BloomQuery:
     false_positive: bool
 
 
+#: The three possible answers: every query returns one of these.
+_NEGATIVE = BloomQuery(positive=False, false_positive=False)
+_TRUE_POSITIVE = BloomQuery(positive=True, false_positive=False)
+_FALSE_POSITIVE = BloomQuery(positive=True, false_positive=True)
+
+
 class BloomFilter:
-    """A binary Bloom filter on a transactional register array.
+    """A Bloom filter whose cells count the live marks on them.
+
+    The data plane reads a cell as one bit, ``count > 0``; the counts are
+    the control plane's record of which marks set it, so one mark can be
+    taken back (:meth:`remove`) without touching any other key's bits.
 
     Parameters
     ----------
@@ -96,15 +109,15 @@ class BloomFilter:
         self.size_bytes = size_bytes
         self.num_bits = size_bytes * 8
         self.num_hashes = num_hashes
-        self._units: List[HashUnit] = hash_family(num_hashes, base_seed=seed)
         # Per-way pre-mixed seeds: every way index derives from the single
         # base hash of the key with one splitmix round (single-pass pipeline).
-        self._way_mixes: List[int] = [unit.seed_mix for unit in self._units]
-        self._array = RegisterArray(self.num_bits, width=1)
-        self._members: Set[bytes] = set()
-        self.inserts = 0
-        self.queries = 0
-        self.false_positives = 0
+        self._way_mixes: List[int] = [
+            unit.seed_mix for unit in hash_family(num_hashes, base_seed=seed)
+        ]
+        #: live marks per cell; the data plane's bit is ``count > 0``.
+        self._cells: List[int] = [0] * self.num_bits
+        #: ground truth: key -> live marks on it.
+        self._marks: Dict[bytes, int] = {}
 
     def _indices(self, key: bytes, key_hash: Optional[int] = None) -> List[int]:
         base = base_hash(key) if key_hash is None else key_hash
@@ -112,40 +125,64 @@ class BloomFilter:
         return [_splitmix64(base ^ mix) % bits for mix in self._way_mixes]
 
     def insert(self, key: bytes, key_hash: Optional[int] = None) -> None:
-        """Set the key's bits (write-only phase of the 3-step update)."""
-        self.inserts += 1
+        """Add one mark of ``key`` (write-only phase of the 3-step update)."""
+        cells = self._cells
         for index in self._indices(key, key_hash):
-            self._array.write(index, 1)
-        self._members.add(key)
+            cells[index] += 1
+        marks = self._marks
+        marks[key] = marks.get(key, 0) + 1
+
+    def remove(self, marks: Iterable[Tuple[bytes, Optional[int]]]) -> int:
+        """Take back one mark of each ``(key, key_hash)`` pair; returns how
+        many of those keys have no live mark left.
+
+        Every key must hold a live mark (``KeyError`` otherwise).  The
+        pairs' cells are derived in one batched pass per hash way.
+        """
+        live = self._marks
+        bases = []
+        gone = 0
+        for key, key_hash in marks:
+            left = live[key] - 1
+            if left:
+                live[key] = left
+            else:
+                del live[key]
+                gone += 1
+            bases.append(base_hash(key) if key_hash is None else key_hash)
+        bits, cells = self.num_bits, self._cells
+        for mix in self._way_mixes:
+            for value in splitmix64_many(bases, mix):
+                cells[value % bits] -= 1
+        return gone
 
     def query(self, key: bytes, key_hash: Optional[int] = None) -> BloomQuery:
         """Test membership (read-only phase); flags false positives."""
-        self.queries += 1
-        positive = all(
-            self._array.read(index) for index in self._indices(key, key_hash)
-        )
-        false_positive = positive and key not in self._members
-        if false_positive:
-            self.false_positives += 1
-        return BloomQuery(positive=positive, false_positive=false_positive)
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.query(key).positive
+        base = base_hash(key) if key_hash is None else key_hash
+        bits, cells = self.num_bits, self._cells
+        for mix in self._way_mixes:
+            if not cells[_splitmix64(base ^ mix) % bits]:
+                return _NEGATIVE
+        return _TRUE_POSITIVE if key in self._marks else _FALSE_POSITIVE
 
     def clear(self) -> None:
         """Reset the filter (step 3 of the PCC update)."""
-        self._array.clear()
-        self._members.clear()
+        self._cells = [0] * self.num_bits
+        self._marks.clear()
+
+    def nonzero_cells(self) -> List[int]:
+        """Indices of the cells the data plane reads as 1."""
+        return [index for index, count in enumerate(self._cells) if count]
 
     @property
     def population(self) -> int:
-        """Ground-truth number of distinct inserted keys."""
-        return len(self._members)
+        """Ground-truth number of distinct keys with a live mark."""
+        return len(self._marks)
 
     @property
     def fill_ratio(self) -> float:
         """Fraction of bits set."""
-        return sum(self._array._cells) / self.num_bits
+        return (self.num_bits - self._cells.count(0)) / self.num_bits
 
     def expected_false_positive_rate(self, population: Optional[int] = None) -> float:
         """Analytic FP rate ``(1 - e^{-kn/m})^k`` for the current population."""
@@ -154,42 +191,3 @@ class BloomFilter:
             return 0.0
         k, m = self.num_hashes, self.num_bits
         return (1.0 - math.exp(-k * n / m)) ** k
-
-
-class CountingBloomFilter(BloomFilter):
-    """Counting variant (supports deletion); used in ablations.
-
-    The paper's TransitTable is binary because it is cleared wholesale at the
-    end of every update; the counting variant quantifies what supporting
-    incremental deletion would cost (4 bits/cell is the classic choice).
-    """
-
-    def __init__(
-        self,
-        size_bytes: int,
-        num_hashes: int = 4,
-        counter_bits: int = 4,
-        seed: int = 0xB100F,
-    ) -> None:
-        super().__init__(size_bytes, num_hashes, seed)
-        if counter_bits <= 1:
-            raise ValueError("counting filter needs counter_bits > 1")
-        self.counter_bits = counter_bits
-        self.num_bits = (size_bytes * 8) // counter_bits
-        if self.num_bits == 0:
-            raise ValueError("filter too small for the requested counter width")
-        self._array = RegisterArray(self.num_bits, width=counter_bits)
-
-    def insert(self, key: bytes, key_hash: Optional[int] = None) -> None:
-        self.inserts += 1
-        for index in self._indices(key, key_hash):
-            self._array.read_modify_write(index, +1)
-        self._members.add(key)
-
-    def remove(self, key: bytes, key_hash: Optional[int] = None) -> None:
-        """Decrement the key's counters; key must have been inserted."""
-        if key not in self._members:
-            raise KeyError("key was never inserted")
-        for index in self._indices(key, key_hash):
-            self._array.read_modify_write(index, -1)
-        self._members.discard(key)

@@ -650,7 +650,7 @@ class SilkRoadSwitch(LoadBalancer):
             self.vip_table.end_transition(vip)
         # Evict exactly this update's marks: overlapping updates of other
         # VIPs keep theirs, but no stale bit outlives its own update.
-        self.transit.update_finished(self._transit_update_ids.pop(vip, None))
+        self.transit.update_finished(self._transit_update_ids.pop(vip))
         # Pending connections lose their old-version protection when the
         # filter clears: conns that adopted the old version through a Bloom
         # false positive, and marked conns a step-2 watchdog force-finished
@@ -709,15 +709,9 @@ class SilkRoadSwitch(LoadBalancer):
             )
 
     def _mark_transit(self, key: bytes) -> None:
-        state = self._states.get(key)
-        if state is not None:
-            self.transit.mark(
-                key,
-                key_hash=state.conn.key_hash,
-                update_id=self._transit_update_ids.get(state.vip),
-            )
-        else:
-            self.transit.mark(key)
+        # note_new_pending runs only after _admit stored the state.
+        state = self._states[key]
+        self.transit.mark(key, state.conn.key_hash, self._transit_update_ids[state.vip])
 
     def _on_at_risk(self, vip: VirtualIP, keys: Set[bytes], phase: Phase) -> None:
         """A watchdog force-advanced past ``keys``: their protection window

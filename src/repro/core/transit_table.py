@@ -16,16 +16,16 @@ update that already reached step 3 linger, inflating step-2 false positives
 for unrelated VIPs for as long as any other update is in flight.  This
 wrapper therefore **per-update-accounts** the marks: :meth:`update_started`
 hands out an update id, :meth:`mark` stamps each mark with its owning
-update, and when an update finishes its marks are evicted — the control
-plane wipes the array and replays the marks still owned by in-flight
-updates (it logged them during step 1, so the rebuild is exact and can
-never produce a false negative).  Marks recorded without an id keep the
-legacy behaviour of surviving until the last active update finishes.
+update, and when an update finishes while others remain in flight the
+control plane takes back exactly that update's marks (it logged them during
+step 1).  The filter's cells count the live marks on them, so a cell
+another in-flight update also set stays set: eviction costs the finished
+update's marks alone and can never produce a false negative.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..asicsim.registers import BloomFilter, BloomQuery
 from ..obs.metrics import MetricRegistry, Scope
@@ -40,7 +40,8 @@ class TransitTable:
 
     It counts into the ``metrics`` scope it is handed (a private registry
     of its own when built without one); those instruments are the only
-    store, and ``clears`` / ``rebuilds`` / ``evicted_marks`` read them.
+    store, and ``clears`` / ``rebuilds`` / ``evicted_marks`` /
+    ``false_positives`` read them.
     """
 
     def __init__(
@@ -54,8 +55,6 @@ class TransitTable:
         self._next_update_id = 1
         #: update id -> {key: cached base hash} of the marks it owns.
         self._owned: Dict[int, Dict[bytes, Optional[int]]] = {}
-        #: marks recorded without an owning update (legacy callers).
-        self._unowned: Dict[bytes, Optional[int]] = {}
         if metrics is None:
             metrics = MetricRegistry().scope("")
         self._m_marks = metrics.counter(
@@ -95,6 +94,7 @@ class TransitTable:
     clears = property(lambda self: int(self._m_clears.value))
     rebuilds = property(lambda self: int(self._m_rebuilds.value))
     evicted_marks = property(lambda self: int(self._m_evicted.value))
+    false_positives = property(lambda self: int(self._m_fp.value))
 
     # -- update lifecycle ------------------------------------------------
 
@@ -105,38 +105,23 @@ class TransitTable:
         self._owned[update_id] = {}
         return update_id
 
-    def update_finished(self, update_id: Optional[int] = None) -> None:
+    def update_finished(self, update_id: int) -> None:
         """An update reached step 3: evict its marks.
 
         With no update left in flight the filter is wiped outright; while
-        others remain, the array is wiped and the surviving marks (those of
-        still-active updates, plus unowned legacy marks) are replayed so
+        others remain, only the finished update's own marks are taken back
+        (a key another in-flight update also marked keeps its bits), so
         stale bits stop inflating other VIPs' false positives.
 
-        ``update_id`` is the token :meth:`update_started` returned; omitting
-        it (legacy callers) finishes the oldest in-flight update.
+        ``update_id`` is the token :meth:`update_started` returned.
         """
-        if not self._owned:
-            raise RuntimeError("update_finished without matching update_started")
-        if update_id is None:
-            update_id = next(iter(self._owned))
         finished = self._owned.pop(update_id)
         if not self._owned:
             # Last in-flight update: step 3 proper, the filter truly clears.
-            self._unowned.clear()
             self._filter.clear()
             self._m_clears.value += 1.0
             return
-        # Other updates still need their marks: rebuild without the
-        # finished update's.  A key marked by several updates survives
-        # until its last owner finishes.
-        survivors: Dict[bytes, Optional[int]] = dict(self._unowned)
-        for marks in self._owned.values():
-            survivors.update(marks)
-        evicted = sum(1 for key in finished if key not in survivors)
-        self._filter.clear()
-        for key, key_hash in survivors.items():
-            self._filter.insert(key, key_hash)
+        evicted = self._filter.remove(finished.items())
         self._m_rebuilds.value += 1.0
         self._m_evicted.value += float(evicted)
 
@@ -146,24 +131,19 @@ class TransitTable:
 
     # -- data plane --------------------------------------------------------
 
-    def mark(
-        self,
-        key: bytes,
-        key_hash: Optional[int] = None,
-        update_id: Optional[int] = None,
-    ) -> None:
+    def mark(self, key: bytes, key_hash: Optional[int], update_id: int) -> None:
         """Step 1: remember a pending connection (one-cycle transactional
         write in hardware).
 
-        ``key_hash`` is the connection's cached base hash (skips the byte
-        pass); ``update_id`` stamps the mark with its owning update so it
-        can be evicted the moment that update finishes.
+        ``key_hash`` is the connection's cached base hash (``None`` hashes
+        the key bytes); ``update_id`` stamps the mark with its owning
+        update so it can be evicted the moment that update finishes.  A
+        key its update already marked counts once.
         """
-        self._filter.insert(key, key_hash)
-        if update_id is not None and update_id in self._owned:
-            self._owned[update_id][key] = key_hash
-        else:
-            self._unowned[key] = key_hash
+        owned = self._owned[update_id]
+        if key not in owned:
+            owned[key] = key_hash
+            self._filter.insert(key, key_hash)
         self._m_marks.value += 1.0
 
     def check(self, key: bytes, key_hash: Optional[int] = None) -> BloomQuery:
@@ -182,9 +162,9 @@ class TransitTable:
     def size_bytes(self) -> int:
         return self._filter.size_bytes
 
-    @property
-    def false_positives(self) -> int:
-        return self._filter.false_positives
+    def nonzero_cells(self) -> List[int]:
+        """Indices of the register cells the data plane reads as 1."""
+        return self._filter.nonzero_cells()
 
     @property
     def population(self) -> int:

@@ -428,7 +428,7 @@ class SilkRoadP4:
                     params={"version": version},
                 )
             )
-        # TransitTable contents.
-        self.transit_clear()
-        for key in switch.transit._filter._members:
-            self.transit_mark(key)
+        # TransitTable contents: the switch's register size and set cells.
+        self.transit_register = RegisterArray(switch.transit.size_bytes * 8, width=1)
+        for index in switch.transit.nonzero_cells():
+            self.transit_register.write(index, 1)

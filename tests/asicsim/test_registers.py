@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asicsim.registers import BloomFilter, CountingBloomFilter, RegisterArray
+from repro.asicsim.registers import BloomFilter, RegisterArray
 
 
 class TestRegisterArray:
@@ -76,7 +76,6 @@ class TestBloomFilter:
                 assert q.false_positive
                 fp_seen += 1
         assert fp_seen > 0
-        assert bf.false_positives == fp_seen
 
     def test_clear_resets(self):
         bf = BloomFilter(size_bytes=64)
@@ -124,28 +123,83 @@ class TestBloomFilter:
 
 
 class TestCountingBloomFilter:
+    """Every cell counts the live marks on it; a query reads ``count > 0``."""
+
     def test_remove_supported(self):
-        cbf = CountingBloomFilter(size_bytes=128, num_hashes=3)
-        cbf.insert(b"x")
-        assert cbf.query(b"x").positive
-        cbf.remove(b"x")
-        assert not cbf.query(b"x").positive
+        bf = BloomFilter(size_bytes=128, num_hashes=3)
+        bf.insert(b"x")
+        assert bf.query(b"x").positive
+        assert bf.remove([(b"x", None)]) == 1
+        assert not bf.query(b"x").positive
+        assert bf.population == 0
+        assert bf.fill_ratio == 0.0
 
     def test_remove_unknown_raises(self):
-        cbf = CountingBloomFilter(size_bytes=128)
+        bf = BloomFilter(size_bytes=128)
         with pytest.raises(KeyError):
-            cbf.remove(b"never-inserted")
+            bf.remove([(b"never-inserted", None)])
+        bf.insert(b"once")
+        bf.remove([(b"once", None)])
+        with pytest.raises(KeyError):
+            bf.remove([(b"once", None)])
 
     def test_overlapping_members_survive_removal(self):
-        cbf = CountingBloomFilter(size_bytes=64, num_hashes=2)
-        cbf.insert(b"a")
-        cbf.insert(b"b")
-        cbf.remove(b"a")
-        assert cbf.query(b"b").positive
+        bf = BloomFilter(size_bytes=1, num_hashes=2)
+        a_cells = set(bf._indices(b"a"))
+        b = next(
+            key
+            for key in (f"b-{i}".encode() for i in range(100))
+            if a_cells & set(bf._indices(key))
+        )
+        bf.insert(b"a")
+        bf.insert(b)
+        assert bf.remove([(b"a", None)]) == 1
+        assert bf.query(b).positive and not bf.query(b).false_positive
+        assert bf.population == 1
 
-    def test_counter_width_validated(self):
-        with pytest.raises(ValueError):
-            CountingBloomFilter(size_bytes=64, counter_bits=1)
+    def test_a_key_marked_twice_needs_two_removes(self):
+        bf = BloomFilter(size_bytes=64)
+        bf.insert(b"k")
+        bf.insert(b"k")
+        assert bf.remove([(b"k", None)]) == 0
+        assert bf.query(b"k").positive and bf.population == 1
+        assert bf.remove([(b"k", None)]) == 1
+        assert not bf.query(b"k").positive
+
+    def test_nonzero_cells_are_the_bits_a_query_reads(self):
+        bf = BloomFilter(size_bytes=8, num_hashes=4)
+        bf.insert(b"a")
+        bf.insert(b"b")
+        assert bf.nonzero_cells() == sorted(set(bf._indices(b"a") + bf._indices(b"b")))
+        bf.remove([(b"a", None)])
+        assert bf.nonzero_cells() == sorted(set(bf._indices(b"b")))
+
+    @pytest.mark.parametrize("batch", [3, 60])  # scalar and vectorized passes
+    def test_batched_remove_equals_never_inserting(self, batch):
+        from repro.asicsim.hashing import base_hash
+
+        keys = [f"key-{i}".encode() for i in range(batch + 40)]
+        bf, kept = BloomFilter(size_bytes=16), BloomFilter(size_bytes=16)
+        for i, key in enumerate(keys):
+            bf.insert(key, base_hash(key) if i % 2 else None)
+        for key in keys[batch:]:
+            kept.insert(key)
+        gone = bf.remove(
+            (key, base_hash(key) if i % 3 else None)
+            for i, key in enumerate(keys[:batch])
+        )
+        assert gone == batch
+        assert bf._cells == kept._cells
+        assert bf.population == kept.population == 40
+
+    def test_queries_share_three_immutable_answers(self):
+        bf = BloomFilter(size_bytes=1, num_hashes=1)
+        bf.insert(b"member")
+        answers = {id(bf.query(f"probe-{i}".encode())) for i in range(64)}
+        answers.add(id(bf.query(b"member")))
+        assert len(answers) == 3
+        with pytest.raises(AttributeError):
+            bf.query(b"member").positive = False
 
 
 class TestBloomKeyHash:
@@ -179,12 +233,14 @@ class TestBloomKeyHash:
         assert hashing.BASE_HASH_CALLS == before
 
     def test_counting_filter_remove_with_cached_base(self):
-        from repro.asicsim.hashing import base_hash
+        from repro.asicsim import hashing
 
-        cbf = CountingBloomFilter(size_bytes=256, num_hashes=4)
+        bf = BloomFilter(size_bytes=256, num_hashes=4)
         key = b"counted-key"
-        base = base_hash(key)
-        cbf.insert(key, base)
-        assert cbf.query(key).positive
-        cbf.remove(key, base)
-        assert not cbf.query(key).positive
+        base = hashing.base_hash(key)
+        bf.insert(key, base)
+        assert bf.query(key).positive
+        before = hashing.BASE_HASH_CALLS
+        bf.remove([(key, base)])
+        assert hashing.BASE_HASH_CALLS == before
+        assert not bf.query(key).positive

@@ -98,11 +98,12 @@ def _switch_cpu(metrics):
 
 
 def _transit_table(metrics):
-    tt = TransitTable(metrics=metrics)
+    tt = TransitTable(size_bytes=1, metrics=metrics)  # 8 cells: e hits falsely
     first, second = tt.update_started(), tt.update_started()
-    tt.mark(b"a", update_id=first)
-    tt.mark(b"b", update_id=second)
+    tt.mark(b"a", None, first)
+    tt.mark(b"b", None, second)
     tt.check(b"a")
+    assert tt.check(b"e").false_positive
     tt.update_finished(first)  # rebuild: evicts a, keeps b
     tt.update_finished(second)  # last one out: clear
     return tt
@@ -177,6 +178,7 @@ CASES = {
         "clears": "clears_total",
         "rebuilds": "rebuilds_total",
         "evicted_marks": "evicted_marks_total",
+        "false_positives": "false_positives_total",
     },
     _coordinator: {
         "updates_requested": "updates_requested_total",

@@ -125,6 +125,41 @@ class TestStep2Behaviour:
         assert result.redirected_to_cpu  # §4.3's false-positive mitigation
 
 
+class TestMirroredTransitTable:
+    @pytest.mark.parametrize("size_bytes", [8, 256])
+    def test_twin_answers_every_probe_like_the_switch(self, size_bytes):
+        cluster = make_cluster(num_vips=1, dips_per_vip=4)
+        vip = cluster.vips[0]
+        config = SilkRoadConfig(conn_table_capacity=5000, transit_table_bytes=size_bytes)
+        switch = SilkRoadSwitch(config)
+        switch.announce_vip(vip, cluster.services[0].dips)
+        factory = TupleFactory()
+
+        def arrive(conn_id):
+            conn = Connection(
+                conn_id=conn_id, five_tuple=factory.next_for(vip), vip=vip,
+                start=0.0, duration=100.0,
+            )
+            switch.on_connection_arrival(conn)
+            return conn.five_tuple.key_bytes()
+
+        arrive(0)  # still pending: the update waits in step 1
+        switch.apply_update(
+            UpdateEvent(0.0, vip, UpdateKind.REMOVE, cluster.services[0].dips[0])
+        )
+        marked = [arrive(i) for i in range(1, 61)]
+        assert switch.transit.population == 60
+
+        p4 = SilkRoadP4()
+        p4.mirror_from(switch)
+        assert p4.transit_register.size == size_bytes * 8
+        outsiders = [factory.next_for(vip).key_bytes() for _ in range(500)]
+        for key in marked + outsiders:
+            assert p4._transit_check(key) == switch.transit.check(key).positive
+        if size_bytes == 8:  # saturated: most outsiders hit falsely
+            assert switch.transit.false_positives > 250
+
+
 class TestLearning:
     def test_miss_triggers_learn_digest(self):
         cluster = make_cluster(num_vips=1, dips_per_vip=2)

@@ -64,6 +64,7 @@ OWNERS = {
     "_candidates": "asicsim/cuckoo.py",
     "_move_cause": "deploy/fleet.py",
     "_drop_cause": "deploy/fleet.py",
+    "_filter": "core/transit_table.py",
 }
 
 #: (file, attribute) reaches that are known and tolerated.
