@@ -415,7 +415,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValueError("--wallclock requires --listen")
     config = api.ServeConfig(
         chaos=args.chaos,
-        driver=_driver(args),
         obs=api.ObsOptions(record=args.record),
         wallclock=args.wallclock,
         **_given(args, "seed", "scale", "num_switches", "faults_per_min"),
@@ -649,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", _cmd_serve,
         "long-lived serving mode behind an HTTP control API; by default "
         "runs the scripted live DIP migration on the virtual clock, audited",
-        (session, faults, determinism, fingerprint, driver),
+        (session, faults, determinism, fingerprint),
         (
             ("--chaos", bool, "attach the seeded fault injector"),
             ("--script", str, "JSON op list to run (default: the live DIP migration)"),

@@ -1,4 +1,4 @@
-"""Batched flow-level simulation driver.
+"""Batched flow-level simulation driver: the one resumable merge loop.
 
 :class:`BatchedFlowSimulator` replays the same workload as
 :class:`~repro.netsim.simulator.FlowSimulator` but keeps the *external*
@@ -8,20 +8,29 @@ the driver merge-sorts them against the heap of *internal* events (which
 load balancers and fault injectors still schedule normally) and dispatches
 each in exactly the order the scalar kernel would have fired it.
 
+The loop is resumable: :meth:`~BatchedFlowSimulator.feed` adds events to
+the pending streams at any time, and :meth:`~BatchedFlowSimulator.run_until`
+runs the merge to a time and can later continue from there.  It has two
+callers.  A replay (:meth:`~BatchedFlowSimulator.run`) feeds the whole
+workload once and runs to the horizon; the serving session
+(:class:`~repro.serve.session.ServeSession`) feeds each drawn window and
+runs to the window's end.
+
 **Why this is bit-identical to the scalar run.**  The scalar kernel orders
 events by ``(time, priority, seq)``.  External events use the reserved
 priorities ``PRIO_UPDATE``/``PRIO_ARRIVAL``/``PRIO_END`` (0/2/3) and are
 scheduled in list order, so among themselves equal-time ties resolve by
-stream order — which a stable sort of each stream preserves.  Internal
-events only ever use other priorities (``PRIO_INTERNAL``, the timeline
-sampler's 10), so the merge comparison ``(time, priority)`` is total: no
-seq-level coordination between the heap and the streams is ever needed.
+stream order — which a stable merge of each stream preserves, with an
+event fed earlier ahead of an equal-time one fed later.  Internal events
+only ever use other priorities (``PRIO_INTERNAL``, the timeline sampler's
+10), so the merge comparison ``(time, priority)`` is total: no seq-level
+coordination between the heap and the streams is ever needed.
 
 Arrivals are the hot stream and are handed to the load balancer in
 *chunks* via ``on_connection_batch`` when it provides one (falling back to
 per-arrival scalar calls otherwise).  A chunk never extends past the next
 update (strictly: an equal-time update fires first), past the next
-connection end, past the horizon, or past ``batch_size`` elements.
+connection end, past the run's end time, or past ``batch_size`` elements.
 Internal events that fall between two arrivals of the same chunk are fired
 by the batch consumer itself via
 :meth:`~repro.netsim.events.EventQueue.run_until_before` — the intra-batch
@@ -46,8 +55,10 @@ observing different interleavings.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_right
 from heapq import heappop
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import List, Optional, Sequence
 
 from .events import EventQueue, live_head
 from .flows import Connection
@@ -64,6 +75,47 @@ from .updates import UpdateEvent
 _INF = float("inf")
 #: Sentinel priority ordering an exhausted stream after every real event.
 _PRIO_NONE = 1 << 30
+
+
+class _Stream:
+    """One external event stream: its pending items sorted by a time field,
+    beside those times as a plain float column (the merge loop compares
+    the head time on every iteration, and ``Connection.end`` is a computed
+    property)."""
+
+    __slots__ = ("key", "items", "times")
+
+    def __init__(self, field: str) -> None:
+        self.key = attrgetter(field)
+        self.items: list = []
+        self.times: List[float] = []
+
+    def merge(self, new: Sequence) -> None:
+        """Merge ``new`` into the pending items.  The sort is stable and a
+        new item goes after every pending one at its time, so equal-time
+        items keep the order they were fed in — the order the scalar
+        kernel's schedule sequence numbers give."""
+        key = self.key
+        new = sorted(new, key=key)
+        times = list(map(key, new))
+        pending, pending_times = self.items, self.times
+        if not pending_times or not times or times[0] >= pending_times[-1]:
+            pending.extend(new)
+            pending_times.extend(times)
+            return
+        i = 0
+        for t, item in zip(times, new):
+            i = bisect_right(pending_times, t, i)
+            pending_times.insert(i, t)
+            pending.insert(i, item)
+            i += 1
+
+    def cut(self, n: int) -> list:
+        """Remove and return the first ``n`` (dispatched) items."""
+        done = self.items[:n]
+        del self.items[:n]
+        del self.times[:n]
+        return done
 
 
 class BatchedFlowSimulator:
@@ -86,6 +138,36 @@ class BatchedFlowSimulator:
         self.faults = faults
         self.batch_size = batch_size
         self.queue = EventQueue()
+        self._arrivals = _Stream("start")
+        self._ends = _Stream("end")
+        self._updates = _Stream("time")
+
+    def start(self, now: float = 0.0) -> None:
+        """Bind the load balancer, set the clock to ``now`` and attach the
+        fault injector: what happens once, before the first event."""
+        self.lb.bind(self.queue)
+        self.queue.now = now
+        if self.faults is not None:
+            self.faults.attach(self.lb, self.queue)
+
+    def feed(
+        self, connections: Sequence[Connection], updates: Sequence[UpdateEvent] = ()
+    ) -> None:
+        """Add arrivals (and their ends) and updates to the pending streams.
+
+        Like :meth:`EventQueue.schedule`, an arrival or update earlier than
+        the clock is a ``ValueError``.
+        """
+        now = self.queue.now
+        earliest = min(
+            min(map(self._arrivals.key, connections), default=now),
+            min(map(self._updates.key, updates), default=now),
+        )
+        if earliest < now:
+            raise ValueError(f"cannot feed an event in the past ({earliest} < {now})")
+        self._arrivals.merge(connections)
+        self._ends.merge(connections)
+        self._updates.merge(updates)
 
     def run(
         self,
@@ -101,21 +183,9 @@ class BatchedFlowSimulator:
         for event in updates:
             if event.time < 0:
                 raise ValueError("update events must have non-negative times")
-        queue = self.queue
-        lb = self.lb
-        lb.bind(queue)
-
         earliest = min((c.start for c in connections), default=0.0)
-        queue.now = min(earliest, 0.0)
-
-        if self.faults is not None:
-            self.faults.attach(lb, queue)
-
-        # Stable sorts preserve list order among equal keys — the same tie
-        # order the scalar kernel's schedule-sequence numbers produce.
-        arrivals = sorted(connections, key=_by_start)
-        ends = sorted(connections, key=_by_end)
-        upds = sorted(updates, key=_by_time)
+        self.start(min(earliest, 0.0))
+        self.feed(connections, updates)
 
         # The merge loop allocates almost nothing that survives it, but its
         # steady churn (event handles, learn events, per-conn states) walks
@@ -126,16 +196,18 @@ class BatchedFlowSimulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            self._merge_loop(arrivals, ends, upds, horizon_s)
+            self.run_until(horizon_s)
         finally:
             if gc_was_enabled:
                 gc.enable()
+        return _finish(self.lb, connections, horizon_s)
 
-        queue.run_until(horizon_s)
-        return _finish(lb, connections, horizon_s)
-
-    def _merge_loop(self, arrivals, ends, upds, horizon_s) -> None:
-        """The (time, priority)-ordered merge of streams against the heap."""
+    def run_until(self, t: float) -> List[Connection]:
+        """Dispatch every pending event at or before ``t`` — stream heads
+        and heap alike — in ``(time, priority)`` order; the clock ends at
+        ``t``.  Returns the connections whose ends were dispatched, in
+        dispatch order.  The streams keep only what is still pending, so
+        a later call continues where this one stopped."""
         queue = self.queue
         lb = self.lb
         batch_size = self.batch_size
@@ -143,14 +215,11 @@ class BatchedFlowSimulator:
         run_before = queue.run_until_before
         on_batch = getattr(lb, "on_connection_batch", None)
         prepare = getattr(lb, "prepare_batch", None)
+        arrivals, start_times = self._arrivals.items, self._arrivals.times
+        ends, end_times = self._ends.items, self._ends.times
+        upds, upd_times = self._updates.items, self._updates.times
         ia = ie = iu = 0
         na, ne, nu = len(arrivals), len(ends), len(upds)
-        # Plain float columns for the merge comparisons: the loop reads the
-        # head times on every iteration, and ``Connection.end`` is a
-        # computed property.
-        start_times = [c.start for c in arrivals]
-        end_times = [c.end for c in ends]
-        upd_times = [u.time for u in upds]
         # Arrivals below index ``prepared`` have had their columnar facts
         # precomputed.  Windows span ``batch_size`` arrivals regardless of
         # where ends/updates cut the dispatch chunks — ``prepare_batch``
@@ -180,7 +249,7 @@ class BatchedFlowSimulator:
                 t_best, p_best, source = ta, PRIO_ARRIVAL, 2
             if te < t_best or (te == t_best and PRIO_END < p_best):
                 t_best, p_best, source = te, PRIO_END, 3
-            if t_best > horizon_s:
+            if t_best > t:
                 break
             if source == 2:
                 if prepare is not None and ia >= prepared:
@@ -188,13 +257,13 @@ class BatchedFlowSimulator:
                     prepare(arrivals[ia:prepared])
                 # Chunk of consecutive arrivals: stop before the next
                 # update (updates win equal-time ties), at the next end
-                # (arrivals win those), at the horizon, or at batch_size.
-                bound = min(tu, te, horizon_s)
+                # (arrivals win those), at ``t``, or at batch_size.
+                bound = min(tu, te, t)
                 j = ia + 1
                 limit = min(na, ia + batch_size)
                 while j < limit:
-                    t = start_times[j]
-                    if t > bound or t >= tu:
+                    ts = start_times[j]
+                    if ts > bound or ts >= tu:
                         break
                     j += 1
                 chunk = arrivals[ia:j]
@@ -222,15 +291,7 @@ class BatchedFlowSimulator:
                 queue.now = tu
                 lb.apply_update(upds[iu])
                 iu += 1
-
-
-def _by_start(conn: Connection) -> float:
-    return conn.start
-
-
-def _by_end(conn: Connection) -> float:
-    return conn.end
-
-
-def _by_time(event: UpdateEvent) -> float:
-    return event.time
+        queue.run_until(t)
+        self._arrivals.cut(ia)
+        self._updates.cut(iu)
+        return self._ends.cut(ie)

@@ -19,8 +19,8 @@ __all__ = ["ObsHook"]
 class ObsHook:
     """The ``replay(attach=...)`` hook that arms what ``obs`` asks for.
 
-    Called as ``hook(sim, lb)`` once the load balancer is bound but before
-    the run starts (``sim`` is anything exposing the run's ``.queue``), it
+    Called as ``hook(sim, lb)`` after the simulator is built but before
+    its first event (only ``sim.queue`` is used), it
     hands ``lb`` a :class:`FlightRecorder` tagged ``source`` (unless
     ``obs.record_source`` overrides the tag) and schedules a
     :class:`TimelineSampler` over ``lb.metrics`` up to ``horizon_s``, its

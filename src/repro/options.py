@@ -1,8 +1,9 @@
 """Shared runner options: replay-driver and observability knobs.
 
 Every batch runner (``run_chaos``, ``run_fleet``,
-``run_fleet_partitioned``, ``run_sharded``) and the serving mode accept
-the same two axes of configuration:
+``run_fleet_partitioned``, ``run_sharded``) accepts the same two axes of
+configuration; the serving mode takes only the second (it has one replay
+loop):
 
 * :class:`DriverOptions` — which replay driver executes arrivals
   (chunked-arrival batched vs the scalar event-at-a-time oracle) and the
@@ -33,7 +34,7 @@ DEFAULT_RECORD_CAPACITY = 65_536
 
 @dataclass(frozen=True)
 class DriverOptions:
-    """Replay-driver selection, shared by every runner and the serve loop.
+    """Replay-driver selection, shared by every batch runner.
 
     ``batched`` picks the chunked-arrival driver (the default; bit-identical
     to the scalar oracle, see tests/asicsim/test_differential.py);

@@ -8,7 +8,9 @@ weight, reassign a VIP across the fleet.  Every mutation maps onto the
 existing PCC-safe machinery — the 3-step update coordinator
 (:mod:`repro.core.pcc_update`) for pool changes, the fleet's
 announce/drain/redirect reassignment — so the serving mode adds no second
-consistency mechanism, only a long-lived driver around the first one.
+consistency mechanism.  Nor a second replay loop: a session feeds each
+drawn window to the loop a replay runs
+(:class:`~repro.netsim.batchsim.BatchedFlowSimulator`).
 
 Serve time is the session's event queue.  It moves by explicit ``POST
 /advance`` steps (``ServeSession.advance`` — fully deterministic, the mode

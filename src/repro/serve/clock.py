@@ -5,8 +5,8 @@ source of truth for "now".  By default time moves only when the operator
 (or a script) asks for it, via ``ServeSession.advance(dt)``: between
 advances the queue is quiescent, so a serial sequence of API calls is a
 total order of deterministic state transitions and two runs of the same
-script are bit-identical (asserted by ``tests/serve/test_determinism.py``
-and the CI serve smoke step).
+script are bit-identical (asserted by ``tests/serve/test_script.py`` and
+the CI serve smoke step).
 
 :class:`WallclockPacer` is the other way to move it: an asyncio task
 advances the session by real elapsed time every :data:`TICK_S`.  Useful

@@ -3,7 +3,8 @@ operations the control API exposes against it.
 
 :class:`ServeSession` owns a :class:`~repro.core.silkroad.SilkRoadSwitch`
 (``num_switches == 1``) or a :class:`~repro.deploy.fleet.FleetSilkRoad`,
-bound to one :class:`~repro.netsim.events.EventQueue`, and a
+driven by the replay loop of
+:class:`~repro.netsim.batchsim.BatchedFlowSimulator`, and a
 :class:`~repro.serve.source.StreamingFlowSource` feeding it.  Time moves
 only through :meth:`advance`; every mutation (:meth:`add_dip`,
 :meth:`drain_dip`, :meth:`remove_dip`, :meth:`set_weight`,
@@ -23,7 +24,6 @@ of state transitions over seeded RNG draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core import SilkRoadConfig, SilkRoadSwitch
@@ -36,14 +36,13 @@ from ..experiments.common import (
 )
 from ..netsim.cluster import make_cluster, spare_pool
 from ..netsim.arrivals import uniform_vip_workloads
-from ..netsim.events import EventQueue
+from ..netsim.batchsim import BatchedFlowSimulator
 from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
-from ..netsim.simulator import PRIO_ARRIVAL, PRIO_END
 from ..netsim.updates import RootCause, UpdateEvent, UpdateKind
 from ..obs import ObsHook
 from ..obs.export import iter_jsonl, to_prometheus_text
-from ..options import DriverOptions, ObsOptions
+from ..options import ObsOptions
 from .source import StreamingFlowSource
 
 
@@ -92,7 +91,6 @@ class ServeConfig:
     plan_horizon_s: float = 600.0
     spares_per_vip: int = 8
     config: Optional[SilkRoadConfig] = None
-    driver: Optional[DriverOptions] = None
     obs: Optional[ObsOptions] = None
     #: pace time from the wallclock instead of explicit ``/advance``.
     wallclock: bool = False
@@ -126,7 +124,6 @@ class ServeSession:
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
         self.config = config
-        driver = self.driver = config.driver or DriverOptions()
         obs = self.obs = config.obs or ObsOptions()
         sr_config = config.config if config.config is not None else SilkRoadConfig()
 
@@ -139,7 +136,6 @@ class ServeSession:
             self.cluster.vips, BASE_NEW_CONNS_PER_MIN * config.scale
         )
         self.source = StreamingFlowSource(workloads, seed=config.seed)
-        self.queue = EventQueue()
         self.is_fleet = config.num_switches > 1
         if self.is_fleet:
             from ..deploy.fleet import FleetConfig
@@ -154,12 +150,6 @@ class ServeSession:
             self.lb = SilkRoadSwitch(sr_config, name="silkroad-serve")
         for service in self.cluster.services:
             self.lb.announce_vip(service.vip, service.dips)
-        self.lb.bind(self.queue)
-
-        hook = ObsHook(obs, "serve", config.plan_horizon_s)
-        hook(self, self.lb)  # the hook only needs ``.queue`` of its "sim"
-        self.recorder = hook.recorder
-        self.timeline = hook.timeline
 
         self.injector = None
         if config.chaos:
@@ -174,7 +164,17 @@ class ServeSession:
                 num_switches=config.num_switches,
             )
             self.injector = FaultInjector(plan)
-            self.injector.attach(self.lb, self.queue)
+
+        #: The replay loop, fed one drawn window per :meth:`advance`; its
+        #: queue is the session's clock.  The hook and the injector attach
+        #: to it as they do in a replay.
+        self.sim = BatchedFlowSimulator(self.lb, faults=self.injector)
+        self.queue = self.sim.queue
+        hook = ObsHook(obs, "serve", config.plan_horizon_s)
+        hook(self.sim, self.lb)
+        self.recorder = hook.recorder
+        self.timeline = hook.timeline
+        self.sim.start()
 
         #: What the shutdown audit can still count: connections not yet
         #: ended, by id, and ended ones whose decision log is not a single
@@ -227,13 +227,11 @@ class ServeSession:
     def advance(self, dt: float) -> Dict[str, object]:
         """Move time forward ``dt`` seconds, streaming arrivals in.
 
-        Ends ride the event heap (``PRIO_END``), so both drivers see the
-        exact scalar ``(time, priority, seq)`` order: the scalar path
-        schedules arrivals as heap events; the batched path dispatches
-        them in ``batch_size`` chunks through ``on_connection_batch``,
-        whose per-element ``run_until_before`` sweep fires interleaved
-        heap events (ends, CPU installs, faults) first — the same
-        intra-batch ordering rule the replay driver relies on.
+        The drawn window is fed to the replay loop, which runs to the
+        window's end exactly as a replay runs to its horizon: arrivals and
+        ends merge beside the heap in the scalar ``(time, priority)``
+        order.  The connections whose ends it dispatched are forgotten
+        unless they are broken.
         """
         self._check_open()
         # bool is an int subclass; NaN fails both comparisons; inf and
@@ -248,43 +246,24 @@ class ServeSession:
                 "bad_advance",
                 f"dt must be a number of seconds in (0, {MAX_ADVANCE_S:g}]",
             )
-        queue = self.queue
-        lb = self.lb
-        t0 = queue.now
+        t0 = self.queue.now
         t1 = t0 + float(dt)
         conns = self.source.draw(t0, t1)
         live = self.live_connections
         for conn in conns:
             live[conn.conn_id] = conn
-            queue.schedule(conn.end, partial(self._end, conn), PRIO_END)
-        on_batch = getattr(lb, "on_connection_batch", None)
-        if self.driver.batched and on_batch is not None:
-            prepare = getattr(lb, "prepare_batch", None)
-            size = self.driver.batch_size
-            for i in range(0, len(conns), size):
-                chunk = conns[i : i + size]
-                if prepare is not None:
-                    prepare(chunk)
-                on_batch(chunk)
-        else:
-            for conn in conns:
-                queue.schedule(
-                    conn.start, partial(lb.on_connection_arrival, conn), PRIO_ARRIVAL
-                )
-        queue.run_until(t1)
+        self.sim.feed(conns)
+        for conn in self.sim.run_until(t1):
+            del live[conn.conn_id]
+            if conn.remapped or conn.ever_dropped:
+                self.ended_broken.append(conn)
         self._refresh_drains()
         self.advances += 1
         return {
-            "now": queue.now,
+            "now": self.queue.now,
             "arrivals": len(conns),
             "total_connections": self.source.total_generated,
         }
-
-    def _end(self, conn: Connection) -> None:
-        self.lb.on_connection_end(conn)
-        del self.live_connections[conn.conn_id]
-        if conn.remapped or conn.ever_dropped:
-            self.ended_broken.append(conn)
 
     def held_connections(self) -> List[Connection]:
         """What the audit can still count: ended broken ones, then live ones."""

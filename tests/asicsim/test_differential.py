@@ -26,6 +26,7 @@ sampler, whose hooks sit inside the arrival walk and on the heap.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,8 @@ from repro.experiments.common import build_workload, silkroad_factory
 from repro.faults.chaos import chaos_config, run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.netsim.batchsim import BatchedFlowSimulator
+from repro.netsim.simulator import FlowSimulator
 from repro.options import DriverOptions, ObsOptions
 
 BATCH_SIZES = (1, 7, 64, 1024)
@@ -138,6 +141,50 @@ def test_recorder_armed_batched_matches_scalar(batch_size):
     assert batched.recorder.to_dicts() == scalar.recorder.to_dicts()
     assert scalar.recorder.recorded.get("conn", 0) > 0
     assert len(scalar.timeline) > 0
+
+
+# ----------------------------------------------------------------------
+# The resumable loop: fed in windows, it keeps the scalar kernel's
+# "cannot schedule in the past" check.
+# ----------------------------------------------------------------------
+
+
+def test_resumed_loop_rejects_events_before_the_clock():
+    workload = build_workload(
+        updates_per_min=30.0, scale=0.02, seed=5, horizon_s=8.0, warmup_s=0.0
+    )
+    switch = silkroad_factory()()
+    for service in workload.cluster.services:
+        switch.announce_vip(service.vip, service.dips)
+    sim = BatchedFlowSimulator(switch)
+    sim.start()
+    conns = [c.fresh() for c in workload.connections]
+    early = [c for c in conns if c.start < 4.0]
+    late = [c for c in conns if c.start >= 4.0]
+    assert early and late and workload.updates
+    sim.feed(early)
+    sim.run_until(4.0)
+    assert sim.queue.now == 4.0
+    update = workload.updates[0]
+    with pytest.raises(ValueError, match="in the past"):
+        sim.feed(early[-1:])
+    with pytest.raises(ValueError, match="in the past"):
+        sim.feed([], [replace(update, time=3.5)])
+    sim.feed(late, [replace(update, time=4.0)])  # at the clock is not the past
+    sim.run_until(workload.horizon_s)
+
+
+def test_run_rejects_negative_update_times():
+    workload = build_workload(
+        updates_per_min=30.0, scale=0.02, seed=5, horizon_s=8.0, warmup_s=1.0
+    )
+    early = replace(workload.updates[0], time=-0.5)
+    for sim in (
+        FlowSimulator(silkroad_factory()()),
+        BatchedFlowSimulator(silkroad_factory()()),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.run([c.fresh() for c in workload.connections], [early])
 
 
 # ----------------------------------------------------------------------

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.options import DriverOptions
 from repro.serve import ServeConfig, run_serve_script
 
-#: The CI serve smoke's three scripted chaos runs (``repro serve --chaos``,
-#: ``--fleet 3 --chaos``, ``--scalar --chaos``).
+#: The CI serve smoke's two scripted chaos runs (``repro serve --chaos``
+#: and ``--fleet 3 --chaos``).
 PINNED_CONFIGS = {
     "switch": ServeConfig(chaos=True),
     "fleet3": ServeConfig(chaos=True, num_switches=3),
-    "scalar": ServeConfig(chaos=True, driver=DriverOptions(batched=False)),
 }
 
 _SWITCH_REPORT = {
@@ -45,7 +43,6 @@ _SWITCH_REPORT = {
 
 PINNED_REPORTS = {
     "switch": _SWITCH_REPORT,
-    "scalar": _SWITCH_REPORT,
     "fleet3": {
         "advances": 9,
         "audit_detail": (
@@ -112,14 +109,6 @@ class TestMigrationScript:
         # A graceful migration breaks nothing: every PCC violation would
         # be unattributed on a chaos-free run, so there must be none.
         assert result.report["pcc_violations"] == 0
-
-    def test_scalar_driver_matches_batched(self):
-        batched = run_serve_script(_config())
-        scalar = run_serve_script(
-            _config(driver=DriverOptions(batched=False))
-        )
-        assert batched.ok and scalar.ok
-        assert batched.fingerprint == scalar.fingerprint
 
     @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
     def test_shutdown_report_is_pinned(self, name):

@@ -44,11 +44,9 @@ class TestRunnersAcceptOptions:
             ServeConfig(
                 seed=5,
                 scale=0.01,
-                driver=DriverOptions(batched=False),
                 obs=ObsOptions(record=True, record_capacity=256),
             )
         )
         session.advance(2.0)
         assert session.recorder is not None
         assert session.recorder.source == "serve"
-        assert session.driver.batched is False
