@@ -80,25 +80,28 @@ class Slot:
     """One occupied table slot (one packed entry in an SRAM word).
 
     It is also the one software shadow record of its resident: where the
-    entry lives and the candidate triples it is registered under
-    (:meth:`CuckooTable._profile`), so a move or a delete re-derives
-    nothing.
+    entry lives (its stage and its slot-map index, the very int object
+    that keys it in the map) and the candidate triples it is registered
+    under (:meth:`CuckooTable._profile`), so a move or a delete re-derives
+    nothing.  Its :class:`Location` is built only when asked for.
     """
 
-    __slots__ = ("key", "digest", "value", "loc", "profile")
+    __slots__ = ("key", "digest", "value", "stage", "index", "profile")
 
     def __init__(
         self,
         key: bytes,
         digest: int,
         value: int,
-        loc: Location,
+        stage: int,
+        index: int,
         profile: Tuple[int, ...],
     ) -> None:
         self.key = key
         self.digest = digest
         self.value = value
-        self.loc = loc
+        self.stage = stage
+        self.index = index
         self.profile = profile
 
 
@@ -120,6 +123,9 @@ class LookupResult(NamedTuple):
 #: arrival hot path, and the result is immutable, so one instance serves
 #: every miss without a per-call allocation.
 _MISS = LookupResult(hit=False)
+
+#: Sort key putting slots in physical order (a bucket's in way order).
+_INDEX = attrgetter("index")
 
 
 class InsertResult(NamedTuple):
@@ -219,7 +225,7 @@ class CuckooTable:
         self._digest_units: List[HashUnit] = hash_family(stages, base_seed=seed ^ 0xD16E57)
         # A candidate (stage, bucket, digest) triple is packed into one int,
         # ``digest << shift | (stage * buckets + bucket)``: its low bits are
-        # the bucket's cell in the slot column below, and an int hashes far
+        # the bucket's cell in the slot map below, and an int hashes far
         # cheaper than a tuple on the hottest paths (lookup's fast miss,
         # registration per insert / delete).
         self._stage_offsets: List[int] = [
@@ -239,11 +245,11 @@ class CuckooTable:
             )
             for s in range(stages)
         ]
-        # One flat slot column: entry (stage, bucket, way) lives at index
-        # ``(stage * buckets_per_stage + bucket) * ways + way``.  Building
-        # the table is one allocation whatever its capacity, and reading a
-        # bucket is one C-level slice.
-        self._column: List[Optional[Slot]] = [None] * capacity
+        # The slot map holds occupied slots only: entry (stage, bucket, way)
+        # lives at index ``(stage * buckets_per_stage + bucket) * ways +
+        # way``, and an absent index is a free slot.  An empty table costs
+        # the same whatever its capacity.
+        self._column: Dict[int, Slot] = {}
         #: Resident entries per stage, maintained on place / move / delete.
         self._stage_counts: List[int] = [0] * stages
         # Software shadow state, one record per resident: full key -> its
@@ -507,25 +513,50 @@ class CuckooTable:
         return self._scan(key, profile)
 
     def _scan(self, key: bytes, profile) -> LookupResult:
-        """The slot scan behind :meth:`lookup`'s fast-miss filter
-        (false-positive accounting happens here)."""
-        col, ways = self._column, self.ways
-        mask, shift = self._cell_mask, self._cand_shift
-        for cand in profile:
-            base = (cand & mask) * ways
-            digest = cand >> shift
-            for slot in col[base : base + ways]:
-                if slot is not None and slot.digest == digest:
-                    fp = slot.key != key
-                    if fp:
-                        self._m_lookup_fp.value += 1.0
-                    return LookupResult(
-                        hit=True,
-                        value=slot.value,
-                        location=slot.loc,
-                        false_positive=fp,
-                    )
+        """The bucket scan behind :meth:`lookup`'s fast-miss filter
+        (false-positive accounting happens here).
+
+        Answered from the candidate index: the slots of bucket (s, b) that
+        hold digest d are exactly the residents registered under triple
+        (s, b, d) that live in stage s, and the lowest way among them is
+        the one the hardware's in-order scan would hit."""
+        candidates, where = self._candidates, self._where
+        for stage, cand in enumerate(profile):
+            owners = candidates.get(cand)
+            if owners is None:
+                continue
+            if type(owners) is set:
+                matches = self._matches(stage, owners)
+                if not matches:
+                    continue
+                slot = matches[0]
+            else:
+                slot = where[owners]
+                if slot.stage != stage:
+                    continue
+            fp = slot.key != key
+            if fp:
+                self._m_lookup_fp.value += 1.0
+            return LookupResult(
+                hit=True,
+                value=slot.value,
+                location=self._location(slot),
+                false_positive=fp,
+            )
         return _MISS
+
+    def _matches(self, stage: int, owners) -> List[Slot]:
+        """The slots holding a candidate triple's digest in its bucket of
+        ``stage``, in way order: those of its registered ``owners`` (a key
+        or a set of keys) that live in that stage."""
+        where = self._where
+        if type(owners) is not set:
+            slot = where[owners]
+            return [slot] if slot.stage == stage else []
+        return sorted(
+            (slot for slot in map(where.__getitem__, owners) if slot.stage == stage),
+            key=_INDEX,
+        )
 
     def get_exact(self, key: bytes) -> Optional[int]:
         """Software (full-key) lookup; no false positives."""
@@ -534,11 +565,21 @@ class CuckooTable:
 
     def location_of(self, key: bytes) -> Optional[Location]:
         slot = self._where.get(key)
-        return None if slot is None else slot.loc
+        return None if slot is None else self._location(slot)
+
+    def key_at(self, location: Location) -> Optional[bytes]:
+        """Full key of the entry at ``location``; ``None`` for a free slot."""
+        slot = self._column.get(self._index(location))
+        return None if slot is None else slot.key
 
     def _index(self, loc: Location) -> int:
-        """Column index of a physical location."""
+        """Slot-map index of a physical location."""
         return (self._stage_offsets[loc[0]] + loc[1]) * self.ways + loc[2]
+
+    def _location(self, slot: Slot) -> Location:
+        """Physical location of a resident's slot."""
+        cell, way = divmod(slot.index, self.ways)
+        return Location(slot.stage, cell - self._stage_offsets[slot.stage], way)
 
     # ------------------------------------------------------------------
     # Placement legality (software invariant)
@@ -563,7 +604,7 @@ class CuckooTable:
                 continue
             for other in owners if type(owners) is set else (owners,):
                 if other != key:
-                    home = where[other].loc[0]
+                    home = where[other].stage
                     if home == t or (t == stage and home > t):
                         return False
         return True
@@ -576,19 +617,22 @@ class CuckooTable:
         """Re-home a resident's ``slot`` in the free ``way`` of bucket
         ``cell`` of ``stage``; the stored digest becomes that stage's."""
         col = self._column
-        src = slot.loc
-        col[self._index(src)] = None
+        del col[slot.index]
+        self._stage_counts[slot.stage] -= 1
         slot.digest = slot.profile[stage] >> self._cand_shift
-        col[cell * self.ways + way] = slot
-        slot.loc = Location(stage, cell - self._stage_offsets[stage], way)
-        self._stage_counts[src.stage] -= 1
+        slot.stage = stage
+        slot.index = index = cell * self.ways + way
+        col[index] = slot
         self._stage_counts[stage] += 1
 
     def _free_way(self, cell: int) -> Optional[int]:
         """First free way of bucket ``cell`` (stage offset + bucket)."""
+        col = self._column
         base = cell * self.ways
-        slots = self._column[base : base + self.ways]
-        return slots.index(None) if None in slots else None
+        for way in range(self.ways):
+            if base + way not in col:
+                return way
+        return None
 
     # ------------------------------------------------------------------
     # Insertion (software, cuckoo BFS)
@@ -633,19 +677,18 @@ class CuckooTable:
                 if self.relocate(twin):
                     self._m_relocations.value += 1.0
 
-        col, ways, mask = self._column, self.ways, self._cell_mask
+        free_way, mask = self._free_way, self._cell_mask
         moves = 0
         for stage, cand in enumerate(profile):
             # Fast path: a free, legal slot in some candidate bucket.
-            base = (cand & mask) * ways
-            slots = col[base : base + ways]
-            if None in slots and (
+            way = free_way(cand & mask)
+            if way is not None and (
                 not contested or self._placement_legal(key, stage, profile)
             ):
-                way = slots.index(None)
                 break
         else:
-            # BFS over move sequences.
+            # BFS over move sequences; every legal candidate bucket is
+            # now known to be full.
             path = self._bfs_find_path(key, profile)
             if path is None:
                 self._m_insert_failures.value += 1.0
@@ -661,9 +704,9 @@ class CuckooTable:
 
         cand = profile[stage]
         cell = cand & mask
-        loc = Location(stage, cell - self._stage_offsets[stage], way)
-        col[cell * ways + way] = where[key] = Slot(
-            key, cand >> self._cand_shift, value, loc, profile
+        index = cell * self.ways + way
+        self._column[index] = where[key] = Slot(
+            key, cand >> self._cand_shift, value, stage, index, profile
         )
         # Its profile rides on the Slot now; the LRU keeps in-flight keys only.
         self._profile_cache.pop(key, None)
@@ -679,25 +722,21 @@ class CuckooTable:
         self._m_inserts.value += 1.0
         self._m_moves.value += moves
         self._m_moves_hist.observe(float(moves))
-        return InsertResult(loc, moves)
+        return InsertResult(
+            Location(stage, cell - self._stage_offsets[stage], way), moves
+        )
 
     def _digest_twins(self, key: bytes, profile) -> List[bytes]:
         """Resident keys whose stored digest collides with ``key`` in one of
         its candidate buckets (they would shadow any placement of it)."""
         twins: List[bytes] = []
         candidates = self._candidates
-        col, ways = self._column, self.ways
-        mask, shift = self._cell_mask, self._cand_shift
-        for cand in profile:
-            # Same over-approximation as lookup's fast miss: a twin slot's
-            # owner is always registered under this candidate triple.
-            if cand not in candidates:
-                continue
-            base = (cand & mask) * ways
-            digest = cand >> shift
-            for slot in col[base : base + ways]:
-                if slot is not None and slot.digest == digest and slot.key != key:
-                    twins.append(slot.key)
+        for stage, cand in enumerate(profile):
+            # A twin slot's owner is always registered under this
+            # candidate triple (see :meth:`_scan`).
+            owners = candidates.get(cand)
+            if owners is not None:
+                twins.extend(slot.key for slot in self._matches(stage, owners))
         return twins
 
     def _bfs_find_path(self, key: bytes, profile):
@@ -728,12 +767,13 @@ class CuckooTable:
             stage, cell, _parent, _way = frontier[idx]
             nodes_explored += 1
             # Try to extend: each resident of this bucket could move to one of
-            # its candidate buckets in other stages.
+            # its candidate buckets in other stages.  A queued bucket is
+            # known to be full (the roots failed insert's fast path, the
+            # rest failed the free-way test below), so no way is probed
+            # for being free.
             base = cell * ways
-            for way, slot in enumerate(col[base : base + ways]):
-                if slot is None:
-                    # Free slot here: reconstruct the path.
-                    return self._reconstruct_path(frontier, idx)
+            for way in range(ways):
+                slot = col[base + way]
                 for dest_stage, dest_cand in enumerate(slot.profile):
                     if dest_stage == stage:
                         continue
@@ -770,7 +810,7 @@ class CuckooTable:
         """Apply moves deepest-first so each destination has a free way."""
         moves = path[1:]
         for src_cell, way, dst_stage, dst_cell in reversed(moves):
-            slot = self._column[src_cell * self.ways + way]
+            slot = self._column.get(src_cell * self.ways + way)
             assert slot is not None, "BFS referenced an empty way"
             dest_way = self._free_way(dst_cell)
             assert dest_way is not None, "move destination is full"
@@ -793,8 +833,8 @@ class CuckooTable:
         slot = self._where.pop(key, None)
         if slot is None:
             raise KeyError(f"key not resident: {key!r}")
-        self._column[self._index(slot.loc)] = None
-        self._stage_counts[slot.loc[0]] -= 1
+        del self._column[slot.index]
+        self._stage_counts[slot.stage] -= 1
         candidates = self._candidates
         for cand in slot.profile:
             owner = candidates[cand]
@@ -819,7 +859,7 @@ class CuckooTable:
             raise KeyError(f"key not resident: {key!r}")
         profile = slot.profile
         for dest_stage, cand in enumerate(profile):
-            if dest_stage == slot.loc.stage:
+            if dest_stage == slot.stage:
                 continue
             dest_cell = cand & self._cell_mask
             dest_way = self._free_way(dest_cell)
@@ -839,39 +879,44 @@ class CuckooTable:
 
     def entries(self) -> Iterator[Tuple[int, int, int, bytes, int, int]]:
         """Every resident entry as ``(stage, bucket, way, key, digest,
-        value)``, in physical (column) order; cost follows the residents."""
-        for slot in sorted(self._where.values(), key=attrgetter("loc")):
-            yield (*slot.loc, slot.key, slot.digest, slot.value)
+        value)``, in physical (slot-index) order; cost follows the
+        residents."""
+        for slot in sorted(self._where.values(), key=_INDEX):
+            yield (*self._location(slot), slot.key, slot.digest, slot.value)
 
     def check_invariants(self) -> None:
-        """Validate shadow state against the slot column (test helper).
+        """Validate shadow state against the slot map (test helper).
 
         Every ``_where`` entry must be the Slot sitting at its own in-range
-        location, holding its own key with that stage's digest; distinct
-        keys then occupy distinct slots, so an occupied-slot count equal to
-        ``len(_where)`` proves no slot is orphaned.  The candidate index is
-        audited from its own side: every registration must name a resident
-        under one of that resident's triples, and ``stages`` registrations
-        per resident then proves none is missing.  The whole audit costs
-        O(resident), not O(capacity).
+        index, inside its own stage, holding its own key with that stage's
+        digest; distinct keys then occupy distinct slots, so a slot map no
+        larger than ``_where`` proves no slot is orphaned.  The candidate
+        index is audited from its own side: every registration must name a
+        resident under one of that resident's triples, and ``stages``
+        registrations per resident then proves none is missing.  The whole
+        audit costs O(resident), not O(capacity).
         """
         col, where, shift = self._column, self._where, self._cand_shift
+        stage_slots = self.buckets_per_stage * self.ways
         counts = [0] * self.stages
         for key, slot in where.items():
-            stage, bucket, way = loc = slot.loc
-            in_range = (
-                0 <= stage < self.stages
-                and 0 <= bucket < self.buckets_per_stage
-                and 0 <= way < self.ways
-            )
-            if not in_range or col[self._index(loc)] is not slot or slot.key != key:
-                raise AssertionError(f"shadow map out of sync for {key!r}: {loc}")
+            stage, index = slot.stage, slot.index
+            if (
+                not 0 <= index < self.capacity
+                or index // stage_slots != stage
+                or col.get(index) is not slot
+                or slot.key != key
+            ):
+                raise AssertionError(
+                    f"shadow map out of sync for {key!r}: stage {stage}, index {index}"
+                )
             if slot.digest != slot.profile[stage] >> shift:
                 raise AssertionError("stored digest mismatch")
             counts[stage] += 1
-        seen = len(col) - col.count(None)
-        if seen != len(where):
-            raise AssertionError(f"slot count {seen} != shadow count {len(where)}")
+        if len(col) != len(where):
+            raise AssertionError(
+                f"slot count {len(col)} != shadow count {len(where)}"
+            )
         if counts != self._stage_counts:
             raise AssertionError(
                 f"stage counters {self._stage_counts} != recount {counts}"

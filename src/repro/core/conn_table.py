@@ -89,13 +89,10 @@ class ConnTable:
         result = self._table.lookup(new_key, key_hash)
         if not result.hit or not result.false_positive:
             return True  # nothing to resolve
-        # False-positive SYNs are rare (a handful per million lookups at 16
-        # digest bits), so finding the hit slot's owner through the public
-        # entry walk is cheaper than a second lookup surface.
-        for stage, bucket, way, key, _digest, _version in self._table.entries():
-            if (stage, bucket, way) == result.location:
-                return self._table.relocate(key)
-        raise AssertionError(f"lookup hit an empty slot: {result.location}")
+        key = self._table.key_at(result.location)
+        if key is None:
+            raise AssertionError(f"lookup hit an empty slot: {result.location}")
+        return self._table.relocate(key)
 
     # -- introspection ---------------------------------------------------
 

@@ -191,7 +191,9 @@ class TupleFactory:
 
     def take(self, vip: VirtualIP, count: int) -> List[FiveTuple]:
         """The next ``count`` tuples: ``[next_for(vip) for _ in range(count)]``
-        built in one pass per client IP."""
+        built in one pass per client IP.  Each record is made by
+        ``tuple.__new__`` from zipped field columns, all in C (the
+        generated ``NamedTuple.__new__`` is a Python-level function)."""
         if count < 0:
             raise ValueError("count must not be negative")
         dst_ip, dst_port, proto, v6 = vip
@@ -204,13 +206,16 @@ class TupleFactory:
             src_port = 1024 + port_offset
             tuples.extend(
                 map(
-                    FiveTuple,
-                    repeat(self._base_ip + ip_offset, run),
-                    range(src_port, src_port + run),
-                    repeat(dst_ip),
-                    repeat(dst_port),
-                    repeat(proto),
-                    repeat(v6),
+                    tuple.__new__,
+                    repeat(FiveTuple),
+                    zip(
+                        repeat(self._base_ip + ip_offset, run),
+                        range(src_port, src_port + run),
+                        repeat(dst_ip),
+                        repeat(dst_port),
+                        repeat(proto),
+                        repeat(v6),
+                    ),
                 )
             )
             first += run

@@ -1,15 +1,16 @@
-"""The flat slot column: reference-model churn, the capacity-free audit's
+"""The sparse slot map: reference-model churn, the capacity-free audit's
 negative cases, and the guards that keep table cost following residents."""
 
 from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from repro.asicsim.cuckoo import CuckooTable, TableFull
+from repro.asicsim.cuckoo import CuckooTable, Location, TableFull
 
 STAGES, BUCKETS, WAYS = 4, 16, 4
 
@@ -27,13 +28,13 @@ def small_table() -> CuckooTable:
 
 
 def physical_scan(table: CuckooTable):
-    """The column decoded by the documented index formula, front to back."""
+    """The slot map decoded by the documented index formula, in index order."""
     rows = []
-    for index, slot in enumerate(table._column):
-        if slot is not None:
-            cell, way = divmod(index, table.ways)
-            stage, bucket = divmod(cell, table.buckets_per_stage)
-            rows.append((stage, bucket, way, slot.key, slot.digest, slot.value))
+    for index, slot in sorted(table._column.items()):
+        assert 0 <= index < table.capacity
+        cell, way = divmod(index, table.ways)
+        stage, bucket = divmod(cell, table.buckets_per_stage)
+        rows.append((stage, bucket, way, slot.key, slot.digest, slot.value))
     return rows
 
 
@@ -147,20 +148,20 @@ class TestAuditLosesNothing:
 
     def test_orphan_slot_behind_where(self, table):
         column = table._column
-        donor = next(slot for slot in column if slot is not None)
-        column[column.index(None)] = donor
+        donor = next(iter(column.values()))
+        column[next(i for i in range(table.capacity) if i not in column)] = donor
         with pytest.raises(AssertionError, match="slot count"):
             table.check_invariants()
 
     def test_wrong_stored_digest(self, table):
-        slot = next(slot for slot in table._column if slot is not None)
+        slot = next(iter(table._column.values()))
         slot.digest ^= 1
         with pytest.raises(AssertionError, match="digest mismatch"):
             table.check_invariants()
 
     def test_where_entry_pointing_at_empty_slot(self, table):
         column = table._column
-        column[next(i for i, slot in enumerate(column) if slot is not None)] = None
+        del column[next(iter(column))]
         with pytest.raises(AssertionError, match="out of sync"):
             table.check_invariants()
 
@@ -243,8 +244,6 @@ def test_distinct_triple_inserts_allocate_no_set_and_stay_small():
     """One shadow record per resident: a key with triples of its own costs
     no ``set``, and the host bytes per resident entry stay bounded (the
     four-sets-per-entry representation measured 1,910 here)."""
-    import tracemalloc
-
     keys = [b"conn-%08d" % i for i in range(20_000)]
     table = CuckooTable.for_capacity(24_000, digest_bits=64)
     gc.collect()
@@ -256,15 +255,19 @@ def test_distinct_triple_inserts_allocate_no_set_and_stay_small():
     tracemalloc.stop()
     assert len(table) == len(keys)
     assert not shared_triples(table)  # 64-bit digests: no triple is shared
-    assert per_entry <= 900, per_entry  # measured: 584
+    assert per_entry <= 900, per_entry  # measured: 554
 
 
-class _WriteCountingColumn(list):
+class _WriteCountingColumn(dict):
     writes = 0
 
     def __setitem__(self, index, value):
         self.writes += 1
         super().__setitem__(index, value)
+
+    def __delitem__(self, index):
+        self.writes += 1
+        super().__delitem__(index)
 
 
 def test_legality_query_never_writes_the_column():
@@ -272,15 +275,40 @@ def test_legality_query_never_writes_the_column():
     for i in range(200):
         table.insert(b"conn-%03d" % i, i % 64)
     column = table._column = _WriteCountingColumn(table._column)
-    before = list(column)
+    before = dict(column)
     for key in list(table.keys()):
         profile = table._where[key].profile
         for stage in range(STAGES):
             table._placement_legal(key, stage, profile)
     assert column.writes == 0
-    assert all(a is b for a, b in zip(before, column))
+    assert column.keys() == before.keys()
+    assert all(column[i] is slot for i, slot in before.items())
     assert table.relocate(next(iter(table.keys())))  # the counter does count
-    assert column.writes == 2
+    assert column.writes == 2  # the vacated index leaves, the new one arrives
+
+
+def test_insert_then_delete_churn_empties_the_map():
+    """The map holds occupied slots only: whatever the churn left behind
+    (moves, relocations, BFS paths), deleting every resident empties it."""
+    table = small_table()
+    rng = random.Random(30)
+    resident = []
+    for i in range(2_000):
+        if resident and (len(resident) > 230 or rng.random() < 0.4):
+            table.delete(resident.pop(rng.randrange(len(resident))))
+        else:
+            key = b"conn-%05d" % i
+            try:
+                table.insert(key, i % 64)
+            except TableFull:
+                continue
+            resident.append(key)
+    assert table._column and table._m_moves.value > 0
+    for key in resident:
+        table.delete(key)
+    assert table._column == {} and len(table) == 0
+    assert table.stage_occupancy() == [0] * STAGES
+    table.check_invariants()
 
 
 def test_construction_is_capacity_independent():
@@ -292,3 +320,44 @@ def test_construction_is_capacity_independent():
     delta = len(gc.get_objects()) - before
     assert table.capacity >= 1_000_000
     assert delta < 100, delta
+
+
+def test_empty_table_bytes_do_not_follow_capacity():
+    """An empty million-entry table costs what an empty small one does: no
+    per-slot storage (a ``[None] * capacity`` column was 8.9 MB here)."""
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    table = CuckooTable.for_capacity(1_000_000)
+    grown = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    assert table.capacity >= 1_000_000
+    assert grown < 64 * 1024, grown  # measured: 10 KB
+
+
+def test_key_at_names_the_slot_a_false_positive_hit():
+    """At 2-bit digests a table filled as far as legality lets it (about
+    0.69 of four-way buckets) answers outsider lookups with some resident's
+    slot; ``key_at`` names that resident (the one the physical walk finds
+    there) and a free slot as ``None``."""
+    table = narrow_table()
+    for i in range(200):
+        try:
+            table.insert(b"conn-%03d" % i, i % 64)
+        except TableFull:
+            pass
+    assert table.load_factor > 0.6
+    owner_at = {(s, b, w): key for s, b, w, key, _d, _v in table.entries()}
+    false_hits = 0
+    for i in range(200):
+        result = table.lookup(b"outsider-%03d" % i)
+        if result.hit:
+            assert result.false_positive
+            false_hits += 1
+            assert table.key_at(result.location) == owner_at[result.location]
+    assert false_hits > 50, false_hits
+    for stage in range(STAGES):
+        for bucket in range(table.buckets_per_stage):
+            for way in range(WAYS):
+                loc = Location(stage, bucket, way)
+                assert table.key_at(loc) == owner_at.get(loc)

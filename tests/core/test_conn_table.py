@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.asicsim.cuckoo import TableFull
 from repro.core.config import SilkRoadConfig
 from repro.core.conn_table import (
     ConnTable,
@@ -13,6 +17,8 @@ from repro.core.conn_table import (
     memory_saving,
     naive_layout,
 )
+from repro.core.silkroad import SilkRoadSwitch
+from repro.deploy.fleet import FleetSilkRoad
 
 
 @pytest.fixture
@@ -49,6 +55,65 @@ class TestConnTable:
     def test_relocate_colliding_entry_noop_when_clean(self, table, keys):
         (key,) = keys(1)
         assert table.relocate_colliding_entry(key)  # nothing to resolve
+
+    def test_relocate_colliding_entry_moves_the_hit_slots_owner(self, keys):
+        """2-bit digests over four 4-bucket stages: nearly every outsider SYN
+        hits a resident's slot.  The entry moved is the one the physical
+        walk finds at the hit location, and nothing else moves."""
+        table = ConnTable(SilkRoadConfig(conn_table_capacity=60, digest_bits=2))
+        assert table.capacity == 64
+        pool = keys(400)
+        residents, outsiders = pool[:200], pool[200:]
+        for i, key in enumerate(residents):
+            try:
+                table.insert(key, i % 64)
+            except TableFull:
+                pass
+        assert table.load_factor > 0.6
+        relocated = 0
+        for key in outsiders:
+            result = table.lookup(key)
+            if not result.false_positive:
+                continue
+            before = {e[3]: e[:3] for e in table.entries()}
+            (owner,) = [k for k, loc in before.items() if loc == result.location]
+            moved = table.relocate_colliding_entry(key)
+            after = {e[3]: e[:3] for e in table.entries()}
+            changed = [k for k in before if before[k] != after[k]]
+            assert changed == ([owner] if moved else [])
+            relocated += moved
+        assert relocated > 0
+        table.check_invariants()
+
+
+class TestHostMemory:
+    """An empty ConnTable costs the host nothing per slot: construction
+    bytes (by ``tracemalloc``) do not follow ``conn_table_capacity``."""
+
+    @staticmethod
+    def construction_bytes(build) -> int:
+        gc.collect()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        del built
+        return grown
+
+    def test_default_switch_is_small(self):
+        # A million-entry ConnTable; measured 64 KB (8.6 MB with a slot list).
+        assert self.construction_bytes(SilkRoadSwitch) < 256 * 1024
+
+    def test_fleet_of_200k_tables_is_small(self):
+        # Eight 213,344-slot tables; measured 0.47 MB (14.1 MB with slot lists).
+        grown = self.construction_bytes(
+            lambda: FleetSilkRoad(
+                num_switches=8,
+                config=SilkRoadConfig(conn_table_capacity=200_000),
+            )
+        )
+        assert grown < 1024 * 1024, grown
 
 
 class TestFig14Arithmetic:
