@@ -4,10 +4,13 @@ The scalar simulator hands the switch one connection at a time; every
 layer then re-derives the same per-key facts (key bytes, the 64-bit base
 hash, per-stage profiles) on demand.  The batched driver instead
 materializes the key bytes and base hashes *once per priming window* as
-parallel columns, so the vectorized primitives
-(:func:`~repro.asicsim.hashing.base_hash_many`,
-:meth:`~repro.asicsim.cuckoo.CuckooTable.prime_profiles`) run over whole
-windows; the arrival walk itself stays the scalar one.
+parallel columns, so the bulk primitives run over whole windows:
+:func:`~repro.asicsim.hashing.base_hash_many` (one CRC pass per key) and
+the numpy derivations behind
+:meth:`~repro.asicsim.cuckoo.CuckooTable.prime_profiles` and
+:meth:`~repro.baselines.ecmp.ResilientHashTable.slots_of` (one
+:func:`~repro.asicsim.hashing.splitmix64_rows` pass each); the arrival
+walk itself stays the scalar one.
 """
 
 from __future__ import annotations

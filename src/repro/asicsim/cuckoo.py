@@ -23,6 +23,11 @@ faithfully here:
   number of entry moves the BFS performed, which the control-plane model
   turns into CPU time.
 
+A key's candidate buckets and digests (its *profile*) come from seeded
+mixing of its one base hash (:mod:`repro.asicsim.hashing`); a window of
+keys is profiled in one numpy pass (:meth:`CuckooTable.profile_many`),
+bit-identical to the per-key rounds.
+
 The table additionally enforces the software invariant that no *resident*
 connection's lookup is shadowed by another resident entry: when a placement
 would shadow (or be shadowed by) an existing entry, the search avoids it.
@@ -35,24 +40,18 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
-from ..obs.metrics import MetricRegistry, Scope
-from .hashing import (
-    HashUnit,
-    _splitmix64,
-    base_hash,
-    hash_family,
-    splitmix64_many,
-    splitmix64_np,
-)
-from .sram import DEFAULT_WORD_BITS, bytes_for_entries
+import numpy as np
 
-try:  # numpy powers profile_many's vectorized path; scalar never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from ..obs.metrics import MetricRegistry, Scope
+from .hashing import HashUnit, _splitmix64, base_hash, hash_family, splitmix64_rows
+from .sram import DEFAULT_WORD_BITS, bytes_for_entries
 
 #: Packing overhead per entry (instruction + next-table address), §6 of paper.
 DEFAULT_OVERHEAD_BITS = 6
+
+#: Smallest batch :meth:`CuckooTable.profile_many` derives with numpy;
+#: below it the scalar rounds are cheaper than the array round-trip.
+PROFILE_VECTOR_MIN = 3
 
 
 class TableFull(RuntimeError):
@@ -133,6 +132,12 @@ class InsertResult(NamedTuple):
 
     location: Location
     moves: int
+
+
+#: Builds a record from its field tuple in C: the generated
+#: ``NamedTuple.__new__`` is a Python-level function, and one
+#: ``InsertResult`` (with its ``Location``) is built per insert.
+_new_record = tuple.__new__
 
 
 class CuckooTable:
@@ -245,6 +250,18 @@ class CuckooTable:
             )
             for s in range(stages)
         ]
+        # The same parameters as columns for profile_many's one-pass
+        # derivation: rows 0..stages-1 of its kernel call are the index
+        # units, rows stages..2*stages-1 the digest units.
+        self._row_mixes: List[int] = [u.seed_mix for u in self._index_units] + [
+            u.seed_mix for u in self._digest_units
+        ]
+        self._row_offsets = np.array(self._stage_offsets, dtype=np.uint64)[:, None]
+        self._row_shifts = np.array(
+            [64 - bits for bits in self.digest_bits_per_stage], dtype=np.uint64
+        )[:, None]
+        # A packed triple fits a uint64 unless a digest is very wide.
+        self._pack_in_numpy = self.digest_bits + self._cand_shift <= 64
         # The slot map holds occupied slots only: entry (stage, bucket, way)
         # lives at index ``(stage * buckets_per_stage + bucket) * ways +
         # way``, and an absent index is a free slot.  An empty table costs
@@ -400,15 +417,18 @@ class CuckooTable:
         if cached is not None:
             cache.move_to_end(key)
             return cached
-        base = base_hash(key) if key_hash is None else key_hash
+        profile = self._derive_profile(base_hash(key) if key_hash is None else key_hash)
+        self._cache_profile(key, profile)
+        return profile
+
+    def _derive_profile(self, base: int) -> Tuple[int, ...]:
+        """The scalar derivation: a base hash's candidate triples."""
         buckets, cshift = self.buckets_per_stage, self._cand_shift
-        profile = tuple(
+        return tuple(
             (_splitmix64(base ^ digest_mix) >> shift) << cshift
             | (offset + _splitmix64(base ^ index_mix) % buckets)
             for index_mix, digest_mix, shift, offset in self._stage_mixes
         )
-        self._cache_profile(key, profile)
-        return profile
 
     def _cache_profile(self, key: bytes, profile: Tuple[int, ...]) -> None:
         """Admit an uncached key to the LRU side cache, evicting the oldest."""
@@ -419,35 +439,33 @@ class CuckooTable:
         cache[key] = profile
 
     def profile_many(self, bases: List[int]) -> List[Tuple[int, ...]]:
-        """Candidate profiles for a batch of base hashes (vectorized).
+        """Candidate profiles for a batch of base hashes, in one pass.
 
-        Bit-identical to ``[_profile-style mixing for each base]``: the
-        per-stage derivations run through :func:`splitmix64_many`, which
-        matches the scalar splitmix64 rounds exactly, and the triple is
-        packed on plain Python ints (a wide digest would overflow uint64).
-        Does not touch the caches — see :meth:`prime_profiles` for the
-        caching wrapper.
+        Bit-identical to the scalar derivation of :meth:`_profile` for each
+        base: one :func:`splitmix64_rows` call derives every stage's index
+        and digest row for the whole batch, and the triples are packed in
+        numpy when they fit 64 bits (on Python ints for a wide digest).
+        Batches below :data:`PROFILE_VECTOR_MIN` keys take the scalar
+        rounds, which are cheaper than an array round-trip there.  Does
+        not touch the caches — see :meth:`prime_profiles` for the caching
+        wrapper.
         """
-        buckets, cshift = self.buckets_per_stage, self._cand_shift
-        per_stage: List[List[int]] = []
-        vectorized = _np is not None and len(bases) >= 16
-        if vectorized:
-            arr = _np.array(bases, dtype=_np.uint64)
-            nb = _np.uint64(buckets)
-        for index_mix, digest_mix, shift, offset in self._stage_mixes:
-            if vectorized:
-                idx = (splitmix64_np(arr ^ _np.uint64(index_mix)) % nb).tolist()
-                dig = (
-                    splitmix64_np(arr ^ _np.uint64(digest_mix))
-                    >> _np.uint64(shift)
-                ).tolist()
-            else:
-                idx = [i % buckets for i in splitmix64_many(bases, index_mix)]
-                dig = [d >> shift for d in splitmix64_many(bases, digest_mix)]
-            per_stage.append(
-                [d << cshift | (offset + i) for i, d in zip(idx, dig)]
-            )
-        return list(zip(*per_stage))
+        if len(bases) < PROFILE_VECTOR_MIN:
+            return list(map(self._derive_profile, bases))
+        stages, cshift = self.stages, self._cand_shift
+        rows = splitmix64_rows(bases, self._row_mixes)
+        cells = rows[:stages] % np.uint64(self.buckets_per_stage) + self._row_offsets
+        digests = rows[stages:] >> self._row_shifts
+        if self._pack_in_numpy:
+            packed = (digests << np.uint64(cshift) | cells).tolist()
+        else:  # a wide digest overflows uint64: pack on Python ints
+            packed = [
+                [d << cshift | c for d, c in zip(ds, cs)]
+                for ds, cs in zip(digests.tolist(), cells.tolist())
+            ]
+        # One list per stage, zipped into the profiles (transposing first
+        # would build a throwaway list per key).
+        return list(zip(*packed))
 
     def prime_profiles(
         self, keys: List[bytes], key_hashes: List[Optional[int]]
@@ -722,9 +740,9 @@ class CuckooTable:
         self._m_inserts.value += 1.0
         self._m_moves.value += moves
         self._m_moves_hist.observe(float(moves))
-        return InsertResult(
-            Location(stage, cell - self._stage_offsets[stage], way), moves
-        )
+        bucket = cell - self._stage_offsets[stage]
+        location = _new_record(Location, (stage, bucket, way))
+        return _new_record(InsertResult, (location, moves))
 
     def _digest_twins(self, key: bytes, profile) -> List[bytes]:
         """Resident keys whose stored digest collides with ``key`` in one of

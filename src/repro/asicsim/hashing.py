@@ -29,6 +29,11 @@ to every consumer:
 Two units with different seeds behave as independent hash functions over the
 shared base, which preserves the per-stage/per-way independence the cuckoo
 and Bloom analyses assume.
+
+Batched consumers derive a whole window in one pass: :func:`splitmix64_rows`
+applies every seed mix they need (a ConnTable's index and digest units of
+every stage, a Bloom filter's ways, an ECMP group's slot unit) to a column
+of base hashes with numpy, bit-identical to the scalar rounds.
 """
 
 from __future__ import annotations
@@ -37,10 +42,7 @@ import binascii
 import zlib
 from dataclasses import dataclass
 
-try:  # numpy powers the batched derivations; the scalar path never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,40 +83,33 @@ def base_hash_many(keys) -> list[int]:
     ]
 
 
-def splitmix64_np(x):
-    """One splitmix64 round over a numpy uint64 array (batched internal).
+#: :func:`splitmix64_rows`' constants as uint64 scalars, built once.
+_GAMMA, _M1, _M2 = (
+    np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
-    Bit-identical to mapping :func:`_splitmix64` over the elements: uint64
-    arithmetic wraps modulo 2**64 exactly like the masked Python-int
-    rounds.  The caller owns the input array (including any seed xor) and
-    receives an array back — consumers that need Python ints call
-    ``.tolist()`` after their own downstream arithmetic, which keeps
-    modulo/shift work vectorized too.
+
+def splitmix64_rows(bases, mixes) -> np.ndarray:
+    """Every seed mix of ``mixes`` applied to every base of ``bases``.
+
+    Returns the uint64 array of shape ``(len(mixes), len(bases))``,
+    bit-identical to ``[[_splitmix64(b ^ m) for b in bases] for m in
+    mixes]``: uint64 arithmetic wraps modulo 2**64 exactly like the masked
+    Python-int rounds.  One call derives every unit a consumer needs for a
+    whole window (row ``i`` is ``mixes[i]``'s unit); callers do their
+    modulo / shift work on the array and ``tolist()`` at the end, which
+    yields plain Python ints.
     """
-    with _np.errstate(over="ignore"):
-        x = x + _np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> _np.uint64(31))
-
-
-def splitmix64_many(values, seed_mix: int = 0) -> list[int]:
-    """Vectorized splitmix64 over ``values`` (xor'd with ``seed_mix``).
-
-    Bit-identical to ``[_splitmix64(v ^ seed_mix) for v in values]``.
-    Returns plain Python ints so downstream modulo / shift arithmetic
-    matches the scalar path exactly.  Falls back to the scalar loop when
-    numpy is unavailable or the batch is too small to amortize the array
-    round-trip.
-    """
-    n = len(values)
-    if _np is None or n < 16:
-        sm = _splitmix64
-        return [sm((v ^ seed_mix) & _MASK64) for v in values]
-    x = _np.array(values, dtype=_np.uint64)
-    if seed_mix:
-        x = x ^ _np.uint64(seed_mix)
-    return splitmix64_np(x).tolist()
+    # Array (never scalar) uint64 arithmetic: it wraps without a warning.
+    x = np.array(bases, dtype=np.uint64) ^ np.array(mixes, dtype=np.uint64)[:, None]
+    x += _GAMMA
+    x ^= x >> _S30
+    x *= _M1
+    x ^= x >> _S27
+    x *= _M2
+    x ^= x >> _S31
+    return x
 
 
 def base_hash(key: bytes) -> int:

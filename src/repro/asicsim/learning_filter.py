@@ -38,6 +38,12 @@ class LearnEvent(NamedTuple):
     key_hash: Optional[int] = None
 
 
+#: Builds a :class:`LearnEvent` from its field tuple in C (the generated
+#: ``NamedTuple.__new__`` is a Python-level function); one is built per
+#: offered connection.
+_new_record = tuple.__new__
+
+
 @dataclass
 class LearnBatch:
     """A drained batch handed to the switch CPU."""
@@ -142,9 +148,7 @@ class LearningFilter:
         if key in self._pending:
             self._m_dedup.value += 1.0
             return None
-        self._pending[key] = LearnEvent(
-            key=key, metadata=metadata, first_seen=now, key_hash=key_hash
-        )
+        self._pending[key] = _new_record(LearnEvent, (key, metadata, now, key_hash))
         if self._oldest is None:
             self._oldest = now
         if len(self._pending) >= self.capacity:
@@ -170,11 +174,8 @@ class LearningFilter:
                 self._m_dedup.value += 1.0
                 continue
             self._m_rearmed.value += 1.0
-            self._pending[event.key] = LearnEvent(
-                key=event.key,
-                metadata=event.metadata,
-                first_seen=now,
-                key_hash=event.key_hash,
+            self._pending[event.key] = _new_record(
+                LearnEvent, (event.key, event.metadata, now, event.key_hash)
             )
             if self._oldest is None:
                 self._oldest = now

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .hashing import _splitmix64, base_hash, hash_family, splitmix64_many
+import numpy as np
+
+from .hashing import _splitmix64, base_hash, hash_family, splitmix64_rows
 
 
 class RegisterArray:
@@ -137,7 +139,7 @@ class BloomFilter:
         many of those keys have no live mark left.
 
         Every key must hold a live mark (``KeyError`` otherwise).  The
-        pairs' cells are derived in one batched pass per hash way.
+        pairs' cells are derived in one batched pass over all ``k`` ways.
         """
         live = self._marks
         bases = []
@@ -150,10 +152,10 @@ class BloomFilter:
                 del live[key]
                 gone += 1
             bases.append(base_hash(key) if key_hash is None else key_hash)
-        bits, cells = self.num_bits, self._cells
-        for mix in self._way_mixes:
-            for value in splitmix64_many(bases, mix):
-                cells[value % bits] -= 1
+        cells = self._cells
+        rows = splitmix64_rows(bases, self._way_mixes) % np.uint64(self.num_bits)
+        for index in rows.ravel().tolist():
+            cells[index] -= 1
         return gone
 
     def query(self, key: bytes, key_hash: Optional[int] = None) -> BloomQuery:

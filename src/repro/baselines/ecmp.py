@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..asicsim.hashing import HashUnit
+import numpy as np
+
+from ..asicsim.hashing import HashUnit, base_hash, splitmix64_rows
 from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer
@@ -105,8 +107,28 @@ class ResilientHashTable:
     def members(self) -> List[DirectIP]:
         return list(self._members)
 
+    def slot_of(self, key_hash: int) -> int:
+        """The slot a flow with base hash ``key_hash`` hashes to.
+
+        It depends on the table's seed and ``num_slots`` only, never on
+        membership: tables built with the same two map every flow to the
+        same slot.
+        """
+        return self._unit.derive(key_hash) % self.num_slots
+
+    def slots_of(self, key_hashes: List[int]) -> List[int]:
+        """:meth:`slot_of` for a column of base hashes, in one pass."""
+        rows = splitmix64_rows(key_hashes, (self._unit.seed_mix,))
+        return (rows[0] % np.uint64(self.num_slots)).tolist()
+
+    def member_at(self, slot: int) -> DirectIP:
+        """The member currently holding ``slot``."""
+        return self.slots[slot]
+
     def lookup(self, key: bytes, key_hash: Optional[int] = None) -> DirectIP:
-        return self.slots[self._unit.index(key, self.num_slots, key_hash)]
+        return self.member_at(
+            self.slot_of(base_hash(key) if key_hash is None else key_hash)
+        )
 
     def _share(self) -> int:
         return self.num_slots // max(len(self._members), 1)

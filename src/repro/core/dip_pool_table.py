@@ -265,9 +265,9 @@ class DipPoolTable:
         makes selection pure integer mixing.  The unit derivation and slot
         modulo are inlined (same arithmetic as
         ``pool.select(key, self._select_unit, key_hash)``): selection runs
-        twice per connection on the hot path — at admission and again at
-        install — and the flattened form drops four delegation calls each
-        time.
+        once per connection on the hot path, at admission (an install
+        re-selects only a connection a remap path moved), and the
+        flattened form drops four delegation calls each time.
         """
         state = self._vips.get(vip)
         if state is None:

@@ -116,11 +116,13 @@ class _ConnState:
 
     ``slots=True``: one instance per admitted connection, and both the
     allocation and the attribute traffic on the install/end/expire paths
-    are measurably cheaper without a per-instance ``__dict__``.
+    are measurably cheaper without a per-instance ``__dict__``.  Its ten
+    slots fill the 112-byte allocation exactly: the VIP is read off the
+    connection record, not stored a second time, which leaves room for
+    ``remapped`` (an eleventh slot grows every state to 128 bytes).
     """
 
     conn: Connection
-    vip: VirtualIP
     version: int
     installed: bool = False
     dead: bool = False
@@ -133,7 +135,14 @@ class _ConnState:
     #: a watchdog force-advanced past this conn: its PCC protection window
     #: closed early and a violation, if any, is attributed to the fault.
     at_risk: bool = False
+    #: a remap path re-selected this pending conn's DIP against another
+    #: version; its install must revert the decision to ``version``'s pick.
+    remapped: bool = False
     current_dip: Optional[DirectIP] = None
+
+    @property
+    def vip(self) -> VirtualIP:
+        return self.conn.vip
 
 
 class SilkRoadSwitch(LoadBalancer):
@@ -376,7 +385,7 @@ class SilkRoadSwitch(LoadBalancer):
         now = self.queue.now
         # A fresh state object detaches the idle-timeout timer the quiesce
         # armed (expiry fires only against its own state instance).
-        fresh = _ConnState(conn=state.conn, vip=state.vip, version=state.version)
+        fresh = _ConnState(conn=state.conn, version=state.version)
         fresh.installed = True
         fresh.marked = state.marked
         fresh.overflowed = state.overflowed
@@ -484,7 +493,7 @@ class SilkRoadSwitch(LoadBalancer):
                 version = entry.current_version
         else:
             version = entry.current_version
-        state = _ConnState(conn=conn, vip=vip, version=version)
+        state = _ConnState(conn=conn, version=version)
         state.adopted_old_via_fp = adopted_old
         self._states[key] = state
         self.dip_pools.acquire(vip, version)
@@ -560,11 +569,16 @@ class SilkRoadSwitch(LoadBalancer):
         if pending is not None:
             pending.discard(key)
         self.coordinator.on_installed(state.vip, key)
-        # The installed entry pins the connection to its arrival version;
-        # if interim VIPTable flips re-mapped it (no-TransitTable mode),
-        # the decision now reverts.
-        dip = self.dip_pools.select(state.vip, state.version, key, key_hash)
-        self._set_decision(state, dip, now)
+        # The installed entry pins the connection to its arrival version.
+        # Only a remap path moves a pending decision off that version's
+        # pick (``_set_decision`` is the only writer of ``current_dip``),
+        # and a version's pool changes only by a substitution while it is
+        # not current, which a pending connection can only see after one
+        # of those paths remapped it; every other connection still holds
+        # its admission selection.
+        if state.remapped:
+            dip = self.dip_pools.select(state.vip, state.version, key, key_hash)
+            self._set_decision(state, dip, now)
 
     def _expire_entry(self, key: bytes) -> None:
         state = self._states.pop(key, None)
@@ -634,6 +648,7 @@ class SilkRoadSwitch(LoadBalancer):
                 query = self.transit.check(key, key_hash)
                 use_version = old_version if query.positive else new_version
                 dip = self.dip_pools.select(vip, use_version, key, key_hash)
+                state.remapped = True
                 self._set_decision(state, dip, now)
         else:
             self.vip_table.set_version(vip, new_version)
@@ -671,6 +686,7 @@ class SilkRoadSwitch(LoadBalancer):
             dip = self.dip_pools.select(
                 vip, entry.current_version, key, state.conn.key_hash
             )
+            state.remapped = True
             self._set_decision(state, dip, now)
 
     def _remap_pending(self, vip: VirtualIP, new_version: int, now: float) -> None:
@@ -680,6 +696,7 @@ class SilkRoadSwitch(LoadBalancer):
             if state is None or state.dead:
                 continue
             dip = self.dip_pools.select(vip, new_version, key, state.conn.key_hash)
+            state.remapped = True
             self._set_decision(state, dip, now)
 
     # ------------------------------------------------------------------

@@ -418,6 +418,16 @@ class FleetSilkRoad(LoadBalancer):
         self._retired: List[Tuple[int, int, SilkRoadSwitch]] = []
         # Per-VIP resilient hash group over the VIP's live announcers.
         self._tables: Dict[VirtualIP, ResilientHashTable] = {}
+        # Every group is built with the same seed and ``ecmp_slots``, so a
+        # flow's slot does not depend on its VIP or on membership: this
+        # group's members are never read, it only derives slots.
+        self._slot_hash = ResilientHashTable(
+            self._ids[:1], num_slots=fleet_config.ecmp_slots
+        )
+        #: The arrivals of the window :meth:`prepare_batch` primed last and
+        #: their ECMP slots, both reversed: each arrival pops its own off
+        #: the end, in arrival order.
+        self._window: Tuple[List[Connection], List[int]] = ([], [])
         # Which slots are supposed to announce each VIP (rejoin targets).
         self._assignment: Dict[VirtualIP, List[int]] = {}
         self._vip_order: List[VirtualIP] = []
@@ -582,6 +592,12 @@ class FleetSilkRoad(LoadBalancer):
         key = conn.key
         vip = conn.vip
         now = self.queue.now
+        window_conns, window_slots = self._window
+        if window_conns and window_conns[-1] is conn:
+            window_conns.pop()
+            slot_index = window_slots.pop()
+        else:
+            slot_index = None
         if vip in self._shed:
             # The VIP was shed for capacity: the fleet refuses the flow.
             self.shed_arrivals += 1
@@ -597,7 +613,9 @@ class FleetSilkRoad(LoadBalancer):
             conn.record_decision(now, None)
             self._drop_cause.setdefault(key, BLACKHOLE)
             return
-        index = table.lookup(key, conn.key_hash).index
+        if slot_index is None:  # not in a prepared window
+            slot_index = table.slot_of(conn.key_hash)
+        index = table.member_at(slot_index).index
         self._owner[key] = index
         self._conns[key] = conn
         slot = self._slots[index]
@@ -614,30 +632,50 @@ class FleetSilkRoad(LoadBalancer):
         """Columnar precomputation for an upcoming window of arrivals.
 
         Builds the window's :class:`PacketBatch` once (one bulk byte-hash
-        pass) and primes the ConnTable of each arrival's *currently
-        predicted* ECMP owner.  ``ResilientHashTable.lookup`` is pure, and
-        so is priming: if membership changes before the arrival (a
-        declare-down, a restart's fresh instance), the real owner simply
-        derives the profile on the scalar path.  Only profile-cache LRU
-        order — unobservable — can differ, the same contract as
-        :meth:`SilkRoadSwitch.prepare_batch`.
+        pass), derives every arrival's ECMP slot in one pass (kept until
+        the arrival pops it) and primes the ConnTable of each arrival's
+        *currently predicted* owner.  Slot derivation is pure, and so is
+        priming: if membership changes before the arrival (a declare-down,
+        a restart's fresh instance), the arrival reads its slot's member
+        then, and the real owner simply derives the profile on the scalar
+        path.  Only profile-cache LRU order — unobservable — can differ,
+        the same contract as :meth:`SilkRoadSwitch.prepare_batch`.
         """
         batch = PacketBatch.from_connections(conns)
+        slots = self._slot_hash.slots_of(batch.base_hashes)
+        self._prime_targets(zip(self._owners(conns, slots), conns))
+        slots.reverse()
+        self._window = (conns[::-1], slots)
+
+    def _owners(
+        self, conns: Sequence[Connection], slots: Optional[List[int]] = None
+    ) -> List[Optional[int]]:
+        """Where each flow hashes now: the switch at its ECMP slot in its
+        VIP's group, ``None`` for a VIP with no group.  The slots are
+        derived in one pass unless given."""
+        if slots is None:
+            slots = self._slot_hash.slots_of([conn.key_hash for conn in conns])
         tables = self._tables
-        owned = self._owned  # a partition replica's phantoms hold no table
-        windows: Dict[int, Tuple[List[bytes], List[int]]] = {}
-        for conn, key, key_hash in zip(conns, batch.keys, batch.base_hashes):
+        owners: List[Optional[int]] = []
+        for conn, slot_index in zip(conns, slots):
             table = tables.get(conn.vip)
-            if table is None:
+            owners.append(None if table is None else table.member_at(slot_index).index)
+        return owners
+
+    def _prime_targets(self, moves: Iterable[Tuple[Optional[int], Connection]]) -> None:
+        """Warm each owned target's ConnTable with the ``(target, conn)``
+        flows about to reach it, one :meth:`ConnTable.prime_profiles` call
+        per target (a partition replica's phantoms hold no table)."""
+        owned = self._owned
+        windows: Dict[int, Tuple[List[bytes], List[int]]] = {}
+        for target, conn in moves:
+            if target not in owned:
                 continue
-            index = table.lookup(key, key_hash).index
-            if index not in owned:
-                continue
-            window = windows.get(index)
+            window = windows.get(target)
             if window is None:
-                window = windows[index] = ([], [])
-            window[0].append(key)
-            window[1].append(key_hash)
+                window = windows[target] = ([], [])
+            window[0].append(conn.key)
+            window[1].append(conn.key_hash)
         for index, (keys, key_hashes) in windows.items():
             self._slots[index].switch.conn_table.prime_profiles(keys, key_hashes)
 
@@ -906,16 +944,20 @@ class FleetSilkRoad(LoadBalancer):
 
     def _rehome_owned(self, index: int) -> None:
         now = self.queue.now
-        moving: List[Tuple[bytes, Connection, Optional[int]]] = []
-        for key, conn in self._conns.items():
-            if self._owner[key] != index or not conn.active_at(now):
-                continue
-            table = self._tables.get(conn.vip)
-            target = (
-                table.lookup(key, conn.key_hash).index if table is not None else None
-            )
-            moving.append((key, conn, target))
+        conns = [
+            conn
+            for key, conn in self._conns.items()
+            if self._owner[key] == index and conn.active_at(now)
+        ]
+        moving: List[Tuple[bytes, Connection, Optional[int]]] = [
+            (conn.key, conn, target) for conn, target in zip(conns, self._owners(conns))
+        ]
         self._shed_for_capacity(moving, now)
+        self._prime_targets(
+            (target, conn)
+            for _key, conn, target in moving
+            if conn.vip not in self._shed
+        )
         for key, conn, target in moving:
             if conn.vip in self._shed:
                 continue  # the shed already ended and attributed it
@@ -1064,24 +1106,33 @@ class FleetSilkRoad(LoadBalancer):
                 self._tables[vip] = table = ResilientHashTable(
                     [sid], num_slots=self.fleet_config.ecmp_slots
                 )
-                for key, conn in self._conns.items():
-                    if conn.vip != vip or not conn.active_at(now):
-                        continue
-                    self._hand_off(
-                        key, conn, self._owner[key], index, cause=REHASH
-                    )
+                moving = [
+                    conn
+                    for conn in self._conns.values()
+                    if conn.vip == vip and conn.active_at(now)
+                ]
             elif sid not in table.members:
                 table.add(sid)
                 # Flows on the slots the rejoined switch stole move back —
                 # exactly a failover in reverse.
-                for key, conn in self._conns.items():
-                    if conn.vip != vip or not conn.active_at(now):
-                        continue
-                    owner = self._owner[key]
-                    if owner == index:
-                        continue
-                    if table.lookup(key, conn.key_hash).index == index:
-                        self._hand_off(key, conn, owner, index, cause=REHASH)
+                conns = [
+                    conn
+                    for key, conn in self._conns.items()
+                    if conn.vip == vip
+                    and conn.active_at(now)
+                    and self._owner[key] != index
+                ]
+                moving = [
+                    conn
+                    for conn, owner in zip(conns, self._owners(conns))
+                    if owner == index
+                ]
+            else:
+                continue
+            self._prime_targets((index, conn) for conn in moving)
+            for conn in moving:
+                key = conn.key
+                self._hand_off(key, conn, self._owner[key], index, cause=REHASH)
         slot.in_ecmp = True
         slot.missed = 0
         self.rejoins += 1
@@ -1220,18 +1271,19 @@ class FleetSilkRoad(LoadBalancer):
             return
         self._reassigning.pop(vip, None)
         now = self.queue.now
-        table = self._tables.get(vip)
+        conns = [
+            conn
+            for key, conn in self._conns.items()
+            if conn.vip == vip
+            and conn.active_at(now)
+            and self._owner[key] == from_index
+        ]
+        targets = self._owners(conns)
+        self._prime_targets(zip(targets, conns))
         moved = 0
-        for key, conn in self._conns.items():
-            if conn.vip != vip or not conn.active_at(now):
-                continue
-            if self._owner[key] != from_index:
-                continue
-            target = (
-                table.lookup(key, conn.key_hash).index if table is not None else None
-            )
+        for target, conn in zip(targets, conns):
             cause = RACE if conn.start >= t0 else REHASH
-            self._hand_off(key, conn, from_index, target, cause=cause)
+            self._hand_off(conn.key, conn, from_index, target, cause=cause)
             moved += 1
         assigned = self._assignment.get(vip)
         if assigned and from_index in assigned and from_index != to_index:

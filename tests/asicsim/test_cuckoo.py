@@ -29,6 +29,17 @@ class TestBasicOperations:
         assert result.value == 5
         assert not result.false_positive
 
+    def test_insert_result_records(self, table):
+        # Built with tuple.__new__ on the hot path: still the named records,
+        # with the same field values a keyword build would give.
+        from repro.asicsim.cuckoo import InsertResult, Location
+
+        result = table.insert(b"key-1", 5)
+        assert type(result) is InsertResult
+        assert type(result.location) is Location
+        assert result == InsertResult(location=table.location_of(b"key-1"), moves=0)
+        assert result.location._fields == ("stage", "bucket", "way")
+
     def test_miss(self, table):
         assert not table.lookup(b"absent").hit
 

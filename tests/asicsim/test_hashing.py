@@ -195,18 +195,23 @@ class TestBatchedDerivation:
 
     @pytest.mark.parametrize("size", [0, 1, 7, 15, 16, 64, 1024])
     def test_splitmix64_many_matches_scalar(self, size):
-        from repro.asicsim.hashing import _splitmix64, splitmix64_many
+        # The rows kernel over many bases and many seed mixes (0 included)
+        # is the scalar round per (mix, base) pair, row by row.
+        from repro.asicsim.hashing import _splitmix64, splitmix64_rows
 
-        values = [mix64(i, 99) for i in range(size)]
-        seed_mix = _splitmix64(0xD1B0)
-        assert splitmix64_many(values, seed_mix) == [
-            _splitmix64(v ^ seed_mix) for v in values
+        values = [mix64(i, 99) for i in range(size)] + [0, 2**64 - 1][: size]
+        mixes = [0, _splitmix64(0xD1B0), HashUnit(seed=3).seed_mix, 2**64 - 1]
+        rows = splitmix64_rows(values, mixes)
+        assert rows.shape == (len(mixes), len(values))
+        assert rows.tolist() == [
+            [_splitmix64(v ^ mix) for v in values] for mix in mixes
         ]
 
     def test_results_are_python_ints(self):
         # Downstream modulo/shift arithmetic must see exact Python ints,
         # not numpy scalars (whose % and >> could differ in type).
-        from repro.asicsim.hashing import splitmix64_many
+        from repro.asicsim.hashing import splitmix64_rows
 
-        out = splitmix64_many(list(range(32)), HashUnit(seed=3).seed_mix)
-        assert all(type(v) is int for v in out)
+        rows = splitmix64_rows(list(range(32)), [0, HashUnit(seed=3).seed_mix])
+        assert all(type(v) is int for row in rows.tolist() for v in row)
+        assert all(type(v) is int for v in rows.ravel().tolist())

@@ -156,9 +156,26 @@ class TestRearm:
         )
         batch = lf.flush(8.0)
         (event,) = batch.events
+        assert type(event) is LearnEvent
+        assert event == LearnEvent(key=b"a", metadata=(1,), first_seen=7.0, key_hash=42)
         assert event.first_seen == 7.0
         assert event.key_hash == 42
         assert event.metadata == (1,)
+
+    def test_offer_builds_learn_events(self):
+        from repro.asicsim.learning_filter import LearnEvent
+
+        lf = LearningFilter(capacity=10, timeout=1e-3)
+        lf.offer(b"a", 1.0, metadata=("fp",), key_hash=7)
+        lf.offer(b"b", 2.0)
+        first, second = lf.flush(3.0).events
+        assert type(first) is LearnEvent and type(second) is LearnEvent
+        assert first == LearnEvent(
+            key=b"a", metadata=("fp",), first_seen=1.0, key_hash=7
+        )
+        assert second == LearnEvent(
+            key=b"b", metadata=(), first_seen=2.0, key_hash=None
+        )
 
 
 class TestFig18AccountingUnchanged:

@@ -176,18 +176,18 @@ class TestPerUpdateMarkAccounting:
         for key in finished:
             tt.mark(key, base_hash(key), a)
         tt.mark(survivors[0], base_hash(survivors[0]), a)  # shared with b
-        derive = registers.splitmix64_many
-        derived = []
+        derive = registers.splitmix64_rows
+        calls = []
 
-        def counting(values, seed_mix=0):
-            derived.append(sorted(values))
-            return derive(values, seed_mix)
+        def counting(bases, mixes):
+            calls.append((sorted(bases), len(mixes)))
+            return derive(bases, mixes)
 
-        monkeypatch.setattr(registers, "splitmix64_many", counting)
+        monkeypatch.setattr(registers, "splitmix64_rows", counting)
         monkeypatch.setattr(registers, "_splitmix64", None)  # no per-key path
         tt.update_finished(a)
         own = sorted(base_hash(key) for key in finished + [survivors[0]])
-        assert derived == [own] * 4  # one batched pass per hash way
+        assert calls == [(own, 4)]  # one kernel call, one row per hash way
         assert tt.evicted_marks == len(finished)
         monkeypatch.undo()
         assert all(tt.check(key).positive for key in survivors)
