@@ -160,10 +160,6 @@ class HashUnit:
         """
         return self.derive(base_hash(key) if key_hash is None else key_hash)
 
-    def hash_int(self, key: int) -> int:
-        """Hash an integer key to a 64-bit value."""
-        return mix64(key & _MASK64, self.seed ^ (key >> 64))
-
     def index(self, key: bytes, size: int, key_hash: int | None = None) -> int:
         """Map a key to a table index in ``[0, size)``."""
         if size <= 0:

@@ -103,14 +103,6 @@ class TrTcmMeter:
         self.marked_bytes[color] += packet_bytes
         return color
 
-    @property
-    def committed_tokens(self) -> float:
-        return self._tc
-
-    @property
-    def excess_tokens(self) -> float:
-        return self._te
-
 
 class MeterBank:
     """A bank of per-VIP meters, as the ASIC's meter table.

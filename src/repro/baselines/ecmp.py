@@ -130,9 +130,6 @@ class ResilientHashTable:
             self.slot_of(base_hash(key) if key_hash is None else key_hash)
         )
 
-    def _share(self) -> int:
-        return self.num_slots // max(len(self._members), 1)
-
     def remove(self, member: DirectIP) -> List[int]:
         """Remove a member; only its slots are rewritten.
 

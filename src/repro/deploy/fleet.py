@@ -26,12 +26,13 @@ not a mode: schedule :meth:`FleetSilkRoad.inject_switch_crash` and
   every move is recorded with its cause.
 * **Recovery / rejoin** boots a *fresh* switch instance that must re-sync
   its VIPTable from the fleet's current pools (state re-learn) before the
-  controller re-admits it to ECMP after ``rejoin_threshold`` clean probes.
+  controller re-admits it to ECMP after :data:`REJOIN_THRESHOLD` clean
+  probes.
 * **PCC-safe VIP reassignment** (:meth:`FleetSilkRoad.reassign_vip`)
   mirrors the 3-step ``pcc_update`` shape at fleet scope:
   re-announce on the target, drain the hash group after
-  ``announce_delay_s``, then redirect the stragglers after
-  ``drain_window_s`` — flows that arrived inside the window are the
+  :data:`ANNOUNCE_DELAY_S`, then redirect the stragglers after
+  :data:`DRAIN_WINDOW_S` — flows that arrived inside the window are the
   *mid-reassignment race* population.
 * **Graceful degradation**: with a ``conn_budget`` (per-switch ConnTable
   allowance, same budget notion as :mod:`repro.deploy.assignment`), a
@@ -42,6 +43,10 @@ Every decision change a connection can experience is recorded, with its
 cause, when the fleet causes it, so :func:`audit_fleet` attributes
 **every** PCC violation and drop to exactly one cause of the one table,
 :mod:`repro.obs.causes` — the bar is a zero-size unattributed bucket.
+Every flow move — detection re-home, rejoin, reassignment redirect — goes
+through one sweep, :meth:`FleetSilkRoad._move_flows`, and every
+control-plane event through one emission, :meth:`FleetSilkRoad._emit`,
+which feeds both the flight recorder and the replica-agreement journal.
 
 Everything runs on the shared deterministic event queue; given equal
 seeds, two fleet runs are bit-identical (the chaos CLI asserts equal
@@ -53,7 +58,8 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Set, Tuple
 
 from ..asicsim.batch import PacketBatch
 from ..asicsim.hashing import mix64
@@ -67,6 +73,7 @@ from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer, PRIO_ARRIVAL, PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
 from ..obs.events import (
+    EventKind,
     FLEET_CRASH,
     FLEET_DECLARE_DOWN,
     FLEET_HEAL,
@@ -128,38 +135,32 @@ class _SwitchId:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Control-plane knobs of the fleet failure domain."""
+    """The settable knobs of the fleet failure domain.
+
+    What no caller varies is a named constant beside the code that reads
+    it: :data:`REJOIN_THRESHOLD` (the controller), :data:`ECMP_SLOTS` (the
+    hash groups), :data:`ANNOUNCE_DELAY_S` and :data:`DRAIN_WINDOW_S` (the
+    reassignment steps).
+    """
 
     #: seconds between controller probe rounds.
     heartbeat_interval_s: float = 0.25
     #: consecutive missed probes before a switch is declared down.
     suspicion_threshold: int = 3
-    #: consecutive clean probes before a recovered switch rejoins ECMP.
-    rejoin_threshold: int = 2
-    #: slots of each per-VIP resilient hash group.
-    ecmp_slots: int = 128
     #: switches announcing each VIP (None = every switch, the §5.3 default).
     replication: Optional[int] = None
     #: per-switch ConnTable allowance; None disables overflow shedding.
     conn_budget: Optional[int] = None
-    #: reassignment step 1→2 latency (announce propagation).
-    announce_delay_s: float = 0.05
-    #: reassignment step 2→3 latency (drain window).
-    drain_window_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.suspicion_threshold < 1:
             raise ValueError("suspicion_threshold must be >= 1")
-        if self.rejoin_threshold < 1:
-            raise ValueError("rejoin_threshold must be >= 1")
         if self.replication is not None and self.replication < 1:
             raise ValueError("replication must be >= 1")
         if self.conn_budget is not None and self.conn_budget < 1:
             raise ValueError("conn_budget must be >= 1")
-        if self.announce_delay_s < 0 or self.drain_window_s < 0:
-            raise ValueError("reassignment latencies must be non-negative")
 
     @property
     def detection_latency_s(self) -> float:
@@ -197,6 +198,12 @@ class FleetPartition:
         return self.worker_id == 0
 
 
+#: Reassignment step 1→2 latency (announce propagation).
+ANNOUNCE_DELAY_S = 0.05
+#: Reassignment step 2→3 latency (drain window).
+DRAIN_WINDOW_S = 0.5
+
+
 def partition_epoch_length(fleet_config: FleetConfig) -> float:
     """Barrier period of the partitioned runner.
 
@@ -206,30 +213,14 @@ def partition_epoch_length(fleet_config: FleetConfig) -> float:
     how far replicas could drift apart before an exchanged digest would
     notice, so epochs never exceed it.
     """
-    bounds = [fleet_config.heartbeat_interval_s]
-    if fleet_config.announce_delay_s > 0:
-        bounds.append(fleet_config.announce_delay_s)
-    if fleet_config.drain_window_s > 0:
-        bounds.append(fleet_config.drain_window_s)
-    return min(bounds)
+    return min(fleet_config.heartbeat_interval_s, ANNOUNCE_DELAY_S, DRAIN_WINDOW_S)
 
 
-#: Journal codes folded into the replica-agreement digest, one per
-#: cross-partition event class.
-_J_CRASH = 2
-_J_RESTART = 3
-_J_PARTITION = 4
-_J_HEAL = 5
-_J_HB_LOSS = 6
-_J_DOWN = 7
-_J_REJOIN = 8
-_J_RESYNC = 9
-_J_HANDOFF = 10
-_J_SHED = 11
-_J_RA_ANNOUNCE = 12
-_J_RA_DRAIN = 13
-_J_RA_REDIRECT = 14
-_J_RA_ABORT = 15
+def _digest64(text: str) -> int:
+    """A 64-bit digest of ``text`` that, unlike ``hash``, is the same in
+    every process whatever its hash seed."""
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 class _SwitchSlot:
@@ -322,6 +313,10 @@ class _PhantomSwitch:
         pass
 
 
+#: Consecutive clean probes before a recovered switch rejoins ECMP.
+REJOIN_THRESHOLD = 2
+
+
 class FleetController:
     """Heartbeat prober + membership policy for a :class:`FleetSilkRoad`."""
 
@@ -333,10 +328,8 @@ class FleetController:
         self.stalled_ticks = 0
 
     def start(self, queue: EventQueue) -> None:
-        cfg = self.fleet.fleet_config
-        queue.schedule(
-            queue.now + cfg.heartbeat_interval_s, self._tick, PRIO_INTERNAL
-        )
+        interval = self.fleet.fleet_config.heartbeat_interval_s
+        queue.schedule(queue.now + interval, self._tick, PRIO_INTERNAL)
 
     def stall(self, duration_s: float) -> None:
         """Suspend detection (the DETECTION_DELAY fault): probes pause."""
@@ -364,7 +357,7 @@ class FleetController:
                         # Reachable but stale: it missed updates while
                         # unreachable and must re-learn before serving.
                         fleet.declare_down(index, reason="stale")
-                    elif not slot.in_ecmp and slot.ok_streak >= cfg.rejoin_threshold:
+                    elif not slot.in_ecmp and slot.ok_streak >= REJOIN_THRESHOLD:
                         fleet.rejoin(index)
                 else:
                     slot.ok_streak = 0
@@ -373,6 +366,10 @@ class FleetController:
                     if slot.in_ecmp and slot.missed >= cfg.suspicion_threshold:
                         fleet.declare_down(index, reason="unresponsive")
         queue.schedule(now + cfg.heartbeat_interval_s, self._tick, PRIO_INTERNAL)
+
+
+#: Slots of each per-VIP resilient hash group.
+ECMP_SLOTS = 128
 
 
 class FleetSilkRoad(LoadBalancer):
@@ -404,8 +401,8 @@ class FleetSilkRoad(LoadBalancer):
             self._primary = partition.primary
         #: per-owned-switch flight recorders (partitioned runs only).
         self._slot_recorders: Dict[int, "FlightRecorder"] = {}  # noqa: F821
-        # Replica-agreement journal: every cross-partition event class is
-        # folded in at the instant it happens; compared at epoch barriers.
+        # Replica-agreement journal: every emitted event and every hand-off
+        # is folded in at the instant it happens; compared at epoch barriers.
         self._journal_hash = 0
         self._journal_count = 0
         #: keys parked on an aborted reassignment's dead target, so the
@@ -418,12 +415,10 @@ class FleetSilkRoad(LoadBalancer):
         self._retired: List[Tuple[int, int, SilkRoadSwitch]] = []
         # Per-VIP resilient hash group over the VIP's live announcers.
         self._tables: Dict[VirtualIP, ResilientHashTable] = {}
-        # Every group is built with the same seed and ``ecmp_slots``, so a
+        # Every group is built with the same seed and ``ECMP_SLOTS``, so a
         # flow's slot does not depend on its VIP or on membership: this
         # group's members are never read, it only derives slots.
-        self._slot_hash = ResilientHashTable(
-            self._ids[:1], num_slots=fleet_config.ecmp_slots
-        )
+        self._slot_hash = ResilientHashTable(self._ids[:1], num_slots=ECMP_SLOTS)
         #: The arrivals of the window :meth:`prepare_batch` primed last and
         #: their ECMP slots, both reversed: each arrival pops its own off
         #: the end, in arrival order.
@@ -501,7 +496,7 @@ class FleetSilkRoad(LoadBalancer):
             slot.switch.announce_vip(vip, dips)
             slot.announced.add(vip)
         self._tables[vip] = ResilientHashTable(
-            [self._ids[i] for i in indices], num_slots=self.fleet_config.ecmp_slots
+            [self._ids[i] for i in indices], num_slots=ECMP_SLOTS
         )
 
     def bind(self, queue: EventQueue) -> None:
@@ -535,11 +530,8 @@ class FleetSilkRoad(LoadBalancer):
 
     def partition_recorders(self) -> List:
         """Every ring this replica owns, fleet ring first."""
-        recorders = [] if self.recorder is None else [self.recorder]
-        recorders.extend(
-            self._slot_recorders[i] for i in sorted(self._slot_recorders)
-        )
-        return recorders
+        fleet = [] if self.recorder is None else [self.recorder]
+        return fleet + [self._slot_recorders[i] for i in sorted(self._slot_recorders)]
 
     def _make_switch(self, index: int, generation: int):
         suffix = f"-{index}" if generation == 0 else f"-{index}g{generation}"
@@ -548,19 +540,35 @@ class FleetSilkRoad(LoadBalancer):
             return SilkRoadSwitch(self.config, name=name)
         return _PhantomSwitch(name)
 
-    def _journal(self, code: int, a: int = 0, b: int = 0) -> None:
-        """Fold one cross-partition event into the agreement journal.
+    def _emit(self, kind: EventKind, *fields: object) -> None:
+        """One fleet control-plane event: recorded when a recorder is
+        attached, and folded into the replica-agreement journal.
+
+        This is the only place either happens, so no event can reach the
+        recorder and miss the divergence check.  The journal folds the
+        kind, every field — an int at its full width, a str through
+        :func:`_digest64` — and the clock.
+        """
+        if self.recorder is not None:
+            self.recorder.record(self.queue.now, kind, None, *fields)
+        folded = _digest64(f"{kind.category}.{kind.name}")
+        for value in fields:
+            if isinstance(value, str):
+                value = _digest64(value)
+            folded = mix64(value, folded)
+        self._journal(folded, len(fields))
+
+    def _journal(self, a: int, b: int) -> None:
+        """Fold ``a``, ``b`` and the clock's hash into the agreement journal.
 
         Every replica derives the same control-plane decisions from
         replicated state; the journal is the running proof, compared at
-        every epoch barrier.  Only hash-seed-independent integers go in
-        (switch indices, counts, ``key_hash`` values and the float
-        clock's own hash).
+        every epoch barrier.  An event passes its digest and field count
+        (at most 5), a hand-off its key hash and packed owner pair (at
+        least 1024), so the two kinds of entry never share inputs.
         """
-        folded = mix64(a ^ (code << 56), self._journal_hash)
-        queue = getattr(self, "queue", None)
-        now_bits = hash(queue.now) if queue is not None else 0
-        self._journal_hash = mix64(b ^ now_bits, folded)
+        folded = mix64(a, self._journal_hash)
+        self._journal_hash = mix64(b ^ hash(self.queue.now), folded)
         self._journal_count += 1
 
     def epoch_digest(self) -> Tuple[int, ...]:
@@ -799,23 +807,18 @@ class FleetSilkRoad(LoadBalancer):
         now = self.queue.now
         if slot.dataplane_up:
             self.crashes += 1
-            quiesced = 0
-            for key, conn in self._conns.items():
-                if self._owner[key] != index or not conn.active_at(now):
-                    continue
+            quiesced = self._live(owner=index)
+            for conn in quiesced:
                 # Silence the dead instance's state for this flow first so
                 # its in-flight slow-path events stop recording decisions,
                 # then mark the packet-level blackhole on the connection.
                 slot.switch.on_connection_end(conn)
                 conn.record_decision(now, None)
-                self._drop_cause.setdefault(key, BLACKHOLE)
-                quiesced += 1
-            self.blackholed_existing += quiesced
+                self._drop_cause.setdefault(conn.key, BLACKHOLE)
+            self.blackholed_existing += len(quiesced)
             slot.dataplane_up = False
             slot.synced = False
-            if self.recorder is not None:
-                self.recorder.record(self.queue.now, FLEET_CRASH, None, index, quiesced)
-            self._journal(_J_CRASH, index, quiesced)
+            self._emit(FLEET_CRASH, index, len(quiesced))
         if slot.restart_handle is not None:
             slot.restart_handle.cancel()
             slot.restart_handle = None
@@ -835,13 +838,9 @@ class FleetSilkRoad(LoadBalancer):
         slot.synced = False  # must re-learn the VIPTable before serving
         slot.restart_handle = None
         self.restarts += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_RESTART, None, index, slot.generation
-            )
-        self._journal(_J_RESTART, index, slot.generation)
+        self._emit(FLEET_RESTART, index, slot.generation)
 
-    def _fresh_instance(self, index: int):
+    def _fresh_instance(self, index: int) -> None:
         """Replace the slot's instance with an empty one (state re-learn)."""
         slot = self._slots[index]
         self._retired.append((index, slot.generation, slot.switch))
@@ -854,7 +853,6 @@ class FleetSilkRoad(LoadBalancer):
             fresh.attach_recorder(recorder)
         slot.switch = fresh
         slot.announced = set()
-        return fresh
 
     def inject_partition(
         self, index: int, heal_after_s: Optional[float] = None
@@ -864,11 +862,7 @@ class FleetSilkRoad(LoadBalancer):
         slot = self._slots[index]
         slot.partition_depth += 1
         self.partitions += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_PARTITION, None, index, slot.partition_depth
-            )
-        self._journal(_J_PARTITION, index, slot.partition_depth)
+        self._emit(FLEET_PARTITION, index, slot.partition_depth)
         if heal_after_s is not None:
             self.queue.schedule(
                 self.queue.now + heal_after_s,
@@ -882,18 +876,12 @@ class FleetSilkRoad(LoadBalancer):
             slot.partition_depth -= 1
             if slot.partition_depth == 0:
                 self.heals += 1
-                if self.recorder is not None:
-                    self.recorder.record(self.queue.now, FLEET_HEAL, None, index)
-                self._journal(_J_HEAL, index)
+                self._emit(FLEET_HEAL, index)
 
     def inject_heartbeat_loss(self, index: int, count: int) -> None:
         """The next ``count`` probes to this switch are lost in transit."""
         self._slots[index].drop_probes += count
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_HEARTBEAT_LOSS, None, index, count
-            )
-        self._journal(_J_HB_LOSS, index, count)
+        self._emit(FLEET_HEARTBEAT_LOSS, index, count)
 
     def request_reassign(self, vip_rank: int, target: int) -> None:
         """Operator-style reassignment request by rank (fault-plan entry)."""
@@ -917,18 +905,12 @@ class FleetSilkRoad(LoadBalancer):
         self.detections += 1
         if slot.reachable and reason != "stale":
             self.false_detections += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_DECLARE_DOWN, None, index, reason
-            )
-        self._journal(_J_DOWN, index, 1 if reason == "stale" else 0)
+        self._emit(FLEET_DECLARE_DOWN, index, reason)
         # A reassignment whose *destination* just died can never finish its
         # drain/redirect steps safely: abort it before the membership sweep
         # below, so the source announcer stays in the hash group and the
         # VIP is not withdrawn while a healthy announcer still serves it.
-        for vip in [
-            v for v, token in self._reassigning.items() if token[2] == index
-        ]:
+        for vip in [v for v, token in self._reassigning.items() if token[2] == index]:
             self._abort_reassignment(vip, reason="target-down")
         sid = self._ids[index]
         for vip in list(self._tables):
@@ -943,48 +925,63 @@ class FleetSilkRoad(LoadBalancer):
         self._rehome_owned(index)
 
     def _rehome_owned(self, index: int) -> None:
+        """Move the declared-down switch's flows to where they hash now."""
+        conns = self._live(owner=index)
+        moves = list(zip(self._owners(conns), conns))
+        self._shed_for_capacity(moves)
+        races = self._aborted_races
+
+        def cause_of(conn: Connection) -> str:
+            if conn.key in races:
+                races.discard(conn.key)
+                return RACE
+            return REHASH
+
+        self._move_flows(moves, cause_of)
+
+    def _live(
+        self, vip: Optional[VirtualIP] = None, owner: Optional[int] = None
+    ) -> List[Connection]:
+        """Registered flows still active now, in registration order —
+        only ``vip``'s and/or only those owned by switch ``owner`` if
+        given."""
         now = self.queue.now
-        conns = [
+        owners = self._owner
+        return [
             conn
             for key, conn in self._conns.items()
-            if self._owner[key] == index and conn.active_at(now)
+            if (vip is None or conn.vip == vip)
+            and (owner is None or owners[key] == owner)
+            and conn.active_at(now)
         ]
-        moving: List[Tuple[bytes, Connection, Optional[int]]] = [
-            (conn.key, conn, target) for conn, target in zip(conns, self._owners(conns))
-        ]
-        self._shed_for_capacity(moving, now)
-        self._prime_targets(
-            (target, conn)
-            for _key, conn, target in moving
-            if conn.vip not in self._shed
-        )
-        for key, conn, target in moving:
-            if conn.vip in self._shed:
-                continue  # the shed already ended and attributed it
-            if key in self._aborted_races:
-                self._aborted_races.discard(key)
-                cause = RACE
-            else:
-                cause = REHASH
-            self._hand_off(key, conn, index, target, cause=cause)
 
-    def _hand_off(
+    def _move_flows(
         self,
-        key: bytes,
-        conn: Connection,
-        old_index: int,
-        target: Optional[int],
-        cause: str,
+        moves: Sequence[Tuple[Optional[int], Connection]],
+        cause_of: Callable[[Connection], str],
     ) -> None:
-        """Move one flow between owners, recording what happened to it."""
-        now = self.queue.now
+        """The one re-home sweep: hand each ``(target, conn)`` flow off to
+        its target with the cause ``cause_of(conn)`` names, after warming
+        the targets' ConnTables.  Flows of a shed VIP stay put — the shed
+        already ended and attributed them."""
+        shed = self._shed
+        moves = [(target, conn) for target, conn in moves if conn.vip not in shed]
+        self._prime_targets(moves)
+        for target, conn in moves:
+            self._hand_off(conn, target, cause_of(conn))
+
+    def _hand_off(self, conn: Connection, target: Optional[int], cause: str) -> None:
+        """Move one flow from its owner to ``target``, recording what
+        happened to it."""
+        key = conn.key
+        old_index = self._owner[key]
         if target == old_index:
             return
         self._journal(
-            _J_HANDOFF,
             conn.key_hash,
             (old_index + 2) * 1024 + (0 if target is None else target + 2),
         )
+        now = self.queue.now
         if old_index >= 0:
             old_slot = self._slots[old_index]
             if old_slot.dataplane_up:
@@ -1016,9 +1013,7 @@ class FleetSilkRoad(LoadBalancer):
             self._drop_cause.setdefault(key, BLACKHOLE)
 
     def _shed_for_capacity(
-        self,
-        moving: List[Tuple[bytes, Connection, Optional[int]]],
-        now: float,
+        self, moves: Sequence[Tuple[Optional[int], Connection]]
     ) -> None:
         """Shed lowest-priority VIPs until every survivor fits its budget."""
         budget = self.fleet_config.conn_budget
@@ -1026,27 +1021,20 @@ class FleetSilkRoad(LoadBalancer):
             return
         while True:
             projected = [0] * len(self._slots)
-            for key, conn in self._conns.items():
-                owner = self._owner[key]
-                if owner >= 0 and conn.active_at(now):
+            for conn in self._live():
+                owner = self._owner[conn.key]
+                if owner >= 0:
                     projected[owner] += 1
-            for key, conn, target in moving:
+            for target, conn in moves:
                 if target is not None and conn.vip not in self._shed:
                     projected[target] += 1
-            over = None
-            for idx, slot in enumerate(self._slots):
-                if slot.in_ecmp and projected[idx] > budget:
-                    over = idx
+            for over, slot in enumerate(self._slots):
+                if slot.in_ecmp and projected[over] > budget:
                     break
-            if over is None:
+            else:
                 return
-            contributing: Set[VirtualIP] = set()
-            for key, conn in self._conns.items():
-                if self._owner[key] == over and conn.active_at(now):
-                    contributing.add(conn.vip)
-            for key, conn, target in moving:
-                if target == over:
-                    contributing.add(conn.vip)
+            contributing = {conn.vip for conn in self._live(owner=over)}
+            contributing.update(conn.vip for target, conn in moves if target == over)
             candidates = [
                 vip
                 for vip in self._vip_order
@@ -1057,10 +1045,11 @@ class FleetSilkRoad(LoadBalancer):
             victim = min(
                 candidates, key=lambda v: (self._priorities.get(v, 0), str(v))
             )
-            self._shed_vip(victim, now)
+            self._shed_vip(victim)
 
-    def _shed_vip(self, vip: VirtualIP, now: float) -> None:
+    def _shed_vip(self, vip: VirtualIP) -> None:
         """Drop a VIP fleet-wide: every flow ends, new flows are refused."""
+        now = self.queue.now
         self._shed[vip] = None
         self._tables.pop(vip, None)
         self._reassigning.pop(vip, None)
@@ -1078,9 +1067,7 @@ class FleetSilkRoad(LoadBalancer):
                 dropped += 1
         self.vips_shed += 1
         self.shed_connections += dropped
-        if self.recorder is not None:
-            self.recorder.record(self.queue.now, FLEET_SHED, None, str(vip), dropped)
-        self._journal(_J_SHED, self._vip_order.index(vip), dropped)
+        self._emit(FLEET_SHED, str(vip), dropped)
 
     def rejoin(self, index: int) -> None:
         """Detection cleared: re-sync state, then re-enter the hash groups.
@@ -1095,7 +1082,6 @@ class FleetSilkRoad(LoadBalancer):
             return
         if not slot.synced:
             self._resync(index)
-        now = self.queue.now
         sid = self._ids[index]
         for vip in self._vip_order:
             if index not in self._assignment[vip] or vip in self._shed:
@@ -1103,44 +1089,22 @@ class FleetSilkRoad(LoadBalancer):
             table = self._tables.get(vip)
             if table is None:
                 # The VIP went dark; it comes back to life on this switch.
-                self._tables[vip] = table = ResilientHashTable(
-                    [sid], num_slots=self.fleet_config.ecmp_slots
-                )
-                moving = [
-                    conn
-                    for conn in self._conns.values()
-                    if conn.vip == vip and conn.active_at(now)
-                ]
+                self._tables[vip] = ResilientHashTable([sid], num_slots=ECMP_SLOTS)
             elif sid not in table.members:
                 table.add(sid)
-                # Flows on the slots the rejoined switch stole move back —
-                # exactly a failover in reverse.
-                conns = [
-                    conn
-                    for key, conn in self._conns.items()
-                    if conn.vip == vip
-                    and conn.active_at(now)
-                    and self._owner[key] != index
-                ]
-                moving = [
-                    conn
-                    for conn, owner in zip(conns, self._owners(conns))
-                    if owner == index
-                ]
             else:
                 continue
-            self._prime_targets((index, conn) for conn in moving)
-            for conn in moving:
-                key = conn.key
-                self._hand_off(key, conn, self._owner[key], index, cause=REHASH)
+            # Flows on the slots the rejoined switch took move to it —
+            # exactly a failover in reverse (every flow of a dark VIP).
+            conns = [c for c in self._live(vip) if self._owner[c.key] != index]
+            self._move_flows(
+                [(t, c) for t, c in zip(self._owners(conns), conns) if t == index],
+                lambda conn: REHASH,
+            )
         slot.in_ecmp = True
         slot.missed = 0
         self.rejoins += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_REJOIN, None, index, slot.generation
-            )
-        self._journal(_J_REJOIN, index, slot.generation)
+        self._emit(FLEET_REJOIN, index, slot.generation)
 
     def _resync(self, index: int) -> None:
         """State re-learn: announce every assigned VIP at its current pool."""
@@ -1156,11 +1120,7 @@ class FleetSilkRoad(LoadBalancer):
             slot.announced.add(vip)
         slot.synced = True
         self.resyncs += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_RESYNC, None, index, slot.generation
-            )
-        self._journal(_J_RESYNC, index, slot.generation)
+        self._emit(FLEET_RESYNC, index, slot.generation)
 
     # ------------------------------------------------------------------
     # PCC-safe VIP reassignment (3 steps at fleet scope)
@@ -1177,8 +1137,12 @@ class FleetSilkRoad(LoadBalancer):
         as such.
         """
         to_slot = self._slots[to_index]
+        table = self._tables.get(vip)
+        members = () if table is None else table.members
+        sources = sorted(m.index for m in members if m.index != to_index)
         if (
-            vip in self._shed
+            not sources
+            or vip in self._shed
             or vip in self._reassigning
             or vip not in self._assignment
             or not to_slot.dataplane_up
@@ -1187,18 +1151,8 @@ class FleetSilkRoad(LoadBalancer):
         ):
             self.reassignments_skipped += 1
             return False
-        table = self._tables.get(vip)
-        if table is None:
-            self.reassignments_skipped += 1
-            return False
-        members = sorted(m.index for m in table.members)
-        from_candidates = [m for m in members if m != to_index]
-        if not from_candidates:
-            self.reassignments_skipped += 1
-            return False
-        from_index = from_candidates[0]
+        from_index = sources[0]
         now = self.queue.now
-        cfg = self.fleet_config
         # Step 1 — re-announce on the target at the current pool.  The
         # target starts receiving updates for the VIP from here on.
         to_slot.switch.announce_vip(vip, tuple(self._pools[vip]))
@@ -1207,16 +1161,9 @@ class FleetSilkRoad(LoadBalancer):
             self._assignment[vip] = sorted(self._assignment[vip] + [to_index])
         self._reassigning[vip] = (now, from_index, to_index)
         self.reassignments_started += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_REASSIGN_ANNOUNCE, None,
-                str(vip), from_index, to_index,
-            )
-        self._journal(
-            _J_RA_ANNOUNCE, self._vip_order.index(vip), from_index * 1024 + to_index
-        )
+        self._emit(FLEET_REASSIGN_ANNOUNCE, str(vip), from_index, to_index)
         self.queue.schedule(
-            now + cfg.announce_delay_s,
+            now + ANNOUNCE_DELAY_S,
             lambda: self._reassign_drain(vip),
             PRIO_INTERNAL,
         )
@@ -1245,14 +1192,9 @@ class FleetSilkRoad(LoadBalancer):
             table.add(to_id)
         if from_id in table.members and len(table.members) > 1:
             table.remove(from_id)
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_REASSIGN_DRAIN, None,
-                str(vip), from_index, to_index,
-            )
-        self._journal(_J_RA_DRAIN, self._vip_order.index(vip))
+        self._emit(FLEET_REASSIGN_DRAIN, str(vip), from_index, to_index)
         self.queue.schedule(
-            self.queue.now + self.fleet_config.drain_window_s,
+            self.queue.now + DRAIN_WINDOW_S,
             lambda: self._reassign_redirect(vip),
             PRIO_INTERNAL,
         )
@@ -1270,31 +1212,16 @@ class FleetSilkRoad(LoadBalancer):
             self._abort_reassignment(vip, reason="target-lost")
             return
         self._reassigning.pop(vip, None)
-        now = self.queue.now
-        conns = [
-            conn
-            for key, conn in self._conns.items()
-            if conn.vip == vip
-            and conn.active_at(now)
-            and self._owner[key] == from_index
-        ]
-        targets = self._owners(conns)
-        self._prime_targets(zip(targets, conns))
-        moved = 0
-        for target, conn in zip(targets, conns):
-            cause = RACE if conn.start >= t0 else REHASH
-            self._hand_off(conn.key, conn, from_index, target, cause=cause)
-            moved += 1
+        conns = self._live(vip, owner=from_index)
+        self._move_flows(
+            list(zip(self._owners(conns), conns)),
+            lambda conn: RACE if conn.start >= t0 else REHASH,
+        )
         assigned = self._assignment.get(vip)
         if assigned and from_index in assigned and from_index != to_index:
             assigned.remove(from_index)
         self.reassignments_completed += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_REASSIGN_REDIRECT, None,
-                str(vip), from_index, moved,
-            )
-        self._journal(_J_RA_REDIRECT, self._vip_order.index(vip), moved)
+        self._emit(FLEET_REASSIGN_REDIRECT, str(vip), from_index, len(conns))
 
     def _abort_reassignment(self, vip: VirtualIP, reason: str) -> None:
         """Roll an in-flight reassignment back onto its source.
@@ -1312,7 +1239,6 @@ class FleetSilkRoad(LoadBalancer):
         if token is None:
             return
         t0, from_index, to_index = token
-        now = self.queue.now
         from_slot = self._slots[from_index]
         table = self._tables.get(vip)
         if (
@@ -1321,16 +1247,8 @@ class FleetSilkRoad(LoadBalancer):
             and self._ids[from_index] not in table.members
         ):
             table.add(self._ids[from_index])
-        races = 0
-        for key, conn in self._conns.items():
-            if (
-                conn.vip == vip
-                and self._owner[key] == to_index
-                and conn.start >= t0
-                and conn.active_at(now)
-            ):
-                self._aborted_races.add(key)
-                races += 1
+        races = [c.key for c in self._live(vip, owner=to_index) if c.start >= t0]
+        self._aborted_races.update(races)
         # Roll back the announce step's assignment change: the destination
         # must not re-announce the VIP on a later rejoin as if the
         # cancelled reassignment had completed.
@@ -1338,12 +1256,9 @@ class FleetSilkRoad(LoadBalancer):
         if assigned and to_index in assigned and from_index in assigned:
             assigned.remove(to_index)
         self.reassignments_aborted += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                self.queue.now, FLEET_REASSIGN_ABORT, None,
-                str(vip), from_index, to_index, reason, races,
-            )
-        self._journal(_J_RA_ABORT, self._vip_order.index(vip), races)
+        self._emit(
+            FLEET_REASSIGN_ABORT, str(vip), from_index, to_index, reason, len(races)
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1351,8 +1266,7 @@ class FleetSilkRoad(LoadBalancer):
 
     def instances(self) -> Iterator[Tuple[int, int, SilkRoadSwitch]]:
         """Every switch instance this fleet ever ran, retirees first."""
-        for index, generation, switch in self._retired:
-            yield index, generation, switch
+        yield from self._retired
         for index, slot in enumerate(self._slots):
             yield index, slot.generation, slot.switch
 
@@ -1387,11 +1301,9 @@ class FleetSilkRoad(LoadBalancer):
             "probes_missed": float(self.controller.probes_missed),
         }
         live_entries = 0
-        for index, slot in enumerate(self._slots):
-            if not getattr(slot.switch, "materialized", True):
-                continue
-            entries = len(slot.switch.conn_table)
-            if slot.dataplane_up:
+        for slot in self._slots:
+            if slot.dataplane_up and getattr(slot.switch, "materialized", True):
+                entries = len(slot.switch.conn_table)
                 report[f"{slot.switch.name}_conn_entries"] = float(entries)
                 live_entries += entries
         report["fleet_conn_entries"] = float(live_entries)
@@ -1488,19 +1400,16 @@ def connection_outcomes(
     replica that never materialized the owning switch simply contributes
     the fleet-recorded share (blackholes, quiesces) of the decisions.
     """
-    rows: List[Tuple[bytes, Tuple[str, ...], bool, bool, float]] = []
-    for conn in connections:
-        dips = {str(dip) for _t, dip in conn.decisions if dip is not None}
-        rows.append(
-            (
-                conn.key,
-                tuple(sorted(dips)),
-                conn.ever_dropped,
-                conn.broken_by_removal,
-                conn.start,
-            )
+    return [
+        (
+            conn.key,
+            tuple(sorted({str(dip) for _t, dip in conn.decisions if dip is not None})),
+            conn.ever_dropped,
+            conn.broken_by_removal,
+            conn.start,
         )
-    return rows
+        for conn in connections
+    ]
 
 
 def attribute_outcomes(

@@ -70,12 +70,10 @@ def run(
     seed: int = 16,
     horizon_s: float = 420.0,
     systems: Dict[str, Callable[[], object]] = None,
-    batched: bool = True,
-    batch_size: int = 256,
 ) -> List[Fig16Point]:
-    """``batched`` selects the chunked-arrival driver (default); the
-    scalar oracle produces bit-identical points (the differential tests
-    pin this), just slower."""
+    """Replay every system at every update rate on the batched driver;
+    the scalar oracle produces bit-identical points (the differential
+    tests pin this), just slower."""
     if systems is None:
         # Insertion slowed proportionally to the scaled-down arrival rate so
         # the pending-connection window is as consequential as at full scale.
@@ -86,9 +84,7 @@ def run(
             updates_per_min=rate, scale=scale, seed=seed, horizon_s=horizon_s
         )
         for name, factory in systems.items():
-            report, _conns, _lb = workload.replay(
-                factory, batched=batched, batch_size=batch_size
-            )
+            report, _conns, _lb = workload.replay(factory)
             points.append(
                 Fig16Point(
                     system=name,

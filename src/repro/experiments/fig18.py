@@ -96,17 +96,13 @@ def run(
     sizes: Sequence[int] = DEFAULT_SIZES,
     timeouts: Sequence[float] = DEFAULT_TIMEOUTS,
     seed: int = 18,
-    batched: bool = True,
-    batch_size: int = 256,
     **knobs: object,
 ) -> List[Fig18Point]:
     """Replay every cell of the ``sizes`` x ``timeouts`` grid in this
     process; ``knobs`` go to :func:`cells` as given."""
     points: List[Fig18Point] = []
     for size, timeout, workload, factory in cells(grid(sizes, timeouts), seed, **knobs):
-        report, _conns, lb = workload.replay(
-            factory, batched=batched, batch_size=batch_size
-        )
+        report, _conns, lb = workload.replay(factory)
         points.append(
             Fig18Point(
                 transit_bytes=size,

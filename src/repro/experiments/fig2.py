@@ -28,9 +28,6 @@ class Fig2Result:
     def all_p99(self) -> List[float]:
         return [x for values in self.per_cluster_p99.values() for x in values]
 
-    def all_median(self) -> List[float]:
-        return [x for values in self.per_cluster_median.values() for x in values]
-
     def pct_clusters_p99_above(self, threshold: float) -> float:
         return percent_above(self.all_p99(), threshold)
 

@@ -25,12 +25,6 @@ class HybridPoint:
     table_full_events: int
     connections: int
 
-    @property
-    def overflow_fraction(self) -> float:
-        if self.connections == 0:
-            return 0.0
-        return self.table_full_events / self.connections
-
 
 def run(
     capacities: Sequence[int] = (1_000, 5_000, 50_000),

@@ -127,9 +127,6 @@ class Table:
                 return
         raise KeyError(f"no entry {match} in table {self.name}")
 
-    def entry_for(self, match: Tuple[int, ...]) -> Optional[TableEntry]:
-        return self._exact.get(match)
-
     def set_default(self, action: Action, **params) -> None:
         if action.name not in self.actions:
             raise ValueError(f"action {action.name!r} not declared")

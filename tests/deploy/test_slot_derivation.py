@@ -70,12 +70,14 @@ def routing_spy(monkeypatch):
             assert self._owner[conn.key] == table.lookup(conn.key, conn.key_hash).index
             seen["arrivals"] += 1
 
-    def checked_hand_off(self, key, conn, old_index, target, cause):
+    def checked_hand_off(self, conn, target, cause):
         table = self._tables.get(conn.vip)
-        expected = None if table is None else table.lookup(key, conn.key_hash).index
-        assert target == expected
+        if table is None:
+            assert target is None
+        else:
+            assert target == table.lookup(conn.key, conn.key_hash).index
         seen["hand_offs"] += 1
-        hand_off(self, key, conn, old_index, target, cause)
+        hand_off(self, conn, target, cause)
 
     monkeypatch.setattr(FleetSilkRoad, "on_connection_arrival", checked_arrival)
     monkeypatch.setattr(FleetSilkRoad, "_hand_off", checked_hand_off)

@@ -26,7 +26,10 @@ built only by the coordinator ("Update records", same document).  And
 one spelling per event: every ``.record(`` call names a kind declared in
 ``repro.obs.events`` and passes exactly that kind's fields, positionally
 — no string category, no keyword fields, no ``**attrs`` helper, no
-``EventKind`` built anywhere else ("Flight recorder", same document).
+``EventKind`` built anywhere else ("Flight recorder", same document); a
+``fleet.*`` event is emitted through ``FleetSilkRoad._emit``, whose call
+sites are checked the same way, so none can bypass the replica journal,
+and every declared ``fleet.*`` kind is emitted somewhere.
 And one fault model: ``faults/`` holds one fault-kind ``Enum``, one plan
 ``generate`` and one class that ``attach``-es a plan, and every kind has
 its one declared ``fault.<value>`` event (docs/robustness.md, "The fault
@@ -350,11 +353,33 @@ def test_one_record_per_update():
     assert not offenders, "\n".join(offenders)
 
 
+#: The one ``.record(`` call that forwards a kind it was handed instead of
+#: naming one: the fleet's emission, whose own call sites are checked.
+FORWARDER = ("deploy/fleet.py", "FleetSilkRoad._emit")
+
+
+def _qualified(tree):
+    """``(name of the enclosing class/function chain, node)`` for every
+    node of a module."""
+    stack = [("", tree)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}" if prefix else child.name
+            yield name, child
+            stack.append((name, child))
+
+
 def _record_sites(rel, tree):
-    """``(call, kinds)`` for every ``.record(`` call in one module:
-    ``kinds`` are the declared kinds its second argument can be — one for
-    a name imported from ``repro.obs.events``, several for a lookup in a
-    module-level dict of such names — or ``None`` if it is anything else."""
+    """``(call, kinds, values)`` for every record site in one module: each
+    ``.record(t, kind, key, *values)`` call and, in ``deploy/fleet.py``,
+    each ``self._emit(kind, *values)`` call.  ``kinds`` are the declared
+    kinds its kind argument can be — one for a name imported from
+    ``repro.obs.events``, several for a lookup in a module-level dict of
+    such names — or ``None`` if it is anything else.  :data:`FORWARDER`'s
+    call is not a site."""
     from repro.obs import events
 
     package = ("repro/" + rel).split("/")[:-1]
@@ -378,31 +403,36 @@ def _record_sites(rel, tree):
             kinds = [imported[v.id] for v in node.value.values]
             for target in node.targets:
                 tables[target.id] = kinds
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "record"
-        ):
+    for where, node in _qualified(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        kind = node.args[1] if len(node.args) > 1 else None
+        if node.func.attr == "record" and (rel, where) != FORWARDER:
+            kind, values = node.args[1:2], node.args[3:]  # after (t, kind, key)
+        elif node.func.attr == "_emit" and rel == FORWARDER[0]:
+            kind, values = node.args[:1], node.args[1:]
+        else:
+            continue
+        kind = kind[0] if kind else None
         if isinstance(kind, ast.Name) and isinstance(
             imported.get(kind.id), events.EventKind
         ):
-            yield node, [imported[kind.id]]
+            yield node, [imported[kind.id]], values
         elif isinstance(kind, ast.Subscript) and isinstance(kind.value, ast.Name):
-            yield node, tables.get(kind.value.id)
+            yield node, tables.get(kind.value.id), values
         else:
-            yield node, None
+            yield node, None, values
 
 
 def test_one_spelling_per_event():
+    from repro.obs.events import CATALOGUE
+
     offenders = []
     sites = 0
+    emitted = set()
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text(), filename=str(path))
-        for call, kinds in _record_sites(rel, tree):
+        for call, kinds, values in _record_sites(rel, tree):
             sites += 1
             where = f"{rel}:{call.lineno}"
             if kinds is None:
@@ -412,13 +442,23 @@ def test_one_spelling_per_event():
                 offenders.append(f"{where} splats its values")
             if [kw.arg for kw in call.keywords if kw.arg != "key"]:
                 offenders.append(f"{where} passes a field by keyword")
-            passed = max(len(call.args) - 3, 0)  # after (t, kind, key)
+            via_emit = call.func.attr == "_emit"
             for kind in kinds:
-                if passed != len(kind.fields):
+                if len(values) != len(kind.fields):
                     offenders.append(
-                        f"{where} passes {passed} value(s), "
+                        f"{where} passes {len(values)} value(s), "
                         f"{kind.category}.{kind.name} declares {len(kind.fields)}"
                     )
+                # A fleet event recorded past ``_emit`` would miss the
+                # replica journal; ``_emit`` records nothing else.
+                if via_emit != (kind.category == "fleet"):
+                    offenders.append(
+                        f"{where} {'emits' if via_emit else 'records'} "
+                        f"{kind.category}.{kind.name}: fleet events, and only "
+                        f"they, go through FleetSilkRoad._emit"
+                    )
+                if via_emit:
+                    emitted.add(kind)
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
@@ -439,6 +479,11 @@ def test_one_spelling_per_event():
                     f"{rel}:{node.lineno} {node.name}(**{node.args.kwarg.arg}) "
                     f"is a keyword-spelled record helper"
                 )
+    offenders.extend(
+        f"fleet.{kind.name} is declared but emitted nowhere"
+        for (category, _name), kind in CATALOGUE.items()
+        if category == "fleet" and kind not in emitted
+    )
     assert not offenders, "\n".join(offenders)
     assert sites >= 40, f"only {sites} record sites found: the walk is not seeing them"
 
