@@ -6,9 +6,9 @@ move.  The facade groups:
 
 * **Systems** — :class:`SilkRoadSwitch` / :class:`SilkRoadConfig` and the
   fleet (:class:`FleetSilkRoad`, :class:`FleetConfig`).
-* **Options** — :class:`DriverOptions` (batched vs scalar replay) and
-  :class:`ObsOptions` (flight recorder, timeline sampling), accepted by
-  every runner below.
+* **Options** — :class:`ObsOptions` (flight recorder, timeline
+  sampling), accepted by every runner below.  No runner takes a
+  replay-driver choice: they all replay on the one default driver.
 * **Runners** — seeded one-call harnesses: :func:`run_chaos` (single
   hardened switch under faults), :func:`run_fleet` (fleet failure domain),
   :func:`run_fleet_partitioned` (that one run, space-partitioned), and
@@ -45,7 +45,7 @@ from .experiments.parallel import ShardedRunResult, run_fleet_partitioned, run_s
 # for ``repro explain``, which shrinks it; it is not part of ``__all__``.
 from .faults.chaos import ChaosResult, chaos_config, run_chaos  # noqa: F401
 from .faults.fleet import FleetChaosResult, run_fleet
-from .options import DriverOptions, ObsOptions
+from .options import ObsOptions
 from .serve import (
     ControlServer,
     ServeConfig,
@@ -61,7 +61,6 @@ __all__ = [
     "FleetConfig",
     "FleetSilkRoad",
     # options
-    "DriverOptions",
     "ObsOptions",
     # runners
     "run_chaos",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 #: Runner keywords the shared flag groups set: the workload's shape, plus
@@ -36,13 +35,6 @@ def _given(args: argparse.Namespace, *dests: str) -> Dict[str, object]:
     (an untyped value flag is ``None``, or not on this command at all)."""
     given = {dest: getattr(args, dest, None) for dest in dests}
     return {dest: value for dest, value in given.items() if value is not None}
-
-
-def _driver(args: argparse.Namespace):
-    """The :class:`~repro.options.DriverOptions` ``--batched/--scalar`` chose."""
-    from .api import DriverOptions
-
-    return DriverOptions(**_given(args, "batched"))
 
 
 def _facets(result) -> Dict[str, object]:
@@ -65,8 +57,8 @@ def _facets(result) -> Dict[str, object]:
 def _finish(args, result, rerun: Optional[Callable[[], object]] = None) -> int:
     """The shared tail of ``chaos`` / ``fleet`` / ``run`` / ``serve``.
 
-    ``rerun`` repeats the run another way (other driver, one worker, in
-    process); under ``--check-determinism`` every facet must come back
+    ``rerun`` repeats the run (same seed, or one worker, or in process);
+    under ``--check-determinism`` every facet must come back
     identical.  ``--fingerprint-out`` gets one ``label hex`` line per
     fingerprint.  A result that is not ``ok`` is reported on stderr and
     exits 1.
@@ -196,9 +188,7 @@ def _cmd_pcc(args: argparse.Namespace) -> int:
         "slb": lambda: SoftwareLoadBalancer(),
     }
     workload = build_workload(**_given(args, *WORKLOAD))
-    report, _conns, _lb = workload.replay(
-        factories[args.system], batched=_driver(args).batched
-    )
+    report, _conns, _lb = workload.replay(factories[args.system])
     print(report.summary())
     for key, value in sorted(report.extra.items()):
         print(f"  {key}: {value}")
@@ -223,12 +213,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     knobs = _given(
         args, *SHAPE, "faults_per_min", "num_switches", "replication", "conn_budget"
     )
-    driver = _driver(args)
     if args.partition_workers is not None:
 
         def partitioned(workers: int, in_process: Optional[bool] = None):
             return run_fleet_partitioned(
-                workers, in_process, driver=driver, pattern=patterns[0], **seed, **knobs
+                workers, in_process, pattern=patterns[0], **seed, **knobs
             )
 
         result = partitioned(args.partition_workers)
@@ -243,7 +232,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     params = dict(knobs, patterns=patterns, plans_per_pattern=plans_per_pattern)
 
     def sweep(**pool):
-        return run_sharded("fleet", params=params, driver=driver, **seed, **pool)
+        return run_sharded("fleet", params=params, **seed, **pool)
 
     pool = _given(args, "num_shards", "workers")
     result = sweep(**pool)
@@ -294,13 +283,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .api import run_chaos
 
     knobs = _given(args, *CHAOS)
-    driver = _driver(args)
-    result = run_chaos(driver=driver, **knobs)
+    result = run_chaos(**knobs)
     print(result.summary())
-    # The second pass swaps drivers: same-seed batched and scalar runs
-    # must land on the same fingerprint (the differential contract).
-    other = replace(driver, batched=not driver.batched)
-    return _finish(args, result, rerun=lambda: run_chaos(driver=other, **knobs))
+    return _finish(args, result, rerun=lambda: run_chaos(**knobs))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -314,7 +299,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.task,
         seed=seed,
         params=_given(args, *SHAPE, "num_vips", "systems"),
-        driver=_driver(args),
         obs=ObsOptions(
             record=args.record,
             timeline_period_s=args.timeline_period if args.timeline else None,
@@ -515,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     determinism = _group(
         ("--check-determinism", bool,
-         "rerun differently (driver / pool / process); results must be identical"),
+         "same-seed rerun (serial where it was pooled); results must be identical"),
     )
     fingerprint = _group(("--fingerprint-out", str, "write the fingerprints here"))
     session = _group(
@@ -523,15 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--scale", float, "workload scale"),
         ("--fleet", int, "switches (1 = one switch, >1 = a fleet)", "num_switches"),
     )
-    driver = argparse.ArgumentParser(add_help=False)
-    which = driver.add_mutually_exclusive_group()
-    for flag, batched, text in (
-        ("--batched", True, "chunked-arrival replay driver (the default)"),
-        ("--scalar", False, "event-at-a-time oracle driver; bit-identical results"),
-    ):
-        which.add_argument(
-            flag, dest="batched", action="store_const", const=batched, help=text
-        )
 
     command(
         "experiments", _cmd_experiments, "regenerate paper tables/figures",
@@ -542,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).add_argument("names", nargs="*", help="experiment names (default: all)")
     command(
         "pcc", _cmd_pcc, "one flow-level PCC simulation against a chosen system",
-        (_workload_group(seed=7, scale=0.5, horizon_s=120.0, updates_per_min=10.0),
-         driver),
+        (_workload_group(seed=7, scale=0.5, horizon_s=120.0, updates_per_min=10.0),),
         (
             ("--system", ("silkroad", "silkroad-no-tt", "duet", "slb"), "system"),
             ("--duet-period", float, "Duet migrate-back period (s)"),
@@ -555,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet chaos survival sweep (switch crashes, partitions, flaps, "
         "cascades): a kept/broken/blackholed table per pattern; exits "
         "non-zero unless every PCC violation and drop is attributed",
-        (workload, faults, sharding, determinism, fingerprint, driver),
+        (workload, faults, sharding, determinism, fingerprint),
         (
             ("--plans", int, "total fault plans in the sweep, split across patterns"),
             ("--patterns", str, "comma-separated failure patterns to sweep"),
@@ -601,13 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", _cmd_chaos,
         "seeded fault injection against the hardened slow path with every "
         "invariant audited; exits non-zero on a violation (`run chaos` shards it)",
-        (workload, faults, fault_seed, determinism, driver),
+        (workload, faults, fault_seed, determinism),
     )
     command(
         "run", _cmd_run,
         "one shardable experiment on the sharded replay engine; the merged "
         "result depends on --num-shards, never on --workers",
-        (workload, sharding, fingerprint, driver),
+        (workload, sharding, fingerprint),
         (
             ("--num-vips", int, "fig16: VIPs to shard; fig18: VIPs in the workload"),
             ("--systems", lambda text: tuple(text.split(",")),

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..asicsim.cuckoo import DEFAULT_OVERHEAD_BITS
-from ..asicsim.sram import DEFAULT_WORD_BITS
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class SilkRoadConfig:
     conn_table_target_load: float = 0.9375  # 15/16: cuckoo packs tightly
     digest_bits: int = 16
     version_bits: int = 6
-    word_bits: int = DEFAULT_WORD_BITS
 
     # --- TransitTable (§4.3).
     use_transit_table: bool = True

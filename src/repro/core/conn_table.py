@@ -49,7 +49,6 @@ class ConnTable:
             stages=CONN_TABLE_STAGES,
             digest_bits=config.digest_bits,
             value_bits=config.version_bits,
-            word_bits=config.word_bits,
             seed=seed,
             metrics=metrics,
         )

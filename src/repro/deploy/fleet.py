@@ -510,9 +510,10 @@ class FleetSilkRoad(LoadBalancer):
         for slot in self._slots:
             slot.switch.attach_recorder(recorder)
 
-    def attach_partition_recorders(self, capacity: int) -> None:
-        """Partitioned recording: one ring per owned switch (source
-        ``sw<i>``) plus, on the primary replica only, a fleet ring.
+    def attach_partition_recorders(self) -> None:
+        """Partitioned recording: one default-capacity ring per owned
+        switch (source ``sw<i>``) plus, on the primary replica only, a
+        fleet ring.
 
         A :class:`~repro.obs.recorder.FlightRecorder` sequences events per
         ring, and the merged dump orders by ``(t, source, seq)`` — with
@@ -522,9 +523,9 @@ class FleetSilkRoad(LoadBalancer):
         from ..obs.recorder import FlightRecorder
 
         if self._primary:
-            self.recorder = FlightRecorder(capacity=capacity, source="fleet")
+            self.recorder = FlightRecorder(source="fleet")
         for i in sorted(self._owned):
-            recorder = FlightRecorder(capacity=capacity, source=f"sw{i}")
+            recorder = FlightRecorder(source=f"sw{i}")
             self._slot_recorders[i] = recorder
             self._slots[i].switch.attach_recorder(recorder)
 

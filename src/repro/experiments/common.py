@@ -70,9 +70,11 @@ class PccWorkload:
         ``batched`` selects the chunked-arrival driver
         (:class:`~repro.netsim.batchsim.BatchedFlowSimulator`, the
         default); ``batched=False`` runs the scalar event-at-a-time
-        oracle.  Both produce bit-identical results (enforced by
-        tests/asicsim/test_differential.py).  Returns the report, the
-        replayed connections, and the LB instance (for its counters).
+        oracle.  This is the one place a driver is chosen: every runner
+        replays on the default, and the oracle is for the differential
+        tests (tests/asicsim/test_differential.py), which hold the two
+        bit-identical.  Returns the report, the replayed connections, and
+        the LB instance (for its counters).
         """
         conns = [c.fresh() for c in self.connections]
         lb = lb_factory()

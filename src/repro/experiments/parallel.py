@@ -57,7 +57,7 @@ from ..deploy.fleet import (
 from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import FlightRecorder, MetricRegistry, ObsHook, Timeline
 from ..obs.causes import survival as count_survival
-from ..options import DriverOptions, ObsOptions
+from ..options import ObsOptions
 from . import fig16, fig18
 from .common import build_workload
 
@@ -98,8 +98,8 @@ class ShardSpec:
     """One shard of a sharded run; picklable, hashable, self-describing.
 
     ``params`` is a flat tuple of ``(key, value)`` pairs (primitives and
-    tuples only) naming the experiment's knobs; ``driver``/``obs`` are the
-    caller's frozen options, carried as values.
+    tuples only) naming the experiment's knobs; ``obs`` is the caller's
+    frozen observability option, carried as a value.
     """
 
     task: str
@@ -107,7 +107,6 @@ class ShardSpec:
     num_shards: int
     seed: int
     params: Tuple[Tuple[str, object], ...] = ()
-    driver: DriverOptions = DriverOptions()
     obs: ObsOptions = ObsOptions()
 
     def param_dict(self) -> Dict[str, object]:
@@ -247,12 +246,7 @@ class _ShardFold:
         """Replay → count → audit → fold one cell; returns ``(report, lb)``
         (only a SilkRoad switch has an audit and a registry to fold)."""
         hook = ObsHook(self.cell_obs(cell), cell, workload.horizon_s, prefix=f"{cell}.")
-        report, conns, lb = workload.replay(
-            factory,
-            attach=hook,
-            batched=self.spec.driver.batched,
-            batch_size=self.spec.driver.batch_size,
-        )
+        report, conns, lb = workload.replay(factory, attach=hook)
         self.count(
             cell, "pcc_violations", report.pcc_violations,
             "connections that broke PCC",
@@ -349,9 +343,7 @@ def _run_chaos_shard(spec: ShardSpec, **knobs: object) -> ShardResult:
     from ..faults.chaos import run_chaos
 
     fold = _ShardFold(spec)
-    result = run_chaos(
-        seed=spec.seed, driver=spec.driver, obs=fold.cell_obs("chaos"), **knobs
-    )
+    result = run_chaos(seed=spec.seed, obs=fold.cell_obs("chaos"), **knobs)
     for key, value, help in (
         ("faults_injected", len(result.plan), "faults in the plan"),
         ("pcc_violations", result.report.pcc_violations, "connections that broke PCC"),
@@ -410,7 +402,6 @@ def _run_fleet_shard(
             seed=_fleet_cell_seed(base_seed, pattern, plan_index, 20_000),
             fault_seed=_fleet_cell_seed(base_seed, pattern, plan_index, 30_000),
             pattern=pattern,
-            driver=spec.driver,
             obs=fold.cell_obs(cell),
             **knobs,
         )
@@ -529,7 +520,7 @@ def _accepted_params(task: str) -> Set[str]:
         if param.kind is not param.VAR_KEYWORD
     }
     layout, supplied = _LAYOUT.get(task, ((), ()))
-    return (names - {"spec", "driver", "obs", *supplied}) | set(layout)
+    return (names - {"spec", "obs", *supplied}) | set(layout)
 
 
 def run_shard(spec: ShardSpec) -> ShardResult:
@@ -605,11 +596,9 @@ def _worker_main(spec: ShardSpec, conn) -> None:
 # Shard layout
 # ----------------------------------------------------------------------
 
-#: ``DriverOptions``/``ObsOptions`` field -> the keyword that carries it.
-_OPTION_KEYWORDS = {
-    **{f.name: "driver" for f in fields(DriverOptions)},
-    **{f.name: "obs" for f in fields(ObsOptions)},
-}
+#: The ``ObsOptions`` fields: a params key spelling one is told to pass
+#: ``obs=`` instead.
+_OBS_FIELDS = frozenset(f.name for f in fields(ObsOptions))
 
 
 def _even_split(total: int, parts: int, what: str) -> List[range]:
@@ -637,28 +626,27 @@ def make_shards(
     num_shards: int,
     seed: int,
     params: Optional[Dict[str, object]] = None,
-    driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
 ) -> List[ShardSpec]:
     """The deterministic shard layout of one run.
 
-    Depends only on ``(task, num_shards, seed, params, driver, obs)`` —
+    Depends only on ``(task, num_shards, seed, params, obs)`` —
     never on worker count or machine — which is what makes merged
     fingerprints comparable across pool sizes.  ``params`` holds the
     experiment's knobs only, and only those given: every key is forwarded
     to the task's runner as it is and an absent one takes that runner's
     default.  A key the task does not take, an unknown fleet pattern or
-    fig16 system, or a driver/obs option spelled as a params key
-    (``driver=``/``obs=`` being the one spelling) raises ``ValueError``
-    here — in the caller's process, before any worker exists.
+    fig16 system, or an obs option spelled as a params key (``obs=``
+    being the one spelling) raises ``ValueError`` here — in the caller's
+    process, before any worker exists.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
     params = dict(params or {})
-    for key in sorted(_OPTION_KEYWORDS.keys() & params.keys()):
+    for key in sorted(_OBS_FIELDS & params.keys()):
         raise ValueError(
-            f"{key!r} is not a shard parameter: pass it as "
-            f"{_OPTION_KEYWORDS[key]}= (see repro.options)"
+            f"{key!r} is not a shard parameter: pass it as obs= "
+            "(see repro.options)"
         )
     accepted = _accepted_params(task)
     for key in sorted(params.keys() - accepted):
@@ -712,7 +700,6 @@ def make_shards(
             num_shards=num_shards,
             seed=derive_shard_seed(seed, shard_id),
             params=tuple(sorted({**params, **own}.items())),
-            driver=driver or DriverOptions(),
             obs=obs or ObsOptions(),
         )
         for shard_id, own in enumerate(per_shard)
@@ -814,7 +801,6 @@ def run_sharded(
     retries: int = 1,
     params: Optional[Dict[str, object]] = None,
     strict: bool = False,
-    driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
 ) -> ShardedRunResult:
     """Run one experiment as ``num_shards`` deterministic shards.
@@ -824,16 +810,17 @@ def run_sharded(
     produces byte-identical results to any parallel pool because the
     shard layout and merge order are fixed by ``num_shards`` alone.
 
-    ``driver``/``obs`` are the shared replay-driver and observability
-    options; every :class:`ShardSpec` carries them to its worker as they
-    are.  ``params`` names the experiment's own knobs and nothing else.
+    ``obs`` is the shared observability option; every :class:`ShardSpec`
+    carries it to its worker as it is, and every shard replays on the
+    default driver.  ``params`` names the experiment's own knobs and
+    nothing else.
 
     Every failed attempt is logged and counted in
     ``parallel.worker_errors_total``; shards still failing after the
     retry budget land in ``result.failed`` — or, with ``strict=True``,
     raise :class:`RuntimeError` carrying every terminal traceback.
     """
-    specs = make_shards(task, num_shards, seed, params, driver=driver, obs=obs)
+    specs = make_shards(task, num_shards, seed, params, obs=obs)
     if workers is None:
         workers = min(num_shards, os.cpu_count() or 1)
     results, failed, errors = _run_attempts(specs, workers, retries)
@@ -1018,7 +1005,6 @@ class FleetPartitionedResult:
 def _run_partition_replica(
     partition: FleetPartition,
     run_kwargs: Dict[str, object],
-    driver: DriverOptions,
     obs: ObsOptions,
     barrier: Optional[Callable[[int, Tuple[int, ...]], None]] = None,
 ) -> _PartitionPartial:
@@ -1046,7 +1032,7 @@ def _run_partition_replica(
 
     def attach(sim, lb) -> None:
         if obs.record:
-            lb.attach_partition_recorders(obs.record_capacity)
+            lb.attach_partition_recorders()
         hook(sim, lb)
         for k in range(1, epochs + 1):
 
@@ -1067,8 +1053,6 @@ def _run_partition_replica(
         ),
         faults=injector,
         attach=attach,
-        batched=driver.batched,
-        batch_size=driver.batch_size,
     )
     # Final-state digest: catches divergence after the last barrier.
     digests.append((epochs + 1, fleet.epoch_digest()))
@@ -1109,7 +1093,6 @@ def _run_partition_replica(
 def _partition_worker_main(
     partition: FleetPartition,
     run_kwargs: Dict[str, object],
-    driver: DriverOptions,
     obs: ObsOptions,
     conn,
 ) -> None:
@@ -1130,9 +1113,7 @@ def _partition_worker_main(
             )
 
     def replica() -> tuple:
-        return "done", _run_partition_replica(
-            partition, run_kwargs, driver, obs, barrier
-        )
+        return "done", _run_partition_replica(partition, run_kwargs, obs, barrier)
 
     _ship(conn, who, replica)
 
@@ -1207,7 +1188,6 @@ def run_fleet_partitioned(
     partition_workers: int = 1,
     in_process: Optional[bool] = None,
     *,
-    driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
     **knobs: object,
 ) -> FleetPartitionedResult:
@@ -1223,19 +1203,18 @@ def run_fleet_partitioned(
     by tests/experiments/test_partition.py).  ``in_process`` (default:
     ``partition_workers == 1``) runs the replicas sequentially in this
     process — same results, no pool — with digests cross-checked post-hoc
-    instead of per epoch.  ``driver``/``obs`` are the replay/observability
-    options.
+    instead of per epoch.  ``obs`` is the observability option; every
+    replica replays on the default driver.
     """
     from ..faults.fleet import pattern_overrides, run_fleet
 
-    driver = driver or DriverOptions()
     obs = obs or ObsOptions()
     # Bound against run_fleet's own signature: a name it lacks is the usual
     # TypeError, an absent knob takes its default.
     bound = inspect.signature(run_fleet).bind_partial(**knobs)
     bound.apply_defaults()
     run_kwargs = dict(bound.arguments)
-    del run_kwargs["driver"], run_kwargs["obs"]
+    del run_kwargs["obs"]
     if run_kwargs.pop("workload") is not None:
         raise TypeError("run_fleet_partitioned() takes no prebuilt workload")
     # An unknown pattern is the caller's error: say so here, not from
@@ -1257,7 +1236,7 @@ def run_fleet_partitioned(
         FleetPartition(owned=owned, worker_id=i, num_workers=partition_workers)
         for i, owned in enumerate(owned_sets)
     ]
-    replica_args = (run_kwargs, driver, obs)
+    replica_args = (run_kwargs, obs)
     if in_process:
         partials = [_run_partition_replica(p, *replica_args) for p in partitions]
     else:

@@ -28,7 +28,7 @@ from ..core.verify import AuditReport, audit_switch
 from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..obs import FlightRecorder, ObsHook, Timeline
-from ..options import DriverOptions, ObsOptions
+from ..options import ObsOptions
 from .injector import FaultInjector
 from .plan import FaultPlan
 
@@ -114,7 +114,6 @@ def run_chaos(
     config: Optional[SilkRoadConfig] = None,
     plan: Optional[FaultPlan] = None,
     workload: Optional[PccWorkload] = None,
-    driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
 ) -> ChaosResult:
     """One fully seeded chaos run; see the module docstring.
@@ -126,12 +125,9 @@ def run_chaos(
     :class:`~repro.obs.TimelineSampler` over the switch's registry and
     exposes the sampled :class:`~repro.obs.Timeline` as
     ``result.timeline``.  Both are off by default and add nothing to the
-    hot path when off.  ``driver=DriverOptions(batched=False)`` replays
-    through the scalar event-at-a-time oracle instead of the
-    chunked-arrival driver; both produce bit-identical results
-    (tests/asicsim/test_differential.py).
+    hot path when off.  The run replays on the default driver; the
+    differential tests run it again on the scalar oracle.
     """
-    driver = driver or DriverOptions()
     obs = obs or ObsOptions()
     if fault_seed is None:
         fault_seed = seed + 1000
@@ -155,8 +151,6 @@ def run_chaos(
         lambda: SilkRoadSwitch(config, name="silkroad-chaos"),
         faults=injector,
         attach=hook,
-        batched=driver.batched,
-        batch_size=driver.batch_size,
     )
     audit = audit_switch(switch, connections=connections)
     return ChaosResult(

@@ -29,7 +29,7 @@ from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..obs import FlightRecorder, ObsHook, Timeline
 from ..obs.causes import survival
-from ..options import DriverOptions, ObsOptions
+from ..options import ObsOptions
 from .injector import FaultInjector
 from .plan import FLEET_KINDS, FaultKind, FaultPlan
 
@@ -164,7 +164,6 @@ def run_fleet(
     fleet_config: Optional[FleetConfig] = None,
     plan: Optional[FaultPlan] = None,
     workload: Optional[PccWorkload] = None,
-    driver: Optional[DriverOptions] = None,
     obs: Optional[ObsOptions] = None,
 ) -> FleetChaosResult:
     """One fully seeded fleet chaos run; see the module docstring.
@@ -173,10 +172,9 @@ def run_fleet(
     are declared: the survival sweep (``run_sharded("fleet", params=...)``),
     :func:`~repro.experiments.parallel.run_fleet_partitioned` and the CLI
     all forward only what their caller gave.  ``fault_seed`` defaults to
-    ``seed + 2000``; ``driver``/``obs`` are the replay/observability
-    options (see :mod:`repro.options`).
+    ``seed + 2000``; ``obs`` is the observability option (see
+    :mod:`repro.options`).  The run replays on the default driver.
     """
-    driver = driver or DriverOptions()
     obs = obs or ObsOptions()
     workload, plan, config, fleet_config = resolve_fleet_run(
         seed=seed,
@@ -205,8 +203,6 @@ def run_fleet(
         ),
         faults=injector,
         attach=hook,
-        batched=driver.batched,
-        batch_size=driver.batch_size,
     )
     audit = audit_fleet(fleet, connections)
     return FleetChaosResult(

@@ -20,8 +20,8 @@ class ObsHook:
     """The ``replay(attach=...)`` hook that arms what ``obs`` asks for.
 
     Called as ``hook(sim, lb)`` after the simulator is built but before
-    its first event (only ``sim.queue`` is used), it
-    hands ``lb`` a :class:`FlightRecorder` tagged ``source`` (unless
+    its first event (only ``sim.queue`` is used), it hands ``lb`` a
+    default-capacity :class:`FlightRecorder` tagged ``source`` (unless
     ``obs.record_source`` overrides the tag) and schedules a
     :class:`TimelineSampler` over ``lb.metrics`` up to ``horizon_s``, its
     columns prefixed ``prefix``.  The LB is duck-typed: a recorder arms
@@ -45,10 +45,7 @@ class ObsHook:
     def __call__(self, sim, lb) -> None:
         obs = self.obs
         if obs.record and hasattr(lb, "attach_recorder"):
-            self.recorder = FlightRecorder(
-                capacity=obs.record_capacity,
-                source=obs.resolved_source(self.source),
-            )
+            self.recorder = FlightRecorder(source=obs.resolved_source(self.source))
             lb.attach_recorder(self.recorder)
         metrics = getattr(lb, "metrics", None)
         if obs.timeline_period_s is not None and metrics is not None:

@@ -51,6 +51,9 @@ from .source import StreamingFlowSource
 #: (``/healthz`` included) for as long as the simulation takes.
 MAX_ADVANCE_S = 3600.0
 
+#: Horizon the chaos fault plan (and the optional timeline sampler) covers.
+PLAN_HORIZON_S = 600.0
+
 
 class ApiError(Exception):
     """A structured control-API failure (rendered as an HTTP 4xx)."""
@@ -87,10 +90,7 @@ class ServeConfig:
     #: attach the seeded fault injector (fleet kinds on a fleet).
     chaos: bool = False
     faults_per_min: float = 30.0
-    #: horizon the fault plan (and the optional timeline sampler) covers.
-    plan_horizon_s: float = 600.0
     spares_per_vip: int = 8
-    config: Optional[SilkRoadConfig] = None
     obs: Optional[ObsOptions] = None
     #: pace time from the wallclock instead of explicit ``/advance``.
     wallclock: bool = False
@@ -125,7 +125,7 @@ class ServeSession:
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
         self.config = config
         obs = self.obs = config.obs or ObsOptions()
-        sr_config = config.config if config.config is not None else SilkRoadConfig()
+        sr_config = SilkRoadConfig()
 
         self.cluster = make_cluster(
             name="serve",
@@ -158,7 +158,7 @@ class ServeSession:
 
             plan = FaultPlan.generate(
                 config.seed + 1000,
-                horizon_s=config.plan_horizon_s,
+                horizon_s=PLAN_HORIZON_S,
                 faults_per_min=config.faults_per_min,
                 kinds=FLEET_KINDS if self.is_fleet else SWITCH_KINDS,
                 num_switches=config.num_switches,
@@ -170,7 +170,7 @@ class ServeSession:
         #: to it as they do in a replay.
         self.sim = BatchedFlowSimulator(self.lb, faults=self.injector)
         self.queue = self.sim.queue
-        hook = ObsHook(obs, "serve", config.plan_horizon_s)
+        hook = ObsHook(obs, "serve", PLAN_HORIZON_S)
         hook(self.sim, self.lb)
         self.recorder = hook.recorder
         self.timeline = hook.timeline

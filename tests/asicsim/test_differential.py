@@ -21,6 +21,9 @@ on/off, and the batch sizes {1, 7, 64, 1024} (1 exercises the chunking
 degenerate case, 7 misaligned chunks, 1024 chunks larger than most
 inter-end gaps).  One case arms the flight recorder and the timeline
 sampler, whose hooks sit inside the arrival walk and on the heap.
+
+The seeded runners take no driver choice; their chaos cases run the real
+``run_chaos`` on each driver through :func:`tests.scalar_oracle.oracle_driver`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.netsim.batchsim import BatchedFlowSimulator
 from repro.netsim.simulator import FlowSimulator
-from repro.options import DriverOptions, ObsOptions
+from repro.options import ObsOptions
+
+from ..scalar_oracle import oracle_driver
 
 BATCH_SIZES = (1, 7, 64, 1024)
 
@@ -107,23 +112,25 @@ def test_batched_matches_scalar_oracle(batch_size):
     _assert_identical(scalar, batched, f"batch_size={batch_size}")
 
 
-def test_batched_matches_scalar_under_faults():
-    """Chaos run: faults hit mid-chunk and the interleaving must still match."""
-    scalar = run_chaos(
-        seed=11, scale=0.04, horizon_s=15.0, driver=DriverOptions(batched=False)
-    )
-    batched = run_chaos(
-        seed=11, scale=0.04, horizon_s=15.0, driver=DriverOptions(batched=True)
-    )
+def _assert_chaos_identical(scalar, batched) -> None:
     assert batched.fingerprint == scalar.fingerprint
     assert str(batched.audit) == str(scalar.audit)
     assert _conn_table_snapshot(batched.switch) == _conn_table_snapshot(
         scalar.switch
     )
-    assert (
-        batched.report.pcc_violations == scalar.report.pcc_violations
-    )
+    assert batched.report.pcc_violations == scalar.report.pcc_violations
     assert batched.overdue_updates == scalar.overdue_updates
+
+
+def test_batched_matches_scalar_under_faults():
+    """Chaos runs: faults hit mid-chunk and the interleaving must still
+    match.  ``dict(seed=7)`` is ``repro chaos --seed 7``."""
+    for knobs in (dict(seed=11, scale=0.04, horizon_s=15.0), dict(seed=7)):
+        with oracle_driver():
+            scalar = run_chaos(**knobs)
+        batched = run_chaos(**knobs)
+        assert batched.audit.ok, (knobs, str(batched.audit))
+        _assert_chaos_identical(scalar, batched)
 
 
 @pytest.mark.parametrize("batch_size", (1, 64))
@@ -131,10 +138,10 @@ def test_recorder_armed_batched_matches_scalar(batch_size):
     """Recorder + timeline armed: same events, same samples, both drivers."""
     obs = ObsOptions(record=True, timeline_period_s=1.0)
     kwargs = dict(seed=13, scale=0.04, horizon_s=12.0, obs=obs)
-    scalar = run_chaos(driver=DriverOptions(batched=False), **kwargs)
-    batched = run_chaos(
-        driver=DriverOptions(batched=True, batch_size=batch_size), **kwargs
-    )
+    with oracle_driver():
+        scalar = run_chaos(**kwargs)
+    with oracle_driver(batched=True, batch_size=batch_size):
+        batched = run_chaos(**kwargs)
     assert batched.fingerprint == scalar.fingerprint
     assert batched.timeline.fingerprint() == scalar.timeline.fingerprint()
     assert batched.recorder.summary() == scalar.recorder.summary()

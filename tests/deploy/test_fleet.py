@@ -9,7 +9,6 @@ from repro.deploy.fleet import FleetConfig, FleetSilkRoad, audit_fleet
 from repro.obs.causes import BLACKHOLE, RACE, REHASH, SHED
 from repro.experiments.parallel import run_sharded
 from repro.faults.fleet import run_fleet
-from repro.options import DriverOptions
 from repro.netsim.batchsim import BatchedFlowSimulator
 from repro.netsim import (
     ArrivalGenerator,
@@ -17,6 +16,8 @@ from repro.netsim import (
     make_cluster,
     uniform_vip_workloads,
 )
+
+from ..scalar_oracle import oracle_driver
 
 
 def build(
@@ -277,8 +278,9 @@ class TestAcceptanceSweep:
             warmup_s=1.0,
             faults_per_min=8.0,
         )
-        batched = run_fleet(driver=DriverOptions(batched=True), **kw)
-        scalar = run_fleet(driver=DriverOptions(batched=False), **kw)
+        batched = run_fleet(**kw)
+        with oracle_driver():
+            scalar = run_fleet(**kw)
         assert batched.fingerprint == scalar.fingerprint
         assert batched.survival == scalar.survival
 
@@ -318,11 +320,14 @@ class TestProfilePriming:
             warmup_s=1.0,
             faults_per_min=10.0,
         )
-        runs = [
-            run_fleet(driver=DriverOptions(batched=False), **kw),  # never primed
-            run_fleet(driver=DriverOptions(batched=True, batch_size=1), **kw),
-            run_fleet(driver=DriverOptions(batched=True, batch_size=256), **kw),
-        ]
+        runs = []
+        for driver in (
+            dict(batched=False),  # never primed
+            dict(batched=True, batch_size=1),
+            dict(batched=True, batch_size=256),
+        ):
+            with oracle_driver(**driver):
+                runs.append(run_fleet(**kw))
         assert runs[0].fleet.detections > 0
         for run in runs:
             assert run.audit.ok, str(run.audit)

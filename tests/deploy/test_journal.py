@@ -102,7 +102,7 @@ def test_journal_holds_every_recorded_event(monkeypatch, seed):
     monkeypatch.setattr(FleetSilkRoad, "_hand_off", counted_hand_off)
     result = run_fleet(
         **dict(HEAVY, seed=seed, horizon_s=20.0),
-        obs=ObsOptions(record=True, record_capacity=1 << 16),
+        obs=ObsOptions(record=True),
     )
     fleet_events = result.recorder.recorded["fleet"]
     assert fleet_events > 0 and sum(hand_off_entries) > 0

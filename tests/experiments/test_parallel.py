@@ -13,7 +13,7 @@ from repro.experiments.parallel import (
     run_shard,
     run_sharded,
 )
-from repro.options import DriverOptions, ObsOptions
+from repro.options import ObsOptions
 
 #: A small fig16 slice: one system, few VIPs, short horizon — seconds, not
 #: minutes, while still exercising workload build + replay + audit + merge.
@@ -97,13 +97,10 @@ class TestShardLayout:
 
 
 class TestOptionsAsValues:
-    """Driver/obs options cross the spawn boundary as the frozen
-    dataclasses themselves; ``driver=``/``obs=`` is the only spelling."""
+    """Obs options cross the spawn boundary as the frozen dataclass
+    itself; ``obs=`` is the only spelling, and there is no driver option."""
 
-    DRIVER = DriverOptions(batched=False, batch_size=32)
-    OBS = ObsOptions(
-        record=True, record_capacity=128, record_source="x", timeline_period_s=2.5
-    )
+    OBS = ObsOptions(record=True, record_source="x", timeline_period_s=2.5)
 
     def test_spec_with_options_pickles_round_trip_and_hashes(self):
         import pickle
@@ -113,14 +110,12 @@ class TestOptionsAsValues:
             num_shards=2,
             seed=7,
             params=dict(CHAOS_PARAMS),
-            driver=self.DRIVER,
             obs=self.OBS,
         )
         for spec in specs:
-            assert spec.driver == self.DRIVER and spec.obs == self.OBS
+            assert spec.obs == self.OBS
             clone = pickle.loads(pickle.dumps(spec))
             assert clone == spec and hash(clone) == hash(spec)
-            assert clone.driver.batch_size == 32
             assert clone.obs.timeline_period_s == 2.5
         assert len(set(specs)) == 2
         # Options are part of the spec's identity, not of its params.
@@ -132,7 +127,7 @@ class TestOptionsAsValues:
         [
             ({"record": True}, "obs="),
             ({"timeline_period_s": 1.0}, "obs="),
-            ({"batched": False}, "driver="),
+            ({"batched": False}, "not a chaos parameter"),
         ],
     )
     def test_option_keys_inside_params_are_rejected(self, params, keyword):
@@ -168,10 +163,10 @@ class TestParamsAreCheckedInTheParent:
         from repro.faults import run_chaos, run_fleet
 
         # Declared once: what a shard may be handed is read off the runner.
-        chaos = set(inspect.signature(run_chaos).parameters) - {"seed", "driver", "obs"}
+        chaos = set(inspect.signature(run_chaos).parameters) - {"seed", "obs"}
         assert parallel._accepted_params("chaos") == chaos
         fleet = set(inspect.signature(run_fleet).parameters)
-        fleet -= {"seed", "fault_seed", "pattern", "driver", "obs"}
+        fleet -= {"seed", "fault_seed", "pattern", "obs"}
         assert parallel._accepted_params("fleet") == fleet | {
             "patterns", "plans_per_pattern",
         }

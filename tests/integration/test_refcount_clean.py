@@ -15,17 +15,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api import (
-    DriverOptions,
-    SilkRoadConfig,
-    SilkRoadSwitch,
-    run_chaos,
-    run_fleet,
-)
+from repro.api import SilkRoadConfig, SilkRoadSwitch, run_chaos, run_fleet
 from repro.asicsim.learning_filter import LearnBatch, LearnEvent
 from repro.core.control_plane import SwitchCpu
 from repro.experiments.common import build_workload
 from repro.netsim.events import EventQueue
+
+from ..scalar_oracle import oracle_driver
 
 
 @contextmanager
@@ -72,8 +68,8 @@ def test_chaos_run_leaves_no_cycle():
 
 
 def test_scalar_chaos_run_leaves_no_cycle():
-    with collector_off():
-        result = run_chaos(seed=7, driver=DriverOptions(batched=False))
+    with oracle_driver(), collector_off():
+        result = run_chaos(seed=7)
         unreachable = gc.collect()
     assert result.switch.relearns > 0
     assert unreachable == 0

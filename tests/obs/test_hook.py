@@ -6,9 +6,9 @@ from repro.baselines import DuetLoadBalancer
 from repro.core import SilkRoadConfig, SilkRoadSwitch
 from repro.experiments.common import build_workload
 from repro.obs import ObsHook
-from repro.options import ObsOptions
+from repro.options import DEFAULT_RECORD_CAPACITY, ObsOptions
 
-ARMED = ObsOptions(record=True, record_capacity=4096, timeline_period_s=5.0)
+ARMED = ObsOptions(record=True, timeline_period_s=5.0)
 
 
 def _workload():
@@ -23,7 +23,8 @@ def test_arms_recorder_and_prefixed_sampler_on_a_switch():
         attach=hook,
     )
     assert lb.recorder is hook.recorder
-    assert hook.recorder.source == "unit" and hook.recorder.capacity == 4096
+    assert hook.recorder.source == "unit"
+    assert hook.recorder.capacity == DEFAULT_RECORD_CAPACITY
     assert len(hook.recorder) > 0
     assert hook.timeline.epochs == [0.0, 5.0, 10.0]
     assert "sw.conn_table.occupancy" in hook.timeline

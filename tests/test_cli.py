@@ -90,7 +90,7 @@ class TestForwardOnlyWhatWasGiven:
             args = parser.parse_args(command.split())
             for dest in (
                 "seed", "scale", "horizon_s", "updates_per_min", "faults_per_min",
-                "num_switches", "num_shards", "workers", "batched",
+                "num_switches", "num_shards", "workers",
             ):
                 assert getattr(args, dest, None) is None, (command, dest)
 

@@ -35,7 +35,11 @@ And one fault model: ``faults/`` holds one fault-kind ``Enum``, one plan
 its one declared ``fault.<value>`` event (docs/robustness.md, "The fault
 model").  And one PCC judgment: every cause a broken connection can
 carry is spelled once, in ``obs/causes.py`` (docs/robustness.md, "One
-cause table").
+cause table").  And one replay-driver seam: the scalar ``FlowSimulator``
+is built only in ``PccWorkload.replay``, the one function besides
+``BatchedFlowSimulator.__init__`` that takes ``batched`` / ``batch_size``,
+and ``DriverOptions`` is named nowhere (docs/architecture.md, "One
+replay loop and the intra-batch ordering rule").
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -545,3 +549,45 @@ def test_one_pcc_judgment():
         assert len(where) == 1 and next(iter(where))[0] == "obs/causes.py", (
             f"{value!r} spelled at {sorted(where)}"
         )
+
+
+#: The one function that picks a replay driver, and the one constructor
+#: that takes the batched driver's chunk size.
+DRIVER_SEAM = ("experiments/common.py", "PccWorkload.replay")
+DRIVER_PARAMS = {
+    DRIVER_SEAM: {"batched", "batch_size"},
+    ("netsim/batchsim.py", "BatchedFlowSimulator.__init__"): {"batch_size"},
+}
+
+
+def test_one_replay_driver_seam():
+    # The scalar replay is the test oracle, reached through one seam: no
+    # runner, option object or CLI path picks a driver, so the two drivers
+    # cannot drift apart behind a flag nobody sets.
+    offenders = []
+    seam_calls = 0
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        if "DriverOptions" in text:
+            offenders.append(f"{rel} names DriverOptions")
+        for where, node in _qualified(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Call) and "FlowSimulator" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                if (rel, where) == DRIVER_SEAM:
+                    seam_calls += 1
+                else:
+                    offenders.append(f"{rel}:{node.lineno} builds FlowSimulator")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                taken = {
+                    a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                } & {"batched", "batch_size"}
+                if taken - DRIVER_PARAMS.get((rel, where), set()):
+                    offenders.append(
+                        f"{rel}:{node.lineno} {where} takes {sorted(taken)}"
+                    )
+    assert not offenders, "\n".join(offenders)
+    assert seam_calls == 1, f"FlowSimulator built {seam_calls} times in the seam"
