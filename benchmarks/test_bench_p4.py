@@ -57,8 +57,7 @@ def test_bench_p4_object_model_equivalence(once):
             switch.on_connection_arrival(conn)
             conns.append(conn)
         switch.queue.run_until(switch.queue.now + 1.0)
-        p4 = SilkRoadP4()
-        p4.mirror_from(switch)
+        p4 = SilkRoadP4.mirror(switch)
         return sum(
             1
             for c in conns

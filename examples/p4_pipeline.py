@@ -78,8 +78,7 @@ def main() -> None:
         conns.append(c)
     switch.queue.run_until(switch.queue.now + 1.0)
 
-    mirrored = SilkRoadP4()
-    mirrored.mirror_from(switch)
+    mirrored = SilkRoadP4.mirror(switch)
     agree = sum(
         1
         for c in conns

@@ -43,7 +43,14 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricRegistry, Scope
-from .hashing import HashUnit, _splitmix64, base_hash, hash_family, splitmix64_rows
+from .hashing import (
+    DEFAULT_SEED,
+    HashUnit,
+    _splitmix64,
+    base_hash,
+    hash_family,
+    splitmix64_rows,
+)
 from .sram import DEFAULT_WORD_BITS, bytes_for_entries
 
 #: Packing overhead per entry (instruction + next-table address), §6 of paper.
@@ -52,6 +59,26 @@ DEFAULT_OVERHEAD_BITS = 6
 #: Smallest batch :meth:`CuckooTable.profile_many` derives with numpy;
 #: below it the scalar rounds are cheaper than the array round-trip.
 PROFILE_VECTOR_MIN = 3
+
+
+def stage_hash_units(
+    stages: int, seed: int = DEFAULT_SEED
+) -> Tuple[List[HashUnit], List[HashUnit]]:
+    """Each stage's independent (index units, digest units) for ``seed``."""
+    digest_seed = seed ^ 0xD16E57
+    return hash_family(stages, base_seed=seed), hash_family(stages, base_seed=digest_seed)
+
+
+def buckets_for_capacity(
+    capacity: int, target_load: float, ways: int, stages: int
+) -> int:
+    """Buckets per stage so ``capacity`` entries fit at ``target_load``."""
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    if not 0.0 < target_load <= 1.0:
+        raise ValueError("target_load must be in (0, 1]")
+    slots_needed = int(capacity / target_load)
+    return max(-(-slots_needed // (stages * ways)), 1)
 
 
 class TableFull(RuntimeError):
@@ -188,7 +215,7 @@ class CuckooTable:
         word_bits: int = DEFAULT_WORD_BITS,
         max_bfs_nodes: int = 4096,
         fast_fail_load: float = 0.98,
-        seed: int = 0x51CC_0AD0,
+        seed: int = DEFAULT_SEED,
         profile_cache_size: int = 16384,
         metrics: Scope = None,
     ) -> None:
@@ -226,8 +253,7 @@ class CuckooTable:
         # Each stage gets an independent index hash and digest hash; all of
         # them derive from the same single-pass base hash with per-unit
         # seeded mixing (see repro.asicsim.hashing).
-        self._index_units: List[HashUnit] = hash_family(stages, base_seed=seed)
-        self._digest_units: List[HashUnit] = hash_family(stages, base_seed=seed ^ 0xD16E57)
+        self._index_units, self._digest_units = stage_hash_units(stages, seed)
         # A candidate (stage, bucket, digest) triple is packed into one int,
         # ``digest << shift | (stage * buckets + bucket)``: its low bits are
         # the bucket's cell in the slot map below, and an int hashes far
@@ -344,13 +370,8 @@ class CuckooTable:
         **kwargs,
     ) -> "CuckooTable":
         """Size a table so ``capacity`` entries fit at ``target_load``."""
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0.0 < target_load <= 1.0:
-            raise ValueError("target_load must be in (0, 1]")
-        slots_needed = int(capacity / target_load)
-        per_stage = -(-slots_needed // (stages * ways))
-        return cls(buckets_per_stage=max(per_stage, 1), ways=ways, stages=stages, **kwargs)
+        per_stage = buckets_for_capacity(capacity, target_load, ways, stages)
+        return cls(buckets_per_stage=per_stage, ways=ways, stages=stages, **kwargs)
 
     # ------------------------------------------------------------------
     # Geometry / accounting

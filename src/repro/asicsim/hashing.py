@@ -192,7 +192,12 @@ class HashUnit:
         return self.derive(base) >> (64 - bits)
 
 
-def hash_family(count: int, base_seed: int = 0x51CC_0AD0) -> list[HashUnit]:
+#: Base seed of a hash family built without one.  A CuckooTable's (and so
+#: the ConnTable's) per-stage hash units derive from it by default.
+DEFAULT_SEED = 0x51CC_0AD0
+
+
+def hash_family(count: int, base_seed: int = DEFAULT_SEED) -> list[HashUnit]:
     """Create ``count`` independent hash units.
 
     Used to give every cuckoo stage, and every Bloom-filter way, its own

@@ -87,6 +87,10 @@ _TRUE_POSITIVE = BloomQuery(positive=True, false_positive=False)
 _FALSE_POSITIVE = BloomQuery(positive=True, false_positive=True)
 
 
+#: Base seed of a Bloom filter's hash ways.
+BLOOM_SEED = 0xB100F
+
+
 class BloomFilter:
     """A Bloom filter whose cells count the live marks on them.
 
@@ -103,7 +107,7 @@ class BloomFilter:
         Number of hash ways (``k``).
     """
 
-    def __init__(self, size_bytes: int, num_hashes: int = 4, seed: int = 0xB100F) -> None:
+    def __init__(self, size_bytes: int, num_hashes: int = 4) -> None:
         if size_bytes <= 0:
             raise ValueError("filter size must be positive")
         if num_hashes <= 0:
@@ -114,7 +118,7 @@ class BloomFilter:
         # Per-way pre-mixed seeds: every way index derives from the single
         # base hash of the key with one splitmix round (single-pass pipeline).
         self._way_mixes: List[int] = [
-            unit.seed_mix for unit in hash_family(num_hashes, base_seed=seed)
+            unit.seed_mix for unit in hash_family(num_hashes, base_seed=BLOOM_SEED)
         ]
         #: live marks per cell; the data plane's bit is ``count > 0``.
         self._cells: List[int] = [0] * self.num_bits

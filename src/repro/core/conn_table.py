@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..asicsim.cuckoo import CuckooTable, InsertResult, LookupResult, TableFull
+from ..asicsim.cuckoo import (
+    CuckooTable,
+    InsertResult,
+    LookupResult,
+    buckets_for_capacity,
+)
 from ..asicsim.sram import DEFAULT_WORD_BITS, bytes_for_entries
 from ..obs.metrics import Scope
 from .config import SilkRoadConfig
@@ -31,6 +36,17 @@ CONN_TABLE_STAGES = 4
 CONN_TABLE_WAYS = 4
 
 
+def conn_table_buckets(config: SilkRoadConfig) -> int:
+    """Buckets per ConnTable stage that ``config`` sizes; the P4 twin
+    reads its table geometry from here too."""
+    return buckets_for_capacity(
+        config.conn_table_capacity,
+        config.conn_table_target_load,
+        ways=CONN_TABLE_WAYS,
+        stages=CONN_TABLE_STAGES,
+    )
+
+
 class ConnTable:
     """The connection table of one SilkRoad switch; ``metrics`` is the
     scope its :class:`~repro.asicsim.cuckoo.CuckooTable` counts into."""
@@ -38,18 +54,15 @@ class ConnTable:
     def __init__(
         self,
         config: SilkRoadConfig,
-        seed: int = 0x51CC_0AD0,
         metrics: Scope = None,
     ) -> None:
         self.config = config
-        self._table = CuckooTable.for_capacity(
-            config.conn_table_capacity,
-            target_load=config.conn_table_target_load,
+        self._table = CuckooTable(
+            conn_table_buckets(config),
             ways=CONN_TABLE_WAYS,
             stages=CONN_TABLE_STAGES,
             digest_bits=config.digest_bits,
             value_bits=config.version_bits,
-            seed=seed,
             metrics=metrics,
         )
 

@@ -27,6 +27,9 @@ from ..asicsim.hashing import _MASK64, _splitmix64, HashUnit, base_hash
 from ..asicsim.sram import bytes_for_entries
 from ..netsim.packet import DirectIP, VirtualIP
 
+#: Seed of the hash unit that picks a connection's slot in its pool.
+SELECT_SEED = 0xD1B0
+
 
 class VersionsExhausted(RuntimeError):
     """All 2^version_bits versions of a VIP are live; see §4.2 footnote 4."""
@@ -100,14 +103,13 @@ class DipPoolTable:
         self,
         version_bits: int = 6,
         version_reuse: bool = True,
-        select_seed: int = 0xD1B0,
     ) -> None:
         if not 1 <= version_bits <= 16:
             raise ValueError("version_bits must be in [1, 16]")
         self.version_bits = version_bits
         self.num_versions = 1 << version_bits
         self.version_reuse = version_reuse
-        self._select_unit = HashUnit(seed=select_seed)
+        self._select_unit = HashUnit(seed=SELECT_SEED)
         self._vips: Dict[VirtualIP, _VipVersions] = {}
 
     # ------------------------------------------------------------------

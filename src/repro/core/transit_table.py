@@ -48,10 +48,9 @@ class TransitTable:
         self,
         size_bytes: int = 256,
         num_hashes: int = TRANSIT_HASH_WAYS,
-        seed: int = 0xB100F,
         metrics: Scope = None,
     ):
-        self._filter = BloomFilter(size_bytes, num_hashes=num_hashes, seed=seed)
+        self._filter = BloomFilter(size_bytes, num_hashes=num_hashes)
         self._next_update_id = 1
         #: update id -> {key: cached base hash} of the marks it owns.
         self._owned: Dict[int, Dict[bytes, Optional[int]]] = {}

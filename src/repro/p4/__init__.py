@@ -2,9 +2,10 @@
 
 The paper's prototype is ~400 lines of P4 compiled to a programmable
 ASIC (§5.1); this package expresses the same data plane over a small
-match-action IR and executes real packet bytes through it.  The test
-suite asserts the P4 pipeline forwards exactly like the object model in
-:mod:`repro.core` after mirroring its table state.
+match-action IR and executes real packet bytes through it.  The program
+is built from a :class:`~repro.core.config.SilkRoadConfig`, and the test
+suite asserts it forwards exactly like the object model in
+:mod:`repro.core` after ``SilkRoadP4.mirror(switch)``.
 """
 
 from .context import InvalidHeaderAccess, PacketContext
@@ -35,9 +36,9 @@ from .types import (
     HeaderSpec,
     IPV4,
     IPV6,
-    SILKROAD_METADATA,
     TCP,
     UDP,
+    silkroad_metadata,
 )
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "PacketContext",
     "ParseError",
     "PcapError",
-    "SILKROAD_METADATA",
     "SilkRoadP4",
     "TCP",
     "Table",
@@ -73,5 +73,6 @@ __all__ = [
     "is_tcp_syn",
     "parse_packet",
     "read_pcap",
+    "silkroad_metadata",
     "write_pcap",
 ]

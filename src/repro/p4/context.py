@@ -10,10 +10,10 @@ from .types import (
     HeaderSpec,
     IPV4,
     IPV6,
-    SILKROAD_METADATA,
     STANDARD_METADATA,
     TCP,
     UDP,
+    silkroad_metadata,
 )
 
 
@@ -21,10 +21,12 @@ class PacketContext:
     """Everything a packet carries through the pipeline.
 
     Equivalent to P4's ``headers`` + ``metadata`` arguments: parsed header
-    instances, the user metadata bus, and standard metadata.
+    instances, the user metadata bus laid out by ``metadata`` (the default
+    config's :func:`~repro.p4.types.silkroad_metadata` when omitted), and
+    standard metadata.
     """
 
-    def __init__(self, extra_headers: Optional[Dict[str, HeaderSpec]] = None) -> None:
+    def __init__(self, metadata: Optional[HeaderSpec] = None) -> None:
         self.headers: Dict[str, HeaderInstance] = {
             "ethernet": HeaderInstance(ETHERNET),
             "ipv4": HeaderInstance(IPV4),
@@ -32,9 +34,7 @@ class PacketContext:
             "tcp": HeaderInstance(TCP),
             "udp": HeaderInstance(UDP),
         }
-        for name, spec in (extra_headers or {}).items():
-            self.headers[name] = HeaderInstance(spec)
-        self.meta = HeaderInstance(SILKROAD_METADATA)
+        self.meta = HeaderInstance(metadata or silkroad_metadata())
         self.meta.set_valid()
         self.standard = HeaderInstance(STANDARD_METADATA)
         self.standard.set_valid()

@@ -18,22 +18,35 @@ Tables (Figure 10):
   step 1 and read on ConnTable misses in step 2,
 * a learn trigger on ConnTable miss (the learning-filter event).
 
-:meth:`SilkRoadP4.mirror_from` programs all of it from a live
-:class:`~repro.core.silkroad.SilkRoadSwitch`, so tests can assert the
-packet-level P4 pipeline forwards exactly like the object model.
+A :class:`~repro.core.config.SilkRoadConfig` is the program's one input:
+ConnTable geometry, digest and version widths and the TransitTable size
+come from it, and every hash seed from the object-model module that owns
+it, so the twin computes the same buckets, digests, Bloom cells and pool
+slots as the switch with its own hash code.  :meth:`SilkRoadP4.mirror`
+builds a twin of a live :class:`~repro.core.silkroad.SilkRoadSwitch` and
+programs it through the runtime API from the switch's public tables, so
+tests can assert the packet-level P4 pipeline forwards exactly like the
+object model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..asicsim.cuckoo import stage_hash_units
 from ..asicsim.hashing import HashUnit, base_hash, hash_family
-from ..asicsim.registers import RegisterArray
+from ..asicsim.registers import BLOOM_SEED, RegisterArray
+from ..core.config import SilkRoadConfig
+from ..core.conn_table import CONN_TABLE_STAGES, CONN_TABLE_WAYS, conn_table_buckets
+from ..core.dip_pool_table import SELECT_SEED
+from ..core.pcc_update import Phase
+from ..core.transit_table import TRANSIT_HASH_WAYS
 from ..netsim.packet import DirectIP, VirtualIP
 from .context import PacketContext
 from .parser import is_tcp_syn, parse_packet
-from .tables import Action, KeyField, MatchKind, Table, TableEntry
+from .tables import Action, KeyField, Table, TableEntry
+from .types import silkroad_metadata
 
 #: Update-state encoding in ``meta.vip_in_update``.
 UPDATE_NONE = 0
@@ -65,26 +78,16 @@ class ForwardingResult:
 class SilkRoadP4:
     """The compiled SilkRoad pipeline: parser + tables + registers."""
 
-    def __init__(
-        self,
-        conn_stages: int = 4,
-        conn_buckets_per_stage: int = 4096,
-        digest_bits: int = 16,
-        transit_bytes: int = 256,
-        transit_hash_ways: int = 4,
-        seed: int = 0x51CC_0AD0,
-        select_seed: int = 0xD1B0,
-    ) -> None:
-        self.conn_stages = conn_stages
-        self.conn_buckets_per_stage = conn_buckets_per_stage
-        self.digest_bits = digest_bits
-        # The same hash families the ASIC model uses, so mirrored state
-        # behaves identically.
-        self._index_units = hash_family(conn_stages, base_seed=seed)
-        self._digest_units = hash_family(conn_stages, base_seed=seed ^ 0xD16E57)
-        self._select_unit = HashUnit(seed=select_seed)
-        self._transit_units = hash_family(transit_hash_ways, base_seed=0xB100F)
-        self.transit_register = RegisterArray(transit_bytes * 8, width=1)
+    def __init__(self, config: SilkRoadConfig = SilkRoadConfig()) -> None:
+        self.config = config
+        #: The metadata bus, its widths derived from ``config``.
+        self.metadata = silkroad_metadata(config)
+        self.conn_buckets_per_stage = conn_table_buckets(config)
+        # The object model's seeds; the hashing below is the twin's own.
+        self._index_units, self._digest_units = stage_hash_units(CONN_TABLE_STAGES)
+        self._select_unit = HashUnit(seed=SELECT_SEED)
+        self._transit_units = hash_family(TRANSIT_HASH_WAYS, base_seed=BLOOM_SEED)
+        self.transit_register = RegisterArray(config.transit_table_bytes * 8, width=1)
 
         # --- actions ------------------------------------------------------
         def set_vip(ctx, vip_index, version, old_version, in_update):
@@ -146,21 +149,21 @@ class SilkRoadP4:
                 KeyField("meta.conn_digest"),
             ],
             actions=[self._set_conn_version],
-            size=1 << 22,
+            size=CONN_TABLE_STAGES * self.conn_buckets_per_stage * CONN_TABLE_WAYS,
         )
         self.dip_group_table = Table(
             "dip_group_table",
             key=[KeyField("meta.vip_index"), KeyField("meta.pool_version")],
             actions=[self._select_member],
             default_action=self._mark_drop,
-            size=1 << 16,
+            size=1 << self.metadata.field("vip_index").bits,
         )
         self.dip_member_table = Table(
             "dip_member_table",
             key=[KeyField("meta.member_index")],
             actions=[self._rewrite_dst],
             default_action=self._mark_drop,
-            size=1 << 24,
+            size=1 << self.metadata.field("member_index").bits,
         )
 
         # Control-plane bookkeeping.
@@ -256,16 +259,14 @@ class SilkRoadP4:
         the object model's cuckoo table.
         """
         base = base_hash(key)
+        buckets, bits = self.conn_buckets_per_stage, self.config.digest_bits
         return [
-            (
-                self._index_units[s].index_base(base, self.conn_buckets_per_stage),
-                self._digest_units[s].digest_base(base, self.digest_bits),
-            )
-            for s in range(self.conn_stages)
+            (index.index_base(base, buckets), digest.digest_base(base, bits))
+            for index, digest in zip(self._index_units, self._digest_units)
         ]
 
-    def install_connection(self, key: bytes, stage: int, version: int) -> None:
-        bucket, digest = self.conn_profile(key)[stage]
+    def install_entry(self, stage: int, bucket: int, digest: int, version: int) -> None:
+        """Write one ConnTable entry at its physical (stage, bucket, digest)."""
         self.conn_table.insert(
             TableEntry(
                 match=(stage, bucket, digest),
@@ -274,16 +275,23 @@ class SilkRoadP4:
             )
         )
 
+    def install_connection(self, key: bytes, stage: int, version: int) -> None:
+        bucket, digest = self.conn_profile(key)[stage]
+        self.install_entry(stage, bucket, digest, version)
+
     def remove_connection(self, key: bytes, stage: int) -> None:
         bucket, digest = self.conn_profile(key)[stage]
         self.conn_table.remove((stage, bucket, digest))
 
+    def transit_set(self, cells: Iterable[int]) -> None:
+        """Set TransitTable register cells (what a step-1 mark writes)."""
+        for index in cells:
+            self.transit_register.write(index, 1)
+
     def transit_mark(self, key: bytes) -> None:
         base = base_hash(key)
-        for unit in self._transit_units:
-            self.transit_register.write(
-                unit.index_base(base, self.transit_register.size), 1
-            )
+        size = self.transit_register.size
+        self.transit_set(unit.index_base(base, size) for unit in self._transit_units)
 
     def transit_clear(self) -> None:
         self.transit_register.clear()
@@ -301,7 +309,7 @@ class SilkRoadP4:
 
     def process(self, frame: bytes) -> ForwardingResult:
         """Run one packet through parser + SilkRoad ingress."""
-        ctx = parse_packet(frame)
+        ctx = parse_packet(frame, PacketContext(self.metadata))
         if not (ctx.is_valid("tcp") or ctx.is_valid("udp")):
             return ForwardingResult(forwarded=False, dropped=True)
         # UDP packets reuse the tcp.dst_port key slot via normalization.
@@ -382,53 +390,37 @@ class SilkRoadP4:
     # State mirroring from the object model
     # ------------------------------------------------------------------
 
-    def mirror_from(self, switch) -> None:
-        """Program every table from a live SilkRoadSwitch.
+    @classmethod
+    def mirror(cls, switch) -> "SilkRoadP4":
+        """A twin of a live SilkRoadSwitch, programmed from its tables.
 
-        After mirroring, ``process`` forwards packets exactly as the
-        object model decides (same hash seeds, same pools, same pending
-        filter), which the test suite asserts.
+        The twin is built from ``switch.config`` and written through the
+        runtime API from the switch's public surfaces only.  Each ConnTable
+        entry goes in at the (stage, bucket, digest) the switch reports,
+        never re-derived from its key, so a geometry or hash disagreement
+        between the planes shows up as a miss.  After mirroring,
+        ``process`` forwards packets exactly as the object model decides,
+        which the test suite asserts.
         """
-        from ..core.silkroad import SilkRoadSwitch  # local: avoid cycle
-
-        assert isinstance(switch, SilkRoadSwitch)
-        # VIPs and update state.
+        p4 = cls(switch.config)
+        pools = switch.dip_pools
         for vip in switch.vip_table.vips():
             entry = switch.vip_table.lookup(vip)
-            from ..core.pcc_update import Phase
-
-            phase = switch.coordinator.phase(vip)
             if entry.in_transition:
                 state = UPDATE_STEP2
-            elif phase is Phase.STEP1:
+            elif switch.coordinator.phase(vip) is Phase.STEP1:
                 state = UPDATE_STEP1
             else:
                 state = UPDATE_NONE
-            self.program_vip(
+            p4.program_vip(
                 vip,
                 version=entry.current_version,
                 old_version=entry.old_version,
                 update_state=state,
             )
-            pools = switch.dip_pools
             for version in pools.live_versions(vip):
-                self.program_pool(vip, version, pools.pool(vip, version).slots)
-        # ConnTable entries (stage + bucket + digest per resident key).
-        self.conn_table.clear()
-        cuckoo = switch.conn_table._table
-        self.conn_buckets_per_stage = cuckoo.buckets_per_stage
-        self.conn_stages = cuckoo.stages
-        self._index_units = cuckoo._index_units
-        self._digest_units = cuckoo._digest_units
+                p4.program_pool(vip, version, pools.pool(vip, version).slots)
         for stage, bucket, _way, _key, digest, version in switch.conn_table.entries():
-            self.conn_table.insert(
-                TableEntry(
-                    match=(stage, bucket, digest),
-                    action=self._set_conn_version,
-                    params={"version": version},
-                )
-            )
-        # TransitTable contents: the switch's register size and set cells.
-        self.transit_register = RegisterArray(switch.transit.size_bytes * 8, width=1)
-        for index in switch.transit.nonzero_cells():
-            self.transit_register.write(index, 1)
+            p4.install_entry(stage, bucket, digest, version)
+        p4.transit_set(switch.transit.nonzero_cells())
+        return p4

@@ -3,16 +3,17 @@
 Tables declare a key (a list of ``header.field`` paths with match kinds)
 and a set of actions; the control plane installs entries at runtime.  The
 interpreter applies a table to a packet context: build the key from the
-context, find the matching entry (exact > ternary by priority), run its
-action with its bound parameters, and report hit/miss — the same contract
-bmv2 gives a P4 program.
+context, find the exact-match entry, run its action with its bound
+parameters, and report hit/miss — the same contract bmv2 gives a P4
+program.  Every key field is matched exactly, the one kind the SilkRoad
+program uses and the emitter writes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .context import PacketContext
 
@@ -40,7 +41,6 @@ NO_ACTION = Action("NoAction", no_op)
 
 class MatchKind(enum.Enum):
     EXACT = "exact"
-    TERNARY = "ternary"
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class TableEntry:
     match: Tuple[int, ...]
     action: Action
     params: Dict[str, int] = field(default_factory=dict)
-    #: Per-field masks for ternary keys (ignored for exact).
-    masks: Optional[Tuple[int, ...]] = None
-    priority: int = 0
 
 
 @dataclass
@@ -80,7 +77,6 @@ class Table:
         key: Sequence[KeyField],
         actions: Sequence[Action],
         default_action: Action = NO_ACTION,
-        default_params: Optional[Dict[str, int]] = None,
         size: int = 1024,
     ) -> None:
         if not key:
@@ -90,13 +86,10 @@ class Table:
         self.actions = {a.name: a for a in actions}
         self.actions.setdefault(NO_ACTION.name, NO_ACTION)
         self.default_action = default_action
-        self.default_params = dict(default_params or {})
         self.size = size
-        self._exact: Dict[Tuple[int, ...], TableEntry] = {}
-        self._ternary: List[TableEntry] = []
+        self._entries: Dict[Tuple[int, ...], TableEntry] = {}
         self.hits = 0
         self.misses = 0
-        self._all_exact = all(k.kind is MatchKind.EXACT for k in self.key)
 
     # -- control plane -----------------------------------------------------
 
@@ -107,38 +100,19 @@ class Table:
             )
         if len(entry.match) != len(self.key):
             raise ValueError("match width does not equal key width")
-        if len(self._exact) + len(self._ternary) >= self.size:
+        if len(self._entries) >= self.size:
             raise TableCapacityError(f"table {self.name} is full ({self.size})")
-        if self._all_exact and entry.masks is None:
-            if entry.match in self._exact:
-                raise ValueError(f"duplicate entry in {self.name}: {entry.match}")
-            self._exact[entry.match] = entry
-        else:
-            self._ternary.append(entry)
-            self._ternary.sort(key=lambda e: -e.priority)
+        if entry.match in self._entries:
+            raise ValueError(f"duplicate entry in {self.name}: {entry.match}")
+        self._entries[entry.match] = entry
 
     def remove(self, match: Tuple[int, ...]) -> None:
-        if match in self._exact:
-            del self._exact[match]
-            return
-        for i, entry in enumerate(self._ternary):
-            if entry.match == match:
-                del self._ternary[i]
-                return
-        raise KeyError(f"no entry {match} in table {self.name}")
-
-    def set_default(self, action: Action, **params) -> None:
-        if action.name not in self.actions:
-            raise ValueError(f"action {action.name!r} not declared")
-        self.default_action = action
-        self.default_params = params
-
-    def clear(self) -> None:
-        self._exact.clear()
-        self._ternary.clear()
+        if match not in self._entries:
+            raise KeyError(f"no entry {match} in table {self.name}")
+        del self._entries[match]
 
     def __len__(self) -> int:
-        return len(self._exact) + len(self._ternary)
+        return len(self._entries)
 
     # -- data plane ----------------------------------------------------------
 
@@ -146,28 +120,14 @@ class Table:
         return tuple(ctx.get(k.path) for k in self.key)
 
     def apply(self, ctx: PacketContext) -> ApplyResult:
-        key = self.build_key(ctx)
-        entry = self._exact.get(key)
-        if entry is None:
-            for candidate in self._ternary:
-                if self._ternary_match(candidate, key):
-                    entry = candidate
-                    break
+        entry = self._entries.get(self.build_key(ctx))
         if entry is None:
             self.misses += 1
-            self.default_action(ctx, **self.default_params)
+            self.default_action(ctx)
             return ApplyResult(hit=False, action_name=self.default_action.name)
         self.hits += 1
         entry.action(ctx, **entry.params)
         return ApplyResult(hit=True, action_name=entry.action.name)
-
-    @staticmethod
-    def _ternary_match(entry: TableEntry, key: Tuple[int, ...]) -> bool:
-        masks = entry.masks or tuple(~0 for _ in key)
-        return all(
-            (k & mask) == (m & mask)
-            for k, m, mask in zip(key, entry.match, masks)
-        )
 
 
 class TableCapacityError(RuntimeError):

@@ -10,8 +10,12 @@ these headers, and the interpreter executes packets through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, Tuple
+
+from ..core.config import SilkRoadConfig
+from ..core.conn_table import CONN_TABLE_STAGES, conn_table_buckets
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,6 @@ class HeaderInstance:
 
     def set_valid(self) -> None:
         self.valid = True
-
-    def set_invalid(self) -> None:
-        self.valid = False
-        for key in self._values:
-            self._values[key] = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "valid" if self.valid else "invalid"
@@ -172,28 +168,42 @@ IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
 
 
-#: Metadata the SilkRoad control flow carries between tables (the paper
-#: notes these cost under 1 % of PHV bits).
-SILKROAD_METADATA = HeaderSpec(
-    "silkroad_md",
-    (
-        FieldSpec("conn_stage", 4),
-        FieldSpec("conn_bucket", 16),
-        FieldSpec("conn_digest", 16),
-        FieldSpec("pool_version", 6),
-        FieldSpec("old_version", 6),
-        # 0 = no update in flight, 1 = step 1 (filter write-only),
-        # 2 = step 2 (filter read-only).
-        FieldSpec("vip_in_update", 2),
-        FieldSpec("conn_hit", 1),
-        FieldSpec("transit_hit", 1),
-        FieldSpec("vip_index", 16),
-        FieldSpec("member_index", 24),
-        FieldSpec("redirect_to_cpu", 1),
-        FieldSpec("drop", 1),
-        FieldSpec("learn", 1),
-    ),
-)
+def _bits_for(count: int) -> int:
+    """Width of a field that holds ``0 .. count - 1``."""
+    return max((count - 1).bit_length(), 1)
+
+
+@lru_cache(maxsize=16)
+def silkroad_metadata(config: SilkRoadConfig = SilkRoadConfig()) -> HeaderSpec:
+    """Metadata the SilkRoad control flow carries between tables under
+    ``config`` (the paper notes these cost under 1 % of PHV bits).
+
+    The ConnTable fields are as wide as the switch's geometry: a stage
+    index, a bucket index of ``config``'s table, a ``digest_bits`` digest
+    and ``version_bits`` versions.  ``vip_index`` and ``member_index`` are
+    the twin's own addressing and size its group and member tables.
+    """
+    return HeaderSpec(
+        "silkroad_md",
+        (
+            FieldSpec("conn_stage", _bits_for(CONN_TABLE_STAGES)),
+            FieldSpec("conn_bucket", _bits_for(conn_table_buckets(config))),
+            FieldSpec("conn_digest", config.digest_bits),
+            FieldSpec("pool_version", config.version_bits),
+            FieldSpec("old_version", config.version_bits),
+            # 0 = no update in flight, 1 = step 1 (filter write-only),
+            # 2 = step 2 (filter read-only).
+            FieldSpec("vip_in_update", 2),
+            FieldSpec("conn_hit", 1),
+            FieldSpec("transit_hit", 1),
+            FieldSpec("vip_index", 16),
+            FieldSpec("member_index", 24),
+            FieldSpec("redirect_to_cpu", 1),
+            FieldSpec("drop", 1),
+            FieldSpec("learn", 1),
+        ),
+    )
+
 
 STANDARD_METADATA = HeaderSpec(
     "standard_md",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asicsim.hashing import HashUnit
-from repro.core.dip_pool_table import DipPool
+from repro.core.dip_pool_table import SELECT_SEED, DipPool
 from repro.netsim.packet import DirectIP
 
 
@@ -15,7 +15,7 @@ def dips(n):
     return tuple(DirectIP.parse(f"10.0.0.{i}:80") for i in range(1, n + 1))
 
 
-UNIT = HashUnit(seed=0xD1B0)
+UNIT = HashUnit(seed=SELECT_SEED)
 
 
 class TestSelectionBalance:

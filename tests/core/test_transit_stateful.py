@@ -21,9 +21,10 @@ from hypothesis.stateful import (
 )
 
 from repro.asicsim.hashing import base_hash, hash_family
+from repro.asicsim.registers import BLOOM_SEED
 from repro.core.transit_table import TransitTable
 
-UNITS = hash_family(4, 0xB100F)
+UNITS = hash_family(4, BLOOM_SEED)
 
 
 class TransitMachine(RuleBasedStateMachine):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.p4.context import InvalidHeaderAccess, PacketContext
-from repro.p4.types import FieldSpec, HeaderSpec
 
 
 class TestFieldPaths:
@@ -28,13 +27,6 @@ class TestFieldPaths:
         ctx.header("ipv4").set_valid()
         ctx.set("ipv4.dst_addr", 42)
         assert ctx.get("ipv4.dst_addr") == 42
-
-    def test_extra_headers(self):
-        spec = HeaderSpec("vlan", (FieldSpec("vid", 12),))
-        ctx = PacketContext(extra_headers={"vlan": spec})
-        ctx.header("vlan").set_valid()
-        ctx.set("vlan.vid", 100)
-        assert ctx.get("vlan.vid") == 100
 
 
 class TestL3L4Views:

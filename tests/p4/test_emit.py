@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.core import SilkRoadConfig
 from repro.p4 import SilkRoadP4, emit_p4, emit_to_file
 
 
@@ -48,9 +49,9 @@ class TestEmission:
         assert source.count("{") == source.count("}")
 
     def test_register_sized_from_pipeline(self):
-        small = emit_p4(SilkRoadP4(transit_bytes=8))
+        small = emit_p4(SilkRoadP4(SilkRoadConfig(transit_table_bytes=8)))
         assert "register<bit<1>>(64) transit_table;" in small
-        large = emit_p4(SilkRoadP4(transit_bytes=256))
+        large = emit_p4(SilkRoadP4(SilkRoadConfig(transit_table_bytes=256)))
         assert "register<bit<1>>(2048) transit_table;" in large
 
     def test_line_count_near_paper_scale(self, source):

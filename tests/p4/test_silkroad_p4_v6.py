@@ -45,8 +45,7 @@ class TestV6Pipeline:
 
     def test_v6_equivalence_with_object_model(self, v6_setup):
         _cluster, switch, conns, _factory = v6_setup
-        p4 = SilkRoadP4()
-        p4.mirror_from(switch)
+        p4 = SilkRoadP4.mirror(switch)
         for conn in conns:
             result = p4.process(build_packet(conn.five_tuple))
             assert result.forwarded
@@ -55,8 +54,7 @@ class TestV6Pipeline:
 
     def test_new_v6_connection(self, v6_setup):
         cluster, switch, _conns, factory = v6_setup
-        p4 = SilkRoadP4()
-        p4.mirror_from(switch)
+        p4 = SilkRoadP4.mirror(switch)
         vip = cluster.vips[0]
         ft = factory.next_for(vip)
         result = p4.process(build_packet(ft, syn=True))

@@ -8,7 +8,6 @@ from repro.p4.context import PacketContext
 from repro.p4.tables import (
     Action,
     KeyField,
-    MatchKind,
     NO_ACTION,
     Table,
     TableCapacityError,
@@ -56,13 +55,6 @@ class TestExactMatch:
         assert not result.hit and result.action_name == NO_ACTION.name
         assert table.misses == 1
 
-    def test_custom_default(self):
-        table = make_table()
-        table.set_default(SET_VERSION, version=5)
-        ctx = make_ctx(vip_index=1)
-        table.apply(ctx)
-        assert ctx.get("meta.pool_version") == 5
-
     def test_duplicate_entry_rejected(self):
         table = make_table()
         table.insert(TableEntry(match=(1,), action=SET_VERSION, params={"version": 1}))
@@ -95,32 +87,6 @@ class TestExactMatch:
         with pytest.raises(ValueError):
             table.insert(TableEntry(match=(1, 2), action=SET_VERSION))
 
-
-class TestTernaryMatch:
-    def test_masked_match_with_priority(self):
-        table = Table(
-            "acl",
-            key=[KeyField("meta.vip_index", MatchKind.TERNARY)],
-            actions=[SET_VERSION],
-        )
-        table.insert(
-            TableEntry(
-                match=(0x10,), masks=(0xF0,), priority=1,
-                action=SET_VERSION, params={"version": 1},
-            )
-        )
-        table.insert(
-            TableEntry(
-                match=(0x12,), masks=(0xFF,), priority=10,
-                action=SET_VERSION, params={"version": 2},
-            )
-        )
-        ctx = make_ctx(vip_index=0x12)
-        table.apply(ctx)
-        assert ctx.get("meta.pool_version") == 2  # higher priority wins
-        ctx = make_ctx(vip_index=0x15)
-        table.apply(ctx)
-        assert ctx.get("meta.pool_version") == 1  # masked match
 
     def test_no_key_rejected(self):
         with pytest.raises(ValueError):

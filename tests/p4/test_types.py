@@ -11,9 +11,9 @@ from repro.p4.types import (
     HeaderSpec,
     IPV4,
     IPV6,
-    SILKROAD_METADATA,
     TCP,
     UDP,
+    silkroad_metadata,
 )
 
 
@@ -41,7 +41,7 @@ class TestSpecs:
 
     def test_metadata_is_small(self):
         # The paper reports SilkRoad metadata costs <1 % of PHV bits.
-        assert SILKROAD_METADATA.bits < 128
+        assert silkroad_metadata().bits < 128
 
 
 class TestHeaderInstance:
@@ -62,17 +62,3 @@ class TestHeaderInstance:
             inst["ttl"] = 256
         with pytest.raises(ValueError):
             inst["ttl"] = -1
-
-    def test_set_invalid_clears(self):
-        inst = HeaderInstance(IPV4)
-        inst.set_valid()
-        inst["ttl"] = 7
-        inst.set_invalid()
-        assert inst["ttl"] == 0
-        assert not inst.valid
-
-    def test_as_dict_copy(self):
-        inst = HeaderInstance(ETHERNET)
-        d = inst.as_dict()
-        d["ether_type"] = 99
-        assert inst["ether_type"] == 0

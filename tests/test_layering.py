@@ -39,7 +39,9 @@ cause table").  And one replay-driver seam: the scalar ``FlowSimulator``
 is built only in ``PccWorkload.replay``, the one function besides
 ``BatchedFlowSimulator.__init__`` that takes ``batched`` / ``batch_size``,
 and ``DriverOptions`` is named nowhere (docs/architecture.md, "One
-replay loop and the intra-batch ordering rule").
+replay loop and the intra-batch ordering rule").  And one declaration per
+hash seed: each seed the object model hashes with is written once under
+``src/repro``, so the P4 twin imports it rather than copying it.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -69,6 +71,8 @@ OWNERS = {
     "_cell_mask": "asicsim/cuckoo.py",
     "_profile_cache": "asicsim/cuckoo.py",
     "_candidates": "asicsim/cuckoo.py",
+    "_index_units": "asicsim/cuckoo.py",
+    "_digest_units": "asicsim/cuckoo.py",
     "_move_cause": "deploy/fleet.py",
     "_drop_cause": "deploy/fleet.py",
     "_filter": "core/transit_table.py",
@@ -76,11 +80,6 @@ OWNERS = {
 
 #: (file, attribute) reaches that are known and tolerated.
 ALLOWED = {
-    # The P4 emitter mirrors the ConnTable's geometry and per-stage hash
-    # units (stages, buckets, index/digest seeds) so its own lookup lands
-    # on the same (stage, bucket, digest); the resident slots themselves
-    # come through ``ConnTable.entries()``.
-    ("p4/silkroad.py", "_table"),
     # The partition worker ships the fleet's attribution maps back to the
     # parent for the merged audit; FleetSilkRoad exposes no accessor.
     ("experiments/parallel.py", "_move_cause"),
@@ -591,3 +590,24 @@ def test_one_replay_driver_seam():
                     )
     assert not offenders, "\n".join(offenders)
     assert seam_calls == 1, f"FlowSimulator built {seam_calls} times in the seam"
+
+
+#: The object model's hash seeds: the ConnTable's index units (its digest
+#: units' salt beside it), the TransitTable's Bloom ways and the DIP-pool
+#: slot selector.  The P4 twin imports them instead of restating them.
+HASH_SEEDS = (0x51CC_0AD0, 0xD16E57, 0xB100F, 0xD1B0)
+
+
+def test_one_declaration_per_hash_seed():
+    # A seed written twice can drift: the P4 twin's copies once disagreed
+    # with the switch's geometry without any test noticing.  Each seed is
+    # an int literal on exactly one line under src/repro, however spelled.
+    where = {seed: set() for seed in HASH_SEEDS}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                if node.value in where:
+                    where[node.value].add((rel, node.lineno))
+    for seed, lines in where.items():
+        assert len(lines) == 1, f"{seed:#x} written at {sorted(lines)}"
