@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import Cdf
-from repro.asicsim.resources import PAPER_TABLE2
 from repro.experiments import fig12, fig13, fig14, table2
+from repro.experiments.table2 import PAPER_TABLE2
 from repro.netsim.cluster import ClusterType
 
 

@@ -51,10 +51,10 @@ from .hashing import (
     hash_family,
     splitmix64_rows,
 )
-from .sram import DEFAULT_WORD_BITS, bytes_for_entries
+from .sram import ENTRY_OVERHEAD_BITS, bytes_for_entries
 
-#: Packing overhead per entry (instruction + next-table address), §6 of paper.
-DEFAULT_OVERHEAD_BITS = 6
+#: Cap on the insertion BFS frontier before the table is declared full.
+MAX_BFS_NODES = 4096
 
 #: Smallest batch :meth:`CuckooTable.profile_many` derives with numpy;
 #: below it the scalar rounds are cheaper than the array round-trip.
@@ -185,10 +185,6 @@ class CuckooTable:
         stages narrower ones (denser packing as the table fills).
     value_bits:
         Width of the action data (6-bit DIP-pool version by default).
-    overhead_bits:
-        Per-entry packing overhead.
-    max_bfs_nodes:
-        Cap on the BFS frontier before declaring the table full.
     fast_fail_load:
         Load factor above which insertions fail immediately instead of
         running the BFS (saturated-table protection).  Set to 1.0 to
@@ -211,9 +207,6 @@ class CuckooTable:
         stages: int = 4,
         digest_bits=16,
         value_bits: int = 6,
-        overhead_bits: int = DEFAULT_OVERHEAD_BITS,
-        word_bits: int = DEFAULT_WORD_BITS,
-        max_bfs_nodes: int = 4096,
         fast_fail_load: float = 0.98,
         seed: int = DEFAULT_SEED,
         profile_cache_size: int = 16384,
@@ -238,9 +231,6 @@ class CuckooTable:
             raise ValueError("digest widths must be in [1, 64]")
         self.digest_bits = max(self.digest_bits_per_stage)
         self.value_bits = value_bits
-        self.overhead_bits = overhead_bits
-        self.word_bits = word_bits
-        self.max_bfs_nodes = max_bfs_nodes
         if not 0.0 < fast_fail_load <= 1.0:
             raise ValueError("fast_fail_load must be in (0, 1]")
         self.fast_fail_load = fast_fail_load
@@ -384,7 +374,7 @@ class CuckooTable:
 
     @property
     def entry_bits(self) -> int:
-        return self.digest_bits + self.value_bits + self.overhead_bits
+        return self.digest_bits + self.value_bits + ENTRY_OVERHEAD_BITS
 
     @property
     def sram_bytes(self) -> int:
@@ -396,9 +386,7 @@ class CuckooTable:
         slots_per_stage = self.buckets_per_stage * self.ways
         return sum(
             bytes_for_entries(
-                slots_per_stage,
-                bits + self.value_bits + self.overhead_bits,
-                self.word_bits,
+                slots_per_stage, bits + self.value_bits + ENTRY_OVERHEAD_BITS
             )
             for bits in self.digest_bits_per_stage
         )
@@ -732,7 +720,7 @@ class CuckooTable:
             if path is None:
                 self._m_insert_failures.value += 1.0
                 raise TableFull(
-                    f"no slot for key after BFS over {self.max_bfs_nodes} nodes "
+                    f"no slot for key after BFS over {MAX_BFS_NODES} nodes "
                     f"(load {self.load_factor:.3f})"
                 )
             moves = self._apply_move_path(path)
@@ -801,7 +789,7 @@ class CuckooTable:
 
         col, ways = self._column, self.ways
         nodes_explored = 0
-        while queue and nodes_explored < self.max_bfs_nodes:
+        while queue and nodes_explored < MAX_BFS_NODES:
             idx = queue.popleft()
             stage, cell, _parent, _way = frontier[idx]
             nodes_explored += 1

@@ -1,28 +1,22 @@
-"""SRAM word/block model of a match-action switching ASIC.
+"""SRAM word packing of a match-action switching ASIC.
 
 RMT-style ASICs organise on-chip SRAM into fixed-width words (112 bits in
-Bosshart et al., which SilkRoad's evaluation also assumes) grouped into
-blocks, and blocks are assigned to the match-action tables instantiated on
-each physical stage.  An exact-match entry occupies a fixed number of bits
-(match key digest + action data + packing overhead); *word packing* places as
-many whole entries as fit into a word.
+Bosshart et al., which SilkRoad's evaluation also assumes).  An exact-match
+entry occupies a fixed number of bits (match key + action data + packing
+overhead); *word packing* places as many whole entries as fit into a word,
+and an entry wider than a word spans whole words.
 
-SilkRoad's ConnTable entry is 28 bits (16-bit digest + 6-bit version +
-6-bit overhead), so exactly four entries pack into one 112-bit word.
-
-This module provides the arithmetic and the bookkeeping objects the rest of
-the simulator uses to report SRAM consumption (Figures 12 and 14, Table 2).
+This is the generic arithmetic only.  What each SilkRoad table stores per
+entry is declared once, in :mod:`repro.core.sram_cost`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 #: SRAM word width used throughout the paper's evaluation (bits).
 DEFAULT_WORD_BITS = 112
 
-#: Typical SRAM block size in RMT-style ASICs: 1K words of 112 bits.
-DEFAULT_BLOCK_WORDS = 1024
+#: Packing overhead per entry (instruction + next-table address), §6.
+ENTRY_OVERHEAD_BITS = 6
 
 
 def entries_per_word(entry_bits: int, word_bits: int = DEFAULT_WORD_BITS) -> int:
@@ -59,71 +53,3 @@ def megabytes(num_bytes: int) -> float:
     """Convert bytes to MB (10^6, as switch datasheets count)."""
     return num_bytes / 1e6
 
-
-@dataclass
-class SramBlock:
-    """A block of SRAM words assignable to one table."""
-
-    words: int = DEFAULT_BLOCK_WORDS
-    word_bits: int = DEFAULT_WORD_BITS
-
-    @property
-    def bits(self) -> int:
-        return self.words * self.word_bits
-
-    @property
-    def bytes(self) -> int:
-        return self.bits // 8
-
-
-@dataclass
-class SramBudget:
-    """Tracks SRAM consumption against an ASIC's total on-chip SRAM.
-
-    The paper's generation table (Table 1): <1.6 Tbps ASICs shipped 10-20 MB,
-    3.2 Tbps 30-60 MB, 6.4+ Tbps 50-100 MB.
-    """
-
-    total_bytes: int
-    word_bits: int = DEFAULT_WORD_BITS
-    _allocations: dict = field(default_factory=dict)
-
-    def allocate(self, name: str, num_bytes: int) -> None:
-        """Allocate SRAM to a named consumer; raises if over budget."""
-        if num_bytes < 0:
-            raise ValueError("allocation must be non-negative")
-        projected = self.used_bytes - self._allocations.get(name, 0) + num_bytes
-        if projected > self.total_bytes:
-            raise SramExhausted(
-                f"allocating {num_bytes} B to {name!r} exceeds budget "
-                f"({projected} > {self.total_bytes})"
-            )
-        self._allocations[name] = num_bytes
-
-    def release(self, name: str) -> None:
-        self._allocations.pop(name, None)
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._allocations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        return self.total_bytes - self.used_bytes
-
-    @property
-    def utilization(self) -> float:
-        if self.total_bytes == 0:
-            return 0.0
-        return self.used_bytes / self.total_bytes
-
-    def allocation(self, name: str) -> int:
-        return self._allocations.get(name, 0)
-
-    def breakdown(self) -> dict:
-        """Copy of the per-consumer allocation map (bytes)."""
-        return dict(self._allocations)
-
-
-class SramExhausted(RuntimeError):
-    """Raised when a table needs more SRAM than the ASIC has available."""

@@ -7,20 +7,13 @@ guaranteed across DIP-pool updates by the 3-step update protocol.
 """
 
 from .config import SilkRoadConfig
-from .conn_table import (
-    ConnTable,
-    EntryLayout,
-    conn_table_bytes,
-    digest_only_layout,
-    digest_version_layout,
-    memory_saving,
-    naive_layout,
-)
+from .conn_table import ConnTable
 from .control_plane import SwitchCpu
 from .dip_pool_table import DipPool, DipPoolTable, VersionsExhausted
 from .health import HealthMonitor, always_alive
 from .pcc_update import Phase, UpdateCoordinator, UpdateTimings
 from .silkroad import SilkRoadSwitch
+from .sram_cost import EntryLayout, memory_saving
 from .stats import PccSummary, active_connection_peak, summarize, violations_by_minute
 from .transit_table import TransitTable
 from .verify import AuditReport, InvariantViolation, audit_switch
@@ -48,11 +41,7 @@ __all__ = [
     "audit_switch",
     "active_connection_peak",
     "always_alive",
-    "conn_table_bytes",
-    "digest_only_layout",
-    "digest_version_layout",
     "memory_saving",
-    "naive_layout",
     "summarize",
     "violations_by_minute",
 ]

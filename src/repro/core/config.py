@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..asicsim.cuckoo import DEFAULT_OVERHEAD_BITS
-
 
 @dataclass(frozen=True)
 class SilkRoadConfig:
@@ -94,8 +92,3 @@ class SilkRoadConfig:
     def num_versions(self) -> int:
         """Distinct DIP-pool versions representable per VIP."""
         return 1 << self.version_bits
-
-    @property
-    def conn_entry_bits(self) -> int:
-        """Bits per packed ConnTable entry (28 with paper defaults)."""
-        return self.digest_bits + self.version_bits + DEFAULT_OVERHEAD_BITS

@@ -15,15 +15,17 @@ Unlike the original perfectly-reliable FIFO, this model can *fail* the way
 a real slow path does (see ``repro.faults`` and docs/robustness.md):
 
 * a **bounded backlog** (``max_backlog``) sheds excess jobs instead of
-  queueing them forever — shed keys are reported through ``on_shed`` so
-  the switch can re-learn them from the connection's next packet;
+  queueing them forever;
 * ConnTable writes are **acknowledged**: an injected PCI-E write fault
   (the ``write_fault`` hook) triggers bounded retry with linear backoff,
-  and a job that exhausts its retries is reported via
-  ``on_install_failed``;
-* the CPU can **crash** (in-flight and queued jobs lost) and **restart**,
-  reporting the lost jobs through ``on_restart``, and can **stall**,
-  pushing every outstanding completion out by the stall window.
+  and a job can exhaust its retries;
+* the CPU can **crash** (in-flight and queued jobs lost) and **restart**
+  (``on_restart``), and can **stall**, pushing every outstanding
+  completion out by the stall window.
+
+A job that leaves the CPU without installing — shed, lost or failed — is
+reported through the one ``on_dropped`` hook with its reason, so the
+switch can re-learn the connection from its next packet.
 
 All hooks default to disabled, in which case behaviour is bit-identical to
 the reliable FIFO.
@@ -42,8 +44,11 @@ from ..obs.metrics import LATENCY_BUCKETS_S, MetricRegistry, Scope
 #: ``(key, metadata)``.
 InstallCallback = Callable[[bytes, Tuple], None]
 
-#: Callback for a job that left the CPU without installing: ``(key, metadata)``.
-JobCallback = Callable[[bytes, Tuple], None]
+#: Callback for a job that left the CPU without installing:
+#: ``(key, metadata, reason)``.  The reason is ``"shed"`` (bounded backlog
+#: full), ``"lost"`` (crashed, or submitted while down) or
+#: ``"install_failed"`` (write retries exhausted).
+DropCallback = Callable[[bytes, Tuple, str], None]
 
 
 class _Job:
@@ -98,12 +103,10 @@ class SwitchCpu:
         self.retry_limit = retry_limit
         self.retry_backoff_s = retry_backoff_s
         # Failure-path hooks; all optional.  ``write_fault`` is consulted
-        # once per install attempt (fault injectors set it); the rest tell
-        # the switch what left the slow path without installing.
+        # once per install attempt (fault injectors set it); ``on_dropped``
+        # tells the switch what left the slow path without installing.
         self.write_fault: Optional[Callable[[bytes], bool]] = None
-        self.on_shed: Optional[JobCallback] = None
-        self.on_lost: Optional[JobCallback] = None
-        self.on_install_failed: Optional[JobCallback] = None
+        self.on_dropped: Optional[DropCallback] = None
         self.on_restart: Optional[Callable[[], None]] = None
         # -inf: the CPU has never been busy (the simulation clock may start
         # negative during warm-up replay).
@@ -181,9 +184,9 @@ class SwitchCpu:
     def submit_batch(self, batch: LearnBatch) -> None:
         """Enqueue a learning-filter batch; entries complete sequentially.
 
-        While the CPU is down the whole batch is lost (reported through
-        ``on_lost``); with a bounded backlog the tail of the batch that
-        does not fit is shed (reported through ``on_shed``).
+        While the CPU is down the whole batch is lost; with a bounded
+        backlog the tail of the batch that does not fit is shed (each
+        reported through ``on_dropped``).
         """
         if self.down:
             for event in batch.events:
@@ -218,13 +221,13 @@ class SwitchCpu:
 
     def _shed(self, key: bytes, metadata: Tuple) -> None:
         self._m_shed.value += 1.0
-        if self.on_shed is not None:
-            self.on_shed(key, metadata)
+        if self.on_dropped is not None:
+            self.on_dropped(key, metadata, "shed")
 
     def _lose(self, key: bytes, metadata: Tuple) -> None:
         self._m_lost.value += 1.0
-        if self.on_lost is not None:
-            self.on_lost(key, metadata)
+        if self.on_dropped is not None:
+            self.on_dropped(key, metadata, "lost")
 
     # ------------------------------------------------------------------
     # Completion (with write acknowledgement and retry)
@@ -248,8 +251,8 @@ class SwitchCpu:
             # Retries exhausted: the write never acknowledged.
             del self._outstanding[job]
             self._m_failures.value += 1.0
-            if self.on_install_failed is not None:
-                self.on_install_failed(job.key, job.metadata)
+            if self.on_dropped is not None:
+                self.on_dropped(job.key, job.metadata, "install_failed")
             return
         del self._outstanding[job]
         self._m_installed.value += 1.0
@@ -264,7 +267,7 @@ class SwitchCpu:
 
         Submissions are refused (lost) until the restart ``restart_delay_s``
         later.  Returns the lost ``(key, metadata)`` jobs in submission
-        order; each is also reported through ``on_lost``, and ``on_restart``
+        order; each is also reported through ``on_dropped``, and ``on_restart``
         fires when the CPU comes back (the switch re-arms learning there).
         """
         if restart_delay_s < 0:

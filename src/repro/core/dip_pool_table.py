@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..asicsim.hashing import _MASK64, _splitmix64, HashUnit, base_hash
-from ..asicsim.sram import bytes_for_entries
 from ..netsim.packet import DirectIP, VirtualIP
+from .sram_cost import pool_member_entry
 
 #: Seed of the hash unit that picks a connection's slot in its pool.
 SELECT_SEED = 0xD1B0
@@ -320,14 +320,11 @@ class DipPoolTable:
     def refcount(self, vip: VirtualIP, version: int) -> int:
         return self._state(vip).refcounts.get(version, 0)
 
-    def sram_bytes(self, dip_bytes: int = 18, overhead_bits: int = 6) -> int:
-        """SRAM the table consumes: one member entry per (version, slot).
-
-        ``dip_bytes`` is 18 for IPv6 (16 B address + 2 B port), 6 for IPv4.
-        """
+    def sram_bytes(self, ipv6: bool) -> int:
+        """SRAM the table consumes: one member entry per (version, slot)."""
         member_entries = sum(
             len(pool)
             for state in self._vips.values()
             for pool in state.pools.values()
         )
-        return bytes_for_entries(member_entries, dip_bytes * 8 + overhead_bits)
+        return pool_member_entry(ipv6).bytes_for(member_entries)

@@ -68,6 +68,7 @@ from .conn_table import ConnTable
 from .control_plane import SwitchCpu
 from .dip_pool_table import DipPoolTable, VersionsExhausted
 from .pcc_update import Phase, UpdateCoordinator
+from .sram_cost import vip_entry
 from .transit_table import TransitTable
 from .vip_table import VipTable
 
@@ -946,18 +947,7 @@ class SilkRoadSwitch(LoadBalancer):
             retry_limit=INSTALL_RETRY_LIMIT,
             retry_backoff_s=INSTALL_RETRY_BACKOFF_S,
         )
-        # Every way a job can leave the slow path without installing ends
-        # the same: the connection re-learns from its next packet.  The
-        # reason tag only feeds the flight recorder's event stream.
-        self._cpu.on_shed = lambda key, meta: self._on_job_dropped(
-            key, meta, "shed"
-        )
-        self._cpu.on_lost = lambda key, meta: self._on_job_dropped(
-            key, meta, "lost"
-        )
-        self._cpu.on_install_failed = lambda key, meta: self._on_job_dropped(
-            key, meta, "install_failed"
-        )
+        self._cpu.on_dropped = self._on_job_dropped
         self._cpu.on_restart = self._on_cpu_restart
 
     def attach_recorder(self, recorder: Optional[FlightRecorder]) -> None:
@@ -980,11 +970,10 @@ class SilkRoadSwitch(LoadBalancer):
         """Total SRAM the SilkRoad tables occupy on this switch."""
         if ipv6 is None:
             ipv6 = any(vip.v6 for vip in self.vip_table.vips())
-        dip_bytes = 18 if ipv6 else 6
         return (
             self.conn_table.sram_bytes
-            + self.dip_pools.sram_bytes(dip_bytes=dip_bytes)
-            + self.vip_table.sram_bytes(ipv6=ipv6)
+            + self.dip_pools.sram_bytes(ipv6)
+            + vip_entry(ipv6, self.config).bytes_for(len(self.vip_table))
             + self.transit.size_bytes
             + self.meters.sram_bytes
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..asicsim.sram import bytes_for_entries
 from ..netsim.packet import VirtualIP
 
 
@@ -84,14 +83,3 @@ class VipTable:
         the no-TransitTable ablation which switches immediately)."""
         entry = self.lookup(vip)
         entry.current_version = version
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
-    def sram_bytes(self, ipv6: bool = False) -> int:
-        """SRAM for the table: key is (dst IP, dst port, proto), action is
-        two version numbers plus packing overhead."""
-        key_bits = (128 if ipv6 else 32) + 16 + 8
-        action_bits = 2 * 6 + 6
-        return bytes_for_entries(len(self._entries), key_bits + action_bits)

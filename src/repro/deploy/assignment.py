@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..asicsim.sram import bytes_for_entries
+from ..core.sram_cost import conn_entry
 from ..netsim.packet import VirtualIP
 from ..netsim.topology import Fabric, Layer, Switch, VipPlacement
 
@@ -31,9 +31,9 @@ class VipDemand:
     connections: float  # peak simultaneous connections
     traffic_gbps: float
 
-    def sram_bytes(self, entry_bits: int = 28, word_bits: int = 112) -> int:
+    def sram_bytes(self) -> int:
         """ConnTable SRAM the VIP's connections need (packed entries)."""
-        return bytes_for_entries(int(self.connections), entry_bits, word_bits)
+        return conn_entry().bytes_for(int(self.connections))
 
 
 @dataclass
@@ -61,7 +61,6 @@ class AssignmentResult:
 def assign_vips(
     fabric: Fabric,
     demands: Sequence[VipDemand],
-    entry_bits: int = 28,
     enabled: Optional[Dict[Layer, Sequence[Switch]]] = None,
     sram_headroom: float = 1.0,
 ) -> AssignmentResult:
@@ -86,15 +85,16 @@ def assign_vips(
     traffic_used: Dict[str, float] = {s.name: 0.0 for s in fabric.all_switches()}
     unplaced: List[VipDemand] = []
 
-    ordered = sorted(demands, key=lambda d: d.sram_bytes(entry_bits), reverse=True)
+    ordered = sorted(demands, key=lambda d: d.sram_bytes(), reverse=True)
     for demand in ordered:
+        need_sram = demand.sram_bytes()
         best_layer: Optional[Layer] = None
         best_score = float("inf")
         for layer in Layer:
             switches = layer_switches[layer]
             if not switches:
                 continue
-            share_sram = demand.sram_bytes(entry_bits) / len(switches)
+            share_sram = need_sram / len(switches)
             share_gbps = demand.traffic_gbps / len(switches)
             feasible = True
             worst = 0.0
@@ -115,7 +115,7 @@ def assign_vips(
             unplaced.append(demand)
             continue
         switches = layer_switches[best_layer]
-        share_sram = demand.sram_bytes(entry_bits) / len(switches)
+        share_sram = need_sram / len(switches)
         share_gbps = demand.traffic_gbps / len(switches)
         for switch in switches:
             sram_used[switch.name] += share_sram

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..analysis import Cdf, format_table
-from ..asicsim.sram import bytes_for_entries, megabytes
-from ..core.conn_table import conn_table_bytes, digest_version_layout
+from ..asicsim.sram import megabytes
+from ..core.sram_cost import conn_entry, pool_member_entry, vip_entry
 from ..netsim.cluster import ClusterType
 from ..traces import ClusterProfile, FleetSynthesizer
 
@@ -26,19 +26,22 @@ def live_versions_estimate(updates_per_min_p99: float, cap: int = 64) -> int:
     return int(min(cap, max(4, round(updates_per_min_p99))))
 
 
+def conn_table_bytes(profile: ClusterProfile) -> int:
+    """ConnTable sized for the cluster's p99 active connections per ToR."""
+    return conn_entry().bytes_for(int(profile.active_conns_per_tor_p99))
+
+
+def pool_table_bytes(profile: ClusterProfile) -> int:
+    """DIPPoolTable holding every VIP's live pool versions."""
+    versions = live_versions_estimate(profile.updates_per_min_p99)
+    members = profile.num_vips * versions * profile.dips_per_vip
+    return pool_member_entry(profile.ipv6).bytes_for(members)
+
+
 def silkroad_sram_bytes(profile: ClusterProfile) -> int:
     """Per-ToR SRAM demand of SilkRoad for one cluster profile."""
-    conn = conn_table_bytes(
-        int(profile.active_conns_per_tor_p99), digest_version_layout()
-    )
-    versions = live_versions_estimate(profile.updates_per_min_p99)
-    dip_bytes = 18 if profile.ipv6 else 6
-    pool = bytes_for_entries(
-        profile.num_vips * versions * profile.dips_per_vip, dip_bytes * 8 + 6
-    )
-    vip_key_bits = (128 if profile.ipv6 else 32) + 16 + 8
-    vip = bytes_for_entries(profile.num_vips, vip_key_bits + 18)
-    return conn + pool + vip
+    vip = vip_entry(profile.ipv6).bytes_for(profile.num_vips)
+    return conn_table_bytes(profile) + pool_table_bytes(profile) + vip
 
 
 @dataclass
@@ -56,9 +59,7 @@ def run(seed: int = 12) -> Fig12Result:
     conn_share: Dict[ClusterType, List[float]] = {k: [] for k in ClusterType}
     for profile in profiles:
         total = silkroad_sram_bytes(profile)
-        conn = conn_table_bytes(
-            int(profile.active_conns_per_tor_p99), digest_version_layout()
-        )
+        conn = conn_table_bytes(profile)
         usage[profile.kind].append(megabytes(total))
         conn_share[profile.kind].append(conn / total if total else 0.0)
     return Fig12Result(

@@ -15,19 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..analysis import Cdf, format_table
-from ..asicsim.sram import bytes_for_entries
-from ..core.conn_table import memory_saving
+from ..core.sram_cost import memory_saving
 from ..netsim.cluster import ClusterType
 from ..traces import ClusterProfile, FleetSynthesizer
-from .fig12 import live_versions_estimate
-
-
-def pool_table_bytes(profile: ClusterProfile) -> int:
-    versions = live_versions_estimate(profile.updates_per_min_p99)
-    dip_bytes = 18 if profile.ipv6 else 6
-    return bytes_for_entries(
-        profile.num_vips * versions * profile.dips_per_vip, dip_bytes * 8 + 6
-    )
+from .fig12 import pool_table_bytes
 
 
 def savings_for(profile: ClusterProfile) -> Dict[str, float]:

@@ -149,7 +149,3 @@ FLEET_REASSIGN_REDIRECT = EventKind(
 FLEET_REASSIGN_ABORT = EventKind(
     "fleet", "reassign_abort", ("vip", "src", "dst", "reason", "races")
 )
-
-# -- placement: the ASIC pipeline's table layout ---------------------------
-
-PLACEMENT_PLACE = EventKind("placement", "place", ("table", "stages", "sram_blocks"))

@@ -1,135 +1,34 @@
-"""Tests for the RMT-style pipeline placement model."""
+"""SilkRoad on an RMT-style pipeline: the paper's two chip-level claims.
+
+A 10 M-entry ConnTable and its companion tables fit the on-chip SRAM of a
+32-stage RMT chip (106 blocks of 1 K x 112-bit words per stage), and a
+packet crosses the pipeline in under a microsecond.
+"""
 
 from __future__ import annotations
 
-import pytest
+from repro.core.config import SilkRoadConfig
+from repro.core.sram_cost import conn_entry, pool_member_entry, vip_entry
+from repro.experiments import latency
 
-from repro.asicsim.pipeline import (
-    Pipeline,
-    PlacementError,
-    RMT_STAGE,
-    StageResources,
-)
-
-
-class TestStageResources:
-    def test_fits_within(self):
-        small = StageResources(sram_blocks=1, crossbar_bits=10)
-        big = StageResources(sram_blocks=2, crossbar_bits=20)
-        assert small.fits_within(big)
-        assert not big.fits_within(small)
-
-    def test_subtract(self):
-        cap = StageResources(sram_blocks=10, crossbar_bits=100)
-        cap.subtract(StageResources(sram_blocks=3, crossbar_bits=40))
-        assert cap.sram_blocks == 7
-        assert cap.crossbar_bits == 60
+#: On-chip SRAM of the RMT reference chip: 32 stages x 106 blocks x 1 K words.
+RMT_SRAM_BYTES = 32 * 106 * 1024 * 112 // 8
 
 
 class TestPlacement:
-    def test_small_table_fits_one_stage(self):
-        pipe = Pipeline(num_stages=4)
-        placement = pipe.place_exact_match(
-            "vip", num_entries=4096, entry_bits=60, key_bits=152
-        )
-        assert len(placement.stages) == 1
-
-    def test_large_table_spans_stages(self):
-        pipe = Pipeline(num_stages=8)
-        placement = pipe.place_exact_match(
-            "conn", num_entries=1_000_000, entry_bits=28, key_bits=296,
-            stages_spanned=4,
-        )
-        assert len(placement.stages) == 4
-
-    def test_duplicate_name_rejected(self):
-        pipe = Pipeline(num_stages=4)
-        pipe.place_exact_match("t", num_entries=10, entry_bits=28, key_bits=104)
-        with pytest.raises(ValueError):
-            pipe.place_exact_match("t", num_entries=10, entry_bits=28, key_bits=104)
-
-    def test_overflow_raises(self):
-        pipe = Pipeline(num_stages=1)
-        with pytest.raises(PlacementError):
-            # Far more SRAM than one stage owns.
-            pipe.place_exact_match(
-                "huge", num_entries=200_000_000, entry_bits=28, key_bits=104
-            )
-
-    def test_register_array_consumes_alus(self):
-        pipe = Pipeline(num_stages=2)
-        before_free = pipe._free[0].stateful_alus
-        pipe.place_register_array("transit", size_bits=2048, num_hash_ways=4)
-        used_somewhere = any(
-            pipe._free[s].stateful_alus == before_free - 4 for s in range(2)
-        )
-        assert used_somewhere
-
     def test_silkroad_10m_connections_fit_rmt_chip(self):
         # The headline feasibility claim: a 10M-entry ConnTable (28-bit
-        # packed entries) plus the auxiliary tables fit a 32-stage chip.
-        pipe = Pipeline()
-        # 10M x 28b = ~2442 SRAM blocks; one stage owns 106, so the table
-        # must span most of the pipeline (24 stages x ~102 blocks).
-        pipe.place_exact_match(
-            "conn", num_entries=10_000_000, entry_bits=28, key_bits=296,
-            stages_spanned=24,
+        # packed entries) plus 4 K IPv6 VIPs, a 256 K-member DIP pool
+        # table and the 256-byte TransitTable fit the chip's SRAM.
+        used = (
+            conn_entry().bytes_for(10_000_000)
+            + vip_entry(ipv6=True).bytes_for(4096)
+            + pool_member_entry(ipv6=True).bytes_for(262_144)
+            + SilkRoadConfig().transit_table_bytes
         )
-        pipe.place_exact_match(
-            "vip", num_entries=4096, entry_bits=170, key_bits=152
-        )
-        # 150-bit entries span two 112-bit words each: 512 blocks, so this
-        # needs 8 stages (the pre-fix sizing undersized it to 256 blocks).
-        pipe.place_exact_match(
-            "dip_pool", num_entries=262_144, entry_bits=150, key_bits=160,
-            stages_spanned=8,
-        )
-        pipe.place_register_array("transit", size_bits=2048, num_hash_ways=4)
-        # ConnTable ~35 MB out of ~46.5 MB total SRAM.
-        assert pipe.used_sram_bytes() < pipe.total_sram_bytes()
-        assert pipe.used_sram_bytes() > 30e6
-
-    def test_wide_entry_sizing(self):
-        # Regression: entries wider than one SRAM word were sized as if one
-        # entry fit one word, silently undersizing the table.  A 170-bit
-        # entry in 112-bit words needs ceil(170/112) = 2 words per entry.
-        pipe = Pipeline(num_stages=4)  # word_bits=112, block_words=1024
-        narrow = pipe.sram_blocks_for_entries(1024, 56)  # 2 per word -> 512 words
-        assert narrow == 1
-        wide = pipe.sram_blocks_for_entries(1024, 170)  # 2 words each -> 2048 words
-        assert wide == 2
-        very_wide = pipe.sram_blocks_for_entries(1024, 300)  # 3 words each
-        assert very_wide == 3
-        with pytest.raises(ValueError):
-            pipe.sram_blocks_for_entries(1024, 0)
-
-    def test_wide_entry_placement_consumes_more_blocks(self):
-        pipe = Pipeline(num_stages=4)
-        placement = pipe.place_exact_match(
-            "wide", num_entries=100_000, entry_bits=224, key_bits=104,
-            stages_spanned=2,
-        )
-        # 100K entries x 2 words = 200K words = ceil(200K/1024) = 196 blocks;
-        # the old sizing would have asked for half that.
-        total = placement.per_stage_demand.sram_blocks * len(placement.stages)
-        assert total >= 196
+        assert RMT_SRAM_BYTES == 48_627_712
+        assert used == 42_454_976  # ConnTable 35 MB of it
+        assert used < RMT_SRAM_BYTES
 
     def test_latency_sub_microsecond(self):
-        pipe = Pipeline()
-        assert pipe.latency_ns < 1000.0  # the paper's sub-us claim
-
-    def test_sram_accounting(self):
-        pipe = Pipeline(num_stages=2)
-        assert pipe.used_sram_blocks() == 0
-        pipe.place_exact_match("t", num_entries=100_000, entry_bits=28, key_bits=104)
-        assert pipe.used_sram_blocks() > 0
-        assert pipe.free_sram_blocks() == (
-            2 * RMT_STAGE.sram_blocks - pipe.used_sram_blocks()
-        )
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            Pipeline(num_stages=0)
-        pipe = Pipeline(num_stages=2)
-        with pytest.raises(ValueError):
-            pipe.place_exact_match("t", 10, 28, 104, stages_spanned=0)
+        assert latency.run().silkroad_pipeline_s < 1e-6  # the paper's sub-us claim

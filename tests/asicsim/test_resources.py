@@ -1,36 +1,28 @@
-"""Tests for the Table 2 resource-accounting model."""
+"""Tests for the Table 2 resource-accounting model (`experiments.table2`)
+and the header widths it costs."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.asicsim.resources import (
+from repro.core.config import SilkRoadConfig
+from repro.core.sram_cost import IPV4, IPV6, conn_entry
+from repro.experiments.table2 import (
     BASELINE_SWITCH_P4,
-    IPV4_FIVE_TUPLE_BITS,
-    IPV6_FIVE_TUPLE_BITS,
     PAPER_TABLE2,
     ResourceVector,
-    SilkRoadResourceConfig,
+    run,
     silkroad_demand,
-    table2,
 )
 
 
 class TestKeyWidths:
     def test_five_tuple_bits(self):
-        assert IPV4_FIVE_TUPLE_BITS == 104  # 13 bytes
-        assert IPV6_FIVE_TUPLE_BITS == 296  # 37 bytes
+        assert IPV4.five_tuple_bits == 104  # 13 bytes
+        assert IPV6.five_tuple_bits == 296  # 37 bytes
 
 
 class TestResourceVector:
-    def test_addition(self):
-        a = ResourceVector(sram_bytes=10, hash_bits=5)
-        b = ResourceVector(sram_bytes=1, hash_bits=2, stateful_alus=4)
-        c = a + b
-        assert c.sram_bytes == 11
-        assert c.hash_bits == 7
-        assert c.stateful_alus == 4
-
     def test_relative_to_zero_baseline(self):
         zero = ResourceVector()
         extra = ResourceVector(tcam_bytes=0)
@@ -40,32 +32,23 @@ class TestResourceVector:
 
 class TestTable2Reproduction:
     def test_default_config_matches_paper_exactly(self):
-        measured = table2()
+        measured = run()
         for metric, expected in PAPER_TABLE2.items():
             assert measured[metric] == pytest.approx(expected, abs=0.01), metric
 
     def test_no_tcam_used(self):
-        assert silkroad_demand(SilkRoadResourceConfig()).tcam_bytes == 0
+        assert silkroad_demand(SilkRoadConfig()).tcam_bytes == 0
 
     def test_sram_scales_with_connections(self):
-        small = table2(SilkRoadResourceConfig(num_connections=100_000))
-        large = table2(SilkRoadResourceConfig(num_connections=10_000_000))
+        small = run(SilkRoadConfig(conn_table_capacity=100_000))
+        large = run(SilkRoadConfig(conn_table_capacity=10_000_000))
         assert small["sram"] < PAPER_TABLE2["sram"] < large["sram"]
 
-    def test_crossbar_smaller_for_ipv4(self):
-        v4 = table2(SilkRoadResourceConfig(ipv6=False))
-        assert v4["match_crossbar"] < PAPER_TABLE2["match_crossbar"]
-
     def test_wider_digest_costs_more_sram_and_hash_bits(self):
-        narrow = silkroad_demand(SilkRoadResourceConfig(digest_bits=16))
-        wide = silkroad_demand(SilkRoadResourceConfig(digest_bits=24))
+        narrow = silkroad_demand(SilkRoadConfig(digest_bits=16))
+        wide = silkroad_demand(SilkRoadConfig(digest_bits=24))
         assert wide.sram_bytes > narrow.sram_bytes
         assert wide.hash_bits > narrow.hash_bits
-
-    def test_bloom_ways_drive_alus(self):
-        base = silkroad_demand(SilkRoadResourceConfig(bloom_hash_ways=4))
-        more = silkroad_demand(SilkRoadResourceConfig(bloom_hash_ways=8))
-        assert more.stateful_alus == base.stateful_alus + 4
 
     def test_baseline_positive(self):
         assert BASELINE_SWITCH_P4.sram_bytes > 0
@@ -73,4 +56,4 @@ class TestTable2Reproduction:
         assert BASELINE_SWITCH_P4.stateful_alus > 0
 
     def test_conn_entry_bits_paper_default(self):
-        assert SilkRoadResourceConfig().conn_entry_bits == 28
+        assert conn_entry(SilkRoadConfig()).entry_bits == 28

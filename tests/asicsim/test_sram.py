@@ -1,4 +1,4 @@
-"""Tests for SRAM word/budget arithmetic."""
+"""Tests for SRAM word-packing arithmetic."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.asicsim.sram import (
-    SramBlock,
-    SramBudget,
-    SramExhausted,
     bytes_for_entries,
     entries_per_word,
     megabytes,
@@ -61,50 +58,3 @@ class TestEntryPacking:
             words_per_entry = -(-entry_bits // 112)
             assert words == entries * words_per_entry
 
-
-class TestSramBlock:
-    def test_defaults(self):
-        block = SramBlock()
-        assert block.bits == 1024 * 112
-        assert block.bytes == 1024 * 112 // 8
-
-
-class TestSramBudget:
-    def test_allocate_and_track(self):
-        budget = SramBudget(total_bytes=1000)
-        budget.allocate("conn", 600)
-        budget.allocate("pool", 300)
-        assert budget.used_bytes == 900
-        assert budget.free_bytes == 100
-        assert budget.utilization == pytest.approx(0.9)
-        assert budget.allocation("conn") == 600
-
-    def test_over_budget_raises(self):
-        budget = SramBudget(total_bytes=100)
-        with pytest.raises(SramExhausted):
-            budget.allocate("big", 101)
-
-    def test_reallocate_same_name_replaces(self):
-        budget = SramBudget(total_bytes=100)
-        budget.allocate("t", 80)
-        budget.allocate("t", 90)  # replace, not accumulate
-        assert budget.used_bytes == 90
-
-    def test_release(self):
-        budget = SramBudget(total_bytes=100)
-        budget.allocate("t", 50)
-        budget.release("t")
-        assert budget.used_bytes == 0
-        budget.release("missing")  # no-op
-
-    def test_negative_allocation_rejected(self):
-        budget = SramBudget(total_bytes=100)
-        with pytest.raises(ValueError):
-            budget.allocate("t", -1)
-
-    def test_breakdown_is_copy(self):
-        budget = SramBudget(total_bytes=100)
-        budget.allocate("t", 10)
-        breakdown = budget.breakdown()
-        breakdown["t"] = 999
-        assert budget.allocation("t") == 10

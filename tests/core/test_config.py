@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SilkRoadConfig
+from repro.core.sram_cost import conn_entry
 
 
 class TestDefaults:
@@ -12,7 +13,7 @@ class TestDefaults:
         cfg = SilkRoadConfig()
         assert cfg.digest_bits == 16
         assert cfg.version_bits == 6
-        assert cfg.conn_entry_bits == 28  # packs 4-per-112-bit-word
+        assert conn_entry(cfg).entry_bits == 28  # packs 4-per-112-bit-word
         assert cfg.num_versions == 64
         assert cfg.transit_table_bytes == 256
         assert cfg.learning_filter_capacity == 2048
@@ -49,5 +50,5 @@ class TestValidation:
 
     def test_custom_widths_change_entry_bits(self):
         cfg = SilkRoadConfig(digest_bits=24, version_bits=8)
-        assert cfg.conn_entry_bits == 24 + 8 + 6
+        assert conn_entry(cfg).entry_bits == 24 + 8 + 6
         assert cfg.num_versions == 256

@@ -9,15 +9,9 @@ import pytest
 
 from repro.asicsim.cuckoo import TableFull
 from repro.core.config import SilkRoadConfig
-from repro.core.conn_table import (
-    ConnTable,
-    conn_table_bytes,
-    digest_only_layout,
-    digest_version_layout,
-    memory_saving,
-    naive_layout,
-)
+from repro.core.conn_table import ConnTable
 from repro.core.silkroad import SilkRoadSwitch
+from repro.core.sram_cost import conn_entry, memory_saving, naive_conn_entry
 from repro.deploy.fleet import FleetSilkRoad
 
 
@@ -119,21 +113,21 @@ class TestHostMemory:
 class TestFig14Arithmetic:
     def test_paper_ipv6_entry_sizes(self):
         # 37-byte key + 18-byte action ~ 55 bytes/entry before packing.
-        layout = naive_layout(ipv6=True)
+        layout = naive_conn_entry(ipv6=True)
         assert layout.key_bits == 296
         assert layout.action_bits == 144
 
     def test_naive_10m_ipv6_exceeds_asic_sram(self):
         # The paper's motivating arithmetic: ~550 MB for 10 M connections.
-        size = conn_table_bytes(10_000_000, naive_layout(ipv6=True))
+        size = naive_conn_entry(ipv6=True).bytes_for(10_000_000)
         assert size > 500e6
 
     def test_silkroad_10m_fits(self):
-        size = conn_table_bytes(10_000_000, digest_version_layout())
+        size = conn_entry().bytes_for(10_000_000)
         assert size < 40e6  # 35 MB: fits 50-100 MB ASICs
 
     def test_digest_version_layout_is_28_bits(self):
-        assert digest_version_layout().entry_bits == 28
+        assert conn_entry().entry_bits == 28
 
     def test_saving_ordering(self):
         # digest+version saves more than digest-only, which saves more

@@ -101,11 +101,11 @@ class TestBoundedBacklog:
         cpu = SwitchCpu(
             queue, 1000.0, lambda k, m: done.append(k), max_backlog=2
         )
-        cpu.on_shed = lambda k, m: shed.append(k)
+        cpu.on_dropped = lambda k, m, why: shed.append((k, why))
         queue.schedule(0.0, lambda: cpu.submit_batch(batch([b"a", b"b", b"c", b"d"])))
         queue.run()
         assert done == [b"a", b"b"]
-        assert shed == [b"c", b"d"]
+        assert shed == [(b"c", "shed"), (b"d", "shed")]
         assert cpu.shed == 2
         assert cpu.submitted == 2  # shed jobs never entered the queue
 
@@ -113,11 +113,11 @@ class TestBoundedBacklog:
         queue = EventQueue()
         shed = []
         cpu = SwitchCpu(queue, 1000.0, lambda k, m: None, max_backlog=1)
-        cpu.on_shed = lambda k, m: shed.append(k)
+        cpu.on_dropped = lambda k, m, why: shed.append((k, why))
         queue.schedule(0.0, lambda: cpu.submit_batch(batch([b"a"])))
         queue.schedule(0.0, lambda: cpu.submit_one(b"b", ()))
         queue.run()
-        assert shed == [b"b"]
+        assert shed == [(b"b", "shed")]
 
     def test_capacity_frees_as_jobs_complete(self):
         queue = EventQueue()
@@ -135,13 +135,13 @@ class TestCrashRestart:
         queue = EventQueue()
         done, lost = [], []
         cpu = SwitchCpu(queue, 1000.0, lambda k, m: done.append(k))
-        cpu.on_lost = lambda k, m: lost.append(k)
+        cpu.on_dropped = lambda k, m, why: lost.append((k, why))
         queue.schedule(0.0, lambda: cpu.submit_batch(batch([b"a", b"b", b"c"])))
         # Crash between the first and second completion.
         queue.schedule(0.0015, lambda: cpu.crash(0.01))
         queue.run()
         assert done == [b"a"]
-        assert lost == [b"b", b"c"]
+        assert lost == [(b"b", "lost"), (b"c", "lost")]
         assert cpu.lost == 2
         assert cpu.crashes == 1
         assert cpu.backlog == 0
@@ -150,12 +150,12 @@ class TestCrashRestart:
         queue = EventQueue()
         lost = []
         cpu = SwitchCpu(queue, 1000.0, lambda k, m: None)
-        cpu.on_lost = lambda k, m: lost.append(k)
+        cpu.on_dropped = lambda k, m, why: lost.append((k, why))
         queue.schedule(0.0, lambda: cpu.crash(0.1))
         queue.schedule(0.05, lambda: cpu.submit_batch(batch([b"a"])))
         queue.schedule(0.05, lambda: cpu.submit_one(b"b", ()))
         queue.run_until(0.09)
-        assert lost == [b"a", b"b"]
+        assert lost == [(b"a", "lost"), (b"b", "lost")]
         assert cpu.down
 
     def test_restart_fires_hook_and_accepts_again(self):
@@ -213,12 +213,12 @@ class TestInstallRetry:
             queue, 1000.0, lambda k, m: done.append(k),
             retry_limit=2, retry_backoff_s=0.001,
         )
-        cpu.on_install_failed = lambda k, m: failed.append(k)
+        cpu.on_dropped = lambda k, m, why: failed.append((k, why))
         cpu.write_fault = lambda key: True  # never acknowledges
         queue.schedule(0.0, lambda: cpu.submit_batch(batch([b"a"])))
         queue.run()
         assert done == []
-        assert failed == [b"a"]
+        assert failed == [(b"a", "install_failed")]
         assert cpu.retries == 2
         assert cpu.install_failures == 1
         assert cpu.backlog == 0
@@ -227,11 +227,11 @@ class TestInstallRetry:
         queue = EventQueue()
         failed = []
         cpu = SwitchCpu(queue, 1000.0, lambda k, m: None)
-        cpu.on_install_failed = lambda k, m: failed.append(k)
+        cpu.on_dropped = lambda k, m, why: failed.append((k, why))
         cpu.write_fault = lambda key: True
         queue.schedule(0.0, lambda: cpu.submit_batch(batch([b"a"])))
         queue.run()
-        assert failed == [b"a"]
+        assert failed == [(b"a", "install_failed")]
         assert cpu.retries == 0
 
 

@@ -183,10 +183,11 @@ class TestRefcountsAndReclaim:
 class TestAccounting:
     def test_sram_bytes_scales_with_pools(self, table):
         table.add_vip(VIP, [dip(i) for i in range(1, 9)])
-        base = table.sram_bytes(dip_bytes=6)
+        base = table.sram_bytes(ipv6=False)
         table.acquire(VIP, table.current_version(VIP))
         table.remove_dip(VIP, dip(1))
-        assert table.sram_bytes(dip_bytes=6) > base
+        assert table.sram_bytes(ipv6=False) > base
+        assert table.sram_bytes(ipv6=True) > table.sram_bytes(ipv6=False)
 
     def test_refcount_query(self, table):
         v1 = table.add_vip(VIP, [dip(1)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sram_cost import vip_entry
 from repro.core.vip_table import VipTable
 from repro.netsim.packet import VirtualIP
 
@@ -69,8 +70,10 @@ class TestTransition:
 
 class TestAccounting:
     def test_sram_scales_with_vips(self):
+        # The switch prices its VIPTable as one vip_entry per VIP.
         t = VipTable()
         for i in range(100):
             t.install(VirtualIP.parse(f"20.0.0.{i}:80"), version=0)
-        assert t.sram_bytes(ipv6=False) > 0
-        assert t.sram_bytes(ipv6=True) > t.sram_bytes(ipv6=False)
+        v4 = vip_entry(ipv6=False).bytes_for(len(t))
+        assert v4 == 100 * 14  # 74-bit entries, one per 112-bit word
+        assert vip_entry(ipv6=True).bytes_for(len(t)) > v4

@@ -91,9 +91,7 @@ class TestFig8:
 class TestTable2:
     def test_matches_paper(self):
         measured = table2.run()
-        from repro.asicsim.resources import PAPER_TABLE2
-
-        for key, val in PAPER_TABLE2.items():
+        for key, val in table2.PAPER_TABLE2.items():
             assert measured[key] == pytest.approx(val, abs=0.01)
 
     def test_sweep_monotone_in_sram(self):

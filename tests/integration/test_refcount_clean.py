@@ -93,8 +93,7 @@ def test_cpu_crash_stall_and_retry_leave_no_cycle():
             retry_limit=2,
             retry_backoff_s=1e-4,
         )
-        cpu.on_lost = lambda key, meta: outcomes.append(("lost", key))
-        cpu.on_install_failed = lambda key, meta: outcomes.append(("failed", key))
+        cpu.on_dropped = lambda key, meta, why: outcomes.append((why, key))
         faulty = {b"retry-once": 1, b"never-acks": 99}
 
         def write_fault(key):
@@ -112,7 +111,7 @@ def test_cpu_crash_stall_and_retry_leave_no_cycle():
         queue.run()
         unreachable = gc.collect()
     assert sorted(outcomes) == [
-        ("failed", b"never-acks"),
+        ("install_failed", b"never-acks"),
         ("installed", b"a"),
         ("installed", b"b"),
         ("installed", b"c"),

@@ -62,7 +62,6 @@ def test_catalogue_is_the_modules_constants():
         counts[category] = counts.get(category, 0) + 1
     assert counts == {
         "conn": 11, "update": 6, "slowpath": 10, "fault": 11, "fleet": 13,
-        "placement": 1,
     }
 
 

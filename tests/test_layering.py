@@ -41,7 +41,11 @@ is built only in ``PccWorkload.replay``, the one function besides
 and ``DriverOptions`` is named nowhere (docs/architecture.md, "One
 replay loop and the intra-batch ordering rule").  And one declaration per
 hash seed: each seed the object model hashes with is written once under
-``src/repro``, so the P4 twin imports it rather than copying it.
+``src/repro``, so the P4 twin imports it rather than copying it.  And
+one SRAM cost model: outside ``asicsim/`` only ``core/sram_cost.py``
+packs entries into words (``bytes_for_entries`` / ``words_for_entries``),
+so each table's entry layout is declared once, and the deleted RMT
+placement model, Table 2 module and SRAM budget objects stay deleted.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -611,3 +615,39 @@ def test_one_declaration_per_hash_seed():
                     where[node.value].add((rel, node.lineno))
     for seed, lines in where.items():
         assert len(lines) == 1, f"{seed:#x} written at {sorted(lines)}"
+
+
+#: The one module outside ``asicsim/`` that packs table entries into words.
+COST_MODEL = "core/sram_cost.py"
+PACKING = {"bytes_for_entries", "words_for_entries"}
+
+
+def test_one_sram_cost_model():
+    # Seven independent spellings of the entry widths once disagreed (a
+    # 34-bit and an 18-bit VIP entry); every table is priced through the
+    # cost model's layouts instead.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "SramBudget" or (
+                name in PACKING and not rel.startswith("asicsim/") and rel != COST_MODEL
+            ):
+                offenders.append(f"{rel}:{getattr(node, 'lineno', '?')} names {name}")
+    deleted = ("repro.asicsim.pipeline.", "repro.asicsim.resources.")
+    offenders += [
+        f"{rel}:{line} imports {module}"
+        for rel, module, line in _imports()
+        if (module + ".").startswith(deleted)
+    ]
+    assert not offenders, "\n".join(offenders)
+    assert not (SRC / "asicsim" / "pipeline.py").exists()
+    assert not (SRC / "asicsim" / "resources.py").exists()
