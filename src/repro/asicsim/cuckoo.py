@@ -107,24 +107,24 @@ class Slot:
 
     It is also the one software shadow record of its resident: where the
     entry lives (its stage and its slot-map index, the very int object
-    that keys it in the map) and the candidate triples it is registered
-    under (:meth:`CuckooTable._profile`), so a move or a delete re-derives
-    nothing.  Its :class:`Location` is built only when asked for.
+    that keys it in the map) and its candidate triples in every stage
+    (:meth:`CuckooTable._profile`), so a move or a delete re-derives
+    nothing.  It keeps no copy of the entry's digest, which is always
+    its home stage's triple shifted down (``profile[stage] >>
+    _cand_shift``).  Its :class:`Location` is built only when asked for.
     """
 
-    __slots__ = ("key", "digest", "value", "stage", "index", "profile")
+    __slots__ = ("key", "value", "stage", "index", "profile")
 
     def __init__(
         self,
         key: bytes,
-        digest: int,
         value: int,
         stage: int,
         index: int,
         profile: Tuple[int, ...],
     ) -> None:
         self.key = key
-        self.digest = digest
         self.value = value
         self.stage = stage
         self.index = index
@@ -294,8 +294,11 @@ class CuckooTable:
         self._profile_cache: "OrderedDict[bytes, Tuple[int, ...]]" = OrderedDict()
         self.profile_cache_evictions = 0
         # Candidate triple -> the resident key registered under it, so
-        # collision checks are O(stages) instead of O(n).  The value is the
-        # key itself; it becomes a set of keys only while two or more
+        # collision checks are O(stages) instead of O(n).  A resident is
+        # registered under its triples of stages 0..home only: every reader
+        # (the bucket scan, digest twins, placement legality) ignores an
+        # owner whose home is earlier than the triple's stage.  The value is
+        # the key itself; it becomes a set of keys only while two or more
         # residents really share the triple, and is demoted back to the
         # survivor when the others leave.
         self._candidates: Dict[int, Union[bytes, Set[bytes]]] = {}
@@ -620,9 +623,11 @@ class CuckooTable:
         is registered under the same (stage, bucket, digest) triple.  One
         living in an *earlier* candidate stage, or in the same bucket of
         ``stage`` itself, would be hit first and shadow ``key``; one living
-        in a *later* stage would be shadowed by it.  ``key``'s own
-        registrations are skipped, so the same check serves a resident
-        being moved — its vacated slot needs no blanking.
+        in a *later* stage would be shadowed by it; either way the owner's
+        home is no earlier than the triple's stage, so it is registered
+        there.  ``key``'s own registrations are skipped, so the same check
+        serves a resident being moved — its vacated slot needs no
+        blanking.
         """
         candidates, where = self._candidates, self._where
         for t in range(stage + 1):
@@ -642,15 +647,45 @@ class CuckooTable:
 
     def _move(self, slot: Slot, stage: int, cell: int, way: int) -> None:
         """Re-home a resident's ``slot`` in the free ``way`` of bucket
-        ``cell`` of ``stage``; the stored digest becomes that stage's."""
+        ``cell`` of ``stage``; its digest becomes that stage's (read off the
+        profile), and the key is registered under exactly its triples of
+        stages 0..``stage``."""
         col = self._column
         del col[slot.index]
-        self._stage_counts[slot.stage] -= 1
-        slot.digest = slot.profile[stage] >> self._cand_shift
+        home = slot.stage
+        self._stage_counts[home] -= 1
+        if stage > home:
+            self._register(slot.key, slot.profile[home + 1 : stage + 1])
+        elif stage < home:
+            self._unregister(slot.key, slot.profile[stage + 1 : home + 1])
         slot.stage = stage
         slot.index = index = cell * self.ways + way
         col[index] = slot
         self._stage_counts[stage] += 1
+
+    def _register(self, key: bytes, cands) -> None:
+        """Add ``key`` as an owner of each candidate triple in ``cands``."""
+        candidates = self._candidates
+        for cand in cands:
+            owner = candidates.get(cand)
+            if owner is None:
+                candidates[cand] = key
+            elif type(owner) is set:
+                owner.add(key)
+            else:
+                candidates[cand] = {owner, key}
+
+    def _unregister(self, key: bytes, cands) -> None:
+        """Remove ``key``'s ownership of each candidate triple in ``cands``."""
+        candidates = self._candidates
+        for cand in cands:
+            owner = candidates[cand]
+            if type(owner) is set:
+                owner.remove(key)
+                if len(owner) == 1:
+                    candidates[cand] = owner.pop()
+            else:
+                del candidates[cand]
 
     def _free_way(self, cell: int) -> Optional[int]:
         """First free way of bucket ``cell`` (stage offset + bucket)."""
@@ -732,20 +767,11 @@ class CuckooTable:
         cand = profile[stage]
         cell = cand & mask
         index = cell * self.ways + way
-        self._column[index] = where[key] = Slot(
-            key, cand >> self._cand_shift, value, stage, index, profile
-        )
+        self._column[index] = where[key] = Slot(key, value, stage, index, profile)
         # Its profile rides on the Slot now; the LRU keeps in-flight keys only.
         self._profile_cache.pop(key, None)
         self._stage_counts[stage] += 1
-        for cand in profile:
-            owner = candidates.get(cand)
-            if owner is None:
-                candidates[cand] = key
-            elif type(owner) is set:
-                owner.add(key)
-            else:
-                candidates[cand] = {owner, key}
+        self._register(key, profile[: stage + 1])
         self._m_inserts.value += 1.0
         self._m_moves.value += moves
         self._m_moves_hist.observe(float(moves))
@@ -862,15 +888,7 @@ class CuckooTable:
             raise KeyError(f"key not resident: {key!r}")
         del self._column[slot.index]
         self._stage_counts[slot.stage] -= 1
-        candidates = self._candidates
-        for cand in slot.profile:
-            owner = candidates[cand]
-            if type(owner) is set:
-                owner.remove(key)
-                if len(owner) == 1:
-                    candidates[cand] = owner.pop()
-            else:
-                del candidates[cand]
+        self._unregister(key, slot.profile[: slot.stage + 1])
         self._m_deletes.value += 1.0
 
     def relocate(self, key: bytes) -> bool:
@@ -908,22 +926,24 @@ class CuckooTable:
         """Every resident entry as ``(stage, bucket, way, key, digest,
         value)``, in physical (slot-index) order; cost follows the
         residents."""
+        shift = self._cand_shift
         for slot in sorted(self._where.values(), key=_INDEX):
-            yield (*self._location(slot), slot.key, slot.digest, slot.value)
+            digest = slot.profile[slot.stage] >> shift
+            yield (*self._location(slot), slot.key, digest, slot.value)
 
     def check_invariants(self) -> None:
         """Validate shadow state against the slot map (test helper).
 
         Every ``_where`` entry must be the Slot sitting at its own in-range
-        index, inside its own stage, holding its own key with that stage's
-        digest; distinct keys then occupy distinct slots, so a slot map no
-        larger than ``_where`` proves no slot is orphaned.  The candidate
-        index is audited from its own side: every registration must name a
-        resident under one of that resident's triples, and ``stages``
-        registrations per resident then proves none is missing.  The whole
-        audit costs O(resident), not O(capacity).
+        index, inside its own stage, holding its own key; distinct keys then
+        occupy distinct slots, so a slot map no larger than ``_where``
+        proves no slot is orphaned.  The candidate index is audited from its
+        own side: every registration must name a resident under one of that
+        resident's triples at a stage no later than its home, and
+        ``home + 1`` registrations per resident then proves none is missing.
+        The whole audit costs O(resident), not O(capacity).
         """
-        col, where, shift = self._column, self._where, self._cand_shift
+        col, where = self._column, self._where
         stage_slots = self.buckets_per_stage * self.ways
         counts = [0] * self.stages
         for key, slot in where.items():
@@ -937,8 +957,6 @@ class CuckooTable:
                 raise AssertionError(
                     f"shadow map out of sync for {key!r}: stage {stage}, index {index}"
                 )
-            if slot.digest != slot.profile[stage] >> shift:
-                raise AssertionError("stored digest mismatch")
             counts[stage] += 1
         if len(col) != len(where):
             raise AssertionError(
@@ -955,16 +973,23 @@ class CuckooTable:
             elif len(owners) < 2:
                 raise AssertionError(f"candidate {cand:#x} kept a set for {owners!r}")
             for key in owners:
-                if key not in where or cand not in where[key].profile:
+                slot = where.get(key)
+                if slot is None or cand not in slot.profile:
                     raise AssertionError(
                         f"candidate {cand:#x} registers {key!r}, which is not "
                         "a resident with that triple"
                     )
+                if cand not in slot.profile[: slot.stage + 1]:
+                    raise AssertionError(
+                        f"candidate {cand:#x} registers {key!r} above its "
+                        f"home stage {slot.stage}"
+                    )
             registrations += len(owners)
-        if registrations != self.stages * len(where):
+        expected = sum(slot.stage + 1 for slot in where.values())
+        if registrations != expected:
             raise AssertionError(
                 f"{registrations} candidate registrations for {len(where)} "
-                f"residents of {self.stages} stages"
+                f"residents, whose homes need {expected}"
             )
         # Every resident key's data-plane lookup must find its own entry.
         # (Preserve the measurement counters: this is a checker, not traffic.)

@@ -204,9 +204,11 @@ class SilkRoadSwitch(LoadBalancer):
         #: serializes updates per VIP, so one token per VIP suffices).
         self._transit_update_ids: Dict[VirtualIP, int] = {}
         self._pending_by_vip: Dict[VirtualIP, Set[bytes]] = {}
-        #: live (not-yet-ended) connections per VIP, so withdraw_vip does
-        #: not scan every connection the switch has ever carried.
-        self._live_by_vip: Dict[VirtualIP, Set[bytes]] = {}
+        #: Count of live (not-yet-ended) connection states per VIP, so
+        #: withdraw_vip does not scan every connection the switch has ever
+        #: carried.  It moves only when a state turns dead or live; a double
+        #: end or a re-admission of a live key leaves it alone.
+        self._live_by_vip: Dict[VirtualIP, int] = {}
         self._conns_on: Dict[Tuple[VirtualIP, DirectIP], Set[bytes]] = {}
         self._poll_handle: Optional[EventHandle] = None
         # Fault-delivery state (set by repro.faults.FaultInjector).
@@ -342,12 +344,11 @@ class SilkRoadSwitch(LoadBalancer):
         state = self._states.get(key)
         if state is None:
             return
-        state.dead = True
+        if not state.dead:
+            state.dead = True
+            self._live_by_vip[state.vip] -= 1
         if self.recorder is not None:
             self.recorder.record(self.queue.now, CONN_FIN, key, state.installed)
-        live = self._live_by_vip.get(state.vip)
-        if live is not None:
-            live.discard(key)
         self._drop_decision_index(state)
         if state.installed:
             # Entry ages out idle_timeout after the last packet.  The timer
@@ -393,10 +394,9 @@ class SilkRoadSwitch(LoadBalancer):
         fresh.adopted_old_via_fp = state.adopted_old_via_fp
         fresh.at_risk = state.at_risk
         self._states[key] = fresh
-        live = self._live_by_vip.get(state.vip)
-        if live is None:
-            live = self._live_by_vip[state.vip] = set()
-        live.add(key)
+        if state.dead:
+            live = self._live_by_vip
+            live[state.vip] = live.get(state.vip, 0) + 1
         self._drop_decision_index(state)
         dip = self.dip_pools.select(state.vip, state.version, key, conn.key_hash)
         self._set_decision(fresh, dip, now)
@@ -496,7 +496,9 @@ class SilkRoadSwitch(LoadBalancer):
             version = entry.current_version
         state = _ConnState(conn=conn, version=version)
         state.adopted_old_via_fp = adopted_old
-        self._states[key] = state
+        states = self._states
+        previous = states.get(key)
+        states[key] = state
         self.dip_pools.acquire(vip, version)
         # get-then-insert instead of setdefault: this runs once per
         # admitted connection and setdefault would allocate a throwaway
@@ -505,10 +507,9 @@ class SilkRoadSwitch(LoadBalancer):
         if pending is None:
             pending = self._pending_by_vip[vip] = set()
         pending.add(key)
-        live = self._live_by_vip.get(vip)
-        if live is None:
-            live = self._live_by_vip[vip] = set()
-        live.add(key)
+        if previous is None or previous.dead:
+            live = self._live_by_vip
+            live[vip] = live.get(vip, 0) + 1
         # Step 1 of an in-flight update marks the connection.
         state.marked = self.coordinator.note_new_pending(vip, key)
         if state.marked and self.recorder is not None:

@@ -103,12 +103,24 @@ class _Stream:
             pending.extend(new)
             pending_times.extend(times)
             return
+        # One linear pass over the pending items from the first new time
+        # on: the earlier ones stay put, the rest are cut off and merged
+        # back in run by run, so the tail is copied once per call rather
+        # than shifted once per new item.
+        lo = bisect_right(pending_times, times[0])
+        tail, tail_times = pending[lo:], pending_times[lo:]
+        del pending[lo:], pending_times[lo:]
         i = 0
         for t, item in zip(times, new):
-            i = bisect_right(pending_times, t, i)
-            pending_times.insert(i, t)
-            pending.insert(i, item)
-            i += 1
+            j = bisect_right(tail_times, t, i)
+            if j > i:
+                pending += tail[i:j]
+                pending_times += tail_times[i:j]
+                i = j
+            pending.append(item)
+            pending_times.append(t)
+        pending += tail[i:]
+        pending_times += tail_times[i:]
 
     def cut(self, n: int) -> list:
         """Remove and return the first ``n`` (dispatched) items."""

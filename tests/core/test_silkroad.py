@@ -245,10 +245,64 @@ class TestWithdrawRefusals:
         ]
         for conn in conns:
             switch.on_connection_arrival(conn)
-        assert switch._live_by_vip[vip] == {c.key for c in conns}
+        assert switch._live_by_vip[vip] == len(conns)
         for conn in conns:
             switch.on_connection_end(conn)
-        assert not switch._live_by_vip.get(vip)
+        assert switch._live_by_vip[vip] == 0
+        switch.queue.run_until(switch.queue.now + 10.0)
+        switch.withdraw_vip(vip)
+        assert vip not in switch._live_by_vip
+
+    def test_live_count_is_exact_across_double_end_readmission_and_resume(
+        self, vip, dips, tuples
+    ):
+        """The count moves only when a state turns dead or live: a second
+        end, a resume of an ended entry and a re-admission over an ended
+        state each leave it equal to a recount, and ``withdraw_vip`` reads
+        it."""
+        from repro.core.verify import audit_switch
+        from repro.netsim.flows import Connection
+
+        # A 16-slot table with the §7 software overflow: some connections
+        # are pinned without a ConnTable entry, so an ended one can arrive
+        # again while its dead state still waits for the idle timeout.
+        switch = SilkRoadSwitch(
+            small_config(conn_table_capacity=8, overflow_to_software=True)
+        )
+        switch.announce_vip(vip, dips)
+        conns = [
+            Connection(conn_id=i, five_tuple=tuples.next_for(vip), vip=vip,
+                       start=0.0, duration=100.0)
+            for i in range(20)
+        ]
+        for conn in conns:
+            switch.on_connection_arrival(conn)
+        switch.queue.run_until(1.0)
+        assert switch.pending_connections() == 0
+        resident = next(c for c in conns if c.key in switch.conn_table)
+        pinned = next(c for c in conns if c.key not in switch.conn_table)
+
+        def live_count_is_exact(expected):
+            assert switch._live_by_vip[vip] == expected
+            report = audit_switch(switch)
+            assert not [v for v in report.violations if "live-by-VIP" in v]
+
+        live_count_is_exact(20)
+        switch.on_connection_end(resident)
+        switch.on_connection_end(resident)  # a hand-off racing the FIN
+        live_count_is_exact(19)
+        assert switch.resume_connection(resident)
+        live_count_is_exact(20)
+        switch.on_connection_end(pinned)
+        live_count_is_exact(19)
+        assert not switch.resume_connection(pinned)  # no entry to hit
+        switch.on_connection_arrival(pinned)  # re-admitted over the dead state
+        live_count_is_exact(20)
+        with pytest.raises(ValueError, match="connections still active"):
+            switch.withdraw_vip(vip)
+        for conn in conns:
+            switch.on_connection_end(conn)
+        live_count_is_exact(0)
         switch.queue.run_until(switch.queue.now + 10.0)
         switch.withdraw_vip(vip)
         assert vip not in switch._live_by_vip
