@@ -5,7 +5,8 @@ here under one explicit ``__all__``; the package internals stay free to
 move.  The facade groups:
 
 * **Systems** — :class:`SilkRoadSwitch` / :class:`SilkRoadConfig` and the
-  fleet (:class:`FleetSilkRoad`, :class:`FleetConfig`).
+  fleet, :class:`FleetSilkRoad` (its ``replication`` and ``conn_budget``
+  are constructor keywords; its heartbeat timing is module constants).
 * **Options** — :class:`ObsOptions` (flight recorder, timeline
   sampling), accepted by every runner below.  No runner takes a
   replay-driver choice: they all replay on the one default driver.
@@ -36,7 +37,6 @@ from .core import SilkRoadConfig, SilkRoadSwitch
 from .core.verify import AuditReport, audit_switch
 from .deploy.fleet import (
     FleetAuditReport,
-    FleetConfig,
     FleetSilkRoad,
     audit_fleet,
 )
@@ -58,7 +58,6 @@ __all__ = [
     # systems
     "SilkRoadConfig",
     "SilkRoadSwitch",
-    "FleetConfig",
     "FleetSilkRoad",
     # options
     "ObsOptions",

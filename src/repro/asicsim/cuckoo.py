@@ -751,18 +751,17 @@ class CuckooTable:
         else:
             # BFS over move sequences; every legal candidate bucket is
             # now known to be full.
-            path = self._bfs_find_path(key, profile)
-            if path is None:
+            for path in self._bfs_paths(key, profile):
+                applied = self._apply_move_path(key, profile, path)
+                if applied is not None:
+                    break
+            else:
                 self._m_insert_failures.value += 1.0
                 raise TableFull(
                     f"no slot for key after BFS over {MAX_BFS_NODES} nodes "
                     f"(load {self.load_factor:.3f})"
                 )
-            moves = self._apply_move_path(path)
-            # The path starts at the bucket that receives the new key.
-            stage, cell = path[0]
-            way = self._free_way(cell)
-            assert way is not None, "BFS path did not free a slot"
+            stage, way, moves = applied
 
         cand = profile[stage]
         cell = cand & mask
@@ -792,14 +791,15 @@ class CuckooTable:
                 twins.extend(slot.key for slot in self._matches(stage, owners))
         return twins
 
-    def _bfs_find_path(self, key: bytes, profile):
-        """Find a sequence of moves freeing a legal slot for ``key``.
+    def _bfs_paths(self, key: bytes, profile) -> Iterator[list]:
+        """Move sequences that would free a slot for ``key``, nearest first.
 
-        Buckets are named by their cell (stage offset + bucket).  Returns
-        the ``(stage, cell)`` that receives the new key followed by the
+        Buckets are named by their cell (stage offset + bucket).  Each path
+        is the ``(stage, cell)`` that receives the new key followed by the
         ``(src_cell, way, dest_stage, dest_cell)`` moves that free a slot
         there, in path order (:meth:`_apply_move_path` applies them deepest
-        first).  ``None`` if not found.
+        first).  Legality is judged against the table as it stands, so a
+        path is only a proposal: the search resumes if applying it fails.
         """
         # Each frontier node: (stage, cell, parent_index, way_moved_from_parent)
         frontier: List[Tuple[int, int, int, Optional[int]]] = []
@@ -838,12 +838,12 @@ class CuckooTable:
                     frontier.append((dest_stage, dest_cell, idx, way))
                     seen.add(dest_cell)
                     if self._free_way(dest_cell) is not None:
-                        return self._reconstruct_path(frontier, len(frontier) - 1)
-                    queue.append(len(frontier) - 1)
-        return None
+                        yield self._reconstruct_path(frontier, len(frontier) - 1)
+                    else:
+                        queue.append(len(frontier) - 1)
 
     def _reconstruct_path(self, frontier, idx: int):
-        """Turn BFS parent pointers into :meth:`_bfs_find_path`'s result."""
+        """Turn BFS parent pointers into one of :meth:`_bfs_paths`' paths."""
         chain = []
         while idx != -1:
             stage, cell, parent, way = frontier[idx]
@@ -859,16 +859,28 @@ class CuckooTable:
             moves.append((src_cell, way, dst_stage, dst_cell))
         return [(root_stage, root_cell)] + moves
 
-    def _apply_move_path(self, path) -> int:
-        """Apply moves deepest-first so each destination has a free way."""
-        moves = path[1:]
-        for src_cell, way, dst_stage, dst_cell in reversed(moves):
-            slot = self._column.get(src_cell * self.ways + way)
-            assert slot is not None, "BFS referenced an empty way"
-            dest_way = self._free_way(dst_cell)
-            assert dest_way is not None, "move destination is full"
-            self._move(slot, dst_stage, dst_cell, dest_way)
-        return len(moves)
+    def _apply_move_path(self, key: bytes, profile, path):
+        """Apply a path's moves deepest-first, each one only if it is legal
+        against the table as the moves before it left it, then check that
+        ``key`` may take the freed slot.  Returns ``(stage, way, moves)``
+        for the new key; on any illegal step the applied moves are undone
+        in reverse and the answer is ``None``."""
+        col, ways, per_stage = self._column, self.ways, self.buckets_per_stage
+        done: List[Tuple[Slot, int, int]] = []
+        for src_cell, way, dst_stage, dst_cell in reversed(path[1:]):
+            slot = col[src_cell * ways + way]
+            # The search judged the deepest move against this very table.
+            if done and not self._placement_legal(slot.key, dst_stage, slot.profile):
+                break
+            self._move(slot, dst_stage, dst_cell, self._free_way(dst_cell))
+            done.append((slot, src_cell, way))
+        else:
+            stage, cell = path[0]
+            if self._placement_legal(key, stage, profile):
+                return stage, self._free_way(cell), len(done)
+        for slot, src_cell, way in reversed(done):
+            self._move(slot, src_cell // per_stage, src_cell, way)
+        return None
 
     # ------------------------------------------------------------------
     # Update / delete / relocate

@@ -94,9 +94,6 @@ class DuetLoadBalancer(LoadBalancer):
         """The ECMP hash both the switches and (for new flows) SLBs use."""
         return self._tables[vip].lookup(key, key_hash)
 
-    def vip_at_slb(self, vip: VirtualIP) -> bool:
-        return vip in self._at_slb
-
     # ------------------------------------------------------------------
     # LoadBalancer interface
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ ablations against SilkRoad's versioned-pool approach.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..asicsim.hashing import HashUnit
 from ..netsim.packet import DirectIP
@@ -103,10 +103,3 @@ class MaglevTable:
         self.backends = list(backends)
         self._populate()
         return sum(1 for a, b in zip(old, self.entries) if a != b)
-
-    def load_spread(self) -> Dict[DirectIP, int]:
-        """Entries owned per backend (evenness check)."""
-        spread: Dict[DirectIP, int] = {}
-        for backend in self.entries:
-            spread[backend] = spread.get(backend, 0) + 1
-        return spread

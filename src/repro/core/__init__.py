@@ -10,7 +10,6 @@ from .config import SilkRoadConfig
 from .conn_table import ConnTable
 from .control_plane import SwitchCpu
 from .dip_pool_table import DipPool, DipPoolTable, VersionsExhausted
-from .health import HealthMonitor, always_alive
 from .pcc_update import Phase, UpdateCoordinator, UpdateTimings
 from .silkroad import SilkRoadSwitch
 from .sram_cost import EntryLayout, memory_saving
@@ -22,7 +21,6 @@ from .vip_table import VipEntry, VipTable
 __all__ = [
     "ConnTable",
     "DipPool",
-    "HealthMonitor",
     "DipPoolTable",
     "EntryLayout",
     "PccSummary",
@@ -40,7 +38,6 @@ __all__ = [
     "InvariantViolation",
     "audit_switch",
     "active_connection_peak",
-    "always_alive",
     "memory_saving",
     "summarize",
     "violations_by_minute",

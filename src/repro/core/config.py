@@ -2,8 +2,8 @@
 
 Defaults follow the paper's evaluation setup (§5, §6): 16-bit digests,
 6-bit DIP-pool versions, four ConnTable entries per 112-bit SRAM word, a
-256-byte TransitTable, a 2 K-event learning filter with a 1 ms timeout, and
-a switch CPU inserting 200 K ConnTable entries per second.
+256-byte TransitTable, a learning filter with a 1 ms timeout, and a switch
+CPU inserting 200 K ConnTable entries per second.
 """
 
 from __future__ import annotations
@@ -17,29 +17,23 @@ class SilkRoadConfig:
     """The settable knobs of a SilkRoad switch instance.
 
     What the paper fixes and no caller varies is a named constant beside
-    the code that reads it: ConnTable geometry (:mod:`.conn_table`), the
-    TransitTable hash count (:mod:`.transit_table`), the slow-path retry,
-    re-learn and FP-resolution delays (:mod:`.silkroad`).
+    the code that reads it: ConnTable geometry and target load
+    (:mod:`.conn_table`), the TransitTable hash count
+    (:mod:`.transit_table`), the learning-filter capacity, the idle
+    timeout and the slow-path retry, re-learn and FP-resolution delays
+    (:mod:`.silkroad`).
     """
 
     # --- ConnTable geometry (§4.2).
     conn_table_capacity: int = 1_000_000
-    conn_table_target_load: float = 0.9375  # 15/16: cuckoo packs tightly
     digest_bits: int = 16
     version_bits: int = 6
 
     # --- TransitTable (§4.3).
     use_transit_table: bool = True
     transit_table_bytes: int = 256
-    #: Redirect TCP SYNs that falsely hit the TransitTable in step 2 to the
-    #: switch CPU for correction.  The paper describes this mitigation but
-    #: its own Figure 18 still measures violations for tiny filters, so the
-    #: reproduction defaults to off; turning it on gives zero violations at
-    #: any filter size.
-    syn_redirect_on_transit_fp: bool = False
 
     # --- Connection learning (§4.1, §4.3).
-    learning_filter_capacity: int = 2048
     learning_filter_timeout_s: float = 1e-3
     insertion_rate_per_s: float = 200_000.0
 
@@ -63,9 +57,6 @@ class SilkRoadConfig:
     #: treating ConnTable as a cache of connections.
     overflow_to_software: bool = False
 
-    # --- Connection expiry: entry removed this long after the last packet.
-    idle_timeout_s: float = 1.0
-
     def __post_init__(self) -> None:
         if self.conn_table_capacity <= 0:
             raise ValueError("conn_table_capacity must be positive")
@@ -77,12 +68,8 @@ class SilkRoadConfig:
             raise ValueError("transit_table_bytes must be positive")
         if self.insertion_rate_per_s <= 0:
             raise ValueError("insertion_rate_per_s must be positive")
-        if self.learning_filter_capacity <= 0:
-            raise ValueError("learning_filter_capacity must be positive")
         if self.learning_filter_timeout_s <= 0:
             raise ValueError("learning_filter_timeout_s must be positive")
-        if self.idle_timeout_s < 0:
-            raise ValueError("idle_timeout_s must be non-negative")
         if self.cpu_max_backlog is not None and self.cpu_max_backlog <= 0:
             raise ValueError("cpu_max_backlog must be positive or None")
         if self.update_step_deadline_s is not None and self.update_step_deadline_s <= 0:

@@ -26,6 +26,8 @@ from .sram_cost import conn_entry
 #: four-way bucket array — four 28-bit entries fill one 112-bit SRAM word.
 CONN_TABLE_STAGES = 4
 CONN_TABLE_WAYS = 4
+#: Load the table is sized for: 15/16, because the cuckoo BFS packs tightly.
+CONN_TABLE_TARGET_LOAD = 0.9375
 
 
 def conn_table_buckets(config: SilkRoadConfig) -> int:
@@ -33,7 +35,7 @@ def conn_table_buckets(config: SilkRoadConfig) -> int:
     reads its table geometry from here too."""
     return buckets_for_capacity(
         config.conn_table_capacity,
-        config.conn_table_target_load,
+        CONN_TABLE_TARGET_LOAD,
         ways=CONN_TABLE_WAYS,
         stages=CONN_TABLE_STAGES,
     )

@@ -39,7 +39,6 @@ from ..obs.events import (
     CONN_EVICT,
     CONN_FIN,
     CONN_FP_ADOPTED,
-    CONN_FP_CORRECTED,
     CONN_FP_SYN_REDIRECT,
     CONN_INSTALL,
     CONN_MARKED,
@@ -72,6 +71,10 @@ from .sram_cost import vip_entry
 from .transit_table import TransitTable
 from .vip_table import VipTable
 
+#: Learn events the learning filter holds before it flushes (§4.1: 2 K).
+LEARNING_FILTER_CAPACITY = 2048
+#: A connection's ConnTable entry ages out this long after its last packet.
+IDLE_TIMEOUT_S = 1.0
 #: Software handling time for a redirected (false-positive) TCP SYN (§4.2).
 FP_RESOLUTION_DELAY_S = 2e-3
 # Slow-path hardening (failure model; see docs/robustness.md).
@@ -99,7 +102,6 @@ _COUNTERS: Dict[str, Optional[str]] = {
     "connections_seen": "connection arrivals",
     "fp_syn_redirects": "SYNs redirected on digest collision",
     "transit_fp_adopted": "conns pinned to old version by Bloom FP",
-    "transit_fp_corrected": None,
     "table_full_events": "insertions hitting a full ConnTable",
     "overflow_pinned": "conns pinned in software on overflow",
     "version_exhaustion_events": "updates dropped: version space full",
@@ -181,7 +183,7 @@ class SilkRoadSwitch(LoadBalancer):
         )
         self.meters = MeterBank(metrics=self.metrics.scope("meters"))
         self.learning = LearningFilter(
-            capacity=config.learning_filter_capacity,
+            capacity=LEARNING_FILTER_CAPACITY,
             timeout=config.learning_filter_timeout_s,
             metrics=self.metrics.scope("learning_filter"),
         )
@@ -351,7 +353,7 @@ class SilkRoadSwitch(LoadBalancer):
             self.recorder.record(self.queue.now, CONN_FIN, key, state.installed)
         self._drop_decision_index(state)
         if state.installed:
-            # Entry ages out idle_timeout after the last packet.  The timer
+            # Entry ages out IDLE_TIMEOUT_S after the last packet.  The timer
             # is pinned to this state object: if the key is re-admitted (or
             # ended twice, e.g. by a fleet hand-off racing the flow's own
             # FIN) before the timer fires, a stale timer must not evict the
@@ -360,7 +362,7 @@ class SilkRoadSwitch(LoadBalancer):
                 if self._states.get(key) is state:
                     self._expire_entry(key)
 
-            self.queue.schedule_in(self.config.idle_timeout_s, expire, PRIO_INTERNAL)
+            self.queue.schedule_in(IDLE_TIMEOUT_S, expire, PRIO_INTERNAL)
         else:
             pending = self._pending_by_vip.get(state.vip)
             if pending is not None:
@@ -475,21 +477,15 @@ class SilkRoadSwitch(LoadBalancer):
             query = self.transit.check(key, key_hash)
             if query.positive:
                 # A new connection can only hit the filter falsely.
-                if self.config.syn_redirect_on_transit_fp:
-                    self.transit_fp_corrected += 1
-                    version = entry.current_version
-                    if self.recorder is not None:
-                        self.recorder.record(now, CONN_FP_CORRECTED, key)
-                else:
-                    self.transit_fp_adopted += 1
-                    self.fp_adopted_keys.add(key)
-                    assert entry.old_version is not None
-                    version = entry.old_version
-                    adopted_old = True
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            now, CONN_FP_ADOPTED, key, str(vip), entry.old_version
-                        )
+                self.transit_fp_adopted += 1
+                self.fp_adopted_keys.add(key)
+                assert entry.old_version is not None
+                version = entry.old_version
+                adopted_old = True
+                if self.recorder is not None:
+                    self.recorder.record(
+                        now, CONN_FP_ADOPTED, key, str(vip), entry.old_version
+                    )
             else:
                 version = entry.current_version
         else:
@@ -995,7 +991,6 @@ class SilkRoadSwitch(LoadBalancer):
             "conn_table_fp_lookups": float(self.conn_table.false_positive_lookups),
             "fp_syn_redirects": float(self.fp_syn_redirects),
             "transit_fp_adopted": float(self.transit_fp_adopted),
-            "transit_fp_corrected": float(self.transit_fp_corrected),
             "transit_false_positives": float(self.transit.false_positives),
             "table_full_events": float(self.table_full_events),
             "overflow_pinned": float(self.overflow_pinned),

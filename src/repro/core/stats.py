@@ -32,10 +32,6 @@ class PccSummary:
         return self.violations / self.measured_connections
 
     @property
-    def violation_percent(self) -> float:
-        return 100.0 * self.violation_fraction
-
-    @property
     def violations_per_minute(self) -> float:
         if self.horizon_s <= 0:
             return 0.0

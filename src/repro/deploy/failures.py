@@ -1,4 +1,4 @@
-"""Switch-failure exposure arithmetic (§7).
+"""Failure arithmetic (§7): switch-failure exposure and DIP health checks.
 
 Flows of a failed SilkRoad switch re-ECMP to surviving switches, which
 share the same latest VIPTable.  Connections pinned to the *latest* pool
@@ -7,8 +7,8 @@ version lose their ConnTable state and may break — the same exposure an
 SLB failure has.  :func:`switch_failure_breakage` quantifies it;
 :mod:`repro.deploy.fleet` replays it live.
 
-(DIP failures — BFD-style health probes and their bandwidth arithmetic —
-live with their one user, :mod:`repro.core.health`.)
+DIP failures are detected by BFD-style probes the ASIC can offload;
+:func:`health_check_bandwidth_bps` is what they cost a switch.
 """
 
 from __future__ import annotations
@@ -46,3 +46,19 @@ def expected_breakage_after_failover(
     if not 0.0 <= remap_probability <= 1.0:
         raise ValueError("remap_probability must be in [0, 1]")
     return switch_failure_breakage(connections_per_version, latest_version) * remap_probability
+
+
+def health_check_bandwidth_bps(
+    num_dips: int, interval_s: float = 10.0, probe_bytes: int = 100
+) -> float:
+    """Bandwidth one switch spends probing its DIPs.
+
+    The paper's example: 10 K DIPs / 10 s / 100 B -> ~800 Kb/s.
+    """
+    if num_dips < 0:
+        raise ValueError("num_dips must be non-negative")
+    if interval_s <= 0:
+        raise ValueError("interval must be positive")
+    if probe_bytes <= 0:
+        raise ValueError("probe size must be positive")
+    return num_dips / interval_s * probe_bytes * 8.0

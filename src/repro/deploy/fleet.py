@@ -17,8 +17,9 @@ not a mode: schedule :meth:`FleetSilkRoad.inject_switch_crash` and
 :mod:`repro.experiments.switch_failure`).
 
 * :class:`FleetController` probes every switch each
-  ``heartbeat_interval_s``; ``suspicion_threshold`` consecutive misses
-  declare the switch down (detection latency = interval × threshold).
+  :data:`HEARTBEAT_INTERVAL_S`; :data:`SUSPICION_THRESHOLD` consecutive
+  misses declare the switch down (detection latency = interval ×
+  threshold).
   Until then the fabric keeps hashing flows into the void.
 * **Declare-down** removes the switch from every VIP's resilient-hash
   group and re-homes its connections to the survivors — re-hashed flows
@@ -36,8 +37,8 @@ not a mode: schedule :meth:`FleetSilkRoad.inject_switch_crash` and
   *mid-reassignment race* population.
 * **Graceful degradation**: with a ``conn_budget`` (per-switch ConnTable
   allowance, same budget notion as :mod:`repro.deploy.assignment`), a
-  failover that would overflow a survivor sheds whole VIPs
-  lowest-priority-first instead of corrupting table state.
+  failover that would overflow a survivor sheds whole VIPs, the
+  earliest-announced first, instead of corrupting table state.
 
 Every decision change a connection can experience is recorded, with its
 cause, when the fleet causes it, so :func:`audit_fleet` attributes
@@ -134,41 +135,6 @@ class _SwitchId:
 
 
 @dataclass(frozen=True)
-class FleetConfig:
-    """The settable knobs of the fleet failure domain.
-
-    What no caller varies is a named constant beside the code that reads
-    it: :data:`REJOIN_THRESHOLD` (the controller), :data:`ECMP_SLOTS` (the
-    hash groups), :data:`ANNOUNCE_DELAY_S` and :data:`DRAIN_WINDOW_S` (the
-    reassignment steps).
-    """
-
-    #: seconds between controller probe rounds.
-    heartbeat_interval_s: float = 0.25
-    #: consecutive missed probes before a switch is declared down.
-    suspicion_threshold: int = 3
-    #: switches announcing each VIP (None = every switch, the §5.3 default).
-    replication: Optional[int] = None
-    #: per-switch ConnTable allowance; None disables overflow shedding.
-    conn_budget: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if self.suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
-        if self.replication is not None and self.replication < 1:
-            raise ValueError("replication must be >= 1")
-        if self.conn_budget is not None and self.conn_budget < 1:
-            raise ValueError("conn_budget must be >= 1")
-
-    @property
-    def detection_latency_s(self) -> float:
-        """Worst-case blackhole window after a silent crash."""
-        return self.heartbeat_interval_s * self.suspicion_threshold
-
-
-@dataclass(frozen=True)
 class FleetPartition:
     """Which slice of the fleet this replica materializes.
 
@@ -198,22 +164,32 @@ class FleetPartition:
         return self.worker_id == 0
 
 
+#: Seconds between controller probe rounds.
+HEARTBEAT_INTERVAL_S = 0.25
+#: Consecutive missed probes before a switch is declared down; a silent
+#: crash blackholes for up to HEARTBEAT_INTERVAL_S x SUSPICION_THRESHOLD.
+SUSPICION_THRESHOLD = 3
+#: Consecutive clean probes before a recovered switch rejoins ECMP.
+REJOIN_THRESHOLD = 2
 #: Reassignment step 1→2 latency (announce propagation).
 ANNOUNCE_DELAY_S = 0.05
 #: Reassignment step 2→3 latency (drain window).
 DRAIN_WINDOW_S = 0.5
+#: Barrier period of the partitioned runner.  The only couplings that
+#: carry one switch's state into another's are controller heartbeat rounds
+#: (probe results → declare-down/rejoin), the reassignment announce step
+#: and the drain window; their minimum bounds how far replicas could drift
+#: apart before an exchanged digest would notice, so epochs never exceed it.
+PARTITION_EPOCH_S = min(HEARTBEAT_INTERVAL_S, ANNOUNCE_DELAY_S, DRAIN_WINDOW_S)
 
 
-def partition_epoch_length(fleet_config: FleetConfig) -> float:
-    """Barrier period of the partitioned runner.
-
-    The only couplings that carry one switch's state into another's are
-    controller heartbeat rounds (probe results → declare-down/rejoin), the
-    reassignment announce step and the drain window; their minimum bounds
-    how far replicas could drift apart before an exchanged digest would
-    notice, so epochs never exceed it.
-    """
-    return min(fleet_config.heartbeat_interval_s, ANNOUNCE_DELAY_S, DRAIN_WINDOW_S)
+def check_fleet_knobs(replication: Optional[int], conn_budget: Optional[int]) -> None:
+    """Reject a :class:`FleetSilkRoad`'s ``replication`` / ``conn_budget``
+    out of range; the partitioned runner asks before it spawns a replica."""
+    if replication is not None and replication < 1:
+        raise ValueError("replication must be >= 1")
+    if conn_budget is not None and conn_budget < 1:
+        raise ValueError("conn_budget must be >= 1")
 
 
 def _digest64(text: str) -> int:
@@ -313,10 +289,6 @@ class _PhantomSwitch:
         pass
 
 
-#: Consecutive clean probes before a recovered switch rejoins ECMP.
-REJOIN_THRESHOLD = 2
-
-
 class FleetController:
     """Heartbeat prober + membership policy for a :class:`FleetSilkRoad`."""
 
@@ -328,8 +300,7 @@ class FleetController:
         self.stalled_ticks = 0
 
     def start(self, queue: EventQueue) -> None:
-        interval = self.fleet.fleet_config.heartbeat_interval_s
-        queue.schedule(queue.now + interval, self._tick, PRIO_INTERNAL)
+        queue.schedule(queue.now + HEARTBEAT_INTERVAL_S, self._tick, PRIO_INTERNAL)
 
     def stall(self, duration_s: float) -> None:
         """Suspend detection (the DETECTION_DELAY fault): probes pause."""
@@ -339,7 +310,6 @@ class FleetController:
     def _tick(self) -> None:
         fleet = self.fleet
         queue = fleet.queue
-        cfg = fleet.fleet_config
         now = queue.now
         if now < self._stalled_until:
             self.stalled_ticks += 1
@@ -363,9 +333,9 @@ class FleetController:
                     slot.ok_streak = 0
                     slot.missed += 1
                     self.probes_missed += 1
-                    if slot.in_ecmp and slot.missed >= cfg.suspicion_threshold:
+                    if slot.in_ecmp and slot.missed >= SUSPICION_THRESHOLD:
                         fleet.declare_down(index, reason="unresponsive")
-        queue.schedule(now + cfg.heartbeat_interval_s, self._tick, PRIO_INTERNAL)
+        queue.schedule(now + HEARTBEAT_INTERVAL_S, self._tick, PRIO_INTERNAL)
 
 
 #: Slots of each per-VIP resilient hash group.
@@ -379,16 +349,20 @@ class FleetSilkRoad(LoadBalancer):
         self,
         num_switches: int = 4,
         config: SilkRoadConfig = SilkRoadConfig(),
-        fleet_config: FleetConfig = FleetConfig(),
         name: str = "fleet-silkroad",
-        priorities: Optional[Dict[VirtualIP, int]] = None,
         partition: Optional[FleetPartition] = None,
+        replication: Optional[int] = None,
+        conn_budget: Optional[int] = None,
     ) -> None:
         if num_switches <= 0:
             raise ValueError("need at least one switch")
+        check_fleet_knobs(replication, conn_budget)
         self.name = name
         self.config = config
-        self.fleet_config = fleet_config
+        #: switches announcing each VIP (None = every switch, the §5.3 default).
+        self.replication = replication
+        #: per-switch ConnTable allowance; None disables overflow shedding.
+        self.conn_budget = conn_budget
         self.partition = partition
         if partition is None:
             self._owned = frozenset(range(num_switches))
@@ -429,7 +403,6 @@ class FleetSilkRoad(LoadBalancer):
         # The fleet's authoritative current pool per VIP, mirrored from the
         # update stream; resyncs announce from here.
         self._pools: Dict[VirtualIP, List[DirectIP]] = {}
-        self._priorities: Dict[VirtualIP, int] = dict(priorities or {})
         self._owner: Dict[bytes, int] = {}  # -1 = registered but unserved
         self._conns: Dict[bytes, Connection] = {}
         # Attribution maps, written at the instant the fleet causes the
@@ -484,13 +457,12 @@ class FleetSilkRoad(LoadBalancer):
             raise ValueError(f"VIP already announced: {vip}")
         n = len(self._slots)
         rank = len(self._vip_order)
-        replication = self.fleet_config.replication
+        replication = self.replication
         width = n if replication is None else min(replication, n)
         indices = sorted({(rank + j) % n for j in range(width)})
         self._vip_order.append(vip)
         self._assignment[vip] = indices
         self._pools[vip] = list(dips)
-        self._priorities.setdefault(vip, rank)
         for index in indices:
             slot = self._slots[index]
             slot.switch.announce_vip(vip, dips)
@@ -1016,8 +988,10 @@ class FleetSilkRoad(LoadBalancer):
     def _shed_for_capacity(
         self, moves: Sequence[Tuple[Optional[int], Connection]]
     ) -> None:
-        """Shed lowest-priority VIPs until every survivor fits its budget."""
-        budget = self.fleet_config.conn_budget
+        """Shed whole VIPs until every survivor fits its budget: of the VIPs
+        contributing to the first over-budget switch, the earliest-announced
+        goes first."""
+        budget = self.conn_budget
         if budget is None:
             return
         while True:
@@ -1036,16 +1010,16 @@ class FleetSilkRoad(LoadBalancer):
                 return
             contributing = {conn.vip for conn in self._live(owner=over)}
             contributing.update(conn.vip for target, conn in moves if target == over)
-            candidates = [
-                vip
-                for vip in self._vip_order
-                if vip in contributing and vip not in self._shed
-            ]
-            if not candidates:
-                return  # nothing left to shed; the budget stays violated
-            victim = min(
-                candidates, key=lambda v: (self._priorities.get(v, 0), str(v))
+            victim = next(
+                (
+                    vip
+                    for vip in self._vip_order
+                    if vip in contributing and vip not in self._shed
+                ),
+                None,
             )
+            if victim is None:
+                return  # nothing left to shed; the budget stays violated
             self._shed_vip(victim)
 
     def _shed_vip(self, vip: VirtualIP) -> None:

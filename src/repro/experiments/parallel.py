@@ -45,14 +45,14 @@ from ..asicsim.hashing import base_hash, mix64
 from ..core.silkroad import SilkRoadSwitch
 from ..core.verify import AuditReport, audit_switch
 from ..deploy.fleet import (
+    PARTITION_EPOCH_S,
     FleetAuditReport,
-    FleetConfig,
     FleetPartition,
     FleetSilkRoad,
     attribute_outcomes,
+    check_fleet_knobs,
     collect_structural,
     connection_outcomes,
-    partition_epoch_length,
 )
 from ..netsim.simulator import PRIO_INTERNAL
 from ..obs import FlightRecorder, MetricRegistry, ObsHook, Timeline
@@ -636,9 +636,9 @@ def make_shards(
     experiment's knobs only, and only those given: every key is forwarded
     to the task's runner as it is and an absent one takes that runner's
     default.  A key the task does not take, an unknown fleet pattern or
-    fig16 system, or an obs option spelled as a params key (``obs=``
-    being the one spelling) raises ``ValueError`` here — in the caller's
-    process, before any worker exists.
+    fig16 system, an out-of-range fleet knob, or an obs option spelled as
+    a params key (``obs=`` being the one spelling) raises ``ValueError``
+    here — in the caller's process, before any worker exists.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
@@ -679,6 +679,7 @@ def make_shards(
         patterns = tuple(params.pop("patterns", FAILURE_PATTERNS))
         for pattern in patterns:
             pattern_overrides(pattern)
+        check_fleet_knobs(params.get("replication"), params.get("conn_budget"))
         plans_per_pattern = int(params.pop("plans_per_pattern", 4))
         # Cells are identified by (pattern, plan_index), not sweep position:
         # _fleet_cell_seed keys each cell's seeds off this identity, so a
@@ -888,7 +889,7 @@ def run_sharded(
 #   but simulate nothing.  The expensive part of a fleet run — per-packet
 #   ConnTable/Bloom work inside `SilkRoadSwitch` — is therefore split
 #   `1/W` per worker.
-# * Lockstep epochs, bounded by `partition_epoch_length` (the minimum
+# * Lockstep epochs of `PARTITION_EPOCH_S` (the minimum
 #   cross-partition latency: heartbeat interval, announce delay, drain
 #   window), are barriers at which replicas exchange `epoch_digest()` —
 #   a running journal of every cross-partition event class plus the
@@ -918,15 +919,13 @@ def partition_switches(
     ]
 
 
-def _partition_epochs(horizon_s: float, epoch_s: float) -> int:
+def _partition_epochs(horizon_s: float) -> int:
     """How many barriers fit strictly inside ``[0, horizon_s]``.
 
     The epsilon absorbs float division noise so e.g. a 20 s horizon over
     0.05 s epochs yields exactly 400 barriers on every replica.
     """
-    if epoch_s <= 0:
-        raise ValueError("epoch_s must be positive")
-    return max(0, int(horizon_s / epoch_s + 1e-9))
+    return max(0, int(horizon_s / PARTITION_EPOCH_S + 1e-9))
 
 
 @dataclass
@@ -1021,10 +1020,12 @@ def _run_partition_replica(
     from ..faults.fleet import resolve_fleet_run
     from ..faults.injector import FaultInjector
 
-    workload, plan, config, fleet_config = resolve_fleet_run(**run_kwargs)
+    fleet_kwargs = dict(run_kwargs)
+    replication = fleet_kwargs.pop("replication")
+    conn_budget = fleet_kwargs.pop("conn_budget")
+    workload, plan, config = resolve_fleet_run(**fleet_kwargs)
     injector = FaultInjector(plan)
-    epoch_s = partition_epoch_length(fleet_config)
-    epochs = _partition_epochs(workload.horizon_s, epoch_s)
+    epochs = _partition_epochs(workload.horizon_s)
     digests: List[Tuple[int, Tuple[int, ...]]] = []
     # Recording is per owned switch (one ring each, so the merged dump is
     # invariant to the partition width); the hook arms the sampler only.
@@ -1042,14 +1043,15 @@ def _run_partition_replica(
                 if barrier is not None:
                     barrier(kk, digest)
 
-            sim.queue.schedule(k * epoch_s, fire, PRIO_INTERNAL)
+            sim.queue.schedule(k * PARTITION_EPOCH_S, fire, PRIO_INTERNAL)
 
     _report, connections, fleet = workload.replay(
         lambda: FleetSilkRoad(
             num_switches=run_kwargs["num_switches"],
             config=config,
-            fleet_config=fleet_config,
             partition=partition,
+            replication=replication,
+            conn_budget=conn_budget,
         ),
         faults=injector,
         attach=attach,
@@ -1217,19 +1219,14 @@ def run_fleet_partitioned(
     del run_kwargs["obs"]
     if run_kwargs.pop("workload") is not None:
         raise TypeError("run_fleet_partitioned() takes no prebuilt workload")
-    # An unknown pattern is the caller's error: say so here, not from
-    # inside a spawned replica.
+    # An unknown pattern or an out-of-range fleet knob is the caller's
+    # error: say so here, not from inside a spawned replica.
     pattern_overrides(run_kwargs["pattern"])
+    check_fleet_knobs(run_kwargs["replication"], run_kwargs["conn_budget"])
     seed, fault_seed = run_kwargs["seed"], run_kwargs["fault_seed"]
     num_switches = run_kwargs["num_switches"]
     owned_sets = partition_switches(num_switches, partition_workers)
-    if run_kwargs["fleet_config"] is None:
-        run_kwargs["fleet_config"] = FleetConfig(
-            replication=run_kwargs["replication"],
-            conn_budget=run_kwargs["conn_budget"],
-        )
-    epoch_s = partition_epoch_length(run_kwargs["fleet_config"])
-    epochs = _partition_epochs(run_kwargs["horizon_s"], epoch_s)
+    epochs = _partition_epochs(run_kwargs["horizon_s"])
     if in_process is None:
         in_process = partition_workers == 1
     partitions = [
@@ -1313,7 +1310,7 @@ def run_fleet_partitioned(
         workers=partition_workers,
         partitions=owned_sets,
         epochs=epochs,
-        epoch_length_s=epoch_s,
+        epoch_length_s=PARTITION_EPOCH_S,
         registry=registry,
         audit=audit,
         survival=survival,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import SilkRoadConfig
-from ..deploy.fleet import FleetConfig, FleetSilkRoad, FleetAuditReport, audit_fleet
+from ..deploy.fleet import FleetSilkRoad, FleetAuditReport, audit_fleet
 from ..experiments.common import PccWorkload, build_workload
 from ..netsim import Connection, SimulationReport
 from ..obs import FlightRecorder, ObsHook, Timeline
@@ -107,18 +107,15 @@ def resolve_fleet_run(
     warmup_s: float,
     updates_per_min: float,
     faults_per_min: float,
-    replication: Optional[int],
-    conn_budget: Optional[int],
     config: Optional[SilkRoadConfig],
-    fleet_config: Optional[FleetConfig],
     plan: Optional[FaultPlan],
     workload: Optional[PccWorkload] = None,
-) -> Tuple[PccWorkload, FaultPlan, SilkRoadConfig, FleetConfig]:
+) -> Tuple[PccWorkload, FaultPlan, SilkRoadConfig]:
     """Resolve one fleet run's fully seeded inputs from :func:`run_fleet`'s
     knobs (which is where their defaults live; every knob is required here).
 
-    Pure defaulting, no side effects: returns ``(workload, plan, config,
-    fleet_config)`` exactly as :func:`run_fleet` replays them.  The
+    Pure defaulting, no side effects: returns ``(workload, plan, config)``
+    exactly as :func:`run_fleet` replays them.  The
     space-partitioned runner calls this in every worker so each replica
     derives bit-identical inputs from the same scalar knobs — nothing
     heavyweight crosses the spawn pickle boundary.
@@ -143,9 +140,7 @@ def resolve_fleet_run(
         )
     if config is None:
         config = SilkRoadConfig(conn_table_capacity=200_000)
-    if fleet_config is None:
-        fleet_config = FleetConfig(replication=replication, conn_budget=conn_budget)
-    return workload, plan, config, fleet_config
+    return workload, plan, config
 
 
 def run_fleet(
@@ -161,7 +156,6 @@ def run_fleet(
     replication: Optional[int] = None,
     conn_budget: Optional[int] = None,
     config: Optional[SilkRoadConfig] = None,
-    fleet_config: Optional[FleetConfig] = None,
     plan: Optional[FaultPlan] = None,
     workload: Optional[PccWorkload] = None,
     obs: Optional[ObsOptions] = None,
@@ -176,7 +170,7 @@ def run_fleet(
     :mod:`repro.options`).  The run replays on the default driver.
     """
     obs = obs or ObsOptions()
-    workload, plan, config, fleet_config = resolve_fleet_run(
+    workload, plan, config = resolve_fleet_run(
         seed=seed,
         fault_seed=fault_seed,
         pattern=pattern,
@@ -186,10 +180,7 @@ def run_fleet(
         warmup_s=warmup_s,
         updates_per_min=updates_per_min,
         faults_per_min=faults_per_min,
-        replication=replication,
-        conn_budget=conn_budget,
         config=config,
-        fleet_config=fleet_config,
         plan=plan,
         workload=workload,
     )
@@ -199,7 +190,8 @@ def run_fleet(
         lambda: FleetSilkRoad(
             num_switches=num_switches,
             config=config,
-            fleet_config=fleet_config,
+            replication=replication,
+            conn_budget=conn_budget,
         ),
         faults=injector,
         attach=hook,

@@ -82,10 +82,6 @@ class FaultInjector:
         self._queue: Optional[EventQueue] = None
         self._target = None
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def attach(self, target, queue: EventQueue) -> None:
         """Schedule every plan event; call after the target is bound.
 

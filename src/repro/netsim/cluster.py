@@ -73,17 +73,8 @@ class Cluster:
     def pools(self) -> Dict[VirtualIP, List[DirectIP]]:
         return {s.vip: list(s.dips) for s in self.services}
 
-    def service_for(self, vip: VirtualIP) -> VipService:
-        for service in self.services:
-            if service.vip == vip:
-                return service
-        raise KeyError(f"unknown VIP {vip}")
-
     def total_new_conns_per_min(self) -> float:
         return sum(s.new_conns_per_min for s in self.services)
-
-    def total_traffic_mbps_per_tor(self) -> float:
-        return sum(s.traffic_mbps_per_tor for s in self.services)
 
 
 def make_cluster(

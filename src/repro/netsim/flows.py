@@ -212,6 +212,3 @@ class Connection:
         if log is None:
             return self._first_t is not None and self._first_dip is None
         return any(dip is None for _t, dip in log)
-
-    def bytes_total(self) -> float:
-        return self.rate_bps * self.duration / 8.0

@@ -91,10 +91,6 @@ class Fabric:
         index = self._ecmp.index(flow.key_bytes(), len(switches))
         return switches[index]
 
-    def ecmp_share(self, layer: Layer) -> float:
-        """Fraction of a VIP's traffic each switch of the layer receives."""
-        return 1.0 / self.layer_width(layer)
-
 
 @dataclass
 class VipPlacement:
@@ -121,20 +117,3 @@ class VipPlacement:
             except KeyError:
                 raise KeyError(f"VIP not assigned to any layer: {vip}") from None
         return self.assignment.get(vip, Layer.TOR)
-
-    def switch_for(self, flow: FiveTuple) -> Switch:
-        """The switch that load-balances a given flow."""
-        vip = flow.vip()
-        return self.fabric.ecmp_pick(self.layer_of(vip), flow)
-
-    def per_switch_connections(
-        self, conns_per_vip: Dict[VirtualIP, float]
-    ) -> Dict[str, float]:
-        """Expected connection-state load per switch under ECMP splitting."""
-        load: Dict[str, float] = {s.name: 0.0 for s in self.fabric.all_switches()}
-        for vip, count in conns_per_vip.items():
-            layer = self.layer_of(vip)
-            share = count / self.fabric.layer_width(layer)
-            for switch in self.fabric.layer_switches(layer):
-                load[switch.name] += share
-        return load

@@ -72,7 +72,6 @@ def kind_of(category: str, name: str) -> EventKind:
 
 CONN_SYN = EventKind("conn", "syn", ("vip",))
 CONN_FP_SYN_REDIRECT = EventKind("conn", "fp_syn_redirect")
-CONN_FP_CORRECTED = EventKind("conn", "fp_corrected")
 CONN_FP_ADOPTED = EventKind("conn", FP_ADOPTED, ("vip", "old_version"))
 CONN_MARKED = EventKind("conn", "marked", ("vip",))
 CONN_INSTALL = EventKind("conn", "install", ("version", "moves"))

@@ -54,6 +54,10 @@ MAX_ADVANCE_S = 3600.0
 #: Horizon the chaos fault plan (and the optional timeline sampler) covers.
 PLAN_HORIZON_S = 600.0
 
+#: Fleet sessions announce each VIP on one switch, so ``reassign`` has
+#: somewhere to move it.
+FLEET_REPLICATION = 1
+
 
 class ApiError(Exception):
     """A structured control-API failure (rendered as an HTTP 4xx)."""
@@ -81,12 +85,9 @@ class ServeConfig:
     seed: int = 7
     #: workload scale, as in the experiment runners (VIP count + rate).
     scale: float = 0.05
-    #: 1 = single switch; >1 = a heartbeat-managed fleet.
+    #: 1 = single switch; >1 = a heartbeat-managed fleet
+    #: (:data:`FLEET_REPLICATION` announcers per VIP).
     num_switches: int = 1
-    #: fleet only: switches announcing each VIP.  Defaults to 1 (each VIP
-    #: owned by one switch) so ``reassign`` has somewhere to move a VIP;
-    #: ``None`` replicates onto every switch, the §5.3 default.
-    replication: Optional[int] = 1
     #: attach the seeded fault injector (fleet kinds on a fleet).
     chaos: bool = False
     faults_per_min: float = 30.0
@@ -138,13 +139,11 @@ class ServeSession:
         self.source = StreamingFlowSource(workloads, seed=config.seed)
         self.is_fleet = config.num_switches > 1
         if self.is_fleet:
-            from ..deploy.fleet import FleetConfig
-
             self.lb = FleetSilkRoad(
                 num_switches=config.num_switches,
                 config=sr_config,
-                fleet_config=FleetConfig(replication=config.replication),
                 name="fleet-serve",
+                replication=FLEET_REPLICATION,
             )
         else:
             self.lb = SilkRoadSwitch(sr_config, name="silkroad-serve")

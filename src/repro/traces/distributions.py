@@ -18,9 +18,6 @@ import numpy as np
 
 from ..netsim.cluster import ClusterType
 
-#: z-score of the 99th percentile.
-Z99 = 2.3263
-
 
 @dataclass(frozen=True)
 class LogNormalFit:
@@ -35,29 +32,12 @@ class LogNormalFit:
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
-    @classmethod
-    def from_median_p99(cls, median: float, p99: float) -> "LogNormalFit":
-        if p99 < median:
-            raise ValueError("p99 must be >= median")
-        sigma = math.log(p99 / median) / Z99 if p99 > median else 0.0
-        return cls(median=median, sigma=sigma)
-
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         if self.sigma == 0:
             if size is None:
                 return self.median
             return np.full(size, self.median)
         return rng.lognormal(mean=math.log(self.median), sigma=self.sigma, size=size)
-
-    def prob_above(self, x: float) -> float:
-        """P(X > x), analytic."""
-        if x <= 0:
-            return 1.0
-        if self.sigma == 0:
-            return 1.0 if self.median > x else 0.0
-        from scipy.stats import norm
-
-        return float(1.0 - norm.cdf(math.log(x / self.median) / self.sigma))
 
     def quantile(self, q: float) -> float:
         if self.sigma == 0:

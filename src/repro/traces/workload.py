@@ -3,9 +3,7 @@
 :class:`FleetSynthesizer` draws a fleet of cluster *profiles* whose
 marginal statistics follow the fits in :mod:`repro.traces.distributions`.
 The profiles carry everything the scalability figures need — active
-connections per ToR, new-connection rates, update rates, traffic volume —
-and can be lowered onto concrete :class:`~repro.netsim.cluster.Cluster`
-objects for flow-level simulation.
+connections per ToR, new-connection rates, update rates, traffic volume.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..netsim.cluster import Cluster, ClusterType, make_cluster
+from ..netsim.cluster import ClusterType
 from .distributions import (
     ACTIVE_CONNS_PER_TOR_P99,
     ACTIVE_MEDIAN_TO_P99_RATIO,
@@ -66,23 +64,6 @@ class ClusterProfile:
     def peak_connections(self) -> float:
         """Peak simultaneous connections across the cluster's ToRs."""
         return self.active_conns_per_tor_p99 * self.num_tors
-
-    def to_cluster(self, scale: float = 1.0) -> Cluster:
-        """Materialize a concrete (optionally scaled-down) cluster."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return make_cluster(
-            name=self.name,
-            kind=self.kind,
-            num_vips=max(int(self.num_vips * scale), 1),
-            dips_per_vip=max(int(self.dips_per_vip * min(scale * 4, 1.0)), 2),
-            num_tors=self.num_tors,
-            new_conns_per_min_per_vip=self.new_conns_per_vip_per_min * scale,
-            traffic_mbps_per_vip_per_tor=(
-                self.traffic_gbps * 1e3 / max(self.num_vips, 1) / self.num_tors
-            ),
-            ipv6=self.ipv6,
-        )
 
 
 class FleetSynthesizer:

@@ -58,12 +58,11 @@ def narrow_table() -> CuckooTable:
     # 2-bit digests over 4 buckets: 16 candidate triples per stage, so
     # residents share triples constantly and the key -> set promotion, the
     # demotion back and twin relocation run on every pass (16-bit digests
-    # almost never get there).  With as many ways as digest values a full
-    # bucket already holds every digest, so no key is ever legal there and
-    # the BFS never moves anything: entries are re-homed by relocation only.
+    # almost never get there).  Two ways per bucket leave room for a key
+    # of another digest, so the BFS moves entries under shared triples too.
     return CuckooTable(
         buckets_per_stage=4,
-        ways=WAYS,
+        ways=2,
         stages=STAGES,
         digest_bits=2,
         fast_fail_load=1.0,
@@ -134,7 +133,7 @@ def test_shared_triple_churn_matches_dict_reference():
     # (by request and as digest twins) while registered under shared triples.
     assert promoted > 20 and demoted > 20, (promoted, demoted)
     assert relocated > 0 and table.collision_relocations > 0
-    assert moved == 0
+    assert moved > 0  # the BFS moved entries registered under shared triples
 
 
 class TestAuditLosesNothing:
@@ -368,7 +367,7 @@ def test_empty_table_bytes_do_not_follow_capacity():
 
 def test_key_at_names_the_slot_a_false_positive_hit():
     """At 2-bit digests a table filled as far as legality lets it (about
-    0.69 of four-way buckets) answers outsider lookups with some resident's
+    0.9 of two-way buckets) answers outsider lookups with some resident's
     slot; ``key_at`` names that resident (the one the physical walk finds
     there) and a free slot as ``None``."""
     table = narrow_table()
@@ -389,6 +388,36 @@ def test_key_at_names_the_slot_a_false_positive_hit():
     assert false_hits > 50, false_hits
     for stage in range(STAGES):
         for bucket in range(table.buckets_per_stage):
-            for way in range(WAYS):
+            for way in range(table.ways):
                 loc = Location(stage, bucket, way)
                 assert table.key_at(loc) == owner_at.get(loc)
+
+
+def test_two_way_narrow_digest_churn_never_shadows():
+    """Every BFS move is legal when it is applied.  On two ways with 2-bit
+    digests the BFS moves entries constantly, and a victim moved earlier in
+    a path can land where it shadows the new key or a later victim unless
+    each move is checked against the table as it is then."""
+    shadowed = []
+    for seed in range(60):
+        table = CuckooTable(
+            buckets_per_stage=4, ways=2, stages=4, digest_bits=2, fast_fail_load=1.0
+        )
+        rng = random.Random(seed)
+        fresh = iter(range(10**6))
+        resident: list = []
+        try:
+            for _op in range(400):
+                if resident and rng.random() < 0.4:
+                    table.delete(resident.pop(rng.randrange(len(resident))))
+                else:
+                    key = b"conn-%06d" % next(fresh)
+                    try:
+                        table.insert(key, rng.randrange(64))
+                        resident.append(key)
+                    except TableFull:
+                        pass
+                table.check_invariants()
+        except AssertionError as exc:
+            shadowed.append((seed, str(exc)))
+    assert not shadowed, f"{len(shadowed)} of 60 seeds: {shadowed[:3]}"

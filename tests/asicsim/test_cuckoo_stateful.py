@@ -92,10 +92,10 @@ class SharedTripleMachine(CuckooMachine):
     """The same rules where residents share candidate triples all the time:
     2-bit digests over 4 buckets, so a candidate's owner goes key -> set ->
     key and twins relocate within a handful of steps (16-bit digests almost
-    never get there).  With as many ways as digest values the BFS never
-    moves an entry (see ``narrow_table`` in test_cuckoo_column.py)."""
+    never get there).  Two ways leave the BFS moving entries among them
+    (see ``narrow_table`` in test_cuckoo_column.py)."""
 
-    geometry = dict(buckets_per_stage=4, ways=4, stages=4, digest_bits=2)
+    geometry = dict(buckets_per_stage=4, ways=2, stages=4, digest_bits=2)
 
 
 TestCuckooStateful = CuckooMachine.TestCase

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SilkRoadConfig
+from repro.core.silkroad import LEARNING_FILTER_CAPACITY
 from repro.core.sram_cost import conn_entry
 
 
@@ -16,7 +17,7 @@ class TestDefaults:
         assert conn_entry(cfg).entry_bits == 28  # packs 4-per-112-bit-word
         assert cfg.num_versions == 64
         assert cfg.transit_table_bytes == 256
-        assert cfg.learning_filter_capacity == 2048
+        assert LEARNING_FILTER_CAPACITY == 2048
         assert cfg.learning_filter_timeout_s == pytest.approx(1e-3)
         assert cfg.insertion_rate_per_s == 200_000.0
         assert cfg.use_transit_table
@@ -39,9 +40,9 @@ class TestValidation:
             {"version_bits": 17},
             {"transit_table_bytes": 0},
             {"insertion_rate_per_s": 0.0},
-            {"learning_filter_capacity": 0},
             {"learning_filter_timeout_s": 0.0},
-            {"idle_timeout_s": -1.0},
+            {"cpu_max_backlog": 0},
+            {"update_step_deadline_s": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.asicsim.cuckoo import TableFull
 from repro.core.config import SilkRoadConfig
+from repro.core import conn_table
 from repro.core.conn_table import ConnTable
 from repro.core.silkroad import SilkRoadSwitch
 from repro.core.sram_cost import conn_entry, memory_saving, naive_conn_entry
@@ -31,9 +32,9 @@ class TestConnTable:
         table.delete(key)
         assert key not in table
 
-    def test_capacity_honors_config(self):
-        cfg = SilkRoadConfig(conn_table_capacity=10_000, conn_table_target_load=0.5)
-        table = ConnTable(cfg)
+    def test_capacity_honors_config(self, monkeypatch):
+        monkeypatch.setattr(conn_table, "CONN_TABLE_TARGET_LOAD", 0.5)
+        table = ConnTable(SilkRoadConfig(conn_table_capacity=10_000))
         assert table.capacity >= 20_000
 
     def test_sram_accounting_28bit_entries(self, table):

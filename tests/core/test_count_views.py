@@ -14,7 +14,7 @@ import pytest
 from repro.asicsim.cuckoo import CuckooTable, TableFull
 from repro.asicsim.learning_filter import LearnBatch, LearnEvent, LearningFilter
 from repro.asicsim.meters import MeterBank, MeterConfig
-from repro.core import SilkRoadConfig, SilkRoadSwitch
+from repro.core import SilkRoadConfig, SilkRoadSwitch, silkroad
 from repro.core.conn_table import ConnTable
 from repro.core.control_plane import SwitchCpu
 from repro.core.pcc_update import UpdateCoordinator
@@ -204,13 +204,13 @@ def test_every_count_view_reads_its_instrument(run):
             setattr(scoped, view, 0)
 
 
-def test_counts_survive_a_rebind(vip, dips, tuples):
+def test_counts_survive_a_rebind(vip, dips, tuples, monkeypatch):
     """``bind()`` builds a new ``SwitchCpu`` on the switch's one scope: what
     the first CPU installed and shed still counts after the switch moves
     from its private queue to a simulator's."""
+    monkeypatch.setattr(silkroad, "LEARNING_FILTER_CAPACITY", 8)
     config = SilkRoadConfig(
-        conn_table_capacity=1000, insertion_rate_per_s=1000.0,
-        learning_filter_capacity=8, cpu_max_backlog=4,
+        conn_table_capacity=1000, insertion_rate_per_s=1000.0, cpu_max_backlog=4,
     )
     switch = SilkRoadSwitch(config)
     switch.announce_vip(vip, dips)

@@ -107,7 +107,7 @@ def test_no_transit_remapped_pending_connection_reverts_at_install():
 
 
 def test_fp_adopter_whose_update_finishes_first_reverts_at_install():
-    switch, step2 = drive(syn_redirect=False)
+    switch, step2 = drive()
     vip = step2[0].vip
     (timing,) = switch.coordinator.timings
     old = 0  # the VIP's first version

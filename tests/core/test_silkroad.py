@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SilkRoadConfig, SilkRoadSwitch
+from repro.core import SilkRoadConfig, SilkRoadSwitch, silkroad
 from repro.netsim import (
     ArrivalGenerator,
     FlowSimulator,
@@ -137,8 +137,9 @@ class TestDataPathDetails:
                 assert dip is None or isinstance(dip, DirectIP)
                 assert dip is not None  # never blackholed
 
-    def test_expired_connections_leave_table(self):
-        config = small_config(idle_timeout_s=0.5)
+    def test_expired_connections_leave_table(self, monkeypatch):
+        monkeypatch.setattr(silkroad, "IDLE_TIMEOUT_S", 0.5)
+        config = small_config()
         cluster = make_cluster(num_vips=2, dips_per_vip=4)
         switch = SilkRoadSwitch(config)
         for svc in cluster.services:
@@ -156,8 +157,9 @@ class TestDataPathDetails:
         sim.queue.run_until(60.0)
         assert len(switch.conn_table) == 0
 
-    def test_version_refcounts_balanced_after_expiry(self):
-        config = small_config(idle_timeout_s=0.1)
+    def test_version_refcounts_balanced_after_expiry(self, monkeypatch):
+        monkeypatch.setattr(silkroad, "IDLE_TIMEOUT_S", 0.1)
+        config = small_config()
         cluster = make_cluster(num_vips=1, dips_per_vip=4)
         switch = SilkRoadSwitch(config)
         vip = cluster.vips[0]

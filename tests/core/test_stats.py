@@ -36,7 +36,6 @@ class TestPccSummary:
             violations=2, horizon_s=120.0,
         )
         assert s.violation_fraction == pytest.approx(0.01)
-        assert s.violation_percent == pytest.approx(1.0)
         assert s.violations_per_minute == pytest.approx(1.0)
 
     def test_zero_division_guards(self):

@@ -5,14 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.deploy import (
-    BfdProber,
     expected_breakage_after_failover,
     health_check_bandwidth_bps,
     switch_failure_breakage,
 )
-from repro.netsim.packet import DirectIP
-
-DIP = DirectIP.parse("10.0.0.1:80")
 
 
 class TestHealthCheckBandwidth:
@@ -27,38 +23,6 @@ class TestHealthCheckBandwidth:
             health_check_bandwidth_bps(10, interval_s=0.0)
         with pytest.raises(ValueError):
             health_check_bandwidth_bps(10, probe_bytes=0)
-
-
-class TestBfdProber:
-    def test_detects_after_multiplier_misses(self):
-        prober = BfdProber(detect_multiplier=3)
-        assert prober.observe(DIP, responded=False) is None
-        assert prober.observe(DIP, responded=False) is None
-        assert prober.observe(DIP, responded=False) == DIP
-        assert prober.is_down(DIP)
-
-    def test_response_resets(self):
-        prober = BfdProber(detect_multiplier=3)
-        prober.observe(DIP, responded=False)
-        prober.observe(DIP, responded=False)
-        prober.observe(DIP, responded=True)
-        assert prober.observe(DIP, responded=False) is None
-        assert not prober.is_down(DIP)
-
-    def test_down_reported_once(self):
-        prober = BfdProber(detect_multiplier=1)
-        assert prober.observe(DIP, responded=False) == DIP
-        assert prober.observe(DIP, responded=False) is None  # already down
-
-    def test_recovery(self):
-        prober = BfdProber(detect_multiplier=1)
-        prober.observe(DIP, responded=False)
-        prober.observe(DIP, responded=True)
-        assert not prober.is_down(DIP)
-
-    def test_detection_time(self):
-        prober = BfdProber(interval_s=10.0, detect_multiplier=3)
-        assert prober.detection_time_s() == 30.0
 
 
 class TestSwitchFailureBreakage:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.asicsim.hashing import base_hash, mix64
 from repro.baselines.ecmp import ResilientHashTable
-from repro.deploy.fleet import FleetConfig, FleetSilkRoad
+from repro.deploy.fleet import FleetSilkRoad
 from repro.faults.fleet import run_fleet
 from repro.netsim import DirectIP
 from repro.netsim.batchsim import BatchedFlowSimulator
@@ -107,7 +107,7 @@ def test_fleet_mixed_routes_every_flow_as_lookup(routing_spy):
 
 
 def test_reassignment_redirect_routes_as_lookup(routing_spy):
-    _cluster, fleet, conns = build(fleet_config=FleetConfig(replication=2))
+    _cluster, fleet, conns = build(replication=2)
     sim = BatchedFlowSimulator(fleet, batch_size=BATCH)
     sim.queue.schedule(20.0, lambda: fleet.request_reassign(0, 2), 1)
     sim.run(conns, horizon_s=60.0)

@@ -90,8 +90,8 @@ class TestFingerprintInvariance:
         assert results[1].partitions == [(0, 1, 2, 3)]
 
     def test_epoch_schedule_matches_config(self, results):
-        # Default FleetConfig: min(heartbeat 0.25, announce 0.05,
-        # drain 0.5) = 0.05s epochs over a 20s horizon.
+        # min(heartbeat 0.25, announce 0.05, drain 0.5) = 0.05s epochs
+        # over a 20s horizon.
         for r in results.values():
             assert r.epoch_length_s == pytest.approx(0.05)
             assert r.epochs == 400

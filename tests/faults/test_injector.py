@@ -51,7 +51,7 @@ class TestDelivery:
         assert switch.calls == [
             ("crash", 0.02), ("stall", 0.01), ("drop", 2), ("delay", 1, 0.005),
         ]
-        assert injector.total_injected == 4
+        assert sum(injector.injected.values()) == 4
         assert injector.injected[FaultKind.CPU_CRASH] == 1
         assert injector.jobs_lost_to_crashes == 3
 
@@ -67,7 +67,7 @@ class TestDelivery:
         queue.run()
         assert switch.calls == []
         assert switch.write_fault is None
-        assert injector.total_injected == 0
+        assert sum(injector.injected.values()) == 0
 
 
 class TestWriteFaultWindow:

@@ -42,7 +42,7 @@ def _digest(plan, fields) -> str:
 def _fleet_plan(fault_seed: int, pattern: str, num_switches: int):
     """The plan :func:`~repro.faults.fleet.run_fleet` replays for this
     pattern (only the horizon of the workload is read)."""
-    _workload, plan, _config, _fleet_config = resolve_fleet_run(
+    _workload, plan, _config = resolve_fleet_run(
         seed=7,
         fault_seed=fault_seed,
         pattern=pattern,
@@ -52,10 +52,7 @@ def _fleet_plan(fault_seed: int, pattern: str, num_switches: int):
         warmup_s=2.0,
         updates_per_min=60.0,
         faults_per_min=FLEET_FAULTS_PER_MIN,
-        replication=None,
-        conn_budget=None,
         config=None,
-        fleet_config=None,
         plan=None,
         workload=SimpleNamespace(horizon_s=FLEET_HORIZON_S),
     )

@@ -37,18 +37,10 @@ class TestMakeCluster:
         pools[cluster.vips[0]].clear()
         assert len(cluster.services[0].dips) > 0
 
-    def test_service_for(self):
-        cluster = make_cluster(num_vips=3)
-        vip = cluster.vips[1]
-        assert cluster.service_for(vip).vip == vip
-        with pytest.raises(KeyError):
-            cluster.service_for(VirtualIP.parse("1.2.3.4:9"))
-
     def test_aggregates(self):
         cluster = make_cluster(num_vips=4, new_conns_per_min_per_vip=100.0,
                                traffic_mbps_per_vip_per_tor=10.0)
         assert cluster.total_new_conns_per_min() == pytest.approx(400.0)
-        assert cluster.total_traffic_mbps_per_tor() == pytest.approx(40.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -89,10 +89,6 @@ class TestConnection:
         assert conn.ever_dropped
         assert not conn.pcc_violated
 
-    def test_bytes_total(self):
-        conn = make_conn(duration=8.0)
-        assert conn.bytes_total() == pytest.approx(1e6 * 8.0 / 8.0)
-
     def test_identity_semantics(self):
         a = make_conn()
         b = make_conn()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.packet import VirtualIP, five_tuple_for
+from repro.netsim.packet import five_tuple_for
 from repro.netsim.topology import Fabric, Layer, VipPlacement
 
 
@@ -37,9 +37,6 @@ class TestFabric:
             hits.add(fabric.ecmp_pick(Layer.TOR, flow).name)
         assert len(hits) == 8  # all ToRs get some flows
 
-    def test_ecmp_share(self, fabric):
-        assert fabric.ecmp_share(Layer.CORE) == pytest.approx(0.5)
-
 
 class TestVipPlacement:
     def test_default_layer_is_tor(self, fabric, vip):
@@ -50,8 +47,6 @@ class TestVipPlacement:
         placement = VipPlacement(fabric=fabric)
         placement.assign(vip, Layer.CORE)
         assert placement.layer_of(vip) is Layer.CORE
-        flow = five_tuple_for(vip, src_ip=1, src_port=1024)
-        assert placement.switch_for(flow).layer is Layer.CORE
 
     def test_strict_raises_on_unknown_vip(self, fabric, vip):
         placement = VipPlacement(fabric=fabric, strict=True)
@@ -66,16 +61,3 @@ class TestVipPlacement:
             lenient.layer_of(vip, strict=True)
         strict = VipPlacement(fabric=fabric, strict=True)
         assert strict.layer_of(vip, strict=False) is Layer.TOR
-
-    def test_per_switch_connections_split(self, fabric):
-        vip_a = VirtualIP.parse("20.0.0.1:80")
-        vip_b = VirtualIP.parse("20.0.0.2:80")
-        placement = VipPlacement(fabric=fabric)
-        placement.assign(vip_a, Layer.CORE)
-        placement.assign(vip_b, Layer.TOR)
-        load = placement.per_switch_connections({vip_a: 1000.0, vip_b: 800.0})
-        assert load["core-0"] == pytest.approx(500.0)
-        assert load["core-1"] == pytest.approx(500.0)
-        assert load["tor-0"] == pytest.approx(100.0)
-        total = sum(load.values())
-        assert total == pytest.approx(1800.0)

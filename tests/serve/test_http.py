@@ -13,6 +13,7 @@ import json
 import logging
 
 from repro.serve import ControlServer, ServeConfig, ServeSession
+from repro.serve import session as session_module
 from repro.serve.script import _Client
 
 
@@ -237,8 +238,9 @@ class TestTelemetrySpans:
         spans = self.check(records, {"silkroad-serve"})
         assert [s["attrs"]["kind"] for s in spans] == ["add", "drain"]
 
-    def test_fleet_serves_every_members_records_tagged(self):
-        config = ServeConfig(seed=11, scale=0.01, num_switches=3, replication=2)
+    def test_fleet_serves_every_members_records_tagged(self, monkeypatch):
+        monkeypatch.setattr(session_module, "FLEET_REPLICATION", 2)
+        config = ServeConfig(seed=11, scale=0.01, num_switches=3)
         records = telemetry_after_updates(config)
         spans = self.check(records, {f"fleet-serve-{i}" for i in range(3)})
         # Replication 2: both owners of the VIP ran both updates.

@@ -15,10 +15,11 @@ import pytest
 
 from repro.core import SilkRoadConfig, SilkRoadSwitch
 from repro.core.verify import audit_switch
-from repro.deploy.fleet import FleetConfig, FleetSilkRoad, audit_fleet
+from repro.deploy.fleet import FleetSilkRoad, audit_fleet
 from repro.faults.injector import FaultInjector
 from repro.netsim.simulator import FlowSimulator
 from repro.serve import ServeConfig, ServeSession
+from repro.serve.session import FLEET_REPLICATION
 
 ADVANCES = 40
 DT_S = 0.5
@@ -49,8 +50,8 @@ def _oracle(session: ServeSession, windows):
         lb = FleetSilkRoad(
             num_switches=config.num_switches,
             config=SilkRoadConfig(),
-            fleet_config=FleetConfig(replication=config.replication),
             name="fleet-serve",
+            replication=FLEET_REPLICATION,
         )
     else:
         lb = SilkRoadSwitch(SilkRoadConfig(), name="silkroad-serve")

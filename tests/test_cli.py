@@ -61,6 +61,11 @@ class TestUsageErrors:
                 ["fleet", "--patterns", "bogus", "--partition-workers", "2"],
                 ("'bogus'", "cascade"),
             ),
+            (["fleet", "--replication", "0"], ("replication",)),
+            (
+                ["fleet", "--replication", "0", "--partition-workers", "2"],
+                ("replication",),
+            ),
             (
                 ["run", "fig18", "--num-vips", "3", "--systems", "nope"],
                 ("'systems'", "fig18", "sizes"),

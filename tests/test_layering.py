@@ -46,6 +46,11 @@ one SRAM cost model: outside ``asicsim/`` only ``core/sram_cost.py``
 packs entries into words (``bytes_for_entries`` / ``words_for_entries``),
 so each table's entry layout is declared once, and the deleted RMT
 placement model, Table 2 module and SRAM budget objects stay deleted.
+And a value is settable only if some program sets it: every field of
+``SilkRoadConfig``, ``ServeConfig`` and ``ObsOptions`` is spelled as a call
+keyword or a string literal somewhere a program lives (``src/repro``
+outside the field's own module, ``perf/``, ``benchmarks/``,
+``examples/``); what only tests vary is a module constant they patch.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -62,9 +67,15 @@ it imports nothing from ``repro.faults``, ``repro.deploy`` or
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+from repro.core.config import SilkRoadConfig
+from repro.options import ObsOptions
+from repro.serve.session import ServeConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: private attribute -> path prefix (relative to src/repro) that owns it.
 OWNERS = {
@@ -651,3 +662,45 @@ def test_one_sram_cost_model():
     assert not offenders, "\n".join(offenders)
     assert not (SRC / "asicsim" / "pipeline.py").exists()
     assert not (SRC / "asicsim" / "resources.py").exists()
+
+
+#: Config dataclass -> its module (relative to src/repro), whose own
+#: spellings of a field do not count as setting it.
+CONFIGS = {
+    SilkRoadConfig: "core/config.py",
+    ServeConfig: "serve/session.py",
+    ObsOptions: "options.py",
+}
+#: Where the programs live, beside src/repro: a field only tests set is a
+#: knob nothing turns.
+PROGRAM_DIRS = ("perf", "benchmarks", "examples")
+
+
+def _spellings(path: Path) -> set:
+    """Every call keyword and every string literal in ``path``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and type(node.value) is str:
+            names.add(node.value)
+    return names
+
+
+def test_every_config_field_has_a_setter():
+    program_files = [p for d in PROGRAM_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    per_file = {path: _spellings(path) for path in program_files}
+    per_file.update(
+        {path: _spellings(path) for path in sorted(SRC.rglob("*.py"))}
+    )
+    unset = []
+    for config, module in CONFIGS.items():
+        own = SRC / module
+        spelled = set().union(*(names for path, names in per_file.items() if path != own))
+        unset += [
+            f"{config.__name__}.{f.name}" for f in fields(config) if f.name not in spelled
+        ]
+    assert not unset, (
+        "config fields no program sets (make each a module constant beside "
+        f"the code that reads it): {unset}"
+    )

@@ -75,19 +75,6 @@ class TestMonthlyMinutes:
         assert (rates > 0).all()
 
 
-class TestToCluster:
-    def test_materialize(self, fleet):
-        profile = fleet[0]
-        cluster = profile.to_cluster(scale=0.05)
-        assert cluster.kind is profile.kind
-        assert len(cluster.services) >= 1
-        assert cluster.num_tors == profile.num_tors
-
-    def test_scale_validation(self, fleet):
-        with pytest.raises(ValueError):
-            fleet[0].to_cluster(scale=0.0)
-
-
 class TestFleetStatistic:
     def test_extracts(self, fleet):
         values = fleet_statistic(fleet, "traffic_gbps")
