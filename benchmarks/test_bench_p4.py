@@ -49,7 +49,7 @@ def test_bench_p4_object_model_equivalence(once):
         for i in range(800):
             conn = Connection(
                 conn_id=i,
-                five_tuple=factory.next_for(cluster.vips[i % 3]),
+                key=factory.next_for(cluster.vips[i % 3]).key_bytes(),
                 vip=cluster.vips[i % 3],
                 start=switch.queue.now,
                 duration=3600.0,

@@ -131,7 +131,7 @@ def main() -> None:
         layer.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=9).generate(
         uniform_vip_workloads(cluster.vips, 6_000.0), horizon_s=90.0
-    )
+    ).records()
 
     def fail_switch_2() -> None:
         layer.inject_switch_crash(2)

@@ -69,7 +69,7 @@ def main() -> None:
     for i in range(200):
         c = Connection(
             conn_id=i,
-            five_tuple=factory.next_for(vip),
+            key=factory.next_for(vip).key_bytes(),
             vip=vip,
             start=switch.queue.now,
             duration=3600.0,

@@ -40,7 +40,7 @@ def main() -> None:
     for i in range(8):
         conn = Connection(
             conn_id=i,
-            five_tuple=factory.next_for(vip),
+            key=factory.next_for(vip).key_bytes(),
             vip=vip,
             start=switch.queue.now,
             duration=3600.0,  # long-lived, so the update matters

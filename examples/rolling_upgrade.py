@@ -36,7 +36,7 @@ def build_workload(seed: int = 11):
         uniform_vip_workloads([service.vip], 12_000.0),
         horizon_s=HORIZON_S,
         warmup_s=30.0,
-    )
+    ).records()
     upgrade = RollingUpgrade(
         vip=service.vip,
         dips=service.dips,

@@ -44,7 +44,7 @@ def main() -> None:
 
     connections = ArrivalGenerator(seed=21).generate(
         uniform_vip_workloads(cluster.vips, 25_000.0), horizon_s=HORIZON, warmup_s=20.0
-    )
+    ).records()
     updates = UpdateGenerator(seed=22).poisson_updates(
         cluster.pools(), updates_per_min=30.0, horizon_s=HORIZON,
         spare_dips=spare_pool(cluster),

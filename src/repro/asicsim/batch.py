@@ -1,28 +1,27 @@
 """Columnar packet-batch representation for the batched replay driver.
 
 The scalar simulator hands the switch one connection at a time; every
-layer then re-derives the same per-key facts (key bytes, the 64-bit base
-hash, per-stage profiles) on demand.  The batched driver instead
-materializes the key bytes and base hashes *once per priming window* as
-parallel columns, so the bulk primitives run over whole windows:
-:func:`~repro.asicsim.hashing.base_hash_many` (one CRC pass per key) and
-the numpy derivations behind
+layer then re-derives the same per-key facts (per-stage profiles, ECMP
+slots) on demand.  The batched driver instead gathers a priming window's
+key bytes and base hashes — derived once per workload, when its records
+are built (:func:`~repro.asicsim.hashing.base_hash_many`, one CRC pass per
+key) — as parallel columns, so the numpy derivations behind
 :meth:`~repro.asicsim.cuckoo.CuckooTable.prime_profiles` and
 :meth:`~repro.baselines.ecmp.ResilientHashTable.slots_of` (one
-:func:`~repro.asicsim.hashing.splitmix64_rows` pass each); the arrival
-walk itself stays the scalar one.
+:func:`~repro.asicsim.hashing.splitmix64_rows` pass each) run over whole
+windows; the arrival walk itself stays the scalar one.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Sequence
 
 from ..netsim.flows import Connection
-from .hashing import base_hash_many
 
-#: The ``key_hash`` slot read bare: ``AttributeError`` on a record nothing
-#: has hashed yet, where ``conn.key_hash`` would hash it on the spot.
-_cached_hash = Connection.key_hash.__get__
+_KEY = attrgetter("key")
+#: A record built without its base hash derives it on this read.
+_KEY_HASH = attrgetter("key_hash")
 
 
 class PacketBatch:
@@ -37,32 +36,13 @@ class PacketBatch:
 
     @classmethod
     def from_connections(cls, conns: Sequence[Connection]) -> "PacketBatch":
-        """Build the columns, computing and caching each conn's key facts.
+        """The columns of ``conns``, read from the records' own ``key`` /
+        ``key_hash`` slots in two C passes.
 
-        Key bytes and base hashes are read from, or written back to, the
-        connections' own ``key`` / ``key_hash`` slots, so any later
-        scalar-path access — a delegated arrival, a relearn, an audit —
-        reuses them instead of re-hashing.  Hashes for keys not yet cached
-        are derived in one :func:`base_hash_many` bulk pass, which keeps
-        the one-byte-pass-per-connection accounting identical to the
-        scalar path.
+        Every record a replay or a serve window carries arrives base-hashed
+        (:meth:`~repro.netsim.arrivals.ConnectionColumns.records`); a record
+        built by hand without its hash derives and caches it here, so any
+        later scalar-path access reuses it and the one-byte-pass-per-key
+        accounting holds either way.
         """
-        keys: List[bytes] = [conn.key for conn in conns]
-        try:
-            # Hot as a whole — a replay's ``fresh()`` copies, a streamed
-            # window — is one C pass with nothing raised.
-            return cls(keys, list(map(_cached_hash, conns)))
-        except AttributeError:
-            pass
-        hashes: List[int] = [0] * len(conns)
-        missing: List[int] = []
-        for i, conn in enumerate(conns):
-            try:
-                hashes[i] = _cached_hash(conn)
-            except AttributeError:
-                missing.append(i)
-        if missing:
-            bulk = base_hash_many([keys[i] for i in missing])
-            for i, h in zip(missing, bulk):
-                hashes[i] = conns[i].key_hash = h
-        return cls(keys, hashes)
+        return cls(list(map(_KEY, conns)), list(map(_KEY_HASH, conns)))

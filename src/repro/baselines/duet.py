@@ -155,10 +155,16 @@ class DuetLoadBalancer(LoadBalancer):
         self._maybe_safe_return(vip)
 
     def finalize(self) -> None:
+        """Close every open SLB interval at the current time.
+
+        The VIPs stay at the SLB (``report()["vips_at_slb"]`` counts them);
+        only their intervals end, so a second call finds nothing open.
+        """
         now = self.queue.now
         for vip in self._at_slb:
-            self._slb_intervals[vip].append((self._slb_since[vip], now))
-        self._at_slb.clear()
+            since = self._slb_since.pop(vip, None)
+            if since is not None:
+                self._slb_intervals[vip].append((since, now))
 
     # ------------------------------------------------------------------
     # Migration machinery

@@ -21,6 +21,7 @@ from ..netsim import (
     ArrivalGenerator,
     Cluster,
     Connection,
+    ConnectionColumns,
     FlowSimulator,
     SimulationReport,
     UpdateEvent,
@@ -41,10 +42,14 @@ BASE_WARMUP_S = 20.0
 
 @dataclass
 class PccWorkload:
-    """One generated workload, replayable against several systems."""
+    """One generated workload, replayable against several systems.
+
+    ``connections`` is the generated window as columns: records exist only
+    inside the replay that carries them.
+    """
 
     cluster: Cluster
-    connections: List[Connection]
+    connections: ConnectionColumns
     updates: List[UpdateEvent]
     horizon_s: float
     updates_per_min: float
@@ -57,10 +62,12 @@ class PccWorkload:
         batched: bool = True,
         batch_size: int = 256,
     ) -> Tuple[SimulationReport, List[Connection], object]:
-        """Run a fresh LB instance over a *fresh copy* of the workload.
+        """Run a fresh LB instance over fresh records of the workload.
 
-        Connections carry decision logs, so each replay runs ``fresh()``
-        copies; update events are immutable and shared.  ``faults`` is an
+        Connections carry decision logs, so each replay builds its own
+        records from the columns (their base hashes are derived at the
+        first replay and shared by every later one); update events are
+        immutable and shared.  ``faults`` is an
         optional :class:`~repro.faults.injector.FaultInjector` attached to
         the run.  ``attach``, when given, is called as
         ``attach(sim, lb)`` after the simulator is built but before it
@@ -76,7 +83,7 @@ class PccWorkload:
         bit-identical.  Returns the report, the replayed connections, and
         the LB instance (for its counters).
         """
-        conns = [c.fresh() for c in self.connections]
+        conns = self.connections.records()
         lb = lb_factory()
         for service in self.cluster.services:
             lb.announce_vip(service.vip, service.dips)

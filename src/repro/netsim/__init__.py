@@ -6,7 +6,12 @@ DIP-pool update streams, cluster and fabric models, and the simulation
 driver that replays workloads against any load-balancer implementation.
 """
 
-from .arrivals import ArrivalGenerator, VipWorkload, uniform_vip_workloads
+from .arrivals import (
+    ArrivalGenerator,
+    ConnectionColumns,
+    VipWorkload,
+    uniform_vip_workloads,
+)
 from .cluster import (
     Cluster,
     ClusterType,
@@ -56,6 +61,7 @@ __all__ = [
     "Cluster",
     "ClusterType",
     "Connection",
+    "ConnectionColumns",
     "DOWNTIME_BY_CAUSE",
     "DirectIP",
     "DowntimeModel",

@@ -72,7 +72,7 @@ HADOOP = DurationModel(median_s=10.0)
 CACHE = DurationModel(median_s=270.0)
 
 
-@dataclass(eq=False, slots=True)  # identity equality: connections are stateful objects
+@dataclass(eq=False, slots=True, init=False)  # identity equality: connections are stateful objects
 class Connection:
     """One L4 connection as the flow-level simulator tracks it.
 
@@ -82,6 +82,8 @@ class Connection:
     arrive continuously throughout the flow's lifetime — means any decision
     change within ``[start, end)`` is a PCC violation.
 
+    The record holds the connection's match-key bytes, not a
+    :class:`FiveTuple` (``five_tuple`` decodes one from the key on read).
     ``decisions`` is a view, built on each read.  The first decision rides
     on the record itself (two slots) and a list exists only from the second
     *distinct* decision on — a remap, rare by the paper's own contract — so
@@ -90,7 +92,14 @@ class Connection:
     """
 
     conn_id: int
-    five_tuple: FiveTuple
+    #: Canonical match-key bytes (13 B IPv4 / 37 B IPv6), and their base
+    #: hash.  Every hash consumer (ConnTable stages, digests, TransitTable
+    #: Bloom ways, DIP selection) derives from ``key_hash`` with seeded
+    #: integer mixing, so the simulator performs exactly one byte pass per
+    #: key no matter how many packets, events or replays touch it.  A
+    #: record built without ``key_hash`` derives it on first read
+    #: (``__getattr__``); every later read is a plain slot load.
+    key: bytes = field(repr=False)
     vip: VirtualIP
     start: float
     duration: float
@@ -100,47 +109,60 @@ class Connection:
     #: the load balancer, so PCC metrics exclude them (the paper counts
     #: connections the *load balancer* re-hashed to a different live DIP).
     broken_by_removal: bool = False
-    #: Canonical match-key bytes, and their base hash.  Every hash consumer
-    #: (ConnTable stages, digests, TransitTable Bloom ways, DIP selection)
-    #: derives from ``key_hash`` with seeded integer mixing, so the
-    #: simulator performs exactly one byte pass per key no matter how many
-    #: packets, events or replays touch it.  Both slots stay unset until
-    #: first read (``__getattr__``); every later read is a plain slot load.
-    key: bytes = field(init=False, repr=False)
-    key_hash: int = field(init=False, repr=False)
+    key_hash: int = field(repr=False)
     #: The decision log: the first decision inline (``_first_t is None``
     #: spells "none yet"), and every decision — the first included — in
     #: ``_log`` once a second distinct one arrives.
-    _first_t: Optional[float] = field(default=None, init=False)
-    _first_dip: Optional[DirectIP] = field(default=None, init=False)
-    _log: Optional[List[Tuple[float, Optional[DirectIP]]]] = field(
-        default=None, init=False
-    )
+    _first_t: Optional[float] = None
+    _first_dip: Optional[DirectIP] = None
+    _log: Optional[List[Tuple[float, Optional[DirectIP]]]] = None
+
+    def __init__(
+        self,
+        conn_id: int,
+        key: bytes,
+        vip: VirtualIP,
+        start: float,
+        duration: float,
+        rate_bps: float = 0.0,
+        key_hash: Optional[int] = None,
+    ) -> None:
+        self.conn_id = conn_id
+        self.key = key
+        self.vip = vip
+        self.start = start
+        self.duration = duration
+        self.rate_bps = rate_bps
+        self.broken_by_removal = False
+        if key_hash is not None:
+            self.key_hash = key_hash
+        self._first_t = None
+        self._first_dip = None
+        self._log = None
 
     def __getattr__(self, name: str):
-        # Reached only when a slot is unset.
-        if name == "key":
-            value = self.key = self.five_tuple.key_bytes()
-        elif name == "key_hash":
-            value = self.key_hash = base_hash(self.key)
-        else:
+        # Reached only when a slot is unset: ``key_hash`` before first read.
+        if name != "key_hash":
             raise AttributeError(name)
+        value = self.key_hash = base_hash(self.key)
         return value
+
+    @property
+    def five_tuple(self) -> FiveTuple:
+        """The connection's 5-tuple, decoded from its key bytes."""
+        return FiveTuple.from_key_bytes(self.key)
 
     def fresh(self) -> "Connection":
         """A copy with an empty decision log, for the next replay.
 
         It shares the immutable facts, key bytes and base hash included:
-        they are derived on *this* record if nothing has read them yet, so
-        a workload is byte-hashed once however often it is replayed.
+        the hash is derived on *this* record if nothing has read it yet, so
+        a record list is byte-hashed once however often it is replayed.
         """
-        clone = Connection(
-            self.conn_id, self.five_tuple, self.vip,
-            self.start, self.duration, self.rate_bps,
+        return Connection(
+            self.conn_id, self.key, self.vip,
+            self.start, self.duration, self.rate_bps, self.key_hash,
         )
-        clone.key = self.key
-        clone.key_hash = self.key_hash
-        return clone
 
     @property
     def end(self) -> float:

@@ -19,8 +19,9 @@ from __future__ import annotations
 import ipaddress
 import struct
 from functools import lru_cache
-from itertools import repeat
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
+
+import numpy as np
 
 TCP = 6
 UDP = 17
@@ -142,6 +143,18 @@ class FiveTuple(NamedTuple):
             self.proto,
         )
 
+    @classmethod
+    def from_key_bytes(cls, key: bytes) -> "FiveTuple":
+        """The tuple whose ``key_bytes()`` is ``key`` (its width says v4/v6)."""
+        if len(key) == IPV6_KEY_BYTES:
+            src, dst, src_port, dst_port, proto = struct.unpack(">16s16sHHB", key)
+            return cls(
+                int.from_bytes(src, "big"), src_port,
+                int.from_bytes(dst, "big"), dst_port, proto, True,
+            )
+        src_ip, dst_ip, src_port, dst_port, proto = struct.unpack(">IIHHB", key)
+        return cls(src_ip, src_port, dst_ip, dst_port, proto, False)
+
     @property
     def key_bits(self) -> int:
         return len(self.key_bytes()) * 8
@@ -168,6 +181,26 @@ def five_tuple_for(vip: VirtualIP, src_ip: int, src_port: int) -> FiveTuple:
     )
 
 
+#: Client source addresses: ``(ip, port)`` pairs enumerated from a
+#: private range, 64,511 usable ephemeral ports (1024..65534) per IP.
+_CLIENT_BASE_IP = 0x0A80_0000
+_FIRST_PORT = 1024
+_PORTS_PER_IP = 64511
+
+#: ``FiveTuple.key_bytes``'s two layouts as packed numpy records:
+#: ``>IIHHB`` and ``>16s16sHHB`` (each IPv6 address as two big-endian
+#: 64-bit halves).  ``itemsize`` is the key width, 13 or 37 bytes.
+_KEY_V4 = np.dtype(
+    [("src", ">u4"), ("dst", ">u4"), ("sport", ">u2"), ("dport", ">u2"), ("proto", "u1")]
+)
+_KEY_V6 = np.dtype(
+    [
+        ("src_hi", ">u8"), ("src_lo", ">u8"), ("dst_hi", ">u8"), ("dst_lo", ">u8"),
+        ("sport", ">u2"), ("dport", ">u2"), ("proto", "u1"),
+    ]
+)
+
+
 class TupleFactory:
     """Deterministic generator of unique client 5-tuples towards VIPs.
 
@@ -176,51 +209,41 @@ class TupleFactory:
     false-positive accounting.
     """
 
-    def __init__(self, base_ip: int = 0x0A80_0000, v6: bool = False) -> None:
-        self._base_ip = base_ip
+    def __init__(self) -> None:
         self._counter = 0
-        self._v6 = v6
 
     def next_for(self, vip: VirtualIP) -> FiveTuple:
-        # 64511 usable ephemeral ports per client IP.
-        ip_offset, port_offset = divmod(self._counter, 64511)
+        ip_offset, port_offset = divmod(self._counter, _PORTS_PER_IP)
         self._counter += 1
         return five_tuple_for(
-            vip, src_ip=self._base_ip + ip_offset, src_port=1024 + port_offset
+            vip, src_ip=_CLIENT_BASE_IP + ip_offset, src_port=_FIRST_PORT + port_offset
         )
 
-    def take(self, vip: VirtualIP, count: int) -> List[FiveTuple]:
-        """The next ``count`` tuples: ``[next_for(vip) for _ in range(count)]``
-        built in one pass per client IP.  Each record is made by
-        ``tuple.__new__`` from zipped field columns, all in C (the
-        generated ``NamedTuple.__new__`` is a Python-level function)."""
+    def take_keys(self, vip: VirtualIP, count: int) -> np.ndarray:
+        """The key bytes of the next ``count`` tuples, packed in bulk.
+
+        Row ``i`` of the returned void array (``V13`` / ``V37``) is
+        ``next_for(vip).key_bytes()`` of the ``i``-th call, and the counter
+        advances as far; ``tolist()`` yields the ``bytes`` objects.
+        """
         if count < 0:
             raise ValueError("count must not be negative")
-        dst_ip, dst_port, proto, v6 = vip
-        tuples: List[FiveTuple] = []
         first = self._counter
-        self._counter = end = first + count
-        while first < end:
-            ip_offset, port_offset = divmod(first, 64511)
-            run = min(end - first, 64511 - port_offset)
-            src_port = 1024 + port_offset
-            tuples.extend(
-                map(
-                    tuple.__new__,
-                    repeat(FiveTuple),
-                    zip(
-                        repeat(self._base_ip + ip_offset, run),
-                        range(src_port, src_port + run),
-                        repeat(dst_ip),
-                        repeat(dst_port),
-                        repeat(proto),
-                        repeat(v6),
-                    ),
-                )
-            )
-            first += run
-        return tuples
-
-    def stream(self, vip: VirtualIP) -> Iterator[FiveTuple]:
-        while True:
-            yield self.next_for(vip)
+        self._counter = first + count
+        ip_offset, port_offset = np.divmod(
+            np.arange(first, first + count, dtype=np.uint64), np.uint64(_PORTS_PER_IP)
+        )
+        if vip.v6:
+            rows = np.empty(count, dtype=_KEY_V6)
+            rows["src_hi"] = 0
+            rows["src_lo"] = ip_offset + np.uint64(_CLIENT_BASE_IP)
+            rows["dst_hi"] = vip.ip >> 64
+            rows["dst_lo"] = vip.ip & 0xFFFF_FFFF_FFFF_FFFF
+        else:
+            rows = np.empty(count, dtype=_KEY_V4)
+            rows["src"] = ip_offset + np.uint64(_CLIENT_BASE_IP)
+            rows["dst"] = vip.ip
+        rows["sport"] = port_offset + np.uint64(_FIRST_PORT)
+        rows["dport"] = vip.port
+        rows["proto"] = vip.proto
+        return rows.view(f"V{rows.dtype.itemsize}")

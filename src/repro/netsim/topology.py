@@ -4,8 +4,8 @@ SilkRoad's network-wide deployment assigns each VIP to a *layer* (ToR,
 aggregation, or core); traffic for the VIP ECMP-splits across the switches
 of that layer, so the per-switch connection-state load is the VIP's total
 divided by the layer width.  This module models just enough of the fabric
-for that assignment problem: switch inventories per layer, ECMP splitting,
-and per-switch budget accounting used by :mod:`repro.deploy.assignment`.
+for that assignment problem: switch inventories and SRAM budgets per
+layer, and the VIP-to-layer placement :mod:`repro.deploy.assignment` fills.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..asicsim.hashing import HashUnit
-from .packet import FiveTuple, VirtualIP
+from .packet import VirtualIP
 
 
 class Layer(enum.Enum):
@@ -36,12 +35,11 @@ class Switch:
 
 @dataclass
 class Fabric:
-    """A leaf-spine/three-layer fabric, with ECMP across each layer."""
+    """A leaf-spine/three-layer fabric."""
 
     tors: List[Switch]
     aggs: List[Switch]
     cores: List[Switch]
-    _ecmp: HashUnit = field(default_factory=lambda: HashUnit(seed=0xEC3F))
 
     @classmethod
     def build(
@@ -75,21 +73,8 @@ class Fabric:
             return self.aggs
         return self.cores
 
-    def layer_width(self, layer: Layer) -> int:
-        return len(self.layer_switches(layer))
-
     def all_switches(self) -> List[Switch]:
         return self.tors + self.aggs + self.cores
-
-    def ecmp_pick(self, layer: Layer, flow: FiveTuple) -> Switch:
-        """ECMP-select the switch of a layer that handles a flow.
-
-        Models the fabric hashing inbound/intra-DC traffic for a VIP across
-        the switches of its assigned layer.
-        """
-        switches = self.layer_switches(layer)
-        index = self._ecmp.index(flow.key_bytes(), len(switches))
-        return switches[index]
 
 
 @dataclass

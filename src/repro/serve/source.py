@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..asicsim.hashing import base_hash_many
 from ..netsim.arrivals import ArrivalGenerator, VipWorkload
 from ..netsim.flows import Connection
 
@@ -40,12 +39,7 @@ class StreamingFlowSource:
 
     def draw(self, t0: float, t1: float) -> List[Connection]:
         """All connections arriving in ``[t0, t1)``, sorted by start time."""
-        connections = self._generator.window(self._workloads, t0, t1)
-        # Nothing has read these records yet, so all of them are unhashed:
-        # one bulk byte pass here, and no consumer probes them one by one.
-        keys = [conn.five_tuple.key_bytes() for conn in connections]
-        for conn, key, key_hash in zip(connections, keys, base_hash_many(keys)):
-            conn.key = key
-            conn.key_hash = key_hash
+        # The window's records come base-hashed in one bulk byte pass.
+        connections = self._generator.window(self._workloads, t0, t1).records()
         self.total_generated += len(connections)
         return connections

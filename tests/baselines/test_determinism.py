@@ -48,7 +48,7 @@ def _replay_digest() -> str:
             lb.announce_vip(service.vip, service.dips)
         conns = ArrivalGenerator(seed=2).generate(
             uniform_vip_workloads(cluster.vips, 1200.0), horizon_s=30.0
-        )
+        ).records()
         updates = UpdateGenerator(seed=3).poisson_updates(
             cluster.pools(),
             updates_per_min=40.0,

@@ -20,7 +20,7 @@ def conns(n, start=0.0, duration=200.0, rate=8.0):
     return [
         Connection(
             conn_id=i + int(start * 1000) * 10_000,
-            five_tuple=five_tuple_for(VIP, src_ip=i + int(start), src_port=2048),
+            key=five_tuple_for(VIP, src_ip=i + int(start), src_port=2048).key_bytes(),
             vip=VIP,
             start=start,
             duration=duration,
@@ -62,6 +62,17 @@ class TestResidency:
         t0, t1 = intervals[0]
         assert t0 == pytest.approx(10.0)
         assert t1 == pytest.approx(30.0)
+
+    def test_a_replay_ending_at_the_slb_reports_the_vip_there(self):
+        lb = make_duet(period=500.0)
+        update = UpdateEvent(10.0, VIP, UpdateKind.REMOVE, dips(8)[0])
+        report = FlowSimulator(lb).run(conns(50), [update], horizon_s=100.0)
+        assert report.extra["vips_at_slb"] == lb.report()["vips_at_slb"] == 1.0
+        intervals = lb.slb_intervals()
+        assert intervals[VIP] == [(10.0, lb.queue.now)]
+        lb.finalize()  # a second call closes nothing new
+        assert lb.slb_intervals() == intervals
+        assert lb.report()["vips_at_slb"] == 1.0
 
 
 class TestPccBehaviour:

@@ -24,7 +24,7 @@ def conns(n, start=0.0, duration=100.0):
     return [
         Connection(
             conn_id=i,
-            five_tuple=five_tuple_for(VIP, src_ip=i, src_port=1024),
+            key=five_tuple_for(VIP, src_ip=i, src_port=1024).key_bytes(),
             vip=VIP,
             start=start,
             duration=duration,

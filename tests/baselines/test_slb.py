@@ -25,7 +25,7 @@ def conns(n, duration=100.0):
     return [
         Connection(
             conn_id=i,
-            five_tuple=five_tuple_for(VIP, src_ip=i, src_port=1024),
+            key=five_tuple_for(VIP, src_ip=i, src_port=1024).key_bytes(),
             vip=VIP,
             start=float(i % 10),
             duration=duration,
@@ -95,7 +95,7 @@ class TestSoftwareLoadBalancer:
         late = [
             Connection(
                 conn_id=1000 + i,
-                five_tuple=five_tuple_for(VIP, src_ip=10_000 + i, src_port=1024),
+                key=five_tuple_for(VIP, src_ip=10_000 + i, src_port=1024).key_bytes(),
                 vip=VIP,
                 start=60.0,
                 duration=10.0,

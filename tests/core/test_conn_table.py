@@ -122,7 +122,7 @@ class TestBytesPerLiveConnection:
         switch = SilkRoadSwitch()  # a million-entry ConnTable
         switch.announce_vip(vip, dips)
         conns = [
-            Connection(conn_id=i, five_tuple=tuples.next_for(vip), vip=vip,
+            Connection(conn_id=i, key=tuples.next_for(vip).key_bytes(), vip=vip,
                        start=i * 1e-4, duration=1_000.0)
             for i in range(count)
         ]

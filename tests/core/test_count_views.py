@@ -216,7 +216,7 @@ def test_counts_survive_a_rebind(vip, dips, tuples, monkeypatch):
     switch.announce_vip(vip, dips)
     for i in range(8):  # one full batch: the CPU takes 4 and sheds the rest
         switch.on_connection_arrival(Connection(
-            conn_id=i, five_tuple=tuples.next_for(vip), vip=vip,
+            conn_id=i, key=tuples.next_for(vip).key_bytes(), vip=vip,
             start=0.0, duration=100.0,
         ))
     switch.queue.run_until(0.05)

@@ -34,7 +34,7 @@ def collided_run():
         switch.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=77).generate(
         uniform_vip_workloads(cluster.vips, 8_000.0), horizon_s=60.0
-    )
+    ).records()
     report = FlowSimulator(switch).run(conns, horizon_s=60.0)
     return switch, conns, report
 

@@ -39,7 +39,7 @@ def spray(switch, vip, tuples, count, start=0.0, duration=1000.0):
     for i in range(count):
         conn = Connection(
             conn_id=i + 1,
-            five_tuple=tuples.next_for(vip),
+            key=tuples.next_for(vip).key_bytes(),
             vip=vip,
             start=start,
             duration=duration,
@@ -144,7 +144,7 @@ class TestWeight:
         for i in range(8):
             conn = Connection(
                 conn_id=100 + i,
-                five_tuple=tuples.next_for(vip),
+                key=tuples.next_for(vip).key_bytes(),
                 vip=vip,
                 start=switch.queue.now,
                 duration=1000.0,

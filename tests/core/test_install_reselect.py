@@ -37,7 +37,7 @@ def test_select_runs_once_per_admitted_connection_without_updates(simulator):
         switch.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=5).generate(
         uniform_vip_workloads(cluster.vips, 3000.0), horizon_s=30.0
-    )
+    ).records()
     select = switch.dip_pools.select
     calls = []
 
@@ -83,7 +83,7 @@ def test_no_transit_remapped_pending_connection_reverts_at_install():
     for i in range(24):
         conn = Connection(
             conn_id=i,
-            five_tuple=factory.next_for(vip),
+            key=factory.next_for(vip).key_bytes(),
             vip=vip,
             start=0.001 + i * 1e-5,
             duration=3600.0,

@@ -39,7 +39,7 @@ def run_switch(config, updates_per_min=10.0, conns_per_min=6000.0, horizon=90.0,
         uniform_vip_workloads(cluster.vips, conns_per_min),
         horizon_s=horizon,
         warmup_s=15.0,
-    )
+    ).records()
     updates = UpdateGenerator(seed=seed + 1).poisson_updates(
         cluster.pools(), updates_per_min=updates_per_min, horizon_s=horizon,
         spare_dips=spare_pool(cluster),
@@ -62,7 +62,7 @@ class TestVipProvisioning:
         switch = SilkRoadSwitch(small_config())
         switch.announce_vip(vip, dips)
         conn = Connection(
-            conn_id=1, five_tuple=tuples.next_for(vip), vip=vip,
+            conn_id=1, key=tuples.next_for(vip).key_bytes(), vip=vip,
             start=0.0, duration=100.0,
         )
         switch.on_connection_arrival(conn)
@@ -78,7 +78,7 @@ class TestVipProvisioning:
 
         switch = SilkRoadSwitch(small_config())
         ft = tuples.next_for(vip)
-        conn = Connection(conn_id=1, five_tuple=ft, vip=vip, start=0.0, duration=1.0)
+        conn = Connection(conn_id=1, key=ft.key_bytes(), vip=vip, start=0.0, duration=1.0)
         with pytest.raises(KeyError):
             switch.on_connection_arrival(conn)
 
@@ -150,7 +150,7 @@ class TestDataPathDetails:
         conns = ArrivalGenerator(seed=1).generate(
             uniform_vip_workloads(cluster.vips, 600.0, duration_model=short),
             horizon_s=30.0,
-        )
+        ).records()
         sim = FlowSimulator(switch)
         sim.run(conns, horizon_s=30.0)
         # Drain the expiry events past the last end + idle timeout.
@@ -171,7 +171,7 @@ class TestDataPathDetails:
                 cluster.vips, 1200.0, duration_model=DurationModel(1.0, 0.1)
             ),
             horizon_s=20.0,
-        )
+        ).records()
         sim = FlowSimulator(switch)
         sim.run(conns, horizon_s=20.0)
         sim.queue.run_until(40.0)
@@ -198,7 +198,7 @@ class TestRemovalBreakage:
         switch.announce_vip(vip, cluster.services[0].dips)
         conns = ArrivalGenerator(seed=3).generate(
             uniform_vip_workloads([vip], 3000.0), horizon_s=30.0
-        )
+        ).records()
         # Remove one DIP mid-run.
         victim = cluster.services[0].dips[0]
         update = UpdateEvent(15.0, vip, UpdateKind.REMOVE, victim)
@@ -241,7 +241,7 @@ class TestWithdrawRefusals:
         switch = SilkRoadSwitch(small_config())
         switch.announce_vip(vip, dips)
         conns = [
-            Connection(conn_id=i, five_tuple=tuples.next_for(vip), vip=vip,
+            Connection(conn_id=i, key=tuples.next_for(vip).key_bytes(), vip=vip,
                        start=0.0, duration=100.0)
             for i in range(3)
         ]
@@ -273,7 +273,7 @@ class TestWithdrawRefusals:
         )
         switch.announce_vip(vip, dips)
         conns = [
-            Connection(conn_id=i, five_tuple=tuples.next_for(vip), vip=vip,
+            Connection(conn_id=i, key=tuples.next_for(vip).key_bytes(), vip=vip,
                        start=0.0, duration=100.0)
             for i in range(20)
         ]
@@ -316,7 +316,7 @@ class TestFinalizePollCancel:
 
         switch = SilkRoadSwitch(small_config())
         switch.announce_vip(vip, dips)
-        conn = Connection(conn_id=1, five_tuple=tuples.next_for(vip), vip=vip,
+        conn = Connection(conn_id=1, key=tuples.next_for(vip).key_bytes(), vip=vip,
                           start=0.0, duration=100.0)
         switch.on_connection_arrival(conn)
         assert switch._poll_handle is not None
@@ -336,13 +336,13 @@ class TestFinalizePollCancel:
         config = small_config()
         switch = SilkRoadSwitch(config)
         switch.announce_vip(vip, dips)
-        first = Connection(conn_id=1, five_tuple=tuples.next_for(vip), vip=vip,
+        first = Connection(conn_id=1, key=tuples.next_for(vip).key_bytes(), vip=vip,
                            start=0.0, duration=100.0)
         switch.on_connection_arrival(first)  # timer armed at timeout
         switch.finalize()
         # A connection learned shortly after the finalize flush:
         switch.queue.run_until(0.0004)
-        second = Connection(conn_id=2, five_tuple=tuples.next_for(vip), vip=vip,
+        second = Connection(conn_id=2, key=tuples.next_for(vip).key_bytes(), vip=vip,
                             start=0.0004, duration=100.0)
         switch.on_connection_arrival(second)
         expected = 0.0004 + config.learning_filter_timeout_s
@@ -357,7 +357,7 @@ class TestOverflowDuringUpdate:
         switch = SilkRoadSwitch(small_config(conn_table_capacity=capacity))
         switch.announce_vip(vip, dips[:6])
         conns = [
-            Connection(conn_id=i, five_tuple=tuples.next_for(vip), vip=vip,
+            Connection(conn_id=i, key=tuples.next_for(vip).key_bytes(), vip=vip,
                        start=0.0, duration=1000.0)
             for i in range(2 * capacity)
         ]
@@ -373,7 +373,7 @@ class TestOverflowDuringUpdate:
         switch, _conns = self._fill_switch(vip, dips, tuples)
         # Fresh pre-request pending connections that can only overflow.
         fresh = [
-            Connection(conn_id=1000 + i, five_tuple=tuples.next_for(vip),
+            Connection(conn_id=1000 + i, key=tuples.next_for(vip).key_bytes(),
                        vip=vip, start=1.0, duration=1000.0)
             for i in range(4)
         ]
@@ -398,7 +398,7 @@ class TestOverflowDuringUpdate:
 
         switch, _conns = self._fill_switch(vip, dips, tuples)
         fresh = [
-            Connection(conn_id=2000 + i, five_tuple=tuples.next_for(vip),
+            Connection(conn_id=2000 + i, key=tuples.next_for(vip).key_bytes(),
                        vip=vip, start=1.0, duration=1000.0)
             for i in range(4)
         ]

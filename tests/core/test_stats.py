@@ -22,7 +22,7 @@ B = DirectIP.parse("10.0.0.2:80")
 def conn(cid, start, duration):
     return Connection(
         conn_id=cid,
-        five_tuple=five_tuple_for(VIP, src_ip=cid, src_port=1024),
+        key=five_tuple_for(VIP, src_ip=cid, src_port=1024).key_bytes(),
         vip=VIP,
         start=start,
         duration=duration,

@@ -32,7 +32,7 @@ def drive():
     def arrive(cid, when):
         conn = Connection(
             conn_id=cid,
-            five_tuple=factory.next_for(vip),
+            key=factory.next_for(vip).key_bytes(),
             vip=vip,
             start=when,
             duration=3600.0,
@@ -99,7 +99,7 @@ class TestTransitFalsePositives:
         for i in range(40):
             conn = Connection(
                 conn_id=i,
-                five_tuple=factory.next_for(vip),
+                key=factory.next_for(vip).key_bytes(),
                 vip=vip,
                 start=0.001 + i * 1e-5,
                 duration=3600.0,

@@ -25,7 +25,7 @@ def run_busy_switch(seed=31, updates_per_min=30.0, horizon=60.0):
         switch.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=seed).generate(
         uniform_vip_workloads(cluster.vips, 6_000.0), horizon_s=horizon, warmup_s=10.0
-    )
+    ).records()
     updates = UpdateGenerator(seed=seed + 1).poisson_updates(
         cluster.pools(), updates_per_min=updates_per_min, horizon_s=horizon,
         spare_dips=spare_pool(cluster),
@@ -59,7 +59,7 @@ class TestVerifyCleanStates:
             switch.announce_vip(service.vip, service.dips)
         conns = ArrivalGenerator(seed=5).generate(
             uniform_vip_workloads(cluster.vips, 3_000.0), horizon_s=30.0
-        )
+        ).records()
         updates = UpdateGenerator(seed=6).poisson_updates(
             cluster.pools(), updates_per_min=20.0, horizon_s=30.0,
             spare_dips=spare_pool(cluster),
@@ -151,7 +151,7 @@ class TestPccAttribution:
 
         vip = switch.vip_table.vips()[0]
         conn = Connection(
-            conn_id=999_999, five_tuple=TupleFactory().next_for(vip), vip=vip,
+            conn_id=999_999, key=TupleFactory().next_for(vip).key_bytes(), vip=vip,
             start=0.0, duration=5.0,
         )
         conn.record_decision(0.0, DirectIP.parse("10.9.9.1:80"))
@@ -182,7 +182,7 @@ class TestPccAttribution:
 
         vip = switch.vip_table.vips()[0]
         conn = Connection(
-            conn_id=999_997, five_tuple=TupleFactory().next_for(vip), vip=vip,
+            conn_id=999_997, key=TupleFactory().next_for(vip).key_bytes(), vip=vip,
             start=0.0, duration=5.0,
         )
         conn.record_decision(0.0, DirectIP.parse("10.9.9.1:80"))
@@ -203,7 +203,7 @@ class TestPccAttribution:
 
         vip = switch.vip_table.vips()[0]
         conn = Connection(
-            conn_id=999_998, five_tuple=TupleFactory().next_for(vip), vip=vip,
+            conn_id=999_998, key=TupleFactory().next_for(vip).key_bytes(), vip=vip,
             start=0.0, duration=5.0,
         )
         conn.record_decision(0.0, DirectIP.parse("10.9.9.1:80"))
@@ -225,7 +225,7 @@ class TestPccAttribution:
         from repro.netsim.packet import DirectIP, TupleFactory
 
         conn = Connection(
-            conn_id=1, five_tuple=TupleFactory().next_for(cluster.vips[0]),
+            conn_id=1, key=TupleFactory().next_for(cluster.vips[0]).key_bytes(),
             vip=cluster.vips[0], start=0.0, duration=5.0,
         )
         conn.record_decision(0.0, DirectIP.parse("10.9.9.1:80"))

@@ -37,7 +37,7 @@ def build(num_switches=3, conns_per_min=3000.0, horizon=60.0, seed=9):
         fleet.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=seed).generate(
         uniform_vip_workloads(cluster.vips, conns_per_min), horizon_s=horizon
-    )
+    ).records()
     return cluster, fleet, conns
 
 
@@ -145,10 +145,13 @@ class TestScheduling:
     def test_schedule_failure_before_bind(self):
         # ``replay(attach=)`` runs before the simulator binds the fleet to
         # its queue — the hook the §7 experiment schedules its oracle from.
-        cluster, _fleet, conns = build()
+        cluster, _fleet, _conns = build()
         workload = PccWorkload(
-            cluster=cluster, connections=conns, updates=[], horizon_s=60.0,
-            updates_per_min=0.0,
+            cluster=cluster,
+            connections=ArrivalGenerator(seed=9).generate(
+                uniform_vip_workloads(cluster.vips, 3000.0), horizon_s=60.0
+            ),
+            updates=[], horizon_s=60.0, updates_per_min=0.0,
         )
 
         def attach(sim, fleet):

@@ -39,7 +39,7 @@ def build(
         fleet.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=seed).generate(
         uniform_vip_workloads(cluster.vips, conns_per_min), horizon_s=horizon
-    )
+    ).records()
     return cluster, fleet, conns
 
 

@@ -102,7 +102,7 @@ class TestInjector:
             fleet.announce_vip(service.vip, service.dips)
         conns = ArrivalGenerator(seed=4).generate(
             uniform_vip_workloads(cluster.vips, 600.0), horizon_s=30.0
-        )
+        ).records()
         plan = FaultPlan.generate(
             seed=8, horizon_s=30.0, num_switches=3, faults_per_min=8.0,
             kinds=FLEET_KINDS,

@@ -45,7 +45,7 @@ def outcome():
         uniform_vip_workloads([vip_a, vip_b], 12_000.0),
         horizon_s=100.0,
         warmup_s=5.0,
-    )
+    ).records()
     updates = [
         # Overlapping pair: both VIPs enter their 3-step update at t=30.
         UpdateEvent(30.0, vip_a, UpdateKind.REMOVE, cluster.services[0].dips[0]),

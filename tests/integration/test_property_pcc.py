@@ -40,7 +40,7 @@ def run_silkroad(update_plan, seed=5):
         switch.announce_vip(service.vip, service.dips)
     conns = ArrivalGenerator(seed=seed).generate(
         uniform_vip_workloads(cluster.vips, 3_000.0), horizon_s=HORIZON, warmup_s=5.0
-    )
+    ).records()
     # Build a legal update stream from the plan: remove live members,
     # re-add previously removed or spare DIPs.
     pools = {s.vip: list(s.dips) for s in cluster.services}

@@ -7,9 +7,11 @@ import pytest
 
 from repro.netsim.arrivals import ArrivalGenerator, VipWorkload, uniform_vip_workloads
 from repro.netsim.cluster import make_cluster
-from repro.netsim.flows import CACHE, Connection
+from repro.netsim.flows import CACHE
 from repro.netsim.packet import FiveTuple, TupleFactory, VirtualIP
 from repro.serve.source import StreamingFlowSource
+
+from .test_connection_columns import assert_same_records, reference_windows
 
 
 class TestVipWorkload:
@@ -58,7 +60,7 @@ class TestArrivalGenerator:
         gen = ArrivalGenerator(seed=5)
         a = gen.generate([VipWorkload(vip=vip, new_conns_per_min=500.0)], horizon_s=30.0)
         b = gen.generate([VipWorkload(vip=vip, new_conns_per_min=500.0)], horizon_s=30.0)
-        ids = [c.conn_id for c in a + b]
+        ids = [*a.ids.tolist(), *b.ids.tolist()]
         assert len(set(ids)) == len(ids)
 
     def test_reproducible_with_seed(self, vip):
@@ -84,41 +86,7 @@ class TestArrivalGenerator:
             gen.generate([VipWorkload(vip=vip, new_conns_per_min=1.0)], horizon_s=0.0)
 
 
-def reference_window(seed, workloads, t0, t1):
-    """``ArrivalGenerator.window`` as the per-record loop it replaced: the
-    same draws in the same order, one ``next_for`` and one ``Connection``
-    call per record."""
-    rng = np.random.default_rng(seed)
-    tuples = TupleFactory()
-    connections = []
-    for workload in workloads:
-        rate = workload.arrivals_per_second()
-        if rate <= 0:
-            continue
-        count = int(rng.poisson(rate * (t1 - t0)))
-        if count == 0:
-            continue
-        times = rng.uniform(t0, t1, size=count)
-        times.sort()
-        durations = workload.duration_model.sample(rng, size=count)
-        for t, d in zip(times, durations):
-            connections.append(
-                Connection(
-                    conn_id=len(connections),
-                    five_tuple=tuples.next_for(workload.vip),
-                    vip=workload.vip,
-                    start=float(t),
-                    duration=float(d),
-                    rate_bps=workload.rate_bps,
-                )
-            )
-    connections.sort(key=lambda c: c.start)
-    return connections
-
-
 class TestBulkWindow:
-    FIELDS = ("conn_id", "five_tuple", "vip", "start", "duration", "rate_bps")
-
     @pytest.mark.parametrize("seed", [16, 17])
     def test_window_equals_the_per_record_loop(self, seed, vip, vip6):
         idle = VirtualIP.parse("20.0.0.9:53")
@@ -128,23 +96,19 @@ class TestBulkWindow:
             VipWorkload(vip=vip6, new_conns_per_min=900.0, duration_model=CACHE,
                         rate_bps=5e5),
         ]
-        got = ArrivalGenerator(seed=seed).window(workloads, -20.0, 40.0)
-        want = reference_window(seed, workloads, -20.0, 40.0)
-        assert len(got) == len(want) > 3000
-        for field in self.FIELDS:
-            assert [getattr(c, field) for c in got] == [
-                getattr(c, field) for c in want
-            ], field
-        assert {type(c.start) for c in got} == {type(c.duration) for c in got} == {float}
-        assert not any(c.vip == idle for c in got)
-        assert all(c.decisions == [] for c in got)
+        columns = ArrivalGenerator(seed=seed).window(workloads, -20.0, 40.0)
+        (want,) = reference_windows(seed, workloads, [(-20.0, 40.0)])
+        assert len(want) > 3000
+        assert_same_records(columns.records(), want)
+        assert not any(c.vip == idle for c in want)
+        assert [c.five_tuple for c in columns] == [c.five_tuple for c in want]
 
     def test_successive_windows_continue_ids_and_tuples(self, vip):
         workloads = [VipWorkload(vip=vip, new_conns_per_min=1200.0)]
         gen = ArrivalGenerator(seed=3)
-        both = gen.window(workloads, 0.0, 10.0) + gen.window(workloads, 10.0, 20.0)
+        both = [*gen.window(workloads, 0.0, 10.0), *gen.window(workloads, 10.0, 20.0)]
         assert sorted(c.conn_id for c in both) == list(range(len(both)))
-        assert len({c.five_tuple for c in both}) == len(both)
+        assert len({c.key for c in both}) == len(both)
 
     @pytest.mark.parametrize("t1", [5.0, 4.0])
     def test_window_rejects_an_empty_or_backwards_span(self, vip, t1):
@@ -154,6 +118,12 @@ class TestBulkWindow:
         with pytest.raises(ValueError, match="window must have positive span"):
             StreamingFlowSource(workloads, seed=1).draw(5.0, t1)
 
+    def test_an_empty_window_is_empty_columns(self, vip):
+        columns = ArrivalGenerator(seed=1).window(
+            [VipWorkload(vip=vip, new_conns_per_min=0.0)], 0.0, 1.0
+        )
+        assert len(columns) == 0 and columns.records() == [] and list(columns) == []
+
 
 class TestTupleFactoryTake:
     @pytest.mark.parametrize(
@@ -162,15 +132,19 @@ class TestTupleFactoryTake:
     )
     def test_take_is_count_calls_of_next_for(self, vip, vip6, skip, count):
         bulk, twin = TupleFactory(), TupleFactory()
-        assert bulk.take(vip, skip) == [twin.next_for(vip) for _ in range(skip)]
-        got = bulk.take(vip6, count)
-        assert got == [twin.next_for(vip6) for _ in range(count)]
-        assert all(type(t) is FiveTuple for t in got)
+        assert bulk.take_keys(vip, skip).tolist() == [
+            twin.next_for(vip).key_bytes() for _ in range(skip)
+        ]
+        got = bulk.take_keys(vip6, count).tolist()
+        assert got == [twin.next_for(vip6).key_bytes() for _ in range(count)]
+        assert all(type(k) is bytes and len(k) == 37 for k in got)
         # Same counter: the two factories stay in step afterwards.
-        assert bulk.next_for(vip) == twin.next_for(vip)
+        assert bulk.take_keys(vip, 1).tolist() == [twin.next_for(vip).key_bytes()]
 
     def test_take_crosses_the_port_wrap(self, vip):
-        tuples = TupleFactory().take(vip, 64_511 + 2)
+        tuples = [
+            FiveTuple.from_key_bytes(k) for k in TupleFactory().take_keys(vip, 64_511 + 2).tolist()
+        ]
         assert [(t.src_ip - tuples[0].src_ip, t.src_port) for t in tuples[-3:]] == [
             (0, 65_534), (1, 1024), (1, 1025)
         ]
@@ -178,7 +152,7 @@ class TestTupleFactoryTake:
 
     def test_take_rejects_a_negative_count(self, vip):
         with pytest.raises(ValueError):
-            TupleFactory().take(vip, -1)
+            TupleFactory().take_keys(vip, -1)
 
 
 class TestUniformWorkloads:

@@ -1,14 +1,15 @@
 """The connection as a compact record: its cost and semantics, as counts.
 
-A simulated connection is held by the host four ways — the generated
-``Connection``, its per-replay ``fresh()`` copy, the address/5-tuple
-records both point at, and the switch's resident entry — and every one is
-meant to stay as small as the facts it carries.  The tests here pin that:
-no instance ``__dict__`` anywhere, host bytes *and collector-tracked
-containers* per connection under a ceiling, a decision log that lives on
-the record until a remap, one byte-hash pass per *workload* (not per
-replay), addresses that hash like their field tuple in every process, and
-a profile side cache that holds in-flight keys only.
+A simulated connection is held by the host three ways — a row of the
+generated workload's columns, the record a replay builds from that row
+(its key bytes, not a 5-tuple, and the VIP record it points at), and the
+switch's resident entry — and every one is meant to stay as small as the
+facts it carries.  The tests here pin that: no instance ``__dict__``
+anywhere, host bytes *and collector-tracked containers* per connection
+under a ceiling, a decision log that lives on the record until a remap,
+one byte-hash pass per *workload* (not per replay), addresses that hash
+like their field tuple in every process, and a profile side cache that
+holds in-flight keys only.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ SHAPE = dict(updates_per_min=50.0, scale=0.05, seed=16, horizon_s=120.0)
 def make_conn(conn_id: int = 1) -> Connection:
     return Connection(
         conn_id=conn_id,
-        five_tuple=five_tuple_for(VIP, src_ip=0x0A80_0000 + conn_id, src_port=1024),
+        key=five_tuple_for(VIP, src_ip=0x0A80_0000 + conn_id, src_port=1024).key_bytes(),
         vip=VIP,
         start=0.0,
         duration=10.0,
@@ -84,7 +85,7 @@ def test_no_instance_dict_after_batch_scalar_arrival_or_replay():
     assert arrived.decisions
     workload = build_workload(50.0, scale=0.02, seed=16, horizon_s=10.0)
     _report, replayed, _lb = workload.replay(make_switch)
-    for conn in conns + [arrived] + workload.connections + replayed:
+    for conn in [*conns, arrived, *workload.connections, *replayed]:
         assert not hasattr(conn, "__dict__")
         assert key_slots_set(conn)
 
@@ -106,8 +107,9 @@ def test_key_and_hash_fill_on_first_read():
 
 
 def test_host_bytes_per_connection():
-    """``tracemalloc`` bytes per generated connection, and per generated
-    connection plus one replayed (hashed, once-decided) copy."""
+    """``tracemalloc`` bytes per generated connection (a row of columns),
+    and per generated connection plus one replay's (hashed, once-decided)
+    record."""
     build_workload(50.0, scale=0.05, seed=3, horizon_s=5.0)  # lazy imports
     gc.collect()
     tracemalloc.start()
@@ -123,16 +125,17 @@ def test_host_bytes_per_connection():
     n = len(workload.connections)
     assert 3_000 < n == len(replayed) < 4_000
     assert all(len(c.decisions) == 1 for c in replayed[:100])
-    assert generated / n <= 405, generated / n  # parent ~425 here, now ~350
-    assert with_copy / n <= 640, with_copy / n  # parent ~775 here, now ~570
+    # ~51 and ~347 here; ~352 and ~570 when a workload was a record list.
+    assert generated / n <= 80, generated / n
+    assert with_copy / n <= 400, with_copy / n
 
 
 def test_tracked_containers_per_connection():
     """Objects the cyclic collector tracks — and re-walks at every later
-    collection — per generated connection (the record and its 5-tuple)
-    and per replayed copy (the record alone: a once-decided connection
-    owns no list and no ``(t, dip)`` tuple).  The cluster and the update
-    records are inside the first count."""
+    collection — per generated connection (none: the workload is a few
+    arrays) and per replayed record (the record alone: a once-decided
+    connection owns no list and no ``(t, dip)`` tuple).  The cluster and
+    the update records are inside the first count."""
     warm = build_workload(50.0, scale=0.02, seed=16, horizon_s=10.0)
     warm.replay(make_switch)  # lazy imports, caches
     del warm
@@ -147,7 +150,9 @@ def test_tracked_containers_per_connection():
     with_copy = len(gc.get_objects())
     n = len(workload.connections)
     assert 3_000 < n == len(replayed) < 4_000
-    assert (generated - before) / n <= 2.2  # parent 3.05
+    # ~0.05 here, all of it the cluster and the update records; 2.05 when
+    # a workload was a record list (each record and its 5-tuple).
+    assert (generated - before) / n <= 0.1
     assert (with_copy - generated) / n <= 1.2  # parent 3.00
     once_decided = [c for c in replayed if not c.remapped]
     assert len(once_decided) > 0.99 * n
@@ -233,7 +238,7 @@ def test_decisions_is_a_view_that_aliases_nothing():
     with pytest.raises(AttributeError):
         conn.current_dip = DIP
     with pytest.raises(TypeError):
-        Connection(1, conn.five_tuple, VIP, 0.0, 1.0, decisions=[])
+        Connection(1, conn.key, VIP, 0.0, 1.0, decisions=[])
 
 
 def test_a_twice_decided_record_round_trips():
@@ -258,9 +263,10 @@ def test_a_twice_decided_record_round_trips():
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
 def test_workload_is_byte_hashed_once_not_once_per_replay(batched):
-    workload = build_workload(**SHAPE)
-    assert not any(key_slots_set(c) for c in workload.connections)  # not in set-up
     start = hashing.BASE_HASH_CALLS
+    workload = build_workload(**SHAPE)
+    assert hashing.BASE_HASH_CALLS == start  # not in set-up
+    assert not any(key_slots_set(c) for c in workload.connections)
     workload.replay(make_switch, batched=batched)
     first = hashing.BASE_HASH_CALLS
     workload.replay(make_switch, batched=batched)
@@ -269,7 +275,7 @@ def test_workload_is_byte_hashed_once_not_once_per_replay(batched):
     assert hashing.BASE_HASH_CALLS - first == 0
 
 
-def test_batch_hashes_in_bulk_what_is_unhashed_and_only_that():
+def test_batch_hashes_what_is_unhashed_and_only_that():
     conns = [make_conn(i) for i in range(6)]
     for conn in conns[:2]:
         conn.key_hash
@@ -296,8 +302,10 @@ def test_a_streamed_window_is_hashed_once_in_bulk_at_the_source():
     assert batch.keys == [c.five_tuple.key_bytes() for c in conns]
     assert batch.base_hashes == [c.key_hash for c in conns]
     # The generator itself stays lazy: set-up hashes nothing.
+    before = hashing.BASE_HASH_CALLS
     cold = ArrivalGenerator(seed=16).window(workloads, 0.0, 5.0)
     assert not any(key_slots_set(c) for c in cold)
+    assert hashing.BASE_HASH_CALLS == before
 
 
 # -- fresh(), copy, pickle -------------------------------------------------
@@ -309,7 +317,7 @@ def test_fresh_shares_the_immutable_facts_and_nothing_mutable():
     conn.broken_by_removal = True
     clone = conn.fresh()
     assert clone is not conn
-    assert clone.five_tuple is conn.five_tuple and clone.vip is conn.vip
+    assert clone.vip is conn.vip and clone.five_tuple == conn.five_tuple
     assert clone.key is conn.key and clone.key_hash is conn.key_hash
     assert (clone.conn_id, clone.start, clone.duration, clone.rate_bps) == (
         conn.conn_id, conn.start, conn.duration, conn.rate_bps

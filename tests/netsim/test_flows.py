@@ -13,7 +13,7 @@ def make_conn(start=0.0, duration=10.0) -> Connection:
     vip = VirtualIP.parse("20.0.0.1:80")
     return Connection(
         conn_id=1,
-        five_tuple=five_tuple_for(vip, src_ip=1, src_port=1024),
+        key=five_tuple_for(vip, src_ip=1, src_port=1024).key_bytes(),
         vip=vip,
         start=start,
         duration=duration,

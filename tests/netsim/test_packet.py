@@ -118,6 +118,20 @@ class TestFiveTuple:
         b = FiveTuple(src_ip=ip, src_port=port, dst_ip=1, dst_port=80)
         assert a.key_bytes() == b.key_bytes()
 
+    @given(
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**128 - 1),
+        st.integers(min_value=0, max_value=2**128 - 1),
+        st.integers(min_value=0, max_value=65535),
+        st.integers(min_value=0, max_value=65535),
+        st.integers(min_value=0, max_value=255),
+    )
+    def test_from_key_bytes_inverts_key_bytes(self, v6, src, dst, sport, dport, proto):
+        if not v6:
+            src, dst = src >> 96, dst >> 96
+        ft = FiveTuple(src, sport, dst, dport, proto, v6)
+        assert FiveTuple.from_key_bytes(ft.key_bytes()) == ft
+
 
 class TestTupleFactory:
     def test_uniqueness(self, vip):
@@ -129,8 +143,3 @@ class TestTupleFactory:
         factory = TupleFactory()
         for _ in range(100):
             assert factory.next_for(vip).vip() == vip
-
-    def test_stream(self, vip):
-        factory = TupleFactory()
-        stream = factory.stream(vip)
-        assert next(stream).vip() == vip

@@ -24,7 +24,7 @@ DIP_B = DirectIP.parse("10.0.0.2:80")
 def conn(cid: int, start: float, duration: float, rate: float = 8.0) -> Connection:
     return Connection(
         conn_id=cid,
-        five_tuple=five_tuple_for(VIP, src_ip=cid, src_port=1024),
+        key=five_tuple_for(VIP, src_ip=cid, src_port=1024).key_bytes(),
         vip=VIP,
         start=start,
         duration=duration,

@@ -117,7 +117,7 @@ class TestWatchSwitch:
         sampler = TimelineSampler(switch.metrics, period_s=1.0)
         conn = Connection(
             conn_id=1,
-            five_tuple=five_tuple_for(cluster.vips[0], src_ip=9, src_port=1024),
+            key=five_tuple_for(cluster.vips[0], src_ip=9, src_port=1024).key_bytes(),
             vip=cluster.vips[0],
             start=0.0,
             duration=10.0,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.packet import five_tuple_for
 from repro.netsim.topology import Fabric, Layer, VipPlacement
 
 
@@ -15,27 +14,13 @@ def fabric() -> Fabric:
 
 class TestFabric:
     def test_layer_widths(self, fabric):
-        assert fabric.layer_width(Layer.TOR) == 8
-        assert fabric.layer_width(Layer.AGG) == 4
-        assert fabric.layer_width(Layer.CORE) == 2
+        widths = [len(fabric.layer_switches(layer)) for layer in Layer]
+        assert widths == [8, 4, 2]
         assert len(fabric.all_switches()) == 14
 
     def test_build_validation(self):
         with pytest.raises(ValueError):
             Fabric.build(num_tors=0)
-
-    def test_ecmp_is_deterministic(self, fabric, vip):
-        flow = five_tuple_for(vip, src_ip=1, src_port=1024)
-        a = fabric.ecmp_pick(Layer.TOR, flow)
-        b = fabric.ecmp_pick(Layer.TOR, flow)
-        assert a == b
-
-    def test_ecmp_spreads_flows(self, fabric, vip):
-        hits = set()
-        for i in range(200):
-            flow = five_tuple_for(vip, src_ip=i, src_port=1024)
-            hits.add(fabric.ecmp_pick(Layer.TOR, flow).name)
-        assert len(hits) == 8  # all ToRs get some flows
 
 
 class TestVipPlacement:

@@ -38,7 +38,7 @@ def switch_and_conns(request):
         vip = cluster.vips[i % 3]
         conn = Connection(
             conn_id=i,
-            five_tuple=factory.next_for(vip),
+            key=factory.next_for(vip).key_bytes(),
             vip=vip,
             start=switch.queue.now,
             duration=3600.0,
@@ -122,7 +122,7 @@ class TestMirrorMidUpdate:
                 switch.queue.run_until(switch.queue.now + spacing_s)
                 target = cluster.vips[len(conns) % 2]
                 conn = Connection(
-                    conn_id=len(conns), five_tuple=factory.next_for(target),
+                    conn_id=len(conns), key=factory.next_for(target).key_bytes(),
                     vip=target, start=switch.queue.now, duration=3600.0,
                 )
                 switch.on_connection_arrival(conn)
@@ -224,7 +224,7 @@ class TestMirroredTransitTable:
 
         def arrive(conn_id):
             conn = Connection(
-                conn_id=conn_id, five_tuple=factory.next_for(vip), vip=vip,
+                conn_id=conn_id, key=factory.next_for(vip).key_bytes(), vip=vip,
                 start=0.0, duration=100.0,
             )
             switch.on_connection_arrival(conn)

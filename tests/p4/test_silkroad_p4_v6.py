@@ -23,7 +23,7 @@ def v6_setup():
         vip = cluster.vips[i % 2]
         conn = Connection(
             conn_id=i,
-            five_tuple=factory.next_for(vip),
+            key=factory.next_for(vip).key_bytes(),
             vip=vip,
             start=switch.queue.now,
             duration=3600.0,

@@ -173,6 +173,6 @@ class TestUpdateRoundTripSimulator:
             lb.announce_vip(service.vip, service.dips)
         conns = ArrivalGenerator(seed=1).generate(
             uniform_vip_workloads(cluster.vips, 600.0), horizon_s=60.0
-        )
+        ).records()
         report = FlowSimulator(lb).run(conns, loaded, horizon_s=60.0)
         assert report.pcc_violations == 0
