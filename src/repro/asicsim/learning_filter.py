@@ -117,16 +117,11 @@ class LearningFilter:
             buckets=LATENCY_BUCKETS_S,
             help="time each event waited in the filter before drain",
         )
-        self._m_rearmed = metrics.counter(
-            "events_rearmed_total",
-            "learn events re-deposited after a slow-path loss",
-        )
         metrics.gauge("occupancy", "events pending in the buffer").set_function(
             lambda: float(len(self._pending))
         )
 
     deduplicated = property(lambda self: int(self._m_dedup.value))
-    rearmed = property(lambda self: int(self._m_rearmed.value))
     flushes_full = property(lambda self: int(self._m_flushes_full.value))
     flushes_timeout = property(lambda self: int(self._m_flushes_timeout.value))
     flushes_forced = property(lambda self: int(self._m_flushes_forced.value))
@@ -154,34 +149,6 @@ class LearningFilter:
         if len(self._pending) >= self.capacity:
             return self._flush(now, "full")
         return None
-
-    def rearm(self, events: List[LearnEvent], now: float) -> List[LearnBatch]:
-        """Re-deposit learn events whose slow-path jobs were lost.
-
-        After a CPU crash, a shed job, or a lost notification the connection
-        is still unmatched in ConnTable, so its next packet triggers a fresh
-        learn event; this models that re-learning.  Metadata and cached key
-        hashes are preserved, ``first_seen`` is stamped ``now`` (it *is* a
-        new event).  Keys already pending deduplicate as usual.  Returns
-        every batch the re-arm filled, in flush order — re-arming more than
-        ``capacity`` events flushes several times, and suppressing the later
-        flushes (as an older version of this method did) would leave the
-        buffer pinned at capacity until the next offer or poll.
-        """
-        batches: List[LearnBatch] = []
-        for event in events:
-            if event.key in self._pending:
-                self._m_dedup.value += 1.0
-                continue
-            self._m_rearmed.value += 1.0
-            self._pending[event.key] = _new_record(
-                LearnEvent, (event.key, event.metadata, now, event.key_hash)
-            )
-            if self._oldest is None:
-                self._oldest = now
-            if len(self._pending) >= self.capacity:
-                batches.append(self._flush(now, "full"))
-        return batches
 
     def poll(self, now: float) -> Optional[LearnBatch]:
         """Flush on timeout; the CPU calls this on its notification timer.

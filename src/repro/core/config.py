@@ -20,7 +20,7 @@ class SilkRoadConfig:
     the code that reads it: ConnTable geometry and target load
     (:mod:`.conn_table`), the TransitTable hash count
     (:mod:`.transit_table`), the learning-filter capacity, the idle
-    timeout and the slow-path retry, re-learn and FP-resolution delays
+    timeout and the slow-path retry and FP-resolution delays
     (:mod:`.silkroad`).
     """
 
@@ -40,7 +40,8 @@ class SilkRoadConfig:
     # --- Slow-path hardening (failure model; see docs/robustness.md).
     #: Maximum insertion jobs the switch CPU may hold queued or in flight.
     #: ``None`` models the idealized unbounded FIFO; with a bound, excess
-    #: jobs are *shed* and the connection re-learned from its next packet.
+    #: jobs are *shed* and the connection waits to be re-learned once the
+    #: CPU's backlog plus the learning filter's occupancy is under it.
     cpu_max_backlog: Optional[int] = None
     #: Per-step watchdog deadline for 3-step updates.  ``None`` waits
     #: forever (the idealized model); with a deadline, a step that overruns

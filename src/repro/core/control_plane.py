@@ -24,8 +24,11 @@ a real slow path does (see ``repro.faults`` and docs/robustness.md):
   completion out by the stall window.
 
 A job that leaves the CPU without installing — shed, lost or failed — is
-reported through the one ``on_dropped`` hook with its reason, so the
-switch can re-learn the connection from its next packet.
+reported through the one ``on_dropped`` hook with its reason.  The switch
+parks the connection in one waiting set and re-offers it to the learning
+filter, oldest first, once the CPU is up and has room again — after an
+install completes, or when the CPU restarts — so a full backlog or a long
+outage costs events per arrival, not per millisecond of outage.
 
 All hooks default to disabled, in which case behaviour is bit-identical to
 the reliable FIFO.
@@ -33,7 +36,7 @@ the reliable FIFO.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..asicsim.learning_filter import LearnBatch
 from ..netsim.events import EventHandle, EventQueue
@@ -262,30 +265,28 @@ class SwitchCpu:
     # Fault semantics: crash/restart and stall
     # ------------------------------------------------------------------
 
-    def crash(self, restart_delay_s: float) -> List[Tuple[bytes, Tuple]]:
+    def crash(self, restart_delay_s: float) -> int:
         """The CPU process dies; every queued and in-flight job is lost.
 
         Submissions are refused (lost) until the restart ``restart_delay_s``
-        later.  Returns the lost ``(key, metadata)`` jobs in submission
-        order; each is also reported through ``on_dropped``, and ``on_restart``
-        fires when the CPU comes back (the switch re-arms learning there).
+        later.  Returns the number of jobs lost; each is reported through
+        ``on_dropped`` in submission order, and ``on_restart`` fires when
+        the CPU comes back (the switch re-offers waiting keys there).
         """
         if restart_delay_s < 0:
             raise ValueError("restart_delay_s must be non-negative")
         if self.down:
-            return []
+            return 0
         self.down = True
         self._m_crashes.value += 1.0
-        lost: List[Tuple[bytes, Tuple]] = []
-        for job in self._outstanding:
+        lost = list(self._outstanding)
+        self._outstanding.clear()
+        self._busy_until = self.queue.now + restart_delay_s
+        for job in lost:
             if job.handle is not None:
                 job.handle.cancel()
                 job.handle = None
-            lost.append((job.key, job.metadata))
-        self._outstanding.clear()
-        self._busy_until = self.queue.now + restart_delay_s
-        for key, metadata in lost:
-            self._lose(key, metadata)
+            self._lose(job.key, job.metadata)
 
         def restart() -> None:
             self.down = False
@@ -293,7 +294,7 @@ class SwitchCpu:
                 self.on_restart()
 
         self.queue.schedule_in(restart_delay_s, restart, PRIO_INTERNAL)
-        return lost
+        return len(lost)
 
     def stall(self, duration_s: float) -> None:
         """The CPU freezes for ``duration_s`` (GC pause, PCI-E contention):

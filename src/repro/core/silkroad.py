@@ -21,12 +21,11 @@ insertion window (Figures 16-18).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..asicsim.batch import PacketBatch
 from ..asicsim.cuckoo import DuplicateKey, TableFull
-from ..asicsim.learning_filter import LearnBatch, LearnEvent, LearningFilter
+from ..asicsim.learning_filter import LearnBatch, LearningFilter
 from ..asicsim.meters import MeterBank
 from ..netsim.events import EventHandle, EventQueue
 from ..netsim.flows import Connection
@@ -84,10 +83,6 @@ INSTALL_RETRY_LIMIT = 3
 #: Base delay before an install retry; attempt ``n`` waits ``n`` times
 #: this (linear backoff — the bus recovers quickly or not at all).
 INSTALL_RETRY_BACKOFF_S = 1e-4
-#: Delay before a shed/lost connection re-enters the learning filter —
-#: models the next packet of the (still-unmatched) connection
-#: depositing a fresh learn event.
-RELEARN_DELAY_S = 1e-3
 #: Why a slow-path job left without installing -> the event that says so.
 _JOB_DROPPED = {
     "shed": SLOWPATH_JOB_SHED,
@@ -212,6 +207,11 @@ class SilkRoadSwitch(LoadBalancer):
         #: end or a re-admission of a live key leaves it alone.
         self._live_by_vip: Dict[VirtualIP, int] = {}
         self._conns_on: Dict[Tuple[VirtualIP, DirectIP], Set[bytes]] = {}
+        #: Live, un-installed connections whose slow-path job was dropped
+        #: (shed, lost, failed, or in a lost notification): key -> job
+        #: metadata, oldest first.  A subset of the pending index, so it
+        #: needs no bound of its own.
+        self._waiting: Dict[bytes, Tuple] = {}
         self._poll_handle: Optional[EventHandle] = None
         # Fault-delivery state (set by repro.faults.FaultInjector).
         self._drop_notifications = 0
@@ -367,6 +367,7 @@ class SilkRoadSwitch(LoadBalancer):
             pending = self._pending_by_vip.get(state.vip)
             if pending is not None:
                 pending.discard(key)
+            self._waiting.pop(key, None)
             self.coordinator.on_pending_aborted(state.vip, key)
             self.dip_pools.release(state.vip, state.version)
             del self._states[key]
@@ -519,6 +520,14 @@ class SilkRoadSwitch(LoadBalancer):
     # ------------------------------------------------------------------
 
     def _on_installed(self, key: bytes, metadata: Tuple) -> None:
+        self._install(key, metadata)
+        # The finished job freed a CPU slot for the oldest waiting keys.
+        waiting = self._waiting
+        if waiting:
+            waiting.pop(key, None)
+            self._reoffer()
+
+    def _install(self, key: bytes, metadata: Tuple) -> None:
         now = self.queue.now
         state = self._states.get(key)
         if state is None or state.dead:
@@ -766,7 +775,8 @@ class SilkRoadSwitch(LoadBalancer):
                     len(batch.events), batch.reason,
                 )
             for event in batch.events:
-                self._schedule_relearn(event.key, event.metadata)
+                self._wait(event.key, event.metadata)
+            self._reoffer()
             return
         if self._delay_notifications > 0:
             self._delay_notifications -= 1
@@ -791,57 +801,56 @@ class SilkRoadSwitch(LoadBalancer):
 
     def _on_job_dropped(self, key: bytes, metadata: Tuple, reason: str) -> None:
         """A slow-path job was shed, lost to a crash, or failed its write:
-        the connection is still unmatched in the data plane, so it will be
-        re-learned from its next packet."""
+        the connection is still unmatched in the data plane, so it waits
+        to be re-learned."""
         if self.recorder is not None:
             self.recorder.record(self.queue.now, _JOB_DROPPED[reason], key)
-        self._schedule_relearn(key, metadata)
+        self._wait(key, metadata)
+        self._reoffer()
 
-    def _schedule_relearn(self, key: bytes, metadata: Tuple) -> None:
+    def _wait(self, key: bytes, metadata: Tuple) -> None:
         state = self._states.get(key)
         if state is None or state.dead or state.installed or state.overflowed:
             return
-        self.queue.schedule_in(
-            RELEARN_DELAY_S, partial(self._relearn, key, metadata), PRIO_INTERNAL
-        )
+        self._waiting[key] = metadata
 
-    def _relearn(self, key: bytes, metadata: Tuple) -> None:
-        state = self._states.get(key)
-        if state is None or state.dead or state.installed or state.overflowed:
-            return
-        if self._cpu.down:
-            # No point depositing events the CPU cannot drain; try again
-            # next "packet".
-            self._schedule_relearn(key, metadata)
-            return
-        self._m_relearns.value += 1.0
-        if self.recorder is not None:
-            self.recorder.record(self.queue.now, SLOWPATH_RELEARN, key)
-        event = LearnEvent(
-            key=key,
-            metadata=metadata,
-            first_seen=self.queue.now,
-            key_hash=state.conn.key_hash,
-        )
-        batches = self.learning.rearm([event], self.queue.now)
-        if batches:
-            self._cancel_poll()
-            for batch in batches:
+    def _reoffer(self) -> None:
+        """Re-learn waiting keys, oldest first, while the CPU is up and has
+        room: its backlog plus the learning filter's occupancy stays under
+        ``cpu_max_backlog`` (no limit when that is unset).  The filter's
+        own timeout then models the connection's next packet."""
+        waiting = self._waiting
+        cpu = self._cpu
+        limit = cpu.max_backlog
+        learning = self.learning
+        while waiting and not cpu.down and (
+            limit is None or cpu.backlog + learning.occupancy < limit
+        ):
+            key = next(iter(waiting))
+            metadata = waiting.pop(key)
+            now = self.queue.now
+            self._m_relearns.value += 1.0
+            if self.recorder is not None:
+                self.recorder.record(now, SLOWPATH_RELEARN, key)
+            batch = learning.offer(
+                key, now, metadata, self._states[key].conn.key_hash
+            )
+            if batch is not None:
+                self._cancel_poll()
                 self._deliver_batch(batch)
         self._arm_poll()
 
     def _on_cpu_restart(self) -> None:
-        """The crashed CPU came back: re-arm the learning-filter timer so
-        batches flow again (lost jobs re-learn via :meth:`_schedule_relearn`)."""
+        """The crashed CPU came back: waiting keys flow to it again."""
         if self.recorder is not None:
             self.recorder.record(self.queue.now, SLOWPATH_CPU_RESTART)
-        self._arm_poll()
+        self._reoffer()
 
     # -- fault-injection surface (used by repro.faults.FaultInjector) ----
 
     def inject_cpu_crash(self, restart_delay_s: float) -> int:
         """Crash the switch CPU; returns the number of jobs lost."""
-        lost = len(self._cpu.crash(restart_delay_s))
+        lost = self._cpu.crash(restart_delay_s)
         if self.recorder is not None:
             self.recorder.record(
                 self.queue.now, SLOWPATH_CPU_CRASH, None, lost, restart_delay_s

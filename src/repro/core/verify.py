@@ -23,11 +23,13 @@ Checked invariants:
    its recorded forwarding decision equals that pool's selection.
 5. The pending index contains exactly the un-installed live connections
    (no orphaned ``_pending_by_vip`` keys).
-6. The live-connections-per-VIP count (used by ``withdraw_vip``) equals a
+6. Every key waiting to be re-learned after a dropped slow-path job is a
+   live, un-installed, non-overflowed connection in the pending index.
+7. The live-connections-per-VIP count (used by ``withdraw_vip``) equals a
    recount of the live connection states of each VIP.
-7. No VIP is left mid-transition when its coordinator is idle, and step 2
+8. No VIP is left mid-transition when its coordinator is idle, and step 2
    always has dual versions (VIPTable/coordinator phase agreement).
-8. With connections supplied: PCC violations occur *only* where the fault
+9. With connections supplied: PCC violations occur *only* where the fault
    model predicts them — connections a watchdog reclassified at-risk, that
    overflowed a full ConnTable, or that adopted the old version through a
    TransitTable false positive — and no connection was dropped
@@ -241,6 +243,19 @@ def _check_pending_index(switch: SilkRoadSwitch, fail: Fail) -> None:
     }
     if stale:
         fail(f"stale keys in pending index: {len(stale)}")
+    # Invariant 6, against the same index.
+    states = switch._states
+    stray = [
+        key
+        for key in switch._waiting
+        if key not in indexed
+        or key not in states
+        or states[key].dead
+        or states[key].installed
+        or states[key].overflowed
+    ]
+    if stray:
+        fail(f"waiting keys not live and pending: {len(stray)}")
 
 
 def _check_live_index(switch: SilkRoadSwitch, fail: Fail) -> None:

@@ -152,18 +152,6 @@ class Connection:
         """The connection's 5-tuple, decoded from its key bytes."""
         return FiveTuple.from_key_bytes(self.key)
 
-    def fresh(self) -> "Connection":
-        """A copy with an empty decision log, for the next replay.
-
-        It shares the immutable facts, key bytes and base hash included:
-        the hash is derived on *this* record if nothing has read it yet, so
-        a record list is byte-hashed once however often it is replayed.
-        """
-        return Connection(
-            self.conn_id, self.key, self.vip,
-            self.start, self.duration, self.rate_bps, self.key_hash,
-        )
-
     @property
     def end(self) -> float:
         return self.start + self.duration

@@ -165,7 +165,7 @@ def test_resumed_loop_rejects_events_before_the_clock():
         switch.announce_vip(service.vip, service.dips)
     sim = BatchedFlowSimulator(switch)
     sim.start()
-    conns = [c.fresh() for c in workload.connections]
+    conns = workload.connections.records()
     early = [c for c in conns if c.start < 4.0]
     late = [c for c in conns if c.start >= 4.0]
     assert early and late and workload.updates
@@ -191,7 +191,7 @@ def test_run_rejects_negative_update_times():
         BatchedFlowSimulator(silkroad_factory()()),
     ):
         with pytest.raises(ValueError, match="non-negative"):
-            sim.run([c.fresh() for c in workload.connections], [early])
+            sim.run(workload.connections.records(), [early])
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,21 @@ class TestOfferAndDedup:
         assert times[b"a"] == 1.0
         assert times[b"b"] == 2.0
 
+    def test_offer_builds_learn_events(self):
+        from repro.asicsim.learning_filter import LearnEvent
+
+        lf = LearningFilter(capacity=10, timeout=1e-3)
+        lf.offer(b"a", 1.0, metadata=("fp",), key_hash=7)
+        lf.offer(b"b", 2.0)
+        first, second = lf.flush(3.0).events
+        assert type(first) is LearnEvent and type(second) is LearnEvent
+        assert first == LearnEvent(
+            key=b"a", metadata=("fp",), first_seen=1.0, key_hash=7
+        )
+        assert second == LearnEvent(
+            key=b"b", metadata=(), first_seen=2.0, key_hash=None
+        )
+
 
 class TestTimeout:
     def test_poll_before_deadline_returns_none(self):
@@ -118,64 +133,6 @@ class TestForceFlush:
         lf.offer(b"a", 0.0)
         assert b"a" in lf
         assert b"b" not in lf
-
-
-class TestRearm:
-    def _events(self, count, prefix=b"k"):
-        from repro.asicsim.learning_filter import LearnEvent
-
-        return [
-            LearnEvent(key=prefix + bytes(str(i), "ascii"), metadata=(), first_seen=0.0)
-            for i in range(count)
-        ]
-
-    def test_rearm_returns_empty_list_when_not_full(self):
-        lf = LearningFilter(capacity=10, timeout=1e-3)
-        assert lf.rearm(self._events(3), 1.0) == []
-        assert lf.occupancy == 3
-        assert lf.rearmed == 3
-
-    def test_rearm_over_twice_capacity_flushes_every_fill(self):
-        # Regression: a `batch is None` guard used to suppress the second
-        # full-flush within one rearm call, pinning occupancy at capacity.
-        lf = LearningFilter(capacity=4, timeout=10.0)
-        batches = lf.rearm(self._events(9), 1.0)
-        assert len(batches) == 2
-        assert all(b.reason == "full" for b in batches)
-        assert all(len(b) == 4 for b in batches)
-        assert lf.occupancy == 1  # 9 = 4 + 4 + 1; buffer NOT stuck at capacity
-        assert lf.flushes_full == 2
-
-    def test_rearm_stamps_now_and_keeps_key_hash(self):
-        from repro.asicsim.learning_filter import LearnEvent
-
-        lf = LearningFilter(capacity=10, timeout=1e-3)
-        lf.rearm(
-            [LearnEvent(key=b"a", metadata=(1,), first_seen=0.0, key_hash=42)],
-            7.0,
-        )
-        batch = lf.flush(8.0)
-        (event,) = batch.events
-        assert type(event) is LearnEvent
-        assert event == LearnEvent(key=b"a", metadata=(1,), first_seen=7.0, key_hash=42)
-        assert event.first_seen == 7.0
-        assert event.key_hash == 42
-        assert event.metadata == (1,)
-
-    def test_offer_builds_learn_events(self):
-        from repro.asicsim.learning_filter import LearnEvent
-
-        lf = LearningFilter(capacity=10, timeout=1e-3)
-        lf.offer(b"a", 1.0, metadata=("fp",), key_hash=7)
-        lf.offer(b"b", 2.0)
-        first, second = lf.flush(3.0).events
-        assert type(first) is LearnEvent and type(second) is LearnEvent
-        assert first == LearnEvent(
-            key=b"a", metadata=("fp",), first_seen=1.0, key_hash=7
-        )
-        assert second == LearnEvent(
-            key=b"b", metadata=(), first_seen=2.0, key_hash=None
-        )
 
 
 class TestFig18AccountingUnchanged:

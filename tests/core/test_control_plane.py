@@ -181,11 +181,14 @@ class TestCrashRestart:
     def test_crash_returns_lost_jobs_in_order(self):
         queue = EventQueue()
         cpu = SwitchCpu(queue, 1000.0, lambda k, m: None)
+        dropped = []
+        cpu.on_dropped = lambda k, m, why: dropped.append(k)
         queue.schedule(0.0, lambda: cpu.submit_batch(batch([b"a", b"b"])))
         returned = []
-        queue.schedule(0.0005, lambda: returned.extend(cpu.crash(0.01)))
+        queue.schedule(0.0005, lambda: returned.append(cpu.crash(0.01)))
         queue.run_until(0.0005)
-        assert [k for k, _m in returned] == [b"a", b"b"]
+        assert returned == [2]
+        assert dropped == [b"a", b"b"]
 
 
 class TestInstallRetry:

@@ -65,7 +65,7 @@ def _learning_filter(metrics):
     lf.offer(b"b", 0.0)  # capacity 2: flushes full
     lf.offer(b"c", 1.0)
     assert lf.poll(2.0) is not None  # timeout
-    lf.rearm([LearnEvent(key=b"d", metadata=(), first_seen=0.0)], 3.0)
+    lf.offer(b"d", 3.0)
     assert lf.flush(3.0) is not None  # forced
     return lf
 
@@ -158,7 +158,6 @@ CASES = {
     _conn_table: {"false_positive_lookups": "lookup_false_positives_total"},
     _learning_filter: {
         "deduplicated": "dedup_hits_total",
-        "rearmed": "events_rearmed_total",
         "flushes_full": "flushes_full_total",
         "flushes_timeout": "flushes_timeout_total",
         "flushes_forced": "flushes_forced_total",

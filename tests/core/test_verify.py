@@ -100,6 +100,13 @@ class TestVerifyCatchesCorruption:
         with pytest.raises(InvariantViolation):
             audit_switch(switch).raise_if_failed()
 
+    def test_detects_stray_waiting_key(self):
+        switch, _sim = run_busy_switch(horizon=30.0, updates_per_min=0.0)
+        installed = next(k for k, s in switch._states.items() if s.installed)
+        switch._waiting[installed] = ()
+        report = audit_switch(switch)
+        assert report.violations == ["waiting keys not live and pending: 1"]
+
 
 class TestAuditReport:
     def test_clean_switch_audits_ok(self):

@@ -269,27 +269,21 @@ class TestCounters:
         assert digest[6:-2] == tuple(1000 + i for i in range(len(_COUNTERS)))
 
 
-def _clone(conns):
-    return [c.fresh() for c in conns]
-
-
 class TestBatchedDifferential:
     @pytest.mark.parametrize("batch_size", [1, 64, 1024])
     def test_batched_matches_scalar(self, batch_size):
-        cluster, fleet, conns = build(conns_per_min=2000.0)
+        cluster, fleet, scalar_conns = build(conns_per_min=2000.0)
         vip = cluster.vips[0]
         updates = [
             UpdateEvent(25.0, vip, UpdateKind.REMOVE, cluster.services[0].dips[-1])
         ]
         scalar_sim = FlowSimulator(fleet)
         schedule_failure(scalar_sim.queue, fleet, 1, at=35.0, revive_at=50.0)
-        scalar_conns = _clone(conns)
         scalar_report = scalar_sim.run(scalar_conns, updates, horizon_s=60.0)
 
-        _c2, fleet2, _ = build(conns_per_min=2000.0)
+        _c2, fleet2, batched_conns = build(conns_per_min=2000.0)
         batched_sim = BatchedFlowSimulator(fleet2, batch_size=batch_size)
         schedule_failure(batched_sim.queue, fleet2, 1, at=35.0, revive_at=50.0)
-        batched_conns = _clone(conns)
         batched_report = batched_sim.run(batched_conns, updates, horizon_s=60.0)
 
         assert fleet.rejoins == 1 and scalar_report.pcc_violations > 0

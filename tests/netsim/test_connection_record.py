@@ -245,7 +245,6 @@ def test_a_twice_decided_record_round_trips():
     conn = make_conn()
     conn.record_decision(1.0, DIP)
     conn.record_decision(2.0, DIP_B)
-    assert decision_facts(conn.fresh()) == ([], None, [], False, False, False)
     for clone in (copy.copy(conn), pickle.loads(pickle.dumps(conn))):
         assert decision_facts(clone) == decision_facts(conn)
         clone.record_decision(3.0, DIP_B)  # no-op at the list stage
@@ -308,17 +307,21 @@ def test_a_streamed_window_is_hashed_once_in_bulk_at_the_source():
     assert hashing.BASE_HASH_CALLS == before
 
 
-# -- fresh(), copy, pickle -------------------------------------------------
+# -- records(), copy, pickle -----------------------------------------------
 
 
-def test_fresh_shares_the_immutable_facts_and_nothing_mutable():
-    conn = make_conn()
+def test_records_share_the_immutable_facts_and_nothing_mutable():
+    columns = ArrivalGenerator(seed=16).window(
+        [VipWorkload(vip=VIP, new_conns_per_min=600.0)], 0.0, 2.0
+    )
+    first = columns.records()
+    conn = first[0]
     conn.record_decision(0.0, DIP)
     conn.broken_by_removal = True
-    clone = conn.fresh()
+    clone = columns.records()[0]
     assert clone is not conn
     assert clone.vip is conn.vip and clone.five_tuple == conn.five_tuple
-    assert clone.key is conn.key and clone.key_hash is conn.key_hash
+    assert clone.key == conn.key and clone.key_hash is conn.key_hash
     assert (clone.conn_id, clone.start, clone.duration, clone.rate_bps) == (
         conn.conn_id, conn.start, conn.duration, conn.rate_bps
     )
@@ -326,7 +329,6 @@ def test_fresh_shares_the_immutable_facts_and_nothing_mutable():
     assert clone.broken_by_removal is False
     clone.record_decision(1.0, None)
     assert conn.decisions == [(0.0, DIP)]
-    assert clone.fresh().decisions is not clone.decisions
 
 
 @pytest.mark.parametrize("hashed", [False, True], ids=["unset", "set"])

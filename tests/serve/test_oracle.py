@@ -17,6 +17,7 @@ from repro.core import SilkRoadConfig, SilkRoadSwitch
 from repro.core.verify import audit_switch
 from repro.deploy.fleet import FleetSilkRoad, audit_fleet
 from repro.faults.injector import FaultInjector
+from repro.netsim.flows import Connection
 from repro.netsim.simulator import FlowSimulator
 from repro.serve import ServeConfig, ServeSession
 from repro.serve.session import FLEET_REPLICATION
@@ -58,7 +59,11 @@ def _oracle(session: ServeSession, windows):
     for service in session.cluster.services:
         lb.announce_vip(service.vip, service.dips)
     faults = None if session.injector is None else FaultInjector(session.injector.plan)
-    conns = [conn.fresh() for window in windows for conn in window]
+    conns = [
+        Connection(c.conn_id, c.key, c.vip, c.start, c.duration, c.rate_bps, c.key_hash)
+        for window in windows
+        for c in window
+    ]
     FlowSimulator(lb, faults=faults).run(conns, horizon_s=session.queue.now)
     return lb, conns
 

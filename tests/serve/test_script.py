@@ -33,7 +33,7 @@ _SWITCH_REPORT = {
             "vip": "20.0.0.0:80",
         }
     ],
-    "fingerprint": "b74da54f3ec9f9d97f51f838f35b0ee9206e333a1ac6c5a60fc5677cfdf38211",
+    "fingerprint": "6f67a4a8c6d3d4a525e610e9cd6c9cd225542127ecb6f5926d75b2d666e0eb60",
     "mutations": 3,
     "now": 64.0,
     "pcc_violations": 0,
@@ -61,7 +61,7 @@ PINNED_REPORTS = {
                 "vip": "20.0.0.0:80",
             }
         ],
-        "fingerprint": "1674a21d43f9742d91a5d7cf3f5f709cef48e0371e65c8f22def3d2d99a93cbf",
+        "fingerprint": "07c5f37a1baced3bff91dbaae0ba97cab2c8081b371209e13d225408289f2b5b",
         "mutations": 3,
         "now": 29.0,
         "pcc_violations": 22,
