@@ -158,12 +158,13 @@ def bench_slow_path_no_faults() -> float:
         report, _conns, switch = workload.replay(factory)
         best = min(best, time.perf_counter() - t0)
         # No faults injected: nothing may shed, relearn, or trip a watchdog.
-        counters = switch.report()
+        counts = switch.metrics.snapshot()
         for name in (
-            "cpu_jobs_shed", "cpu_jobs_lost", "cpu_crashes",
-            "relearns", "at_risk_connections", "watchdog_forced_steps",
+            "switch_cpu.jobs_shed_total", "switch_cpu.jobs_lost_total",
+            "switch_cpu.crashes_total", "slow_path.relearns_total",
+            "switch.at_risk_connections", "update.watchdog_forced_steps_total",
         ):
-            assert counters[name] == 0.0, f"fault path fired without faults: {name}"
+            assert counts[name] == 0.0, f"fault path fired without faults: {name}"
     return best
 
 
@@ -309,7 +310,7 @@ def check_sharded_identity(workers: int) -> bool:
         pooled.ok
         and serial.ok
         and pooled.fingerprint == serial.fingerprint
-        and pooled.counters == serial.counters
+        and pooled.details() == serial.details()
     )
     status = "ok" if ok else "MISMATCH"
     print(

@@ -45,7 +45,7 @@ def test_bench_parallel_fig16(once):
     # The invariant that makes sharding safe to use at all: pool size
     # must never move the merged result.
     assert pooled.fingerprint == serial.fingerprint
-    assert pooled.counters == serial.counters
+    assert pooled.details() == serial.details()
 
     speedup = serial_s / pooled_s if pooled_s > 0 else float("inf")
     print(f"\nserial {serial_s:.2f}s, pooled {pooled_s:.2f}s, speedup {speedup:.2f}x")

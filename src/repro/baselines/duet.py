@@ -157,8 +157,9 @@ class DuetLoadBalancer(LoadBalancer):
     def finalize(self) -> None:
         """Close every open SLB interval at the current time.
 
-        The VIPs stay at the SLB (``report()["vips_at_slb"]`` counts them);
-        only their intervals end, so a second call finds nothing open.
+        The VIPs stay at the SLB (``migrations_to_slb - migrations_back``
+        counts them); only their intervals end, so a second call finds
+        nothing open.
         """
         now = self.queue.now
         for vip in self._at_slb:
@@ -219,10 +220,3 @@ class DuetLoadBalancer(LoadBalancer):
         """Per-VIP windows during which traffic detoured through SLBs
         (feed to :func:`repro.netsim.simulator.traffic_fraction_at`)."""
         return {vip: list(ivs) for vip, ivs in self._slb_intervals.items()}
-
-    def report(self) -> Dict[str, float]:
-        return {
-            "migrations_to_slb": float(self.migrations_to_slb),
-            "migrations_back": float(self.migrations_back),
-            "vips_at_slb": float(len(self._at_slb)),
-        }

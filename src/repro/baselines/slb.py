@@ -168,10 +168,3 @@ class SoftwareLoadBalancer(LoadBalancer):
         if self.use_maglev:
             self._tables[event.vip].rebuild(pool)
         # Pinned connections keep their entries: PCC holds.
-
-    def report(self) -> Dict[str, float]:
-        return {
-            "conn_table_entries": float(len(self._conn_table)),
-            "peak_connections": float(self.peak_connections),
-            "added_latency_s": SLB_LATENCY_S,
-        }

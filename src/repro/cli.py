@@ -188,10 +188,23 @@ def _cmd_pcc(args: argparse.Namespace) -> int:
         "slb": lambda: SoftwareLoadBalancer(),
     }
     workload = build_workload(**_given(args, *WORKLOAD))
-    report, _conns, _lb = workload.replay(factories[args.system])
+    report, _conns, lb = workload.replay(factories[args.system])
     print(report.summary())
-    for key, value in sorted(report.extra.items()):
-        print(f"  {key}: {value}")
+    if isinstance(lb, DuetLoadBalancer):
+        to, back = lb.migrations_to_slb, lb.migrations_back
+        counts = {"migrations_to_slb": to, "migrations_back": back}
+        counts["vips_at_slb"] = to - back
+    elif isinstance(lb, SoftwareLoadBalancer):
+        counts = {"peak_connections": lb.peak_connections}
+    else:  # a SilkRoad switch: every counter and gauge, by registry name
+        values = lb.metrics.snapshot()
+        counts = {
+            name: values[name]
+            for name, instrument in lb.metrics.instruments()
+            if instrument.kind != "histogram"
+        }
+    for name, value in counts.items():
+        print(f"  {name}: {value:.12g}")
     return 0
 
 

@@ -21,6 +21,7 @@ insertion window (Figures 16-18).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..asicsim.batch import PacketBatch
@@ -90,21 +91,20 @@ _JOB_DROPPED = {
     "install_failed": SLOWPATH_JOB_INSTALL_FAILED,
 }
 
-#: The switch's own counters, declared once: ``__init__`` zeroes each as a
-#: plain attribute, and a counter with help text is also exported as the
-#: ``switch.<name>`` callback gauge (the others reach ``report()`` only).
-_COUNTERS: Dict[str, Optional[str]] = {
+#: The switch's own counts: ``switch.<name>`` registry counter -> help text.
+#: ``__init__`` registers each as ``self._m_<name>``, the class reads each
+#: back through a read-only ``int`` view of the same name.
+_COUNTERS: Dict[str, str] = {
     "connections_seen": "connection arrivals",
     "fp_syn_redirects": "SYNs redirected on digest collision",
     "transit_fp_adopted": "conns pinned to old version by Bloom FP",
     "table_full_events": "insertions hitting a full ConnTable",
     "overflow_pinned": "conns pinned in software on overflow",
     "version_exhaustion_events": "updates dropped: version space full",
-    # Updates skipped because the pool already was in the asked-for state
-    # (see ``_execute_update``); counted, never raised.
-    "stale_updates": None,
+    # See ``_execute_update``: counted, never raised.
+    "stale_updates": "updates skipped: pool already in the asked-for state",
     "at_risk_connections": "conns reclassified at-risk by watchdogs",
-    "resumed_connections": None,
+    "resumed_connections": "quiesced conns steered back before their entry aged out",
 }
 
 
@@ -217,8 +217,6 @@ class SilkRoadSwitch(LoadBalancer):
         self._drop_notifications = 0
         self._delay_notifications = 0
         self._notification_delay_s = 0.0
-        for counter in _COUNTERS:
-            setattr(self, counter, 0)
         #: Keys whose PCC exposure the fault model predicts — watchdog
         #: reclassifications, ConnTable overflows, step-2 Bloom adoptions.
         #: Persisted past connection death so post-run audits can attribute
@@ -237,26 +235,19 @@ class SilkRoadSwitch(LoadBalancer):
         self._m_notifications_delayed = slow_path.counter(
             "notifications_delayed_total", "learning-filter batches delivered late"
         )
-        self._register_switch_gauges()
-        # A private queue lets the switch be driven directly as a library
-        # object; FlowSimulator.bind() replaces it with the shared one.
-        self.bind(EventQueue())
-
-    def _register_switch_gauges(self) -> None:
-        """Switch-level views (callback gauges, so the cost is paid at
-        sample/export time only): two derived sizes, then ``_COUNTERS``."""
         scope = self.metrics.scope("switch")
+        for counter, help_text in _COUNTERS.items():
+            setattr(self, f"_m_{counter}", scope.counter(counter, help_text))
+        # Two derived sizes, as callback gauges: paid at sample/export time.
         scope.gauge("pending_connections", "arrived but not yet installed").set_function(
             lambda: float(self.pending_connections())
         )
         scope.gauge("sram_bytes", "SRAM across all SilkRoad tables").set_function(
             lambda: float(self.sram_bytes())
         )
-        for counter, help_text in _COUNTERS.items():
-            if help_text is not None:
-                scope.gauge(counter, help_text).set_function(
-                    lambda c=counter: float(getattr(self, c))
-                )
+        # A private queue lets the switch be driven directly as a library
+        # object; FlowSimulator.bind() replaces it with the shared one.
+        self.bind(EventQueue())
 
     relearns = property(lambda self: int(self._m_relearns.value))
 
@@ -288,7 +279,7 @@ class SilkRoadSwitch(LoadBalancer):
         now = self.queue.now
         key = conn.key
         key_hash = conn.key_hash
-        self.connections_seen += 1
+        self._m_connections_seen.value += 1.0
         recorder = self.recorder
         if recorder is not None:
             recorder.record(now, CONN_SYN, key, str(conn.vip))
@@ -298,7 +289,7 @@ class SilkRoadSwitch(LoadBalancer):
             # positive.  The SYN is redirected to the CPU, which relocates
             # the colliding entry and installs this connection directly.
             assert result.false_positive
-            self.fp_syn_redirects += 1
+            self._m_fp_syn_redirects.value += 1.0
             if recorder is not None:
                 recorder.record(now, CONN_FP_SYN_REDIRECT, key)
             state = self._admit(conn, now)
@@ -403,7 +394,7 @@ class SilkRoadSwitch(LoadBalancer):
         self._drop_decision_index(state)
         dip = self.dip_pools.select(state.vip, state.version, key, conn.key_hash)
         self._set_decision(fresh, dip, now)
-        self.resumed_connections += 1
+        self._m_resumed_connections.value += 1.0
         if self.recorder is not None:
             self.recorder.record(now, CONN_RESUME, key, state.version)
         return True
@@ -478,7 +469,7 @@ class SilkRoadSwitch(LoadBalancer):
             query = self.transit.check(key, key_hash)
             if query.positive:
                 # A new connection can only hit the filter falsely.
-                self.transit_fp_adopted += 1
+                self._m_transit_fp_adopted.value += 1.0
                 self.fp_adopted_keys.add(key)
                 assert entry.old_version is not None
                 version = entry.old_version
@@ -541,12 +532,12 @@ class SilkRoadSwitch(LoadBalancer):
         try:
             result = self.conn_table.insert(key, state.version, key_hash)
         except TableFull:
-            self.table_full_events += 1
+            self._m_table_full_events.value += 1.0
             if self.config.overflow_to_software:
                 # §7 hybrid: the connection is pinned in software (switch
                 # CPU or an SLB), so its mapping is frozen and PCC holds;
                 # only the forwarding medium changes.
-                self.overflow_pinned += 1
+                self._m_overflow_pinned.value += 1.0
                 state.installed = True
                 pending = self._pending_by_vip.get(state.vip)
                 if pending is not None:
@@ -610,7 +601,7 @@ class SilkRoadSwitch(LoadBalancer):
             # The stream and the pool disagree (an earlier update of this
             # DIP was dropped on version exhaustion): an ADD of a member, or
             # a REMOVE/DRAIN/WEIGHT of a non-member, has nothing to change.
-            self.stale_updates += 1
+            self._m_stale_updates.value += 1.0
             if self.recorder is not None:
                 self.recorder.record(
                     now, UPDATE_STALE, None,
@@ -628,7 +619,7 @@ class SilkRoadSwitch(LoadBalancer):
             else:
                 new_version = self.dip_pools.add_dip(vip, event.dip)
         except VersionsExhausted:
-            self.version_exhaustion_events += 1
+            self._m_version_exhaustion_events.value += 1.0
             if self.recorder is not None:
                 self.recorder.record(now, UPDATE_VERSION_EXHAUSTED, None, str(vip))
             return
@@ -741,7 +732,7 @@ class SilkRoadSwitch(LoadBalancer):
         """A watchdog force-advanced past ``keys``: their protection window
         closed early, so any PCC break they suffer is a predicted fault
         outcome, not a model bug."""
-        self.at_risk_connections += len(keys)
+        self._m_at_risk_connections.value += len(keys)
         self.at_risk_keys.update(keys)
         recorder = self.recorder
         if recorder is not None:
@@ -985,40 +976,16 @@ class SilkRoadSwitch(LoadBalancer):
         )
 
     def telemetry_snapshot(self) -> Dict[str, object]:
-        """Machine-readable dump: every metric, every retained update
-        record as a span, plus :meth:`report`'s flat counters.  The shape
-        matches what ``python -m repro.cli telemetry`` emits per switch."""
-        extra: Dict[str, object] = {"switch": self.name, "counters": self.report()}
+        """Machine-readable dump: every metric and every retained update
+        record as a span.  The shape matches what ``python -m repro.cli
+        telemetry`` emits per switch."""
+        extra: Dict[str, object] = {"switch": self.name}
         if self.recorder is not None:
             extra["recorder"] = self.recorder.summary()
         return telemetry_to_dict(self.metrics, self.coordinator.timings, extra=extra)
 
-    def report(self) -> Dict[str, float]:
-        return {
-            "conn_table_entries": float(len(self.conn_table)),
-            "conn_table_load": self.conn_table.load_factor,
-            "conn_table_fp_lookups": float(self.conn_table.false_positive_lookups),
-            "fp_syn_redirects": float(self.fp_syn_redirects),
-            "transit_fp_adopted": float(self.transit_fp_adopted),
-            "transit_false_positives": float(self.transit.false_positives),
-            "table_full_events": float(self.table_full_events),
-            "overflow_pinned": float(self.overflow_pinned),
-            "version_exhaustion_events": float(self.version_exhaustion_events),
-            "stale_updates": float(self.stale_updates),
-            "updates_requested": float(self.coordinator.updates_requested),
-            "updates_completed": float(self.coordinator.updates_completed),
-            "cpu_backlog": float(self._cpu.backlog),
-            "cpu_jobs_shed": float(self._cpu.shed),
-            "cpu_jobs_lost": float(self._cpu.lost),
-            "cpu_install_retries": float(self._cpu.retries),
-            "cpu_install_failures": float(self._cpu.install_failures),
-            "cpu_crashes": float(self._cpu.crashes),
-            "cpu_stalls": float(self._cpu.stalls),
-            "notifications_lost": self._m_notifications_lost.value,
-            "notifications_delayed": self._m_notifications_delayed.value,
-            "relearns": float(self.relearns),
-            "at_risk_connections": float(self.at_risk_connections),
-            "resumed_connections": float(self.resumed_connections),
-            "watchdog_forced_steps": float(self.coordinator.watchdog_forced_steps),
-            "sram_bytes": float(self.sram_bytes()),
-        }
+
+for _name in _COUNTERS:
+    _read = attrgetter(f"_m_{_name}.value")
+    setattr(SilkRoadSwitch, _name, property(lambda self, read=_read: int(read(self))))
+del _name, _read

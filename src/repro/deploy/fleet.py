@@ -98,7 +98,12 @@ from ..obs.metrics import MetricRegistry
 #: tuple is what zeroes them, mirrors them as ``fleet.<name>`` callback
 #: gauges, folds them into :meth:`FleetSilkRoad.epoch_digest` and keys
 #: :meth:`FleetSilkRoad.report` — all in this order, so a counter added
-#: here cannot be missing from the replica-agreement digest.
+#: here cannot be missing from the replica-agreement digest.  Unlike a
+#: switch's counts they are plain ints, not registry counters: every
+#: partition replica replays the whole control plane and needs the counts
+#: for ``epoch_digest``, while only the primary replica registers
+#: ``fleet.*`` instruments; and the benchmark reads :meth:`report` inside
+#: a timed rep (``perf/workloads.py``).
 _COUNTERS: Tuple[str, ...] = (
     "crashes",
     "restarts",
@@ -1268,6 +1273,9 @@ class FleetSilkRoad(LoadBalancer):
         return list(self._shed)
 
     def report(self) -> Dict[str, float]:
+        """The control-plane counters plus live shape (switches up, probes,
+        ConnTable entries per switch): the one ``report()`` left, for the
+        reasons given at :data:`_COUNTERS`."""
         report: Dict[str, float] = {
             **{counter: float(getattr(self, counter)) for counter in _COUNTERS},
             "switches_in_ecmp": float(len(self.in_ecmp_switches())),

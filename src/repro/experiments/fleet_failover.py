@@ -18,11 +18,11 @@ Every broken or blackholed connection must be *attributed* by
 bar for the fleet failure model, enforced by the tests and the CI smoke.
 
 The sweep is ``run_sharded("fleet")`` — the one survival sweep, the same
-cells ``repro fleet`` and ``repro run fleet`` replay — read back through
-its per-pattern summary counters.  The cascade pattern runs with a
-per-switch connection budget so the graceful-degradation path (shedding
-the lowest-priority VIPs instead of overflowing survivors' ConnTables) is
-exercised, not just implemented.
+cells ``repro fleet`` and ``repro run fleet`` replay — read back from its
+merged registry.  The cascade pattern runs with a per-switch connection
+budget so the graceful-degradation path (shedding the lowest-priority VIPs
+instead of overflowing survivors' ConnTables) is exercised, not just
+implemented.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..analysis import format_table
-from .parallel import ShardedRunResult, run_sharded
+from .parallel import ShardedRunResult, fleet_cell, run_sharded
 
 DEFAULT_PATTERNS: Tuple[str, ...] = (
     "crash",
@@ -68,29 +68,42 @@ class SurvivalPoint:
         return self.kept / self.measured if self.measured else 1.0
 
 
-#: The per-pattern counters a fleet sweep sums over its plans.
-_COUNTED = (
-    "faults", "measured", "kept", "broken", "blackholed", "shed",
-    "detections", "rejoins", "unattributed",
-)
+#: SurvivalPoint field -> the registry counter each plan's cell holds it
+#: in, under the cell's prefix (``kept`` is what is left of ``measured``).
+_COUNTED = {
+    "faults": "faults_total",
+    "measured": "measured_total",
+    "broken": "pcc_broken_total",
+    "blackholed": "blackholed_total",
+    "shed": "fleet.fleet.shed_connections",
+    "detections": "fleet.fleet.detections",
+    "rejoins": "fleet.fleet.rejoins",
+    "unattributed": "unattributed_total",
+    "failed_audits": "failed_audits_total",
+}
 
 
 def survival_points(
     result: ShardedRunResult, patterns: Sequence[str], plans_per_pattern: int
 ) -> List[SurvivalPoint]:
-    """One point per pattern, read from a ``run_sharded("fleet")`` result's
-    merged counters.  A pattern's audit is ok when none of its plans failed
-    the fleet audit and no shard was lost."""
+    """One point per pattern, summed over its plans' cells in a
+    ``run_sharded("fleet")`` result's merged registry.  A pattern's audit is
+    ok when none of its plans failed the fleet audit and no shard was lost."""
+    counts = result.registry.snapshot()
 
     def point(pattern: str) -> SurvivalPoint:
-        def get(key: str) -> int:
-            return int(result.counters.get(f"{pattern}.{key}", 0.0))
-
+        cells = [fleet_cell(pattern, i) for i in range(plans_per_pattern)]
+        sums = {
+            key: int(sum(counts.get(f"{cell}.{name}", 0.0) for cell in cells))
+            for key, name in _COUNTED.items()
+        }
+        failed_audits = sums.pop("failed_audits")
         return SurvivalPoint(
             pattern=pattern,
             plans=plans_per_pattern,
-            audit_ok=not result.failed and get("failed_audits") == 0,
-            **{key: get(key) for key in _COUNTED},
+            audit_ok=not result.failed and failed_audits == 0,
+            kept=sums["measured"] - sums["broken"] - sums["blackholed"],
+            **sums,
         )
 
     return [point(pattern) for pattern in patterns]

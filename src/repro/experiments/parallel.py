@@ -38,7 +38,7 @@ import os
 import sys
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..asicsim.hashing import base_hash, mix64
@@ -120,7 +120,9 @@ class ShardResult:
     shard_id: int
     registry: MetricRegistry
     audit: AuditReport
-    counters: Dict[str, float] = field(default_factory=dict)
+    #: registry names of the per-cell summary counters this shard wrote
+    #: (:meth:`ShardedRunResult.details` prints them).
+    summary: Tuple[str, ...] = ()
     #: metric timeline, when the run asked for ``timeline_period_s``.
     timeline: Optional[Timeline] = None
     #: flight recorder, when the run asked for ``record``.
@@ -145,7 +147,6 @@ class ShardedRunResult:
     failed: List[FailedShard]
     registry: MetricRegistry
     audit: AuditReport
-    counters: Dict[str, float]
     #: fold of every shard's timeline (``None`` unless the run asked for one).
     timeline: Optional[Timeline] = None
     #: fold of every shard's recorder (``None`` unless the run asked for one).
@@ -176,7 +177,8 @@ class ShardedRunResult:
 
     def details(self) -> List[str]:
         """The indented lines every printer puts under :meth:`summary`:
-        timeline and recorder shape, then each merged counter."""
+        timeline and recorder shape, then each per-cell summary counter,
+        read from the merged registry."""
         lines = []
         if self.timeline is not None:
             lines.append(
@@ -189,7 +191,8 @@ class ShardedRunResult:
                 f"  recorder: {len(self.recorder)} events retained, "
                 f"{self.recorder.total_dropped} dropped"
             )
-        lines += [f"  {key}: {self.counters[key]:g}" for key in sorted(self.counters)]
+        names = sorted({name for shard in self.shards for name in shard.summary})
+        lines += [f"  {name}: {self.registry.get(name).value:g}" for name in names]
         return lines
 
 
@@ -224,7 +227,8 @@ class _ShardFold:
             labels={"task": spec.task, "shard": str(spec.shard_id)}
         )
         self.audit = AuditReport()
-        self.counters: Dict[str, float] = {}
+        #: registry names :meth:`count` wrote, in order.
+        self.summary: List[str] = []
         #: the (timeline, recorder) of every finished run.
         self.observed: List[tuple] = []
 
@@ -238,9 +242,10 @@ class _ShardFold:
         self.observed.append((run.timeline, run.recorder))
 
     def count(self, cell: str, key: str, value: float, help: str) -> None:
-        """One per-cell total: a registry counter and a summary counter."""
-        self.registry.counter(f"{cell}.{key}_total", help=help).inc(value)
-        self.counters[f"{cell}.{key}"] = float(value)
+        """One per-cell summary total: the ``<cell>.<key>_total`` counter."""
+        name = f"{cell}.{key}_total"
+        self.registry.counter(name, help=help).inc(value)
+        self.summary.append(name)
 
     def replay(self, cell: str, workload, factory):
         """Replay → count → audit → fold one cell; returns ``(report, lb)``
@@ -262,7 +267,7 @@ class _ShardFold:
             self.spec.shard_id,
             self.registry,
             self.audit,
-            self.counters,
+            tuple(self.summary),
             *_merged_obs(self.observed),
         )
 
@@ -352,12 +357,16 @@ def _run_chaos_shard(spec: ShardSpec, **knobs: object) -> ShardResult:
             "updates that overran the watchdog",
         ),
     ):
-        fold.registry.counter(f"chaos.{key}_total", help=help).inc(value)
-        fold.counters[key] = float(value)
+        fold.count("chaos", key, value, help)
     fold.registry.merge(result.switch.metrics)
     fold.audit = result.audit
     fold.observe(result)
     return fold.result()
+
+
+def fleet_cell(pattern: str, plan_index: int) -> str:
+    """One fleet sweep cell's name: its registry prefix and recorder tag."""
+    return f"{pattern}{plan_index:02d}"
 
 
 def _fleet_cell_seed(base_seed: int, pattern: str, plan_index: int, salt: int) -> int:
@@ -389,15 +398,15 @@ def _run_fleet_shard(
     :func:`~repro.faults.fleet.run_fleet` as given.  The merged audit
     carries the fleet attribution requirement: any unattributed PCC
     violation or drop in any cell surfaces as a violation labelled with
-    that cell.  Per pattern, ``counters`` sum what the survival table
-    (:func:`~repro.experiments.fleet_failover.survival_points`) reads.
+    that cell.  Each cell counts what the survival table
+    (:func:`~repro.experiments.fleet_failover.survival_points`) reads and
+    its fleet registry does not already hold.
     """
     from ..faults.fleet import run_fleet
 
     fold = _ShardFold(spec)
-    audit, counters = fold.audit, fold.counters
     for pattern, plan_index in cells:
-        cell = f"{pattern}{plan_index:02d}"
+        cell = fleet_cell(pattern, plan_index)
         result = run_fleet(
             seed=_fleet_cell_seed(base_seed, pattern, plan_index, 20_000),
             fault_seed=_fleet_cell_seed(base_seed, pattern, plan_index, 30_000),
@@ -407,31 +416,24 @@ def _run_fleet_shard(
         )
         fleet_audit = result.audit
         # Attribution checks and unattributed buckets are already in it.
-        audit.merge(fleet_audit.audit, label=cell)
-        # Counters only, never the registry: the sweep's fingerprint does
-        # not carry the summary.
-        summary = dict(
-            result.survival,
-            shed=result.fleet.shed_connections,
-            faults=len(result.plan),
-            detections=result.fleet.detections,
-            rejoins=result.fleet.rejoins,
-            unattributed=(
-                fleet_audit.unattributed_violations + fleet_audit.unattributed_drops
+        fold.audit.merge(fleet_audit.audit, label=cell)
+        survival = result.survival
+        for key, value, help in (
+            ("faults", len(result.plan), "faults in the plan"),
+            ("measured", survival["measured"], "connections in the window"),
+            ("pcc_broken", survival["broken"], "measured connections that broke PCC"),
+            (
+                "blackholed", survival["blackholed"],
+                "measured connections blackholed intact",
             ),
-            failed_audits=int(not fleet_audit.ok),
-        )
-        for key, value in summary.items():
-            counters[f"{pattern}.{key}"] = (
-                counters.get(f"{pattern}.{key}", 0.0) + float(value)
-            )
-        scope = fold.registry.scope(cell)
-        scope.counter(
-            "pcc_broken_total", help="measured connections that broke PCC"
-        ).inc(summary["broken"])
-        scope.counter(
-            "blackholed_total", help="measured connections blackholed intact"
-        ).inc(summary["blackholed"])
+            (
+                "unattributed",
+                fleet_audit.unattributed_violations + fleet_audit.unattributed_drops,
+                "PCC violations and drops with no fleet cause",
+            ),
+            ("failed_audits", int(not fleet_audit.ok), "fleet audits that failed"),
+        ):
+            fold.count(cell, key, value, help)
         fold.registry.merge(result.fleet.merged_registry(), prefix=cell)
         fold.observe(result)
     return fold.result()
@@ -463,8 +465,7 @@ def _run_crashy_shard(
         else:
             os._exit(3)
     fold = _ShardFold(spec)
-    fold.registry.counter("crashy.completions_total").inc()
-    fold.counters["completions"] = 1.0
+    fold.count("crashy", "completions", 1.0, "")
     return fold.result()
 
 
@@ -850,11 +851,8 @@ def run_sharded(
         help="failed shard attempts (including retried ones)",
     ).inc(errors)
     audit = AuditReport()
-    counters: Dict[str, float] = {}
     for result in results:
         audit.merge(result.audit, label=f"shard-{result.shard_id}")
-        for key, value in result.counters.items():
-            counters[key] = counters.get(key, 0.0) + value
     timeline, recorder = _merged_obs((r.timeline, r.recorder) for r in results)
     return ShardedRunResult(
         task=task,
@@ -865,7 +863,6 @@ def run_sharded(
         failed=failed,
         registry=registry,
         audit=audit,
-        counters=counters,
         timeline=timeline,
         recorder=recorder,
     )

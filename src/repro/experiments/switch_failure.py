@@ -127,17 +127,17 @@ def run_slow_path_chaos(
         result = run_chaos(
             seed=seed, fault_seed=fault_seed, scale=scale, horizon_s=horizon_s
         )
-        counters = result.switch.report()
+        counts = result.switch.metrics.snapshot()
         points.append(
             ChaosPoint(
                 fault_seed=fault_seed,
                 faults_injected=len(result.plan),
-                crashes=int(counters["cpu_crashes"]),
-                relearns=int(counters["relearns"]),
-                at_risk=int(counters["at_risk_connections"]),
-                watchdog_forced=int(counters["watchdog_forced_steps"]),
+                crashes=int(counts["switch_cpu.crashes_total"]),
+                relearns=int(counts["slow_path.relearns_total"]),
+                at_risk=int(counts["switch.at_risk_connections"]),
+                watchdog_forced=int(counts["update.watchdog_forced_steps_total"]),
                 pcc_violations=result.report.pcc_violations,
-                updates_completed=int(counters["updates_completed"]),
+                updates_completed=int(counts["update.updates_completed_total"]),
                 audit_ok=result.ok,
             )
         )

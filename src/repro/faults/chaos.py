@@ -74,15 +74,15 @@ class ChaosResult:
         return self.audit.ok and self.overdue_updates == 0
 
     def summary(self) -> str:
-        counters = self.switch.report()
+        counts = self.switch.metrics.snapshot()
         return (
             f"chaos[{self.plan.seed}]: {len(self.plan)} faults injected, "
             f"{self.report.pcc_violations} PCC violations "
-            f"({int(counters['at_risk_connections'])} at-risk, "
-            f"{int(counters['cpu_crashes'])} crashes, "
-            f"{int(counters['relearns'])} relearns), "
-            f"{int(counters['updates_completed'])}/"
-            f"{int(counters['updates_requested'])} updates done, "
+            f"({int(counts['switch.at_risk_connections'])} at-risk, "
+            f"{int(counts['switch_cpu.crashes_total'])} crashes, "
+            f"{int(counts['slow_path.relearns_total'])} relearns), "
+            f"{int(counts['update.updates_completed_total'])}/"
+            f"{int(counts['update.updates_requested_total'])} updates done, "
             f"audit {'ok' if self.audit.ok else 'FAILED'}, "
             f"{self.overdue_updates} overdue updates"
         )

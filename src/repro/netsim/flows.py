@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -146,6 +146,23 @@ class Connection:
             raise AttributeError(name)
         value = self.key_hash = base_hash(self.key)
         return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # ``copy`` and ``pickle`` would read every slot through
+        # ``getattr``, and an unread ``key_hash`` through ``__getattr__``
+        # would hash the key: read the slots' own descriptors instead, so
+        # an unset one stays unset in the copy.
+        state = {}
+        for name in Connection.__slots__:
+            try:
+                state[name] = getattr(Connection, name).__get__(self)
+            except AttributeError:
+                pass
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     @property
     def five_tuple(self) -> FiveTuple:

@@ -18,7 +18,7 @@ continuously for the whole flow lifetime.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .events import EventQueue
@@ -55,10 +55,6 @@ class LoadBalancer(abc.ABC):
     def finalize(self) -> None:
         """Called once after the horizon; flush any internal state."""
 
-    def report(self) -> Dict[str, float]:
-        """Implementation-specific counters for the simulation report."""
-        return {}
-
 
 # Event priorities: updates before arrivals before ends at equal timestamps,
 # internal LB events in-between, so ties resolve the way hardware would
@@ -79,7 +75,6 @@ class SimulationReport:
     measured_connections: int
     pcc_violations: int
     dropped_connections: int
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def violation_fraction(self) -> float:
@@ -118,7 +113,6 @@ def _finish(
         measured_connections=len(measured),
         pcc_violations=violations,
         dropped_connections=dropped,
-        extra=lb.report(),
     )
 
 

@@ -63,7 +63,7 @@ def _observe(report, conns, switch):
         "pcc_violations": report.pcc_violations,
         "dropped": report.dropped_connections,
         "measured": report.measured_connections,
-        "extra": report.extra,
+        "metrics": switch.metrics.snapshot(),
     }
 
 

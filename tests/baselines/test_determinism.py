@@ -62,9 +62,11 @@ def _replay_digest() -> str:
                 h.update(repr(when).encode())
                 h.update(str(dip).encode())
             h.update(b"1" if conn.pcc_violated else b"0")
-        for key in sorted(report.extra):
-            h.update(key.encode())
-            h.update(repr(report.extra[key]).encode())
+        h.update(repr(report).encode())
+        # Each baseline's own state counts (None where it keeps none).
+        counts = ("migrations_to_slb", "migrations_back", "peak_connections")
+        h.update(repr([getattr(lb, name, None) for name in counts]).encode())
+        h.update(repr(len(getattr(lb, "_conn_table", ()))).encode())
     return h.hexdigest()
 
 

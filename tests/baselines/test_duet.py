@@ -39,7 +39,8 @@ def make_duet(policy=MigrationPolicy.PERIODIC, period=50.0):
 class TestResidency:
     def test_starts_at_switch(self):
         lb = make_duet()
-        assert lb.report()["vips_at_slb"] == 0.0
+        assert not lb._at_slb
+        assert lb.migrations_to_slb == lb.migrations_back == 0
 
     def test_update_moves_vip_to_slb(self):
         lb = make_duet()
@@ -66,13 +67,15 @@ class TestResidency:
     def test_a_replay_ending_at_the_slb_reports_the_vip_there(self):
         lb = make_duet(period=500.0)
         update = UpdateEvent(10.0, VIP, UpdateKind.REMOVE, dips(8)[0])
-        report = FlowSimulator(lb).run(conns(50), [update], horizon_s=100.0)
-        assert report.extra["vips_at_slb"] == lb.report()["vips_at_slb"] == 1.0
+        FlowSimulator(lb).run(conns(50), [update], horizon_s=100.0)
+        assert list(lb._at_slb) == [VIP]
+        assert (lb.migrations_to_slb, lb.migrations_back) == (1, 0)
         intervals = lb.slb_intervals()
         assert intervals[VIP] == [(10.0, lb.queue.now)]
         lb.finalize()  # a second call closes nothing new
         assert lb.slb_intervals() == intervals
-        assert lb.report()["vips_at_slb"] == 1.0
+        assert list(lb._at_slb) == [VIP]
+        assert (lb.migrations_to_slb, lb.migrations_back) == (1, 0)
 
 
 class TestPccBehaviour:

@@ -19,6 +19,7 @@ from repro.core.conn_table import ConnTable
 from repro.core.control_plane import SwitchCpu
 from repro.core.pcc_update import UpdateCoordinator
 from repro.core.transit_table import TransitTable
+from repro.faults.chaos import run_chaos
 from repro.netsim import FlowSimulator
 from repro.netsim.events import EventQueue
 from repro.netsim.flows import Connection
@@ -229,7 +230,23 @@ def test_counts_survive_a_rebind(vip, dips, tuples, monkeypatch):
     metrics = switch.metrics
     assert switch.cpu.completed == metrics.get("switch_cpu.installs_total").value
     assert switch.cpu.completed >= installed
-    report = switch.report()
-    assert report["cpu_jobs_shed"] == metrics.get("switch_cpu.jobs_shed_total").value
-    assert report["cpu_jobs_shed"] >= shed
-    assert report["relearns"] == switch.relearns > 0
+    assert switch.cpu.shed == metrics.get("switch_cpu.jobs_shed_total").value
+    assert switch.cpu.shed >= shed
+    assert metrics.get("slow_path.relearns_total").value == switch.relearns > 0
+
+
+def test_switch_counts_view_their_registry_counters():
+    """Each ``switch.<name>`` counter has a read-only ``int`` view, ``name``."""
+    switch = run_chaos(seed=7, scale=0.05, horizon_s=20.0).switch
+    assert switch.connections_seen > 0
+    counters = {
+        name.removeprefix("switch."): counter
+        for name, counter in switch.metrics.instruments()
+        if name.startswith("switch.") and counter.kind == "counter"
+    }
+    assert {"stale_updates", "resumed_connections"} <= counters.keys()
+    for name, counter in counters.items():
+        value = getattr(switch, name)
+        assert type(value) is int and value == counter.value, name
+        with pytest.raises(AttributeError):
+            setattr(switch, name, 0)

@@ -178,16 +178,14 @@ class TestDataPathDetails:
         current = switch.dip_pools.current_version(vip)
         assert switch.dip_pools.refcount(vip, current) == 0
 
-    def test_report_keys(self):
-        report, switch, _ = run_switch(small_config())
-        for key in (
-            "conn_table_entries",
-            "fp_syn_redirects",
-            "transit_false_positives",
-            "updates_completed",
-            "sram_bytes",
-        ):
-            assert key in report.extra
+    def test_switch_counts_reach_the_registry(self):
+        _report, switch, _ = run_switch(small_config())
+        counts = switch.metrics.snapshot()
+        assert counts["conn_table.occupancy"] == len(switch.conn_table)
+        assert counts["switch.fp_syn_redirects"] == switch.fp_syn_redirects
+        assert counts["transit_table.false_positives_total"] == switch.transit.false_positives
+        assert counts["update.updates_completed_total"] == switch.coordinator.updates_completed
+        assert counts["switch.sram_bytes"] == switch.sram_bytes()
 
 
 class TestRemovalBreakage:

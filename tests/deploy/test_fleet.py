@@ -263,7 +263,7 @@ class TestAcceptanceSweep:
         first = run_sharded("fleet", **kw)
         again = run_sharded("fleet", **kw)
         assert first.fingerprint == again.fingerprint
-        assert first.counters == again.counters
+        assert first.details() == again.details()
 
     def test_batched_matches_scalar(self):
         kw = dict(
@@ -333,7 +333,7 @@ class TestProfilePriming:
             assert run.fingerprint == runs[0].fingerprint
             assert run.audit.fingerprint() == runs[0].audit.fingerprint()
             assert run.survival == runs[0].survival
-            assert run.report.extra == runs[0].report.extra
+            assert run.fleet.report() == runs[0].fleet.report()
 
     @staticmethod
     def _run_with_declare_down(batched, profile_cache_size=None):

@@ -197,7 +197,7 @@ class TestFingerprintEquivalence:
         )
         assert serial.ok and pooled.ok
         assert pooled.fingerprint == serial.fingerprint
-        assert pooled.counters == serial.counters
+        assert pooled.details() == serial.details()
         assert pooled.audit.checks_run == serial.audit.checks_run
 
     def test_fig16_repeat_run_is_bit_identical(self):
@@ -218,7 +218,7 @@ class TestFingerprintEquivalence:
         )
         assert serial.ok and pooled.ok
         assert pooled.fingerprint == serial.fingerprint
-        assert pooled.counters["faults_injected"] > 0
+        assert pooled.registry.get("chaos.faults_injected_total").value > 0
 
     def test_different_seed_moves_fingerprint(self):
         a = run_sharded(
@@ -242,8 +242,8 @@ class TestFig18ShardsReproduceTheFigure:
     def per_cell(result):
         return [
             (
-                int(result.counters[f"cell{i:02d}.pcc_violations"]),
-                int(result.counters[f"cell{i:02d}.transit_fp_adopted"]),
+                int(result.registry.get(f"cell{i:02d}.pcc_violations_total").value),
+                int(result.registry.get(f"cell{i:02d}.transit_fp_adopted_total").value),
             )
             for i in range(3)
         ]
@@ -268,7 +268,7 @@ class TestFig18ShardsReproduceTheFigure:
             for workers in (1, 2)
         )
         assert pooled.fingerprint == serial.fingerprint
-        assert pooled.counters == serial.counters
+        assert pooled.details() == serial.details()
 
 
 class TestTimelineAndRecorderSharding:
@@ -409,7 +409,7 @@ class TestFaultTolerance:
         # retried in a fresh process, and succeeded.
         assert marker.exists()
         assert not result.failed
-        assert result.counters["completions"] == 2.0
+        assert result.registry.get("crashy.completions_total").value == 2.0
 
     def test_persistently_failing_shard_is_reported_not_fatal(self):
         result = run_sharded(
@@ -577,7 +577,7 @@ class TestFleetCellSeeding:
             params=dict(self.FLEET_PARAMS, patterns=("partition", "crash")),
         )
         assert forward.fingerprint == backward.fingerprint
-        assert forward.counters == backward.counters
+        assert forward.details() == backward.details()
         assert forward.audit.checks_run == backward.audit.checks_run
 
 
@@ -632,4 +632,4 @@ class TestFleetShardAudit:
         assert reports == [
             "[shard-0] [crash00] [fleet] 1 PCC violations with no attributable cause"
         ]
-        assert sweep.counters["crash.unattributed"] == 1.0
+        assert sweep.registry.get("crash00.unattributed_total").value == 1.0

@@ -63,26 +63,27 @@ class TestChaosAcceptance:
         return run_directed()
 
     def test_faults_actually_fired(self, result):
-        counters = result.switch.report()
-        assert counters["cpu_crashes"] == 3
-        assert counters["cpu_jobs_lost"] > 0
-        assert counters["cpu_install_failures"] > 0
-        assert counters["notifications_lost"] == 2
-        assert counters["relearns"] > 0
+        counts = result.switch.metrics.snapshot()
+        assert counts["switch_cpu.crashes_total"] == 3
+        assert counts["switch_cpu.jobs_lost_total"] > 0
+        assert counts["switch_cpu.install_failures_total"] > 0
+        assert counts["slow_path.notifications_lost_total"] == 2
+        assert counts["slow_path.relearns_total"] > 0
 
     def test_watchdogs_forced_and_reclassified(self, result):
-        counters = result.switch.report()
+        counts = result.switch.metrics.snapshot()
         # The crashes overlap in-flight updates: watchdogs must have fired
         # and reclassified the stuck pending keys as at-risk.
-        assert counters["watchdog_forced_steps"] > 0
-        assert counters["at_risk_connections"] > 0
+        assert counts["update.watchdog_forced_steps_total"] > 0
+        assert counts["switch.at_risk_connections"] > 0
         assert result.switch.at_risk_keys
 
     def test_every_update_finishes_within_watchdog_bound(self, result):
-        counters = result.switch.report()
-        assert counters["updates_completed"] == counters["updates_requested"]
+        counts = result.switch.metrics.snapshot()
+        completed = counts["update.updates_completed_total"]
+        assert completed == counts["update.updates_requested_total"]
         # Updates actually ran, and the overdue count below saw every one.
-        assert len(result.switch.coordinator.timings) == counters["updates_completed"] > 0
+        assert len(result.switch.coordinator.timings) == completed > 0
         assert result.overdue_updates == 0
 
     def test_auditor_clean(self, result):
@@ -107,7 +108,7 @@ class TestChaosDeterminism:
         first = run_directed()
         second = run_directed()
         assert first.fingerprint == second.fingerprint
-        assert first.switch.report() == second.switch.report()
+        assert first.switch.metrics.snapshot() == second.switch.metrics.snapshot()
         assert first.report.pcc_violations == second.report.pcc_violations
         assert first.switch.at_risk_keys == second.switch.at_risk_keys
 
@@ -124,5 +125,8 @@ class TestGeneratedChaos:
         result = run_chaos(seed=7, faults_per_min=30.0)
         assert sum(result.injector.injected.values()) == len(result.plan) > 0
         assert result.ok, result.summary()
-        counters = result.switch.report()
-        assert counters["updates_completed"] == counters["updates_requested"]
+        counts = result.switch.metrics.snapshot()
+        assert (
+            counts["update.updates_completed_total"]
+            == counts["update.updates_requested_total"]
+        )

@@ -346,6 +346,21 @@ def test_copy_and_pickle_round_trip(hashed):
         assert (clone.key, clone.key_hash) == (conn.key, conn.key_hash)
 
 
+def test_copy_and_pickle_do_not_hash_an_unread_key():
+    fresh = make_conn()
+    before = hashing.BASE_HASH_CALLS
+    clones = [copy.copy(fresh), pickle.loads(pickle.dumps(fresh))]
+    assert hashing.BASE_HASH_CALLS == before
+    assert not key_slots_set(fresh)
+    for clone in clones:
+        assert not key_slots_set(clone)
+        assert clone.key_hash == fresh.key_hash == hashing.base_hash(fresh.key)
+    hashed = make_conn(2)
+    hashed.key_hash = 12345  # a set hash is carried, never re-derived
+    for clone in (copy.copy(hashed), pickle.loads(pickle.dumps(hashed))):
+        assert key_slots_set(clone) and clone.key_hash == 12345
+
+
 # -- tuple-record addresses ------------------------------------------------
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import pytest
 
 from repro.netsim.flows import Connection
@@ -57,9 +55,6 @@ class RecordingLb(LoadBalancer):
         for c in self.active:
             c.record_decision(self.queue.now, self.current)
 
-    def report(self) -> Dict[str, float]:
-        return {"events": float(len(self.events))}
-
 
 class TestFlowSimulator:
     def test_arrival_and_end_delivered_in_order(self):
@@ -105,11 +100,6 @@ class TestFlowSimulator:
         bad = UpdateEvent(-1.0, VIP, UpdateKind.ADD, DIP_B)
         with pytest.raises(ValueError):
             sim.run([conn(1, 0.0, 1.0)], [bad], horizon_s=5.0)
-
-    def test_report_carries_lb_extra(self):
-        lb = RecordingLb()
-        report = FlowSimulator(lb).run([conn(1, 0.0, 1.0)], horizon_s=5.0)
-        assert report.extra["events"] == 2.0
 
     def test_summary_format(self):
         lb = RecordingLb()

@@ -33,7 +33,7 @@ _SWITCH_REPORT = {
             "vip": "20.0.0.0:80",
         }
     ],
-    "fingerprint": "6f67a4a8c6d3d4a525e610e9cd6c9cd225542127ecb6f5926d75b2d666e0eb60",
+    "fingerprint": "cfda30aafd5b11ff9f8838a516c39bc1e787e7cf82bc09160ff5ae4e1bf13b48",
     "mutations": 3,
     "now": 64.0,
     "pcc_violations": 0,
@@ -61,7 +61,7 @@ PINNED_REPORTS = {
                 "vip": "20.0.0.0:80",
             }
         ],
-        "fingerprint": "07c5f37a1baced3bff91dbaae0ba97cab2c8081b371209e13d225408289f2b5b",
+        "fingerprint": "aa1f1cf6308fe9a2dd92acb54225baeb2435b0e76ae128cc0db631ff519f7f2d",
         "mutations": 3,
         "now": 29.0,
         "pcc_violations": 22,

@@ -321,3 +321,18 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "broke PCC" in out
+        assert "peak_connections:" in out
+
+    @pytest.mark.parametrize(
+        "system, counts",
+        [
+            ("duet", ("migrations_to_slb:", "migrations_back:", "vips_at_slb:")),
+            ("silkroad", ("switch.stale_updates:", "switch_cpu.jobs_shed_total:")),
+        ],
+    )
+    def test_pcc_prints_the_system_counts(self, capsys, system, counts):
+        argv = ["pcc", "--system", system, "--scale", "0.1", "--horizon", "30"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for count in counts:
+            assert count in out

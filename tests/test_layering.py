@@ -51,6 +51,11 @@ And a value is settable only if some program sets it: every field of
 keyword or a string literal somewhere a program lives (``src/repro``
 outside the field's own module, ``perf/``, ``benchmarks/``,
 ``examples/``); what only tests vary is a module constant they patch.
+And one name per count: no ``def report`` outside ``deploy/fleet.py``
+(whose replicated fleet counters cannot yet be registry counters), no
+count stored as a plain switch attribute, no counts dict on a simulation
+report or a sharded run, and docs/observability.md's metric catalogue
+names exactly what a fresh switch registers.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -704,3 +709,66 @@ def test_every_config_field_has_a_setter():
         "config fields no program sets (make each a module constant beside "
         f"the code that reads it): {unset}"
     )
+
+
+def test_one_name_per_count():
+    """A count lives in the registry under its one name: no ``report()``
+    dict renames it (the fleet's control-plane counters excepted: they are
+    replicated across partition replicas), no switch attribute stores it,
+    and neither a simulation report nor a sharded run carries a dict of
+    counts beside its registry."""
+    from repro.core import SilkRoadSwitch
+    from repro.experiments.common import build_workload
+    from repro.experiments.parallel import ShardedRunResult, ShardResult
+    from repro.netsim.simulator import SimulationReport
+
+    reporters = sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "report"
+    )
+    assert reporters == ["deploy/fleet.py"], reporters
+
+    workload = build_workload(60.0, scale=0.02, seed=7, horizon_s=10.0)
+    _report, _conns, switch = workload.replay(SilkRoadSwitch)
+    assert switch.connections_seen > 0
+    stored = [
+        name
+        for name, value in vars(switch).items()
+        if not name.startswith("_") and isinstance(value, (int, float, dict))
+    ]
+    assert not stored, f"counts stored beside the registry: {stored}"
+    assert not [f.name for f in fields(SimulationReport) if "Dict" in str(f.type)]
+    for result in (ShardResult, ShardedRunResult):
+        assert "counters" not in {f.name for f in fields(result)}, result.__name__
+
+
+def _catalogued_names():
+    """Every ``<scope>.<name>`` the metric catalogue tables list."""
+    text = (ROOT / "docs" / "observability.md").read_text()
+    section = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    names, scope = set(), None
+    for line in section.splitlines():
+        if line.startswith("### "):
+            scope = line.split("`")[1].removesuffix(".*")
+        elif line.startswith("| `") and scope is not None:
+            cell = line.split("|")[1]
+            names |= {f"{scope}.{part.strip().strip('`')}" for part in cell.split("/")}
+    return names
+
+
+def test_one_metric_catalogue():
+    """docs/observability.md lists exactly what a fresh switch registers
+    (the per-stage ``stage<i>_occupancy`` gauges as one pattern row)."""
+    import re
+
+    from repro.core import SilkRoadSwitch
+
+    registered = {
+        re.sub(r"\.stage\d+_occupancy$", ".stage<i>_occupancy", name)
+        for name in SilkRoadSwitch().metrics.names()
+    }
+    catalogued = _catalogued_names()
+    assert registered - catalogued == set(), "registered, not catalogued"
+    assert catalogued - registered == set(), "catalogued, not registered"
