@@ -28,6 +28,10 @@ mixing of its one base hash (:mod:`repro.asicsim.hashing`); a window of
 keys is profiled in one numpy pass (:meth:`CuckooTable.profile_many`),
 bit-identical to the per-key rounds.
 
+The host keeps a resident entry as one *row* of typed columns and an
+occupied bucket as one int word, so every byte the table holds grows with
+its residents, never with its capacity (see :class:`CuckooTable`).
+
 The table additionally enforces the software invariant that no *resident*
 connection's lookup is shadowed by another resident entry: when a placement
 would shadow (or be shadowed by) an existing entry, the search avoids it.
@@ -35,10 +39,9 @@ would shadow (or be shadowed by) an existing entry, the search avoids it.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -60,6 +63,9 @@ MAX_BFS_NODES = 4096
 #: below it the scalar rounds are cheaper than the array round-trip.
 PROFILE_VECTOR_MIN = 3
 
+#: Rows the columns grow by when no row is free (one copy in C per block).
+ROW_BLOCK = 64
+
 
 def stage_hash_units(
     stages: int, seed: int = DEFAULT_SEED
@@ -69,9 +75,7 @@ def stage_hash_units(
     return hash_family(stages, base_seed=seed), hash_family(stages, base_seed=digest_seed)
 
 
-def buckets_for_capacity(
-    capacity: int, target_load: float, ways: int, stages: int
-) -> int:
+def buckets_for_capacity(capacity: int, target_load: float, ways: int, stages: int) -> int:
     """Buckets per stage so ``capacity`` entries fit at ``target_load``."""
     if capacity <= 0:
         raise ValueError("capacity must be positive")
@@ -79,6 +83,11 @@ def buckets_for_capacity(
         raise ValueError("target_load must be in (0, 1]")
     slots_needed = int(capacity / target_load)
     return max(-(-slots_needed // (stages * ways)), 1)
+
+
+def _column(bits: int) -> array:
+    """An empty column of the narrowest unsigned item holding ``bits``."""
+    return next(array(code) for code in "BHIQ" if array(code).itemsize * 8 >= bits)
 
 
 class TableFull(RuntimeError):
@@ -102,35 +111,6 @@ class Location(NamedTuple):
     way: int
 
 
-class Slot:
-    """One occupied table slot (one packed entry in an SRAM word).
-
-    It is also the one software shadow record of its resident: where the
-    entry lives (its stage and its slot-map index, the very int object
-    that keys it in the map) and its candidate triples in every stage
-    (:meth:`CuckooTable._profile`), so a move or a delete re-derives
-    nothing.  It keeps no copy of the entry's digest, which is always
-    its home stage's triple shifted down (``profile[stage] >>
-    _cand_shift``).  Its :class:`Location` is built only when asked for.
-    """
-
-    __slots__ = ("key", "value", "stage", "index", "profile")
-
-    def __init__(
-        self,
-        key: bytes,
-        value: int,
-        stage: int,
-        index: int,
-        profile: Tuple[int, ...],
-    ) -> None:
-        self.key = key
-        self.value = value
-        self.stage = stage
-        self.index = index
-        self.profile = profile
-
-
 class LookupResult(NamedTuple):
     """Outcome of a data-plane lookup.
 
@@ -150,9 +130,6 @@ class LookupResult(NamedTuple):
 #: every miss without a per-call allocation.
 _MISS = LookupResult(hit=False)
 
-#: Sort key putting slots in physical order (a bucket's in way order).
-_INDEX = attrgetter("index")
-
 
 class InsertResult(NamedTuple):
     """Outcome of a software insertion."""
@@ -169,6 +146,25 @@ _new_record = tuple.__new__
 
 class CuckooTable:
     """A ``stages``-stage, ``ways``-way cuckoo hash table with digests.
+
+    The software shadow state is columnar:
+
+    * A resident is a dense *row* (``_row_of`` maps its key to it; a deleted
+      row is reused from ``_free``) across typed columns: key, value, slot
+      ``(stage offset + bucket) * ways + way`` (whose stage is its home),
+      and its profile: its cell and its digest in every stage, a row's
+      stages side by side in ``_cells`` and in ``_digests``.
+    * An occupied bucket is one int *word* in ``_buckets``, keyed by its
+      cell (stage offset + bucket): ``ways`` valid bits, then one row
+      field per way — the model's copy of the SRAM word.
+    * ``_match`` maps each resident's packed *home triple*, ``digest <<
+      shift | cell``, to its row: the key the data plane matches on, so a
+      lookup miss is one C-level disjointness test.
+    * ``_below`` keeps, per cell, the digests of the residents whose
+      candidate bucket it is in a stage *below* their home, which neither
+      map names and placement legality needs.
+
+    A packed triple is rebuilt from the columns only where it is compared.
 
     Parameters
     ----------
@@ -246,12 +242,9 @@ class CuckooTable:
         self._index_units, self._digest_units = stage_hash_units(stages, seed)
         # A candidate (stage, bucket, digest) triple is packed into one int,
         # ``digest << shift | (stage * buckets + bucket)``: its low bits are
-        # the bucket's cell in the slot map below, and an int hashes far
-        # cheaper than a tuple on the hottest paths (lookup's fast miss,
-        # registration per insert / delete).
-        self._stage_offsets: List[int] = [
-            s * buckets_per_stage for s in range(stages)
-        ]
+        # the bucket's cell, and an int hashes far cheaper than a tuple on
+        # the hottest paths (lookup's fast miss, the twin test per insert).
+        self._stage_offsets: List[int] = [s * buckets_per_stage for s in range(stages)]
         self._cand_shift = (stages * buckets_per_stage).bit_length()
         self._cell_mask = (1 << self._cand_shift) - 1
         # Pre-resolved per-stage derivation parameters so the hot profile
@@ -278,50 +271,56 @@ class CuckooTable:
         )[:, None]
         # A packed triple fits a uint64 unless a digest is very wide.
         self._pack_in_numpy = self.digest_bits + self._cand_shift <= 64
-        # The slot map holds occupied slots only: entry (stage, bucket, way)
-        # lives at index ``(stage * buckets_per_stage + bucket) * ways +
-        # way``, and an absent index is a free slot.  An empty table costs
-        # the same whatever its capacity.
-        self._column: Dict[int, Slot] = {}
+        # The resident rows.  Every column starts empty and grows with the
+        # rows ever live at once (the residents and one key mid-insert,
+        # rounded up to a ROW_BLOCK); a free row's items stay until the row
+        # is reused.  A row's cells and digests sit side by side, stage s of
+        # row r at item r * stages + s, and its home stage is its slot's.
+        self._row_of: Dict[bytes, int] = {}
+        self._free: List[int] = []
+        self._keys: List[Optional[bytes]] = []
+        self._values = _column(value_bits)
+        self._slots = _column(capacity.bit_length())
+        self._stage_slots = buckets_per_stage * ways
+        self._cells = _column(self._cand_shift)
+        self._digests = _column(self.digest_bits)
+        # Occupied buckets only: cell -> word.  Bit ``way`` of a word is set
+        # when that way holds an entry, whose row sits in the field at bit
+        # ``ways + way * _row_bits``; a word leaves the map with its last
+        # entry.
+        self._buckets: Dict[int, int] = {}
+        self._row_bits = (capacity + ROW_BLOCK).bit_length()
+        self._row_mask = (1 << self._row_bits) - 1
+        self._full = (1 << ways) - 1
+        # Packed home triple -> row (one per resident: two residents under
+        # one triple would share a bucket and a digest, and one of them
+        # would be shadowed).
+        self._match: Dict[int, int] = {}
+        # cell -> the digests (in that cell's stage) of the residents whose
+        # candidate bucket there is the cell and whose home is a later
+        # stage; a multiset, in the stage's digest column type.
+        self._below: Dict[int, array] = {}
         #: Resident entries per stage, maintained on place / move / delete.
         self._stage_counts: List[int] = [0] * stages
-        # Software shadow state, one record per resident: full key -> its
-        # Slot, which knows its location and candidate triples.
-        self._where: Dict[bytes, Slot] = {}
         if profile_cache_size <= 0:
             raise ValueError("profile_cache_size must be positive")
         self.profile_cache_size = profile_cache_size
         self._profile_cache: "OrderedDict[bytes, Tuple[int, ...]]" = OrderedDict()
         self.profile_cache_evictions = 0
-        # Candidate triple -> the resident key registered under it, so
-        # collision checks are O(stages) instead of O(n).  A resident is
-        # registered under its triples of stages 0..home only: every reader
-        # (the bucket scan, digest twins, placement legality) ignores an
-        # owner whose home is earlier than the triple's stage.  The value is
-        # the key itself; it becomes a set of keys only while two or more
-        # residents really share the triple, and is demoted back to the
-        # survivor when the others leave.
-        self._candidates: Dict[int, Union[bytes, Set[bytes]]] = {}
         if metrics is None:
             metrics = MetricRegistry().scope("")
-        self._m_lookups = metrics.counter(
-            "lookups_total", "data-plane digest lookups"
-        )
+        self._m_lookups = metrics.counter("lookups_total", "data-plane digest lookups")
         self._m_lookup_fp = metrics.counter(
             "lookup_false_positives_total", "digest matches on a different key"
         )
         self._m_insert_attempts = metrics.counter(
             "insert_attempts_total", "software insertion attempts"
         )
-        self._m_inserts = metrics.counter(
-            "inserts_total", "successful insertions"
-        )
+        self._m_inserts = metrics.counter("inserts_total", "successful insertions")
         self._m_insert_failures = metrics.counter(
             "insert_failures_total", "insertions rejected (table full)"
         )
-        self._m_moves = metrics.counter(
-            "cuckoo_moves_total", "entries moved by the cuckoo BFS"
-        )
+        self._m_moves = metrics.counter("cuckoo_moves_total", "entries moved by the cuckoo BFS")
         self._m_moves_hist = metrics.histogram(
             "cuckoo_moves_per_insert",
             buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
@@ -330,11 +329,9 @@ class CuckooTable:
         self._m_relocations = metrics.counter(
             "collision_relocations_total", "digest-twin relocations before insert"
         )
-        self._m_deletes = metrics.counter(
-            "deletes_total", "entry removals (connection expiry)"
-        )
+        self._m_deletes = metrics.counter("deletes_total", "entry removals (connection expiry)")
         metrics.gauge("occupancy", "resident entries").set_function(
-            lambda: float(len(self._where))
+            lambda: float(len(self._row_of))
         )
         metrics.gauge("load_factor", "occupancy / capacity").set_function(
             lambda: self.load_factor
@@ -396,16 +393,16 @@ class CuckooTable:
 
     @property
     def load_factor(self) -> float:
-        return len(self._where) / self.capacity if self.capacity else 0.0
+        return len(self._row_of) / self.capacity if self.capacity else 0.0
 
     def __len__(self) -> int:
-        return len(self._where)
+        return len(self._row_of)
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._where
+        return key in self._row_of
 
     def keys(self) -> Iterator[bytes]:
-        return iter(self._where)
+        return iter(self._row_of)
 
     # ------------------------------------------------------------------
     # Per-key geometry
@@ -419,10 +416,11 @@ class CuckooTable:
         stage's bucket index and digest come from cheap seeded integer
         mixing of that base.
 
-        A resident's profile rides on its :class:`Slot`; a bounded LRU side
-        cache covers keys being probed or mid-insertion (the arrival looks
-        the key up, the install inserts it and drops it from the cache)
-        without the re-hash storms a wholesale clear would cause under churn.
+        A resident's profile lives in its row; a bounded LRU side cache
+        covers keys being probed or mid-insertion (the arrival looks the
+        key up, the install inserts it and drops it from the cache)
+        without the re-hash storms a wholesale clear would cause under
+        churn.
         """
         cache = self._profile_cache
         cached = cache.get(key)
@@ -436,10 +434,13 @@ class CuckooTable:
     def _derive_profile(self, base: int) -> Tuple[int, ...]:
         """The scalar derivation: a base hash's candidate triples."""
         buckets, cshift = self.buckets_per_stage, self._cand_shift
+        # Built from a list, so the tuple is allocated at its final size.
         return tuple(
-            (_splitmix64(base ^ digest_mix) >> shift) << cshift
-            | (offset + _splitmix64(base ^ index_mix) % buckets)
-            for index_mix, digest_mix, shift, offset in self._stage_mixes
+            [
+                (_splitmix64(base ^ digest_mix) >> shift) << cshift
+                | (offset + _splitmix64(base ^ index_mix) % buckets)
+                for index_mix, digest_mix, shift, offset in self._stage_mixes
+            ]
         )
 
     def _cache_profile(self, key: bytes, profile: Tuple[int, ...]) -> None:
@@ -490,13 +491,13 @@ class CuckooTable:
         misses insert with the same eviction rule), so cache state evolves
         as if each key had been profiled individually.
         """
-        where = self._where
+        rows = self._row_of
         cache = self._profile_cache
         missing_keys: List[bytes] = []
         missing_bases: List[int] = []
         seen: Set[bytes] = set()
         for key, base in zip(keys, key_hashes):
-            if key in where or key in cache or key in seen:
+            if key in rows or key in cache or key in seen:
                 continue
             seen.add(key)
             missing_keys.append(key)
@@ -509,7 +510,7 @@ class CuckooTable:
             else {}
         )
         for key, base in zip(keys, key_hashes):
-            if key in where:
+            if key in rows:
                 continue
             if key in cache or key not in computed:
                 # A hit refreshes the LRU position.  A key that was cached
@@ -519,6 +520,15 @@ class CuckooTable:
                 self._profile(key, base)
             else:
                 self._cache_profile(key, computed[key])
+
+    def _triple(self, row: int, stage: int) -> int:
+        """``row``'s packed candidate triple in ``stage``, rebuilt."""
+        item = row * self.stages + stage
+        return self._digests[item] << self._cand_shift | self._cells[item]
+
+    def _home(self, row: int) -> int:
+        """The stage a resident ``row`` lives in."""
+        return self._slots[row] // self._stage_slots
 
     # ------------------------------------------------------------------
     # Data-plane lookup
@@ -533,168 +543,160 @@ class CuckooTable:
         is the key's cached base hash; supplying it skips the byte pass.
         """
         self._m_lookups.value += 1.0
-        slot = self._where.get(key)
-        profile = self._profile(key, key_hash) if slot is None else slot.profile
-        # Fast miss: every slot whose digest could match is owned by a key
-        # registered under the same (stage, bucket, digest) triple, so if
-        # no such key exists in any stage the scan cannot hit.
-        if self._candidates.keys().isdisjoint(profile):
+        row = self._row_of.get(key)
+        if row is None:
+            profile = self._profile(key, key_hash)
+        else:  # a resident's triples, rebuilt from its row
+            profile = tuple([self._triple(row, stage) for stage in range(self.stages)])
+        match = self._match
+        # Fast miss: the entry a candidate bucket of stage s holds with the
+        # key's digest is the resident whose home triple is the key's
+        # triple of stage s; with none in any stage the lookup cannot hit.
+        if match.keys().isdisjoint(profile):
             return _MISS
-        return self._scan(key, profile)
-
-    def _scan(self, key: bytes, profile) -> LookupResult:
-        """The bucket scan behind :meth:`lookup`'s fast-miss filter
-        (false-positive accounting happens here).
-
-        Answered from the candidate index: the slots of bucket (s, b) that
-        hold digest d are exactly the residents registered under triple
-        (s, b, d) that live in stage s, and the lowest way among them is
-        the one the hardware's in-order scan would hit."""
-        candidates, where = self._candidates, self._where
-        for stage, cand in enumerate(profile):
-            owners = candidates.get(cand)
-            if owners is None:
-                continue
-            if type(owners) is set:
-                matches = self._matches(stage, owners)
-                if not matches:
-                    continue
-                slot = matches[0]
-            else:
-                slot = where[owners]
-                if slot.stage != stage:
-                    continue
-            fp = slot.key != key
-            if fp:
-                self._m_lookup_fp.value += 1.0
-            return LookupResult(
-                hit=True,
-                value=slot.value,
-                location=self._location(slot),
-                false_positive=fp,
-            )
+        for cand in profile:
+            other = match.get(cand)
+            if other is not None:
+                fp = self._keys[other] != key
+                if fp:
+                    self._m_lookup_fp.value += 1.0
+                return LookupResult(True, self._values[other], self._location(other), fp)
         return _MISS
-
-    def _matches(self, stage: int, owners) -> List[Slot]:
-        """The slots holding a candidate triple's digest in its bucket of
-        ``stage``, in way order: those of its registered ``owners`` (a key
-        or a set of keys) that live in that stage."""
-        where = self._where
-        if type(owners) is not set:
-            slot = where[owners]
-            return [slot] if slot.stage == stage else []
-        return sorted(
-            (slot for slot in map(where.__getitem__, owners) if slot.stage == stage),
-            key=_INDEX,
-        )
 
     def get_exact(self, key: bytes) -> Optional[int]:
         """Software (full-key) lookup; no false positives."""
-        slot = self._where.get(key)
-        return None if slot is None else slot.value
-
-    def location_of(self, key: bytes) -> Optional[Location]:
-        slot = self._where.get(key)
-        return None if slot is None else self._location(slot)
+        row = self._row_of.get(key)
+        return None if row is None else self._values[row]
 
     def key_at(self, location: Location) -> Optional[bytes]:
         """Full key of the entry at ``location``; ``None`` for a free slot."""
-        slot = self._column.get(self._index(location))
-        return None if slot is None else slot.key
+        stage, bucket, way = location
+        word = self._buckets.get(self._stage_offsets[stage] + bucket, 0)
+        return self._keys[self._way_row(word, way)] if word >> way & 1 else None
 
-    def _index(self, loc: Location) -> int:
-        """Slot-map index of a physical location."""
-        return (self._stage_offsets[loc[0]] + loc[1]) * self.ways + loc[2]
+    def _way_row(self, word: int, way: int) -> int:
+        """The row in ``way`` of a bucket ``word``."""
+        return word >> self.ways + way * self._row_bits & self._row_mask
 
-    def _location(self, slot: Slot) -> Location:
-        """Physical location of a resident's slot."""
-        cell, way = divmod(slot.index, self.ways)
-        return Location(slot.stage, cell - self._stage_offsets[slot.stage], way)
+    def _location(self, row: int) -> Location:
+        """Physical location of a resident's row."""
+        stage = self._home(row)
+        cell, way = divmod(self._slots[row], self.ways)
+        return _new_record(Location, (stage, cell - self._stage_offsets[stage], way))
 
     # ------------------------------------------------------------------
     # Placement legality (software invariant)
     # ------------------------------------------------------------------
 
-    def _placement_legal(self, key: bytes, stage: int, profile) -> bool:
-        """Whether storing ``key`` at ``stage`` keeps every lookup unambiguous.
+    def _placement_legal(self, row: int, stage: int) -> bool:
+        """Whether storing ``row`` at ``stage`` keeps every lookup unambiguous.
 
-        A read-only question answered from the shadow maps alone: a resident
-        whose stored digest matches ``key``'s in one of its candidate buckets
-        is registered under the same (stage, bucket, digest) triple.  One
-        living in an *earlier* candidate stage, or in the same bucket of
-        ``stage`` itself, would be hit first and shadow ``key``; one living
-        in a *later* stage would be shadowed by it; either way the owner's
-        home is no earlier than the triple's stage, so it is registered
-        there.  ``key``'s own registrations are skipped, so the same check
-        serves a resident being moved — its vacated slot needs no
-        blanking.
+        A read-only question answered from the shadow maps alone.  A
+        resident of a *later* stage whose candidate bucket and digest in
+        ``stage`` are ``row``'s would be shadowed by it (``_below`` counts
+        those); one stored under ``row``'s triple of an *earlier* stage, or
+        of ``stage``, would shadow it (``_match`` names those) — up to its
+        home, none does for a resident being moved: no resident is shadowed
+        where it lives.  ``row`` itself is skipped, so its vacated slot
+        needs no blanking.
         """
-        candidates, where = self._candidates, self._where
-        for t in range(stage + 1):
-            owners = candidates.get(profile[t])
-            if owners is None:
-                continue
-            for other in owners if type(owners) is set else (owners,):
-                if other != key:
-                    home = where[other].stage
-                    if home == t or (t == stage and home > t):
-                        return False
+        home = -1 if self._keys[row] is None else self._slots[row] // self._stage_slots
+        cells, digests, base = self._cells, self._digests, row * self.stages
+        below = self._below.get(cells[base + stage])
+        # A resident is registered below its home itself.
+        if below is not None and below.count(digests[base + stage]) > (stage < home):
+            return False
+        match, shift = self._match, self._cand_shift
+        for item in range(base + home + 1, base + stage + 1):
+            other = match.get(digests[item] << shift | cells[item])
+            if other is not None and other != row:
+                return False
         return True
 
     # ------------------------------------------------------------------
     # Mutation primitives
     # ------------------------------------------------------------------
 
-    def _move(self, slot: Slot, stage: int, cell: int, way: int) -> None:
-        """Re-home a resident's ``slot`` in the free ``way`` of bucket
-        ``cell`` of ``stage``; its digest becomes that stage's (read off the
-        profile), and the key is registered under exactly its triples of
-        stages 0..``stage``."""
-        col = self._column
-        del col[slot.index]
-        home = slot.stage
-        self._stage_counts[home] -= 1
-        if stage > home:
-            self._register(slot.key, slot.profile[home + 1 : stage + 1])
-        elif stage < home:
-            self._unregister(slot.key, slot.profile[stage + 1 : home + 1])
-        slot.stage = stage
-        slot.index = index = cell * self.ways + way
-        col[index] = slot
+    def _new_row(self, value: int, profile: Tuple[int, ...]) -> int:
+        """A row holding ``value`` and ``profile``, not yet placed (its key
+        is written when it is)."""
+        cells, digests = self._cells, self._digests
+        if not self._free:
+            rows = len(self._keys)
+            self._keys.extend([None] * ROW_BLOCK)
+            self._values.frombytes(bytes(ROW_BLOCK * self._values.itemsize))
+            self._slots.frombytes(bytes(ROW_BLOCK * self._slots.itemsize))
+            cells.frombytes(bytes(ROW_BLOCK * self.stages * cells.itemsize))
+            digests.frombytes(bytes(ROW_BLOCK * self.stages * digests.itemsize))
+            self._free.extend(range(rows + ROW_BLOCK - 1, rows - 1, -1))
+        row = self._free.pop()
+        self._values[row] = value
+        mask, shift = self._cell_mask, self._cand_shift
+        for item, cand in enumerate(profile, row * self.stages):
+            cells[item] = cand & mask
+            digests[item] = cand >> shift
+        return row
+
+    def _place(self, row: int, stage: int, way: int, triple: int) -> None:
+        """Store ``row`` in the free ``way`` of its candidate bucket of
+        ``stage``, whose packed triple there is ``triple``."""
+        cell = triple & self._cell_mask
+        field = row << self.ways + way * self._row_bits
+        self._buckets[cell] = self._buckets.get(cell, 0) | 1 << way | field
+        self._match[triple] = row
+        self._slots[row] = cell * self.ways + way
         self._stage_counts[stage] += 1
 
-    def _register(self, key: bytes, cands) -> None:
-        """Add ``key`` as an owner of each candidate triple in ``cands``."""
-        candidates = self._candidates
-        for cand in cands:
-            owner = candidates.get(cand)
-            if owner is None:
-                candidates[cand] = key
-            elif type(owner) is set:
-                owner.add(key)
-            else:
-                candidates[cand] = {owner, key}
+    def _unplace(self, row: int) -> int:
+        """Free ``row``'s slot; returns its (former) home stage."""
+        slot = self._slots[row]
+        home, (cell, way) = slot // self._stage_slots, divmod(slot, self.ways)
+        field = self._row_mask << self.ways + way * self._row_bits
+        word = self._buckets[cell] & ~(1 << way | field)
+        if word:
+            self._buckets[cell] = word
+        else:
+            del self._buckets[cell]
+        del self._match[self._digests[row * self.stages + home] << self._cand_shift | cell]
+        self._stage_counts[home] -= 1
+        return home
 
-    def _unregister(self, key: bytes, cands) -> None:
-        """Remove ``key``'s ownership of each candidate triple in ``cands``."""
-        candidates = self._candidates
-        for cand in cands:
-            owner = candidates[cand]
-            if type(owner) is set:
-                owner.remove(key)
-                if len(owner) == 1:
-                    candidates[cand] = owner.pop()
+    def _move(self, row: int, stage: int, way: int) -> None:
+        """Re-home a resident ``row`` in the free ``way`` of its candidate
+        bucket of ``stage``; it is registered below its home at exactly
+        stages 0..``stage - 1`` afterwards."""
+        home = self._unplace(row)
+        if stage > home:
+            self._register(row, home, stage)
+        elif stage < home:
+            self._unregister(row, stage, home)
+        self._place(row, stage, way, self._triple(row, stage))
+
+    def _register(self, row: int, first: int, stop: int) -> None:
+        """Register ``row`` under its cells of stages ``first..stop - 1``."""
+        below, cells, digests = self._below, self._cells, self._digests
+        for item in range(row * self.stages + first, row * self.stages + stop):
+            cell, digest = cells[item], digests[item]
+            registered = below.get(cell)
+            if registered is None:
+                below[cell] = array(digests.typecode, (digest,))
             else:
-                del candidates[cand]
+                registered.append(digest)
+
+    def _unregister(self, row: int, first: int, stop: int) -> None:
+        """Drop ``row``'s registrations of stages ``first..stop - 1``."""
+        below, cells, digests = self._below, self._cells, self._digests
+        for item in range(row * self.stages + first, row * self.stages + stop):
+            registered = below[cells[item]]
+            if len(registered) == 1:
+                del below[cells[item]]
+            else:
+                registered.remove(digests[item])
 
     def _free_way(self, cell: int) -> Optional[int]:
         """First free way of bucket ``cell`` (stage offset + bucket)."""
-        col = self._column
-        base = cell * self.ways
-        for way in range(self.ways):
-            if base + way not in col:
-                return way
-        return None
+        valid = self._buckets.get(cell, 0) & self._full
+        return None if valid == self._full else (~valid & (valid + 1)).bit_length() - 1
 
     # ------------------------------------------------------------------
     # Insertion (software, cuckoo BFS)
@@ -712,50 +714,50 @@ class CuckooTable:
         the key's cached base hash; the whole insertion (profile, BFS,
         legality checks) then runs without re-hashing any bytes.
         """
-        where = self._where
-        if key in where:
+        rows = self._row_of
+        if key in rows:
             raise DuplicateKey(f"key already resident: {key!r}")
         self._m_insert_attempts.value += 1.0
         # Fast-fail when the table is effectively packed: running the BFS
         # for every arrival at a saturated table would burn the switch CPU
         # (and the simulator) for nothing.
-        if len(where) >= self._fast_fail_entries:
+        if len(rows) >= self._fast_fail_entries:
             self._m_insert_failures.value += 1.0
-            raise TableFull(
-                f"table effectively full ({len(where)}/{self.capacity})"
-            )
+            raise TableFull(f"table effectively full ({len(rows)}/{self.capacity})")
         profile = self._profile(key, key_hash)
-        candidates = self._candidates
-        # Only a resident registered under one of the key's own triples can
-        # be its digest twin or make a placement illegal; with none (nearly
-        # every insert) the first free candidate slot is the answer.
-        contested = not candidates.keys().isdisjoint(profile)
-        if contested:
-            # A resident digest twin in one of the key's candidate buckets
-            # shadows every legal placement; the switch software resolves
-            # the collision by relocating the resident entry to another
-            # stage (the same fix the redirected-SYN path performs, §4.2).
-            for twin in self._digest_twins(key, profile):
+        # A resident digest twin in a candidate bucket (one stored under the
+        # key's triple of its stage) shadows every legal placement; the
+        # switch software relocates it to another stage (the same fix the
+        # redirected-SYN path performs, §4.2).
+        match = self._match
+        twin_free = match.keys().isdisjoint(profile)
+        if not twin_free:
+            for twin in [self._keys[match[c]] for c in profile if c in match]:
                 if self.relocate(twin):
                     self._m_relocations.value += 1.0
 
-        free_way, mask = self._free_way, self._cell_mask
-        moves = 0
+        row = self._new_row(value, profile)
+        free_way, legal, mask = self._free_way, self._placement_legal, self._cell_mask
+        below, shift, moves = self._below, self._cand_shift, 0
         for stage, cand in enumerate(profile):
-            # Fast path: a free, legal slot in some candidate bucket.
-            way = free_way(cand & mask)
+            # Fast path: a free, legal slot in some candidate bucket.  With
+            # no twin, legal means no resident registered below there holds
+            # the key's digest.
+            cell = cand & mask
+            way = free_way(cell)
             if way is not None and (
-                not contested or self._placement_legal(key, stage, profile)
+                not below.get(cell, ()).count(cand >> shift) if twin_free else legal(row, stage)
             ):
                 break
         else:
             # BFS over move sequences; every legal candidate bucket is
             # now known to be full.
-            for path in self._bfs_paths(key, profile):
-                applied = self._apply_move_path(key, profile, path)
+            for path in self._bfs_paths(row):
+                applied = self._apply_move_path(row, path)
                 if applied is not None:
                     break
             else:
+                self._free.append(row)
                 self._m_insert_failures.value += 1.0
                 raise TableFull(
                     f"no slot for key after BFS over {MAX_BFS_NODES} nodes "
@@ -764,38 +766,25 @@ class CuckooTable:
             stage, way, moves = applied
 
         cand = profile[stage]
-        cell = cand & mask
-        index = cell * self.ways + way
-        self._column[index] = where[key] = Slot(key, value, stage, index, profile)
-        # Its profile rides on the Slot now; the LRU keeps in-flight keys only.
+        self._keys[row] = key
+        rows[key] = row
+        # Its profile lives in the row now; the LRU keeps in-flight keys only.
         self._profile_cache.pop(key, None)
-        self._stage_counts[stage] += 1
-        self._register(key, profile[: stage + 1])
+        self._place(row, stage, way, cand)
+        if stage:
+            self._register(row, 0, stage)
         self._m_inserts.value += 1.0
         self._m_moves.value += moves
         self._m_moves_hist.observe(float(moves))
-        bucket = cell - self._stage_offsets[stage]
+        bucket = (cand & mask) - self._stage_offsets[stage]
         location = _new_record(Location, (stage, bucket, way))
         return _new_record(InsertResult, (location, moves))
 
-    def _digest_twins(self, key: bytes, profile) -> List[bytes]:
-        """Resident keys whose stored digest collides with ``key`` in one of
-        its candidate buckets (they would shadow any placement of it)."""
-        twins: List[bytes] = []
-        candidates = self._candidates
-        for stage, cand in enumerate(profile):
-            # A twin slot's owner is always registered under this
-            # candidate triple (see :meth:`_scan`).
-            owners = candidates.get(cand)
-            if owners is not None:
-                twins.extend(slot.key for slot in self._matches(stage, owners))
-        return twins
-
-    def _bfs_paths(self, key: bytes, profile) -> Iterator[list]:
-        """Move sequences that would free a slot for ``key``, nearest first.
+    def _bfs_paths(self, row: int) -> Iterator[list]:
+        """Move sequences that would free a slot for ``row``, nearest first.
 
         Buckets are named by their cell (stage offset + bucket).  Each path
-        is the ``(stage, cell)`` that receives the new key followed by the
+        is the ``(stage, cell)`` that receives the new row followed by the
         ``(src_cell, way, dest_stage, dest_cell)`` moves that free a slot
         there, in path order (:meth:`_apply_move_path` applies them deepest
         first).  Legality is judged against the table as it stands, so a
@@ -805,15 +794,17 @@ class CuckooTable:
         frontier: List[Tuple[int, int, int, Optional[int]]] = []
         seen: Set[int] = set()
         queue: deque = deque()
-        mask = self._cell_mask
-        for stage, cand in enumerate(profile):
-            if not self._placement_legal(key, stage, profile):
+        cells, legal, stages = self._cells, self._placement_legal, self.stages
+        for stage in range(stages):
+            if not legal(row, stage):
                 continue
-            frontier.append((stage, cand & mask, -1, None))
+            cell = cells[row * stages + stage]
+            frontier.append((stage, cell, -1, None))
             queue.append(len(frontier) - 1)
-            seen.add(cand & mask)
+            seen.add(cell)
 
-        col, ways = self._column, self.ways
+        buckets, ways = self._buckets, self.ways
+        bits, row_mask = self._row_bits, self._row_mask
         nodes_explored = 0
         while queue and nodes_explored < MAX_BFS_NODES:
             idx = queue.popleft()
@@ -824,16 +815,16 @@ class CuckooTable:
             # known to be full (the roots failed insert's fast path, the
             # rest failed the free-way test below), so no way is probed
             # for being free.
-            base = cell * ways
+            word = buckets[cell]
             for way in range(ways):
-                slot = col[base + way]
-                for dest_stage, dest_cand in enumerate(slot.profile):
+                other = word >> ways + way * bits & row_mask
+                for dest_stage in range(stages):
                     if dest_stage == stage:
                         continue
-                    dest_cell = dest_cand & mask
+                    dest_cell = cells[other * stages + dest_stage]
                     if dest_cell in seen:
                         continue
-                    if not self._placement_legal(slot.key, dest_stage, slot.profile):
+                    if not legal(other, dest_stage):
                         continue
                     frontier.append((dest_stage, dest_cell, idx, way))
                     seen.add(dest_cell)
@@ -859,27 +850,27 @@ class CuckooTable:
             moves.append((src_cell, way, dst_stage, dst_cell))
         return [(root_stage, root_cell)] + moves
 
-    def _apply_move_path(self, key: bytes, profile, path):
+    def _apply_move_path(self, row: int, path):
         """Apply a path's moves deepest-first, each one only if it is legal
         against the table as the moves before it left it, then check that
-        ``key`` may take the freed slot.  Returns ``(stage, way, moves)``
-        for the new key; on any illegal step the applied moves are undone
+        ``row`` may take the freed slot.  Returns ``(stage, way, moves)``
+        for the new row; on any illegal step the applied moves are undone
         in reverse and the answer is ``None``."""
-        col, ways, per_stage = self._column, self.ways, self.buckets_per_stage
-        done: List[Tuple[Slot, int, int]] = []
+        per_stage = self.buckets_per_stage
+        done: List[Tuple[int, int, int]] = []
         for src_cell, way, dst_stage, dst_cell in reversed(path[1:]):
-            slot = col[src_cell * ways + way]
+            other = self._way_row(self._buckets[src_cell], way)
             # The search judged the deepest move against this very table.
-            if done and not self._placement_legal(slot.key, dst_stage, slot.profile):
+            if done and not self._placement_legal(other, dst_stage):
                 break
-            self._move(slot, dst_stage, dst_cell, self._free_way(dst_cell))
-            done.append((slot, src_cell, way))
+            self._move(other, dst_stage, self._free_way(dst_cell))
+            done.append((other, src_cell, way))
         else:
             stage, cell = path[0]
-            if self._placement_legal(key, stage, profile):
+            if self._placement_legal(row, stage):
                 return stage, self._free_way(cell), len(done)
-        for slot, src_cell, way in reversed(done):
-            self._move(slot, src_cell // per_stage, src_cell, way)
+        for other, src_cell, way in reversed(done):
+            self._move(other, src_cell // per_stage, way)
         return None
 
     # ------------------------------------------------------------------
@@ -888,19 +879,21 @@ class CuckooTable:
 
     def update(self, key: bytes, value: int) -> None:
         """Rewrite the action data of a resident entry in place."""
-        slot = self._where.get(key)
-        if slot is None:
+        row = self._row_of.get(key)
+        if row is None:
             raise KeyError(f"key not resident: {key!r}")
-        slot.value = value
+        self._values[row] = value
 
     def delete(self, key: bytes) -> None:
         """Remove a resident entry (connection expiry)."""
-        slot = self._where.pop(key, None)
-        if slot is None:
+        row = self._row_of.pop(key, None)
+        if row is None:
             raise KeyError(f"key not resident: {key!r}")
-        del self._column[slot.index]
-        self._stage_counts[slot.stage] -= 1
-        self._unregister(key, slot.profile[: slot.stage + 1])
+        home = self._unplace(row)
+        if home:
+            self._unregister(row, 0, home)
+        self._keys[row] = None
+        self._free.append(row)
         self._m_deletes.value += 1.0
 
     def relocate(self, key: bytes) -> bool:
@@ -911,18 +904,17 @@ class CuckooTable:
         stage where the two connections hash apart.  Returns ``True`` on
         success.
         """
-        slot = self._where.get(key)
-        if slot is None:
+        row = self._row_of.get(key)
+        if row is None:
             raise KeyError(f"key not resident: {key!r}")
-        profile = slot.profile
-        for dest_stage, cand in enumerate(profile):
-            if dest_stage == slot.stage:
+        home, base = self._home(row), row * self.stages
+        for dest_stage in range(self.stages):
+            if dest_stage == home:
                 continue
-            dest_cell = cand & self._cell_mask
-            dest_way = self._free_way(dest_cell)
-            if dest_way is None or not self._placement_legal(key, dest_stage, profile):
+            dest_way = self._free_way(self._cells[base + dest_stage])
+            if dest_way is None or not self._placement_legal(row, dest_stage):
                 continue
-            self._move(slot, dest_stage, dest_cell, dest_way)
+            self._move(row, dest_stage, dest_way)
             return True
         return False
 
@@ -938,76 +930,81 @@ class CuckooTable:
         """Every resident entry as ``(stage, bucket, way, key, digest,
         value)``, in physical (slot-index) order; cost follows the
         residents."""
-        shift = self._cand_shift
-        for slot in sorted(self._where.values(), key=_INDEX):
-            digest = slot.profile[slot.stage] >> shift
-            yield (*self._location(slot), slot.key, digest, slot.value)
+        for row in sorted(self._row_of.values(), key=self._slots.__getitem__):
+            digest = self._digests[row * self.stages + self._home(row)]
+            yield (*self._location(row), self._keys[row], digest, self._values[row])
 
     def check_invariants(self) -> None:
-        """Validate shadow state against the slot map (test helper).
+        """Validate the shadow state against the bucket words (test helper).
 
-        Every ``_where`` entry must be the Slot sitting at its own in-range
-        index, inside its own stage, holding its own key; distinct keys then
-        occupy distinct slots, so a slot map no larger than ``_where``
-        proves no slot is orphaned.  The candidate index is audited from its
-        own side: every registration must name a resident under one of that
-        resident's triples at a stage no later than its home, and
-        ``home + 1`` registrations per resident then proves none is missing.
-        The whole audit costs O(resident), not O(capacity).
+        Every ``_row_of`` entry must name a row holding its own key at an
+        in-range slot of its own candidate bucket, whose word holds it in
+        that way, and matched under its own home triple; words holding no
+        more entries than ``_row_of`` (no stale field, no emptied word) and
+        ``_match`` no more triples prove nothing is orphaned.  ``_below``
+        must hold exactly the digests the residents below their home need;
+        free rows hold no key.  The audit costs O(resident), not O(capacity).
         """
-        col, where = self._column, self._where
-        stage_slots = self.buckets_per_stage * self.ways
-        counts = [0] * self.stages
-        for key, slot in where.items():
-            stage, index = slot.stage, slot.index
+        rows, keys, cells, stages = self._row_of, self._keys, self._cells, self.stages
+        ways, home = self.ways, self._home
+        counts = [0] * stages
+        for key, row in rows.items():
+            stage, index = home(row), self._slots[row]
+            cell, way = divmod(index, ways)
+            word = self._buckets.get(cell, 0)
             if (
                 not 0 <= index < self.capacity
-                or index // stage_slots != stage
-                or col.get(index) is not slot
-                or slot.key != key
+                or cells[row * stages + stage] != cell
+                or not word >> way & 1
+                or self._way_row(word, way) != row
+                or keys[row] != key
             ):
                 raise AssertionError(
                     f"shadow map out of sync for {key!r}: stage {stage}, index {index}"
                 )
+            if self._match.get(self._triple(row, stage)) != row:
+                raise AssertionError(f"{key!r} is not matched under its own triple")
             counts[stage] += 1
-        if len(col) != len(where):
-            raise AssertionError(
-                f"slot count {len(col)} != shadow count {len(where)}"
-            )
+        occupied = 0
+        for cell, word in self._buckets.items():
+            valid = word & self._full
+            if not valid:
+                raise AssertionError(f"bucket map kept the emptied bucket {cell}")
+            if any(self._way_row(word, w) for w in range(ways) if not valid >> w & 1):
+                raise AssertionError(f"bucket {cell} keeps a row in a free way")
+            occupied += bin(valid).count("1")
+        if occupied != len(rows):
+            raise AssertionError(f"slot count {occupied} != shadow count {len(rows)}")
+        if len(self._match) != len(rows):
+            raise AssertionError(f"{len(self._match)} matched triples, {len(rows)} residents")
         if counts != self._stage_counts:
+            raise AssertionError(f"stage counters {self._stage_counts} != recount {counts}")
+        needed: Dict[int, List[int]] = {}
+        for row in rows.values():
+            for item in range(row * stages, row * stages + home(row)):
+                needed.setdefault(cells[item], []).append(self._digests[item])
+        for cell, digests in self._below.items():
+            if not digests:
+                raise AssertionError(f"below-home index kept the empty cell {cell}")
+            want = sorted(needed.pop(cell, ()))
+            if sorted(digests) != want:
+                raise AssertionError(
+                    f"cell {cell} registers digests {sorted(digests)}; the "
+                    f"residents it is below the home of need {want}"
+                )
+        if needed:
+            raise AssertionError(f"below-home registrations missing at cells {sorted(needed)}")
+        free = self._free
+        if len(rows) + len(free) != len(keys) or any(keys[r] is not None for r in free):
             raise AssertionError(
-                f"stage counters {self._stage_counts} != recount {counts}"
-            )
-        registrations = 0
-        for cand, owners in self._candidates.items():
-            if type(owners) is not set:
-                owners = (owners,)
-            elif len(owners) < 2:
-                raise AssertionError(f"candidate {cand:#x} kept a set for {owners!r}")
-            for key in owners:
-                slot = where.get(key)
-                if slot is None or cand not in slot.profile:
-                    raise AssertionError(
-                        f"candidate {cand:#x} registers {key!r}, which is not "
-                        "a resident with that triple"
-                    )
-                if cand not in slot.profile[: slot.stage + 1]:
-                    raise AssertionError(
-                        f"candidate {cand:#x} registers {key!r} above its "
-                        f"home stage {slot.stage}"
-                    )
-            registrations += len(owners)
-        expected = sum(slot.stage + 1 for slot in where.values())
-        if registrations != expected:
-            raise AssertionError(
-                f"{registrations} candidate registrations for {len(where)} "
-                f"residents, whose homes need {expected}"
+                f"free list of {len(free)} rows does not complement "
+                f"{len(rows)} residents in {len(keys)} rows"
             )
         # Every resident key's data-plane lookup must find its own entry.
         # (Preserve the measurement counters: this is a checker, not traffic.)
         saved = (self._m_lookups.value, self._m_lookup_fp.value)
         try:
-            for key in where:
+            for key in rows:
                 result = self.lookup(key)
                 if not result.hit or result.false_positive:
                     raise AssertionError(f"resident key shadowed: {key!r}")

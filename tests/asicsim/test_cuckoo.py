@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asicsim.cuckoo import CuckooTable, DuplicateKey, TableFull
+from repro.asicsim.cuckoo import CuckooTable, DuplicateKey, Location, TableFull
 
 
 def make_keys(n: int, seed: int = 0) -> list:
@@ -37,7 +37,9 @@ class TestBasicOperations:
         result = table.insert(b"key-1", 5)
         assert type(result) is InsertResult
         assert type(result.location) is Location
-        assert result == InsertResult(location=table.location_of(b"key-1"), moves=0)
+        (stage, bucket, way, key, _digest, value), = table.entries()
+        assert (key, value) == (b"key-1", 5)
+        assert result == InsertResult(location=Location(stage, bucket, way), moves=0)
         assert result.location._fields == ("stage", "bucket", "way")
 
     def test_miss(self, table):
@@ -174,10 +176,9 @@ class TestDigestCollisions:
         t.check_invariants()  # includes resident-shadowing check
 
     def test_relocate_moves_to_other_stage(self, table):
-        table.insert(b"key-1", 1)
-        loc_before = table.location_of(b"key-1")
+        loc_before = table.insert(b"key-1", 1).location
         assert table.relocate(b"key-1")
-        loc_after = table.location_of(b"key-1")
+        (loc_after,) = (Location(*e[:3]) for e in table.entries())
         assert loc_after.stage != loc_before.stage
         assert table.lookup(b"key-1").hit
 

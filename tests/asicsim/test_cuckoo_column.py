@@ -1,16 +1,18 @@
-"""The sparse slot map: reference-model churn, the capacity-free audit's
-negative cases, and the guards that keep table cost following residents."""
+"""The columnar shadow state: reference-model churn, the capacity-free
+audit's negative cases, and the guards that keep table cost following
+residents."""
 
 from __future__ import annotations
 
 import gc
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
-from repro.asicsim.cuckoo import CuckooTable, Location, TableFull
+from repro.asicsim.cuckoo import ROW_BLOCK, CuckooTable, Location, TableFull
 
 STAGES, BUCKETS, WAYS = 4, 16, 4
 
@@ -27,16 +29,37 @@ def small_table() -> CuckooTable:
     )
 
 
+def word_rows(table: CuckooTable, word: int):
+    """``(way, row)`` of each valid way of a bucket word, by its documented
+    layout: ``ways`` valid bits, then one row field per way."""
+    field = (table.capacity + ROW_BLOCK).bit_length()
+    return [
+        (way, word >> table.ways + way * field & (1 << field) - 1)
+        for way in range(table.ways)
+        if word >> way & 1
+    ]
+
+
+def item(table: CuckooTable, row: int, stage: int) -> int:
+    """Where ``row``'s cell and digest of ``stage`` sit in their columns."""
+    return row * table.stages + stage
+
+
+def home(table: CuckooTable, row: int) -> int:
+    """A resident's stage: its slot's."""
+    return table._slots[row] // (table.buckets_per_stage * table.ways)
+
+
 def physical_scan(table: CuckooTable):
-    """The slot map decoded by the documented index formula, in index order;
-    an entry's digest is the high bits of its home stage's packed triple."""
+    """The bucket words decoded in cell order; an entry's digest is its
+    row's digest of its home stage."""
     rows = []
-    for index, slot in sorted(table._column.items()):
-        assert 0 <= index < table.capacity
-        cell, way = divmod(index, table.ways)
+    for cell, word in sorted(table._buckets.items()):
         stage, bucket = divmod(cell, table.buckets_per_stage)
-        digest = slot.profile[stage] >> table._cand_shift
-        rows.append((stage, bucket, way, slot.key, digest, slot.value))
+        assert 0 <= stage < table.stages
+        for way, row in word_rows(table, word):
+            digest = table._digests[item(table, row, stage)]
+            rows.append((stage, bucket, way, table._keys[row], digest, table._values[row]))
     return rows
 
 
@@ -48,7 +71,7 @@ def assert_matches_reference(table: CuckooTable, reference: dict) -> None:
     assert entries == physical_scan(table)
     assert {(e[3], e[5]) for e in entries} == set(reference.items())
     for stage, bucket, way, key, _digest, _value in entries:
-        assert table.location_of(key) == (stage, bucket, way)
+        assert table.key_at(Location(stage, bucket, way)) == key
     per_stage = Counter(e[0] for e in entries)
     assert table.stage_occupancy() == [per_stage[s] for s in range(STAGES)]
     table.check_invariants()
@@ -69,8 +92,19 @@ def narrow_table() -> CuckooTable:
     )
 
 
+def registrations(table: CuckooTable) -> Counter:
+    """Packed triple -> residents registered under it: each resident's home
+    triple (``_match``) and its triples of the stages below its home
+    (``_below``, a digest multiset per cell)."""
+    shift = table._cand_shift
+    counts = Counter(table._match.keys())
+    for cell, digests in table._below.items():
+        counts.update(digest << shift | cell for digest in digests)
+    return counts
+
+
 def shared_triples(table: CuckooTable) -> set:
-    return {c for c, owners in table._candidates.items() if type(owners) is set}
+    return {c for c, n in registrations(table).items() if n > 1}
 
 
 def churn(table: CuckooTable, rng: random.Random, target: int, steps: int = 700):
@@ -110,7 +144,8 @@ def churn(table: CuckooTable, rng: random.Random, target: int, steps: int = 700)
             del reference[key]
         shared_after = shared_triples(table)
         promoted += len(shared_after - shared_before)
-        demoted += sum(1 for c in shared_before - shared_after if c in table._candidates)
+        registered = registrations(table)
+        demoted += sum(1 for c in shared_before - shared_after if c in registered)
         assert_matches_reference(table, reference)
     return moved, relocated, promoted, demoted
 
@@ -137,7 +172,8 @@ def test_shared_triple_churn_matches_dict_reference():
 
 
 class TestAuditLosesNothing:
-    """Each corruption the O(capacity) slot walk caught still raises."""
+    """Each corruption of the rows, the bucket words or the match index
+    raises."""
 
     @pytest.fixture
     def table(self) -> CuckooTable:
@@ -147,40 +183,50 @@ class TestAuditLosesNothing:
         table.check_invariants()
         return table
 
+    @staticmethod
+    def resident(table, below_home=False):
+        """A resident's ``(row, home)``, one living above stage 0 if asked."""
+        return next(
+            (row, home(table, row))
+            for row in table._row_of.values()
+            if home(table, row) > 0 or not below_home
+        )
+
     def test_orphan_slot_behind_where(self, table):
-        column = table._column
-        donor = next(iter(column.values()))
-        column[next(i for i in range(table.capacity) if i not in column)] = donor
+        donor, _home = self.resident(table)
+        empty = next(c for c in range(table.stages * BUCKETS) if c not in table._buckets)
+        table._buckets[empty] = 1 | donor << table.ways  # way 0 holds the donor
         with pytest.raises(AssertionError, match="slot count"):
             table.check_invariants()
 
     def test_wrong_stored_digest(self, table):
-        # An entry's digest is its home triple's high bits: flip one and the
-        # entry no longer owns the triple it is registered under.
-        slot = next(iter(table._column.values()))
-        profile = list(slot.profile)
-        profile[slot.stage] ^= 1 << table._cand_shift
-        slot.profile = tuple(profile)
-        with pytest.raises(AssertionError, match="not a resident with that triple"):
+        # The stored digest rebuilds the home triple the entry is matched
+        # under: flip one bit and the match index no longer names it.
+        row, stage = self.resident(table)
+        table._digests[item(table, row, stage)] ^= 1
+        with pytest.raises(AssertionError, match="not matched under its own triple"):
             table.check_invariants()
 
     def test_registration_above_home(self, table):
-        # Readers never look at an owner above its home stage, so such a
-        # registration is dead weight the audit must refuse.
-        slot = next(s for s in table._column.values() if s.stage < STAGES - 1)
-        table._register(slot.key, slot.profile[slot.stage + 1 : slot.stage + 2])
-        with pytest.raises(AssertionError, match="above its home stage"):
+        # Readers never look at a registration at or above the home stage,
+        # so one there is dead weight the audit must refuse.
+        row, stage = self.resident(table)
+        at = item(table, row, stage)
+        cell, digest = table._cells[at], table._digests[at]
+        table._below.setdefault(cell, array(table._digests.typecode)).append(digest)
+        with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 
     def test_where_entry_pointing_at_empty_slot(self, table):
-        column = table._column
-        del column[next(iter(column))]
+        row, _home = self.resident(table)
+        cell, way = divmod(table._slots[row], table.ways)
+        table._buckets[cell] &= ~(1 << way)
         with pytest.raises(AssertionError, match="out of sync"):
             table.check_invariants()
 
     def test_where_entry_pointing_at_another_keys_slot(self, table):
         first, second = list(table.keys())[:2]
-        table._where[first] = table._where[second]
+        table._row_of[first] = table._row_of[second]
         with pytest.raises(AssertionError, match="out of sync"):
             table.check_invariants()
 
@@ -189,11 +235,46 @@ class TestAuditLosesNothing:
         with pytest.raises(AssertionError, match="stage counters"):
             table.check_invariants()
 
+    def test_row_left_in_a_free_way(self, table):
+        cell, word = next(
+            (c, w) for c, w in table._buckets.items() if w & table._full != table._full
+        )
+        way = next(w for w in range(table.ways) if not word >> w & 1)
+        table._buckets[cell] = word | 1 << table.ways + way * table._row_bits
+        with pytest.raises(AssertionError, match="keeps a row in a free way"):
+            table.check_invariants()
+
+    def test_stale_match_entry(self, table):
+        row, _home = self.resident(table)
+        table._match[1 << 60] = row
+        with pytest.raises(AssertionError, match="matched triples"):
+            table.check_invariants()
+
+    def test_free_row_still_resident(self, table):
+        row, _home = self.resident(table)
+        table._free.append(row)
+        with pytest.raises(AssertionError, match="free list"):
+            table.check_invariants()
+
+    def test_shadowed_resident(self, table):
+        # Structurally consistent, but a stage-0 resident now holds the
+        # stage-0 triple of a resident living above it: the audit's lookup
+        # of the upper one hits the lower one.
+        upper, _home = self.resident(table, below_home=True)
+        digests, shift = table._digests, table._cand_shift
+        cell0 = table._cells[item(table, upper, 0)]
+        lower = next(r for _way, r in word_rows(table, table._buckets[cell0]))
+        del table._match[digests[item(table, lower, 0)] << shift | cell0]
+        digests[item(table, lower, 0)] = digests[item(table, upper, 0)]
+        table._match[digests[item(table, lower, 0)] << shift | cell0] = lower
+        with pytest.raises(AssertionError, match="shadowed"):
+            table.check_invariants()
+
 
 class TestCandidateIndexAudit:
-    """The candidate index is audited too: one registration per resident
-    per stage up to its home, under its own triples, a lone owner stored
-    as the key."""
+    """The below-home index is audited too: per cell, exactly the digests
+    of the residents whose candidate bucket of a stage below their home
+    it is."""
 
     @pytest.fixture
     def table(self) -> CuckooTable:
@@ -203,89 +284,105 @@ class TestCandidateIndexAudit:
                 table.insert(b"conn-%03d" % i, i % 64)
             except TableFull:
                 pass
-        assert shared_triples(table)  # the fixture covers both value shapes
+        assert shared_triples(table)  # residents really share triples
         table.check_invariants()
         return table
 
-    @staticmethod
-    def lone_registration(table):
-        return next(
-            (cand, owner)
-            for cand, owner in table._candidates.items()
-            if type(owner) is not set
-        )
-
     def test_missing_registration(self, table):
-        cand, _key = self.lone_registration(table)
-        del table._candidates[cand]
-        with pytest.raises(AssertionError, match="candidate registrations"):
+        del table._below[next(iter(table._below))]
+        with pytest.raises(AssertionError, match="registrations missing"):
             table.check_invariants()
 
     def test_missing_registration_in_a_shared_triple(self, table):
-        cand = next(iter(shared_triples(table)))
-        table._candidates[cand].pop()
-        with pytest.raises(AssertionError, match="candidate"):
+        cell, digests = next(
+            (c, d) for c, d in table._below.items() if len(d) > len(set(d))
+        )
+        digests.remove(next(d for d in digests if digests.count(d) > 1))
+        with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 
     def test_stale_registration_of_a_deleted_key(self, table):
-        cand, key = self.lone_registration(table)
-        table.delete(key)
-        table._candidates[cand] = key
-        with pytest.raises(AssertionError, match="not a resident"):
+        row = next(r for r in table._row_of.values() if home(table, r) > 0)
+        cell, digest = table._cells[item(table, row, 0)], table._digests[item(table, row, 0)]
+        table.delete(table._keys[row])
+        table._below.setdefault(cell, array(table._digests.typecode)).append(digest)
+        with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 
-    def test_undemoted_one_element_set(self, table):
-        cand, key = self.lone_registration(table)
-        table._candidates[cand] = {key}
-        with pytest.raises(AssertionError, match="kept a set"):
+    def test_emptied_bucket_left_in_the_map(self, table):
+        empty = next(c for c in range(table.stages * 4) if c not in table._buckets)
+        table._buckets[empty] = 0
+        with pytest.raises(AssertionError, match="kept the emptied bucket"):
             table.check_invariants()
 
-    def test_empty_set_left_behind(self, table):
-        table._candidates[1 << 40] = set()
-        with pytest.raises(AssertionError, match="kept a set"):
+    def test_empty_registration_left_behind(self, table):
+        cell = next(c for c in range(table.stages * 4) if c not in table._below)
+        table._below[cell] = array(table._digests.typecode)
+        with pytest.raises(AssertionError, match="kept the empty cell"):
             table.check_invariants()
 
     def test_registration_under_a_foreign_triple(self, table):
-        cand, key = self.lone_registration(table)
-        foreign = next(c for c in table._candidates if c not in table._where[key].profile)
-        owners = table._candidates[foreign]
-        table._candidates[foreign] = (owners if type(owners) is set else {owners}) | {key}
-        with pytest.raises(AssertionError, match="not a resident with that triple"):
+        row = next(r for r in table._row_of.values() if home(table, r) > 0)
+        own = table._cells[item(table, row, 0)]
+        foreign = next(c for c in table._below if c != own and c < 4)
+        table._below[foreign].append(table._digests[item(table, row, 0)])
+        with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 
 
-def bytes_per_resident(table: CuckooTable, count: int) -> float:
-    """Host bytes (by ``tracemalloc``) per entry of ``count`` inserts."""
+def bytes_per_resident(build, count: int):
+    """Host bytes (by ``tracemalloc``) per entry of a table ``build()``
+    makes and ``count`` inserts fill, construction included (so an array
+    sized by capacity would be counted); returns them and the table."""
     keys = [b"conn-%08d" % i for i in range(count)]
     gc.collect()
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
+    table = build()
     for i, key in enumerate(keys):
         table.insert(key, i % 64)
     per_entry = (tracemalloc.get_traced_memory()[0] - before) / len(table)
     tracemalloc.stop()
     assert len(table) == count
-    assert not shared_triples(table)  # 64-bit digests: no triple is shared
-    return per_entry
+    return per_entry, table
 
 
 def test_distinct_triple_inserts_allocate_no_set_and_stay_small():
-    """One shadow record per resident: a key with triples of its own costs
-    no ``set``, and the host bytes per resident entry stay bounded (the
-    four-sets-per-entry representation measured 1,910 here, registering
-    every resident in all four stages 554)."""
-    table = CuckooTable.for_capacity(24_000, digest_bits=64)
-    per_entry = bytes_per_resident(table, 20_000)
-    assert per_entry <= 500, per_entry  # measured: 444
+    """One row per resident: a key with triples of its own shares no
+    registration, and the host bytes per resident entry stay bounded (a
+    Slot object per entry measured 444 here, the four-sets-per-entry
+    representation 1,910, registering every resident in all four stages
+    554)."""
+    per_entry, table = bytes_per_resident(
+        lambda: CuckooTable.for_capacity(24_000, digest_bits=64), 20_000
+    )
+    assert not shared_triples(table)  # 64-bit digests: no triple is shared
+    assert per_entry <= 300, per_entry  # measured: 252
 
 
 def test_low_load_residents_stay_small():
     """5 K residents of a million-entry table sit mostly in stage 0, so
-    they are registered once or twice, not in all four stages (measured
-    541 bytes per resident that way)."""
-    table = CuckooTable.for_capacity(1_000_000, digest_bits=64)
-    per_entry = bytes_per_resident(table, 5_000)
-    assert per_entry <= 480, per_entry  # measured: 409
+    they have few registrations below their home and a bucket word each
+    (a Slot per entry measured 409 bytes per resident, registering every
+    resident in all four stages 541)."""
+    per_entry, table = bytes_per_resident(
+        lambda: CuckooTable.for_capacity(1_000_000, digest_bits=64), 5_000
+    )
+    assert not shared_triples(table)
+    assert per_entry <= 300, per_entry  # measured: 278
+
+
+def test_full_table_residents_stay_small():
+    """The full_table benchmark's end state: ConnTable's geometry for
+    24,000 connections (25,600 slots) at 16-bit digests, filled to the
+    0.98 fast-fail load, where most residents live above stage 0 and
+    register below their home (a Slot per entry measured 513)."""
+    per_entry, table = bytes_per_resident(
+        lambda: CuckooTable.for_capacity(24_000, target_load=0.9375, digest_bits=16),
+        25_088,
+    )
+    assert table.load_factor == 0.98
+    assert per_entry <= 300, per_entry  # measured: 257
 
 
 class _WriteCountingColumn(dict):
@@ -304,22 +401,22 @@ def test_legality_query_never_writes_the_column():
     table = small_table()
     for i in range(200):
         table.insert(b"conn-%03d" % i, i % 64)
-    column = table._column = _WriteCountingColumn(table._column)
-    before = dict(column)
-    for key in list(table.keys()):
-        profile = table._where[key].profile
+    column = table._buckets = _WriteCountingColumn(table._buckets)
+    before = (dict(column), dict(table._match), {c: d.tolist() for c, d in table._below.items()})
+    for row in list(table._row_of.values()):
         for stage in range(STAGES):
-            table._placement_legal(key, stage, profile)
+            table._placement_legal(row, stage)
     assert column.writes == 0
-    assert column.keys() == before.keys()
-    assert all(column[i] is slot for i, slot in before.items())
+    after = (dict(column), dict(table._match), {c: d.tolist() for c, d in table._below.items()})
+    assert after == before
     assert table.relocate(next(iter(table.keys())))  # the counter does count
-    assert column.writes == 2  # the vacated index leaves, the new one arrives
+    assert column.writes == 2  # the vacated word is rewritten, the new one too
 
 
 def test_insert_then_delete_churn_empties_the_map():
-    """The map holds occupied slots only: whatever the churn left behind
-    (moves, relocations, BFS paths), deleting every resident empties it."""
+    """The maps hold residents only: whatever the churn left behind
+    (moves, relocations, BFS paths), deleting every resident empties
+    them."""
     table = small_table()
     rng = random.Random(30)
     resident = []
@@ -333,10 +430,10 @@ def test_insert_then_delete_churn_empties_the_map():
             except TableFull:
                 continue
             resident.append(key)
-    assert table._column and table._m_moves.value > 0
+    assert table._buckets and table._below and table._m_moves.value > 0
     for key in resident:
         table.delete(key)
-    assert table._column == {} and len(table) == 0
+    assert table._buckets == table._match == table._below == {} and len(table) == 0
     assert table.stage_occupancy() == [0] * STAGES
     table.check_invariants()
 

@@ -114,8 +114,8 @@ class TestHostMemory:
 
 class TestBytesPerLiveConnection:
     """What a live, installed connection costs the switch's host memory:
-    its state, its ConnTable shadow record and candidate registrations,
-    its decision and pending-index bookkeeping."""
+    its state, its ConnTable row, match and below-home registrations, its
+    decision and pending-index bookkeeping."""
 
     def test_installed_connection_stays_small(self, vip, dips, tuples):
         count = 20_000
@@ -140,9 +140,10 @@ class TestBytesPerLiveConnection:
         tracemalloc.stop()
         assert len(switch.conn_table) == count
         assert switch.pending_connections() == 0
-        # Measured 589; registering every resident in all four stages and a
-        # key set per VIP measured 835.
-        assert per_conn <= 700, per_conn
+        # Measured 438 with the ConnTable entry a row of columns; 589 with a
+        # Slot object per entry, 835 registering every resident in all four
+        # stages with a key set per VIP.
+        assert per_conn <= 480, per_conn
 
 
 class TestFig14Arithmetic:

@@ -86,11 +86,12 @@ SRC = ROOT / "src" / "repro"
 OWNERS = {
     "_table": "core/conn_table.py",
     "_heap": "netsim/",
-    "_column": "asicsim/cuckoo.py",
-    "_where": "asicsim/cuckoo.py",
+    "_buckets": "asicsim/cuckoo.py",
+    "_row_of": "asicsim/cuckoo.py",
     "_cell_mask": "asicsim/cuckoo.py",
     "_profile_cache": "asicsim/cuckoo.py",
-    "_candidates": "asicsim/cuckoo.py",
+    "_match": "asicsim/cuckoo.py",
+    "_below": "asicsim/cuckoo.py",
     "_index_units": "asicsim/cuckoo.py",
     "_digest_units": "asicsim/cuckoo.py",
     "_move_cause": "deploy/fleet.py",
