@@ -122,6 +122,12 @@ class TestHighLoad:
         assert inserted >= 0.99 * len(keys)
         t.check_invariants()
 
+    def test_half_full_takes_every_insert(self):
+        t = CuckooTable.for_capacity(10_000)
+        for i, k in enumerate(make_keys(5_000, seed=2)):
+            t.insert(k, i % 64)
+        assert len(t) == 5_000
+
     def test_moves_happen_under_load(self):
         t = CuckooTable.for_capacity(2000, target_load=0.9)
         total_moves = 0

@@ -299,9 +299,13 @@ class TestExperiment:
         points = switch_failure.run(scale=0.1, horizon_s=60.0, failure_at=40.0)
         quiet = next(p for p in points if not p.update_before_failure)
         churned = next(p for p in points if p.update_before_failure)
+        # §7: failover alone breaks nothing (same VIPTable everywhere);
+        # old-version connections are the only exposure.
+        assert quiet.failed_over > 0
         assert quiet.violations == 0
         assert churned.violations > 0
         assert churned.failed_over > 0
+        assert churned.violations <= churned.failed_over
         for point in points:
             audit = point.audit
             assert audit.ok, str(audit)

@@ -1,7 +1,7 @@
 """Smoke + shape tests for the per-figure experiment harnesses.
 
-Flow-level experiments run at tiny scale here; the full laptop-scale runs
-live in benchmarks/.  What we assert is the *shape* each figure must show.
+Each test asserts the paper anchor or the *shape* its table or figure must
+show.  The flow-level figures (5, 16, 17, 18) are in test_flow_figs.py.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.netsim.updates import RootCause
 
 class TestTable1:
     def test_growth_factor(self):
+        assert len(table1.run()) == 3
         assert table1.sram_growth_factor() == pytest.approx(5.0)
 
     def test_main_renders(self):
@@ -59,6 +60,9 @@ class TestFig3:
     def test_upgrade_share(self):
         shares = fig3.run(seed=3, changes_per_cluster=1500)
         assert shares[RootCause.UPGRADE] == pytest.approx(0.827, abs=0.03)
+        for cause, share in shares.items():
+            if cause is not RootCause.UPGRADE:
+                assert share < 0.13  # paper: every other cause is small
 
 
 class TestFig4:
@@ -79,6 +83,10 @@ class TestFig6:
         assert frontend.median < pop.median
         assert frontend.median < backend.median
         assert backend.quantile(1.0) > 5e6  # peak Backends in the millions
+        # Paper: peak PoP ~10 M, peak Backend ~15 M, Frontends far fewer.
+        assert 5e6 < pop.quantile(1.0) < 3e7
+        assert 8e6 < backend.quantile(1.0) < 4e7
+        assert frontend.quantile(1.0) < 1.5e6
 
 
 class TestFig8:
@@ -86,6 +94,9 @@ class TestFig8:
         cdf = fig8.run(seed=8)
         assert cdf.quantile(0.1) < 5_000
         assert cdf.quantile(1.0) > 1e6  # spans several orders of magnitude
+        # Paper: 1 K to >50 M new connections per VIP-minute.
+        assert cdf.quantile(0.05) < 3_000
+        assert cdf.median > 3_000
 
 
 class TestTable2:
@@ -108,6 +119,15 @@ class TestFig12:
         # Frontends are tiny; PoPs/Backends tens of MB.
         assert result.cdf(ClusterType.FRONTEND).median < 3.0
         assert 4.0 < result.cdf(ClusterType.POP).median < 40.0
+        # Paper: PoPs 14 MB median / 32 MB peak; Backends 15 / 58;
+        # Frontends < 2 MB.
+        pop = result.cdf(ClusterType.POP)
+        backend = result.cdf(ClusterType.BACKEND)
+        assert 7 < pop.median < 28
+        assert 15 < pop.quantile(1.0) < 70
+        assert 6 < backend.median < 30
+        assert 25 < backend.quantile(1.0) < 90
+        assert result.cdf(ClusterType.FRONTEND).quantile(1.0) < 4
 
     def test_conn_table_dominates_pops(self):
         result = fig12.run(seed=12)
@@ -121,6 +141,8 @@ class TestFig13:
         backend = result.cdf(ClusterType.BACKEND)
         assert 5 <= frontend.median <= 20  # paper: 11
         assert backend.quantile(1.0) > 50  # paper peak: 277
+        assert 1 <= result.cdf(ClusterType.POP).median <= 12  # paper: 2-3
+        assert 1 <= backend.median <= 8  # paper: 3
 
 
 class TestFig14:
@@ -131,6 +153,8 @@ class TestFig14:
 
         pop = Cdf.of(result.digest_version[ClusterType.POP]).median
         assert pop > 0.75  # paper: ~85 %
+        # digest+version beats digest-only for the short-connection PoPs.
+        assert pop > Cdf.of(result.digest_only[ClusterType.POP]).median
 
 
 class TestFig15:
@@ -147,16 +171,32 @@ class TestFig15:
         (p,) = fig15.run(update_counts=(330,), seed=15)
         assert p.bits_no_reuse >= 8
         assert p.peak_live_with_reuse <= 64  # fits the 6-bit field
+        assert p.bits_with_reuse <= 6
+
+    def test_reuse_gap_widens_with_update_count(self):
+        points = fig15.run(update_counts=(10, 100, 330), seed=15)
+        heavy = points[-1]
+        assert heavy.versions_no_reuse == pytest.approx(
+            heavy.updates_applied + 1, abs=3
+        )
+        gaps = [p.versions_no_reuse - p.peak_live_with_reuse for p in points]
+        assert all(g > 0 for g in gaps)
+        assert gaps == sorted(gaps)
 
 
 class TestDigestFp:
     def test_wider_digest_fewer_fps(self):
         points = digest_fp.run(
-            digest_bits=(12, 16), resident=8_000, probes=30_000, seed=1
+            digest_bits=(12, 16, 24), resident=8_000, probes=30_000, seed=1
         )
         by_bits = {p.digest_bits: p for p in points}
-        assert by_bits[12].fp_rate > by_bits[16].fp_rate
+        # Wider digests cost more SRAM but collapse the false-positive rate.
+        assert (
+            by_bits[12].sram_bytes <= by_bits[16].sram_bytes <= by_bits[24].sram_bytes
+        )
+        assert by_bits[12].fp_rate > by_bits[16].fp_rate >= by_bits[24].fp_rate
         assert by_bits[16].fp_rate < 1e-3  # paper: 0.01 %
+        assert by_bits[24].fp_rate < 1e-4  # ~zero at this probe count
 
     def test_extrapolation(self):
         points = digest_fp.run(digest_bits=(16,), resident=5_000, probes=20_000)
@@ -177,3 +217,4 @@ class TestEconomics:
         comparison = economics.run()
         assert comparison.power_ratio == pytest.approx(500, rel=0.25)
         assert comparison.cost_ratio == pytest.approx(250, rel=0.05)
+        assert comparison.slb_count == pytest.approx(833, rel=0.01)

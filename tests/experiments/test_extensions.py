@@ -47,6 +47,7 @@ class TestHybrid:
             p for p in points if p.conn_table_capacity == 500 and p.hybrid
         )
         assert small_hybrid.overflow_pinned > 0
+        assert small_hybrid.overflow_pinned == small_hybrid.table_full_events
         assert small_hybrid.violations == 0  # PCC preserved by pinning
 
     def test_slow_path_pins_nothing(self, points):

@@ -69,6 +69,26 @@ class TestDelivery:
         assert switch.write_fault is None
         assert sum(injector.injected.values()) == 0
 
+    def test_fault_free_replay_takes_no_fault_path(self):
+        """The crash / shed / retry / watchdog hooks are always wired into
+        a real switch; with no injector attached none of them fires."""
+        from repro.experiments.common import build_workload, silkroad_factory
+
+        workload = build_workload(
+            updates_per_min=60.0, scale=0.1, seed=16, horizon_s=30.0, warmup_s=3.0
+        )
+        report, _conns, switch = workload.replay(
+            silkroad_factory(conn_table_capacity=100_000)
+        )
+        assert report.pcc_violations == 0
+        counts = switch.metrics.snapshot()
+        for name in (
+            "switch_cpu.jobs_shed_total", "switch_cpu.jobs_lost_total",
+            "switch_cpu.crashes_total", "slow_path.relearns_total",
+            "switch.at_risk_connections", "update.watchdog_forced_steps_total",
+        ):
+            assert counts[name] == 0.0, f"fault path fired without faults: {name}"
+
 
 class TestWriteFaultWindow:
     def test_faults_only_inside_window(self):

@@ -49,13 +49,17 @@ placement model, Table 2 module and SRAM budget objects stay deleted.
 And a value is settable only if some program sets it: every field of
 ``SilkRoadConfig``, ``ServeConfig`` and ``ObsOptions`` is spelled as a call
 keyword or a string literal somewhere a program lives (``src/repro``
-outside the field's own module, ``perf/``, ``benchmarks/``,
-``examples/``); what only tests vary is a module constant they patch.
+outside the field's own module, ``perf/``, ``examples/``); what only
+tests vary is a module constant they patch.
 And one name per count: no ``def report`` outside ``deploy/fleet.py``
 (whose replicated fleet counters cannot yet be registry counters), no
 count stored as a plain switch attribute, no counts dict on a simulation
 report or a sharded run, and docs/observability.md's metric catalogue
-names exactly what a fresh switch registers.
+names exactly what a fresh switch registers.  And one benchmark harness:
+``perf/`` is the benchmark, so no ``benchmarks/`` directory, no
+``pytest_benchmark`` import or ``benchmark`` test parameter and no
+``pytest-benchmark`` test dependency grows back beside it, and every test
+DESIGN.md names as a table's or figure's regeneration target exists.
 
 A second walk guards import *direction*: the packages below the
 experiment harness (``core``, ``asicsim``, ``netsim``, ``obs``,
@@ -679,7 +683,7 @@ CONFIGS = {
 }
 #: Where the programs live, beside src/repro: a field only tests set is a
 #: knob nothing turns.
-PROGRAM_DIRS = ("perf", "benchmarks", "examples")
+PROGRAM_DIRS = ("perf", "examples")
 
 
 def _spellings(path: Path) -> set:
@@ -773,3 +777,88 @@ def test_one_metric_catalogue():
     catalogued = _catalogued_names()
     assert registered - catalogued == set(), "registered, not catalogued"
     assert catalogued - registered == set(), "catalogued, not registered"
+
+
+def test_one_benchmark_harness():
+    """``perf/`` is the one benchmark: no second harness of pytest-benchmark
+    timers (which nothing reads) sits beside it, and no test depends on the
+    plugin.  A paper claim is asserted by a test under ``tests/``."""
+    import re
+
+    assert not (ROOT / "benchmarks").exists(), "a second benchmark harness"
+    offenders = []
+    for top in ("tests", "src", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""]
+                else:
+                    imported = []
+                where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
+                offenders += [
+                    f"{where} imports {name}"
+                    for name in imported
+                    if name.split(".")[0] == "pytest_benchmark"
+                ]
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                    if "benchmark" in {arg.arg for arg in args}:
+                        offenders.append(f"{where} takes a benchmark parameter")
+    assert not offenders, offenders
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (extra,) = re.findall(r"^test\s*=\s*\[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
+    assert "pytest-benchmark" not in extra, "pytest-benchmark is a test dependency"
+
+
+def _node_exists(node: str) -> bool:
+    """Whether ``path::Name[::name]`` names a file and a definition in it
+    (a parametrize id such as ``[16]`` is ignored)."""
+    path, *names = node.split("::")
+    file = ROOT / path
+    if not file.is_file():
+        return False
+    body = ast.parse(file.read_text(), filename=str(file)).body
+    for name in names:
+        name = name.split("[", 1)[0]
+        found = [
+            n for n in body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_design_regeneration_targets_exist():
+    """DESIGN.md's experiment index (§4, "Regeneration target") and its
+    ablation list (§5) name, for every row and every ablation, a test node
+    under ``tests/`` that exists: the claim is held by the suite every
+    change must pass, and the document cannot drift from it."""
+    import re
+
+    text = (ROOT / "DESIGN.md").read_text()
+    index = text.split("## 4. ", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in index.splitlines() if line.startswith("| ")]
+    header, rows = rows[0], [r for r in rows[1:] if not r.startswith("|---")]
+    column = [c.strip() for c in header.strip("|").split("|")].index("Regeneration target")
+    entries = {row.split("|")[1].strip(): row.strip("|").split("|")[column] for row in rows}
+    ablations = text.split("## 5. ", 1)[1].split("\n## ", 1)[0]
+    for bullet in re.split(r"^\* ", ablations, flags=re.MULTILINE)[1:]:
+        entries[bullet.split("(", 1)[0].strip()] = bullet
+    assert len(entries) > 25, sorted(entries)
+
+    missing, unresolved = [], []
+    for label, cell in entries.items():
+        nodes = re.findall(r"`(tests/[^`]*::[^`]*)`", cell)
+        if not nodes:
+            missing.append(label)
+        unresolved += [node for node in nodes if not _node_exists(node)]
+        unresolved += [
+            path for path in re.findall(r"`([\w./-]+\.py)\b", cell)
+            if not (ROOT / path).is_file()
+        ]
+    assert not missing, f"DESIGN.md entries that name no test node: {missing}"
+    assert not unresolved, f"DESIGN.md names tests that do not exist: {unresolved}"
