@@ -2,13 +2,12 @@
 
 from .cdf import Cdf, percent_above
 from .plots import ascii_cdf, histogram, sparkline
-from .reporting import format_comparison, format_series, format_table
+from .reporting import format_comparison, format_table
 
 __all__ = [
     "Cdf",
     "ascii_cdf",
     "format_comparison",
-    "format_series",
     "format_table",
     "histogram",
     "percent_above",

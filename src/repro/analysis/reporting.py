@@ -28,16 +28,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    name: str, points: Sequence[Tuple[float, float]], xlabel: str = "x", ylabel: str = "y"
-) -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    lines = [f"{name}  ({xlabel} -> {ylabel})"]
-    for x, y in points:
-        lines.append(f"  {_fmt(x):>12}  {_fmt(y)}")
-    return "\n".join(lines)
-
-
 def format_metrics(metrics: Dict[str, object], title: str = "metrics") -> str:
     """Render a metric catalogue (``registry_to_dict()['metrics']``).
 

@@ -52,15 +52,6 @@ class RegisterArray:
         self.writes += 1
         self._cells[index] = value
 
-    def read_modify_write(self, index: int, delta: int) -> int:
-        """Atomic saturating add; returns the post-update value."""
-        self.reads += 1
-        self.writes += 1
-        value = self._cells[index] + delta
-        value = min(max(value, 0), self._max)
-        self._cells[index] = value
-        return value
-
     def clear(self) -> None:
         self._cells = [0] * self.size
 

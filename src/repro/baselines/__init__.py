@@ -9,7 +9,7 @@
 """
 
 from .duet import DuetLoadBalancer, MigrationPolicy
-from .ecmp import EcmpLoadBalancer, ResilientEcmpLoadBalancer, ResilientHashTable
+from .ecmp import EcmpLoadBalancer, ResilientHashTable
 from .maglev import DEFAULT_TABLE_SIZE, MaglevTable
 from .slb import (
     ASIC_COST_USD,
@@ -39,7 +39,6 @@ __all__ = [
     "EcmpLoadBalancer",
     "MaglevTable",
     "MigrationPolicy",
-    "ResilientEcmpLoadBalancer",
     "ResilientHashTable",
     "SLB_COST_USD",
     "SLB_LATENCY_S",

@@ -1,22 +1,21 @@
 """Stateless ECMP load balancing, plain and resilient (§2.1, §7).
 
-Two switch-only baselines that keep **no per-connection state**:
+Both keep **no per-connection state**:
 
-* :class:`EcmpLoadBalancer` — hash the 5-tuple over the *current* DIP pool
-  (``pool[h(key) % len(pool)]``).  Any pool change re-shuffles the modulus,
-  so most ongoing connections re-hash — the PCC failure mode that motivates
-  ConnTable.
-* :class:`ResilientEcmpLoadBalancer` — resilient hashing (Broadcom
-  Smart-Hash-style): a fixed-size slot table per VIP; removing a member only
+* :class:`EcmpLoadBalancer` — the switch-only baseline: hash the 5-tuple
+  over the *current* DIP pool (``pool[h(key) % len(pool)]``).  Any pool
+  change re-shuffles the modulus, so most ongoing connections re-hash — the
+  PCC failure mode that motivates ConnTable.
+* :class:`ResilientHashTable` — resilient hashing (Broadcom
+  Smart-Hash-style): a fixed-size slot table; removing a member only
   reassigns the slots that pointed at it, adding a member steals a
-  proportional share of slots.  Far fewer spurious remaps than plain ECMP,
-  but additions still break the stolen slots' connections; the paper
-  mentions it (§7) as an alternative version-reuse fallback.
+  proportional share of slots.  The fleet's fabric ECMP hashes each VIP's
+  flows over one of these, so a switch joining or leaving moves few flows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -170,54 +169,3 @@ class ResilientHashTable:
             i += stride
         return stolen
 
-
-class ResilientEcmpLoadBalancer(LoadBalancer):
-    """ECMP with resilient hashing: membership changes disturb few flows."""
-
-    def __init__(
-        self, name: str = "resilient-ecmp", num_slots: int = 256, seed: int = 0x5107
-    ) -> None:
-        self.name = name
-        self.num_slots = num_slots
-        self._seed = seed
-        self._tables: Dict[VirtualIP, ResilientHashTable] = {}
-        # Insertion-ordered, like EcmpLoadBalancer (see comment there).
-        self._active: Dict[VirtualIP, Dict[bytes, Connection]] = {}
-
-    def announce_vip(self, vip: VirtualIP, dips) -> None:
-        if vip in self._tables:
-            raise ValueError(f"VIP already announced: {vip}")
-        self._tables[vip] = ResilientHashTable(
-            list(dips), num_slots=self.num_slots, seed=self._seed
-        )
-
-    def select(
-        self, vip: VirtualIP, key: bytes, key_hash: Optional[int] = None
-    ) -> DirectIP:
-        return self._tables[vip].lookup(key, key_hash)
-
-    def on_connection_arrival(self, conn: Connection) -> None:
-        dip = self.select(conn.vip, conn.key, conn.key_hash)
-        conn.record_decision(self.queue.now, dip)
-        self._active.setdefault(conn.vip, {})[conn.key] = conn
-
-    def on_connection_end(self, conn: Connection) -> None:
-        self._active.get(conn.vip, {}).pop(conn.key, None)
-
-    def apply_update(self, event: UpdateEvent) -> None:
-        now = self.queue.now
-        table = self._tables[event.vip]
-        if event.kind is UpdateKind.REMOVE:
-            if event.dip not in table.members:
-                return
-            table.remove(event.dip)
-        else:
-            if event.dip in table.members:
-                return
-            table.add(event.dip)
-        # Only moved slots change; iterate in insertion order.
-        for conn in self._active.get(event.vip, {}).values():
-            new_dip = table.lookup(conn.key, conn.key_hash)
-            if event.kind is UpdateKind.REMOVE and conn.current_dip == event.dip:
-                conn.broken_by_removal = True
-            conn.record_decision(now, new_dip)

@@ -13,7 +13,6 @@ from .dip_pool_table import DipPool, DipPoolTable, VersionsExhausted
 from .pcc_update import Phase, UpdateCoordinator, UpdateTimings
 from .silkroad import SilkRoadSwitch
 from .sram_cost import EntryLayout, memory_saving
-from .stats import PccSummary, active_connection_peak, summarize, violations_by_minute
 from .transit_table import TransitTable
 from .verify import AuditReport, InvariantViolation, audit_switch
 from .vip_table import VipEntry, VipTable
@@ -23,7 +22,6 @@ __all__ = [
     "DipPool",
     "DipPoolTable",
     "EntryLayout",
-    "PccSummary",
     "Phase",
     "SilkRoadConfig",
     "SilkRoadSwitch",
@@ -37,8 +35,5 @@ __all__ = [
     "AuditReport",
     "InvariantViolation",
     "audit_switch",
-    "active_connection_peak",
     "memory_saving",
-    "summarize",
-    "violations_by_minute",
 ]

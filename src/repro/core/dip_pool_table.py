@@ -124,9 +124,6 @@ class DipPoolTable:
         self._vips[vip] = state
         return self._create_version(state, DipPool(tuple(dips)))
 
-    def remove_vip(self, vip: VirtualIP) -> None:
-        del self._vips[vip]
-
     def __contains__(self, vip: VirtualIP) -> bool:
         return vip in self._vips
 

@@ -20,7 +20,7 @@ insertion window (Figures 16-18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -201,11 +201,6 @@ class SilkRoadSwitch(LoadBalancer):
         #: serializes updates per VIP, so one token per VIP suffices).
         self._transit_update_ids: Dict[VirtualIP, int] = {}
         self._pending_by_vip: Dict[VirtualIP, Set[bytes]] = {}
-        #: Count of live (not-yet-ended) connection states per VIP, so
-        #: withdraw_vip does not scan every connection the switch has ever
-        #: carried.  It moves only when a state turns dead or live; a double
-        #: end or a re-admission of a live key leaves it alone.
-        self._live_by_vip: Dict[VirtualIP, int] = {}
         self._conns_on: Dict[Tuple[VirtualIP, DirectIP], Set[bytes]] = {}
         #: Live, un-installed connections whose slow-path job was dropped
         #: (shed, lost, failed, or in a lost notification): key -> job
@@ -259,17 +254,6 @@ class SilkRoadSwitch(LoadBalancer):
         """Install a VIP with its initial DIP pool."""
         version = self.dip_pools.add_vip(vip, dips)
         self.vip_table.install(vip, version)
-
-    def withdraw_vip(self, vip: VirtualIP) -> None:
-        """Stop announcing a VIP.  Refused while connections still use it
-        (drain them first, as an operator would withdraw BGP gradually)."""
-        if self._live_by_vip.get(vip):
-            raise ValueError(f"cannot withdraw {vip}: connections still active")
-        if self.coordinator.phase(vip) is not Phase.IDLE:
-            raise ValueError(f"cannot withdraw {vip}: update in flight")
-        self.vip_table.withdraw(vip)
-        self.dip_pools.remove_vip(vip)
-        self._live_by_vip.pop(vip, None)
 
     # ------------------------------------------------------------------
     # LoadBalancer interface
@@ -337,9 +321,7 @@ class SilkRoadSwitch(LoadBalancer):
         state = self._states.get(key)
         if state is None:
             return
-        if not state.dead:
-            state.dead = True
-            self._live_by_vip[state.vip] -= 1
+        state.dead = True
         if self.recorder is not None:
             self.recorder.record(self.queue.now, CONN_FIN, key, state.installed)
         self._drop_decision_index(state)
@@ -388,9 +370,6 @@ class SilkRoadSwitch(LoadBalancer):
         fresh.adopted_old_via_fp = state.adopted_old_via_fp
         fresh.at_risk = state.at_risk
         self._states[key] = fresh
-        if state.dead:
-            live = self._live_by_vip
-            live[state.vip] = live.get(state.vip, 0) + 1
         self._drop_decision_index(state)
         dip = self.dip_pools.select(state.vip, state.version, key, conn.key_hash)
         self._set_decision(fresh, dip, now)
@@ -484,9 +463,7 @@ class SilkRoadSwitch(LoadBalancer):
             version = entry.current_version
         state = _ConnState(conn=conn, version=version)
         state.adopted_old_via_fp = adopted_old
-        states = self._states
-        previous = states.get(key)
-        states[key] = state
+        self._states[key] = state
         self.dip_pools.acquire(vip, version)
         # get-then-insert instead of setdefault: this runs once per
         # admitted connection and setdefault would allocate a throwaway
@@ -495,9 +472,6 @@ class SilkRoadSwitch(LoadBalancer):
         if pending is None:
             pending = self._pending_by_vip[vip] = set()
         pending.add(key)
-        if previous is None or previous.dead:
-            live = self._live_by_vip
-            live[vip] = live.get(vip, 0) + 1
         # Step 1 of an in-flight update marks the connection.
         state.marked = self.coordinator.note_new_pending(vip, key)
         if state.marked and self.recorder is not None:

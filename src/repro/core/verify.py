@@ -25,11 +25,9 @@ Checked invariants:
    (no orphaned ``_pending_by_vip`` keys).
 6. Every key waiting to be re-learned after a dropped slow-path job is a
    live, un-installed, non-overflowed connection in the pending index.
-7. The live-connections-per-VIP count (used by ``withdraw_vip``) equals a
-   recount of the live connection states of each VIP.
-8. No VIP is left mid-transition when its coordinator is idle, and step 2
+7. No VIP is left mid-transition when its coordinator is idle, and step 2
    always has dual versions (VIPTable/coordinator phase agreement).
-9. With connections supplied: PCC violations occur *only* where the fault
+8. With connections supplied: PCC violations occur *only* where the fault
    model predicts them — connections a watchdog reclassified at-risk, that
    overflowed a full ConnTable, or that adopted the old version through a
    TransitTable false positive — and no connection was dropped
@@ -38,7 +36,6 @@ Checked invariants:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -119,7 +116,6 @@ def audit_switch(
         _check_refcounts,
         _check_decisions,
         _check_pending_index,
-        _check_live_index,
         _check_transitions,
     ):
         check(switch, fail)
@@ -256,17 +252,6 @@ def _check_pending_index(switch: SilkRoadSwitch, fail: Fail) -> None:
     ]
     if stray:
         fail(f"waiting keys not live and pending: {len(stray)}")
-
-
-def _check_live_index(switch: SilkRoadSwitch, fail: Fail) -> None:
-    recount = Counter(state.vip for state in _live_states(switch).values())
-    for vip in dict.fromkeys([*switch._live_by_vip, *recount]):
-        counted = switch._live_by_vip.get(vip, 0)
-        if counted != recount[vip]:
-            fail(
-                f"live-by-VIP count for {vip} is {counted}, but {recount[vip]} "
-                "live connections use it"
-            )
 
 
 def _check_transitions(switch: SilkRoadSwitch, fail: Fail) -> None:

@@ -10,7 +10,7 @@ applies (Figure 9c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..netsim.packet import VirtualIP
 
@@ -40,9 +40,6 @@ class VipTable:
         if vip in self._entries:
             raise ValueError(f"VIP already installed: {vip}")
         self._entries[vip] = VipEntry(current_version=version)
-
-    def withdraw(self, vip: VirtualIP) -> None:
-        del self._entries[vip]
 
     def __contains__(self, vip: VirtualIP) -> bool:
         return vip in self._entries

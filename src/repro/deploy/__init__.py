@@ -2,7 +2,6 @@
 
 from .assignment import AssignmentResult, VipDemand, assign_vips
 from .failures import (
-    expected_breakage_after_failover,
     health_check_bandwidth_bps,
     switch_failure_breakage,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "VipDemand",
     "assign_vips",
     "audit_fleet",
-    "expected_breakage_after_failover",
     "health_check_bandwidth_bps",
     "switch_failure_breakage",
 ]

@@ -36,18 +36,6 @@ def switch_failure_breakage(
     return exposed / total
 
 
-def expected_breakage_after_failover(
-    connections_per_version: Dict[int, int],
-    latest_version: int,
-    remap_probability: float,
-) -> float:
-    """Expected broken fraction: exposed connections break only if the
-    surviving switches' hash actually lands them elsewhere."""
-    if not 0.0 <= remap_probability <= 1.0:
-        raise ValueError("remap_probability must be in [0, 1]")
-    return switch_failure_breakage(connections_per_version, latest_version) * remap_probability
-
-
 def health_check_bandwidth_bps(
     num_dips: int, interval_s: float = 10.0, probe_bytes: int = 100
 ) -> float:

@@ -287,7 +287,7 @@ class _PhantomSwitch:
     def resume_connection(self, conn: Connection) -> bool:
         return False
 
-    def apply_update(self, event: UpdateEvent) -> None:
+    def apply_update(self, event: UpdateEvent, on_finished=None) -> None:
         pass
 
     def finalize(self) -> None:
@@ -692,7 +692,21 @@ class FleetSilkRoad(LoadBalancer):
             # the instance that ended it at quiesce time (idempotent).
             slot.switch.on_connection_end(conn)
 
-    def apply_update(self, event: UpdateEvent) -> None:
+    def apply_update(
+        self,
+        event: UpdateEvent,
+        on_finished: Optional[Callable[[VirtualIP, object], None]] = None,
+    ) -> None:
+        """Apply a DIP-pool update to the membership mirror and hand it to
+        every assigned switch that is reachable, synced and announcing.
+
+        ``on_finished``, when given, is called as ``on_finished(vip,
+        timings)`` once every switch the update was handed to has reached
+        ``t_finish`` (``timings`` is the last switch's).  It never fires
+        when no switch took the update (an unknown or shed VIP, a no-op
+        change, every assigned switch down or stale), nor when a switch
+        that took it dies before finishing.
+        """
         vip = event.vip
         pool = self._pools.get(vip)
         if pool is None:
@@ -714,15 +728,28 @@ class FleetSilkRoad(LoadBalancer):
             pool.append(event.dip)
         if vip in self._shed:
             return
+        takers = []
         for index in self._assignment[vip]:
             slot = self._slots[index]
             if slot.reachable and slot.synced and vip in slot.announced:
-                slot.switch.apply_update(event)
+                takers.append(slot.switch)
             else:
                 # Unreachable or already stale: it missed this update and
                 # must re-learn before it may serve again.
                 slot.synced = False
                 self.updates_missed += 1
+        callback = on_finished
+        if on_finished is not None:
+            unfinished = len(takers)
+
+            def callback(vip: VirtualIP, timings) -> None:
+                nonlocal unfinished
+                unfinished -= 1
+                if unfinished == 0:
+                    on_finished(vip, timings)
+
+        for switch in takers:
+            switch.apply_update(event, on_finished=callback)
 
     def finalize(self) -> None:
         for slot in self._slots:
@@ -1268,9 +1295,6 @@ class FleetSilkRoad(LoadBalancer):
 
     def alive_switches(self) -> List[int]:
         return [i for i, slot in enumerate(self._slots) if slot.dataplane_up]
-
-    def shed_vips(self) -> List[VirtualIP]:
-        return list(self._shed)
 
     def report(self) -> Dict[str, float]:
         """The control-plane counters plus live shape (switches up, probes,

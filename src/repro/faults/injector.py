@@ -20,7 +20,8 @@ records it to the target's flight recorder (when one is attached) as its
   cycle that reschedules itself until its cycles are spent.
 
 With no plan attached — or an empty one — the switch's fault hooks stay
-unset and the hot path is untouched (the benchmark suite guards this).
+unset and the hot path is untouched
+(``tests/faults/test_injector.py`` guards this).
 """
 
 from __future__ import annotations

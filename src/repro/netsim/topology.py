@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .packet import VirtualIP
 
@@ -79,26 +79,10 @@ class Fabric:
 
 @dataclass
 class VipPlacement:
-    """Network-wide assignment of VIPs to layers.
-
-    ``strict`` controls what an unassigned VIP means: the lenient default
-    treats it as ToR-resident (the paper's base deployment), while strict
-    placements raise — silently defaulting hides assignment bugs when the
-    placement is supposed to be total.
-    """
+    """Network-wide assignment of VIPs to layers."""
 
     fabric: Fabric
     assignment: Dict[VirtualIP, Layer] = field(default_factory=dict)
-    strict: bool = False
 
     def assign(self, vip: VirtualIP, layer: Layer) -> None:
         self.assignment[vip] = layer
-
-    def layer_of(self, vip: VirtualIP, strict: Optional[bool] = None) -> Layer:
-        effective = self.strict if strict is None else strict
-        if effective:
-            try:
-                return self.assignment[vip]
-            except KeyError:
-                raise KeyError(f"VIP not assigned to any layer: {vip}") from None
-        return self.assignment.get(vip, Layer.TOR)

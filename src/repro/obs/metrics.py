@@ -88,9 +88,6 @@ class Counter:
         """Fold another shard's total into this one (totals add)."""
         self.value += other.value
 
-    def reset(self) -> None:
-        self.value = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 
@@ -134,11 +131,6 @@ class Gauge:
         merged = self.value + other.value
         self._fn = None
         self._value = merged
-
-    def reset(self) -> None:
-        # Callback gauges keep their source of truth; stored gauges zero.
-        if self._fn is None:
-            self._value = 0.0
 
     def __getstate__(self):
         # Callback gauges cannot cross a process boundary; pickle the
@@ -258,13 +250,6 @@ class Histogram:
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
 
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-        self.min = float("inf")
-        self.max = float("-inf")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, count={self.count})"
 
@@ -336,16 +321,6 @@ class MetricRegistry:
     def instruments(self) -> Iterable[Tuple[str, object]]:
         for name in sorted(self._instruments):
             yield name, self._instruments[name]
-
-    def reset(self) -> None:
-        """Zero every instrument, keeping registrations and identities.
-
-        Bound references held by instrumented components stay valid — a
-        counter captured before ``reset()`` keeps counting into the same
-        (now zeroed) instrument afterwards.
-        """
-        for instrument in self._instruments.values():
-            instrument.reset()
 
     def merge(self, other: "MetricRegistry", prefix: str = "") -> "MetricRegistry":
         """Fold another registry into this one, in place; returns ``self``.

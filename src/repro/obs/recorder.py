@@ -200,10 +200,6 @@ class FlightRecorder:
             out.append(_event(row))
         return out
 
-    def events_for_key(self, key: bytes) -> List[RecorderEvent]:
-        """Every retained event tagged with connection ``key``."""
-        return [_event(row) for row in self._rows() if row[_KEY] == key]
-
     def to_dicts(self) -> List[Dict[str, object]]:
         return [_event(row).to_dict() for row in self._rows()]
 

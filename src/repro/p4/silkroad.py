@@ -241,16 +241,6 @@ class SilkRoadP4:
                 )
             )
 
-    def drop_pool(self, vip: VirtualIP, version: int) -> None:
-        index = self.vip_index(vip)
-        entry = self._group_bases.pop((index, version), None)
-        if entry is None:
-            return
-        base, size = entry
-        self.dip_group_table.remove((index, version))
-        for offset in range(size):
-            self.dip_member_table.remove((base + offset,))
-
     def conn_profile(self, key: bytes) -> List[Tuple[int, int]]:
         """(bucket, digest) of a connection key at every stage.
 
@@ -279,10 +269,6 @@ class SilkRoadP4:
         bucket, digest = self.conn_profile(key)[stage]
         self.install_entry(stage, bucket, digest, version)
 
-    def remove_connection(self, key: bytes, stage: int) -> None:
-        bucket, digest = self.conn_profile(key)[stage]
-        self.conn_table.remove((stage, bucket, digest))
-
     def transit_set(self, cells: Iterable[int]) -> None:
         """Set TransitTable register cells (what a step-1 mark writes)."""
         for index in cells:
@@ -292,9 +278,6 @@ class SilkRoadP4:
         base = base_hash(key)
         size = self.transit_register.size
         self.transit_set(unit.index_base(base, size) for unit in self._transit_units)
-
-    def transit_clear(self) -> None:
-        self.transit_register.clear()
 
     def _transit_check(self, key: bytes) -> bool:
         base = base_hash(key)

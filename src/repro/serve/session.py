@@ -105,7 +105,8 @@ class _DrainState:
     dip: DirectIP
     requested_at: float
     status: str = "draining"  # draining -> drained
-    #: t_finish of the DRAIN update (switch path; from ``on_finished``).
+    #: t_finish of the DRAIN update (from ``on_finished``; for a fleet,
+    #: when the last switch it was handed to finished it).
     update_finished_at: Optional[float] = None
     completed_at: Optional[float] = None
 
@@ -288,10 +289,7 @@ class ServeSession:
             cause=RootCause.UPGRADE,
             weight=weight,
         )
-        if not self.is_fleet and on_finished is not None:
-            self.lb.apply_update(event, on_finished=on_finished)
-        else:
-            self.lb.apply_update(event)
+        self.lb.apply_update(event, on_finished=on_finished)
         self.mutations += 1
 
     def add_dip(

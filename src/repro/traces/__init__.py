@@ -18,11 +18,8 @@ from .distributions import (
 from .io import (
     FLEET_COLUMNS,
     TraceFormatError,
-    UPDATE_COLUMNS,
     dump_fleet,
-    dump_updates,
     load_fleet,
-    load_updates,
 )
 from .rootcauses import (
     BACKEND_ONLY_CAUSES,
@@ -32,7 +29,7 @@ from .rootcauses import (
     sample_causes,
     synthesize_log,
 )
-from .workload import DEFAULT_MIX, ClusterProfile, FleetSynthesizer, fleet_statistic
+from .workload import DEFAULT_MIX, ClusterProfile, FleetSynthesizer
 
 __all__ = [
     "ACTIVE_CONNS_PER_TOR_P99",
@@ -44,11 +41,8 @@ __all__ = [
     "DEFAULT_MIX",
     "FLEET_COLUMNS",
     "TraceFormatError",
-    "UPDATE_COLUMNS",
     "dump_fleet",
-    "dump_updates",
     "load_fleet",
-    "load_updates",
     "FleetSynthesizer",
     "LogNormalFit",
     "LoggedChange",
@@ -57,7 +51,6 @@ __all__ = [
     "UPDATE_P99_PER_MIN",
     "cause_mix_for",
     "cause_shares",
-    "fleet_statistic",
     "sample_causes",
     "synthesize_log",
 ]

@@ -1,29 +1,22 @@
-"""Trace import/export: CSV round-trips for fleet profiles and update logs.
+"""Trace import/export: a CSV round-trip for fleet profiles.
 
 The synthetic fleet is a stand-in for proprietary production data; an
 operator reproducing the paper's analysis on *their own* fleet needs a
-way in.  These functions round-trip:
-
-* cluster-fleet profiles (the per-cluster statistics behind Figures 2, 6,
-  8, 12, 13, 14), and
-* DIP-pool update event streams (the §3 operational logs).
+way in.  These functions round-trip cluster-fleet profiles (the
+per-cluster statistics behind Figures 2, 6, 8, 12, 13, 14).
 
 CSV is used so the files are editable and diffable; columns match the
-attribute names of :class:`~repro.traces.workload.ClusterProfile` and
-:class:`~repro.netsim.updates.UpdateEvent`.
+attribute names of :class:`~repro.traces.workload.ClusterProfile`.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, List, Sequence, TextIO, Union
+from typing import List, Sequence, TextIO, Union
 
 from ..netsim.cluster import ClusterType
-from ..netsim.packet import DirectIP, VirtualIP
-from ..netsim.updates import RootCause, UpdateEvent, UpdateKind
 from .workload import ClusterProfile
 
 PathOrFile = Union[str, Path, TextIO]
@@ -43,9 +36,6 @@ FLEET_COLUMNS = (
     "avg_packet_bytes",
     "ipv6",
 )
-
-UPDATE_COLUMNS = ("time_s", "vip", "kind", "dip", "cause")
-
 
 class TraceFormatError(ValueError):
     """Raised on malformed trace files."""
@@ -137,51 +127,3 @@ def load_fleet(source: PathOrFile) -> List[ClusterProfile]:
                 raise TraceFormatError(f"bad fleet row at line {line_no}: {exc}") from exc
         return profiles
 
-
-# ----------------------------------------------------------------------
-# Update streams
-# ----------------------------------------------------------------------
-
-
-def dump_updates(events: Sequence[UpdateEvent], target: PathOrFile) -> None:
-    """Write a DIP-pool update stream as CSV."""
-    with _open_for(target, "w") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(UPDATE_COLUMNS)
-        for event in events:
-            writer.writerow(
-                [
-                    repr(event.time),
-                    str(event.vip),
-                    event.kind.value,
-                    str(event.dip),
-                    event.cause.value,
-                ]
-            )
-
-
-def load_updates(source: PathOrFile) -> List[UpdateEvent]:
-    """Read a DIP-pool update stream from CSV."""
-    with _open_for(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(UPDATE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise TraceFormatError(f"update CSV missing columns: {sorted(missing)}")
-        events = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                events.append(
-                    UpdateEvent(
-                        time=float(row["time_s"]),
-                        vip=VirtualIP.parse(row["vip"]),
-                        kind=UpdateKind(row["kind"]),
-                        dip=DirectIP.parse(row["dip"]),
-                        cause=RootCause(row["cause"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise TraceFormatError(
-                    f"bad update row at line {line_no}: {exc}"
-                ) from exc
-        events.sort(key=lambda e: e.time)
-        return events

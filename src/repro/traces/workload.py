@@ -139,8 +139,3 @@ class FleetSynthesizer:
         burst_mask = rng.random(minutes) < 0.015
         bursts = rng.poisson(max(profile.updates_per_min_p99, 1e-6), size=minutes)
         return np.where(burst_mask, base + bursts, base)
-
-
-def fleet_statistic(profiles: List[ClusterProfile], attribute: str) -> List[float]:
-    """Extract one attribute across a fleet (for CDFs)."""
-    return [float(getattr(p, attribute)) for p in profiles]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.reporting import format_comparison, format_series, format_table
+from repro.analysis.reporting import format_comparison, format_table
 
 
 class TestFormatTable:
@@ -23,14 +23,6 @@ class TestFormatTable:
         assert "0.000123" in out
         assert "1.23e+06" in out
         assert "0.5" in out
-
-
-class TestFormatSeries:
-    def test_labels(self):
-        out = format_series("fig", [(1.0, 2.0), (3.0, 4.0)], xlabel="t", ylabel="v")
-        assert "fig" in out
-        assert "(t -> v)" in out
-        assert out.count("\n") == 2
 
 
 class TestFormatComparison:

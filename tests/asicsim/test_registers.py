@@ -22,15 +22,10 @@ class TestRegisterArray:
         with pytest.raises(ValueError):
             arr.write(0, -1)
 
-    def test_read_modify_write_saturates(self):
-        arr = RegisterArray(4, width=2)
-        assert arr.read_modify_write(0, +5) == 3  # saturate at 2^2-1
-        assert arr.read_modify_write(0, -10) == 0  # floor at 0
-
     def test_transactional_visibility(self):
         # An update is visible to the immediately following read.
         arr = RegisterArray(2, width=8)
-        arr.read_modify_write(1, +1)
+        arr.write(1, arr.read(1) + 1)
         assert arr.read(1) == 1
 
     def test_clear(self):

@@ -25,7 +25,6 @@ def _replay_digest() -> str:
         DuetLoadBalancer,
         EcmpLoadBalancer,
         MigrationPolicy,
-        ResilientEcmpLoadBalancer,
         SoftwareLoadBalancer,
     )
     from repro.netsim import ArrivalGenerator, FlowSimulator, uniform_vip_workloads
@@ -34,7 +33,6 @@ def _replay_digest() -> str:
 
     factories = [
         EcmpLoadBalancer,
-        ResilientEcmpLoadBalancer,
         SoftwareLoadBalancer,
         lambda: DuetLoadBalancer(
             policy=MigrationPolicy.PERIODIC, migrate_period_s=5.0

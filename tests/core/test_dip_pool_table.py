@@ -75,11 +75,6 @@ class TestVipLifecycle:
         with pytest.raises(KeyError):
             table.current_version(VIP)
 
-    def test_remove_vip(self, table):
-        table.add_vip(VIP, [dip(1)])
-        table.remove_vip(VIP)
-        assert VIP not in table
-
 
 class TestVersioning:
     def test_remove_creates_new_version(self, table):

@@ -49,30 +49,6 @@ def run_switch(config, updates_per_min=10.0, conns_per_min=6000.0, horizon=90.0,
 
 
 class TestVipProvisioning:
-    def test_announce_and_withdraw(self, vip, dips):
-        switch = SilkRoadSwitch(small_config())
-        switch.announce_vip(vip, dips)
-        assert vip in switch.vip_table
-        switch.withdraw_vip(vip)
-        assert vip not in switch.vip_table
-
-    def test_withdraw_refused_with_active_connections(self, vip, dips, tuples):
-        from repro.netsim.flows import Connection
-
-        switch = SilkRoadSwitch(small_config())
-        switch.announce_vip(vip, dips)
-        conn = Connection(
-            conn_id=1, key=tuples.next_for(vip).key_bytes(), vip=vip,
-            start=0.0, duration=100.0,
-        )
-        switch.on_connection_arrival(conn)
-        with pytest.raises(ValueError, match="still active"):
-            switch.withdraw_vip(vip)
-        switch.on_connection_end(conn)
-        switch.queue.run_until(switch.queue.now + 10.0)
-        switch.withdraw_vip(vip)  # drained: now allowed
-        assert vip not in switch.vip_table
-
     def test_unknown_vip_traffic_raises(self, vip, tuples):
         from repro.netsim.flows import Connection
 
@@ -216,24 +192,11 @@ class TestTableOverflow:
         assert switch.table_full_events > 0
 
 
-class TestWithdrawRefusals:
-    def test_refused_while_update_in_flight(self, vip, dips):
-        from repro.core import Phase
+class TestLiveConnectionsOn:
+    """``live_connections_on`` (the drain-completion signal) counts exactly
+    the live connections mapped to a (VIP, DIP)."""
 
-        switch = SilkRoadSwitch(small_config())
-        switch.announce_vip(vip, dips)
-        # Put the coordinator mid-update with no live connections (a state
-        # normal traffic can only pass through transiently), so the
-        # drained-VIP check passes and the in-flight check must refuse.
-        state = switch.coordinator._state(vip)
-        state.phase = Phase.STEP1
-        with pytest.raises(ValueError, match="update in flight"):
-            switch.withdraw_vip(vip)
-        state.phase = Phase.IDLE
-        switch.withdraw_vip(vip)
-        assert vip not in switch.vip_table
-
-    def test_live_index_tracks_arrivals_and_ends(self, vip, dips, tuples):
+    def test_tracks_arrivals_and_ends(self, vip, dips, tuples):
         from repro.netsim.flows import Connection
 
         switch = SilkRoadSwitch(small_config())
@@ -245,22 +208,15 @@ class TestWithdrawRefusals:
         ]
         for conn in conns:
             switch.on_connection_arrival(conn)
-        assert switch._live_by_vip[vip] == len(conns)
+        assert sum(switch.live_connections_on(vip, d) for d in dips) == len(conns)
         for conn in conns:
             switch.on_connection_end(conn)
-        assert switch._live_by_vip[vip] == 0
-        switch.queue.run_until(switch.queue.now + 10.0)
-        switch.withdraw_vip(vip)
-        assert vip not in switch._live_by_vip
+        assert sum(switch.live_connections_on(vip, d) for d in dips) == 0
 
-    def test_live_count_is_exact_across_double_end_readmission_and_resume(
-        self, vip, dips, tuples
-    ):
-        """The count moves only when a state turns dead or live: a second
-        end, a resume of an ended entry and a re-admission over an ended
-        state each leave it equal to a recount, and ``withdraw_vip`` reads
-        it."""
-        from repro.core.verify import audit_switch
+    def test_exact_across_double_end_readmission_and_resume(self, vip, dips, tuples):
+        """A second end, a resume of an ended entry and a re-admission over
+        an ended state each leave the count equal to a recount of the live
+        connections on each DIP."""
         from repro.netsim.flows import Connection
 
         # A 16-slot table with the §7 software overflow: some connections
@@ -281,31 +237,33 @@ class TestWithdrawRefusals:
         assert switch.pending_connections() == 0
         resident = next(c for c in conns if c.key in switch.conn_table)
         pinned = next(c for c in conns if c.key not in switch.conn_table)
+        live = set(conns)
 
-        def live_count_is_exact(expected):
-            assert switch._live_by_vip[vip] == expected
-            report = audit_switch(switch)
-            assert not [v for v in report.violations if "live-by-VIP" in v]
+        def count_is_exact():
+            for dip in dips:
+                expected = sum(1 for c in live if c.current_dip == dip)
+                assert switch.live_connections_on(vip, dip) == expected, dip
+            assert sum(switch.live_connections_on(vip, d) for d in dips) == len(live)
 
-        live_count_is_exact(20)
+        count_is_exact()
         switch.on_connection_end(resident)
         switch.on_connection_end(resident)  # a hand-off racing the FIN
-        live_count_is_exact(19)
+        live.discard(resident)
+        count_is_exact()
         assert switch.resume_connection(resident)
-        live_count_is_exact(20)
+        live.add(resident)
+        count_is_exact()
         switch.on_connection_end(pinned)
-        live_count_is_exact(19)
+        live.discard(pinned)
+        count_is_exact()
         assert not switch.resume_connection(pinned)  # no entry to hit
         switch.on_connection_arrival(pinned)  # re-admitted over the dead state
-        live_count_is_exact(20)
-        with pytest.raises(ValueError, match="connections still active"):
-            switch.withdraw_vip(vip)
+        live.add(pinned)
+        count_is_exact()
         for conn in conns:
             switch.on_connection_end(conn)
-        live_count_is_exact(0)
-        switch.queue.run_until(switch.queue.now + 10.0)
-        switch.withdraw_vip(vip)
-        assert vip not in switch._live_by_vip
+        live.clear()
+        count_is_exact()
 
 
 class TestFinalizePollCancel:

@@ -32,11 +32,6 @@ class TestBasics:
         with pytest.raises(KeyError):
             VipTable().lookup(VIP)
 
-    def test_withdraw(self, table):
-        table.withdraw(VIP)
-        assert VIP not in table
-        assert len(table) == 0
-
     def test_set_version(self, table):
         table.set_version(VIP, 5)
         assert table.lookup(VIP).current_version == 5

@@ -50,7 +50,7 @@ class TestAssignment:
         monster = VipDemand(vip=vip(0), connections=30e6, traffic_gbps=100.0)
         result = assign_vips(fabric, [monster])
         assert result.feasible
-        layer = result.placement.layer_of(monster.vip)
+        layer = result.placement.assignment[monster.vip]
         assert layer is Layer.TOR  # only 16-wide ToR layer fits 105 MB split
 
     def test_infeasible_reported_not_crashed(self):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.deploy import (
-    expected_breakage_after_failover,
     health_check_bandwidth_bps,
     switch_failure_breakage,
 )
@@ -37,14 +36,3 @@ class TestSwitchFailureBreakage:
 
     def test_empty(self):
         assert switch_failure_breakage({}, latest_version=0) == 0.0
-
-    def test_expected_breakage_scales_with_remap(self):
-        conns = {5: 500, 4: 500}
-        full = expected_breakage_after_failover(conns, 5, remap_probability=1.0)
-        half = expected_breakage_after_failover(conns, 5, remap_probability=0.5)
-        assert full == pytest.approx(0.5)
-        assert half == pytest.approx(0.25)
-
-    def test_remap_probability_validated(self):
-        with pytest.raises(ValueError):
-            expected_breakage_after_failover({1: 1}, 1, remap_probability=1.5)

@@ -8,6 +8,7 @@ from repro.core import SilkRoadConfig
 from repro.deploy import fleet as fleet_module
 from repro.deploy.fleet import FleetSilkRoad, audit_fleet
 from repro.obs.causes import BLACKHOLE, RACE, REHASH, SHED
+from repro.obs.recorder import FlightRecorder
 from repro.experiments.parallel import run_sharded
 from repro.faults.fleet import run_fleet
 from repro.netsim.batchsim import BatchedFlowSimulator
@@ -162,11 +163,15 @@ class TestShed:
         cluster, fleet, conns = build(
             num_vips=4, conn_budget=250, conns_per_min=4000.0
         )
+        recorder = FlightRecorder(capacity=1 << 20)
+        fleet.attach_recorder(recorder)
         sim = FlowSimulator(fleet)
         sim.queue.schedule(20.0, lambda: fleet.inject_switch_crash(1), 1)
         sim.run(conns, horizon_s=60.0)
-        announced = [s.vip for s in cluster.services]
-        shed = fleet.shed_vips()
+        announced = [str(s.vip) for s in cluster.services]
+        assert not any(recorder.dropped.values())
+        shed = [dict(e.attrs)["vip"] for e in recorder.events("fleet", "shed")]
+        assert len(shed) == fleet.vips_shed
         # Every switch announces every VIP, so each one loads the survivor
         # that overflows: the VIPs shed are a prefix of the announce order,
         # shed in that order, and the budget is met before all are gone.

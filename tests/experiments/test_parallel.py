@@ -369,8 +369,8 @@ class TestMergedView:
         result = run_sharded(
             "fig16", num_shards=2, workers=1, seed=16, params=dict(FIG16_PARAMS)
         )
-        # Each shard audits its switch (8 checks with connections supplied).
-        assert result.audit.checks_run == 16
+        # Each shard audits its switch (7 checks with connections supplied).
+        assert result.audit.checks_run == 14
         assert "silkroad.pcc_violations_total" in result.registry.names()
         assert "parallel.shards_total" in result.registry.names()
         assert result.registry.get("parallel.shards_total").value == 2.0

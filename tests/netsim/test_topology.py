@@ -24,25 +24,7 @@ class TestFabric:
 
 
 class TestVipPlacement:
-    def test_default_layer_is_tor(self, fabric, vip):
-        placement = VipPlacement(fabric=fabric)
-        assert placement.layer_of(vip) is Layer.TOR
-
     def test_assignment(self, fabric, vip):
         placement = VipPlacement(fabric=fabric)
         placement.assign(vip, Layer.CORE)
-        assert placement.layer_of(vip) is Layer.CORE
-
-    def test_strict_raises_on_unknown_vip(self, fabric, vip):
-        placement = VipPlacement(fabric=fabric, strict=True)
-        with pytest.raises(KeyError):
-            placement.layer_of(vip)
-        placement.assign(vip, Layer.AGG)
-        assert placement.layer_of(vip) is Layer.AGG
-
-    def test_strict_override_per_call(self, fabric, vip):
-        lenient = VipPlacement(fabric=fabric)
-        with pytest.raises(KeyError):
-            lenient.layer_of(vip, strict=True)
-        strict = VipPlacement(fabric=fabric, strict=True)
-        assert strict.layer_of(vip, strict=False) is Layer.TOR
+        assert placement.assignment == {vip: Layer.CORE}

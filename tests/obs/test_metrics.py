@@ -25,12 +25,6 @@ class TestCounter:
         c.inc(2.5)
         assert c.value == 3.5
 
-    def test_reset(self):
-        c = Counter("x")
-        c.inc(7)
-        c.reset()
-        assert c.value == 0.0
-
 
 class TestGauge:
     def test_set(self):
@@ -45,12 +39,6 @@ class TestGauge:
         assert g.value == 1.0
         state["v"] = 9.0
         assert g.value == 9.0
-
-    def test_reset_preserves_callback(self):
-        g = Gauge("x")
-        g.set_function(lambda: 5.0)
-        g.reset()
-        assert g.value == 5.0
 
 
 class TestHistogram:
@@ -112,14 +100,6 @@ class TestHistogram:
         for p in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 h.percentile(p)
-
-    def test_reset(self):
-        h = Histogram("x")
-        h.observe(4.0)
-        h.reset()
-        assert h.count == 0
-        assert h.sum == 0.0
-        assert all(c == 0 for c in h.bucket_counts)
 
     def test_rejects_duplicate_bounds(self):
         with pytest.raises(ValueError):
@@ -200,18 +180,6 @@ class TestMetricRegistry:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-
-    def test_counters_survive_reset(self):
-        registry = MetricRegistry()
-        counter = registry.counter("hits")
-        counter.inc(10)
-        registry.reset()
-        # Identity kept: a bound reference keeps counting into the same
-        # (zeroed) instrument, and the registry sees the new increments.
-        assert counter.value == 0.0
-        counter.inc()
-        assert registry.get("hits") is counter
-        assert registry.get("hits").value == 1.0
 
     def test_scope_prefixes_names(self):
         registry = MetricRegistry()

@@ -77,8 +77,7 @@ class TestRing:
         rec.record(2.0, CONN_FIN, b"a", False)
         rec.record(3.0, UPDATE_T_REQ, None, "v", 1)
         assert [e.t for e in rec.events(category="conn", name="syn")] == [0.0, 1.0]
-        assert [e.t for e in rec.events_for_key(b"a")] == [0.0, 2.0]
-        assert rec.events_for_key(b"zz") == []
+        assert [e.t for e in rec.events() if e.key == b"a"] == [0.0, 2.0]
 
     def test_summary_shape(self):
         rec = FlightRecorder(capacity=4)

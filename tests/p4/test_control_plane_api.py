@@ -47,15 +47,6 @@ class TestPoolProgramming:
         p4.program_pool(VIP, 0, dips(2))  # shrink the same version
         assert len(p4.dip_member_table) == members_before - 2
 
-    def test_drop_pool(self):
-        p4 = SilkRoadP4()
-        p4.program_vip(VIP, version=0)
-        p4.program_pool(VIP, 0, dips(3))
-        p4.drop_pool(VIP, 0)
-        assert len(p4.dip_group_table) == 0
-        assert len(p4.dip_member_table) == 0
-        p4.drop_pool(VIP, 0)  # idempotent
-
     def test_missing_pool_drops_packet(self):
         p4 = SilkRoadP4()
         p4.program_vip(VIP, version=5)  # no pool programmed for v5
@@ -85,7 +76,7 @@ class TestTransitRegister:
     def test_clear(self):
         p4 = SilkRoadP4()
         p4.transit_mark(b"conn")
-        p4.transit_clear()
+        p4.transit_register.clear()
         assert not p4._transit_check(b"conn")
 
 

@@ -269,6 +269,3 @@ class TestLearning:
         p4.install_connection(ft.key_bytes(), stage=0, version=0)
         result = p4.process(build_packet(ft))
         assert result.conn_table_hit
-        p4.remove_connection(ft.key_bytes(), stage=0)
-        result = p4.process(build_packet(ft))
-        assert not result.conn_table_hit

@@ -21,7 +21,7 @@ PINNED_CONFIGS = {
 
 _SWITCH_REPORT = {
     "advances": 16,
-    "audit_detail": "audit ok (8 checks)",
+    "audit_detail": "audit ok (7 checks)",
     "audit_ok": True,
     "drains": [
         {
@@ -48,7 +48,7 @@ PINNED_REPORTS = {
         "audit_detail": (
             "fleet audit: ok — 22 violations (version_pinned_rehash=22), "
             "445 dropped, 0 unattributed violations, 0 unattributed drops; "
-            "structural: 86 checks, 0 failures"
+            "structural: 74 checks, 0 failures"
         ),
         "audit_ok": True,
         "drains": [
@@ -57,7 +57,7 @@ PINNED_REPORTS = {
                 "dip": "10.0.0.0:8080",
                 "requested_at": 3.0,
                 "status": "drained",
-                "update_finished_at": None,
+                "update_finished_at": 3.0011999999999923,
                 "vip": "20.0.0.0:80",
             }
         ],

@@ -89,7 +89,15 @@ class TestAdvance:
 
 class TestDrain:
     def test_drain_is_graceful_and_completes(self):
-        session = small_session()
+        self.drain_is_graceful_and_completes(small_session())
+
+    def test_fleet_drain_is_graceful_and_completes(self):
+        # The fleet reports update_finished_at once every switch the drain
+        # was handed to has finished it.
+        self.drain_is_graceful_and_completes(small_session(num_switches=3))
+
+    @staticmethod
+    def drain_is_graceful_and_completes(session: ServeSession) -> None:
         drawn = record_draws(session)
         vip_str = first_vip(session)
         vip = session._vip(vip_str)

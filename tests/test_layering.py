@@ -50,7 +50,11 @@ And a value is settable only if some program sets it: every field of
 ``SilkRoadConfig``, ``ServeConfig`` and ``ObsOptions`` is spelled as a call
 keyword or a string literal somewhere a program lives (``src/repro``
 outside the field's own module, ``perf/``, ``examples/``); what only
-tests vary is a module constant they patch.
+tests vary is a module constant they patch.  And, by the same reach,
+every function, class and method under ``src/repro`` has a program
+reader: a fixed point over names read from the programs finds nothing
+only tests run, unless ``TEST_ONLY`` admits it as a test oracle, a test
+observation surface or the §5.1 P4 artifact.
 And one name per count: no ``def report`` outside ``deploy/fleet.py``
 (whose replicated fleet counters cannot yet be registry counters), no
 count stored as a plain switch attribute, no counts dict on a simulation
@@ -249,7 +253,7 @@ def test_one_distribution_store():
         *(written for name, written in methods.items() if name != "__init__")
     )
     assert {"bucket_counts", "count", "min", "max"} <= mutable
-    assert set(methods["observe"]) == set(methods["reset"]) == mutable
+    assert set(methods["observe"]) == mutable
     folded = methods["merge_from"]
     assert set(folded) == mutable, f"merge_from does not fold {mutable - set(folded)}"
     for slot, values in folded.items():
@@ -714,6 +718,177 @@ def test_every_config_field_has_a_setter():
         "config fields no program sets (make each a module constant beside "
         f"the code that reads it): {unset}"
     )
+
+
+#: Benchmark files that are tests, not programs.
+NOT_PROGRAMS = ("perf/test_perf.py",)
+
+#: Why a definition no program runs may stay in src/repro (every entry of
+#: ``TEST_ONLY`` gives one of these).
+ORACLE = "an oracle a test checks program output against"
+OBSERVATION = "test observation surface: the differential and partition tests compare runs through it"
+ARTIFACT = "the §5.1 P4 artifact: DESIGN.md's §5.1 row and test_line_count_near_paper_scale read it"
+
+#: (file relative to src/repro, qualified name or ``*`` for the whole module)
+#: -> the reason it stays although only tests reach it.
+TEST_ONLY = {
+    # The inverse of `repro fleet-csv`'s dump_fleet.
+    ("traces/io.py", "load_fleet"): ORACLE,
+    # The inverse of to_prometheus_text (`repro telemetry --format prom`).
+    ("obs/export.py", "parse_prometheus_text"): ORACLE,
+    # Closed forms the measured false-positive rates are held to.
+    ("asicsim/registers.py", "BloomFilter.expected_false_positive_rate"): ORACLE,
+    ("core/transit_table.py", "TransitTable.expected_false_positive_rate"): ORACLE,
+    ("obs/recorder.py", "FlightRecorder.to_dicts"): OBSERVATION,
+    ("obs/recorder.py", "FlightRecorder.total_recorded"): OBSERVATION,
+    ("experiments/parallel.py", "FleetPartitionedResult.audit_fingerprint"): OBSERVATION,
+    # Whether the emitter gets a CLI reader or goes is open (ROADMAP item 6).
+    ("p4/emit.py", "*"): ARTIFACT,
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_all(stmt) -> bool:
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+    )
+
+
+def _references(nodes, package_init: bool) -> set:
+    """Every name ``nodes`` may read: a ``Name``, an ``Attribute``, an import
+    alias (not in a package ``__init__``, whose imports only re-export) and
+    an identifier-shaped string (``getattr`` by name)."""
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias) and not package_init:
+                names.add(node.name.rsplit(".", 1)[-1])
+                names.add(node.asname or node.name)
+            elif (
+                isinstance(node, ast.Constant)
+                and type(node.value) is str
+                and node.value.isidentifier()
+            ):
+                names.add(node.value)
+    return names
+
+
+def _facade_results() -> set:
+    """(file, class) of every class ``repro.api.__all__`` exports that one
+    of its functions returns: a caller holds that object, and its methods
+    are the facade's reading surface."""
+    import inspect
+    import typing
+
+    import repro.api as api
+
+    exported = [getattr(api, name) for name in api.__all__]
+    returned = {
+        typing.get_type_hints(obj).get("return") for obj in exported if inspect.isfunction(obj)
+    }
+    return {
+        (cls.__module__.removeprefix("repro.").replace(".", "/") + ".py", cls.__name__)
+        for cls in exported
+        if inspect.isclass(cls) and cls in returned
+    }
+
+
+def _test_only_definitions(allowed) -> dict:
+    """``{(file, qualname): lines}`` of the outermost definitions under
+    src/repro that no program reaches: a fixed point from the programs
+    (module-level code under src/repro, and ``PROGRAM_DIRS``), in which a
+    definition reached only from unreached ones is unreached too.  A
+    definition is reached if a reached body reads its name, if it is a
+    dunder, if it is a method of a class in ``_facade_results()``, or if
+    ``allowed`` names it."""
+    definitions = {}  # (file, qualname) -> (name, references, lines)
+    reached = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        package_init = path.name == "__init__.py"
+        module_level = []
+
+        def collect(body, prefix, loose):
+            for stmt in body:
+                if isinstance(stmt, _DEFINITIONS):
+                    own = [stmt]
+                    if isinstance(stmt, ast.ClassDef):
+                        own = [s for s in stmt.body if not isinstance(s, _DEFINITIONS)]
+                        own += stmt.decorator_list + stmt.bases + stmt.keywords
+                        collect(stmt.body, f"{prefix}{stmt.name}.", None)
+                    definitions[(rel, prefix + stmt.name)] = (
+                        stmt.name,
+                        _references(own, package_init),
+                        stmt.end_lineno - stmt.lineno + 1,
+                    )
+                elif loose is not None and not _is_all(stmt):
+                    loose.append(stmt)
+
+        collect(ast.parse(path.read_text(), filename=str(path)).body, "", module_level)
+        reached |= _references(module_level, package_init)
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if path.relative_to(ROOT).as_posix() not in NOT_PROGRAMS:
+                tree = ast.parse(path.read_text(), filename=str(path))
+                reached |= _references([tree], package_init=False)
+
+    facade = _facade_results()
+    live = set()
+    for (rel, qualname), (name, *_) in definitions.items():
+        if (
+            (rel, qualname) in allowed
+            or (rel, "*") in allowed
+            or (rel, qualname.rpartition(".")[0]) in facade
+            or (name.startswith("__") and name.endswith("__"))
+        ):
+            live.add((rel, qualname))
+    grew = True
+    while grew:
+        grew = False
+        for key, (name, references, _lines) in definitions.items():
+            if key not in live and name in reached:
+                live.add(key)
+            if key in live and not references <= reached:
+                reached |= references
+                grew = True
+    dead = {key for key in definitions if key not in live}
+    # A method of an unreached class is reported with its class.
+    return {
+        (rel, qualname): definitions[(rel, qualname)][2]
+        for rel, qualname in sorted(dead)
+        if not any(
+            (rel, qualname.rsplit(".", depth)[0]) in dead
+            for depth in range(1, qualname.count(".") + 1)
+        )
+    }
+
+
+def test_every_definition_has_a_program_reader():
+    """Nothing under src/repro runs only in tests: every function, class and
+    method is reached from a program (src/repro itself, ``perf/``,
+    ``examples/``), or ``TEST_ONLY`` says why it stays."""
+    orphans = _test_only_definitions(TEST_ONLY)
+    assert not orphans, "definitions only tests reach (delete them):\n" + "\n".join(
+        f"{rel}:{qualname} ({lines} lines)" for (rel, qualname), lines in orphans.items()
+    )
+
+
+def test_test_only_allow_list_has_no_stale_entries():
+    assert set(TEST_ONLY.values()) <= {ORACLE, OBSERVATION, ARTIFACT}
+    unreached = _test_only_definitions(allowed=set())
+    stale = [
+        entry
+        for entry in TEST_ONLY
+        if entry not in unreached
+        and not (entry[1] == "*" and any(rel == entry[0] for rel, _ in unreached))
+    ]
+    assert not stale, f"TEST_ONLY entries a program reaches or that are gone: {stale}"
 
 
 def test_one_name_per_count():

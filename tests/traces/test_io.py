@@ -6,16 +6,7 @@ import io
 
 import pytest
 
-from repro.netsim.cluster import make_cluster, spare_pool
-from repro.netsim.updates import UpdateGenerator
-from repro.traces import (
-    FleetSynthesizer,
-    TraceFormatError,
-    dump_fleet,
-    dump_updates,
-    load_fleet,
-    load_updates,
-)
+from repro.traces import FleetSynthesizer, TraceFormatError, dump_fleet, load_fleet
 
 
 class TestFleetRoundTrip:
@@ -48,49 +39,6 @@ class TestFleetRoundTrip:
         with pytest.raises(TraceFormatError, match="line 2"):
             load_fleet(io.StringIO(text))
 
-
-class TestUpdateRoundTrip:
-    def make_events(self):
-        cluster = make_cluster(num_vips=3, dips_per_vip=4)
-        return UpdateGenerator(seed=9).poisson_updates(
-            cluster.pools(), updates_per_min=30.0, horizon_s=300.0,
-            spare_dips=spare_pool(cluster),
-        )
-
-    def test_roundtrip(self):
-        events = self.make_events()
-        assert events
-        buffer = io.StringIO()
-        dump_updates(events, buffer)
-        buffer.seek(0)
-        loaded = load_updates(buffer)
-        assert loaded == sorted(events, key=lambda e: e.time)
-
-    def test_roundtrip_v6(self):
-        from repro.netsim.cluster import ClusterType
-
-        cluster = make_cluster(kind=ClusterType.BACKEND, num_vips=2, dips_per_vip=4)
-        events = UpdateGenerator(seed=3).poisson_updates(
-            cluster.pools(), updates_per_min=20.0, horizon_s=300.0
-        )
-        buffer = io.StringIO()
-        dump_updates(events, buffer)
-        buffer.seek(0)
-        loaded = load_updates(buffer)
-        assert loaded == sorted(events, key=lambda e: e.time)
-        assert all(e.vip.v6 and e.dip.v6 for e in loaded)
-
-    def test_loaded_events_sorted(self):
-        events = self.make_events()
-        buffer = io.StringIO()
-        dump_updates(list(reversed(events)), buffer)
-        buffer.seek(0)
-        times = [e.time for e in load_updates(buffer)]
-        assert times == sorted(times)
-
-    def test_missing_columns_rejected(self):
-        with pytest.raises(TraceFormatError):
-            load_updates(io.StringIO("time_s,vip\n"))
 
 class TestHandleLifecycle:
     """The file handle must close on *every* exit path, including errors.
@@ -132,13 +80,6 @@ class TestHandleLifecycle:
             load_fleet(path)
         assert len(opened) == 1 and opened[0].closed
 
-    def test_load_updates_closes_on_malformed_csv(self, tmp_path, opened):
-        path = tmp_path / "bad-updates.csv"
-        path.write_text("time_s,vip,kind,dip,cause\nnot-a-float,x,y,z,w\n")
-        with pytest.raises(TraceFormatError):
-            load_updates(path)
-        assert len(opened) == 1 and opened[0].closed
-
     def test_dump_and_load_close_on_success(self, tmp_path, opened):
         fleet = FleetSynthesizer(seed=12).synthesize()
         path = tmp_path / "fleet.csv"
@@ -152,27 +93,3 @@ class TestHandleLifecycle:
             load_fleet(buffer)
         assert not buffer.closed  # caller owns its lifecycle
 
-
-class TestUpdateRoundTripSimulator:
-    def test_replayable_through_simulator(self):
-        """A dumped+loaded stream drives the simulator identically."""
-        from repro.baselines import SoftwareLoadBalancer
-        from repro.netsim import ArrivalGenerator, FlowSimulator, uniform_vip_workloads
-
-        cluster = make_cluster(num_vips=2, dips_per_vip=4)
-        events = UpdateGenerator(seed=4).poisson_updates(
-            cluster.pools(), updates_per_min=10.0, horizon_s=60.0,
-            spare_dips=spare_pool(cluster),
-        )
-        buffer = io.StringIO()
-        dump_updates(events, buffer)
-        buffer.seek(0)
-        loaded = load_updates(buffer)
-        lb = SoftwareLoadBalancer()
-        for service in cluster.services:
-            lb.announce_vip(service.vip, service.dips)
-        conns = ArrivalGenerator(seed=1).generate(
-            uniform_vip_workloads(cluster.vips, 600.0), horizon_s=60.0
-        ).records()
-        report = FlowSimulator(lb).run(conns, loaded, horizon_s=60.0)
-        assert report.pcc_violations == 0

@@ -10,7 +10,6 @@ from repro.traces.workload import (
     DEFAULT_MIX,
     ClusterProfile,
     FleetSynthesizer,
-    fleet_statistic,
 )
 
 
@@ -77,6 +76,4 @@ class TestMonthlyMinutes:
 
 class TestFleetStatistic:
     def test_extracts(self, fleet):
-        values = fleet_statistic(fleet, "traffic_gbps")
-        assert len(values) == len(fleet)
-        assert all(v > 0 for v in values)
+        assert all(profile.traffic_gbps > 0 for profile in fleet)
