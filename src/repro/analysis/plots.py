@@ -8,7 +8,7 @@ plotting dependency.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from .cdf import Cdf
 

@@ -42,7 +42,8 @@ from .deploy.fleet import (
 )
 from .experiments.parallel import ShardedRunResult, run_fleet_partitioned, run_sharded
 # ``chaos_config`` (the hardened preset ``run_chaos`` defaults to) rides along
-# for ``repro explain``, which shrinks it; it is not part of ``__all__``.
+# for ``repro chaos --conn-table-capacity`` / ``--step-deadline``, which
+# shrink it; it is not part of ``__all__``.
 from .faults.chaos import ChaosResult, chaos_config, run_chaos  # noqa: F401
 from .faults.fleet import FleetChaosResult, run_fleet
 from .options import ObsOptions

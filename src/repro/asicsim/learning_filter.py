@@ -15,8 +15,8 @@ protect during DIP-pool updates.  Figure 18 sweeps the filter timeout between
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..obs.metrics import LATENCY_BUCKETS_S, MetricRegistry, Scope
 

@@ -21,7 +21,6 @@ pool re-hash under the switches' current pool.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..netsim.flows import Connection

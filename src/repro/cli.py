@@ -8,7 +8,7 @@ call per command into :mod:`repro.api`, under three rules:
   ``--horizon``, ``--faults-per-min`` … are ``None`` unless typed, and only
   what the user typed reaches the runner (:func:`_given`); the rest takes
   the default in that runner's signature, the one place it is declared.
-  (``pcc`` and ``telemetry`` size their own workload.)
+  (``pcc`` sizes its own workload.)
 * **An input error is a usage error.**  Runners reject a bad value — an
   unknown failure pattern, a parameter the task does not take — with
   ``ValueError`` in this process, before any worker is spawned;
@@ -20,7 +20,10 @@ call per command into :mod:`repro.api`, under three rules:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import nullcontext
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 #: Runner keywords the shared flag groups set: the workload's shape, plus
@@ -28,6 +31,10 @@ from typing import Callable, Dict, List, Optional
 SHAPE = ("scale", "horizon_s", "updates_per_min")
 WORKLOAD = ("seed", *SHAPE)
 CHAOS = (*WORKLOAD, "fault_seed", "faults_per_min")
+#: The replay report's headline, as ``pcc --format json`` / ``jsonl`` dump it.
+REPORT = (
+    "total_connections", "measured_connections", "pcc_violations", "violation_fraction"
+)
 
 
 def _given(args: argparse.Namespace, *dests: str) -> Dict[str, object]:
@@ -95,9 +102,9 @@ def _finish(args, result, rerun: Optional[Callable[[], object]] = None) -> int:
     return 1
 
 
-def _write_trace(path: str, **sources) -> Optional[int]:
-    """Build the Chrome-trace document once, schema-check it, and write
-    that same document; returns the event count, or ``None`` (problems on
+def _write_trace(path: str, **sources) -> bool:
+    """Build the Chrome-trace document once, schema-check it, write that
+    same document and print its event count; ``False`` (problems on
     stderr, nothing written) when the check fails."""
     from .obs import to_chrome_trace, validate_chrome_trace, write_chrome_trace
 
@@ -105,7 +112,11 @@ def _write_trace(path: str, **sources) -> Optional[int]:
     problems = validate_chrome_trace(doc)
     for problem in problems:
         print(f"trace schema: {problem}", file=sys.stderr)
-    return None if problems else write_chrome_trace(path, doc=doc)
+    if problems:
+        return False
+    count = write_chrome_trace(path, doc=doc)
+    print(f"  wrote {count} trace events to {path} (load in ui.perfetto.dev)")
+    return True
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -117,94 +128,69 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     unknown = [n for n in args.names if n not in runner.EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
-    runner.run_all(args.names or None, stream=sys.stdout, telemetry=args.telemetry)
-    return 0
-
-
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    import json
-    from contextlib import nullcontext
-
-    from .analysis.reporting import format_metrics, format_spans
-    from .api import ObsOptions
-    from .experiments.common import build_workload, silkroad_factory
-    from .obs import ObsHook, iter_jsonl, to_prometheus_text, write_jsonl
-
-    factory = silkroad_factory(
-        use_transit_table=(args.system != "silkroad-no-tt"),
-        insertion_rate_per_s=args.insertion_rate,
-    )
-    workload = build_workload(**_given(args, *WORKLOAD))
-    # A timeline sampler rides the replay so the dump carries time series
-    # alongside counters and spans.
-    hook = ObsHook(
-        ObsOptions(timeline_period_s=args.period), "telemetry", workload.horizon_s
-    )
-    report, _conns, lb = workload.replay(factory, attach=hook)
-
-    doc = lb.telemetry_snapshot()
-    doc["scenario"] = {
-        "system": args.system,
-        **_given(args, *WORKLOAD),
-        "insertion_rate_per_s": args.insertion_rate,
-        "sample_period_s": args.period,
-    }
-    doc["report"] = {
-        "total_connections": report.total_connections,
-        "measured_connections": report.measured_connections,
-        "pcc_violations": report.pcc_violations,
-        "violation_fraction": report.violation_fraction,
-    }
-    doc["series"] = hook.timeline.summary()
-
-    sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
-    with sink as out:
-        if args.format == "json":
-            json.dump(doc, out, indent=2, sort_keys=True, default=str)
-            out.write("\n")
-        elif args.format == "jsonl":
-            records = list(iter_jsonl(lb.metrics, lb.coordinator.timings))
-            for key in ("scenario", "report", "series"):
-                records.append({"record": key, **doc[key]})
-            write_jsonl(out, records)
-        elif args.format == "prom":
-            out.write(to_prometheus_text(lb.metrics))
-        else:  # text
-            metrics, traces = format_metrics(doc["metrics"]), format_spans(doc["spans"])
-            print(report.summary(), "", metrics, "", traces, sep="\n", file=out)
+    runner.run_all(args.names or None, stream=sys.stdout)
     return 0
 
 
 def _cmd_pcc(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_metrics, format_spans
+    from .api import ObsOptions
     from .baselines import DuetLoadBalancer, MigrationPolicy, SoftwareLoadBalancer
     from .experiments.common import build_workload, silkroad_factory
+    from .obs import ObsHook, iter_jsonl, to_prometheus_text, write_jsonl
 
-    factories = {
-        "silkroad": silkroad_factory(),
-        "silkroad-no-tt": silkroad_factory(use_transit_table=False),
+    switch_flags = _given(args, "insertion_rate_per_s", "timeline_period")
+    baselines = {
         "duet": lambda: DuetLoadBalancer(
             policy=MigrationPolicy.PERIODIC, migrate_period_s=args.duet_period
         ),
-        "slb": lambda: SoftwareLoadBalancer(),
+        "slb": SoftwareLoadBalancer,
     }
+    if args.system in baselines and (switch_flags or args.format != "text"):
+        flags = "--format, --insertion-rate and --timeline-period"
+        raise ValueError(f"{flags} need a SilkRoad switch; {args.system} has none")
+    factory = baselines.get(args.system) or silkroad_factory(
+        use_transit_table=(args.system != "silkroad-no-tt"),
+        **_given(args, "insertion_rate_per_s"),
+    )
     workload = build_workload(**_given(args, *WORKLOAD))
-    report, _conns, lb = workload.replay(factories[args.system])
-    print(report.summary())
+    # --timeline-period arms a sampler: the dump carries time series too.
+    obs = ObsOptions(timeline_period_s=args.timeline_period)
+    hook = ObsHook(obs, "pcc", workload.horizon_s)
+    report, _conns, lb = workload.replay(factory, attach=hook)
+
     if isinstance(lb, DuetLoadBalancer):
         to, back = lb.migrations_to_slb, lb.migrations_back
         counts = {"migrations_to_slb": to, "migrations_back": back}
         counts["vips_at_slb"] = to - back
     elif isinstance(lb, SoftwareLoadBalancer):
         counts = {"peak_connections": lb.peak_connections}
-    else:  # a SilkRoad switch: every counter and gauge, by registry name
-        values = lb.metrics.snapshot()
-        counts = {
-            name: values[name]
-            for name, instrument in lb.metrics.instruments()
-            if instrument.kind != "histogram"
-        }
-    for name, value in counts.items():
-        print(f"  {name}: {value:.12g}")
+    else:  # a SilkRoad switch: its registry, in the chosen format
+        doc = lb.telemetry_snapshot()
+    with (open(args.out, "w") if args.out else nullcontext(sys.stdout)) as out:
+        if args.system in baselines:
+            lines = [f"  {name}: {value:.12g}" for name, value in counts.items()]
+            print(report.summary(), *lines, sep="\n", file=out)
+        elif args.format == "text":
+            metrics, spans = format_metrics(doc["metrics"]), format_spans(doc["spans"])
+            print(report.summary(), "", metrics, "", spans, sep="\n", file=out)
+        elif args.format == "prom":
+            out.write(to_prometheus_text(lb.metrics))
+        else:
+            scenario = {**_given(args, *WORKLOAD), **switch_flags}
+            doc["scenario"] = {"system": args.system, **scenario}
+            doc["report"] = {name: getattr(report, name) for name in REPORT}
+            if hook.timeline is not None:
+                doc["series"] = hook.timeline.summary()
+            if args.format == "json":
+                json.dump(doc, out, indent=2, sort_keys=True, default=str)
+                out.write("\n")
+            else:  # jsonl
+                records = list(iter_jsonl(lb.metrics, lb.coordinator.timings))
+                for key in ("scenario", "report", "series"):
+                    if key in doc:
+                        records.append({"record": key, **doc[key]})
+                write_jsonl(out, records)
     return 0
 
 
@@ -227,26 +213,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         args, *SHAPE, "faults_per_min", "num_switches", "replication", "conn_budget"
     )
     if args.partition_workers is not None:
-
-        def partitioned(workers: int, in_process: Optional[bool] = None):
-            return run_fleet_partitioned(
-                workers, in_process, pattern=patterns[0], **seed, **knobs
-            )
-
-        result = partitioned(args.partition_workers)
+        replay = partial(run_fleet_partitioned, pattern=patterns[0], **seed, **knobs)
+        result = replay(args.partition_workers)
         print(result.summary())
         # One worker, in-process: the unpartitioned baseline every
         # partition width must reproduce bit-for-bit.
-        return _finish(args, result, rerun=lambda: partitioned(1, in_process=True))
+        return _finish(args, result, rerun=lambda: replay(1, in_process=True))
 
     # --plans is the total sweep size; distribute evenly, rounding up so
     # the sweep never shrinks below what was asked for.
     plans_per_pattern = max(1, -(-args.plans // len(patterns)))
     params = dict(knobs, patterns=patterns, plans_per_pattern=plans_per_pattern)
-
-    def sweep(**pool):
-        return run_sharded("fleet", params=params, **seed, **pool)
-
+    sweep = partial(run_sharded, "fleet", params=params, **seed)
     pool = _given(args, "num_shards", "workers")
     result = sweep(**pool)
     print(result.summary())
@@ -292,13 +270,72 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .api import run_chaos
+def _explain(args: argparse.Namespace, result) -> bool:
+    """Print the causal story behind every PCC violation of a recorded
+    chaos run; ``False`` when ``--require-complete`` is not met."""
+    from .obs import coverage, explain_violations, format_stories
 
+    stories = explain_violations(
+        result.switch, result.connections, recorder=result.recorder
+    )
+    stats = coverage(stories)
+    print(
+        "", format_stories(stories, limit=args.limit), "",
+        "coverage: {violations} violation(s), {attributed} attributed, "
+        "{attributed_with_events} with recorder evidence, "
+        "{unattributed} unattributed".format(**stats),
+        sep="\n",
+    )
+    if args.json_out:
+        payload = {"coverage": stats, "stories": [s.to_dict() for s in stories]}
+        with open(args.json_out, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    if not args.require_complete:
+        return True
+    if stats["unattributed"] or stats["attributed_with_events"] < stats["attributed"]:
+        gap = "not every PCC violation has an attributed causal chain"
+        print(f"FAIL: {gap} with recorder evidence", file=sys.stderr)
+        return False
+    print("explain coverage complete")
+    return True
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from .api import ObsOptions, chaos_config, run_chaos
+
+    explain_only = args.require_complete or _given(args, "limit", "json_out")
+    if explain_only and not args.explain:
+        raise ValueError("--limit, --json-out and --require-complete need --explain")
     knobs = _given(args, *CHAOS)
-    result = run_chaos(**knobs)
+    # --conn-table-capacity / --step-deadline shrink the hardened config a
+    # chaos run uses; untyped, the run builds that config itself.
+    shrunk = _given(args, "conn_table_capacity", "step_deadline_s")
+    traced = args.trace_out is not None
+    period = args.timeline_period if traced else None
+    obs = ObsOptions(record=args.explain or traced, timeline_period_s=period)
+    config = chaos_config(**shrunk) if shrunk else None
+    chaos = partial(run_chaos, config=config, obs=obs, **knobs)
+    result = chaos()
     print(result.summary())
-    return _finish(args, result, rerun=lambda: run_chaos(**knobs))
+    complete = _explain(args, result) if args.explain else True
+    if traced:
+        recorder, timeline = result.recorder, result.timeline
+        print(
+            f"  recorder: {len(recorder)} events retained, "
+            f"{recorder.total_dropped} dropped\n"
+            f"  timeline: {len(timeline)} epochs x {len(timeline.columns)} columns"
+        )
+        if not _write_trace(
+            args.trace_out,
+            spans=result.switch.coordinator.timings,
+            recorder=recorder,
+            timeline=timeline,
+            metadata={"scenario": "chaos", "fault_seed": result.plan.seed, **knobs},
+        ):
+            return 1
+    code = _finish(args, result, rerun=chaos)
+    return code or (0 if complete else 1)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -319,90 +356,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         **_given(args, "num_shards", "workers"),
     )
     print("\n".join([result.summary(), *result.details()]))
-    if args.trace_out:
-        count = _write_trace(
-            args.trace_out,
-            recorder=result.recorder,
-            timeline=result.timeline,
-            metadata={"task": args.task, "seed": seed},
-        )
-        if count is None:
-            return 1
-        print(f"  wrote {count} trace events to {args.trace_out}")
+    if args.trace_out and not _write_trace(
+        args.trace_out,
+        recorder=result.recorder,
+        timeline=result.timeline,
+        metadata={"task": args.task, "seed": seed},
+    ):
+        return 1
     return _finish(args, result)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .api import ObsOptions, run_chaos
-
-    knobs = _given(args, *CHAOS)
-    result = run_chaos(
-        obs=ObsOptions(record=True, timeline_period_s=args.period), **knobs
-    )
-    recorder, timeline = result.recorder, result.timeline
-    print(
-        result.summary(),
-        f"recorder: {len(recorder)} events retained, {recorder.total_dropped} dropped",
-        f"timeline: {len(timeline)} epochs x {len(timeline.columns)} columns",
-        sep="\n",
-    )
-    count = _write_trace(
-        args.out,
-        spans=result.switch.coordinator.timings,
-        recorder=recorder,
-        timeline=timeline,
-        metadata={"scenario": "chaos", "fault_seed": result.plan.seed, **knobs},
-    )
-    if count is None:
-        return 1
-    print(f"wrote {count} trace events to {args.out} (load in ui.perfetto.dev)")
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    from .api import ObsOptions, chaos_config, run_chaos
-    from .obs import coverage, explain_violations, format_stories
-
-    # --conn-table-capacity / --step-deadline shrink the hardened config a
-    # chaos run uses; untyped, the run builds that config itself.
-    shrunk = _given(args, "conn_table_capacity", "step_deadline_s")
-    result = run_chaos(
-        config=chaos_config(**shrunk) if shrunk else None,
-        obs=ObsOptions(record=True),
-        **_given(args, *CHAOS),
-    )
-    stories = explain_violations(
-        result.switch, result.connections, recorder=result.recorder
-    )
-    print(result.summary())
-    print()
-    print(format_stories(stories, limit=args.limit))
-    stats = coverage(stories)
-    print()
-    print(
-        f"coverage: {stats['violations']} violation(s), "
-        f"{stats['attributed']} attributed, "
-        f"{stats['attributed_with_events']} with recorder evidence, "
-        f"{stats['unattributed']} unattributed"
-    )
-    if args.json_out:
-        import json
-
-        payload = {"coverage": stats, "stories": [s.to_dict() for s in stories]}
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if not args.require_complete:
-        return 0
-    if stats["unattributed"] or stats["attributed_with_events"] < stats["attributed"]:
-        print(
-            "FAIL: not every PCC violation has an attributed causal "
-            "chain with recorder evidence",
-            file=sys.stderr,
-        )
-        return 1
-    print("explain coverage complete")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -442,8 +403,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # op list) over real HTTP, then audit.
     script = None
     if args.script is not None:
-        import json
-
         with open(args.script) as fh:
             script = json.load(fh)
     result = api.run_serve_script(config, script)
@@ -515,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
          "same-seed rerun (serial where it was pooled); results must be identical"),
     )
     fingerprint = _group(("--fingerprint-out", str, "write the fingerprints here"))
+    trace = _group(("--trace-out", str, "write recorder + timeline as a Chrome trace"))
     session = _group(
         ("--seed", int, "session seed"),
         ("--scale", float, "workload scale"),
@@ -523,10 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command(
         "experiments", _cmd_experiments, "regenerate paper tables/figures",
-        rows=(
-            ("--list", bool, "list experiment names"),
-            ("--telemetry", str, "write per-experiment runner metrics here as JSONL"),
-        ),
+        rows=(("--list", bool, "list experiment names"),),
     ).add_argument("names", nargs="*", help="experiment names (default: all)")
     command(
         "pcc", _cmd_pcc, "one flow-level PCC simulation against a chosen system",
@@ -534,6 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
         (
             ("--system", ("silkroad", "silkroad-no-tt", "duet", "slb"), "system"),
             ("--duet-period", float, "Duet migrate-back period (s)"),
+            ("--format", ("text", "json", "jsonl", "prom"), "switch dump format"),
+            ("--out", str, "write to a file instead of stdout"),
+            ("--timeline-period", float, "SilkRoad only: sample a timeline (s)"),
+            ("--insertion-rate", float, "SilkRoad only: switch-CPU rate (insertions/s)",
+             "insertion_rate_per_s"),
         ),
         duet_period=120.0,
     )
@@ -572,29 +534,27 @@ def build_parser() -> argparse.ArgumentParser:
         vips=2, dips=4, count=5,
     )
     command(
-        "telemetry", _cmd_telemetry,
-        "run a small scenario and dump its metrics, spans and time series",
-        (_workload_group(seed=7, scale=0.2, horizon_s=60.0, updates_per_min=20.0),),
-        (
-            ("--system", ("silkroad", "silkroad-no-tt"), "system"),
-            ("--period", float, "sample period (s)"),
-            ("--insertion-rate", float, "switch-CPU rate; lower it to see queueing"),
-            ("--format", ("json", "jsonl", "prom", "text"), "dump format"),
-            ("--out", str, "write to a file instead of stdout"),
-        ),
-        period=1.0, insertion_rate=50_000.0,
-    )
-    command(
         "chaos", _cmd_chaos,
         "seeded fault injection against the hardened slow path with every "
         "invariant audited; exits non-zero on a violation (`run chaos` shards it)",
-        (workload, faults, fault_seed, determinism),
+        (workload, faults, fault_seed, determinism, trace),
+        (
+            ("--conn-table-capacity", int, "shrink the ConnTable to force overflow"),
+            ("--step-deadline", float, "tighten update watchdog", "step_deadline_s"),
+            ("--timeline-period", float, "--trace-out's timeline epoch period (s)"),
+            ("--explain", bool, "print the causal story of every PCC violation"),
+            ("--limit", int, "--explain: print at most this many stories"),
+            ("--json-out", str, "--explain: also dump stories + coverage as JSON"),
+            ("--require-complete", bool,
+             "--explain: exit 1 unless every violation has an evidenced attribution"),
+        ),
+        timeline_period=1.0,
     )
     command(
         "run", _cmd_run,
         "one shardable experiment on the sharded replay engine; the merged "
         "result depends on --num-shards, never on --workers",
-        (workload, sharding, fingerprint),
+        (workload, sharding, fingerprint, trace),
         (
             ("--num-vips", int, "fig16: VIPs to shard; fig18: VIPs in the workload"),
             ("--systems", lambda text: tuple(text.split(",")),
@@ -602,35 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("--timeline", bool, "sample every shard's registry into a timeline"),
             ("--timeline-period", float, "timeline epoch period (simulated s)"),
             ("--record", bool, "attach a flight recorder to every SilkRoad replay"),
-            ("--trace-out", str, "write recorder + timeline as Chrome trace JSON"),
         ),
         timeline_period=5.0,
-    ).add_argument("task", help="fig16, fig18, chaos or fleet")
-    command(
-        "trace", _cmd_trace,
-        "one chaos run with flight recorder and timeline armed, "
-        "exported as a Perfetto-loadable Chrome trace",
-        (workload, faults),
-        (
-            ("--period", float, "timeline epoch period (s)"),
-            ("--out", str, "output path"),
-        ),
-        period=1.0, out="trace.json",
-    )
-    command(
-        "explain", _cmd_explain,
-        "PCC forensics: the causal timeline behind every violation of a "
-        "recorded chaos run",
-        (workload, faults, fault_seed),
-        (
-            ("--conn-table-capacity", int, "shrink the ConnTable to force overflow"),
-            ("--step-deadline", float, "tighten update watchdog", "step_deadline_s"),
-            ("--limit", int, "print at most this many stories"),
-            ("--json-out", str, "also dump stories + coverage as JSON"),
-            ("--require-complete", bool,
-             "exit non-zero unless every violation has an evidenced attribution"),
-        ),
-    )
+    ).add_argument("task", help="fig16, fig18 or chaos")
     command(
         "serve", _cmd_serve,
         "long-lived serving mode behind an HTTP control API; by default "

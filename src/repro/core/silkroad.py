@@ -952,7 +952,7 @@ class SilkRoadSwitch(LoadBalancer):
     def telemetry_snapshot(self) -> Dict[str, object]:
         """Machine-readable dump: every metric and every retained update
         record as a span.  The shape matches what ``python -m repro.cli
-        telemetry`` emits per switch."""
+        pcc --format json`` emits per switch."""
         extra: Dict[str, object] = {"switch": self.name}
         if self.recorder is not None:
             extra["recorder"] = self.recorder.summary()

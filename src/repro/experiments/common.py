@@ -13,7 +13,7 @@ crossovers sit — not Facebook's absolute counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..core import SilkRoadConfig, SilkRoadSwitch
 from ..netsim.batchsim import BatchedFlowSimulator

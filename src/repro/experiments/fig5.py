@@ -14,13 +14,13 @@ keeps 93.8 % in SLBs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..analysis import format_table
 from ..baselines import DuetLoadBalancer, MigrationPolicy
 from ..netsim import traffic_fraction_at
 from ..netsim.flows import CACHE, HADOOP, DurationModel
-from .common import PccWorkload, build_workload
+from .common import build_workload
 
 #: The three ConnTable-in-SLB settings of §3.2.
 POLICIES = {

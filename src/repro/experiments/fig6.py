@@ -11,7 +11,7 @@ merge user-facing connections into a few persistent ones).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..analysis import Cdf, format_table
 from ..netsim.cluster import ClusterType

@@ -17,12 +17,11 @@ Every broken or blackholed connection must be *attributed* by
 ``unattributed`` column is required to be zero — that is the acceptance
 bar for the fleet failure model, enforced by the tests and the CI smoke.
 
-The sweep is ``run_sharded("fleet")`` — the one survival sweep, the same
-cells ``repro fleet`` and ``repro run fleet`` replay — read back from its
-merged registry.  The cascade pattern runs with a per-switch connection
-budget so the graceful-degradation path (shedding the lowest-priority VIPs
-instead of overflowing survivors' ConnTables) is exercised, not just
-implemented.
+The sweep is ``run_sharded("fleet")`` — the one survival sweep, the
+cells ``repro fleet`` replays — read back from its merged registry.  The
+cascade pattern runs with a per-switch connection budget so the
+graceful-degradation path (shedding the lowest-priority VIPs instead of
+overflowing survivors' ConnTables) is exercised, not just implemented.
 """
 
 from __future__ import annotations

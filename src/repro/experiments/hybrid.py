@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .common import build_workload, silkroad_factory
+from .common import build_workload
 
 
 @dataclass(frozen=True)

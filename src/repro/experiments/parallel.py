@@ -802,7 +802,6 @@ def run_sharded(
     seed: int = 7,
     retries: int = 1,
     params: Optional[Dict[str, object]] = None,
-    strict: bool = False,
     obs: Optional[ObsOptions] = None,
 ) -> ShardedRunResult:
     """Run one experiment as ``num_shards`` deterministic shards.
@@ -819,8 +818,7 @@ def run_sharded(
 
     Every failed attempt is logged and counted in
     ``parallel.worker_errors_total``; shards still failing after the
-    retry budget land in ``result.failed`` — or, with ``strict=True``,
-    raise :class:`RuntimeError` carrying every terminal traceback.
+    retry budget land in ``result.failed`` (and make ``result.ok`` false).
     """
     specs = make_shards(task, num_shards, seed, params, obs=obs)
     if workers is None:
@@ -828,14 +826,6 @@ def run_sharded(
     results, failed, errors = _run_attempts(specs, workers, retries)
     results.sort(key=lambda r: r.shard_id)
     failed.sort(key=lambda f: f.shard_id)
-    if strict and failed:
-        details = "\n".join(
-            f"--- shard {f.shard_id} ---\n{f.reason}" for f in failed
-        )
-        raise RuntimeError(
-            f"{len(failed)} shard(s) failed after {retries + 1} attempt(s) "
-            f"in {task}[seed={seed}]:\n{details}"
-        )
     registry = MetricRegistry.merged(
         (r.registry for r in results),
         labels={"task": task, "seed": str(seed)},

@@ -17,41 +17,23 @@ EXPERIMENTS: Dict[str, Callable[[], str]] = {
 }
 
 
-def run_all(names=None, stream=None, telemetry=None) -> str:
+def run_all(names=None, stream=None) -> str:
     """Run the chosen experiments; optionally stream each section to
-    ``stream`` as it completes (the CLI does, so long runs show progress).
-
-    When ``telemetry`` is a path, the runner records its own metrics — one
-    exact ``runner.<name>.duration_s`` gauge per experiment — and writes
-    them there as JSONL when the run finishes.
-    """
-    registry = None
-    if telemetry is not None:
-        from ..obs import MetricRegistry, iter_jsonl, write_jsonl
-
-        registry = MetricRegistry(labels={"component": "runner"})
+    ``stream`` as it completes (the CLI does, so long runs show progress)."""
     chosen = list(EXPERIMENTS if names is None else names)
     sections = []
     for name in chosen:
         start = time.time()
         body = EXPERIMENTS[name]()
-        elapsed = time.time() - start
-        if registry is not None:
-            registry.gauge(
-                f"runner.{name}.duration_s", "wall time of this experiment"
-            ).set(elapsed)
-        section = f"==== {name} ({elapsed:.1f}s) ====\n{body}"
+        section = f"==== {name} ({time.time() - start:.1f}s) ====\n{body}"
         sections.append(section)
         if stream is not None:
             print(section, end="\n\n", file=stream, flush=True)
-    if telemetry is not None:
-        with open(telemetry, "w") as fh:
-            write_jsonl(fh, iter_jsonl(registry))
     return "\n\n".join(sections)
 
 
 #: Default base seeds of the shardable experiments (match the figures').
-PARALLEL_TASKS: Dict[str, int] = {"fig16": 16, "fig18": 18, "chaos": 7, "fleet": 7}
+PARALLEL_TASKS: Dict[str, int] = {"fig16": 16, "fig18": 18, "chaos": 7}
 
 
 def main() -> None:

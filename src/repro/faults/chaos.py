@@ -120,7 +120,7 @@ def run_chaos(
 
     ``obs=ObsOptions(record=True)`` attaches a
     :class:`~repro.obs.FlightRecorder` to the switch (exposed as
-    ``result.recorder`` — the input ``repro explain`` joins against the
+    ``result.recorder`` — the input ``repro chaos --explain`` joins against the
     audit); ``ObsOptions(timeline_period_s=...)`` arms a
     :class:`~repro.obs.TimelineSampler` over the switch's registry and
     exposes the sampled :class:`~repro.obs.Timeline` as

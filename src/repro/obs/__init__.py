@@ -19,15 +19,15 @@ The measurement layer the rest of the reproduction reports through:
   recorder and a timeline sampler from an ``ObsOptions``.
 * :mod:`repro.obs.chrometrace` — Chrome Trace Event Format / Perfetto
   export of spans + recorder events + timeline tracks.
-* :mod:`repro.obs.forensics` — ``repro explain``: the causal timeline
+* :mod:`repro.obs.forensics` — ``repro chaos --explain``: the causal timeline
   behind each PCC violation, joined from the recorder.
 
 Every :class:`~repro.core.silkroad.SilkRoadSwitch` owns a registry
 (``switch.metrics``), and its coordinator keeps one record per 3-step
 PCC update (``switch.coordinator.timings``: the ``t_req`` / ``t_exec`` /
 ``t_finish`` of Figure 11) that the exporters render as spans; the
-``python -m repro.cli telemetry`` command runs a scenario and emits the
-full dump.
+``python -m repro.cli pcc --format json`` command runs a scenario and
+emits the full dump.
 """
 
 from .metrics import (

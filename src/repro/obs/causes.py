@@ -6,7 +6,7 @@ switch's three exposure sets (``at_risk_keys``, ``overflow_keys``,
 ``fp_adopted_keys``) and a fleet's move and drop maps.
 docs/robustness.md ("One cause table") says who records each cause and
 which audit reads it.  ``audit_switch``, ``audit_fleet`` (serial and
-partitioned) and ``repro explain`` take their causes from
+partitioned) and ``repro chaos --explain`` take their causes from
 :class:`AttributionRule`, each over its own population.  Switches are
 duck-typed, so :mod:`repro.obs` imports nothing from :mod:`repro.core`.
 """

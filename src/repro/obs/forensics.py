@@ -164,9 +164,9 @@ def explain_violations(
 
 
 def coverage(stories: Iterable[ViolationStory]) -> Dict[str, int]:
-    """Counts the ``repro explain`` acceptance gate checks: how many
-    violations are attributed, and how many of those have recorder
-    evidence behind them."""
+    """Counts the ``repro chaos --explain --require-complete`` gate
+    checks: how many violations are attributed, and how many of those have
+    recorder evidence behind them."""
     stories = list(stories)
     attributed = [s for s in stories if s.attributed]
     return {
@@ -180,7 +180,7 @@ def coverage(stories: Iterable[ViolationStory]) -> Dict[str, int]:
 def format_stories(
     stories: Sequence[ViolationStory], limit: Optional[int] = None
 ) -> str:
-    """Human-readable rendering for the ``repro explain`` CLI."""
+    """Human-readable rendering for ``repro chaos --explain``."""
     if not stories:
         return "no PCC violations to explain"
     shown = stories if limit is None else stories[:limit]

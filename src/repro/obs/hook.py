@@ -1,7 +1,7 @@
 """Arming the time-resolved observability layer on one run.
 
 Every runner — ``run_chaos``, ``run_fleet``, the shard bodies, the
-partition replicas, the serving session, ``repro telemetry`` — turns an
+partition replicas, the serving session, ``repro pcc`` — turns an
 :class:`~repro.options.ObsOptions` into live instruments the same way:
 :class:`ObsHook`.
 """

@@ -28,7 +28,7 @@ exactly the value the instrument would have reported had it existed.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .metrics import Gauge, Histogram, MetricRegistry
 

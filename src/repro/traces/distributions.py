@@ -114,10 +114,5 @@ AVG_PACKET_BYTES = {
 }
 
 
-# ----------------------------------------------------------------------
-# Fig 4 — DIP downtime per root cause lives in
-# :data:`repro.netsim.updates.DOWNTIME_BY_CAUSE` (3 min median / 100 min
-# p99 for upgrades, etc.); re-exported here for discoverability.
-# ----------------------------------------------------------------------
-
-from ..netsim.updates import DOWNTIME_BY_CAUSE, DowntimeModel  # noqa: E402,F401
+# Fig 4's DIP downtime per root cause (3 min median / 100 min p99 for
+# upgrades, etc.) lives in :data:`repro.netsim.updates.DOWNTIME_BY_CAUSE`.

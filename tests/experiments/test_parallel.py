@@ -463,28 +463,6 @@ class TestFaultTolerance:
         assert not result.failed
         assert result.registry.get("parallel.worker_errors_total").value == 1.0
 
-    def test_strict_mode_raises_with_the_shard_traceback(self):
-        with pytest.raises(RuntimeError) as excinfo:
-            run_sharded(
-                "_crashy",
-                num_shards=2,
-                workers=1,
-                seed=1,
-                params={"always_fail": True},
-                strict=True,
-            )
-        message = str(excinfo.value)
-        assert "2 shard(s) failed" in message
-        # The real traceback survives, not just a summary line.
-        assert "told to fail" in message
-        assert "RuntimeError" in message
-
-    def test_strict_mode_is_silent_on_success(self):
-        result = run_sharded(
-            "_crashy", num_shards=2, workers=1, seed=1, strict=True
-        )
-        assert result.ok
-
     def test_worker_with_a_dead_pipe_dies_loudly(self, capsys):
         """Both worker kinds ship through one wrapper: when even the error
         payload cannot be sent, the traceback lands on stderr and the

@@ -1,4 +1,4 @@
-"""Tests for the PCC forensics engine behind ``repro explain``."""
+"""Tests for the PCC forensics engine behind ``repro chaos --explain``."""
 
 from __future__ import annotations
 
@@ -172,7 +172,7 @@ class TestChaosIntegration:
                 keys.add(conn.key)
 
     def test_every_induced_violation_gets_an_evidenced_story(self, shrunk_chaos):
-        """The ``repro explain --require-complete`` acceptance gate, as a
+        """The ``repro chaos --explain --require-complete`` gate, as a
         test: a recorded chaos run with a shrunken ConnTable produces
         violations, and every one is attributed with recorder evidence."""
         result = shrunk_chaos

@@ -92,7 +92,7 @@ class TestTimeline:
 
 
 class TestTimelineSummary:
-    """Per-column statistics (the ``series`` block of ``repro telemetry``);
+    """Per-column statistics (the ``series`` block of ``repro pcc --format json``);
     the statistics/percentile cases live in tests/netsim/test_telemetry.py
     under the IDs they had against the deleted ``Series``."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import time
 
 from repro.serve import ControlServer, ServeConfig, ServeSession
 from repro.serve import session as session_module
@@ -245,6 +246,43 @@ class TestTelemetrySpans:
         spans = self.check(records, {f"fleet-serve-{i}" for i in range(3)})
         # Replication 2: both owners of the VIP ran both updates.
         assert len({s["switch"] for s in spans}) == 2 and len(spans) == 4
+
+
+class TestWallclockPacing:
+    """``ServeConfig(wallclock=True)``: the server's pacer moves the clock
+    with no ``/advance``, and ``POST /shutdown`` stops it."""
+
+    @staticmethod
+    def pacers():
+        return [
+            task for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__ == "WallclockPacer._run"
+        ]
+
+    def test_healthz_moves_alone_and_shutdown_stops_the_pacer(self):
+        async def go():
+            config = ServeConfig(seed=11, scale=0.01, wallclock=True)
+            server = ControlServer(ServeSession(config))
+            await server.start()
+            served = asyncio.create_task(server.wait_shutdown())
+            client = _Client(server.host, server.port)
+            await client.connect()
+            try:
+                assert len(self.pacers()) == 1
+                deadline, now = time.monotonic() + 2.0, 0.0
+                while now == 0.0 and time.monotonic() < deadline:
+                    await asyncio.sleep(0.05)
+                    _, health = await client.json("GET", "/healthz")
+                    now = health["now"]
+                assert now > 0.0, "2 s of real time and the clock never moved"
+                status, _ = await client.json("POST", "/shutdown", {})
+                assert status == 200
+            finally:
+                await client.close()
+            await asyncio.wait_for(served, 5.0)
+            return self.pacers()
+
+        assert asyncio.run(go()) == []
 
 
 class TestStructuredHttpErrors:

@@ -6,6 +6,13 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: ``pcc`` at the scenario the deleted ``telemetry`` command ran by default
+#: (20 updates/min, a 50 K/s switch CPU, a 1 s timeline), shrunk.
+TELEMETRY = (
+    "pcc", "--scale", "0.05", "--horizon", "20", "--updates-per-min", "20",
+    "--insertion-rate", "50000", "--timeline-period", "1",
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -22,10 +29,27 @@ class TestParser:
         assert args.updates_per_min == 10.0
 
     def test_telemetry_defaults(self):
-        args = build_parser().parse_args(["telemetry"])
-        assert args.system == "silkroad"
-        assert args.format == "json"
+        # pcc's telemetry flags: untyped, a text rendering of the switch
+        # at silkroad_factory's CPU rate, with no timeline sampled.
+        args = build_parser().parse_args(["pcc"])
+        assert args.format == "text"
         assert args.out is None
+        assert args.timeline_period is None
+        assert args.insertion_rate_per_s is None
+
+    def test_the_eight_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        usage = capsys.readouterr().out
+        listed = "{experiments,pcc,fleet,fleet-csv,forward,chaos,run,serve}"
+        assert listed in usage
+
+    @pytest.mark.parametrize("merged", ["trace", "explain", "telemetry"])
+    def test_merged_commands_are_gone(self, merged, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([merged])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_observability_flags(self):
         args = build_parser().parse_args(
@@ -36,15 +60,16 @@ class TestParser:
         assert args.trace_out == "t.json"
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.out == "trace.json"
-        assert args.period == 1.0
+        args = build_parser().parse_args(["chaos"])
+        assert args.trace_out is None
+        assert args.timeline_period == 1.0
 
     def test_explain_defaults(self):
-        args = build_parser().parse_args(["explain"])
-        assert args.limit is None
+        args = build_parser().parse_args(["chaos"])
+        assert not args.explain
+        assert args.limit is None and args.json_out is None
         assert not args.require_complete
-        assert args.conn_table_capacity is None
+        assert args.conn_table_capacity is None and args.step_deadline_s is None
 
 
 @pytest.mark.usefixtures("no_spawn")
@@ -72,6 +97,10 @@ class TestUsageErrors:
             ),
             (["run", "fig16", "--systems", "nope"], ("'nope'", "silkroad")),
             (["chaos", "--scale", "0"], ("scale",)),
+            (["run", "fleet"], ("'fleet'", "fig16", "fig18", "chaos")),
+            (["pcc", "--system", "duet", "--format", "json"], ("duet", "--format")),
+            (["pcc", "--system", "slb", "--insertion-rate", "1"], ("slb", "SilkRoad")),
+            (["chaos", "--require-complete"], ("--explain",)),
         ],
     )
     def test_exit_2_with_one_line_naming_the_offender(self, argv, named, capsys, caplog):
@@ -91,7 +120,10 @@ class TestForwardOnlyWhatWasGiven:
 
     def test_scenario_flags_default_to_untyped(self):
         parser = build_parser()
-        for command in ("chaos", "trace", "explain", "fleet", "serve", "run fig16"):
+        for command in (
+            "chaos", "chaos --explain", "chaos --trace-out t.json", "fleet", "serve",
+            "run fig16",
+        ):
             args = parser.parse_args(command.split())
             for dest in (
                 "seed", "scale", "horizon_s", "updates_per_min", "faults_per_min",
@@ -196,9 +228,7 @@ class TestCommands:
     def test_telemetry_json(self, capsys):
         import json
 
-        code = main(
-            ["telemetry", "--scale", "0.05", "--horizon", "20", "--format", "json"]
-        )
+        code = main([*TELEMETRY, "--format", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         metrics = doc["metrics"]
@@ -224,9 +254,7 @@ class TestCommands:
     def test_telemetry_prom_round_trips(self, capsys):
         from repro.obs import parse_prometheus_text
 
-        code = main(
-            ["telemetry", "--scale", "0.05", "--horizon", "20", "--format", "prom"]
-        )
+        code = main([*TELEMETRY, "--format", "prom"])
         assert code == 0
         samples = parse_prometheus_text(capsys.readouterr().out)
         assert "repro_conn_table_inserts_total" in samples
@@ -235,12 +263,7 @@ class TestCommands:
         import json
 
         out = tmp_path / "tel.jsonl"
-        code = main(
-            [
-                "telemetry", "--scale", "0.05", "--horizon", "20",
-                "--format", "jsonl", "--out", str(out),
-            ]
-        )
+        code = main([*TELEMETRY, "--format", "jsonl", "--out", str(out)])
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         kinds = {r["record"] for r in records}
@@ -281,7 +304,10 @@ class TestCommands:
 
         out = tmp_path / "trace.json"
         code = main(
-            ["trace", "--scale", "0.03", "--horizon", "10", "--out", str(out)]
+            [
+                "chaos", "--scale", "0.03", "--horizon", "10",
+                "--timeline-period", "1", "--trace-out", str(out),
+            ]
         )
         assert code == 0
         assert "wrote" in capsys.readouterr().out
@@ -296,7 +322,7 @@ class TestCommands:
         out = tmp_path / "stories.json"
         code = main(
             [
-                "explain", "--seed", "1", "--scale", "0.1", "--horizon", "20",
+                "chaos", "--explain", "--seed", "1", "--scale", "0.1", "--horizon", "20",
                 "--updates-per-min", "200", "--faults-per-min", "90",
                 "--conn-table-capacity", "400", "--limit", "2",
                 "--json-out", str(out), "--require-complete",
@@ -327,7 +353,10 @@ class TestCommands:
         "system, counts",
         [
             ("duet", ("migrations_to_slb:", "migrations_back:", "vips_at_slb:")),
-            ("silkroad", ("switch.stale_updates:", "switch_cpu.jobs_shed_total:")),
+            # A switch prints its registry once, as format_metrics renders
+            # it, and its update records as format_spans does.
+            ("silkroad", ("switch.stale_updates", "switch_cpu.jobs_shed_total",
+                          "trace spans")),
         ],
     )
     def test_pcc_prints_the_system_counts(self, capsys, system, counts):

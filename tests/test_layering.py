@@ -74,7 +74,10 @@ packages built on them (``deploy``, ``faults``, ``serve``,
 ``repro.netsim.telemetry`` or the deleted second multi-switch deployment.
 And at the top of the stack ``repro/cli.py`` is a shell over ``repro.api``:
 it imports nothing from ``repro.faults``, ``repro.deploy`` or
-``repro.experiments.parallel`` directly.
+``repro.experiments.parallel`` directly.  And no module outside a package
+``__init__`` makes a module-level import that nothing uses: the module
+reads the name, another module imports it from there, or ``__all__``
+lists it.
 """
 
 from __future__ import annotations
@@ -330,6 +333,107 @@ def test_cli_reaches_runners_through_the_api_facade():
     assert any(
         rel == "cli.py" and module == "repro.api" for rel, module, _line in _imports()
     )
+
+
+#: Trees whose ``from M import name`` statements keep a name of ``M`` used.
+IMPORTING_DIRS = ("src", "perf", "examples", "tests")
+
+
+def _module_of(path: Path) -> tuple:
+    """``(dotted module, is a package)`` of a file under the repo root
+    (``src/`` is the import root of ``repro``)."""
+    parts = list(path.relative_to(ROOT).with_suffix("").parts)
+    if parts[0] == "src":
+        parts = parts[1:]
+    package = parts[-1] == "__init__"
+    return ".".join(parts[:-1] if package else parts), package
+
+
+def _imported_from() -> set:
+    """``(absolute module, name)`` of every ``from M import name`` in the
+    repo, relative imports resolved."""
+    found = set()
+    for path in (p for d in IMPORTING_DIRS for p in sorted((ROOT / d).rglob("*.py"))):
+        module, package = _module_of(path)
+        here = module.split(".") if package else module.split(".")[:-1]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                base = here[: len(here) - node.level + 1] if node.level else []
+                source = ".".join(base + ([node.module] if node.module else []))
+                found.update((source, alias.name) for alias in node.names)
+    return found
+
+
+def _module_level_imports(tree):
+    """``(names, line)`` of each import a module makes at its top level
+    (inside a top-level ``if`` / ``try`` too), ``__future__`` aside.
+    ``names`` are what a read of the import may spell: the bound name, and
+    for ``import a.b`` also ``b``, the submodule it loads for ``x.b``."""
+    stack = list(tree.body)
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, (ast.If, ast.Try)):
+            stack += stmt.body + stmt.orelse + getattr(stmt, "finalbody", [])
+            stack += [s for handler in getattr(stmt, "handlers", []) for s in handler.body]
+        elif isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                if alias.asname:
+                    yield {alias.asname}, stmt.lineno
+                else:
+                    dotted = alias.name.split(".")
+                    yield {dotted[0], *dotted[1:][-1:]}, stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                yield {alias.asname or alias.name}, stmt.lineno
+
+
+def _names_read(tree) -> set:
+    """Every ``Name`` and attribute in ``tree``, those inside string
+    annotations included, plus the strings ``__all__`` lists."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    quoted = [
+        ast.parse(a.value, mode="eval")
+        for a in annotations
+        if isinstance(a, ast.Constant) and type(a.value) is str
+    ]
+    names = set()
+    for node in (n for top in (tree, *quoted) for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    for stmt in tree.body:
+        if _is_all(stmt):
+            names.update(
+                c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)
+            )
+    return names
+
+
+def test_no_unused_module_imports():
+    # A module-level import is used when the module reads the name, another
+    # module imports the name from it (a re-export, as cli.py takes
+    # chaos_config from repro.api), or its __all__ lists it.  A package
+    # __init__ only re-exports, so it is exempt.
+    imported_from = _imported_from()
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module, _package = _module_of(path)
+        read = _names_read(tree)
+        unused += [
+            f"{path.relative_to(SRC).as_posix()}:{line} imports {min(names)}"
+            for names, line in _module_level_imports(tree)
+            if not names & read and not {(module, name) for name in names} & imported_from
+        ]
+    assert not unused, "imports nothing reads:\n" + "\n".join(sorted(unused))
 
 
 def test_nothing_imports_the_deleted_second_deployment():
@@ -734,7 +838,7 @@ ARTIFACT = "the §5.1 P4 artifact: DESIGN.md's §5.1 row and test_line_count_nea
 TEST_ONLY = {
     # The inverse of `repro fleet-csv`'s dump_fleet.
     ("traces/io.py", "load_fleet"): ORACLE,
-    # The inverse of to_prometheus_text (`repro telemetry --format prom`).
+    # The inverse of to_prometheus_text (`repro pcc --format prom`).
     ("obs/export.py", "parse_prometheus_text"): ORACLE,
     # Closed forms the measured false-positive rates are held to.
     ("asicsim/registers.py", "BloomFilter.expected_false_positive_rate"): ORACLE,
