@@ -90,6 +90,26 @@ def _column(bits: int) -> array:
     return next(array(code) for code in "BHIQ" if array(code).itemsize * 8 >= bits)
 
 
+class _SplitColumn:
+    """Packed triples too wide for a uint64 (a wide digest's), kept as a
+    cell column and a digest column: an int object each would cost more
+    than the rest of the row."""
+
+    def __init__(self, shift: int, digest_bits: int) -> None:
+        self._cells, self._digests, self._shift = _column(shift), _column(digest_bits), shift
+
+    def __getitem__(self, item: int) -> int:
+        return self._digests[item] << self._shift | self._cells[item]
+
+    def __setitem__(self, item: int, triple: int) -> None:
+        self._cells[item] = triple & (1 << self._shift) - 1
+        self._digests[item] = triple >> self._shift
+
+    def extend(self, zeros: bytes) -> None:
+        self._cells.extend(zeros)
+        self._digests.extend(zeros)
+
+
 class TableFull(RuntimeError):
     """Raised when the cuckoo BFS cannot free a slot for a new entry."""
 
@@ -152,8 +172,8 @@ class CuckooTable:
     * A resident is a dense *row* (``_row_of`` maps its key to it; a deleted
       row is reused from ``_free``) across typed columns: key, value, slot
       ``(stage offset + bucket) * ways + way`` (whose stage is its home),
-      and its profile: its cell and its digest in every stage, a row's
-      stages side by side in ``_cells`` and in ``_digests``.
+      and its profile: its packed candidate triple in every stage, a row's
+      stages side by side in ``_cands``.
     * An occupied bucket is one int *word* in ``_buckets``, keyed by its
       cell (stage offset + bucket): ``ways`` valid bits, then one row
       field per way — the model's copy of the SRAM word.
@@ -164,7 +184,8 @@ class CuckooTable:
       candidate bucket it is in a stage *below* their home, which neither
       map names and placement legality needs.
 
-    A packed triple is rebuilt from the columns only where it is compared.
+    An insert that finds no free, legal way runs a *free-first* BFS
+    (:meth:`_bfs_paths`).  ``ConnTable`` is this class at §4.2's geometry.
 
     Parameters
     ----------
@@ -274,7 +295,7 @@ class CuckooTable:
         # The resident rows.  Every column starts empty and grows with the
         # rows ever live at once (the residents and one key mid-insert,
         # rounded up to a ROW_BLOCK); a free row's items stay until the row
-        # is reused.  A row's cells and digests sit side by side, stage s of
+        # is reused.  A row's packed triples sit side by side, stage s of
         # row r at item r * stages + s, and its home stage is its slot's.
         self._row_of: Dict[bytes, int] = {}
         self._free: List[int] = []
@@ -282,8 +303,9 @@ class CuckooTable:
         self._values = _column(value_bits)
         self._slots = _column(capacity.bit_length())
         self._stage_slots = buckets_per_stage * ways
-        self._cells = _column(self._cand_shift)
-        self._digests = _column(self.digest_bits)
+        wide, bits = not self._pack_in_numpy, self.digest_bits + self._cand_shift
+        self._cands = _SplitColumn(self._cand_shift, self.digest_bits) if wide else _column(bits)
+        self._digest_code = _column(self.digest_bits).typecode
         # Occupied buckets only: cell -> word.  Bit ``way`` of a word is set
         # when that way holds an entry, whose row sits in the field at bit
         # ``ways + way * _row_bits``; a word leaves the map with its last
@@ -298,7 +320,7 @@ class CuckooTable:
         self._match: Dict[int, int] = {}
         # cell -> the digests (in that cell's stage) of the residents whose
         # candidate bucket there is the cell and whose home is a later
-        # stage; a multiset, in the stage's digest column type.
+        # stage; a multiset, in the narrowest type the digests fit.
         self._below: Dict[int, array] = {}
         #: Resident entries per stage, maintained on place / move / delete.
         self._stage_counts: List[int] = [0] * stages
@@ -522,9 +544,8 @@ class CuckooTable:
                 self._cache_profile(key, computed[key])
 
     def _triple(self, row: int, stage: int) -> int:
-        """``row``'s packed candidate triple in ``stage``, rebuilt."""
-        item = row * self.stages + stage
-        return self._digests[item] << self._cand_shift | self._cells[item]
+        """``row``'s packed candidate triple in ``stage``."""
+        return self._cands[row * self.stages + stage]
 
     def _home(self, row: int) -> int:
         """The stage a resident ``row`` lives in."""
@@ -546,7 +567,7 @@ class CuckooTable:
         row = self._row_of.get(key)
         if row is None:
             profile = self._profile(key, key_hash)
-        else:  # a resident's triples, rebuilt from its row
+        else:  # a resident's triples, read off its row
             profile = tuple([self._triple(row, stage) for stage in range(self.stages)])
         match = self._match
         # Fast miss: the entry a candidate bucket of stage s holds with the
@@ -601,14 +622,15 @@ class CuckooTable:
         needs no blanking.
         """
         home = -1 if self._keys[row] is None else self._slots[row] // self._stage_slots
-        cells, digests, base = self._cells, self._digests, row * self.stages
-        below = self._below.get(cells[base + stage])
+        cands, base = self._cands, row * self.stages
+        cand = cands[base + stage]
+        below = self._below.get(cand & self._cell_mask)
         # A resident is registered below its home itself.
-        if below is not None and below.count(digests[base + stage]) > (stage < home):
+        if below is not None and below.count(cand >> self._cand_shift) > (stage < home):
             return False
-        match, shift = self._match, self._cand_shift
+        match = self._match
         for item in range(base + home + 1, base + stage + 1):
-            other = match.get(digests[item] << shift | cells[item])
+            other = match.get(cands[item])
             if other is not None and other != row:
                 return False
         return True
@@ -617,47 +639,28 @@ class CuckooTable:
     # Mutation primitives
     # ------------------------------------------------------------------
 
-    def _new_row(self, value: int, profile: Tuple[int, ...]) -> int:
-        """A row holding ``value`` and ``profile``, not yet placed (its key
-        is written when it is)."""
-        cells, digests = self._cells, self._digests
-        if not self._free:
-            rows = len(self._keys)
-            self._keys.extend([None] * ROW_BLOCK)
-            self._values.frombytes(bytes(ROW_BLOCK * self._values.itemsize))
-            self._slots.frombytes(bytes(ROW_BLOCK * self._slots.itemsize))
-            cells.frombytes(bytes(ROW_BLOCK * self.stages * cells.itemsize))
-            digests.frombytes(bytes(ROW_BLOCK * self.stages * digests.itemsize))
-            self._free.extend(range(rows + ROW_BLOCK - 1, rows - 1, -1))
-        row = self._free.pop()
-        self._values[row] = value
-        mask, shift = self._cell_mask, self._cand_shift
-        for item, cand in enumerate(profile, row * self.stages):
-            cells[item] = cand & mask
-            digests[item] = cand >> shift
-        return row
-
-    def _place(self, row: int, stage: int, way: int, triple: int) -> None:
-        """Store ``row`` in the free ``way`` of its candidate bucket of
-        ``stage``, whose packed triple there is ``triple``."""
-        cell = triple & self._cell_mask
-        field = row << self.ways + way * self._row_bits
-        self._buckets[cell] = self._buckets.get(cell, 0) | 1 << way | field
-        self._match[triple] = row
-        self._slots[row] = cell * self.ways + way
-        self._stage_counts[stage] += 1
+    def _grow(self) -> None:
+        """Add a ``ROW_BLOCK`` of free rows to every column."""
+        rows = len(self._keys)
+        self._keys.extend([None] * ROW_BLOCK)
+        self._values.frombytes(bytes(ROW_BLOCK * self._values.itemsize))
+        self._slots.frombytes(bytes(ROW_BLOCK * self._slots.itemsize))
+        self._cands.extend(bytes(ROW_BLOCK * self.stages))  # zero items
+        self._free.extend(range(rows + ROW_BLOCK - 1, rows - 1, -1))
 
     def _unplace(self, row: int) -> int:
         """Free ``row``'s slot; returns its (former) home stage."""
-        slot = self._slots[row]
-        home, (cell, way) = slot // self._stage_slots, divmod(slot, self.ways)
-        field = self._row_mask << self.ways + way * self._row_bits
-        word = self._buckets[cell] & ~(1 << way | field)
+        slot, ways, buckets = self._slots[row], self.ways, self._buckets
+        cell = slot // ways
+        way = slot - cell * ways
+        # Its valid bit is set and its field holds ``row``: subtract both.
+        word = buckets[cell] - (1 << way | row << ways + way * self._row_bits)
         if word:
-            self._buckets[cell] = word
+            buckets[cell] = word
         else:
-            del self._buckets[cell]
-        del self._match[self._digests[row * self.stages + home] << self._cand_shift | cell]
+            del buckets[cell]
+        home = slot // self._stage_slots
+        del self._match[self._cands[row * self.stages + home]]
         self._stage_counts[home] -= 1
         return home
 
@@ -670,28 +673,34 @@ class CuckooTable:
             self._register(row, home, stage)
         elif stage < home:
             self._unregister(row, stage, home)
-        self._place(row, stage, way, self._triple(row, stage))
+        triple, ways, buckets = self._triple(row, stage), self.ways, self._buckets
+        cell = triple & self._cell_mask
+        buckets[cell] = buckets.get(cell, 0) | 1 << way | row << ways + way * self._row_bits
+        self._match[triple] = row
+        self._slots[row] = cell * ways + way
+        self._stage_counts[stage] += 1
 
     def _register(self, row: int, first: int, stop: int) -> None:
         """Register ``row`` under its cells of stages ``first..stop - 1``."""
-        below, cells, digests = self._below, self._cells, self._digests
+        below, cands, mask, shift = self._below, self._cands, self._cell_mask, self._cand_shift
         for item in range(row * self.stages + first, row * self.stages + stop):
-            cell, digest = cells[item], digests[item]
+            cell, digest = cands[item] & mask, cands[item] >> shift
             registered = below.get(cell)
             if registered is None:
-                below[cell] = array(digests.typecode, (digest,))
+                below[cell] = array(self._digest_code, (digest,))
             else:
                 registered.append(digest)
 
     def _unregister(self, row: int, first: int, stop: int) -> None:
         """Drop ``row``'s registrations of stages ``first..stop - 1``."""
-        below, cells, digests = self._below, self._cells, self._digests
+        below, cands, mask, shift = self._below, self._cands, self._cell_mask, self._cand_shift
         for item in range(row * self.stages + first, row * self.stages + stop):
-            registered = below[cells[item]]
+            cell = cands[item] & mask
+            registered = below[cell]
             if len(registered) == 1:
-                del below[cells[item]]
+                del below[cell]
             else:
-                registered.remove(digests[item])
+                registered.remove(cands[item] >> shift)
 
     def _free_way(self, cell: int) -> Optional[int]:
         """First free way of bucket ``cell`` (stage offset + bucket)."""
@@ -724,7 +733,10 @@ class CuckooTable:
         if len(rows) >= self._fast_fail_entries:
             self._m_insert_failures.value += 1.0
             raise TableFull(f"table effectively full ({len(rows)}/{self.capacity})")
-        profile = self._profile(key, key_hash)
+        # Popped for good: once placed, the profile lives in the key's row.
+        profile = self._profile_cache.pop(key, None)
+        if profile is None:
+            profile = self._derive_profile(base_hash(key) if key_hash is None else key_hash)
         # A resident digest twin in a candidate bucket (one stored under the
         # key's triple of its stage) shadows every legal placement; the
         # switch software relocates it to another stage (the same fix the
@@ -736,18 +748,28 @@ class CuckooTable:
                 if self.relocate(twin):
                     self._m_relocations.value += 1.0
 
-        row = self._new_row(value, profile)
-        free_way, legal, mask = self._free_way, self._placement_legal, self._cell_mask
+        # A new row: its key is written once it is placed.
+        free, cands = self._free, self._cands
+        if not free:
+            self._grow()
+        row = free.pop()
+        self._values[row] = value
+        for item, cand in enumerate(profile, row * self.stages):
+            cands[item] = cand
+        buckets, full, mask = self._buckets, self._full, self._cell_mask
         below, shift, moves = self._below, self._cand_shift, 0
         for stage, cand in enumerate(profile):
             # Fast path: a free, legal slot in some candidate bucket.  With
             # no twin, legal means no resident registered below there holds
             # the key's digest.
             cell = cand & mask
-            way = free_way(cell)
-            if way is not None and (
-                not below.get(cell, ()).count(cand >> shift) if twin_free else legal(row, stage)
+            valid = buckets.get(cell, 0) & full
+            if valid != full and (
+                not below.get(cell, ()).count(cand >> shift)
+                if twin_free
+                else self._placement_legal(row, stage)
             ):
+                way = (~valid & (valid + 1)).bit_length() - 1
                 break
         else:
             # BFS over move sequences; every legal candidate bucket is
@@ -757,27 +779,30 @@ class CuckooTable:
                 if applied is not None:
                     break
             else:
-                self._free.append(row)
+                free.append(row)
                 self._m_insert_failures.value += 1.0
                 raise TableFull(
                     f"no slot for key after BFS over {MAX_BFS_NODES} nodes "
                     f"(load {self.load_factor:.3f})"
                 )
             stage, way, moves = applied
+            cand = profile[stage]
+            cell = cand & mask
 
-        cand = profile[stage]
+        # Placed: the word gains the way's valid bit and row field.
+        ways = self.ways
         self._keys[row] = key
         rows[key] = row
-        # Its profile lives in the row now; the LRU keeps in-flight keys only.
-        self._profile_cache.pop(key, None)
-        self._place(row, stage, way, cand)
+        buckets[cell] = buckets.get(cell, 0) | 1 << way | row << ways + way * self._row_bits
+        match[cand] = row
+        self._slots[row] = cell * ways + way
+        self._stage_counts[stage] += 1
         if stage:
             self._register(row, 0, stage)
         self._m_inserts.value += 1.0
         self._m_moves.value += moves
         self._m_moves_hist.observe(float(moves))
-        bucket = (cand & mask) - self._stage_offsets[stage]
-        location = _new_record(Location, (stage, bucket, way))
+        location = _new_record(Location, (stage, cell - self._stage_offsets[stage], way))
         return _new_record(InsertResult, (location, moves))
 
     def _bfs_paths(self, row: int) -> Iterator[list]:
@@ -789,21 +814,25 @@ class CuckooTable:
         there, in path order (:meth:`_apply_move_path` applies them deepest
         first).  Legality is judged against the table as it stands, so a
         path is only a proposal: the search resumes if applying it fails.
+        A node judges its moves into free buckets (yielded) before those
+        into full ones (queued); a bucket stays free or full for the whole
+        node, so the paths and the queue are those of judging in order.
         """
         # Each frontier node: (stage, cell, parent_index, way_moved_from_parent)
         frontier: List[Tuple[int, int, int, Optional[int]]] = []
         seen: Set[int] = set()
         queue: deque = deque()
-        cells, legal, stages = self._cells, self._placement_legal, self.stages
+        cands, legal, stages = self._cands, self._placement_legal, self.stages
+        mask = self._cell_mask
         for stage in range(stages):
             if not legal(row, stage):
                 continue
-            cell = cells[row * stages + stage]
+            cell = cands[row * stages + stage] & mask
             frontier.append((stage, cell, -1, None))
             queue.append(len(frontier) - 1)
             seen.add(cell)
 
-        buckets, ways = self._buckets, self.ways
+        buckets, ways, full = self._buckets, self.ways, self._full
         bits, row_mask = self._row_bits, self._row_mask
         nodes_explored = 0
         while queue and nodes_explored < MAX_BFS_NODES:
@@ -812,26 +841,30 @@ class CuckooTable:
             nodes_explored += 1
             # Try to extend: each resident of this bucket could move to one of
             # its candidate buckets in other stages.  A queued bucket is
-            # known to be full (the roots failed insert's fast path, the
-            # rest failed the free-way test below), so no way is probed
-            # for being free.
+            # full.  A free destination is judged at once (most searches end
+            # at their first); a full one only after every free one.
             word = buckets[cell]
+            full_dests = []
             for way in range(ways):
                 other = word >> ways + way * bits & row_mask
+                base = other * stages
                 for dest_stage in range(stages):
                     if dest_stage == stage:
                         continue
-                    dest_cell = cells[other * stages + dest_stage]
+                    dest_cell = cands[base + dest_stage] & mask
                     if dest_cell in seen:
                         continue
-                    if not legal(other, dest_stage):
-                        continue
+                    if buckets.get(dest_cell, 0) & full == full:
+                        full_dests.append((way, other, dest_stage, dest_cell))
+                    elif legal(other, dest_stage):
+                        frontier.append((dest_stage, dest_cell, idx, way))
+                        seen.add(dest_cell)
+                        yield self._reconstruct_path(frontier, len(frontier) - 1)
+            for way, other, dest_stage, dest_cell in full_dests:
+                if dest_cell not in seen and legal(other, dest_stage):
                     frontier.append((dest_stage, dest_cell, idx, way))
                     seen.add(dest_cell)
-                    if self._free_way(dest_cell) is not None:
-                        yield self._reconstruct_path(frontier, len(frontier) - 1)
-                    else:
-                        queue.append(len(frontier) - 1)
+                    queue.append(len(frontier) - 1)
 
     def _reconstruct_path(self, frontier, idx: int):
         """Turn BFS parent pointers into one of :meth:`_bfs_paths`' paths."""
@@ -911,7 +944,7 @@ class CuckooTable:
         for dest_stage in range(self.stages):
             if dest_stage == home:
                 continue
-            dest_way = self._free_way(self._cells[base + dest_stage])
+            dest_way = self._free_way(self._cands[base + dest_stage] & self._cell_mask)
             if dest_way is None or not self._placement_legal(row, dest_stage):
                 continue
             self._move(row, dest_stage, dest_way)
@@ -931,7 +964,7 @@ class CuckooTable:
         value)``, in physical (slot-index) order; cost follows the
         residents."""
         for row in sorted(self._row_of.values(), key=self._slots.__getitem__):
-            digest = self._digests[row * self.stages + self._home(row)]
+            digest = self._cands[row * self.stages + self._home(row)] >> self._cand_shift
             yield (*self._location(row), self._keys[row], digest, self._values[row])
 
     def check_invariants(self) -> None:
@@ -945,8 +978,8 @@ class CuckooTable:
         must hold exactly the digests the residents below their home need;
         free rows hold no key.  The audit costs O(resident), not O(capacity).
         """
-        rows, keys, cells, stages = self._row_of, self._keys, self._cells, self.stages
-        ways, home = self.ways, self._home
+        rows, keys, cands, stages = self._row_of, self._keys, self._cands, self.stages
+        ways, home, mask, shift = self.ways, self._home, self._cell_mask, self._cand_shift
         counts = [0] * stages
         for key, row in rows.items():
             stage, index = home(row), self._slots[row]
@@ -954,7 +987,7 @@ class CuckooTable:
             word = self._buckets.get(cell, 0)
             if (
                 not 0 <= index < self.capacity
-                or cells[row * stages + stage] != cell
+                or cands[row * stages + stage] & mask != cell
                 or not word >> way & 1
                 or self._way_row(word, way) != row
                 or keys[row] != key
@@ -982,7 +1015,7 @@ class CuckooTable:
         needed: Dict[int, List[int]] = {}
         for row in rows.values():
             for item in range(row * stages, row * stages + home(row)):
-                needed.setdefault(cells[item], []).append(self._digests[item])
+                needed.setdefault(cands[item] & mask, []).append(cands[item] >> shift)
         for cell, digests in self._below.items():
             if not digests:
                 raise AssertionError(f"below-home index kept the empty cell {cell}")

@@ -1,23 +1,18 @@
 """ConnTable: per-connection state in ASIC SRAM (§4.2).
 
-A thin, load-balancer-flavoured wrapper around the generic multi-stage
-cuckoo table of :mod:`repro.asicsim.cuckoo`: keys are connection 5-tuples
-(as canonical bytes), values are DIP-pool version numbers, and the entry
-layout is the paper's 28-bit packed record (16-bit digest + 6-bit version +
-6-bit overhead; four entries per 112-bit SRAM word).  The layout and the
-Figure 14 design points it is compared with live in :mod:`.sram_cost`.
+The generic multi-stage cuckoo table of :mod:`repro.asicsim.cuckoo` at the
+paper's geometry: keys are connection 5-tuples (as canonical bytes), values
+are DIP-pool version numbers, and the entry layout is the paper's 28-bit
+packed record (16-bit digest + 6-bit version + 6-bit overhead; four entries
+per 112-bit SRAM word).  The layout and the Figure 14 design points it is
+compared with live in :mod:`.sram_cost`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..asicsim.cuckoo import (
-    CuckooTable,
-    InsertResult,
-    LookupResult,
-    buckets_for_capacity,
-)
+from ..asicsim.cuckoo import CuckooTable, buckets_for_capacity
 from ..obs.metrics import Scope
 from .config import SilkRoadConfig
 from .sram_cost import conn_entry
@@ -41,17 +36,15 @@ def conn_table_buckets(config: SilkRoadConfig) -> int:
     )
 
 
-class ConnTable:
-    """The connection table of one SilkRoad switch; ``metrics`` is the
-    scope its :class:`~repro.asicsim.cuckoo.CuckooTable` counts into."""
+class ConnTable(CuckooTable):
+    """The connection table of one SilkRoad switch: a
+    :class:`~repro.asicsim.cuckoo.CuckooTable` sized by ``config`` and
+    counting into ``metrics``, so a lookup, insert or delete is one call
+    into the cuckoo table with no forwarding frame in between.  It adds
+    the paper's SRAM layout and the redirected-SYN collision fix."""
 
-    def __init__(
-        self,
-        config: SilkRoadConfig,
-        metrics: Scope = None,
-    ) -> None:
-        self.config = config
-        self._table = CuckooTable(
+    def __init__(self, config: SilkRoadConfig, metrics: Scope = None) -> None:
+        super().__init__(
             conn_table_buckets(config),
             ways=CONN_TABLE_WAYS,
             stages=CONN_TABLE_STAGES,
@@ -59,78 +52,31 @@ class ConnTable:
             value_bits=config.version_bits,
             metrics=metrics,
         )
+        self.config = config
 
-    # -- data plane ----------------------------------------------------
-
-    def lookup(self, key: bytes, key_hash: Optional[int] = None) -> LookupResult:
-        """Digest lookup, exactly as the ASIC performs it.
-
-        ``key_hash`` is the connection's cached base hash; with it the
-        lookup performs no byte hashing at all.
-        """
-        return self._table.lookup(key, key_hash)
-
-    def prime_profiles(self, keys, key_hashes) -> None:
-        """Vectorized warm-up of the per-key profile caches (batch mode)."""
-        self._table.prime_profiles(keys, key_hashes)
-
-    # -- software (switch CPU) -----------------------------------------
-
-    def insert(
-        self, key: bytes, version: int, key_hash: Optional[int] = None
-    ) -> InsertResult:
-        return self._table.insert(key, version, key_hash)
-
-    def delete(self, key: bytes) -> None:
-        self._table.delete(key)
-
-    def get_exact(self, key: bytes) -> Optional[int]:
-        return self._table.get_exact(key)
+    # The per-layer tracer wraps these by class (``ConnTable.lookup`` is
+    # one span): naming the inherited functions here gives this class its
+    # own attributes without adding a call.
+    lookup = CuckooTable.lookup
+    prime_profiles = CuckooTable.prime_profiles
+    insert = CuckooTable.insert
+    delete = CuckooTable.delete
 
     def relocate_colliding_entry(
         self, new_key: bytes, key_hash: Optional[int] = None
     ) -> bool:
         """Resolve a digest collision for ``new_key``: find the resident
         entry its SYN falsely hit and move it to a different stage."""
-        result = self._table.lookup(new_key, key_hash)
+        result = self.lookup(new_key, key_hash)
         if not result.hit or not result.false_positive:
             return True  # nothing to resolve
-        key = self._table.key_at(result.location)
+        key = self.key_at(result.location)
         if key is None:
             raise AssertionError(f"lookup hit an empty slot: {result.location}")
-        return self._table.relocate(key)
-
-    # -- introspection ---------------------------------------------------
-
-    def entries(self):
-        """Resident entries as ``(stage, bucket, way, key, digest, version)``
-        in physical order (see :meth:`CuckooTable.entries`)."""
-        return self._table.entries()
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    @property
-    def capacity(self) -> int:
-        return self._table.capacity
-
-    @property
-    def load_factor(self) -> float:
-        return self._table.load_factor
-
-    @property
-    def false_positive_lookups(self) -> int:
-        return self._table.false_positive_lookups
+        return self.relocate(key)
 
     @property
     def sram_bytes(self) -> int:
         """SRAM of every slot, each stage's buckets packed into words."""
-        slots_per_stage = self._table.buckets_per_stage * CONN_TABLE_WAYS
+        slots_per_stage = self.buckets_per_stage * CONN_TABLE_WAYS
         return CONN_TABLE_STAGES * conn_entry(self.config).bytes_for(slots_per_stage)
-
-    def check_invariants(self) -> None:
-        self._table.check_invariants()
-

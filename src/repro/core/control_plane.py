@@ -195,16 +195,22 @@ class SwitchCpu:
             for event in batch.events:
                 self._lose(event.key, event.metadata)
             return
-        start = max(self.queue.now, self._busy_until)
+        now = self.queue.now
+        start = max(now, self._busy_until)
         self._m_batches.value += 1.0
-        self._m_queue_delay.observe(max(0.0, start - self.queue.now))
+        self._m_queue_delay.observe(max(0.0, start - now))
         per_entry_s = self.per_entry_s
+        outstanding, limit = self._outstanding, self.max_backlog
+        schedule, submitted = self.queue.schedule, self._m_submitted
         for event in batch.events:
-            if not self._has_capacity():
+            if limit is not None and len(outstanding) >= limit:
                 self._shed(event.key, event.metadata)
                 continue
             start += per_entry_s
-            self._schedule_install(event.key, event.metadata, start)
+            submitted.value += 1.0
+            job = _Job(self, event.key, event.metadata)
+            outstanding[job] = None
+            job.handle = schedule(start, job.fire, PRIO_INTERNAL)
         self._busy_until = max(self._busy_until, start)
 
     def submit_one(self, key: bytes, metadata: Tuple, extra_delay_s: float = 0.0) -> None:
@@ -212,15 +218,15 @@ class SwitchCpu:
         if self.down:
             self._lose(key, metadata)
             return
-        if not self._has_capacity():
+        if self.max_backlog is not None and len(self._outstanding) >= self.max_backlog:
             self._shed(key, metadata)
             return
         start = max(self.queue.now, self._busy_until) + extra_delay_s + self.per_entry_s
-        self._schedule_install(key, metadata, start)
+        self._m_submitted.value += 1.0
+        job = _Job(self, key, metadata)
+        self._outstanding[job] = None
+        job.handle = self.queue.schedule(start, job.fire, PRIO_INTERNAL)
         self._busy_until = start
-
-    def _has_capacity(self) -> bool:
-        return self.max_backlog is None or len(self._outstanding) < self.max_backlog
 
     def _shed(self, key: bytes, metadata: Tuple) -> None:
         self._m_shed.value += 1.0
@@ -235,12 +241,6 @@ class SwitchCpu:
     # ------------------------------------------------------------------
     # Completion (with write acknowledgement and retry)
     # ------------------------------------------------------------------
-
-    def _schedule_install(self, key: bytes, metadata: Tuple, when: float) -> None:
-        self._m_submitted.value += 1.0
-        job = _Job(self, key, metadata)
-        self._outstanding[job] = None
-        job.handle = self.queue.schedule(when, job.fire, PRIO_INTERNAL)
 
     def _complete(self, job: _Job) -> None:
         job.handle = None

@@ -138,10 +138,6 @@ class _ConnState:
     remapped: bool = False
     current_dip: Optional[DirectIP] = None
 
-    @property
-    def vip(self) -> VirtualIP:
-        return self.conn.vip
-
 
 class SilkRoadSwitch(LoadBalancer):
     """One SilkRoad switch instance."""
@@ -337,12 +333,12 @@ class SilkRoadSwitch(LoadBalancer):
 
             self.queue.schedule_in(IDLE_TIMEOUT_S, expire, PRIO_INTERNAL)
         else:
-            pending = self._pending_by_vip.get(state.vip)
+            pending = self._pending_by_vip.get(state.conn.vip)
             if pending is not None:
                 pending.discard(key)
             self._waiting.pop(key, None)
-            self.coordinator.on_pending_aborted(state.vip, key)
-            self.dip_pools.release(state.vip, state.version)
+            self.coordinator.on_pending_aborted(state.conn.vip, key)
+            self.dip_pools.release(state.conn.vip, state.version)
             del self._states[key]
 
     def resume_connection(self, conn: Connection) -> bool:
@@ -371,7 +367,7 @@ class SilkRoadSwitch(LoadBalancer):
         fresh.at_risk = state.at_risk
         self._states[key] = fresh
         self._drop_decision_index(state)
-        dip = self.dip_pools.select(state.vip, state.version, key, conn.key_hash)
+        dip = self.dip_pools.select(state.conn.vip, state.version, key, conn.key_hash)
         self._set_decision(fresh, dip, now)
         self._m_resumed_connections.value += 1.0
         if self.recorder is not None:
@@ -499,7 +495,8 @@ class SilkRoadSwitch(LoadBalancer):
             # Connection ended before its entry was written; nothing to do
             # (the abort already told the coordinator).
             return
-        key_hash = state.conn.key_hash
+        conn = state.conn
+        key_hash, vip = conn.key_hash, conn.vip
         if metadata and metadata[0] == "fp":
             # Redirected SYN: resolve the digest collision first.
             self.conn_table.relocate_colliding_entry(key, key_hash)
@@ -513,10 +510,10 @@ class SilkRoadSwitch(LoadBalancer):
                 # only the forwarding medium changes.
                 self._m_overflow_pinned.value += 1.0
                 state.installed = True
-                pending = self._pending_by_vip.get(state.vip)
+                pending = self._pending_by_vip.get(vip)
                 if pending is not None:
                     pending.discard(key)
-                self.coordinator.on_installed(state.vip, key)
+                self.coordinator.on_installed(vip, key)
                 if self.recorder is not None:
                     self.recorder.record(now, CONN_OVERFLOW, key, True)
             else:
@@ -526,7 +523,7 @@ class SilkRoadSwitch(LoadBalancer):
                 # would stall forever.
                 state.overflowed = True
                 self.overflow_keys.add(key)
-                self.coordinator.on_pending_aborted(state.vip, key)
+                self.coordinator.on_pending_aborted(vip, key)
                 if self.recorder is not None:
                     self.recorder.record(now, CONN_OVERFLOW, key, False)
             return
@@ -537,10 +534,10 @@ class SilkRoadSwitch(LoadBalancer):
             self.recorder.record(
                 now, CONN_INSTALL, key, state.version, result.moves
             )
-        pending = self._pending_by_vip.get(state.vip)
+        pending = self._pending_by_vip.get(vip)
         if pending is not None:
             pending.discard(key)
-        self.coordinator.on_installed(state.vip, key)
+        self.coordinator.on_installed(vip, key)
         # The installed entry pins the connection to its arrival version.
         # Only a remap path moves a pending decision off that version's
         # pick (``_set_decision`` is the only writer of ``current_dip``),
@@ -549,18 +546,22 @@ class SilkRoadSwitch(LoadBalancer):
         # of those paths remapped it; every other connection still holds
         # its admission selection.
         if state.remapped:
-            dip = self.dip_pools.select(state.vip, state.version, key, key_hash)
+            dip = self.dip_pools.select(vip, state.version, key, key_hash)
             self._set_decision(state, dip, now)
 
     def _expire_entry(self, key: bytes) -> None:
         state = self._states.pop(key, None)
         if state is None:
             return
-        if state.installed and key in self.conn_table:
-            self.conn_table.delete(key)
-            if self.recorder is not None:
-                self.recorder.record(self.queue.now, CONN_EVICT, key)
-        self.dip_pools.release(state.vip, state.version)
+        if state.installed:
+            try:
+                self.conn_table.delete(key)
+            except KeyError:  # pinned in software on overflow: no entry
+                pass
+            else:
+                if self.recorder is not None:
+                    self.recorder.record(self.queue.now, CONN_EVICT, key)
+        self.dip_pools.release(state.conn.vip, state.version)
 
     # ------------------------------------------------------------------
     # Update execution (t_exec) and completion (t_finish)
@@ -700,7 +701,7 @@ class SilkRoadSwitch(LoadBalancer):
     def _mark_transit(self, key: bytes) -> None:
         # note_new_pending runs only after _admit stored the state.
         state = self._states[key]
-        self.transit.mark(key, state.conn.key_hash, self._transit_update_ids[state.vip])
+        self.transit.mark(key, state.conn.key_hash, self._transit_update_ids[state.conn.vip])
 
     def _on_at_risk(self, vip: VirtualIP, keys: Set[bytes], phase: Phase) -> None:
         """A watchdog force-advanced past ``keys``: their protection window
@@ -852,17 +853,19 @@ class SilkRoadSwitch(LoadBalancer):
             return
         self._drop_decision_index(state)
         state.current_dip = dip
-        bucket = self._conns_on.get((state.vip, dip))
+        conn = state.conn
+        bucket = self._conns_on.get((conn.vip, dip))
         if bucket is None:
-            bucket = self._conns_on[(state.vip, dip)] = set()
-        bucket.add(state.conn.key)
-        if state.conn.active_at(now) or now <= state.conn.start:
-            state.conn.record_decision(now, dip)
+            bucket = self._conns_on[(conn.vip, dip)] = set()
+        bucket.add(conn.key)
+        # ``conn.active_at(now) or now <= conn.start``, with no call.
+        if now <= conn.start or now < conn.start + conn.duration:
+            conn.record_decision(now, dip)
 
     def _drop_decision_index(self, state: _ConnState) -> None:
         if state.current_dip is None:
             return
-        bucket = self._conns_on.get((state.vip, state.current_dip))
+        bucket = self._conns_on.get((state.conn.vip, state.current_dip))
         if bucket is not None:
             bucket.discard(state.conn.key)
 

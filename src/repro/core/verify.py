@@ -169,8 +169,8 @@ def _check_refcounts(switch: SilkRoadSwitch, fail: Fail) -> None:
         # idle-timeout expiry removes the entry.
         if state.dead and not state.installed:
             continue
-        expected[(state.vip, state.version)] = (
-            expected.get((state.vip, state.version), 0) + 1
+        expected[(state.conn.vip, state.version)] = (
+            expected.get((state.conn.vip, state.version), 0) + 1
         )
     for vip in switch.vip_table.vips():
         for version in switch.dip_pools.live_versions(vip):
@@ -192,7 +192,7 @@ def _check_decisions(switch: SilkRoadSwitch, fail: Fail) -> None:
             # Version reuse may have substituted this connection's slot
             # (its DIP went down); its stale decision is expected.
             continue
-        pool = switch.dip_pools.pool(state.vip, state.version)
+        pool = switch.dip_pools.pool(state.conn.vip, state.version)
         if (
             state.installed
             and key in switch.fp_adopted_keys
@@ -207,7 +207,7 @@ def _check_decisions(switch: SilkRoadSwitch, fail: Fail) -> None:
         # Protected/pending conns may momentarily point at a different
         # version's choice; installed ones must match their pinned pool.
         if state.installed and not state.adopted_old_via_fp:
-            expected = switch.dip_pools.select(state.vip, state.version, key)
+            expected = switch.dip_pools.select(state.conn.vip, state.version, key)
             if state.current_dip != expected:
                 fail(
                     f"decision {state.current_dip} != pinned pool choice "

@@ -47,6 +47,9 @@ class ControlServer:
         self._lock = asyncio.Lock()
         self._pacer: Optional[WallclockPacer] = None
         self._shutdown_event = asyncio.Event()
+        #: Each live connection's handler task -> its writer, so that
+        #: ``stop`` can end and await them.
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> None:
         """Bind and start serving; ``self.port`` is the bound port."""
@@ -79,6 +82,12 @@ class ControlServer:
             self._pacer = None
         if self._server is not None:
             self._server.close()
+            # A live connection outlives its listener: closing its writer
+            # ends the handler at EOF, and awaited, none is left to cancel.
+            handlers = [t for t in self._handlers if t is not asyncio.current_task()]
+            for task in handlers:
+                self._handlers[task].close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._shutdown_event.set()
@@ -90,6 +99,8 @@ class ControlServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
             while True:
                 try:
@@ -119,6 +130,8 @@ class ControlServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                del self._handlers[task]
 
     @staticmethod
     async def _read_head(

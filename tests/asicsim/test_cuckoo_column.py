@@ -41,8 +41,14 @@ def word_rows(table: CuckooTable, word: int):
 
 
 def item(table: CuckooTable, row: int, stage: int) -> int:
-    """Where ``row``'s cell and digest of ``stage`` sit in their columns."""
+    """Where ``row``'s packed triple of ``stage`` sits in ``_cands``."""
     return row * table.stages + stage
+
+
+def cell_digest(table: CuckooTable, at: int):
+    """The cell and the digest of the packed triple at item ``at``."""
+    cand = table._cands[at]
+    return cand & table._cell_mask, cand >> table._cand_shift
 
 
 def home(table: CuckooTable, row: int) -> int:
@@ -58,7 +64,7 @@ def physical_scan(table: CuckooTable):
         stage, bucket = divmod(cell, table.buckets_per_stage)
         assert 0 <= stage < table.stages
         for way, row in word_rows(table, word):
-            digest = table._digests[item(table, row, stage)]
+            _cell, digest = cell_digest(table, item(table, row, stage))
             rows.append((stage, bucket, way, table._keys[row], digest, table._values[row]))
     return rows
 
@@ -200,10 +206,10 @@ class TestAuditLosesNothing:
             table.check_invariants()
 
     def test_wrong_stored_digest(self, table):
-        # The stored digest rebuilds the home triple the entry is matched
-        # under: flip one bit and the match index no longer names it.
+        # The stored home triple is the one the entry is matched under:
+        # flip one digest bit and the match index no longer names it.
         row, stage = self.resident(table)
-        table._digests[item(table, row, stage)] ^= 1
+        table._cands[item(table, row, stage)] ^= 1 << table._cand_shift
         with pytest.raises(AssertionError, match="not matched under its own triple"):
             table.check_invariants()
 
@@ -211,9 +217,8 @@ class TestAuditLosesNothing:
         # Readers never look at a registration at or above the home stage,
         # so one there is dead weight the audit must refuse.
         row, stage = self.resident(table)
-        at = item(table, row, stage)
-        cell, digest = table._cells[at], table._digests[at]
-        table._below.setdefault(cell, array(table._digests.typecode)).append(digest)
+        cell, digest = cell_digest(table, item(table, row, stage))
+        table._below.setdefault(cell, array(table._digest_code)).append(digest)
         with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 
@@ -261,12 +266,13 @@ class TestAuditLosesNothing:
         # stage-0 triple of a resident living above it: the audit's lookup
         # of the upper one hits the lower one.
         upper, _home = self.resident(table, below_home=True)
-        digests, shift = table._digests, table._cand_shift
-        cell0 = table._cells[item(table, upper, 0)]
+        cands = table._cands
+        cell0, _digest = cell_digest(table, item(table, upper, 0))
         lower = next(r for _way, r in word_rows(table, table._buckets[cell0]))
-        del table._match[digests[item(table, lower, 0)] << shift | cell0]
-        digests[item(table, lower, 0)] = digests[item(table, upper, 0)]
-        table._match[digests[item(table, lower, 0)] << shift | cell0] = lower
+        # Both stage-0 triples name cell0: give the lower the upper's digest.
+        del table._match[cands[item(table, lower, 0)]]
+        cands[item(table, lower, 0)] = cands[item(table, upper, 0)]
+        table._match[cands[item(table, lower, 0)]] = lower
         with pytest.raises(AssertionError, match="shadowed"):
             table.check_invariants()
 
@@ -303,9 +309,9 @@ class TestCandidateIndexAudit:
 
     def test_stale_registration_of_a_deleted_key(self, table):
         row = next(r for r in table._row_of.values() if home(table, r) > 0)
-        cell, digest = table._cells[item(table, row, 0)], table._digests[item(table, row, 0)]
+        cell, digest = cell_digest(table, item(table, row, 0))
         table.delete(table._keys[row])
-        table._below.setdefault(cell, array(table._digests.typecode)).append(digest)
+        table._below.setdefault(cell, array(table._digest_code)).append(digest)
         with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 
@@ -317,15 +323,15 @@ class TestCandidateIndexAudit:
 
     def test_empty_registration_left_behind(self, table):
         cell = next(c for c in range(table.stages * 4) if c not in table._below)
-        table._below[cell] = array(table._digests.typecode)
+        table._below[cell] = array(table._digest_code)
         with pytest.raises(AssertionError, match="kept the empty cell"):
             table.check_invariants()
 
     def test_registration_under_a_foreign_triple(self, table):
         row = next(r for r in table._row_of.values() if home(table, r) > 0)
-        own = table._cells[item(table, row, 0)]
+        own, digest = cell_digest(table, item(table, row, 0))
         foreign = next(c for c in table._below if c != own and c < 4)
-        table._below[foreign].append(table._digests[item(table, row, 0)])
+        table._below[foreign].append(digest)
         with pytest.raises(AssertionError, match="registers digests"):
             table.check_invariants()
 

@@ -19,7 +19,7 @@ from repro.core.conn_table import ConnTable
 
 GEOMETRIES = {
     # The switch default: 1 M connections over 4 stages x 4 ways.
-    "default": lambda: ConnTable(SilkRoadConfig())._table,
+    "default": lambda: ConnTable(SilkRoadConfig()),
     # §7's graded per-stage digests, wide to narrow.
     "graded": lambda: CuckooTable(
         buckets_per_stage=5000, digest_bits=[24, 16, 12, 8]

@@ -87,9 +87,9 @@ class TestVerifyCatchesCorruption:
 
     def test_detects_version_mismatch(self):
         switch, _sim = run_busy_switch(horizon=30.0, updates_per_min=0.0)
-        key = next(iter(switch.conn_table._table.keys()))
+        key = next(iter(switch.conn_table.keys()))
         state = switch._states[key]
-        switch.conn_table._table.update(key, (state.version + 1) % 64)
+        switch.conn_table.update(key, (state.version + 1) % 64)
         with pytest.raises(InvariantViolation):
             audit_switch(switch).raise_if_failed()
 

@@ -346,7 +346,7 @@ class TestProfilePriming:
         256-arrival priming window; returns the comparable outcome plus what
         the test needs to show the window really straddled the change."""
         _cluster, fleet, conns = build(num_switches=3, horizon=30.0)
-        tables = [slot.switch.conn_table._table for slot in fleet._slots]
+        tables = [slot.switch.conn_table for slot in fleet._slots]
         if profile_cache_size is not None:
             for table in tables:
                 table.profile_cache_size = profile_cache_size

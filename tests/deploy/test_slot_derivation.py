@@ -124,7 +124,7 @@ def test_rejoin_leaves_no_scalar_profile_derivation():
     moved, misses = [], []
 
     def spying_rejoin(index):
-        table = fleet._slots[index].switch.conn_table._table
+        table = fleet._slots[index].switch.conn_table
         profile = table._profile
 
         def checked_profile(key, key_hash=None):

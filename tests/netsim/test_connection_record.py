@@ -407,7 +407,7 @@ def test_set_order_of_addresses_ignores_the_hash_seed():
 def test_profile_side_cache_holds_in_flight_keys_only(batched):
     workload = build_workload(**SHAPE)
     _report, conns, switch = workload.replay(make_switch, batched=batched, batch_size=256)
-    table = switch.conn_table._table
+    table = switch.conn_table
     assert len(table) > 500  # residents: their profiles ride on the Slots
     assert table._profile_cache.keys().isdisjoint(c.key for c in conns if c.key in table)
     # Parent: every key ever probed, up to the 16,384-entry bound.

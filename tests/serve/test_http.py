@@ -11,7 +11,13 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from repro.serve import ControlServer, ServeConfig, ServeSession
 from repro.serve import session as session_module
@@ -283,6 +289,54 @@ class TestWallclockPacing:
             return self.pacers()
 
         assert asyncio.run(go()) == []
+
+
+#: Drives a keep-alive client against a server and calls ``stop()`` with
+#: no ``POST /shutdown``; prints the ``_handle`` tasks still pending.
+_STOP_SCRIPT = """
+import asyncio, sys
+from repro.serve import ControlServer, ServeConfig, ServeSession
+from repro.serve.script import _Client
+
+async def go(client_first):
+    server = ControlServer(ServeSession(ServeConfig(seed=11, scale=0.01)))
+    await server.start()
+    client = _Client(server.host, server.port)
+    await client.connect()
+    status, _ = await client.json("GET", "/healthz")
+    assert status == 200
+    if client_first:
+        await client.close()
+    await server.stop()
+    pending = [
+        t for t in asyncio.all_tasks()
+        if t.get_coro().__qualname__ == "ControlServer._handle" and not t.done()
+    ]
+    print("pending handlers:", len(pending))
+    if not client_first:
+        await client.close()
+
+asyncio.run(go(sys.argv[1] == "client-first"))
+"""
+
+
+class TestStopWaitsForHandlers:
+    """``ControlServer.stop()`` with no ``POST /shutdown`` ends and awaits
+    every connection handler, so none is left for ``asyncio.run`` to
+    cancel (which logs "Exception in callback ... CancelledError")."""
+
+    @pytest.mark.parametrize("order", ["client-first", "server-first"])
+    def test_no_handler_left_pending_or_cancelled(self, order):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", _STOP_SCRIPT, order],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "pending handlers: 0"
+        assert "Exception in callback" not in proc.stderr, proc.stderr
+        assert "CancelledError" not in proc.stderr, proc.stderr
 
 
 class TestStructuredHttpErrors:

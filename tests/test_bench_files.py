@@ -8,12 +8,16 @@ every such file, check its shape, and recompute every row from the stored
 samples with ``perf.compare``'s own functions — ``load``, ``judge_host``,
 ``judge_exact`` and the ``compare`` table — so a hand-edited number, a
 dropped row or a verdict that does not follow from the runs fails here.
+A file that claims a gain carries a ``claim`` block, the pairwise judgement
+of the claimed metric (wins out of pairs, medians, the parent's
+interquartile range), and it too is recomputed from the result sets.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import statistics
 from pathlib import Path
 
@@ -58,6 +62,45 @@ def _expected_rows(base, change):
             yield row
 
 
+def derive_claim(doc, workload: str, metric: str):
+    """The judgement of a claimed gain in ``metric`` on ``workload``: pair
+    ``i`` is the parent's and the change's ``i``-th result set (same seed).
+    It is met when the change wins at least nine in ten pairs and the
+    medians differ by more than the parent's interquartile range."""
+    better = {m.name: m.better for m in catalogue.END_TO_END}[metric]
+
+    def value(result_set):
+        (run,) = [r for r in result_set["runs"] if r["workload"] == workload]
+        return run["extra"]["values"][metric]
+
+    pairs = []
+    for base, change in zip(*(doc["sides"][s]["result_sets"] for s in ("parent", "change"))):
+        assert base["seed"] == change["seed"], "result sets are not paired by seed"
+        pairs.append([base["seed"], value(base), value(change)])
+    sign = 1.0 if better == "higher" else -1.0
+    parent, change = [p for _, p, _ in pairs], [c for _, _, c in pairs]
+    q1, parent_median, q3 = compare._quartiles(parent)
+    change_median = statistics.median(change)
+    wins = sum(sign * (c - p) > 0 for _, p, c in pairs)
+    by_seed = {
+        str(seed): statistics.median([c for s, _, c in pairs if s == seed])
+        / statistics.median([p for s, p, _ in pairs if s == seed])
+        for seed in sorted({s for s, _, _ in pairs})
+    }
+    return {
+        "workload": workload,
+        "metric": metric,
+        "pairs": pairs,
+        "wins": wins,
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "parent_iqr": q3 - q1,
+        "change_over_parent_by_seed": by_seed,
+        "met": wins >= math.ceil(0.9 * len(pairs))
+        and sign * (change_median - parent_median) > q3 - q1,
+    }
+
+
 def problems(doc, tmp_path: Path):
     """Every way ``doc`` fails to re-derive from its samples."""
     found = []
@@ -98,6 +141,11 @@ def problems(doc, tmp_path: Path):
         table, _failed = compare.compare(base, change)
         if comparison["table"] != table:
             found.append(f"{comparison['name']}: the table is not compare.py's")
+    if doc["claims_gain"] and "claim" not in doc:
+        found.append("claims a gain but carries no claim block")
+    claim = doc.get("claim")
+    if claim and claim != derive_claim(doc, claim["workload"], claim["metric"]):
+        found.append("the claim block does not follow from the result sets")
     return found
 
 

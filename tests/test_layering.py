@@ -2,8 +2,8 @@
 
 An ``ast`` walk over ``src/repro`` that fails on any attribute access
 reaching one of the private names below on an object other than ``self``
-from outside the module that owns the name (``conn_table._table``,
-``queue._heap``, the cuckoo profile caches, the fleet cause maps): a fast
+from outside the module that owns the name (``queue._heap``, the cuckoo
+match and profile caches, the fleet cause maps): a fast
 path that needs them belongs inside the owning module.  Reaches that
 remain are listed in ``ALLOWED`` with the reason, so they are visible
 debt rather than silent.  The same walk refuses ``.__dict__`` on anything
@@ -95,7 +95,6 @@ SRC = ROOT / "src" / "repro"
 
 #: private attribute -> path prefix (relative to src/repro) that owns it.
 OWNERS = {
-    "_table": "core/conn_table.py",
     "_heap": "netsim/",
     "_buckets": "asicsim/cuckoo.py",
     "_row_of": "asicsim/cuckoo.py",
