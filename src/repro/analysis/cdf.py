@@ -7,6 +7,9 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+#: Points :meth:`Cdf.points` samples along a CDF.
+CDF_POINTS = 50
+
 
 @dataclass(frozen=True)
 class Cdf:
@@ -44,10 +47,10 @@ class Cdf:
     def p99(self) -> float:
         return self.quantile(0.99)
 
-    def points(self, num: int = 50) -> List[Tuple[float, float]]:
+    def points(self) -> List[Tuple[float, float]]:
         """(x, P(X <= x)) pairs for plotting/printing."""
         n = len(self.values)
-        step = max(n // num, 1)
+        step = max(n // CDF_POINTS, 1)
         pts = [
             (self.values[i], (i + 1) / n) for i in range(0, n, step)
         ]

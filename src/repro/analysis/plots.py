@@ -14,6 +14,9 @@ from .cdf import Cdf
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
+#: Bins of :func:`histogram`.
+HISTOGRAM_BINS = 10
+
 
 def sparkline(values: Sequence[float], width: int = 48) -> str:
     """Compress a series into a one-line block-character sparkline."""
@@ -76,15 +79,12 @@ def ascii_cdf(
     return "\n".join(lines)
 
 
-def histogram(
-    values: Sequence[float], bins: int = 10, width: int = 40, label: str = ""
-) -> str:
+def histogram(values: Sequence[float], width: int = 40, label: str = "") -> str:
     """A horizontal ASCII histogram."""
     values = [float(v) for v in values]
     if not values:
         return "(no samples)"
-    if bins <= 0:
-        raise ValueError("bins must be positive")
+    bins = HISTOGRAM_BINS
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
     counts = [0] * bins

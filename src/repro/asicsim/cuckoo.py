@@ -66,6 +66,16 @@ PROFILE_VECTOR_MIN = 3
 #: Rows the columns grow by when no row is free (one copy in C per block).
 ROW_BLOCK = 64
 
+#: Load factor above which insertions fail at once instead of running the
+#: BFS (saturated-table protection).  Occupancy ablations patch it to 1.0,
+#: so the search runs until the table is full.
+FAST_FAIL_LOAD = 0.98
+
+#: Bound on the LRU side cache of non-resident key profiles (keys
+#: mid-insertion or being probed).  Eviction is per-entry LRU, not a
+#: wholesale clear, so BFS inserts under churn don't thrash.
+PROFILE_CACHE_SIZE = 16384
+
 
 def stage_hash_units(
     stages: int, seed: int = DEFAULT_SEED
@@ -202,14 +212,6 @@ class CuckooTable:
         stages narrower ones (denser packing as the table fills).
     value_bits:
         Width of the action data (6-bit DIP-pool version by default).
-    fast_fail_load:
-        Load factor above which insertions fail immediately instead of
-        running the BFS (saturated-table protection).  Set to 1.0 to
-        always search (occupancy ablations do).
-    profile_cache_size:
-        Bound on the LRU side cache of non-resident key profiles (keys
-        mid-insertion or being probed).  Eviction is per-entry LRU, not
-        a wholesale clear, so BFS inserts under churn don't thrash.
     metrics:
         The :class:`~repro.obs.metrics.Scope` the table counts into
         (lookups, false positives, insert attempts/failures, cuckoo moves,
@@ -224,9 +226,7 @@ class CuckooTable:
         stages: int = 4,
         digest_bits=16,
         value_bits: int = 6,
-        fast_fail_load: float = 0.98,
         seed: int = DEFAULT_SEED,
-        profile_cache_size: int = 16384,
         metrics: Scope = None,
     ) -> None:
         if buckets_per_stage <= 0:
@@ -248,15 +248,9 @@ class CuckooTable:
             raise ValueError("digest widths must be in [1, 64]")
         self.digest_bits = max(self.digest_bits_per_stage)
         self.value_bits = value_bits
-        if not 0.0 < fast_fail_load <= 1.0:
-            raise ValueError("fast_fail_load must be in (0, 1]")
-        self.fast_fail_load = fast_fail_load
-        # Occupancy above which insert() fails without running the BFS; a
-        # fast_fail_load of 1.0 disables the shortcut.
+        # Occupancy at which insert() fails without running the BFS.
         capacity = stages * buckets_per_stage * ways
-        self._fast_fail_entries = (
-            int(capacity * fast_fail_load) if fast_fail_load < 1.0 else capacity + 1
-        )
+        self._fast_fail_entries = int(capacity * FAST_FAIL_LOAD)
         # Each stage gets an independent index hash and digest hash; all of
         # them derive from the same single-pass base hash with per-unit
         # seeded mixing (see repro.asicsim.hashing).
@@ -324,9 +318,7 @@ class CuckooTable:
         self._below: Dict[int, array] = {}
         #: Resident entries per stage, maintained on place / move / delete.
         self._stage_counts: List[int] = [0] * stages
-        if profile_cache_size <= 0:
-            raise ValueError("profile_cache_size must be positive")
-        self.profile_cache_size = profile_cache_size
+        self.profile_cache_size = PROFILE_CACHE_SIZE
         self._profile_cache: "OrderedDict[bytes, Tuple[int, ...]]" = OrderedDict()
         self.profile_cache_evictions = 0
         if metrics is None:

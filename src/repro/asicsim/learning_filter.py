@@ -49,7 +49,6 @@ class LearnBatch:
     """A drained batch handed to the switch CPU."""
 
     events: List[LearnEvent]
-    flushed_at: float
     reason: str  # "full", "timeout" or "forced" (end-of-run drain)
 
     def __len__(self) -> int:
@@ -175,9 +174,7 @@ class LearningFilter:
             self._m_flushes_forced.value += 1.0
         else:
             self._m_flushes_timeout.value += 1.0
-        batch = LearnBatch(
-            events=list(self._pending.values()), flushed_at=now, reason=reason
-        )
+        batch = LearnBatch(events=list(self._pending.values()), reason=reason)
         self._m_batch_size.observe(float(len(batch.events)))
         for event in batch.events:
             self._m_drain_latency.observe(now - event.first_seen)

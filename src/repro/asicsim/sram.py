@@ -19,34 +19,28 @@ DEFAULT_WORD_BITS = 112
 ENTRY_OVERHEAD_BITS = 6
 
 
-def entries_per_word(entry_bits: int, word_bits: int = DEFAULT_WORD_BITS) -> int:
+def entries_per_word(entry_bits: int) -> int:
     """Number of whole entries that pack into one SRAM word."""
     if entry_bits <= 0:
         raise ValueError("entry width must be positive")
-    if word_bits <= 0:
-        raise ValueError("word width must be positive")
-    return word_bits // entry_bits
+    return DEFAULT_WORD_BITS // entry_bits
 
 
-def words_for_entries(
-    num_entries: int, entry_bits: int, word_bits: int = DEFAULT_WORD_BITS
-) -> int:
+def words_for_entries(num_entries: int, entry_bits: int) -> int:
     """SRAM words needed to store ``num_entries`` packed entries."""
     if num_entries < 0:
         raise ValueError("entry count must be non-negative")
-    per_word = entries_per_word(entry_bits, word_bits)
+    per_word = entries_per_word(entry_bits)
     if per_word == 0:
         # Entry wider than a word: it spans multiple words.
-        words_per_entry = -(-entry_bits // word_bits)
+        words_per_entry = -(-entry_bits // DEFAULT_WORD_BITS)
         return num_entries * words_per_entry
     return -(-num_entries // per_word)
 
 
-def bytes_for_entries(
-    num_entries: int, entry_bits: int, word_bits: int = DEFAULT_WORD_BITS
-) -> int:
+def bytes_for_entries(num_entries: int, entry_bits: int) -> int:
     """SRAM bytes needed to store ``num_entries`` packed entries."""
-    return words_for_entries(num_entries, entry_bits, word_bits) * word_bits // 8
+    return words_for_entries(num_entries, entry_bits) * DEFAULT_WORD_BITS // 8
 
 
 def megabytes(num_bytes: int) -> float:

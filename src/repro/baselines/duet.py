@@ -45,7 +45,6 @@ class DuetLoadBalancer(LoadBalancer):
         name: str = "duet",
         policy: MigrationPolicy = MigrationPolicy.PERIODIC,
         migrate_period_s: float = 600.0,
-        ecmp_slots: int = 256,
         seed: int = 0xD0E7,
     ) -> None:
         if migrate_period_s <= 0:
@@ -53,7 +52,6 @@ class DuetLoadBalancer(LoadBalancer):
         self.name = name
         self.policy = policy
         self.migrate_period_s = migrate_period_s
-        self._ecmp_slots = ecmp_slots
         self._seed = seed
         # Switch ECMP groups rewrite only affected member slots on a change
         # (resilient hashing), so a single-DIP update disturbs ~1/N of the
@@ -79,9 +77,7 @@ class DuetLoadBalancer(LoadBalancer):
         if vip in self._pools:
             raise ValueError(f"VIP already announced: {vip}")
         self._pools[vip] = list(dips)
-        self._tables[vip] = ResilientHashTable(
-            list(dips), num_slots=self._ecmp_slots, seed=self._seed
-        )
+        self._tables[vip] = ResilientHashTable(list(dips), seed=self._seed)
         self._pinned[vip] = {}
         self._unsafe[vip] = set()
         self._active[vip] = {}

@@ -17,41 +17,21 @@ from typing import List, Optional, Sequence
 from ..asicsim.hashing import HashUnit
 from ..netsim.packet import DirectIP
 
-#: Default lookup-table size: a prime well above typical pool sizes.  The
-#: Maglev paper uses 65537 in production; 251 keeps unit tests fast while
-#: preserving the algorithm's properties.
+#: Lookup-table size: a prime well above typical pool sizes.  The Maglev
+#: paper uses 65537 in production; 251 keeps replays fast while preserving
+#: the algorithm's properties.
 DEFAULT_TABLE_SIZE = 251
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 class MaglevTable:
     """A Maglev lookup table over a set of backends."""
 
-    def __init__(
-        self,
-        backends: Sequence[DirectIP],
-        table_size: int = DEFAULT_TABLE_SIZE,
-        seed: int = 0x3A61EF,
-    ) -> None:
+    def __init__(self, backends: Sequence[DirectIP], seed: int = 0x3A61EF) -> None:
         if not backends:
             raise ValueError("need at least one backend")
-        if not _is_prime(table_size):
-            raise ValueError("table_size must be prime")
-        if len(backends) > table_size:
+        if len(backends) > DEFAULT_TABLE_SIZE:
             raise ValueError("more backends than table entries")
-        self.table_size = table_size
+        self.table_size = DEFAULT_TABLE_SIZE
         self._seed = seed
         self._offset_unit = HashUnit(seed=seed)
         self._skip_unit = HashUnit(seed=seed ^ 0x5EED)

@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..asicsim.hashing import HashUnit
 from ..netsim.flows import Connection
 from ..netsim.packet import DirectIP, VirtualIP
 from ..netsim.simulator import LoadBalancer
 from ..netsim.updates import UpdateEvent, UpdateKind
-from .maglev import DEFAULT_TABLE_SIZE, MaglevTable
+from .maglev import MaglevTable
 
 #: Capacity/cost constants from the paper (§2.2, §6.1).
 SLB_MPPS = 12.0e6  # packets/s per SLB machine
@@ -41,6 +40,8 @@ ASIC_WATTS = 300.0
 ASIC_COST_USD = 10_000.0
 #: Median added latency of batching SLB dataplanes (50 us - 1 ms range).
 SLB_LATENCY_S = 300e-6
+#: Connections one SilkRoad switch holds in Figure 13's sizing rule.
+SILKROAD_CONNS_PER_SWITCH = 10e6
 
 
 def slbs_required(peak_pps: float, peak_gbps: float) -> int:
@@ -52,11 +53,11 @@ def slbs_required(peak_pps: float, peak_gbps: float) -> int:
     return max(by_pps, by_bps, 1)
 
 
-def silkroads_required(peak_conns: float, conns_per_switch: float = 10e6) -> int:
+def silkroads_required(peak_conns: float) -> int:
     """SilkRoad switches needed to hold a cluster's connection state."""
     if peak_conns < 0:
         raise ValueError("connections must be non-negative")
-    return max(math.ceil(peak_conns / conns_per_switch), 1)
+    return max(math.ceil(peak_conns / SILKROAD_CONNS_PER_SWITCH), 1)
 
 
 @dataclass(frozen=True)
@@ -91,25 +92,16 @@ def cost_of_equal_throughput() -> CostComparison:
 
 
 class SoftwareLoadBalancer(LoadBalancer):
-    """An SLB tier: software ConnTable + VIPTable; PCC by construction.
+    """An SLB tier: software ConnTable + Maglev VIPTable; PCC by construction.
 
     The tier pins every connection at first packet; DIP-pool updates lock
     the (software) VIPTable, so the update is atomic with respect to
     connection insertion — the property switch CPUs cannot give (§2.1).
     """
 
-    def __init__(
-        self,
-        name: str = "slb",
-        use_maglev: bool = True,
-        maglev_table_size: int = DEFAULT_TABLE_SIZE,
-        seed: int = 0x51B0,
-    ) -> None:
+    def __init__(self, name: str = "slb", seed: int = 0x51B0) -> None:
         self.name = name
-        self.use_maglev = use_maglev
-        self._maglev_size = maglev_table_size
         self._seed = seed
-        self._select_unit = HashUnit(seed=seed)
         self._pools: Dict[VirtualIP, List[DirectIP]] = {}
         self._tables: Dict[VirtualIP, MaglevTable] = {}
         self._conn_table: Dict[bytes, DirectIP] = {}
@@ -123,18 +115,12 @@ class SoftwareLoadBalancer(LoadBalancer):
         if vip in self._pools:
             raise ValueError(f"VIP already announced: {vip}")
         self._pools[vip] = list(dips)
-        if self.use_maglev:
-            self._tables[vip] = MaglevTable(
-                list(dips), table_size=self._maglev_size, seed=self._seed
-            )
+        self._tables[vip] = MaglevTable(list(dips), seed=self._seed)
 
     def select(
         self, vip: VirtualIP, key: bytes, key_hash: Optional[int] = None
     ) -> DirectIP:
-        if self.use_maglev:
-            return self._tables[vip].lookup(key, key_hash)
-        pool = self._pools[vip]
-        return pool[self._select_unit.index(key, len(pool), key_hash)]
+        return self._tables[vip].lookup(key, key_hash)
 
     # -- LoadBalancer interface -------------------------------------------
 
@@ -165,6 +151,5 @@ class SoftwareLoadBalancer(LoadBalancer):
             pool.append(event.dip)
         if not pool:
             raise RuntimeError(f"pool of {event.vip} drained empty")
-        if self.use_maglev:
-            self._tables[event.vip].rebuild(pool)
+        self._tables[event.vip].rebuild(pool)
         # Pinned connections keep their entries: PCC holds.

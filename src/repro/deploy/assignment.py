@@ -22,6 +22,9 @@ from ..core.sram_cost import conn_entry
 from ..netsim.packet import VirtualIP
 from ..netsim.topology import Fabric, Layer, Switch, VipPlacement
 
+#: Fraction of each switch's SRAM budget the assignment may fill.
+SRAM_HEADROOM = 1.0
+
 
 @dataclass(frozen=True)
 class VipDemand:
@@ -42,7 +45,6 @@ class AssignmentResult:
 
     placement: VipPlacement
     sram_used: Dict[str, float]  # per-switch bytes
-    traffic_used: Dict[str, float]  # per-switch Gbps
     unplaced: List[VipDemand] = field(default_factory=list)
 
     @property
@@ -62,25 +64,22 @@ def assign_vips(
     fabric: Fabric,
     demands: Sequence[VipDemand],
     enabled: Optional[Dict[Layer, Sequence[Switch]]] = None,
-    sram_headroom: float = 1.0,
 ) -> AssignmentResult:
     """Greedy min-max assignment of VIPs to fabric layers.
 
     VIPs are placed in decreasing SRAM-demand order; each goes to the layer
     that minimizes the resulting maximum per-switch SRAM utilization while
-    respecting SRAM budgets (scaled by ``sram_headroom``) and forwarding
+    respecting SRAM budgets (scaled by ``SRAM_HEADROOM``) and forwarding
     capacity.  ``enabled`` restricts each layer to its SilkRoad-enabled
     switches (incremental deployment); a VIP's traffic then splits over
     only those switches.
     """
-    if not 0.0 < sram_headroom <= 1.0:
-        raise ValueError("sram_headroom must be in (0, 1]")
     layer_switches: Dict[Layer, List[Switch]] = {}
     for layer in Layer:
         switches = list((enabled or {}).get(layer, fabric.layer_switches(layer)))
         layer_switches[layer] = switches
 
-    placement = VipPlacement(fabric=fabric)
+    placement = VipPlacement()
     sram_used: Dict[str, float] = {s.name: 0.0 for s in fabric.all_switches()}
     traffic_used: Dict[str, float] = {s.name: 0.0 for s in fabric.all_switches()}
     unplaced: List[VipDemand] = []
@@ -101,7 +100,7 @@ def assign_vips(
             for switch in switches:
                 new_sram = sram_used[switch.name] + share_sram
                 new_traffic = traffic_used[switch.name] + share_gbps
-                if new_sram > switch.sram_budget_bytes * sram_headroom:
+                if new_sram > switch.sram_budget_bytes * SRAM_HEADROOM:
                     feasible = False
                     break
                 if new_traffic > switch.capacity_gbps:
@@ -125,6 +124,5 @@ def assign_vips(
     return AssignmentResult(
         placement=placement,
         sram_used=sram_used,
-        traffic_used=traffic_used,
         unplaced=unplaced,
     )

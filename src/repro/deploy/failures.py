@@ -36,17 +36,16 @@ def switch_failure_breakage(
     return exposed / total
 
 
-def health_check_bandwidth_bps(
-    num_dips: int, interval_s: float = 10.0, probe_bytes: int = 100
-) -> float:
+#: The paper's health-check probing: one 100-byte probe per DIP every 10 s.
+HEALTH_CHECK_INTERVAL_S = 10.0
+HEALTH_CHECK_PROBE_BYTES = 100
+
+
+def health_check_bandwidth_bps(num_dips: int) -> float:
     """Bandwidth one switch spends probing its DIPs.
 
     The paper's example: 10 K DIPs / 10 s / 100 B -> ~800 Kb/s.
     """
     if num_dips < 0:
         raise ValueError("num_dips must be non-negative")
-    if interval_s <= 0:
-        raise ValueError("interval must be positive")
-    if probe_bytes <= 0:
-        raise ValueError("probe size must be positive")
-    return num_dips / interval_s * probe_bytes * 8.0
+    return num_dips / HEALTH_CHECK_INTERVAL_S * HEALTH_CHECK_PROBE_BYTES * 8.0

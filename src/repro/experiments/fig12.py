@@ -20,10 +20,13 @@ from ..core.sram_cost import conn_entry, pool_member_entry, vip_entry
 from ..netsim.cluster import ClusterType
 from ..traces import ClusterProfile, FleetSynthesizer
 
+#: Live pool versions a VIP can hold: the 6-bit version field's 64.
+MAX_LIVE_VERSIONS = 64
 
-def live_versions_estimate(updates_per_min_p99: float, cap: int = 64) -> int:
+
+def live_versions_estimate(updates_per_min_p99: float) -> int:
     """Live pool versions a VIP's churn keeps around (bounded by 6 bits)."""
-    return int(min(cap, max(4, round(updates_per_min_p99))))
+    return int(min(MAX_LIVE_VERSIONS, max(4, round(updates_per_min_p99))))
 
 
 def conn_table_bytes(profile: ClusterProfile) -> int:

@@ -37,7 +37,7 @@ WINDOW_S = 600.0
 WINDOW_DOWNTIME = DowntimeModel(median_s=60.0, p99_s=240.0)
 #: How long a connection cohort pins a version (covers the bulk of the
 #: Hadoop-style flow-duration distribution).
-DEFAULT_HOLD_S = 90.0
+HOLD_S = 90.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ def run(
     update_counts: Sequence[int] = DEFAULT_UPDATE_COUNTS,
     dips_per_vip: int = 64,
     seed: int = 15,
-    hold_s: float = DEFAULT_HOLD_S,
 ) -> List[Fig15Point]:
     points: List[Fig15Point] = []
     for count in update_counts:
@@ -124,7 +123,7 @@ def run(
                 table.release(vip, version)
             current = table.current_version(vip)
             table.acquire(vip, current)  # the cohort arriving before this
-            heapq.heappush(releases, (t + hold_s, current))
+            heapq.heappush(releases, (t + HOLD_S, current))
             if kind == "remove" and dip not in removed and len(table.pool(vip, current)) > 1:
                 table.remove_dip(vip, dip)
                 removed.add(dip)

@@ -17,7 +17,7 @@ import numpy as np
 from ..analysis import format_table
 from ..netsim.cluster import ClusterType
 from ..netsim.updates import ROOT_CAUSE_SHARES, RootCause
-from ..traces import FleetSynthesizer, cause_shares, synthesize_log
+from ..traces import FleetSynthesizer, cause_shares, sample_causes
 
 
 def run(seed: int = 3, changes_per_cluster: int = 5_000) -> Dict[RootCause, float]:
@@ -28,7 +28,7 @@ def run(seed: int = 3, changes_per_cluster: int = 5_000) -> Dict[RootCause, floa
     counts: Dict[RootCause, float] = {cause: 0.0 for cause in RootCause}
     total = 0
     for profile in profiles:
-        log = synthesize_log(rng, changes_per_cluster, kind=profile.kind)
+        log = sample_causes(rng, changes_per_cluster, profile.kind)
         for cause, share in cause_shares(log).items():
             counts[cause] += share * len(log)
         total += len(log)

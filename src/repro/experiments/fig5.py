@@ -30,6 +30,8 @@ POLICIES = {
 }
 
 DEFAULT_RATES = (1.0, 10.0, 50.0)
+#: Updates/min of §3.2's cache-traffic variant (the paper's 53.5 % point).
+CACHE_RATE = 50.0
 
 
 @dataclass
@@ -81,7 +83,6 @@ def run(
 
 
 def run_cache(
-    rate: float = 50.0,
     scale: float = 0.2,
     seed: int = 55,
     horizon_s: float = 1500.0,
@@ -93,7 +94,7 @@ def run_cache(
     Migrate-10min at 50 updates/min.
     """
     return run(
-        rates=(rate,),
+        rates=(CACHE_RATE,),
         scale=scale,
         seed=seed,
         duration_model=CACHE,

@@ -41,13 +41,14 @@ class LatencyComparison:
     def speedup_vs_slb(self) -> float:
         return self.slb_median_s / self.silkroad_pipeline_s
 
-    def chained(self, hops: int, base_rtt_s: float = DATACENTER_RTT_MEDIAN_S) -> Dict[str, float]:
-        """End-to-end latency when a request traverses ``hops`` LB layers."""
+    def chained(self, hops: int) -> Dict[str, float]:
+        """End-to-end latency when a request traverses ``hops`` LB layers
+        on top of the median datacenter RTT."""
         if hops <= 0:
             raise ValueError("hops must be positive")
         return {
-            "silkroad": base_rtt_s + hops * self.silkroad_pipeline_s,
-            "slb": base_rtt_s + hops * self.slb_median_s,
+            "silkroad": DATACENTER_RTT_MEDIAN_S + hops * self.silkroad_pipeline_s,
+            "slb": DATACENTER_RTT_MEDIAN_S + hops * self.slb_median_s,
         }
 
 

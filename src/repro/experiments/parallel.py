@@ -439,43 +439,12 @@ def _run_fleet_shard(
     return fold.result()
 
 
-def _run_crashy_shard(
-    spec: ShardSpec,
-    *,
-    always_fail: bool = False,
-    crash_once_marker: Optional[str] = None,
-) -> ShardResult:
-    """Test-only task exercising the fault-tolerance path.
-
-    ``crash_once_marker`` names a file: the one attempt that creates it
-    (atomically — concurrent workers race for it and exactly one wins)
-    dies without a word (``os._exit``), every other attempt and the retry
-    succeed — so tests can pin the retry-once contract.  With
-    ``always_fail`` the shard raises every time and must end up in
-    ``failed``.
-    """
-    if always_fail:
-        raise RuntimeError(f"shard {spec.shard_id} told to fail")
-    if crash_once_marker:
-        try:
-            with open(crash_once_marker, "x") as fh:
-                fh.write(str(spec.shard_id))
-        except FileExistsError:
-            pass
-        else:
-            os._exit(3)
-    fold = _ShardFold(spec)
-    fold.count("crashy", "completions", 1.0, "")
-    return fold.result()
-
-
 #: task -> shard body, called as ``body(spec, **params)``.
 _TASKS: Dict[str, Callable[..., ShardResult]] = {
     "fig16": _run_fig16_shard,
     "fig18": _run_fig18_shard,
     "chaos": _run_chaos_shard,
     "fleet": _run_fleet_shard,
-    "_crashy": _run_crashy_shard,
 }
 
 #: task -> (the ``params`` keys :func:`make_shards` turns into the layout,
@@ -693,7 +662,7 @@ def make_shards(
             for plan_index in range(plans_per_pattern)
         ]
         per_shard = _split_cells(cells, num_shards, "fleet cells", base_seed=int(seed))
-    else:  # chaos and test tasks: one derived seed per shard
+    else:  # chaos: one derived seed per shard
         per_shard = [{} for _ in range(num_shards)]
     return [
         ShardSpec(

@@ -32,6 +32,11 @@ from ..netsim.simulator import PRIO_INTERNAL
 from ..netsim.updates import UpdateEvent, UpdateKind
 from .common import build_workload
 
+#: When the switch fails; the churned run's update lands 30 s before it.
+FAILURE_AT_S = 80.0
+#: The fault plans of the slow-path chaos sweep.
+FAULT_SEEDS = (101, 202, 303)
+
 
 @dataclass(frozen=True)
 class FailurePoint:
@@ -53,7 +58,6 @@ def run(
     scale: float = 0.3,
     seed: int = 7,
     horizon_s: float = 120.0,
-    failure_at: float = 80.0,
 ) -> List[FailurePoint]:
     points: List[FailurePoint] = []
     for update_before in (False, True):
@@ -68,7 +72,7 @@ def run(
             # long-lived connections sit on the old pool version.
             workload.updates = [
                 UpdateEvent(
-                    failure_at - 30.0, service.vip, UpdateKind.REMOVE, service.dips[-1]
+                    FAILURE_AT_S - 30.0, service.vip, UpdateKind.REMOVE, service.dips[-1]
                 )
                 for service in workload.cluster.services
             ]
@@ -78,7 +82,7 @@ def run(
                 fleet.inject_switch_crash(1)
                 fleet.declare_down(1)
 
-            sim.queue.schedule(failure_at, oracle, PRIO_INTERNAL)
+            sim.queue.schedule(FAILURE_AT_S, oracle, PRIO_INTERNAL)
 
         report, conns, fleet = workload.replay(
             lambda: FleetSilkRoad(
@@ -114,7 +118,6 @@ class ChaosPoint:
 
 def run_slow_path_chaos(
     seed: int = 7,
-    fault_seeds: tuple = (101, 202, 303),
     scale: float = 0.05,
     horizon_s: float = 20.0,
 ) -> List[ChaosPoint]:
@@ -123,7 +126,7 @@ def run_slow_path_chaos(
     from ..faults import run_chaos
 
     points: List[ChaosPoint] = []
-    for fault_seed in fault_seeds:
+    for fault_seed in FAULT_SEEDS:
         result = run_chaos(
             seed=seed, fault_seed=fault_seed, scale=scale, horizon_s=horizon_s
         )

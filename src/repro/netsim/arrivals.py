@@ -218,21 +218,12 @@ def uniform_vip_workloads(
     vips: List[VirtualIP],
     total_new_conns_per_min: float,
     duration_model: DurationModel = HADOOP,
-    rate_bps_per_conn: Optional[float] = None,
 ) -> List[VipWorkload]:
     """Split an aggregate arrival rate evenly across VIPs."""
     if not vips:
         return []
     per_vip = total_new_conns_per_min / len(vips)
-    kwargs = {}
-    if rate_bps_per_conn is not None:
-        kwargs["rate_bps"] = rate_bps_per_conn
     return [
-        VipWorkload(
-            vip=vip,
-            new_conns_per_min=per_vip,
-            duration_model=duration_model,
-            **kwargs,
-        )
+        VipWorkload(vip=vip, new_conns_per_min=per_vip, duration_model=duration_model)
         for vip in vips
     ]

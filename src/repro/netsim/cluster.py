@@ -45,7 +45,6 @@ class VipService:
     vip: VirtualIP
     dips: List[DirectIP]
     new_conns_per_min: float = 18_700.0  # PoP average (§3.2)
-    traffic_mbps_per_tor: float = 19.6  # PoP average (§3.2)
     duration_model: DurationModel = HADOOP
 
     def __post_init__(self) -> None:
@@ -83,18 +82,15 @@ def make_cluster(
     num_vips: int = 149,
     dips_per_vip: int = 16,
     num_tors: int = 16,
-    new_conns_per_min_per_vip: float = 18_700.0,
-    traffic_mbps_per_vip_per_tor: float = 19.6,
     duration_model: Optional[DurationModel] = None,
     ipv6: Optional[bool] = None,
-    spare_dips_per_vip: int = 0,
 ) -> Cluster:
     """Build a synthetic cluster with deterministic addressing.
 
     Defaults reproduce the paper's PoP trace used in §3.2 and §6.2:
-    149 VIPs, 18.7 K new connections/min/VIP, 19.6 Mb/s/VIP/ToR, Hadoop
-    flow durations.  Backends default to IPv6 (as observed in §6.1) and
-    cache-style durations.
+    149 VIPs at 18.7 K new connections/min/VIP (``VipService``'s rate),
+    Hadoop flow durations.  Backends default to IPv6 (as observed in §6.1)
+    and cache-style durations.
     """
     if num_vips <= 0 or dips_per_vip <= 0:
         raise ValueError("need at least one VIP and one DIP per VIP")
@@ -103,29 +99,20 @@ def make_cluster(
     if duration_model is None:
         duration_model = CACHE if kind is ClusterType.BACKEND else HADOOP
     services: List[VipService] = []
-    total_per_vip = dips_per_vip + spare_dips_per_vip
     for v in range(num_vips):
         if ipv6:
             vip = VirtualIP(ip=_VIP_BASE_V6 + v, port=80, v6=True)
             dips = [
                 DirectIP(ip=_DIP_BASE_V6 + v * 4096 + d, port=8080, v6=True)
-                for d in range(total_per_vip)
+                for d in range(dips_per_vip)
             ]
         else:
             vip = VirtualIP(ip=_VIP_BASE_V4 + v, port=80)
             dips = [
                 DirectIP(ip=_DIP_BASE_V4 + v * 4096 + d, port=8080)
-                for d in range(total_per_vip)
+                for d in range(dips_per_vip)
             ]
-        services.append(
-            VipService(
-                vip=vip,
-                dips=dips[:dips_per_vip],
-                new_conns_per_min=new_conns_per_min_per_vip,
-                traffic_mbps_per_tor=traffic_mbps_per_vip_per_tor,
-                duration_model=duration_model,
-            )
-        )
+        services.append(VipService(vip=vip, dips=dips, duration_model=duration_model))
     return Cluster(name=name, kind=kind, num_tors=num_tors, services=services)
 
 

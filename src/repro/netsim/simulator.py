@@ -74,7 +74,6 @@ class SimulationReport:
     total_connections: int
     measured_connections: int
     pcc_violations: int
-    dropped_connections: int
 
     @property
     def violation_fraction(self) -> float:
@@ -105,14 +104,12 @@ def _finish(
     lb.finalize()
     measured = [c for c in connections if c.start >= 0.0]
     violations = sum(1 for c in measured if c.pcc_violated)
-    dropped = sum(1 for c in measured if c.ever_dropped)
     return SimulationReport(
         name=lb.name,
         horizon_s=horizon_s,
         total_connections=len(connections),
         measured_connections=len(measured),
         pcc_violations=violations,
-        dropped_connections=dropped,
     )
 
 

@@ -81,7 +81,6 @@ class Fabric:
 class VipPlacement:
     """Network-wide assignment of VIPs to layers."""
 
-    fabric: Fabric
     assignment: Dict[VirtualIP, Layer] = field(default_factory=dict)
 
     def assign(self, vip: VirtualIP, layer: Layer) -> None:

@@ -30,7 +30,7 @@ __all__ = ["ViolationStory", "explain_violations", "format_stories", "coverage"]
 
 #: Context events this close outside the connection's lifetime still count
 #: — a fault landing just before the SYN is usually the cause.
-DEFAULT_WINDOW_SLACK_S = 0.25
+WINDOW_SLACK_S = 0.25
 
 #: Recorder categories that provide VIP-or-global context (as opposed to
 #: per-connection-key events).
@@ -92,7 +92,6 @@ def explain_violations(
     switch,
     connections: Sequence,
     recorder: Optional[FlightRecorder] = None,
-    window_slack_s: float = DEFAULT_WINDOW_SLACK_S,
 ) -> List[ViolationStory]:
     """One :class:`ViolationStory` per measured PCC-violating connection.
 
@@ -126,8 +125,8 @@ def explain_violations(
             timeline.append(
                 _entry(event.t, event.category, event.name, _detail_of(event))
             )
-        lo = conn.start - window_slack_s
-        hi = conn.end + window_slack_s
+        lo = conn.start - WINDOW_SLACK_S
+        hi = conn.end + WINDOW_SLACK_S
         for event in context:
             if not (lo <= event.t <= hi):
                 continue

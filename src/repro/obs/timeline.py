@@ -206,7 +206,7 @@ class TimelineSampler:
         self.timeline = Timeline(period_s, start_s=start_s)
         self.callback_errors = 0
 
-    def attach(self, queue, horizon_s: float, priority: int = SAMPLE_PRIORITY) -> int:
+    def attach(self, queue, horizon_s: float) -> int:
         """Schedule every epoch up to ``horizon_s`` on ``queue`` (duck-typed
         as an :class:`~repro.netsim.events.EventQueue`); returns the number
         of epochs armed.  Call before the simulation starts."""
@@ -215,7 +215,7 @@ class TimelineSampler:
         count = 0
         t = timeline.start_s
         while t <= horizon_s:
-            queue.schedule(t, self._make_sample(t), priority)
+            queue.schedule(t, self._make_sample(t), SAMPLE_PRIORITY)
             count += 1
             t = timeline.start_s + (count * period)
         return count

@@ -131,14 +131,14 @@ def _parse_udp(ctx: PacketContext, data: bytes) -> None:
 # ----------------------------------------------------------------------
 
 
-def build_packet(
-    five_tuple: FiveTuple,
-    syn: bool = False,
-    payload: bytes = b"",
-    src_mac: int = 0x02_00_00_00_00_01,
-    dst_mac: int = 0x02_00_00_00_00_02,
-) -> bytes:
-    """Serialize a connection's packet to wire bytes (TCP or UDP)."""
+#: Locally administered MACs of the frames :func:`build_packet` writes.
+SRC_MAC = 0x02_00_00_00_00_01
+DST_MAC = 0x02_00_00_00_00_02
+
+
+def build_packet(five_tuple: FiveTuple, syn: bool = False) -> bytes:
+    """Serialize a connection's packet, with no payload, to wire bytes
+    (TCP or UDP)."""
     if five_tuple.proto == IP_PROTO_TCP:
         flags = TCP_SYN if syn else TCP_ACK
         l4 = struct.pack(
@@ -154,12 +154,9 @@ def build_packet(
             0,
         )
     elif five_tuple.proto == IP_PROTO_UDP:
-        l4 = struct.pack(
-            ">HHHH", five_tuple.src_port, five_tuple.dst_port, 8 + len(payload), 0
-        )
+        l4 = struct.pack(">HHHH", five_tuple.src_port, five_tuple.dst_port, 8, 0)
     else:
         raise ParseError(f"unsupported protocol {five_tuple.proto}")
-    l4 += payload
 
     if five_tuple.v6:
         ip = struct.pack(
@@ -189,8 +186,8 @@ def build_packet(
         )
         ether_type = ETHERTYPE_IPV4
     eth = (
-        dst_mac.to_bytes(6, "big")
-        + src_mac.to_bytes(6, "big")
+        DST_MAC.to_bytes(6, "big")
+        + SRC_MAC.to_bytes(6, "big")
         + ether_type.to_bytes(2, "big")
     )
     return eth + ip + l4

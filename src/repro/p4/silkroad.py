@@ -58,7 +58,6 @@ UPDATE_STEP2 = 2
 class ForwardingResult:
     """What happened to one packet."""
 
-    forwarded: bool
     dip_ip: Optional[int] = None
     dip_port: Optional[int] = None
     version: Optional[int] = None
@@ -294,7 +293,7 @@ class SilkRoadP4:
         """Run one packet through parser + SilkRoad ingress."""
         ctx = parse_packet(frame, PacketContext(self.metadata))
         if not (ctx.is_valid("tcp") or ctx.is_valid("udp")):
-            return ForwardingResult(forwarded=False, dropped=True)
+            return ForwardingResult(dropped=True)
         # UDP packets reuse the tcp.dst_port key slot via normalization.
         if ctx.is_valid("udp") and not ctx.is_valid("tcp"):
             tcp = ctx.header("tcp")
@@ -306,7 +305,7 @@ class SilkRoadP4:
         vip_table = self.vip_table_v6 if ctx.is_valid("ipv6") else self.vip_table_v4
         vip_result = vip_table.apply(ctx)
         if not vip_result.hit:
-            return ForwardingResult(forwarded=False, dropped=True)
+            return ForwardingResult(dropped=True)
 
         key = ctx.five_tuple_bytes()
         new_version = ctx.get("meta.pool_version")
@@ -353,13 +352,12 @@ class SilkRoadP4:
 
         # --- DIP selection through the versioned pool tables.
         if not self.dip_group_table.apply(ctx).hit:
-            return ForwardingResult(forwarded=False, dropped=True)
+            return ForwardingResult(dropped=True)
         if not self.dip_member_table.apply(ctx).hit:
-            return ForwardingResult(forwarded=False, dropped=True)
+            return ForwardingResult(dropped=True)
 
         ip = ctx.ip_header
         return ForwardingResult(
-            forwarded=True,
             dip_ip=ip["dst_addr"],
             dip_port=ctx.l4_header["dst_port"],
             version=ctx.get("meta.pool_version"),

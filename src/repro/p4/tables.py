@@ -65,7 +65,6 @@ class ApplyResult:
     """Outcome of applying a table to a packet."""
 
     hit: bool
-    action_name: str
 
 
 class Table:
@@ -124,10 +123,10 @@ class Table:
         if entry is None:
             self.misses += 1
             self.default_action(ctx)
-            return ApplyResult(hit=False, action_name=self.default_action.name)
+            return ApplyResult(hit=False)
         self.hits += 1
         entry.action(ctx, **entry.params)
-        return ApplyResult(hit=True, action_name=entry.action.name)
+        return ApplyResult(hit=True)
 
 
 class TableCapacityError(RuntimeError):

@@ -23,11 +23,9 @@ from .io import (
 )
 from .rootcauses import (
     BACKEND_ONLY_CAUSES,
-    LoggedChange,
     cause_mix_for,
     cause_shares,
     sample_causes,
-    synthesize_log,
 )
 from .workload import DEFAULT_MIX, ClusterProfile, FleetSynthesizer
 
@@ -45,12 +43,10 @@ __all__ = [
     "load_fleet",
     "FleetSynthesizer",
     "LogNormalFit",
-    "LoggedChange",
     "NEW_CONNS_PER_VIP_PER_MIN",
     "UPDATE_MEDIAN_TO_P99_RATIO",
     "UPDATE_P99_PER_MIN",
     "cause_mix_for",
     "cause_shares",
     "sample_causes",
-    "synthesize_log",
 ]

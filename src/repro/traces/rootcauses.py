@@ -1,35 +1,19 @@
-"""Root-cause labelled DIP add/remove event synthesis (Fig 3, Fig 4).
+"""Root causes of DIP additions and removals (Fig 3).
 
-Generates a month of service-management-log-like events: each DIP addition
-or removal carries a root cause drawn from the paper's measured mix
-(82.7 % service upgrades, the rest split across testing / failure /
-preemption / provisioning / removal) and, where applicable, a downtime
-sampled from the cause's Figure-4 distribution.
+Each change a cluster's service-management log would record carries a root
+cause drawn from the paper's measured mix (82.7 % service upgrades, the
+rest split across testing / failure / preemption / provisioning /
+removal); Figure 4's downtimes are ``DOWNTIME_BY_CAUSE``'s own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..netsim.cluster import ClusterType
-from ..netsim.updates import (
-    DOWNTIME_BY_CAUSE,
-    ROOT_CAUSE_SHARES,
-    RootCause,
-)
-
-
-@dataclass(frozen=True)
-class LoggedChange:
-    """One DIP addition/removal as it would appear in management logs."""
-
-    time_s: float
-    cause: RootCause
-    is_addition: bool
-    downtime_s: Optional[float]  # None when the cause incurs no downtime
+from ..netsim.updates import ROOT_CAUSE_SHARES, RootCause
 
 
 #: Causes only observed in Backends (§3.1: upgrades and testing are
@@ -68,42 +52,12 @@ def sample_causes(
     return [causes[i] for i in picks]
 
 
-def synthesize_log(
-    rng: np.random.Generator,
-    num_changes: int,
-    kind: ClusterType = ClusterType.BACKEND,
-    horizon_s: float = 30 * 24 * 3600.0,
-) -> List[LoggedChange]:
-    """A month of DIP add/remove log entries for one cluster."""
-    if num_changes < 0:
-        raise ValueError("num_changes must be non-negative")
-    times = np.sort(rng.uniform(0.0, horizon_s, size=num_changes))
-    causes = sample_causes(rng, num_changes, kind)
-    changes: List[LoggedChange] = []
-    for t, cause in zip(times, causes):
-        model = DOWNTIME_BY_CAUSE[cause]
-        downtime = float(model.sample(rng)) if model is not None else None
-        # Additions and removals come in (roughly) matched pairs; a logged
-        # change is either side with equal probability, except permanent
-        # removals and pure provisioning.
-        if cause is RootCause.REMOVING:
-            is_add = False
-        elif cause is RootCause.PROVISIONING:
-            is_add = True
-        else:
-            is_add = bool(rng.integers(2))
-        changes.append(
-            LoggedChange(time_s=float(t), cause=cause, is_addition=is_add, downtime_s=downtime)
-        )
-    return changes
-
-
-def cause_shares(changes: List[LoggedChange]) -> Dict[RootCause, float]:
-    """Empirical root-cause shares of a log (Fig 3's bars)."""
-    if not changes:
+def cause_shares(causes: List[RootCause]) -> Dict[RootCause, float]:
+    """Empirical root-cause shares of a log's changes (Fig 3's bars)."""
+    if not causes:
         return {}
     counts: Dict[RootCause, int] = {}
-    for change in changes:
-        counts[change.cause] = counts.get(change.cause, 0) + 1
-    total = len(changes)
+    for cause in causes:
+        counts[cause] = counts.get(cause, 0) + 1
+    total = len(causes)
     return {cause: count / total for cause, count in counts.items()}

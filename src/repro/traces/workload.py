@@ -9,7 +9,7 @@ connections per ToR, new-connection rates, update rates, traffic volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -76,11 +76,10 @@ class FleetSynthesizer:
     def rng(self) -> np.random.Generator:
         return self._rng
 
-    def synthesize(self, mix: Optional[Dict[ClusterType, int]] = None) -> List[ClusterProfile]:
-        """Generate a fleet with the given type mix (default ~100 clusters)."""
-        mix = dict(DEFAULT_MIX if mix is None else mix)
+    def synthesize(self) -> List[ClusterProfile]:
+        """Generate a fleet of ``DEFAULT_MIX`` (~100 clusters)."""
         profiles: List[ClusterProfile] = []
-        for kind, count in mix.items():
+        for kind, count in DEFAULT_MIX.items():
             for index in range(count):
                 profiles.append(self._one(kind, index))
         return profiles

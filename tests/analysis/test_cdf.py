@@ -35,7 +35,7 @@ class TestCdf:
 
     def test_points_cover_range(self):
         cdf = Cdf.of(range(100))
-        points = cdf.points(num=10)
+        points = cdf.points()
         assert points[0][1] > 0.0
         assert points[-1] == (99, 1.0)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.asicsim import cuckoo
 from repro.asicsim.cuckoo import CuckooTable, DuplicateKey, Location, TableFull
 
 
@@ -228,22 +229,18 @@ class TestInvariantsProperty:
 
 
 class TestProfileCacheLru:
-    def test_bounded_with_lru_eviction(self):
-        t = CuckooTable(
-            buckets_per_stage=64, ways=4, stages=4, digest_bits=16,
-            profile_cache_size=8,
-        )
+    def test_bounded_with_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cuckoo, "PROFILE_CACHE_SIZE", 8)
+        t = CuckooTable(buckets_per_stage=64, ways=4, stages=4, digest_bits=16)
         keys = make_keys(20, seed=7)
         for key in keys:
             t.lookup(key)  # misses populate the side cache
         assert len(t._profile_cache) <= 8
         assert t.profile_cache_evictions == 20 - 8
 
-    def test_lru_keeps_recently_used(self):
-        t = CuckooTable(
-            buckets_per_stage=64, ways=4, stages=4, digest_bits=16,
-            profile_cache_size=4,
-        )
+    def test_lru_keeps_recently_used(self, monkeypatch):
+        monkeypatch.setattr(cuckoo, "PROFILE_CACHE_SIZE", 4)
+        t = CuckooTable(buckets_per_stage=64, ways=4, stages=4, digest_bits=16)
         keys = make_keys(4, seed=3)
         for key in keys:
             t.lookup(key)
@@ -252,17 +249,14 @@ class TestProfileCacheLru:
         assert keys[0] in t._profile_cache
         assert keys[1] not in t._profile_cache
 
-    def test_rejects_nonpositive_cache_size(self):
-        with pytest.raises(ValueError):
-            CuckooTable(buckets_per_stage=4, profile_cache_size=0)
-
-    def test_prime_survives_evicting_its_own_cached_key(self):
+    def test_prime_survives_evicting_its_own_cached_key(self, monkeypatch):
         """A key cached when the batch is scanned can be evicted by the same
         batch's admissions before its turn comes (ephemeral-port reuse just
         under one cache size of arrivals later); priming then re-derives it
         with the scalar path's LRU discipline instead of raising."""
-        primed = CuckooTable(buckets_per_stage=64, profile_cache_size=4)
-        scalar = CuckooTable(buckets_per_stage=64, profile_cache_size=4)
+        monkeypatch.setattr(cuckoo, "PROFILE_CACHE_SIZE", 4)
+        primed = CuckooTable(buckets_per_stage=64)
+        scalar = CuckooTable(buckets_per_stage=64)
         keys = make_keys(4, seed=11)
         primed.prime_profiles(keys, [None] * 4)
         primed.prime_profiles([b"new-arrival", keys[0]], [None, None])

@@ -19,9 +19,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from typing import Iterator, List, Optional, Set, Tuple
+from unittest import mock
 
 import pytest
 
+from repro.asicsim import cuckoo
 from repro.asicsim.cuckoo import MAX_BFS_NODES, CuckooTable, TableFull
 
 
@@ -92,8 +94,8 @@ def side_by_side(geometry: dict, seed: int, load: float, steps: int):
     """Fill a free-first and a legality-first table together to ``load``,
     then hold them there for ``steps`` operations of churn; returns
     ``(BFS inserts, TableFull count, resumed searches)``."""
-    new = CuckooTable(fast_fail_load=1.0, **geometry)
-    ref = LegalityFirst(fast_fail_load=1.0, **geometry)
+    with mock.patch.object(cuckoo, "FAST_FAIL_LOAD", 1.0):
+        new, ref = CuckooTable(**geometry), LegalityFirst(**geometry)
     resumed = []
     apply_path = new._apply_move_path
 

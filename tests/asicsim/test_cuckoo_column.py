@@ -9,9 +9,11 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from unittest import mock
 
 import pytest
 
+from repro.asicsim import cuckoo
 from repro.asicsim.cuckoo import ROW_BLOCK, CuckooTable, Location, TableFull
 
 STAGES, BUCKETS, WAYS = 4, 16, 4
@@ -20,13 +22,10 @@ STAGES, BUCKETS, WAYS = 4, 16, 4
 def small_table() -> CuckooTable:
     # 8-bit digests on 256 slots: digest twins, relocations and BFS moves
     # all happen within a few hundred operations.
-    return CuckooTable(
-        buckets_per_stage=BUCKETS,
-        ways=WAYS,
-        stages=STAGES,
-        digest_bits=8,
-        fast_fail_load=1.0,
-    )
+    with mock.patch.object(cuckoo, "FAST_FAIL_LOAD", 1.0):
+        return CuckooTable(
+            buckets_per_stage=BUCKETS, ways=WAYS, stages=STAGES, digest_bits=8
+        )
 
 
 def word_rows(table: CuckooTable, word: int):
@@ -89,13 +88,8 @@ def narrow_table() -> CuckooTable:
     # demotion back and twin relocation run on every pass (16-bit digests
     # almost never get there).  Two ways per bucket leave room for a key
     # of another digest, so the BFS moves entries under shared triples too.
-    return CuckooTable(
-        buckets_per_stage=4,
-        ways=2,
-        stages=STAGES,
-        digest_bits=2,
-        fast_fail_load=1.0,
-    )
+    with mock.patch.object(cuckoo, "FAST_FAIL_LOAD", 1.0):
+        return CuckooTable(buckets_per_stage=4, ways=2, stages=STAGES, digest_bits=2)
 
 
 def registrations(table: CuckooTable) -> Counter:
@@ -503,9 +497,8 @@ def test_two_way_narrow_digest_churn_never_shadows():
     each move is checked against the table as it is then."""
     shadowed = []
     for seed in range(60):
-        table = CuckooTable(
-            buckets_per_stage=4, ways=2, stages=4, digest_bits=2, fast_fail_load=1.0
-        )
+        with mock.patch.object(cuckoo, "FAST_FAIL_LOAD", 1.0):
+            table = CuckooTable(buckets_per_stage=4, ways=2, stages=4, digest_bits=2)
         rng = random.Random(seed)
         fresh = iter(range(10**6))
         resident: list = []

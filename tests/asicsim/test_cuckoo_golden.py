@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.asicsim import cuckoo
 from repro.asicsim.cuckoo import CuckooTable, TableFull
 from repro.asicsim.hashing import base_hash
 from repro.obs.metrics import MetricRegistry
@@ -78,9 +79,7 @@ CASES = {
     # full_table's geometry: 24 K connections at 16-bit digests, grown past
     # the fast-fail load so the BFS packs the last 2 %.
     "for_capacity_24k": (
-        lambda m: CuckooTable.for_capacity(
-            24_000, digest_bits=16, fast_fail_load=1.0, metrics=m
-        ),
+        lambda m: CuckooTable.for_capacity(24_000, digest_bits=16, metrics=m),
         42,
         0.98,
         60_000,
@@ -89,12 +88,7 @@ CASES = {
     # triples all the time, twins relocate and the BFS moves them.
     "narrow_2way_2bit": (
         lambda m: CuckooTable(
-            buckets_per_stage=4,
-            ways=2,
-            stages=4,
-            digest_bits=2,
-            fast_fail_load=1.0,
-            metrics=m,
+            buckets_per_stage=4, ways=2, stages=4, digest_bits=2, metrics=m
         ),
         7,
         0.95,
@@ -103,12 +97,7 @@ CASES = {
     # §7's graded per-stage digests, wide to narrow; the 64-bit stage
     # makes a packed triple overflow uint64.
     "graded_digests": (
-        lambda m: CuckooTable(
-            buckets_per_stage=96,
-            digest_bits=[64, 12, 6, 3],
-            fast_fail_load=1.0,
-            metrics=m,
-        ),
+        lambda m: CuckooTable(buckets_per_stage=96, digest_bits=[64, 12, 6, 3], metrics=m),
         11,
         0.97,
         8_000,
@@ -151,6 +140,9 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_placements_match_golden(case):
+def test_placements_match_golden(case, monkeypatch):
+    # Every table searches until it is full: the first case grows past
+    # the fast-fail load.
+    monkeypatch.setattr(cuckoo, "FAST_FAIL_LOAD", 1.0)
     make_table, seed, load, steps = CASES[case]
     assert churn(make_table, seed, load, steps) == GOLDEN[case]

@@ -61,7 +61,7 @@ def _observe(report, conns, switch):
         "conn_table": _conn_table_snapshot(switch),
         "audit": str(audit),
         "pcc_violations": report.pcc_violations,
-        "dropped": report.dropped_connections,
+        "dropped": sum(1 for c in conns if c.start >= 0.0 and c.ever_dropped),
         "measured": report.measured_connections,
         "metrics": switch.metrics.snapshot(),
     }

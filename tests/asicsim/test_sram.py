@@ -17,29 +17,27 @@ from repro.asicsim.sram import (
 class TestEntryPacking:
     def test_paper_packing_four_per_word(self):
         # 28-bit entries, 112-bit words: exactly four per word (§6).
-        assert entries_per_word(28, 112) == 4
+        assert entries_per_word(28) == 4
 
     def test_wide_entry_spans_words(self):
         # 296-bit IPv6 5-tuple key alone is wider than one word.
-        assert entries_per_word(300, 112) == 0
-        assert words_for_entries(10, 300, 112) == 30  # 3 words per entry
+        assert entries_per_word(300) == 0
+        assert words_for_entries(10, 300) == 30  # 3 words per entry
 
     def test_words_round_up(self):
-        assert words_for_entries(5, 28, 112) == 2
-        assert words_for_entries(4, 28, 112) == 1
-        assert words_for_entries(0, 28, 112) == 0
+        assert words_for_entries(5, 28) == 2
+        assert words_for_entries(4, 28) == 1
+        assert words_for_entries(0, 28) == 0
 
     def test_bytes_for_entries_paper_scale(self):
         # 10M connections at 28 bits -> 2.5M words -> 35 MB.
-        b = bytes_for_entries(10_000_000, 28, 112)
+        b = bytes_for_entries(10_000_000, 28)
         assert b == 2_500_000 * 112 // 8
         assert 34 < megabytes(b) < 36
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             entries_per_word(0)
-        with pytest.raises(ValueError):
-            entries_per_word(28, 0)
         with pytest.raises(ValueError):
             words_for_entries(-1, 28)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.maglev import MaglevTable, _is_prime
+from repro.baselines.maglev import DEFAULT_TABLE_SIZE, MaglevTable
 from repro.netsim.packet import DirectIP
 
 
@@ -18,10 +18,10 @@ def backends(n: int) -> list:
 
 class TestPrimality:
     def test_known_primes(self):
-        for p in (2, 3, 251, 65537):
-            assert _is_prime(p)
-        for c in (0, 1, 4, 100, 65536):
-            assert not _is_prime(c)
+        # The table's one size is prime, so every skip in [1, size) walks
+        # the whole table (Maglev §3.4).
+        size = DEFAULT_TABLE_SIZE
+        assert size > 1 and all(size % f for f in range(2, int(size**0.5) + 1))
 
 
 class TestPopulation:
@@ -36,7 +36,7 @@ class TestPopulation:
 
     def test_load_evenness(self):
         # Maglev's design goal: near-perfectly even entry ownership.
-        table = MaglevTable(backends(7), table_size=251)
+        table = MaglevTable(backends(7))
         spread = Counter(table.entries)
         assert max(spread.values()) - min(spread.values()) <= 0.2 * (251 / 7) + 2
 
@@ -48,9 +48,7 @@ class TestPopulation:
         with pytest.raises(ValueError):
             MaglevTable([])
         with pytest.raises(ValueError):
-            MaglevTable(backends(3), table_size=250)  # not prime
-        with pytest.raises(ValueError):
-            MaglevTable(backends(10), table_size=7)
+            MaglevTable(backends(DEFAULT_TABLE_SIZE + 1))  # more backends than entries
 
 
 class TestLookup:
@@ -66,7 +64,7 @@ class TestLookup:
 
 class TestMinimalDisruption:
     def test_removal_only_remaps_removed_backends_keys(self):
-        table = MaglevTable(backends(8), table_size=251)
+        table = MaglevTable(backends(8))
         keys = [f"conn-{i}".encode() for i in range(500)]
         before = {k: table.lookup(k) for k in keys}
         victim = backends(8)[3]
@@ -80,7 +78,7 @@ class TestMinimalDisruption:
         assert moved_without_cause <= 0.12 * len(keys)
 
     def test_rebuild_reports_disruption(self):
-        table = MaglevTable(backends(8), table_size=251)
+        table = MaglevTable(backends(8))
         changed = table.rebuild(backends(7))
         assert 0 < changed < 251
 
@@ -91,7 +89,7 @@ class TestMinimalDisruption:
     @given(st.integers(min_value=2, max_value=12))
     @settings(max_examples=10, deadline=None)
     def test_addition_steals_about_one_nth(self, n):
-        table = MaglevTable(backends(n), table_size=251)
+        table = MaglevTable(backends(n))
         new = DirectIP.parse("10.9.9.9:80")
         changed = table.rebuild(backends(n) + [new])
         share = 251 / (n + 1)

@@ -115,12 +115,6 @@ class TestSoftwareLoadBalancer:
         assert not lb._conn_table
         assert lb.peak_connections > 0
 
-    def test_modulo_mode(self):
-        lb = SoftwareLoadBalancer(use_maglev=False)
-        lb.announce_vip(VIP, dips(4))
-        report = FlowSimulator(lb).run(conns(100), horizon_s=100.0)
-        assert report.pcc_violations == 0
-
     def test_duplicate_vip_rejected(self):
         lb = SoftwareLoadBalancer()
         lb.announce_vip(VIP, dips(2))

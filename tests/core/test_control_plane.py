@@ -12,7 +12,6 @@ from repro.netsim.events import EventQueue
 def batch(keys, at=0.0) -> LearnBatch:
     return LearnBatch(
         events=[LearnEvent(key=k, metadata=(), first_seen=at) for k in keys],
-        flushed_at=at,
         reason="timeout",
     )
 

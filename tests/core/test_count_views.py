@@ -9,8 +9,11 @@ operations on both, and checks every view against the instrument it reads.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.asicsim import cuckoo
 from repro.asicsim.cuckoo import CuckooTable, TableFull
 from repro.asicsim.learning_filter import LearnBatch, LearnEvent, LearningFilter
 from repro.asicsim.meters import MeterBank, MeterConfig
@@ -48,10 +51,11 @@ def _fill_and_probe(table):
 
 
 def _cuckoo(metrics):
-    return _fill_and_probe(CuckooTable(
-        buckets_per_stage=4, ways=4, stages=4, digest_bits=2,
-        fast_fail_load=1.0, metrics=metrics,
-    ))
+    with mock.patch.object(cuckoo, "FAST_FAIL_LOAD", 1.0):
+        table = CuckooTable(
+            buckets_per_stage=4, ways=4, stages=4, digest_bits=2, metrics=metrics
+        )
+    return _fill_and_probe(table)
 
 
 def _conn_table(metrics):
@@ -74,7 +78,7 @@ def _learning_filter(metrics):
 def _switch_cpu(metrics):
     def batch(keys, at):
         events = [LearnEvent(key=k, metadata=(), first_seen=at) for k in keys]
-        return LearnBatch(events=events, flushed_at=at, reason="timeout")
+        return LearnBatch(events=events, reason="timeout")
 
     queue = EventQueue()
     cpu = SwitchCpu(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.deploy import assignment
 from repro.deploy.assignment import VipDemand, assign_vips
 from repro.netsim.packet import VirtualIP
 from repro.netsim.topology import Fabric, Layer
@@ -80,12 +81,7 @@ class TestAssignment:
         loaded = {n for n, used in result.sram_used.items() if used > 0}
         assert loaded == {"tor-0", "tor-1"}
 
-    def test_headroom_validated(self):
-        fabric = Fabric.build()
-        with pytest.raises(ValueError):
-            assign_vips(fabric, demands(1), sram_headroom=0.0)
-
-    def test_headroom_tightens_budget(self):
+    def test_headroom_tightens_budget(self, monkeypatch):
         fabric = Fabric.build(
             num_tors=1, num_aggs=1, num_cores=1,
             tor_sram_bytes=4_000_000, agg_sram_bytes=4_000_000,
@@ -93,4 +89,5 @@ class TestAssignment:
         )
         d = demands(1, conns=1e6)  # 3.5 MB on one switch
         assert assign_vips(fabric, d).feasible
-        assert not assign_vips(fabric, d, sram_headroom=0.5).feasible
+        monkeypatch.setattr(assignment, "SRAM_HEADROOM", 0.5)
+        assert not assign_vips(fabric, d).feasible

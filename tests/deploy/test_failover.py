@@ -295,8 +295,9 @@ class TestBatchedDifferential:
 
 
 class TestExperiment:
-    def test_shape(self):
-        points = switch_failure.run(scale=0.1, horizon_s=60.0, failure_at=40.0)
+    def test_shape(self, monkeypatch):
+        monkeypatch.setattr(switch_failure, "FAILURE_AT_S", 40.0)
+        points = switch_failure.run(scale=0.1, horizon_s=60.0)
         quiet = next(p for p in points if not p.update_before_failure)
         churned = next(p for p in points if p.update_before_failure)
         # §7: failover alone breaks nothing (same VIPTable everywhere);

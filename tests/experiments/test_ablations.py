@@ -11,9 +11,11 @@ against filter timeout is Figure 18 (test_flow_figs.py).
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
+from repro.asicsim import cuckoo
 from repro.asicsim.cuckoo import CuckooTable, TableFull
 from repro.asicsim.registers import BloomFilter
 from repro.core.dip_pool_table import DipPoolTable, VersionsExhausted
@@ -39,13 +41,11 @@ def _keys(n: int, seed: int = 0):
 
 def _occupancy(ways: int, stages: int, seed: int) -> float:
     """Fraction of a 4096-entry table one uncapped fill reaches
-    (``fast_fail_load=1.0``: the search never gives up early)."""
-    table = CuckooTable(
-        buckets_per_stage=4096 // (ways * stages),
-        ways=ways,
-        stages=stages,
-        fast_fail_load=1.0,
-    )
+    (``FAST_FAIL_LOAD`` of 1.0: the search never gives up early)."""
+    with mock.patch.object(cuckoo, "FAST_FAIL_LOAD", 1.0):
+        table = CuckooTable(
+            buckets_per_stage=4096 // (ways * stages), ways=ways, stages=stages
+        )
     return _fill(table, _keys(table.capacity, seed=seed)) / table.capacity
 
 

@@ -64,15 +64,14 @@ class TestFig5Harness:
 
 
 class TestFig16Harness:
-    def test_grid_and_silkroad_zero(self):
+    def test_grid_and_silkroad_zero(self, monkeypatch):
+        monkeypatch.setattr(fig16, "DUET_PERIOD_S", 20.0)
         points = fig16.run(
             rates=(10.0,),
             scale=0.1,
             horizon_s=60.0,
             seed=3,
-            systems=fig16.default_systems(
-                insertion_rate_per_s=5_000.0, duet_period_s=20.0
-            ),
+            systems=fig16.default_systems(insertion_rate_per_s=5_000.0),
         )
         assert len(points) == 3
         by = {p.system: p for p in points}
@@ -90,19 +89,18 @@ class TestFig16Harness:
         assert [p.system for p in points] == ["silkroad"]
 
     @pytest.mark.slow
-    def test_duet_breaks_most_and_silkroad_none(self):
+    def test_duet_breaks_most_and_silkroad_none(self, monkeypatch):
         """Figure 16, the paper's core comparison: Duet breaks orders of
         magnitude more connections than SilkRoad without a TransitTable,
         and SilkRoad breaks none at any update rate.  (Holds at seeds 16
         and 17: Duet 835 / 661, no TransitTable 9 / 6.)"""
+        monkeypatch.setattr(fig16, "DUET_PERIOD_S", 60.0)
         points = fig16.run(
             rates=(10.0, 50.0),
             scale=0.25,
             seed=16,
             horizon_s=150.0,
-            systems=fig16.default_systems(
-                insertion_rate_per_s=10_000.0, duet_period_s=60.0
-            ),
+            systems=fig16.default_systems(insertion_rate_per_s=10_000.0),
         )
         total = {}
         for p in points:
@@ -126,19 +124,18 @@ class TestFig17Harness:
         assert all(p.violations == 0 for p in points)
 
     @pytest.mark.slow
-    def test_duet_grows_with_arrival_rate_and_silkroad_breaks_none(self):
+    def test_duet_grows_with_arrival_rate_and_silkroad_breaks_none(self, monkeypatch):
         """Figure 17: SilkRoad breaks nothing at any arrival intensity,
         while Duet's breaks grow with the arrival rate (more old
         connections alive at each migrate-back).  (Holds at seeds 17 and
         18: Duet 66 → 259 / 88 → 440.)"""
+        monkeypatch.setattr(fig16, "DUET_PERIOD_S", 60.0)
         points = fig17.run(
             arrival_scales=(0.5, 2.0),
             scale=0.25,
             seed=17,
             horizon_s=150.0,
-            systems=fig17.default_systems(
-                insertion_rate_per_s=10_000.0, duet_period_s=60.0
-            ),
+            systems=fig17.default_systems(insertion_rate_per_s=10_000.0),
         )
         by = {(p.system, p.arrival_scale): p for p in points}
         assert by[("silkroad", 0.5)].violations == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.verify import AuditReport
@@ -395,71 +397,81 @@ class TestMergedView:
         assert merged.violations == ["x"]
 
 
+#: A real chaos shard, tiny: ~20 ms of replay.
+TINY_CHAOS = dict(scale=0.02, horizon_s=5.0)
+#: A knob the chaos runner refuses in the worker, on every attempt.
+BROKEN_CHAOS = dict(TINY_CHAOS, faults_per_min=-1.0)
+
+
+def _dies_on_first_attempt(marker: str, spec, conn) -> None:
+    """A spawned worker entrypoint: the one attempt that creates ``marker``
+    (atomically — concurrent workers race for it and exactly one wins) dies
+    without a word (``os._exit``); every other attempt runs its shard."""
+    import os
+
+    try:
+        with open(marker, "x") as fh:
+            fh.write(str(spec.shard_id))
+    except FileExistsError:
+        parallel._worker_main(spec, conn)
+    else:
+        os._exit(3)
+
+
+def _crash_once(monkeypatch, tmp_path):
+    """Spawn every worker through :func:`_dies_on_first_attempt`; returns
+    the marker its first attempt creates."""
+    marker = tmp_path / "crash-once"
+    monkeypatch.setattr(
+        parallel, "_worker_main", functools.partial(_dies_on_first_attempt, str(marker))
+    )
+    return marker
+
+
 class TestFaultTolerance:
-    def test_crashed_shard_is_retried_once_and_recovers(self, tmp_path):
-        marker = tmp_path / "crash-once"
-        result = run_sharded(
-            "_crashy",
-            num_shards=2,
-            workers=2,
-            seed=1,
-            params={"crash_once_marker": str(marker)},
-        )
+    def test_crashed_shard_is_retried_once_and_recovers(self, monkeypatch, tmp_path):
+        marker = _crash_once(monkeypatch, tmp_path)
+        result = run_sharded("chaos", num_shards=2, workers=2, seed=1, params=TINY_CHAOS)
         # One shard died on its first attempt (os._exit, no message), was
-        # retried in a fresh process, and succeeded.
+        # retried in a fresh process, and succeeded: every shard ran as it
+        # does in a clean serial run.
         assert marker.exists()
         assert not result.failed
-        assert result.registry.get("crashy.completions_total").value == 2.0
+        clean = run_sharded("chaos", num_shards=2, workers=1, seed=1, params=TINY_CHAOS)
+        assert [r.registry.fingerprint() for r in result.shards] == [
+            r.registry.fingerprint() for r in clean.shards
+        ]
 
     def test_persistently_failing_shard_is_reported_not_fatal(self):
         result = run_sharded(
-            "_crashy",
-            num_shards=2,
-            workers=2,
-            seed=1,
-            params={"always_fail": True},
+            "chaos", num_shards=2, workers=2, seed=1, params=BROKEN_CHAOS
         )
         assert len(result.failed) == 2
         assert not result.ok
-        assert all("told to fail" in f.reason for f in result.failed)
+        assert all("faults_per_min must be non-negative" in f.reason for f in result.failed)
         assert result.registry.get("parallel.shards_failed_total").value == 2.0
 
     def test_serial_path_reports_failures_too(self):
         result = run_sharded(
-            "_crashy",
-            num_shards=2,
-            workers=1,
-            seed=1,
-            params={"always_fail": True},
+            "chaos", num_shards=2, workers=1, seed=1, params=BROKEN_CHAOS
         )
         assert len(result.failed) == 2 and not result.ok
 
     def test_worker_errors_counter_counts_every_failed_attempt(self):
         # 2 shards x (1 attempt + 1 retry), all failing: 4 error attempts.
         result = run_sharded(
-            "_crashy",
-            num_shards=2,
-            workers=1,
-            seed=1,
-            retries=1,
-            params={"always_fail": True},
+            "chaos", num_shards=2, workers=1, seed=1, retries=1, params=BROKEN_CHAOS
         )
         assert result.registry.get("parallel.worker_errors_total").value == 4.0
 
     def test_worker_errors_counter_zero_on_clean_run(self):
-        result = run_sharded("_crashy", num_shards=2, workers=1, seed=1)
+        result = run_sharded("chaos", num_shards=2, workers=1, seed=1, params=TINY_CHAOS)
         assert result.registry.get("parallel.worker_errors_total").value == 0.0
         assert result.registry.get("parallel.shards_failed_total").value == 0.0
 
-    def test_recovered_crash_still_counts_an_error(self, tmp_path):
-        marker = tmp_path / "crash-once"
-        result = run_sharded(
-            "_crashy",
-            num_shards=2,
-            workers=2,
-            seed=1,
-            params={"crash_once_marker": str(marker)},
-        )
+    def test_recovered_crash_still_counts_an_error(self, monkeypatch, tmp_path):
+        _crash_once(monkeypatch, tmp_path)
+        result = run_sharded("chaos", num_shards=2, workers=2, seed=1, params=TINY_CHAOS)
         assert not result.failed
         assert result.registry.get("parallel.worker_errors_total").value == 1.0
 
@@ -494,14 +506,11 @@ class TestFaultTolerance:
 
         with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
             run_sharded(
-                "_crashy",
-                num_shards=1,
-                workers=1,
-                seed=1,
-                retries=0,
-                params={"always_fail": True},
+                "chaos", num_shards=1, workers=1, seed=1, retries=0, params=BROKEN_CHAOS
             )
-        assert any("told to fail" in r.message for r in caplog.records)
+        assert any(
+            "faults_per_min must be non-negative" in r.message for r in caplog.records
+        )
 
 
 class TestFleetCellSeeding:

@@ -81,7 +81,7 @@ def test_cpu_crash_stall_and_retry_leave_no_cycle():
 
     def batch(keys, at):
         events = [LearnEvent(key=k, metadata=(), first_seen=at) for k in keys]
-        return LearnBatch(events=events, flushed_at=at, reason="timeout")
+        return LearnBatch(events=events, reason="timeout")
 
     with collector_off():
         queue = EventQueue()

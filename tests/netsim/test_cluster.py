@@ -38,9 +38,8 @@ class TestMakeCluster:
         assert len(cluster.services[0].dips) > 0
 
     def test_aggregates(self):
-        cluster = make_cluster(num_vips=4, new_conns_per_min_per_vip=100.0,
-                               traffic_mbps_per_vip_per_tor=10.0)
-        assert cluster.total_new_conns_per_min() == pytest.approx(400.0)
+        cluster = make_cluster(num_vips=4)
+        assert cluster.total_new_conns_per_min() == pytest.approx(4 * 18_700.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ class TestFabric:
 
 
 class TestVipPlacement:
-    def test_assignment(self, fabric, vip):
-        placement = VipPlacement(fabric=fabric)
+    def test_assignment(self, vip):
+        placement = VipPlacement()
         placement.assign(vip, Layer.CORE)
         assert placement.assignment == {vip: Layer.CORE}

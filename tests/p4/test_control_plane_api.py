@@ -85,4 +85,4 @@ class TestNonIpTraffic:
         p4 = SilkRoadP4()
         frame = b"\x02" * 12 + (0x0806).to_bytes(2, "big") + b"\x00" * 28
         result = p4.process(frame)
-        assert result.dropped and not result.forwarded
+        assert result.dropped

@@ -55,7 +55,7 @@ class TestMirroredEquivalence:
         p4 = SilkRoadP4.mirror(switch)
         for conn in conns:
             result = p4.process(build_packet(conn.five_tuple))
-            assert result.forwarded
+            assert not result.dropped
             assert result.conn_table_hit
             assert result.dip == conn.decisions[-1][1]
 
@@ -83,7 +83,7 @@ class TestMirroredEquivalence:
         # Old connections still go where the object model pinned them.
         for conn in conns:
             result = p4.process(build_packet(conn.five_tuple))
-            assert result.forwarded
+            assert not result.dropped
             assert result.dip == conn.decisions[-1][1]
         # New connections avoid the removed DIP.
         for _ in range(20):
@@ -98,7 +98,7 @@ class TestMirroredEquivalence:
         p4 = SilkRoadP4.mirror(switch)
         stray = FiveTuple(src_ip=1, src_port=2, dst_ip=0x7F000001, dst_port=99)
         result = p4.process(build_packet(stray))
-        assert result.dropped and not result.forwarded
+        assert result.dropped
 
 
 class TestMirrorMidUpdate:
@@ -138,7 +138,7 @@ class TestMirrorMidUpdate:
             for conn in conns:
                 syn = conn in syn_for
                 result = p4.process(build_packet(conn.five_tuple, syn=syn))
-                assert result.forwarded
+                assert not result.dropped
                 assert result.dip == conn.current_dip, conn.conn_id
                 results[conn.conn_id] = result
             return results

@@ -48,7 +48,7 @@ class TestV6Pipeline:
         p4 = SilkRoadP4.mirror(switch)
         for conn in conns:
             result = p4.process(build_packet(conn.five_tuple))
-            assert result.forwarded
+            assert not result.dropped
             assert result.dip == conn.decisions[-1][1]
             assert result.dip.v6
 

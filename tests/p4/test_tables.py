@@ -8,7 +8,6 @@ from repro.p4.context import PacketContext
 from repro.p4.tables import (
     Action,
     KeyField,
-    NO_ACTION,
     Table,
     TableCapacityError,
     TableEntry,
@@ -44,7 +43,7 @@ class TestExactMatch:
         table.insert(TableEntry(match=(7,), action=SET_VERSION, params={"version": 3}))
         ctx = make_ctx(vip_index=7)
         result = table.apply(ctx)
-        assert result.hit and result.action_name == "set_version"
+        assert result.hit
         assert ctx.get("meta.pool_version") == 3
         assert table.hits == 1
 
@@ -52,7 +51,7 @@ class TestExactMatch:
         table = make_table()
         ctx = make_ctx(vip_index=9)
         result = table.apply(ctx)
-        assert not result.hit and result.action_name == NO_ACTION.name
+        assert not result.hit
         assert table.misses == 1
 
     def test_duplicate_entry_rejected(self):

@@ -50,11 +50,22 @@ And a value is settable only if some program sets it: every field of
 ``SilkRoadConfig``, ``ServeConfig`` and ``ObsOptions`` is spelled as a call
 keyword or a string literal somewhere a program lives (``src/repro``
 outside the field's own module, ``perf/``, ``examples/``); what only
-tests vary is a module constant they patch.  And, by the same reach,
-every function, class and method under ``src/repro`` has a program
-reader: a fixed point over names read from the programs finds nothing
-only tests run, unless ``TEST_ONLY`` admits it as a test oracle, a test
-observation surface or the §5.1 P4 artifact.
+tests vary is a module constant they patch.  The same holds for every
+defaulted parameter of a module-level function or of a method of a
+module-level class under ``src/repro`` (nested functions and lambdas
+bind closure values and are exempt): a program spells its name as a
+call keyword or a string, passes it positionally to a callee of that
+bare name (``map(f, *columns)`` calls ``f``), or unpacks ``*args`` /
+``**kwargs`` into one.  And what a program produces, a program reads:
+every field of a ``@dataclass`` under ``src/repro`` is loaded as an
+attribute or spelled as a string by a program, or its class is read
+whole (``asdict``, ``fields``) or returned by ``repro.api``.  And, by the
+same reach, every function, class and method under ``src/repro`` has a
+program reader: a fixed point over names read from the programs finds
+nothing only tests run, unless ``TEST_ONLY`` admits it as a test oracle,
+a test observation surface or the §5.1 P4 artifact; a module-level
+registry entry (``{"fig16": _run_fig16_shard}``) whose key no program
+spells elsewhere reads nothing.
 And one name per count: no ``def report`` outside ``deploy/fleet.py``
 (whose replicated fleet counters cannot yet be registry counters), no
 count stored as a plain switch attribute, no counts dict on a simulation
@@ -826,6 +837,151 @@ def test_every_config_field_has_a_setter():
 #: Benchmark files that are tests, not programs.
 NOT_PROGRAMS = ("perf/test_perf.py",)
 
+
+def _program_trees():
+    """``(path, tree)`` of every program file: ``src/repro``, and
+    ``PROGRAM_DIRS`` without ``NOT_PROGRAMS``."""
+    paths = sorted(SRC.rglob("*.py")) + [
+        p
+        for d in PROGRAM_DIRS
+        for p in sorted((ROOT / d).rglob("*.py"))
+        if p.relative_to(ROOT).as_posix() not in NOT_PROGRAMS
+    ]
+    return [(p, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+
+
+def _bare_name(node) -> str | None:
+    """``f`` of ``f`` and of ``x.f``: the name a call of either reaches."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _defaulted_parameters():
+    """``(file, qualname, parameter, callee, position)`` for every parameter
+    with a default on a module-level function or on a method of a
+    module-level class under src/repro.  ``callee`` is the bare name a
+    call spells (the class name, for ``__init__``) and ``position`` the
+    index a positional argument reaches it at (None if keyword-only)."""
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        functions = []
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append((stmt, stmt.name, stmt.name, 0))
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in item.decorator_list
+                        )
+                        callee = stmt.name if item.name == "__init__" else item.name
+                        functions.append(
+                            (item, f"{stmt.name}.{item.name}", callee, 0 if static else 1)
+                        )
+        for function, qualname, callee, bound in functions:
+            args = function.args
+            positional = args.posonlyargs + args.args
+            defaulted = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaulted += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg, _default in defaulted:
+                position = positional.index(arg) - bound if arg in positional else None
+                yield rel, qualname, arg.arg, callee, position
+
+
+def _parameters_no_program_sets() -> list:
+    spelled = set()
+    reach = {}  # callee -> positional arguments a program call passes (inf: unpacked)
+    for path, tree in _program_trees():
+        spelled |= _spellings(path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee, args = _bare_name(node.func), node.args
+            if callee == "map" and args:  # map(f, *columns) calls f(*row)
+                callee, args = _bare_name(args[0]), args[1:]
+            if callee is None:
+                continue
+            unpacked = any(isinstance(a, ast.Starred) for a in args) or any(
+                k.arg is None for k in node.keywords
+            )
+            passed = float("inf") if unpacked else len(args)
+            reach[callee] = max(reach.get(callee, 0), passed)
+    return [
+        f"{rel}:{qualname}({parameter})"
+        for rel, qualname, parameter, callee, position in _defaulted_parameters()
+        if parameter not in spelled
+        and not (position is not None and position < reach.get(callee, 0))
+        and not (position is None and reach.get(callee, 0) == float("inf"))
+    ]
+
+
+def test_every_parameter_has_a_program_setter():
+    """A defaulted parameter is a knob: some program turns it (a call
+    keyword or string literal spelling its name, a positional argument
+    reaching it — ``map(f, *columns)`` calls ``f`` — or a call that unpacks
+    ``*args`` / ``**kwargs``), or it is a module constant beside the code
+    that reads it, which a test that needs another value patches.  Nested
+    functions and lambdas are exempt: their defaults bind closure values."""
+    unset = _parameters_no_program_sets()
+    assert not unset, (
+        "parameters no program sets (make each a module constant beside the "
+        "code that reads it):\n" + "\n".join(unset)
+    )
+
+
+def _dataclass_fields():
+    """``(file, class, field)`` for every annotated field of a ``@dataclass``
+    class under src/repro (``ClassVar`` annotations are not fields)."""
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                continue
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
+                ):
+                    yield rel, node.name, stmt.target.id
+
+
+def _fields_no_program_reads() -> list:
+    read = set()  # attribute loads and identifier strings
+    whole = set()  # class names handed to asdict / astuple / fields
+    for _path, tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and type(node.value) is str:
+                read.add(node.value)
+            elif isinstance(node, ast.Call) and _bare_name(node.func) in ("asdict", "astuple", "fields"):
+                whole.update(a.id for a in node.args if isinstance(a, ast.Name))
+    facade = _facade_results()
+    return [
+        f"{rel}:{cls}.{name}"
+        for rel, cls, name in _dataclass_fields()
+        if name not in read and cls not in whole and (rel, cls) not in facade
+    ]
+
+
+def test_every_result_field_has_a_program_reader():
+    """A dataclass field is produced for a reader: a program loads the
+    attribute, spells its name as a string, or reads the object whole
+    (``asdict``, ``fields``).  A field only tests read is work nothing
+    uses: it goes.  The fields of a class ``repro.api`` returns are, like
+    its methods, the facade's reading surface."""
+    unread = _fields_no_program_reads()
+    assert not unread, "dataclass fields no program reads (delete them):\n" + "\n".join(
+        unread
+    )
+
 #: Why a definition no program runs may stay in src/repro (every entry of
 #: ``TEST_ONLY`` gives one of these).
 ORACLE = "an oracle a test checks program output against"
@@ -859,13 +1015,51 @@ def _is_all(stmt) -> bool:
     )
 
 
-def _references(nodes, package_init: bool) -> set:
+def _registrations(node):
+    """``(key, name)`` nodes of each entry of a dict literal that registers
+    a definition under a string, as ``{"fig16": _run_fig16_shard}`` does."""
+    if isinstance(node, ast.Dict):
+        for key, value in zip(node.keys, node.values):
+            if isinstance(key, ast.Constant) and type(key.value) is str and isinstance(value, ast.Name):
+                yield key, value
+
+
+def _unselected_registrations() -> set:
+    """Keys of the registries modules under src/repro assign at top level
+    that no program spells but as the key: only a test selects such an
+    entry, so registering a definition there is no program read."""
+    keys, spelled = set(), set()
+    for _path, tree in _program_trees():
+        as_key = {
+            id(key)
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for key, _name in _registrations(stmt.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is str:
+                (keys if id(node) in as_key else spelled).add(node.value)
+    return keys - spelled
+
+
+def _walk(top, unselected):
+    """``ast.walk`` that skips the registered names of ``unselected`` keys."""
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        yield node
+        skipped = {id(name) for key, name in _registrations(node) if key.value in unselected}
+        stack.extend(c for c in ast.iter_child_nodes(node) if id(c) not in skipped)
+
+
+def _references(nodes, package_init: bool, unselected=frozenset()) -> set:
     """Every name ``nodes`` may read: a ``Name``, an ``Attribute``, an import
     alias (not in a package ``__init__``, whose imports only re-export) and
-    an identifier-shaped string (``getattr`` by name)."""
+    an identifier-shaped string (``getattr`` by name) — but not a name a
+    registry entry keyed by one of ``unselected`` holds."""
     names = set()
     for top in nodes:
-        for node in ast.walk(top):
+        for node in _walk(top, unselected):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -909,9 +1103,11 @@ def _test_only_definitions(allowed) -> dict:
     definition reached only from unreached ones is unreached too.  A
     definition is reached if a reached body reads its name, if it is a
     dunder, if it is a method of a class in ``_facade_results()``, or if
-    ``allowed`` names it."""
+    ``allowed`` names it.  A module-level registry entry no program
+    selects (``_unselected_registrations``) reads nothing."""
     definitions = {}  # (file, qualname) -> (name, references, lines)
     reached = set()
+    unselected = _unselected_registrations()
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         package_init = path.name == "__init__.py"
@@ -934,7 +1130,7 @@ def _test_only_definitions(allowed) -> dict:
                     loose.append(stmt)
 
         collect(ast.parse(path.read_text(), filename=str(path)).body, "", module_level)
-        reached |= _references(module_level, package_init)
+        reached |= _references(module_level, package_init, unselected)
     for directory in PROGRAM_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
             if path.relative_to(ROOT).as_posix() not in NOT_PROGRAMS:

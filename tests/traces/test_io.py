@@ -19,7 +19,6 @@ class TestFleetRoundTrip:
         assert loaded == fleet  # frozen dataclasses compare by value
 
     def test_file_roundtrip(self, tmp_path):
-        fleet = FleetSynthesizer(seed=6).synthesize({})
         fleet = FleetSynthesizer(seed=6).synthesize()
         path = tmp_path / "fleet.csv"
         dump_fleet(fleet, path)

@@ -1,4 +1,4 @@
-"""Tests for root-cause log synthesis (Figs 3 and 4)."""
+"""Tests for root-cause sampling and the downtime models (Figs 3 and 4)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro.netsim.cluster import ClusterType
-from repro.netsim.updates import RootCause
-from repro.traces.rootcauses import (
-    cause_mix_for,
-    cause_shares,
-    sample_causes,
-    synthesize_log,
-)
+from repro.netsim.updates import DOWNTIME_BY_CAUSE, RootCause
+from repro.traces.rootcauses import cause_mix_for, cause_shares, sample_causes
 
 
 class TestCauseMix:
@@ -41,35 +36,21 @@ class TestSampling:
 
 
 class TestLogSynthesis:
-    def test_log_structure(self, rng):
-        log = synthesize_log(rng, 1000, ClusterType.BACKEND)
-        assert len(log) == 1000
-        times = [c.time_s for c in log]
-        assert times == sorted(times)
-
-    def test_removals_never_add(self, rng):
-        log = synthesize_log(rng, 2000, ClusterType.BACKEND)
-        for change in log:
-            if change.cause is RootCause.REMOVING:
-                assert not change.is_addition
-            if change.cause is RootCause.PROVISIONING:
-                assert change.is_addition
-
-    def test_downtime_presence_by_cause(self, rng):
-        log = synthesize_log(rng, 2000, ClusterType.BACKEND)
-        for change in log:
-            if change.cause in (RootCause.PROVISIONING, RootCause.REMOVING):
-                assert change.downtime_s is None
+    def test_downtime_presence_by_cause(self):
+        for cause in RootCause:
+            model = DOWNTIME_BY_CAUSE[cause]
+            if cause in (RootCause.PROVISIONING, RootCause.REMOVING):
+                assert model is None
             else:
-                assert change.downtime_s is not None and change.downtime_s > 0
+                assert model is not None
 
     def test_upgrade_downtime_statistics(self, rng):
-        log = synthesize_log(rng, 20_000, ClusterType.BACKEND)
-        downs = [c.downtime_s for c in log if c.cause is RootCause.UPGRADE]
+        downs = DOWNTIME_BY_CAUSE[RootCause.UPGRADE].sample(rng, size=5_000)
+        assert (downs > 0).all()
         assert np.median(downs) == pytest.approx(180.0, rel=0.15)  # 3 min
 
     def test_cause_shares_roundtrip(self, rng):
-        log = synthesize_log(rng, 10_000, ClusterType.BACKEND)
+        log = sample_causes(rng, 10_000, ClusterType.BACKEND)
         shares = cause_shares(log)
         assert shares[RootCause.UPGRADE] == pytest.approx(0.827, abs=0.03)
         assert cause_shares([]) == {}

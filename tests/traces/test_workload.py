@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.netsim.cluster import ClusterType
+from repro.traces import workload
 from repro.traces.workload import (
     DEFAULT_MIX,
     ClusterProfile,
@@ -50,25 +51,28 @@ class TestSynthesis:
             p.active_conns_per_tor_p99 * p.num_tors
         )
 
-    def test_custom_mix(self):
-        fleet = FleetSynthesizer(seed=1).synthesize({ClusterType.POP: 3})
+    def test_custom_mix(self, monkeypatch):
+        monkeypatch.setattr(workload, "DEFAULT_MIX", {ClusterType.POP: 3})
+        fleet = FleetSynthesizer(seed=1).synthesize()
         assert len(fleet) == 3
         assert all(p.kind is ClusterType.POP for p in fleet)
 
 
 class TestMonthlyMinutes:
-    def test_mixture_hits_p99_scale(self):
+    def test_mixture_hits_p99_scale(self, monkeypatch):
+        monkeypatch.setattr(workload, "DEFAULT_MIX", {ClusterType.BACKEND: 1})
         synth = FleetSynthesizer(seed=5)
-        profile = synth.synthesize({ClusterType.BACKEND: 1})[0]
+        profile = synth.synthesize()[0]
         counts = synth.monthly_minutes(profile, minutes=20_000)
         p99 = np.percentile(counts, 99)
         # The p99 minute should land in the vicinity of the profile's rate.
         assert p99 > profile.updates_per_min_median
         assert p99 < 10 * profile.updates_per_min_p99 + 10
 
-    def test_vip_rates_per_cluster(self):
+    def test_vip_rates_per_cluster(self, monkeypatch):
+        monkeypatch.setattr(workload, "DEFAULT_MIX", {ClusterType.POP: 1})
         synth = FleetSynthesizer(seed=5)
-        profile = synth.synthesize({ClusterType.POP: 1})[0]
+        profile = synth.synthesize()[0]
         rates = synth.vip_rates(profile)
         assert len(rates) == profile.num_vips
         assert (rates > 0).all()
