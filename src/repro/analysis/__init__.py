@@ -1,7 +1,7 @@
 """Analysis helpers: empirical CDFs, report formatting, terminal plots."""
 
 from .cdf import Cdf, percent_above
-from .plots import ascii_cdf, histogram, sparkline
+from .plots import ascii_cdf, sparkline
 from .reporting import format_comparison, format_table
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "ascii_cdf",
     "format_comparison",
     "format_table",
-    "histogram",
     "percent_above",
     "sparkline",
 ]

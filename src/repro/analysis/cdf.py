@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
-
-#: Points :meth:`Cdf.points` samples along a CDF.
-CDF_POINTS = 50
-
 
 @dataclass(frozen=True)
 class Cdf:
@@ -46,17 +42,6 @@ class Cdf:
     @property
     def p99(self) -> float:
         return self.quantile(0.99)
-
-    def points(self) -> List[Tuple[float, float]]:
-        """(x, P(X <= x)) pairs for plotting/printing."""
-        n = len(self.values)
-        step = max(n // CDF_POINTS, 1)
-        pts = [
-            (self.values[i], (i + 1) / n) for i in range(0, n, step)
-        ]
-        if pts[-1][0] != self.values[-1]:
-            pts.append((self.values[-1], 1.0))
-        return pts
 
     def __len__(self) -> int:
         return len(self.values)

@@ -14,9 +14,6 @@ from .cdf import Cdf
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
-#: Bins of :func:`histogram`.
-HISTOGRAM_BINS = 10
-
 
 def sparkline(values: Sequence[float], width: int = 48) -> str:
     """Compress a series into a one-line block-character sparkline."""
@@ -78,23 +75,3 @@ def ascii_cdf(
     lines.append(scale)
     return "\n".join(lines)
 
-
-def histogram(values: Sequence[float], width: int = 40, label: str = "") -> str:
-    """A horizontal ASCII histogram."""
-    values = [float(v) for v in values]
-    if not values:
-        return "(no samples)"
-    bins = HISTOGRAM_BINS
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    counts = [0] * bins
-    for v in values:
-        idx = min(int((v - lo) / span * bins), bins - 1)
-        counts[idx] += 1
-    peak = max(counts)
-    lines = [label] if label else []
-    for b, count in enumerate(counts):
-        left = lo + b * span / bins
-        bar = "#" * int(count / peak * width) if peak else ""
-        lines.append(f"{left:12.4g} | {bar} {count}")
-    return "\n".join(lines)

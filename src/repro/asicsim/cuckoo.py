@@ -442,7 +442,11 @@ class CuckooTable:
             cache.move_to_end(key)
             return cached
         profile = self._derive_profile(base_hash(key) if key_hash is None else key_hash)
-        self._cache_profile(key, profile)
+        # Admit it, evicting the oldest.
+        if len(cache) >= self.profile_cache_size:
+            cache.popitem(last=False)
+            self.profile_cache_evictions += 1
+        cache[key] = profile
         return profile
 
     def _derive_profile(self, base: int) -> Tuple[int, ...]:
@@ -456,14 +460,6 @@ class CuckooTable:
                 for index_mix, digest_mix, shift, offset in self._stage_mixes
             ]
         )
-
-    def _cache_profile(self, key: bytes, profile: Tuple[int, ...]) -> None:
-        """Admit an uncached key to the LRU side cache, evicting the oldest."""
-        cache = self._profile_cache
-        if len(cache) >= self.profile_cache_size:
-            cache.popitem(last=False)
-            self.profile_cache_evictions += 1
-        cache[key] = profile
 
     def profile_many(self, bases: List[int]) -> List[Tuple[int, ...]]:
         """Candidate profiles for a batch of base hashes, in one pass.
@@ -523,6 +519,7 @@ class CuckooTable:
             if missing_keys
             else {}
         )
+        size = self.profile_cache_size
         for key, base in zip(keys, key_hashes):
             if key in rows:
                 continue
@@ -532,8 +529,12 @@ class CuckooTable:
                 # batch's own admissions is in neither: derive it the
                 # scalar way.
                 self._profile(key, base)
-            else:
-                self._cache_profile(key, computed[key])
+                continue
+            # Admit it as ``_profile`` does, inline: once per arrival.
+            if len(cache) >= size:
+                cache.popitem(last=False)
+                self.profile_cache_evictions += 1
+            cache[key] = computed[key]
 
     def _triple(self, row: int, stage: int) -> int:
         """``row``'s packed candidate triple in ``stage``."""
@@ -558,7 +559,13 @@ class CuckooTable:
         self._m_lookups.value += 1.0
         row = self._row_of.get(key)
         if row is None:
-            profile = self._profile(key, key_hash)
+            # ``_profile``'s cache hit, inline: arrivals are primed.
+            cache = self._profile_cache
+            profile = cache.get(key)
+            if profile is None:
+                profile = self._profile(key, key_hash)
+            else:
+                cache.move_to_end(key)
         else:  # a resident's triples, read off its row
             profile = tuple([self._triple(row, stage) for stage in range(self.stages)])
         match = self._match

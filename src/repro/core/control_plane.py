@@ -27,8 +27,9 @@ A job that leaves the CPU without installing — shed, lost or failed — is
 reported through the one ``on_dropped`` hook with its reason.  The switch
 parks the connection in one waiting set and re-offers it to the learning
 filter, oldest first, once the CPU is up and has room again — after an
-install completes, or when the CPU restarts — so a full backlog or a long
-outage costs events per arrival, not per millisecond of outage.
+install completes, when the CPU restarts, or (a failed write) after a
+doubling backoff — so a full backlog, a long outage or a long write-fault
+window costs events per arrival, not per millisecond of outage.
 
 All hooks default to disabled, in which case behaviour is bit-identical to
 the reliable FIFO.
@@ -74,7 +75,15 @@ class _Job:
         self.handle: Optional[EventHandle] = None
 
     def fire(self) -> None:
-        self.cpu._complete(self)
+        """The completion event: one call into the switch once the write
+        is acknowledged (at once without a write-fault hook)."""
+        cpu = self.cpu
+        self.handle = None
+        if cpu.write_fault is not None and cpu._write_failed(self):
+            return
+        del cpu._outstanding[self]
+        cpu._m_installed.value += 1.0
+        cpu.on_installed(self.key, self.metadata)
 
 
 class SwitchCpu:
@@ -100,7 +109,8 @@ class SwitchCpu:
         if max_backlog is not None and max_backlog <= 0:
             raise ValueError("max_backlog must be positive or None")
         self.queue = queue
-        self.insertion_rate_per_s = insertion_rate_per_s
+        #: CPU seconds one ConnTable write takes.
+        self.per_entry_s = 1.0 / insertion_rate_per_s
         self.on_installed = on_installed
         self.max_backlog = max_backlog
         self.retry_limit = retry_limit
@@ -166,10 +176,6 @@ class SwitchCpu:
     install_failures = property(lambda self: int(self._m_failures.value))
     crashes = property(lambda self: int(self._m_crashes.value))
     stalls = property(lambda self: int(self._m_stalls.value))
-
-    @property
-    def per_entry_s(self) -> float:
-        return 1.0 / self.insertion_rate_per_s
 
     @property
     def backlog(self) -> int:
@@ -242,24 +248,24 @@ class SwitchCpu:
     # Completion (with write acknowledgement and retry)
     # ------------------------------------------------------------------
 
-    def _complete(self, job: _Job) -> None:
-        job.handle = None
+    def _write_failed(self, job: _Job) -> bool:
+        """Whether an attempt of ``job``'s write failed (the write-fault
+        hook says so).  A failed write is retried after a linear backoff,
+        or, with its retries spent, dropped."""
         job.attempts += 1
-        if self.write_fault is not None and self.write_fault(job.key):
-            if job.attempts <= self.retry_limit:
-                self._m_retries.value += 1.0
-                delay = self.retry_backoff_s * job.attempts
-                job.handle = self.queue.schedule_in(delay, job.fire, PRIO_INTERNAL)
-                return
-            # Retries exhausted: the write never acknowledged.
-            del self._outstanding[job]
-            self._m_failures.value += 1.0
-            if self.on_dropped is not None:
-                self.on_dropped(job.key, job.metadata, "install_failed")
-            return
+        if not self.write_fault(job.key):
+            return False
+        if job.attempts <= self.retry_limit:
+            self._m_retries.value += 1.0
+            delay = self.retry_backoff_s * job.attempts
+            job.handle = self.queue.schedule_in(delay, job.fire, PRIO_INTERNAL)
+            return True
+        # Retries exhausted: the write never acknowledged.
         del self._outstanding[job]
-        self._m_installed.value += 1.0
-        self.on_installed(job.key, job.metadata)
+        self._m_failures.value += 1.0
+        if self.on_dropped is not None:
+            self.on_dropped(job.key, job.metadata, "install_failed")
+        return True
 
     # ------------------------------------------------------------------
     # Fault semantics: crash/restart and stall

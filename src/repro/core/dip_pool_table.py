@@ -287,15 +287,19 @@ class DipPoolTable:
     # ------------------------------------------------------------------
 
     def acquire(self, vip: VirtualIP, version: int) -> None:
-        """A connection started using this version."""
-        state = self._state(vip)
+        """A connection started using this version (``_state``, inline)."""
+        state = self._vips.get(vip)
+        if state is None:
+            raise KeyError(f"unknown VIP: {vip}")
         if version not in state.refcounts:
             raise KeyError(f"no version {version} for {vip}")
         state.refcounts[version] += 1
 
     def release(self, vip: VirtualIP, version: int) -> None:
         """A connection using this version expired."""
-        state = self._state(vip)
+        state = self._vips.get(vip)
+        if state is None:
+            raise KeyError(f"unknown VIP: {vip}")
         count = state.refcounts.get(version)
         if count is None or count <= 0:
             raise ValueError(f"refcount underflow for {vip} v{version}")

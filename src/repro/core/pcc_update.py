@@ -189,6 +189,9 @@ class UpdateCoordinator:
         self._schedule = schedule
         self._on_at_risk = on_at_risk
         self._vips: Dict[VirtualIP, _VipUpdate] = {}
+        #: VIPs with an update in step 1 or 2: for any other VIP,
+        #: :meth:`note_new_pending` and :meth:`on_installed` do nothing.
+        self.busy_vips: Set[VirtualIP] = set()
         self.timings: Deque[UpdateTimings] = deque(maxlen=MAX_TIMINGS)
         if metrics is None:
             metrics = MetricRegistry().scope("")
@@ -230,9 +233,6 @@ class UpdateCoordinator:
     watchdog_forced_steps = property(lambda self: int(self._m_watchdog.value))
     at_risk_reclassified = property(lambda self: int(self._m_at_risk.value))
 
-    def _state(self, vip: VirtualIP) -> _VipUpdate:
-        return self._vips.setdefault(vip, _VipUpdate())
-
     def phase(self, vip: VirtualIP) -> Phase:
         state = self._vips.get(vip)
         return state.phase if state is not None else Phase.IDLE
@@ -259,7 +259,9 @@ class UpdateCoordinator:
         track completion precisely instead of polling the phase.
         """
         self._m_requested.value += 1.0
-        state = self._state(event.vip)
+        state = self._vips.get(event.vip)
+        if state is None:
+            state = self._vips[event.vip] = _VipUpdate()
         if state.phase is not Phase.IDLE:
             state.queued.append((event, on_finished))
             self._m_queued.value += 1.0
@@ -273,6 +275,7 @@ class UpdateCoordinator:
         on_finished: Optional[Callable] = None,
     ) -> None:
         state.phase = Phase.STEP1
+        self.busy_vips.add(event.vip)
         state.active = event
         state.on_finished = on_finished
         state.awaiting_exec = set(self._pending_keys(event.vip))
@@ -404,6 +407,7 @@ class UpdateCoordinator:
         self._m_step2.observe(timing.step2_s)
         self._m_total.observe(timing.t_finish - timing.t_req)
         state.phase = Phase.IDLE
+        self.busy_vips.discard(vip)
         state.active = None
         callback = state.on_finished
         state.on_finished = None

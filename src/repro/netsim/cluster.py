@@ -72,9 +72,6 @@ class Cluster:
     def pools(self) -> Dict[VirtualIP, List[DirectIP]]:
         return {s.vip: list(s.dips) for s in self.services}
 
-    def total_new_conns_per_min(self) -> float:
-        return sum(s.new_conns_per_min for s in self.services)
-
 
 def make_cluster(
     name: str = "pop-0",

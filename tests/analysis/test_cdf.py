@@ -33,12 +33,6 @@ class TestCdf:
         with pytest.raises(ValueError):
             Cdf.of([])
 
-    def test_points_cover_range(self):
-        cdf = Cdf.of(range(100))
-        points = cdf.points()
-        assert points[0][1] > 0.0
-        assert points[-1] == (99, 1.0)
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
     @settings(max_examples=40)
     def test_monotonic(self, samples):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.cdf import Cdf
-from repro.analysis.plots import ascii_cdf, histogram, sparkline
+from repro.analysis.plots import ascii_cdf, sparkline
 
 
 class TestSparkline:
@@ -53,17 +53,3 @@ class TestAsciiCdf:
         cdf = Cdf.of([1, 2])
         with pytest.raises(ValueError):
             ascii_cdf(cdf, width=2)
-
-
-class TestHistogram:
-    def test_counts_sum(self):
-        out = histogram([1, 1, 2, 5, 5, 5])
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 6
-
-    def test_empty(self):
-        assert histogram([]) == "(no samples)"
-
-    def test_label(self):
-        out = histogram([1, 2, 3], label="durations")
-        assert out.splitlines()[0] == "durations"

@@ -28,7 +28,7 @@ class TestOfferAndDedup:
         batch = lf.offer(b"c", 0.0)
         assert batch is not None
         assert batch.reason == "full"
-        assert len(batch) == 3
+        assert len(batch.events) == 3
         assert lf.occupancy == 0
         assert lf.flushes_full == 1
 
@@ -97,7 +97,7 @@ class TestForceFlush:
         lf = LearningFilter()
         lf.offer(b"a", 0.0)
         batch = lf.flush(1.0)
-        assert batch is not None and len(batch) == 1
+        assert batch is not None and len(batch.events) == 1
         assert lf.flush(2.0) is None
 
     def test_forced_reason_not_counted_as_timeout(self):
@@ -171,7 +171,7 @@ class TestFig18AccountingUnchanged:
             + learning.flushes_timeout
             + learning.flushes_forced
         )
-        assert total == lb._cpu.batches  # every flush reached the CPU
+        assert total == lb.cpu.batches  # every flush reached the CPU
         # Anything left pending at finalize drains exactly once, as "forced".
         assert learning.flushes_forced <= 1
 

@@ -17,6 +17,10 @@ class Item(NamedTuple):
     tag: int
 
 
+def times_of(items):
+    return [item.t for item in items]
+
+
 def reference_merge(items, times, new):
     """The old merge: place each sorted new item with bisect + insert,
     after every pending item at its time."""
@@ -35,7 +39,7 @@ def test_merge_matches_the_insert_loop(seed):
     # Few distinct times, so equal-time ties between pending and new items
     # (and among the new items themselves) are the common case.
     grid = rng.choice([3, 10, 50])
-    stream = _Stream("t")
+    stream = _Stream(times_of)
     ref_items, ref_times = [], []
     tag = 0
     for _feed in range(rng.randrange(1, 8)):
@@ -55,7 +59,7 @@ def test_merge_matches_the_insert_loop(seed):
 
 
 def test_equal_times_keep_pending_before_new():
-    stream = _Stream("t")
+    stream = _Stream(times_of)
     stream.merge([Item(1.0, 0), Item(2.0, 1), Item(2.0, 2), Item(3.0, 3)])
     stream.merge([Item(2.0, 4), Item(0.5, 5), Item(2.0, 6)])
     assert [item.tag for item in stream.items] == [5, 0, 1, 2, 4, 6, 3]

@@ -2,7 +2,8 @@
 
 A ``BENCH_<n>.json`` at the repo root records one change's benchmark:
 the result sets ``perf/run.py --seed S --out F`` wrote for each side
-(``parent``, ``change`` and the ``anchor`` re-anchor commit), the box and
+(``parent``, ``change`` and the ``anchor`` re-anchor commit, and any
+side a further comparison reads), the box and
 the commands, and the verdict rows of each comparison.  These tests load
 every such file, check its shape, and recompute every row from the stored
 samples with ``perf.compare``'s own functions — ``load``, ``judge_host``,
@@ -114,7 +115,9 @@ def problems(doc, tmp_path: Path):
         if key not in doc["box"]:
             found.append(f"box names no {key!r}")
     samples = {}
-    for side in SIDES:
+    # The three sides every file has, then any extra one a comparison of
+    # its own reads (say, the change without one of its parts).
+    for side in [*SIDES, *(s for s in doc["sides"] if s not in SIDES)]:
         entry = doc["sides"].get(side)
         if not entry or not entry.get("commit") or not entry.get("result_sets"):
             found.append(f"side {side!r} lacks a commit or result sets")
@@ -130,6 +133,7 @@ def problems(doc, tmp_path: Path):
     for comparison in doc["comparisons"]:
         base, change = samples.get(comparison["base"]), samples.get(comparison["change"])
         if base is None or change is None:
+            found.append(f"{comparison['name']}: compares a side the file lacks")
             continue
         expected = list(_expected_rows(base, change))
         stored = comparison["rows"]
