@@ -269,6 +269,25 @@ class TestProfileCacheLru:
         assert primed.profile_cache_evictions == scalar.profile_cache_evictions == 2
 
 
+    def test_prime_admits_and_evicts_like_the_scalar_path(self, monkeypatch):
+        """``prime_profiles`` admits misses inline and ``_profile`` admits
+        them on a cold miss: both follow one LRU rule, so a batch larger
+        than the cache, repeats included, leaves the cache and its
+        eviction count exactly as per-key lookups do."""
+        monkeypatch.setattr(cuckoo, "PROFILE_CACHE_SIZE", 8)
+        primed = CuckooTable(buckets_per_stage=64)
+        scalar = CuckooTable(buckets_per_stage=64)
+        keys = make_keys(20, seed=5)
+        batch = keys[:12] + keys[2:6] + keys[12:] + keys[:3]
+        primed.prime_profiles(batch, [None] * len(batch))
+        for key in batch:
+            scalar.lookup(key)
+        assert list(primed._profile_cache.items()) == list(
+            scalar._profile_cache.items()
+        )
+        assert primed.profile_cache_evictions == scalar.profile_cache_evictions > 8
+
+
 class TestKeyHashEquivalence:
     def test_lookup_with_cached_base_matches_bytes_path(self, table):
         from repro.asicsim.hashing import base_hash

@@ -74,6 +74,10 @@ class TestVipLifecycle:
     def test_unknown_vip_raises(self, table):
         with pytest.raises(KeyError):
             table.current_version(VIP)
+        # acquire/release read the VIP record inline, with the same error.
+        for call in (table.acquire, table.release):
+            with pytest.raises(KeyError, match="unknown VIP"):
+                call(VIP, 0)
 
 
 class TestVersioning:

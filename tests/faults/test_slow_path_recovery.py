@@ -159,3 +159,23 @@ def test_connection_ending_while_it_waits_is_never_reoffered(vip, dips, tuples):
     assert offered.value == before
     assert switch.pending_connections() == 0
     _assert_audited(switch, [first, second])
+
+
+def test_key_failing_a_long_write_window_installs_soon_after_it(vip, dips, tuples):
+    # Every write fails for 1 s and nothing else arrives, so no acknowledged
+    # install re-offers the key: only the re-learn timer does, and its cap
+    # (160 ms) bounds how long the key stays unmatched once the bus is back.
+    switch = _switch(vip, dips)
+    FaultInjector(
+        FaultPlan(events=(FaultEvent(
+            time=0.0, kind=FaultKind.INSTALL_FAIL_WINDOW, duration_s=1.0, probability=1.0
+        ),))
+    ).attach(switch, switch.queue)
+    conn = Connection(1, tuples.next_for(vip).key_bytes(), vip, 0.1, 100.0)
+    _arrive(switch, conn)
+    switch.queue.run_until(1.0)
+    assert switch.cpu.install_failures > 3
+    assert switch.conn_table.get_exact(conn.key) is None
+    switch.queue.run_until(1.2)
+    assert switch.conn_table.get_exact(conn.key) is not None
+    _assert_audited(switch, [conn])
